@@ -2,9 +2,10 @@
 
 These are conventional pytest-benchmark measurements (multiple rounds): the
 cost of building baseline trees, of classifying packets through a built
-tree, of one NeuroCuts rollout, and of one PPO update.  They quantify the
-"bulk of time is spent executing tree cut actions" observation from the
-paper's Section 5 and give a regression baseline for the Python substrate.
+tree, of one cut, of one NeuroCuts rollout, and of one PPO update.  They
+quantify the "bulk of time is spent executing tree cut actions" observation
+from the paper's Section 5 and give a regression baseline for the Python
+substrate.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from repro.classbench import generate_classifier, generate_trace
 from repro.neurocuts import NeuroCutsConfig, NeuroCutsEnv
 from repro.nn import ActorCriticMLP
 from repro.rl import Policy, PPOConfig, PPOLearner
+from repro.rules import Dimension
+from repro.tree import CutAction, DecisionTree
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +58,23 @@ def test_linear_search_throughput(benchmark, ruleset, trace):
 
     results = benchmark(classify_all)
     assert all(r is not None for r in results)
+
+
+@pytest.mark.parametrize("family,size", [("fw5", 200), ("acl1", 1000)])
+def test_node_apply_cost(benchmark, family, size):
+    """One 32-way cut of the root: which rules reach into each child and
+    which are shadowed there, for all children at once — the step a rollout
+    (and every baseline build) spends its time in."""
+    classifier = generate_classifier(family, size, seed=1000)
+    classifier.bounds.lo  # the table is built once per classifier
+
+    def cut_root():
+        root = DecisionTree(classifier, leaf_threshold=8).root
+        return root.apply(CutAction(Dimension.SRC_IP, 32))
+
+    children = benchmark(cut_root)
+    assert len(children) == 32
+    assert all(child.num_rules for child in children)
 
 
 def test_neurocuts_rollout_cost(benchmark, ruleset):

@@ -11,10 +11,13 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
+
+import numpy as np
 
 from repro.rules.ruleset import RuleSet
 from repro.tree.lookup import ClassifierStats, TreeClassifier
+from repro.tree.node import Node
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.dispatch import CompiledClassifier
@@ -64,6 +67,18 @@ class TreeBuilder(abc.ABC):
                        ) -> "CompiledClassifier":
         """Build the tree(s) and compile them for the dataplane engine."""
         return self.build(ruleset).compile(flow_cache_size=flow_cache_size)
+
+
+def distinct_projections(node: Node) -> List[int]:
+    """Per dimension, how many distinct ranges the node's rules project to:
+    the measure the cutting heuristics rank dimensions by."""
+    lo, hi = node.rule_bounds()
+    if not len(lo):
+        return [0] * lo.shape[1]
+    # A range packs into one sortable key: lo and hi - 1 are both < 2**32.
+    keys = np.sort((lo.astype(np.uint64) << np.uint64(32))
+                   | (hi - 1).astype(np.uint64), axis=0)
+    return (1 + np.count_nonzero(keys[1:] != keys[:-1], axis=0)).tolist()
 
 
 def compare_builders(ruleset: RuleSet,

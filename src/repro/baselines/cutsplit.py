@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.exceptions import InvalidActionError
 from repro.rules.fields import DIMENSIONS, Dimension
 from repro.rules.rule import Rule
@@ -28,7 +30,7 @@ from repro.tree.actions import CutAction, SplitAction
 from repro.tree.lookup import TreeClassifier
 from repro.tree.node import Node
 from repro.tree.tree import DecisionTree
-from repro.baselines.base import TreeBuilder
+from repro.baselines.base import TreeBuilder, distinct_projections
 
 #: Subset labels used by CutSplit's pre-partitioning.
 SUBSET_BOTH_SMALL = "sa_da_small"
@@ -103,10 +105,7 @@ class CutSplitBuilder(TreeBuilder):
     def choose_action(self, node: Node, cut_dims: Tuple[Dimension, ...]):
         """FiCuts while the node is large, HyperSplit splits afterwards."""
         if node.num_rules > self.cut_threshold and cut_dims:
-            dim = max(
-                cut_dims,
-                key=lambda d: len({r.range_for(d) for r in node.rules}),
-            )
+            dim = max(cut_dims, key=distinct_projections(node).__getitem__)
             lo, hi = node.range_for(dim)
             if hi - lo >= 2:
                 num_cuts = min(self.max_cuts, hi - lo)
@@ -117,21 +116,19 @@ class CutSplitBuilder(TreeBuilder):
         """HyperSplit: binary split at the weighted median range endpoint."""
         best: Optional[SplitAction] = None
         best_balance = None
+        rule_lo, rule_hi = node.rule_bounds()
         for dim in DIMENSIONS:
             lo, hi = node.range_for(dim)
             if hi - lo < 2:
                 continue
-            endpoints = sorted({
-                point
-                for rule in node.rules
-                for point in rule.range_for(dim)
-                if lo < point < hi
-            })
-            if not endpoints:
+            endpoints = np.unique(np.concatenate(
+                [rule_lo[:, dim], rule_hi[:, dim]]))
+            endpoints = endpoints[(endpoints > lo) & (endpoints < hi)]
+            if not len(endpoints):
                 continue
-            point = endpoints[len(endpoints) // 2]
-            left = sum(1 for r in node.rules if r.range_for(dim)[0] < point)
-            right = sum(1 for r in node.rules if r.range_for(dim)[1] > point)
+            point = int(endpoints[len(endpoints) // 2])
+            left = int(np.count_nonzero(rule_lo[:, dim] < point))
+            right = int(np.count_nonzero(rule_hi[:, dim] > point))
             balance = abs(left - right) + (left + right - node.num_rules)
             if best is None or balance < best_balance:
                 best = SplitAction(dimension=dim, split_point=point)

@@ -14,15 +14,17 @@ ones the original paper exposes.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
+
+import numpy as np
 
 from repro.rules.fields import DIMENSIONS, Dimension
 from repro.rules.ruleset import RuleSet
 from repro.tree.actions import CutAction
 from repro.tree.lookup import TreeClassifier
-from repro.tree.node import Node
-from repro.tree.tree import DecisionTree, build_with_policy
-from repro.baselines.base import TreeBuilder
+from repro.tree.node import Node, child_spans
+from repro.tree.tree import build_with_policy
+from repro.baselines.base import TreeBuilder, distinct_projections
 
 
 class HiCutsBuilder(TreeBuilder):
@@ -43,17 +45,15 @@ class HiCutsBuilder(TreeBuilder):
 
     def choose_dimension(self, node: Node) -> Dimension:
         """Pick the dimension with the most distinct rule projections."""
+        distinct = distinct_projections(node)
         best_dim = DIMENSIONS[0]
         best_score = -1
         for dim in DIMENSIONS:
             lo, hi = node.range_for(dim)
             if hi - lo < 2:
                 continue
-            distinct = len({
-                rule.range_for(dim) for rule in node.rules
-            })
-            if distinct > best_score:
-                best_score = distinct
+            if distinct[dim] > best_score:
+                best_score = distinct[dim]
                 best_dim = dim
         return best_dim
 
@@ -73,16 +73,15 @@ class HiCutsBuilder(TreeBuilder):
         return best
 
     def _space_measure(self, node: Node, dim: Dimension, num_cuts: int) -> float:
-        """sm(C) from the HiCuts paper: replicated rules + children count."""
-        sub_ranges = node.cut_ranges(dim, num_cuts)
-        total_rules = 0
-        d = int(dim)
-        for sub in sub_ranges:
-            for rule in node.rules:
-                r_lo, r_hi = rule.ranges[d]
-                if r_lo < sub[1] and sub[0] < r_hi:
-                    total_rules += 1
-        return total_rules + len(sub_ranges)
+        """sm(C) from the HiCuts paper: replicated rules + children count.
+
+        A rule is replicated into the run of children its range reaches, so
+        the total is a sum of run lengths, not a children x rules scan.
+        """
+        points = np.asarray(node.cut_points(dim, num_cuts), dtype=np.int64)
+        lo, hi = node.rule_bounds()
+        first, last = child_spans(points, lo[:, dim], hi[:, dim])
+        return int(np.maximum(last - first + 1, 0).sum()) + len(points) - 1
 
     def choose_action(self, node: Node) -> CutAction:
         """The per-node HiCuts policy."""

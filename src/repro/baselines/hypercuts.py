@@ -21,7 +21,7 @@ from repro.tree.actions import CutAction, MultiCutAction
 from repro.tree.lookup import TreeClassifier
 from repro.tree.node import Node
 from repro.tree.tree import build_with_policy
-from repro.baselines.base import TreeBuilder
+from repro.baselines.base import TreeBuilder, distinct_projections
 
 
 class HyperCutsBuilder(TreeBuilder):
@@ -43,12 +43,13 @@ class HyperCutsBuilder(TreeBuilder):
 
     def candidate_dimensions(self, node: Node) -> List[Dimension]:
         """Dimensions with at-least-average numbers of distinct projections."""
+        distinct = distinct_projections(node)
         counts = {}
         for dim in DIMENSIONS:
             lo, hi = node.range_for(dim)
             if hi - lo < 2:
                 continue
-            counts[dim] = len({rule.range_for(dim) for rule in node.rules})
+            counts[dim] = distinct[dim]
         if not counts:
             return []
         mean = sum(counts.values()) / len(counts)

@@ -17,7 +17,7 @@ relevant subtree is complete.  A rollout therefore:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from repro.rules.ruleset import RuleSet
 from repro.rl.batch import ExperienceBuilder, SampleBatch
 from repro.rl.policy import Policy, PolicyDecision
 from repro.tree.node import Node
+from repro.tree.stats import subtree_costs
 from repro.tree.tree import DecisionTree
 from repro.neurocuts.action_space import NeuroCutsActionSpace
 from repro.neurocuts.config import NeuroCutsConfig
@@ -130,10 +131,12 @@ class NeuroCutsEnv:
                     )
                 )
 
-        root_reward = self.reward_calculator.subtree_reward(tree.root)
+        # One post-order pass prices every subtree of the finished tree.
+        costs = subtree_costs(tree.root)
+        root_reward = self.reward_calculator.subtree_reward(tree.root, costs)
         batch = None
         if collect_experience and decisions:
-            batch = self._assign_rewards(decisions)
+            batch = self._assign_rewards(decisions, costs, root_reward)
         return RolloutResult(
             tree=tree,
             batch=batch,
@@ -142,7 +145,9 @@ class NeuroCutsEnv:
             truncated=truncated,
         )
 
-    def _assign_rewards(self, decisions: List[_RecordedDecision]) -> SampleBatch:
+    def _assign_rewards(self, decisions: List[_RecordedDecision],
+                        costs: Dict[int, Tuple[int, int]],
+                        root_reward: RewardComponents) -> SampleBatch:
         """Compute each decision's delayed reward and build the batch.
 
         In the paper's "subtree" mode every decision is credited with the
@@ -151,16 +156,12 @@ class NeuroCutsEnv:
         assignment much noisier (the dense-reward design choice of §4.2).
         """
         builder = ExperienceBuilder()
-        root_components = None
-        if self.config.reward_mode == "root" and decisions:
-            root_components = self.reward_calculator.subtree_reward(
-                decisions[0].node
-            )
         for record in decisions:
-            if root_components is not None:
-                components = root_components
+            if self.config.reward_mode == "root":
+                components = root_reward
             else:
-                components = self.reward_calculator.subtree_reward(record.node)
+                components = self.reward_calculator.subtree_reward(
+                    record.node, costs)
             builder.add(
                 obs=record.obs,
                 action=np.array(record.action, dtype=np.int64),

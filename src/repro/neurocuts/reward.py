@@ -39,11 +39,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.exceptions import ConfigError
 from repro.tree.node import Node
-from repro.tree.stats import RULE_POINTER_BYTES, subtree_space, subtree_time
+from repro.tree.stats import RULE_POINTER_BYTES, subtree_costs
 from repro.neurocuts.config import NeuroCutsConfig
 
 
@@ -103,16 +103,25 @@ class RewardCalculator:
         self.coefficient = config.time_space_coeff
         self.scaling = SCALING_FUNCTIONS[config.reward_scaling]
 
-    def subtree_reward(self, node: Node) -> RewardComponents:
+    def subtree_reward(
+        self, node: Node,
+        costs: Optional[Dict[int, Tuple[int, int]]] = None,
+    ) -> RewardComponents:
         """Reward of the completed subtree rooted at ``node``.
 
         ``RewardComponents.space`` reports the raw subtree footprint (what
         the evaluation tabulates); the combined reward charges only the
         excess over the node's irreducible rule storage.
+
+        ``costs`` is a :func:`~repro.tree.stats.subtree_costs` table of a
+        finished tree containing ``node``: a rollout rewards every decision
+        from one pass over its tree instead of one walk per decision.
         """
-        time = float(subtree_time(node))
-        space = float(subtree_space(node))
-        return self.combine(time, space, num_rules=node.num_rules)
+        if costs is None:
+            costs = subtree_costs(node)
+        time, space = costs[node.node_id]
+        return self.combine(float(time), float(space),
+                            num_rules=node.num_rules)
 
     def combine(self, time: float, space: float,
                 num_rules: int = 0) -> RewardComponents:

@@ -18,6 +18,7 @@ from repro.rules.fields import (
     range_to_prefix,
     validate_range,
 )
+from repro.rules.bounds import RuleBounds
 from repro.rules.packet import Packet
 from repro.rules.rule import Rule, format_prefix, highest_priority, parse_prefix
 from repro.rules.ruleset import RuleSet, RuleSetStats
@@ -42,6 +43,7 @@ __all__ = [
     "validate_range",
     "Packet",
     "Rule",
+    "RuleBounds",
     "RuleSet",
     "RuleSetStats",
     "format_prefix",

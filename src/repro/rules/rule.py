@@ -148,6 +148,18 @@ class Rule:
         """Return True if this rule's hypercube fully contains ``other``'s."""
         return other.is_covered_by(self.ranges)
 
+    def covers_within(self, other: "Rule", box: Sequence[Range]) -> bool:
+        """Return True if, clipped to ``box``, this rule's hypercube contains
+        ``other``'s (both are assumed to reach into the box)."""
+        # max(lo, box_lo) <= max(other_lo, box_lo) and the mirror image for
+        # the upper bounds, spelled without the calls.
+        for (lo, hi), (other_lo, other_hi), (box_lo, box_hi) in zip(
+                self.ranges, other.ranges, box):
+            if (lo > other_lo and lo > box_lo) \
+                    or (hi < other_hi and hi < box_hi):
+                return False
+        return True
+
     def clip_to(self, ranges: Sequence[Range]) -> Optional["Rule"]:
         """Return a copy of this rule clipped to a box, or None if disjoint."""
         clipped = []

@@ -15,6 +15,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 import numpy as np
 
 from repro.exceptions import RuleFormatError
+from repro.rules.bounds import RuleBounds
 from repro.rules.fields import DIMENSIONS, FIELD_RANGES, Dimension, Range
 from repro.rules.packet import Packet
 from repro.rules.rule import Rule
@@ -45,6 +46,10 @@ class RuleSet:
     carry distinct priorities, priorities are assigned from list order (first
     rule wins), which is the usual convention for ClassBench filter files.
     """
+
+    #: Class-level default so rule sets pickled before the table existed
+    #: still load.
+    _bounds: Optional[RuleBounds] = None
 
     def __init__(self, rules: Sequence[Rule], name: str = "", *,
                  reassign_priorities: bool = False) -> None:
@@ -87,6 +92,15 @@ class RuleSet:
     def rules(self) -> List[Rule]:
         """The rules, highest priority first (copy-free view)."""
         return self._rules
+
+    @property
+    def bounds(self) -> RuleBounds:
+        """The columnar bounds table: row ``i`` is ``rules[i]``, so row
+        order is priority order.  Built on first use, then shared by every
+        tree built for this classifier."""
+        if self._bounds is None:
+            self._bounds = RuleBounds(self._rules)
+        return self._bounds
 
     # ------------------------------------------------------------------ #
     # Classification (ground truth)

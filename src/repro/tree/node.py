@@ -5,15 +5,24 @@ that box, its depth, and — once an action has been applied to it — the actio
 and the resulting children.  Partition children keep their parent's box but a
 restricted *partition state*: per-dimension coverage bounds that tell the
 NeuroCuts agent which "shape" of rules live below this node (Appendix A).
+
+Cutting is where tree construction spends its time, so the cut family works
+on columns: a node knows which rows of a shared
+:class:`~repro.rules.bounds.RuleBounds` table its rules occupy, and one
+application of a cut computes, for all children at once, which rules reach
+into each child and which are shadowed there (see :meth:`Node._cut_children`).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.exceptions import InvalidActionError
+from repro.rules.bounds import RuleBounds
 from repro.rules.fields import DIMENSIONS, Dimension, Range, Ranges
 from repro.rules.rule import Rule
 from repro.tree.actions import (
@@ -52,6 +61,13 @@ class Node:
         children: child nodes created by ``action``.
         forced_leaf: True if tree construction terminated this node early
             (depth truncation), regardless of how many rules it still holds.
+
+    ``rules`` is the truth.  The node's array state — the bounds table its
+    rules are rows of, and those rows in ``rules`` order — is derived from
+    it on demand (:meth:`rule_bounds`) and handed to children as they are
+    created, so construction never re-derives it.  Code that edits ``rules``
+    in place must do so through :meth:`insert_rule` / :meth:`discard_rule`,
+    which drop the derived rows; it is left out of equality and ``repr``.
     """
 
     ranges: Ranges
@@ -63,6 +79,10 @@ class Node:
     children: List["Node"] = field(default_factory=list)
     forced_leaf: bool = False
     node_id: int = field(default_factory=lambda: next(_node_counter))
+    _bounds: Optional[RuleBounds] = field(
+        default=None, init=False, compare=False, repr=False)
+    _rows: Optional[np.ndarray] = field(
+        default=None, init=False, compare=False, repr=False)
 
     # ------------------------------------------------------------------ #
     # Basic queries
@@ -106,6 +126,78 @@ class Node:
         )
 
     # ------------------------------------------------------------------ #
+    # Rules as rows of a bounds table
+    # ------------------------------------------------------------------ #
+
+    def bind(self, bounds: RuleBounds,
+             rows: Optional[np.ndarray] = None) -> None:
+        """Declare this node's rules to be rows of ``bounds``.
+
+        ``rows`` lists them in ``rules`` order; left out, they are looked up
+        when first needed.
+        """
+        self._bounds, self._rows = bounds, rows
+
+    def release_rows(self) -> None:
+        """Forget the derived rows: only a node that may still be cut needs
+        them, and they are looked up again if it ever is."""
+        self._rows = None
+
+    def _table_rows(self) -> Tuple[RuleBounds, np.ndarray]:
+        if self._rows is None:
+            rows = None if self._bounds is None \
+                else self._bounds.rows_of(self.rules)
+            if rows is None:
+                # Unbound, or holding a rule the bound table lacks (one a
+                # classifier update inserted): a table of this node's own.
+                self._bounds = RuleBounds(self.rules)
+                rows = np.arange(len(self.rules))
+            self._rows = rows
+        return self._bounds, self._rows
+
+    def rule_bounds(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(lo, hi)`` of this node's rules: two ``(num_rules, 5) int64``
+        arrays, row ``i`` describing ``rules[i]``."""
+        table, rows = self._table_rows()
+        return table.lo[rows], table.hi[rows]
+
+    def insert_rule(self, rule: Rule) -> bool:
+        """Add a rule at its priority position; False if already held."""
+        if rule in self.rules:
+            return False
+        self.rules.append(rule)
+        self.rules.sort(key=lambda r: -r.priority)
+        self.release_rows()
+        return True
+
+    def discard_rule(self, rule: Rule) -> bool:
+        """Drop a rule; False if it was not held."""
+        try:
+            self.rules.remove(rule)
+        except ValueError:
+            return False
+        self.release_rows()
+        return True
+
+    def _child(self, rules: List[Rule], rows: np.ndarray, *,
+               ranges: Optional[Ranges] = None,
+               partition_state: Optional[Tuple[Tuple[int, int], ...]] = None,
+               efficuts_category: Optional[int] = None) -> "Node":
+        """A child holding ``rules`` (rows ``rows`` of this node's table);
+        whatever placement is not given is inherited."""
+        child = Node(
+            ranges=self.ranges if ranges is None else ranges,
+            rules=rules,
+            depth=self.depth + 1,
+            partition_state=self.partition_state if partition_state is None
+            else partition_state,
+            efficuts_category=self.efficuts_category
+            if efficuts_category is None else efficuts_category,
+        )
+        child.bind(self._bounds, rows)
+        return child
+
+    # ------------------------------------------------------------------ #
     # Applying actions
     # ------------------------------------------------------------------ #
 
@@ -119,11 +211,18 @@ class Node:
         if self.action is not None:
             raise InvalidActionError(f"node {self.node_id} already has an action")
         if isinstance(action, CutAction):
-            children = self._apply_cut(action, prune_redundant)
+            children = self._cut_children(
+                [(action.dimension,
+                  self.cut_points(action.dimension, action.num_cuts))],
+                prune_redundant)
         elif isinstance(action, MultiCutAction):
-            children = self._apply_multicut(action, prune_redundant)
+            children = self._cut_children(
+                [(dim, self.cut_points(dim, n)) for dim, n in action.cuts],
+                prune_redundant)
         elif isinstance(action, SplitAction):
-            children = self._apply_split(action, prune_redundant)
+            children = self._cut_children(
+                [(action.dimension, self._split_points(action))],
+                prune_redundant)
         elif isinstance(action, PartitionAction):
             children = self._apply_partition(action)
         elif isinstance(action, EffiCutsPartitionAction):
@@ -133,13 +232,16 @@ class Node:
 
         self.action = action
         self.children = children
+        self.release_rows()  # the children carry theirs
         return children
 
     # -- cut-family actions --------------------------------------------- #
 
-    def cut_ranges(self, dimension: Dimension, num_cuts: int) -> List[Range]:
-        """Compute the equal sub-ranges a cut would produce (may be < num_cuts
-        when the node's range has fewer distinct values than requested cuts)."""
+    def cut_points(self, dimension: Dimension, num_cuts: int) -> List[int]:
+        """Boundaries of the equal sub-ranges a cut would produce: child ``c``
+        covers ``[points[c], points[c + 1])``.  There are fewer than
+        ``num_cuts`` children when the node's range has fewer distinct
+        values than requested cuts."""
         lo, hi = self.ranges[int(dimension)]
         span = hi - lo
         effective = min(num_cuts, span)
@@ -147,118 +249,174 @@ class Node:
             raise InvalidActionError(
                 f"cannot cut dimension {dimension.name} of width {span}"
             )
-        # Distribute the span as evenly as integer arithmetic allows.
-        base = span // effective
-        remainder = span % effective
-        ranges = []
-        start = lo
-        for i in range(effective):
-            width = base + (1 if i < remainder else 0)
-            ranges.append((start, start + width))
-            start += width
-        return ranges
+        # Distribute the span as evenly as integer arithmetic allows: the
+        # first ``remainder`` children are one value wider.
+        base, remainder = divmod(span, effective)
+        return [lo + i * base + min(i, remainder) for i in range(effective + 1)]
 
-    def _child_from_box(self, ranges: Ranges, prune_redundant: bool) -> "Node":
-        rules = [r for r in self.rules if r.intersects(ranges)]
-        if prune_redundant:
-            rules = remove_redundant_rules(rules, ranges)
-        return Node(
-            ranges=ranges,
-            rules=rules,
-            depth=self.depth + 1,
-            partition_state=self.partition_state,
-            efficuts_category=self.efficuts_category,
-        )
+    def cut_ranges(self, dimension: Dimension, num_cuts: int) -> List[Range]:
+        """The equal sub-ranges a cut would produce (see :meth:`cut_points`)."""
+        points = self.cut_points(dimension, num_cuts)
+        return list(zip(points, points[1:]))
 
-    def _apply_cut(self, action: CutAction, prune_redundant: bool) -> List["Node"]:
-        sub_ranges = self.cut_ranges(action.dimension, action.num_cuts)
-        children = []
-        for sub in sub_ranges:
-            box = list(self.ranges)
-            box[int(action.dimension)] = sub
-            children.append(self._child_from_box(tuple(box), prune_redundant))
-        return children
-
-    def _apply_multicut(self, action: MultiCutAction,
-                        prune_redundant: bool) -> List["Node"]:
-        per_dim_ranges = []
-        for dim, n in action.cuts:
-            per_dim_ranges.append((dim, self.cut_ranges(dim, n)))
-        children = []
-        for combo in itertools.product(*[ranges for _, ranges in per_dim_ranges]):
-            box = list(self.ranges)
-            for (dim, _), sub in zip(per_dim_ranges, combo):
-                box[int(dim)] = sub
-            children.append(self._child_from_box(tuple(box), prune_redundant))
-        return children
-
-    def _apply_split(self, action: SplitAction, prune_redundant: bool) -> List["Node"]:
+    def _split_points(self, action: SplitAction) -> List[int]:
         lo, hi = self.ranges[int(action.dimension)]
-        point = action.split_point
-        if not lo < point < hi:
+        if not lo < action.split_point < hi:
             raise InvalidActionError(
-                f"split point {point} outside node range [{lo}, {hi})"
+                f"split point {action.split_point} outside node range [{lo}, {hi})"
             )
+        return [lo, action.split_point, hi]
+
+    def _cut_children(self, cuts: Sequence[Tuple[Dimension, List[int]]],
+                      prune_redundant: bool) -> List["Node"]:
+        """Children of cutting along one or more dimensions at once.
+
+        ``cuts`` pairs each cut dimension with its boundary points.  The
+        children are the product of the per-dimension sub-ranges, first
+        dimension slowest.  A child holds the rules that intersect its box,
+        minus (when pruning) those that cannot win inside it — see
+        :func:`remove_redundant_rules` for the rule.
+
+        Along a cut dimension a rule reaches a run of consecutive children,
+        and only that dimension's clip differs from child to child.  So
+        containment in the uncut dimensions (clipped to this node's box) is
+        decided once per pair of rules, and along each cut dimension the
+        children in which a pair stays nested are again a run, known from
+        the boundary points alone; no child is visited rule by rule.
+        """
+        lo, hi = self.rule_bounds()
+        dims = [int(dim) for dim, _ in cuts]
+        points = [np.asarray(pts, dtype=np.int64) for _, pts in cuts]
+        shape = tuple(len(pts) - 1 for pts in points)
+        uncut = [d for d in range(len(DIMENSIONS)) if d not in dims]
+        box = np.asarray(self.ranges, dtype=np.int64)
+        clip_lo = np.maximum(lo[:, uncut], box[uncut, 0])
+        clip_hi = np.minimum(hi[:, uncut], box[uncut, 1])
+
+        # held[c1, .., cq, j]: rule j intersects the child at (c1, .., cq).
+        spans = [child_spans(pts, lo[:, d], hi[:, d])
+                 for d, pts in zip(dims, points)]
+        held = (clip_lo < clip_hi).all(axis=1)
+        for axis, (first, last) in enumerate(spans):
+            child = np.arange(shape[axis]).reshape(
+                (-1,) + (1,) * (len(shape) - axis))
+            held = held & (first <= child) & (child <= last)
+        if prune_redundant:
+            held &= ~self._shadowed(lo, hi, clip_lo, clip_hi, dims, points,
+                                    spans)
+
+        # One pass over the grid, children in order, rules in order within.
+        num_children = int(np.prod(shape))
+        child_of, picks = np.nonzero(held.reshape(num_children, len(lo)))
+        ends = np.cumsum(np.bincount(child_of, minlength=num_children))
+        rules = [self.rules[i] for i in picks.tolist()]
+        rows = self._rows[picks]
+        sub_ranges = [list(zip(pts, pts[1:])) for _, pts in cuts]
         children = []
-        for sub in ((lo, point), (point, hi)):
-            box = list(self.ranges)
-            box[int(action.dimension)] = sub
-            children.append(self._child_from_box(tuple(box), prune_redundant))
+        start = 0
+        for subs, end in zip(itertools.product(*sub_ranges), ends.tolist()):
+            ranges = list(self.ranges)
+            for d, sub in zip(dims, subs):
+                ranges[d] = sub
+            children.append(self._child(rules[start:end], rows[start:end],
+                                        ranges=tuple(ranges)))
+            start = end
         return children
+
+    @staticmethod
+    def _shadowed(lo: np.ndarray, hi: np.ndarray, clip_lo: np.ndarray,
+                  clip_hi: np.ndarray, dims: List[int],
+                  points: List[np.ndarray],
+                  spans: List[Tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+        """``shadowed[c1, .., cq, j]``: inside child ``(c1, .., cq)`` an
+        earlier rule's clip contains rule ``j``'s clip.
+
+        For a pair ``i < j`` nested in the uncut dimensions, ``i``'s clip
+        contains ``j``'s along cut dimension ``d`` in child ``c`` iff
+        ``lo_i <= max(lo_j, start_c)`` and ``hi_i >= min(hi_j, end_c)``.
+        Child starts and ends grow with ``c``, so that holds on a run of
+        children ``[a, b]``; intersected with the children both rules reach,
+        each pair shadows ``j`` in a box of the child grid.  The boxes are
+        summed as a difference array (+1/-1 at the corners, then running
+        sums), which costs one entry per pair and corner however many
+        children a box spans.
+        """
+        count = len(lo)
+        grid = tuple(len(pts) for pts in points) + (count,)
+        marks = np.zeros(int(np.prod(grid)), dtype=np.int64)
+        # Per rule and cut dimension: the first child starting at or after
+        # the rule's lower bound, the last ending at or before its upper.
+        edges = [(pts.searchsorted(lo[:, d], side="left"),
+                  pts.searchsorted(hi[:, d], side="right") - 2)
+                 for d, pts in zip(dims, points)]
+        for i, j in _nested_pairs(clip_lo, clip_hi):
+            low, high = [], []
+            for d, (first, last), (starts_at, ends_by) in zip(
+                    dims, spans, edges):
+                low.append(np.maximum(first[j], np.where(
+                    lo[i, d] <= lo[j, d], first[i], starts_at[i])))
+                high.append(np.minimum(last[j], np.where(
+                    hi[i, d] >= hi[j, d], last[i], ends_by[i])))
+            real = np.all([a <= b for a, b in zip(low, high)], axis=0)
+            j = j[real]
+            low = [a[real] for a in low]
+            high = [b[real] + 1 for b in high]
+            for corner in itertools.product((False, True), repeat=len(dims)):
+                at = np.ravel_multi_index(
+                    [high[axis] if upper else low[axis]
+                     for axis, upper in enumerate(corner)] + [j], grid)
+                hits = np.bincount(at, minlength=marks.size)
+                if sum(corner) % 2:
+                    marks -= hits
+                else:
+                    marks += hits
+        marks = marks.reshape(grid)
+        for axis in range(len(dims)):
+            marks = marks.cumsum(axis=axis)
+        return marks[tuple(slice(size - 1) for size in grid[:-1])] > 0
 
     # -- partition-family actions ---------------------------------------- #
 
+    def _pick(self, wanted: Sequence[bool]) -> Tuple[List[Rule], np.ndarray]:
+        """The rules flagged in ``wanted``, and their rows."""
+        picks = np.flatnonzero(wanted)
+        return ([self.rules[i] for i in picks.tolist()],
+                self._table_rows()[1][picks])
+
     def _apply_partition(self, action: PartitionAction) -> List["Node"]:
-        small, large = [], []
-        for rule in self.rules:
-            if rule.coverage_fraction(action.dimension) > action.threshold:
-                large.append(rule)
-            else:
-                small.append(rule)
-        if not small or not large:
+        large = np.array([
+            rule.coverage_fraction(action.dimension) > action.threshold
+            for rule in self.rules
+        ], dtype=bool)
+        if large.all() or not large.any():
             raise InvalidActionError(
                 "partition does not separate rules into two non-empty groups"
             )
         threshold_level = _nearest_level(action.threshold)
         dim = int(action.dimension)
         children = []
-        for rules, bounds in (
-            (small, (0, threshold_level)),
+        for wanted, bounds in (
+            (~large, (0, threshold_level)),
             (large, (threshold_level, len(PARTITION_LEVELS) - 1)),
         ):
             state = list(self.partition_state)
             state[dim] = bounds
-            children.append(
-                Node(
-                    ranges=self.ranges,
-                    rules=list(rules),
-                    depth=self.depth + 1,
-                    partition_state=tuple(state),
-                    efficuts_category=self.efficuts_category,
-                )
-            )
+            children.append(self._child(*self._pick(wanted),
+                                        partition_state=tuple(state)))
         return children
 
     def _apply_efficuts_partition(self,
                                   action: EffiCutsPartitionAction) -> List["Node"]:
-        categories = efficuts_categories(self.rules, action.largeness_threshold)
-        non_empty = [(idx, rules) for idx, rules in enumerate(categories) if rules]
-        if len(non_empty) < 2:
+        masks = np.array([efficuts_mask(rule, action.largeness_threshold)
+                          for rule in self.rules], dtype=np.int64)
+        categories = np.unique(masks).tolist()
+        if len(categories) < 2:
             raise InvalidActionError(
                 "EffiCuts partition produces fewer than two non-empty categories"
             )
-        children = []
-        for idx, rules in non_empty:
-            children.append(
-                Node(
-                    ranges=self.ranges,
-                    rules=list(rules),
-                    depth=self.depth + 1,
-                    partition_state=self.partition_state,
-                    efficuts_category=idx,
-                )
-            )
-        return children
+        return [self._child(*self._pick(masks == category),
+                            efficuts_category=category)
+                for category in categories]
 
 
 def _nearest_level(threshold: float) -> int:
@@ -269,24 +427,66 @@ def _nearest_level(threshold: float) -> int:
     )
 
 
+def efficuts_mask(rule: Rule, largeness_threshold: float = 0.5) -> int:
+    """A rule's EffiCuts category: the bitmask of dimensions it is "large"
+    in, i.e. where its coverage fraction exceeds the threshold."""
+    mask = 0
+    for dim in DIMENSIONS:
+        if rule.coverage_fraction(dim) > largeness_threshold:
+            mask |= 1 << int(dim)
+    return mask
+
+
 def efficuts_categories(rules: Sequence[Rule],
                         largeness_threshold: float = 0.5) -> List[List[Rule]]:
     """Group rules into EffiCuts separable categories.
 
-    A rule is "large" in a dimension if its coverage fraction there exceeds
-    the threshold.  The category index is the bitmask of large dimensions, so
-    rules with the same shape end up in the same tree and replication from
-    wildcard-ish fields is avoided.
+    The category index is the rule's :func:`efficuts_mask`, so rules with
+    the same shape end up in the same tree and replication from wildcard-ish
+    fields is avoided.
     """
     num_categories = 1 << len(DIMENSIONS)
     buckets: List[List[Rule]] = [[] for _ in range(num_categories)]
     for rule in rules:
-        mask = 0
-        for dim in DIMENSIONS:
-            if rule.coverage_fraction(dim) > largeness_threshold:
-                mask |= 1 << int(dim)
-        buckets[mask].append(rule)
+        buckets[efficuts_mask(rule, largeness_threshold)].append(rule)
     return buckets
+
+
+# --------------------------------------------------------------------------- #
+# Array geometry shared by cutting, pruning and the builders' heuristics
+# --------------------------------------------------------------------------- #
+
+#: Most rule-pair comparisons (pairs x columns) held in memory at once: a
+#: megabyte or so of temporaries however many rules a node holds.
+_PAIR_BLOCK = 1 << 20
+
+
+def child_spans(points: np.ndarray, lo: np.ndarray,
+                hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """First and last child each range ``[lo, hi)`` reaches, for children
+    ``[points[c], points[c + 1])``; ``last < first`` where it reaches none."""
+    first = np.maximum(points.searchsorted(lo, side="right") - 1, 0)
+    last = np.minimum(points.searchsorted(hi, side="left") - 1,
+                      len(points) - 2)
+    return first, last
+
+
+def _nested_pairs(lo: np.ndarray, hi: np.ndarray
+                  ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Every pair of rows ``i < j`` with box ``i`` containing box ``j``
+    (``lo_i <= lo_j`` and ``hi_i >= hi_j`` in every column), as index
+    arrays, a block of ``j`` at a time so memory stays bounded."""
+    count, width = lo.shape
+    step = max(1, _PAIR_BLOCK // max(1, count * width))
+    row = np.arange(count)
+    for start in range(1, count, step):
+        stop = min(count, start + step)
+        nested = ((lo[:stop, None] <= lo[None, start:stop])
+                  & (hi[:stop, None] >= hi[None, start:stop])).all(axis=2)
+        nested &= row[:stop, None] < row[None, start:stop]
+        i, j = np.nonzero(nested)
+        if len(i):
+            yield i, j + start
 
 
 def remove_redundant_rules(rules: Sequence[Rule], box: Ranges) -> List[Rule]:
@@ -297,15 +497,18 @@ def remove_redundant_rules(rules: Sequence[Rule], box: Ranges) -> List[Rule]:
     This is the standard rule-overlap pruning used by HiCuts-family builders;
     it only removes rules that are unreachable, so classification results are
     unchanged.
+
+    Rules arrive highest priority first, and every *earlier* rule counts as
+    a coverer, pruned or not: containment is transitive, so whatever covered
+    a pruned coverer covers the rule too, and the first rule of such a chain
+    is always kept.  Of two rules with identical clips the earlier stays.
     """
-    kept: List[Rule] = []
-    clipped_kept: List[Rule] = []
-    for rule in rules:  # rules arrive highest priority first
-        clipped = rule.clip_to(box)
-        if clipped is None:
-            continue
-        if any(higher.covers(clipped) for higher in clipped_kept):
-            continue
-        kept.append(rule)
-        clipped_kept.append(clipped)
-    return kept
+    table = RuleBounds(rules)
+    box = np.asarray(box, dtype=np.int64)
+    clip_lo = np.maximum(table.lo, box[:, 0])
+    clip_hi = np.minimum(table.hi, box[:, 1])
+    inside = np.flatnonzero((clip_lo < clip_hi).all(axis=1))
+    redundant = np.zeros(len(inside), dtype=bool)
+    for _, j in _nested_pairs(clip_lo[inside], clip_hi[inside]):
+        redundant[j] = True
+    return [rules[i] for i in inside[~redundant].tolist()]

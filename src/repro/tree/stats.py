@@ -18,7 +18,7 @@ compare algorithms under the identical model, like the paper does.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Tuple
 
 from repro.obs.serialize import stable_dict
 from repro.tree.node import Node
@@ -87,49 +87,48 @@ def node_space_cost(node: Node) -> int:
     return cost
 
 
-def subtree_time(node: Node) -> int:
-    """Worst-case classification time of the subtree rooted at ``node``.
+def subtree_costs(root: Node) -> Dict[int, Tuple[int, int]]:
+    """``(time, space)`` of the subtree under every node below ``root``,
+    keyed by ``node_id``, from one post-order pass.
 
-    Implements Eq. 1 (cut: max over children) and Eq. 3 (partition: sum over
-    children) recursively, iteratively to avoid recursion-depth limits on
-    deep trees.
+    Time follows Eq. 1 (cut: the node's cost plus the max over children)
+    and Eq. 3 (partition: plus the sum over children); space follows
+    Eq. 2/4 (the node's bytes plus the sum over children).  Iterative, so
+    deep trees do not hit the recursion limit.
     """
-    # Post-order iterative evaluation.
-    times: Dict[int, int] = {}
-    stack = [(node, False)]
+    order = []
+    stack = [root]
     while stack:
-        current, expanded = stack.pop()
-        if current.is_leaf:
-            times[current.node_id] = node_time_cost(current)
-            continue
-        if not expanded:
-            stack.append((current, True))
-            stack.extend((child, False) for child in current.children)
-            continue
-        child_times = [times[c.node_id] for c in current.children]
-        if current.is_partition_node:
-            combined = sum(child_times)
-        else:
-            combined = max(child_times)
-        times[current.node_id] = node_time_cost(current) + combined
-    return times[node.node_id]
+        node = stack.pop()
+        order.append(node)
+        stack.extend(node.children)
+    costs: Dict[int, Tuple[int, int]] = {}
+    # Reversed pre-order visits every child before its parent.
+    for node in reversed(order):
+        time, space = node_time_cost(node), node_space_cost(node)
+        if not node.is_leaf:
+            below = [costs[child.node_id] for child in node.children]
+            child_times = [t for t, _ in below]
+            time += sum(child_times) if node.is_partition_node \
+                else max(child_times)
+            space += sum(s for _, s in below)
+        costs[node.node_id] = (time, space)
+    return costs
+
+
+def subtree_time(node: Node) -> int:
+    """Worst-case classification time of the subtree rooted at ``node``."""
+    return subtree_costs(node)[node.node_id][0]
 
 
 def subtree_space(node: Node) -> int:
-    """Memory footprint in bytes of the subtree rooted at ``node`` (Eq. 2/4)."""
-    total = 0
-    stack = [node]
-    while stack:
-        current = stack.pop()
-        total += node_space_cost(current)
-        stack.extend(current.children)
-    return total
+    """Memory footprint in bytes of the subtree rooted at ``node``."""
+    return subtree_costs(node)[node.node_id][1]
 
 
 def compute_stats(tree: DecisionTree) -> TreeStats:
     """Compute the full statistics bundle for one tree."""
-    time = subtree_time(tree.root)
-    space = subtree_space(tree.root)
+    time, space = subtree_costs(tree.root)[tree.root.node_id]
     num_rules = len(tree.ruleset)
     leaf_rule_refs = sum(leaf.num_rules for leaf in tree.leaves())
     distinct_rules = max(1, len(tree.root.rules))

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from typing import Callable, Iterator, List, Optional, Tuple
 
+import numpy as np
+
 from repro.exceptions import InvalidActionError, TreeError
 from repro.rules.fields import DIMENSIONS, FULL_SPACE, Ranges
 from repro.rules.packet import Packet
@@ -62,6 +64,10 @@ class DecisionTree:
             rules=root_rules,
             depth=0,
         )
+        # The classifier's table is row-for-rule with ``ruleset.rules``; the
+        # rows of an explicit subset are looked up when first needed.
+        self.root.bind(ruleset.bounds,
+                       np.arange(len(ruleset)) if rules is None else None)
         # Depth-first frontier of nodes that still need an action.
         self._frontier: List[Node] = []
         self._push_if_unfinished(self.root)
@@ -74,12 +80,13 @@ class DecisionTree:
     # ------------------------------------------------------------------ #
 
     def _push_if_unfinished(self, node: Node) -> None:
-        if node.is_terminal(self.leaf_threshold):
-            return
-        if self.max_depth is not None and node.depth >= self.max_depth:
+        if not node.is_terminal(self.leaf_threshold):
+            if self.max_depth is None or node.depth < self.max_depth:
+                self._frontier.append(node)
+                return
             node.forced_leaf = True
-            return
-        self._frontier.append(node)
+        # A finished leaf will not be cut: it need not keep its rows.
+        node.release_rows()
 
     @property
     def num_actions_taken(self) -> int:
@@ -140,6 +147,7 @@ class DecisionTree:
             node = self._frontier.pop()
             if node.is_leaf:
                 node.forced_leaf = True
+                node.release_rows()
         self._version += 1
 
     # ------------------------------------------------------------------ #

@@ -160,6 +160,101 @@ class TestEnv:
         assert result.tree.depth() <= 3
 
 
+def _eq_1_to_4(node):
+    """(time, space) of a subtree straight from Eqs. 1-4, recursively."""
+    from repro.tree import node_space_cost, node_time_cost
+
+    below = [_eq_1_to_4(child) for child in node.children]
+    time, space = node_time_cost(node), node_space_cost(node)
+    if below:
+        times = [t for t, _ in below]
+        time += sum(times) if node.is_partition_node else max(times)
+        space += sum(s for _, s in below)
+    return time, space
+
+
+class _FixedActionPolicy:
+    """Always cuts the protocol field in two, whatever the masks say: after
+    eight halvings the field is one value wide and the action is invalid."""
+
+    def act(self, obs, masks=None):
+        from repro.rl.policy import PolicyDecision
+
+        return PolicyDecision(action=(4, 0), log_prob=0.0, value=0.0,
+                              masks=masks)
+
+
+class TestOnePassRewards:
+    """Every decision's return, priced from one pass over the finished tree,
+    equals ``subtree_reward`` walked from that decision's node — exactly."""
+
+    def _check(self, ruleset, policy=None, seed=1, **overrides):
+        config = NeuroCutsConfig.fast_test_config(**{
+            "hidden_sizes": (16, 16), "leaf_threshold": 4, "seed": seed,
+            **overrides})
+        env = NeuroCutsEnv(ruleset, config)
+        if policy is None:
+            model = ActorCriticMLP(env.observation_size, env.action_sizes,
+                                   hidden_sizes=(16, 16), seed=seed)
+            policy = Policy(model, env.action_space.space, seed=seed)
+        recorded = []
+        assign = env._assign_rewards
+
+        def spy(decisions, costs, root_reward):
+            recorded.extend(decisions)
+            return assign(decisions, costs, root_reward)
+
+        env._assign_rewards = spy
+        result = env.rollout(policy)
+        calc = RewardCalculator(config)
+        assert len(recorded) == result.num_steps == len(result.batch)
+        assert recorded[0].node is result.tree.root
+        if config.reward_mode == "root":
+            walked = [calc.subtree_reward(result.tree.root)] * len(recorded)
+        else:
+            walked = [calc.subtree_reward(r.node) for r in recorded]
+        assert result.batch.returns.tolist() == [w.reward for w in walked]
+        assert result.root_reward == calc.subtree_reward(result.tree.root)
+        for record, components in zip(recorded, walked):
+            if config.reward_mode != "root":
+                assert (components.time, components.space) \
+                    == _eq_1_to_4(record.node)
+        return result, recorded
+
+    def test_complete_rollout(self, small_acl_ruleset):
+        # Two levels of cuts at most: complete well inside the step budget.
+        result, _ = self._check(small_acl_ruleset, max_tree_depth=2)
+        assert not result.truncated and result.num_steps > 1
+
+    def test_truncated_rollout(self, small_fw_ruleset):
+        result, _ = self._check(small_fw_ruleset, max_timesteps_per_rollout=12,
+                                time_space_coeff=0.5, reward_scaling="log")
+        assert result.truncated
+        assert result.tree.has_overflowing_leaves()
+
+    def test_forced_leaves_from_invalid_actions(self, small_fw_ruleset):
+        result, recorded = self._check(small_fw_ruleset,
+                                       policy=_FixedActionPolicy(),
+                                       max_timesteps_per_rollout=600)
+        wasted = [r for r in recorded if r.node.is_leaf]
+        assert wasted and all(r.node.forced_leaf for r in wasted)
+
+    # Seeds whose first sampled action partitions the root.
+    @pytest.mark.parametrize("mode,seed", [("simple", 0), ("efficuts", 6)])
+    def test_partition_modes(self, small_fw_ruleset, mode, seed):
+        result, _ = self._check(
+            small_fw_ruleset, seed=seed, partition_mode=mode,
+            max_timesteps_per_rollout=60, time_space_coeff=0.0)
+        # Sum-over-children time (Eq. 3) must have been exercised.
+        assert result.tree.root.is_partition_node
+
+    def test_root_reward_mode(self, small_fw_ruleset):
+        result, _ = self._check(small_fw_ruleset, reward_mode="root",
+                                max_timesteps_per_rollout=40)
+        assert set(result.batch.returns.tolist()) \
+            == {result.root_reward.reward}
+
+
 class TestTrainer:
     def test_training_produces_valid_classifier(self, trained_trainer,
                                                  small_acl_ruleset):

@@ -3,7 +3,14 @@
 import pytest
 
 from repro.rules import Dimension, Packet, Rule, RuleSet
-from repro.tree import CutAction, PartitionAction, TreeClassifier, build_with_policy
+from repro.tree import (
+    CutAction,
+    EffiCutsPartitionAction,
+    PartitionAction,
+    TreeClassifier,
+    build_with_policy,
+    validate_classifier,
+)
 from repro.neurocuts import (
     IncrementalUpdater,
     compare_profiles,
@@ -68,6 +75,86 @@ class TestIncrementalUpdates:
             built_tree.ruleset.sample_packets(150, seed=11)
         )
         assert mismatches == 0
+
+    @pytest.mark.parametrize("partition", [
+        PartitionAction(Dimension.SRC_IP, 0.02),
+        EffiCutsPartitionAction(0.5)], ids=lambda a: a.describe())
+    def test_removal_restores_shadowed_rules_under_partitions(self, partition):
+        """Whatever a removed rule shadowed at build time comes back — into
+        the partition it is routed to, and nowhere else."""
+        shadow = Rule.from_prefixes(src_ip="10.0.0.0/8", priority=50,
+                                    name="shadow")
+        hidden = [
+            Rule.from_prefixes(src_ip="10.1.0.0/16", priority=40, name="a"),
+            Rule.from_prefixes(src_ip="10.2.0.0/16", protocol=6, priority=39,
+                               name="b"),
+            # Nested in "a": comes back only where "a" does not cover it.
+            Rule.from_prefixes(src_ip="10.1.2.0/24", priority=38, name="c"),
+        ]
+        others = [Rule.from_prefixes(src_ip=f"{20 + i}.0.0.0/8",
+                                     priority=30 - i, name=f"o{i}")
+                  for i in range(8)]
+        ruleset = RuleSet([shadow] + hidden + others
+                          + [Rule.wildcard(priority=0)])
+
+        def policy(node):
+            if node.depth == 0:
+                return partition
+            return CutAction(Dimension.SRC_IP, 4)
+
+        tree = build_with_policy(ruleset, policy, leaf_threshold=2,
+                                 max_depth=6)
+        assert tree.root.is_partition_node
+        updater = IncrementalUpdater(tree)
+        # Under the EffiCuts partition "b" (one protocol) lives in another
+        # category than "shadow", which therefore never shadowed it.
+        beside = [rule for rule in hidden
+                  if updater._partition_child(tree.root, rule)
+                  is updater._partition_child(tree.root, shadow)]
+        held = {rule for leaf in tree.leaves() for rule in leaf.rules}
+        assert shadow in held and hidden[0] in beside
+        assert not held & set(beside)
+
+        assert updater.remove_rule(shadow) >= 1
+        held = {rule for leaf in tree.leaves() for rule in leaf.rules}
+        assert {hidden[0], hidden[1]} <= held and hidden[2] not in held
+        report = validate_classifier(TreeClassifier(tree.ruleset, [tree]),
+                                     num_random_packets=300)
+        assert report.is_correct
+        for child in tree.root.children:
+            assert all(updater._partition_child(tree.root, rule) is child
+                       for rule in child.rules)
+        for node in tree.internal_nodes():
+            assert all(rule in node.rules for child in node.children
+                       for rule in child.rules)
+        # And again one level down the chain.
+        updater.remove_rule(hidden[0])
+        assert hidden[2] in {rule for leaf in tree.leaves()
+                             for rule in leaf.rules}
+        assert validate_classifier(TreeClassifier(tree.ruleset, [tree]),
+                                   num_random_packets=300).is_correct
+
+    def test_leaves_touched_counts_every_leaf_reached(self, small_fw_ruleset):
+        """Updates walk only the children a rule reaches into; the counts
+        are those of a walk over every node."""
+        from repro.baselines import HiCutsBuilder, HyperCutsBuilder
+
+        for builder in (HiCutsBuilder(binth=4), HyperCutsBuilder(binth=4)):
+            tree = builder.build(small_fw_ruleset).trees[0]
+            updater = IncrementalUpdater(tree)
+            top = max(r.priority for r in small_fw_ruleset.rules)
+            fresh = [Rule.from_prefixes(src_ip="10.0.0.0/7", priority=top + 1),
+                     Rule.from_fields(dst_port=(1000, 1001), protocol=(6, 7),
+                                      priority=top + 2),
+                     Rule.wildcard(priority=top + 3, name="everything")]
+            for rule in fresh:
+                reached = sum(rule.intersects(leaf.ranges)
+                              for leaf in tree.leaves())
+                assert updater.add_rule(rule) == reached > 0
+            for victim in fresh + list(small_fw_ruleset.rules[5:25]):
+                holding = sum(victim in leaf.rules for leaf in tree.leaves())
+                assert updater.remove_rule(victim) == holding
+                assert all(victim not in node.rules for node in tree.nodes())
 
     def test_remove_unknown_rule_is_a_noop(self, built_tree):
         updater = IncrementalUpdater(built_tree)

@@ -247,3 +247,60 @@ class TestEngineSlotPartial:
         slot.adopt_classifier(retrained)
         assert metrics.counters["engine.compiles_full"].value == 2
         assert metrics.counters["engine.compiles_partial"].value == 0
+
+
+class TestChurnAsGenerated:
+    """``generate_churn`` removes rules the trees were *built* with.
+
+    Builders prune, inside each child box, the rules a higher-priority rule
+    shadows; removing the shadowing rule must bring them back, or the tree
+    (and every engine compiled from it) answers with a lower-priority match
+    than linear search.  Packets are drawn inside the removed rules' boxes,
+    which is where a lost rule shows.
+    """
+
+    @pytest.mark.parametrize("family,builder", [
+        ("acl1", HiCutsBuilder), ("fw1", HiCutsBuilder),
+        ("ipc1", HiCutsBuilder), ("fw1", EffiCutsBuilder)],
+        ids=lambda value: getattr(value, "name", value))
+    def test_every_event_stays_exact(self, family, builder):
+        from repro.workloads.scenario import ChurnConfig, build_workload, \
+            make_tenant_specs
+        from repro.workloads.traffic import FlowTraceConfig
+
+        specs = make_tenant_specs(1, families=(family,), num_rules=150,
+                                  seed=1000, algorithm="HiCuts", binth=8)
+        workload = build_workload(
+            specs, FlowTraceConfig(num_packets=400, num_flows=50, seed=5),
+            churn=ChurnConfig(num_events=24, adds_per_event=5,
+                              removes_per_event=3, window=(0.05, 0.95)))
+        assert len(workload.updates) >= 20
+        tenant = specs[0].tenant_id
+        built_with = set(workload.rulesets[tenant].rules)
+        assert any(rule in built_with for update in workload.updates
+                   for rule in update.removes)
+
+        classifier = builder(binth=8).build(workload.rulesets[tenant])
+        slot = EngineSlot(tenant, classifier, flow_cache_size=None,
+                          background=False)
+        rng = random.Random(7)
+        removed = []
+        for event, update in enumerate(workload.updates):
+            slot.apply_update(adds=update.adds, removes=update.removes)
+            removed.extend(update.removes)
+            ruleset = slot.ruleset
+            packets = ruleset.sample_packets(100, seed=event)
+            packets += [ruleset.sample_matching_packet(rule, rng)
+                        for rule in removed for _ in range(12)]
+            expected = _priorities([ruleset.classify(p) for p in packets])
+            where = f"{builder.name} {family}, event {event}"
+            assert _priorities([slot.classifier.classify(p)
+                                for p in packets]) == expected, where
+            partial = slot.engine()
+            assert _priorities(partial.classify_batch(packets)) \
+                == expected, where
+            full = compile_classifier(slot.classifier)
+            assert _priorities(full.classify_batch(packets)) \
+                == expected, where
+        assert slot.metrics.counters["engine.compiles_partial"].value \
+            == len(workload.updates)
