@@ -2,10 +2,10 @@
 
 These are conventional pytest-benchmark measurements (multiple rounds): the
 cost of building baseline trees, of classifying packets through a built
-tree, of one cut, of one NeuroCuts rollout, and of one PPO update.  They
-quantify the "bulk of time is spent executing tree cut actions" observation
-from the paper's Section 5 and give a regression baseline for the Python
-substrate.
+tree, of one cut, of one compiled-engine lookup call, of one NeuroCuts
+rollout, and of one PPO update.  They quantify the "bulk of time is spent
+executing tree cut actions" observation from the paper's Section 5 and give
+a regression baseline for the Python substrate.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import pytest
 from repro.baselines import CutSplitBuilder, EffiCutsBuilder, HiCutsBuilder, \
     HyperCutsBuilder
 from repro.classbench import generate_classifier, generate_trace
+from repro.engine import compile_classifier, packets_to_array
 from repro.neurocuts import NeuroCutsConfig, NeuroCutsEnv
 from repro.nn import ActorCriticMLP
 from repro.rl import Policy, PPOConfig, PPOLearner
@@ -75,6 +76,29 @@ def test_node_apply_cost(benchmark, family, size):
     children = benchmark(cut_root)
     assert len(children) == 32
     assert all(child.num_rules for child in children)
+
+
+@pytest.fixture(scope="module", params=[
+    ("fw1", 500, EffiCutsBuilder), ("acl1", 1000, HiCutsBuilder),
+], ids=["efficuts-fw1-500", "hicuts-acl1-1000"])
+def compiled_engine(request):
+    family, size, builder_cls = request.param
+    classifier = generate_classifier(family, size, seed=1000)
+    values = packets_to_array(
+        classifier.sample_packets(4096, seed=3, rule_bias=0.8))
+    return compile_classifier(builder_cls(binth=8).build(classifier)), values
+
+
+@pytest.mark.parametrize("rows", [1, 25, 4096])
+def test_match_indices_cost(benchmark, compiled_engine, rows):
+    """One ``match_indices`` call on a many-tree and a single-tree engine:
+    at 1 and 25 rows the cost is the walk's fixed per-call work (what a
+    cache-miss batch on the serving path pays), at 4,096 it is per lane."""
+    engine, values = compiled_engine
+    batch = values[:rows].copy()
+    found = benchmark(engine.match_indices, batch)
+    assert found.shape == (rows,)
+    assert (found >= 0).any()
 
 
 def test_neurocuts_rollout_cost(benchmark, ruleset):

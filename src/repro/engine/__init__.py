@@ -3,9 +3,9 @@
 Tree *construction* (NeuroCuts training, the baseline heuristics) produces
 :class:`~repro.tree.lookup.TreeClassifier` objects made of Python ``Node``
 graphs; this package is the *execution* side: it compiles any such
-classifier into flat NumPy structured arrays and classifies whole packet
-batches with vectorised, level-synchronous traversal, an optional LRU flow
-cache, and a throughput benchmark harness.
+classifier into one forest of flat NumPy column arrays and classifies whole
+packet batches with a single vectorised, level-synchronous walk over every
+search tree, an optional LRU flow cache, and a throughput benchmark harness.
 
 Typical use::
 
@@ -24,6 +24,7 @@ from repro.engine.layout import (
     NO_MATCH_PRIORITY,
     RULE_DTYPE,
     FlatTree,
+    Forest,
     packets_to_array,
 )
 from repro.engine.compile import (
@@ -61,6 +62,7 @@ __all__ = [
     "NO_MATCH_PRIORITY",
     "RULE_DTYPE",
     "FlatTree",
+    "Forest",
     "packets_to_array",
     "MAX_SEARCH_TREES",
     "CompileError",

@@ -14,24 +14,25 @@ Compilation happens in three steps:
    row-major way the interpreter orders the cut's cartesian product), and a
    split keeps its single boundary point.
 3. **Flattening** — the normalised tree is laid out breadth-first into the
-   structured node array, so every node's children occupy one contiguous
+   node table's columns, so every node's children occupy one contiguous
    index span, and the per-leaf rule lists are concatenated (highest
    priority first) into the leaf rule table.
 
-The result is a :class:`~repro.engine.dispatch.CompiledClassifier` holding
-one :class:`~repro.engine.layout.FlatTree` per partition of each tree of the
+The result is a :class:`~repro.engine.dispatch.CompiledClassifier` whose
+one :class:`~repro.engine.layout.Forest` holds a block — viewed through a
+:class:`~repro.engine.layout.FlatTree` — per partition of each tree of the
 source classifier.
 
 **Partial recompilation.**  :func:`compile_classifier` records a
 :class:`CompileProvenance` on its result — which source tree produced which
 span of flat trees, at which version, from which expanded roots — and
 :func:`partial_compile_classifier` uses it to rebuild *only* the subtrees
-whose rules changed: flat trees of untouched subtrees are carried into the
-new engine by reference, and the shared distinct-rule list is patched in
-place (append-only, so the still-serving engine's indices never move).  Any
-structural surprise — different tree objects, a partition that changed its
-expansion, clones in the expansion — falls back to a full rebuild, so the
-fast path can never be wrong, only missed.
+whose rules changed: the blocks of untouched subtrees are copied row for row
+from the previous forest into the new one, and the shared distinct-rule list
+is patched in place (append-only, so the still-serving engine's indices
+never move).  Any structural surprise — different tree objects, a partition
+that changed its expansion, clones in the expansion — falls back to a full
+rebuild, so the fast path can never be wrong, only missed.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.exceptions import TreeError
+from repro.rules.fields import NUM_DIMENSIONS
 from repro.rules.rule import Rule
 from repro.tree.actions import CutAction, MultiCutAction, SplitAction
 from repro.tree.node import Node
@@ -54,6 +56,7 @@ from repro.engine.layout import (
     NODE_DTYPE,
     RULE_DTYPE,
     FlatTree,
+    Forest,
 )
 
 #: Safety cap on how many search trees one interpreter tree may expand into
@@ -245,9 +248,13 @@ def _normalize_multicut(node: Node) -> object:
 # Step 3: flattening
 # --------------------------------------------------------------------------- #
 
-def _flatten(root: object, rule_slot: Dict[Rule, int],
-             rules_out: List[Rule]) -> FlatTree:
-    """Lay a normalised tree out breadth-first into the structured arrays.
+class _Flattener:
+    """Lays normalised trees out breadth-first, one block of rows each.
+
+    Rows are collected for all the trees of a compile and converted to one
+    :class:`Forest` at the end (:meth:`trees`): NumPy's per-call cost is
+    paid once per engine, not once per search tree, and rule geometry is
+    converted once per distinct rule rather than once per leaf row.
 
     ``rule_slot`` keys are the (frozen, hashable) rules themselves, not
     object ids: ids of dead objects get recycled, which would silently
@@ -255,61 +262,82 @@ def _flatten(root: object, rule_slot: Dict[Rule, int],
     recompiled classifier.  Keying by value also dedupes equal rules, which
     is sound because equal rules match identically at equal priority.
     """
-    queue = deque([(root, 0)])
-    records: List[tuple] = []
-    next_index = 1
-    leaf_rows: List[tuple] = []
-    depth_of = {0: 0}
-    max_depth = 0
-    max_span = 0
-    while queue:
-        node, index = queue.popleft()
-        depth = depth_of.pop(index)
-        max_depth = max(max_depth, depth)
-        if isinstance(node, _Leaf):
-            start = len(leaf_rows)
-            for rule in node.rules:
-                slot = rule_slot.setdefault(rule, len(rules_out))
-                if slot == len(rules_out):
-                    rules_out.append(rule)
-                leaf_rows.append(
-                    (
-                        [lo for lo, _ in rule.ranges],
-                        [hi for _, hi in rule.ranges],
-                        rule.priority,
-                        slot,
-                    )
+
+    def __init__(self, rule_slot: Dict[Rule, int],
+                 rules_out: List[Rule]) -> None:
+        self.rule_slot = rule_slot
+        self.rules_out = rules_out
+        self.records: List[tuple] = []  # one NODE_DTYPE-ordered row per node
+        self.leaf_slots: List[int] = []  # distinct-rule slot per leaf row
+        #: Per tree: FlatTree's fields after ``forest``.
+        self.blocks: List[Tuple[int, int, int, int, int, int]] = []
+
+    def add(self, root: object) -> None:
+        """Append one tree's block; its indices are relative to the block."""
+        records, leaf_slots = self.records, self.leaf_slots
+        rule_slot, rules_out = self.rule_slot, self.rules_out
+        node_offset, rule_offset = len(records), len(leaf_slots)
+        queue = deque([(root, 0)])
+        next_index = 1
+        depth = 0
+        max_span = 0
+        while queue:
+            node, depth = queue.popleft()  # breadth-first: never decreases
+            if isinstance(node, _Leaf):
+                start = len(leaf_slots) - rule_offset
+                for rule in node.rules:
+                    slot = rule_slot.get(rule)
+                    if slot is None:
+                        slot = rule_slot[rule] = len(rules_out)
+                        rules_out.append(rule)
+                    leaf_slots.append(slot)
+                records.append((KIND_LEAF, 0, 0, 0, 0, 0, 0, 0,
+                                start, len(leaf_slots) - rule_offset))
+                max_span = max(max_span, len(node.rules))
+                continue
+            child_start = next_index
+            children = node.children
+            next_index += len(children)
+            queue.extend((child, depth + 1) for child in children)
+            if isinstance(node, _Cut):
+                if node.base < 1:
+                    raise CompileError("cut node with zero-width children")
+                records.append(
+                    (KIND_CUT, node.dim, node.lo, node.base, node.rem, 0,
+                     child_start, len(children), 0, 0)
                 )
-            records.append(
-                (KIND_LEAF, 0, 0, 0, 0, 0, 0, 0, start, len(leaf_rows))
-            )
-            max_span = max(max_span, len(node.rules))
-            continue
-        child_start = next_index
-        children = node.children
-        next_index += len(children)
-        for offset, child in enumerate(children):
-            queue.append((child, child_start + offset))
-            depth_of[child_start + offset] = depth + 1
-        if isinstance(node, _Cut):
-            if node.base < 1:
-                raise CompileError("cut node with zero-width children")
-            records.append(
-                (KIND_CUT, node.dim, node.lo, node.base, node.rem, 0,
-                 child_start, len(children), 0, 0)
-            )
-        else:
-            assert isinstance(node, _Split)
-            records.append(
-                (KIND_SPLIT, node.dim, 0, 0, 0, node.point,
-                 child_start, len(children), 0, 0)
-            )
-    nodes = np.array(records, dtype=NODE_DTYPE)
-    leaf_rules = np.array(
-        [tuple(row) for row in leaf_rows], dtype=RULE_DTYPE
-    ) if leaf_rows else np.empty(0, dtype=RULE_DTYPE)
-    return FlatTree(nodes=nodes, leaf_rules=leaf_rules,
-                    depth=max_depth, max_leaf_span=max_span)
+            else:
+                assert isinstance(node, _Split)
+                records.append(
+                    (KIND_SPLIT, node.dim, 0, 0, 0, node.point,
+                     child_start, len(children), 0, 0)
+                )
+        self.blocks.append((node_offset, len(records) - node_offset,
+                            rule_offset, len(leaf_slots) - rule_offset,
+                            depth, max_span))
+
+    def trees(self) -> List[FlatTree]:
+        """The trees added so far, as views of one new forest."""
+        table = np.array(self.records, dtype=np.int64).reshape(
+            len(self.records), len(NODE_DTYPE.names))
+        node_columns = {
+            name: table[:, col].astype(NODE_DTYPE[name])
+            for col, name in enumerate(NODE_DTYPE.names)
+        }
+        slots = np.array(self.leaf_slots, dtype=RULE_DTYPE["rule_index"])
+        distinct, row_of = np.unique(slots, return_inverse=True)
+        held = [self.rules_out[slot] for slot in distinct.tolist()]
+        bounds = np.array([rule.ranges for rule in held], dtype=np.int64
+                          ).reshape(len(held), NUM_DIMENSIONS, 2)[row_of]
+        priority = np.array([rule.priority for rule in held], dtype=np.int64)
+        rule_columns = {
+            "lo": np.ascontiguousarray(bounds[:, :, 0]),
+            "hi": np.ascontiguousarray(bounds[:, :, 1]),
+            "priority": priority[row_of],
+            "rule_index": slots,
+        }
+        forest = Forest(node_columns, rule_columns)
+        return [FlatTree(forest, *block) for block in self.blocks]
 
 
 # --------------------------------------------------------------------------- #
@@ -345,7 +373,7 @@ class PartialCompileResult:
     full_rebuild: bool
     #: Source trees whose flat spans were (at least partly) re-flattened.
     trees_recompiled: int
-    #: Flat search trees carried into the new engine by reference.
+    #: Flat search trees carried into the new engine as block copies.
     subtrees_reused: int
     #: Flat-array node rows actually rebuilt (O(delta), not O(tree)).
     nodes_recompiled: int
@@ -369,12 +397,11 @@ def compile_tree(tree: DecisionTree,
                  rule_slot: Optional[Dict[Rule, int]] = None,
                  rules_out: Optional[List[Rule]] = None) -> List[FlatTree]:
     """Compile one interpreter tree into its flat search trees."""
-    rule_slot = rule_slot if rule_slot is not None else {}
-    rules_out = rules_out if rules_out is not None else []
-    return [
-        _flatten(_normalize(sub_root), rule_slot, rules_out)
-        for sub_root in _expand_partitions(tree.root)
-    ]
+    flattener = _Flattener(rule_slot if rule_slot is not None else {},
+                           rules_out if rules_out is not None else [])
+    for sub_root in _expand_partitions(tree.root):
+        flattener.add(_normalize(sub_root))
+    return flattener.trees()
 
 
 def compile_classifier(classifier, flow_cache_size: Optional[int] = None,
@@ -392,19 +419,18 @@ def compile_classifier(classifier, flow_cache_size: Optional[int] = None,
 
     rule_slot: Dict[Rule, int] = {}
     rules_out: List[Rule] = []
-    subtrees: List[FlatTree] = []
+    flattener = _Flattener(rule_slot, rules_out)
     spans: List[Tuple[int, int]] = []
     roots_record: List[Optional[Tuple[Node, ...]]] = []
     for tree in classifier.trees:
         roots, stable_roots = _expand_with_stability(tree)
-        start = len(subtrees)
-        subtrees.extend(
-            _flatten(_normalize(root), rule_slot, rules_out) for root in roots
-        )
-        spans.append((start, len(subtrees)))
+        start = len(flattener.blocks)
+        for root in roots:
+            flattener.add(_normalize(root))
+        spans.append((start, len(flattener.blocks)))
         roots_record.append(stable_roots)
     compiled = CompiledClassifier(
-        subtrees=subtrees,
+        subtrees=flattener.trees(),
         rules=rules_out,
         name=classifier.name,
         flow_cache_size=flow_cache_size,
@@ -430,14 +456,14 @@ def partial_compile_classifier(
     flow_cache_size: Optional[int] = None,
     backend: Optional[str] = None,
 ) -> PartialCompileResult:
-    """Recompile only what a rule delta touched; reuse the rest by reference.
+    """Recompile only what a rule delta touched; copy the rest as blocks.
 
     ``previous`` is the engine currently compiled from ``classifier``
     (before the delta bumped tree versions); ``dirty_roots`` narrows the
     rebuild to the expanded roots whose rules changed, given as a set of
     ``id(node)`` over the provenance's stable roots.  When provided it is
     *authoritative*: unflagged roots of a version-changed tree are reused
-    by reference — a tree's version can move without any of its node rule
+    as they are — a tree's version can move without any of its node rule
     lists changing (e.g. a remove that only touched the shared ruleset of
     a partitioned classifier), and rebuilding such trees would make every
     delta O(classifier) again.  Callers must therefore flag every stable
@@ -452,8 +478,9 @@ def partial_compile_classifier(
     gained or lost members, clone-producing expansions — returns a full
     rebuild (``full_rebuild=True``), so the answer is always the one
     :func:`compile_classifier` would give.  Either way the result is a
-    fresh :class:`CompiledClassifier`; the still-serving ``previous`` is
-    never mutated beyond appends to the shared rule list.
+    fresh :class:`CompiledClassifier` with a forest of its own; the
+    still-serving ``previous`` is only read (its forest is read-only) apart
+    from appends to the shared rule list.
     """
     if backend is None:
         backend = previous.backend
@@ -482,12 +509,14 @@ def partial_compile_classifier(
 
     rule_slot = provenance.rule_slot
     rules_out = previous.rules  # append-only; previous keeps serving from it
-    subtrees: List[FlatTree] = []
+    flattener = _Flattener(rule_slot, rules_out)
+    #: Reused views of the previous forest; None where a re-flattened tree
+    #: goes, in the order the flattener holds them.
+    subtrees: List[Optional[FlatTree]] = []
     spans: List[Tuple[int, int]] = []
     roots_record: List[Optional[Tuple[Node, ...]]] = []
     trees_recompiled = 0
     subtrees_reused = 0
-    nodes_recompiled = 0
     for index, tree in enumerate(trees):
         start, end = provenance.spans[index]
         old_flats = previous.subtrees[start:end]
@@ -514,16 +543,17 @@ def partial_compile_classifier(
                 subtrees.append(old_flats[offset])
                 subtrees_reused += 1
             else:
-                flat = _flatten(_normalize(root), rule_slot, rules_out)
-                subtrees.append(flat)
-                nodes_recompiled += flat.num_nodes
+                flattener.add(_normalize(root))
+                subtrees.append(None)
                 tree_rebuilt = True
         trees_recompiled += tree_rebuilt
         spans.append((span_start, len(subtrees)))
         roots_record.append(stable_roots)
 
+    rebuilt = iter(flattener.trees())
     compiled = CompiledClassifier(
-        subtrees=subtrees,
+        subtrees=[tree if tree is not None else next(rebuilt)
+                  for tree in subtrees],
         rules=rules_out,
         name=previous.name,
         flow_cache_size=flow_cache_size,
@@ -542,5 +572,5 @@ def partial_compile_classifier(
         full_rebuild=False,
         trees_recompiled=trees_recompiled,
         subtrees_reused=subtrees_reused,
-        nodes_recompiled=nodes_recompiled,
+        nodes_recompiled=len(flattener.records),
     )

@@ -1,11 +1,12 @@
-"""The compiled classifier: multi-tree dispatch over flat search trees.
+"""The compiled classifier: one forest walk over every search tree.
 
 Partitioned classifiers (EffiCuts categories, NeuroCuts top-node partitions,
 or simply several trees per :class:`~repro.tree.lookup.TreeClassifier`)
-compile into several :class:`~repro.engine.layout.FlatTree` objects sharing
-one distinct-rule list.  The dispatcher runs a batch through every search
-tree and keeps, per packet, the highest-priority match seen — one pass, no
-per-tree intermediate lists.
+compile into several search trees sharing one distinct-rule list.  The
+classifier stores them all in one :class:`~repro.engine.layout.Forest`,
+walks a batch through every tree at once — one lane per ``(tree, packet)``
+pair — and keeps, per packet, the highest-priority match along the tree
+axis.
 """
 
 from __future__ import annotations
@@ -17,11 +18,28 @@ import numpy as np
 from repro.rules.packet import Packet
 from repro.rules.rule import Rule
 from repro.engine.cache import DEFAULT_FLOW_CACHE_SIZE, FlowCache
-from repro.engine.layout import NO_MATCH_PRIORITY, FlatTree, packets_to_array
+from repro.engine.layout import (
+    NO_MATCH_PRIORITY,
+    FlatTree,
+    Forest,
+    check_headers,
+    packets_to_array,
+)
+
+#: Lanes walked at once.  Larger batches are cut into runs of whole packets
+#: so the walk's temporaries (a dozen int64 vectors of this length) stay
+#: cache-sized however many packets and trees a call brings.
+_MAX_LANES = 1 << 14
 
 
 class CompiledClassifier:
     """A fully compiled packet classifier ready for batched execution.
+
+    ``subtrees`` may be views of any forests (fresh from
+    :func:`~repro.engine.compile.compile_tree`, or another engine's); their
+    blocks are copied into this engine's own :attr:`forest` and
+    :attr:`subtrees` become views of that, so an engine generation holds
+    exactly one copy of its node and leaf-rule data.
 
     ``backend`` names the traversal engine (see
     :data:`repro.engine.kernels.ENGINE_BACKENDS`): ``"numpy"`` is the
@@ -39,9 +57,20 @@ class CompiledClassifier:
         flow_cache_size: Optional[int] = None,
         backend: str = "numpy",
     ) -> None:
+        subtrees = list(subtrees)
         if not subtrees:
             raise ValueError("a compiled classifier needs at least one tree")
-        self.subtrees: List[FlatTree] = list(subtrees)
+        self.forest = Forest.concatenate(subtrees)
+        self.subtrees: List[FlatTree] = []
+        node_offset = rule_offset = 0
+        for source in subtrees:
+            self.subtrees.append(
+                source.moved_to(self.forest, node_offset, rule_offset))
+            node_offset += source.num_nodes
+            rule_offset += source.num_leaf_rules
+        self._node_base = np.array([t.node_offset for t in self.subtrees])
+        self._rule_base = np.array([t.rule_offset for t in self.subtrees])
+        self._depth = np.array([t.depth for t in self.subtrees])
         self.rules: List[Rule] = list(rules)
         self.name = name
         self.flow_cache: Optional[FlowCache] = None
@@ -83,8 +112,8 @@ class CompiledClassifier:
         return max(tree.depth for tree in self.subtrees)
 
     def memory_bytes(self) -> int:
-        """Bytes held by every flat array of the compiled representation."""
-        return sum(tree.memory_bytes() for tree in self.subtrees)
+        """Bytes held by every array the walk reads: the forest's columns."""
+        return self.forest.memory_bytes()
 
     def describe(self) -> str:
         return (
@@ -113,29 +142,43 @@ class CompiledClassifier:
     def match_indices(self, values: np.ndarray) -> np.ndarray:
         """Per-packet index into :attr:`rules` of the winning rule (-1: none).
 
-        ``values`` is an ``(n, 5)`` int64 header matrix.  Every search tree
-        is consulted and the highest-priority hit wins, matching the
-        interpreter's partition/multi-tree semantics.
+        ``values`` is an ``(n, 5)`` int64 header matrix, checked against the
+        field ranges (:func:`~repro.engine.layout.check_headers`).  Every
+        search tree is consulted and the highest-priority hit wins — the
+        earlier tree on ties — matching the interpreter's partition /
+        multi-tree semantics.
         """
+        values = check_headers(values)
         n = len(values)
-        best_priority = np.full(n, NO_MATCH_PRIORITY, dtype=np.int64)
-        best_rule = np.full(n, -1, dtype=np.int64)
         if self.backend == "numba":
             from repro.engine import kernels
 
+            best_priority = np.full(n, NO_MATCH_PRIORITY, dtype=np.int64)
+            best_rule = np.full(n, -1, dtype=np.int64)
             for tree in self.subtrees:
                 kernels.match_into(tree, values, best_priority, best_rule)
             return best_rule
-        for tree in self.subtrees:
-            rows = tree.lookup(values)
-            found = np.nonzero(rows >= 0)[0]
-            if not found.size:
-                continue
-            hit = tree.leaf_rules[rows[found]]
-            better = hit["priority"] > best_priority[found]
-            winners = found[better]
-            best_priority[winners] = hit["priority"][better]
-            best_rule[winners] = hit["rule_index"][better]
+        step = max(1, _MAX_LANES // len(self.subtrees))
+        if n <= step:
+            return self._walk(values)
+        return np.concatenate([self._walk(values[start:start + step])
+                               for start in range(0, n, step)])
+
+    def _walk(self, values: np.ndarray) -> np.ndarray:
+        """The fused walk plus the reduce along the tree axis."""
+        n = len(values)
+        rule = self.forest.rule
+        rows = self.forest.lookup(values, self._node_base, self._rule_base,
+                                  self._depth)
+        found = np.flatnonzero(rows >= 0)
+        priority = np.full(len(rows), NO_MATCH_PRIORITY, dtype=np.int64)
+        priority[found] = rule["priority"][rows[found]]
+        # argmax returns the first maximum: the earlier tree wins ties.
+        lane = priority.reshape(len(self.subtrees), n).argmax(axis=0) * n \
+            + np.arange(n)
+        best_rule = np.full(n, -1, dtype=np.int64)
+        won = np.flatnonzero(priority[lane] > NO_MATCH_PRIORITY)
+        best_rule[won] = rule["rule_index"][rows[lane[won]]]
         return best_rule
 
     def lookup_batch(self, values: np.ndarray) -> np.ndarray:

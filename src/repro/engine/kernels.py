@@ -1,17 +1,20 @@
 """Native traversal kernels behind the :class:`~repro.engine.layout.FlatTree` layout.
 
-The NumPy engine walks a flat tree *level-synchronously*: one Python-level
-iteration per tree level, boolean-mask bookkeeping per iteration.  That
-amortises the interpreter away, but the hot loop still pays NumPy dispatch
-roughly ``depth + max_leaf_span`` times per batch.  The kernels here walk
-the **same arrays** per packet instead — descend to the leaf, scan its rule
-span, first hit wins — compiled to native code with numba and parallelised
-over the batch, so a lookup costs a handful of machine instructions per
-level with zero Python in the loop.
+The NumPy engine walks a whole forest *level-synchronously*: one
+Python-level iteration per tree level for every ``(tree, packet)`` lane at
+once.  That amortises the interpreter away, but the hot loop still pays
+NumPy dispatch roughly ``depth + max_leaf_span`` times per batch.  The
+kernels here walk the **same rows** per packet and per tree instead —
+descend to the leaf, scan its rule span, first hit wins — compiled to native
+code with numba and parallelised over the batch, so a lookup costs a handful
+of machine instructions per level with zero Python in the loop.  They read
+each tree's :meth:`~repro.engine.layout.FlatTree.kernel_tables` repack,
+never the forest's columns, which keeps them an independent reference for
+the fused walk.
 
 Backends are selected by name through the registry:
 
-* ``"numpy"`` — the PR 1 level-synchronous engine; always available.
+* ``"numpy"`` — the level-synchronous forest walk; always available.
 * ``"numba"`` — the jitted kernels; requires the optional ``numba``
   dependency (``pip install repro[native]``).  Requesting it without numba
   raises :class:`~repro.exceptions.EngineBackendError`.
@@ -144,7 +147,7 @@ def descend_one(nodes, values, i, depth):
     node = 0
     steps = 0
     while nodes[node, COL_KIND] != KIND_LEAF:
-        # Mirrors FlatTree.descend's guard: a well-formed tree reaches its
+        # Mirrors Forest.descend's guard: a well-formed tree reaches its
         # leaves within the recorded depth; anything deeper is corruption.
         if steps > depth + 1:
             return _OVERRUN

@@ -1,13 +1,17 @@
-"""Flat-array layout of a compiled decision tree.
+"""Column layout of a compiled classifier: one forest, many search trees.
 
 The interpreter in :mod:`repro.tree` walks Python ``Node`` objects one packet
-at a time.  The engine instead stores a tree as two NumPy structured arrays:
+at a time.  The engine instead stores every search tree of a classifier in
+one :class:`Forest` — two tables kept as **column arrays**, one contiguous
+read-only array per field:
 
-* a **node table** (:data:`NODE_DTYPE`) — one row per node, children stored
-  as a contiguous index span so child selection is pure integer arithmetic;
-* a **leaf rule table** (:data:`RULE_DTYPE`) — the per-leaf rule lists
-  concatenated into one array of range rows (replicated rules appear once
-  per leaf holding them, mirroring the interpreter's rule-pointer model).
+* a **node table** (fields and widths of :data:`NODE_DTYPE`) — one row per
+  node, children stored as a contiguous index span so child selection is
+  pure integer arithmetic;
+* a **leaf rule table** (fields and widths of :data:`RULE_DTYPE`) — the
+  per-leaf rule lists concatenated into range rows (replicated rules appear
+  once per leaf holding them, mirroring the interpreter's rule-pointer
+  model).
 
 Node rows come in three kinds.  ``KIND_CUT`` rows describe an equal-width
 cut: the builder distributes a span of ``width`` values over ``k`` children
@@ -18,28 +22,40 @@ rows carry a single boundary point.  ``KIND_LEAF`` rows carry a span into the
 leaf rule table, sorted highest priority first so the first hit wins inside
 a leaf.
 
-A :class:`FlatTree` owns both arrays and implements the vectorised
-level-synchronous lookup: every packet of a batch advances one tree level
-per iteration under a NumPy mask, so the Python-level work is proportional
-to tree depth, not to the number of packets.
+Each search tree occupies one block of consecutive rows in both tables, and
+the indices stored *inside* a block (``child_start``, ``rule_start``,
+``rule_end``) are relative to the block's first row.  Blocks therefore move
+between forests by plain concatenation, and a :class:`FlatTree` — the view
+of one block: its two offsets and spans plus the tree's own ``depth`` and
+``max_leaf_span`` — reads the same whether its forest holds one tree or
+fifty.
+
+Lookup is one walk for any number of packets and trees
+(:meth:`Forest.lookup`): every ``(tree, packet)`` pair is a *lane*, all
+lanes advance one level per iteration of a single loop, and the leaves they
+reach are scanned in lock-step.  Python-level work is proportional to tree
+depth and leaf width, not to the number of packets or trees.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Dict, Mapping, Sequence
 
 import numpy as np
 
-from repro.rules.fields import NUM_DIMENSIONS
+from repro.exceptions import InvalidRangeError
+from repro.rules.fields import DIMENSIONS, FIELD_RANGES, NUM_DIMENSIONS
 
 #: Node kinds stored in the ``kind`` column.
 KIND_LEAF = 0
 KIND_CUT = 1
 KIND_SPLIT = 2
 
-#: One row per tree node.  ``child_start``/``num_children`` delimit the
-#: contiguous child block; ``rule_start``/``rule_end`` delimit the leaf's
-#: span in the rule table (empty for internal nodes).
+#: Schema of the node table: one column per field, at this width.
+#: ``child_start``/``num_children`` delimit the contiguous child block;
+#: ``rule_start``/``rule_end`` delimit the leaf's span in the rule table
+#: (empty for internal nodes).  All three indices are block-relative.
 NODE_DTYPE = np.dtype(
     [
         ("kind", np.int8),
@@ -55,8 +71,9 @@ NODE_DTYPE = np.dtype(
     ]
 )
 
-#: One row per rule reference stored in some leaf.  ``rule_index`` points
-#: into the compiled classifier's distinct-rule list.
+#: Schema of the leaf rule table: one row per rule reference stored in some
+#: leaf.  ``rule_index`` points into the compiled classifier's distinct-rule
+#: list.
 RULE_DTYPE = np.dtype(
     [
         ("lo", np.int64, (NUM_DIMENSIONS,)),
@@ -69,7 +86,7 @@ RULE_DTYPE = np.dtype(
 #: Sentinel priority smaller than any real rule priority.
 NO_MATCH_PRIORITY = np.iinfo(np.int64).min
 
-#: Columns of the unstructured int64 node view handed to the native kernels
+#: Columns of the unstructured int64 node matrix handed to the native kernels
 #: (:meth:`FlatTree.kernel_tables`).  ``num_children`` is deliberately absent:
 #: child selection needs only ``child_start`` plus the cut arithmetic.
 COL_KIND = 0
@@ -83,15 +100,212 @@ COL_RULE_START = 7
 COL_RULE_END = 8
 NUM_NODE_COLUMNS = 9
 
+_KERNEL_NODE_COLUMNS = (
+    (COL_KIND, "kind"), (COL_DIM, "dim"), (COL_LO, "lo"), (COL_BASE, "base"),
+    (COL_REM, "rem"), (COL_POINT, "point"), (COL_CHILD_START, "child_start"),
+    (COL_RULE_START, "rule_start"), (COL_RULE_END, "rule_end"),
+)
+
+_FIELD_LO = np.array([FIELD_RANGES[d][0] for d in DIMENSIONS], dtype=np.int64)
+_FIELD_HI = np.array([FIELD_RANGES[d][1] for d in DIMENSIONS], dtype=np.int64)
+
+
+def check_headers(values: np.ndarray) -> np.ndarray:
+    """Validate an ``(n, 5)`` header matrix; returns it as contiguous int64.
+
+    The walk turns header values into row indices with unchecked integer
+    arithmetic, so a value outside its field's range would read some other
+    node's — in a shared forest some other *tree's* — rows.  Raises
+    :class:`~repro.exceptions.InvalidRangeError` naming the first offending
+    row and field, as :class:`~repro.rules.packet.Packet` does per packet.
+    """
+    values = np.asarray(values)
+    if (values.ndim != 2 or values.shape[1] != NUM_DIMENSIONS
+            or values.dtype.kind not in "iu"):
+        raise InvalidRangeError(
+            f"expected an (n, {NUM_DIMENSIONS}) integer header matrix, "
+            f"got {values.dtype} of shape {values.shape}"
+        )
+    values = np.ascontiguousarray(values, dtype=np.int64)
+    bad = (values < _FIELD_LO) | (values >= _FIELD_HI)
+    if bad.any():
+        row, col = (int(i) for i in np.argwhere(bad)[0])
+        raise InvalidRangeError(
+            f"packet {row}: field {DIMENSIONS[col].name}={values[row, col]} "
+            f"out of range [{_FIELD_LO[col]}, {_FIELD_HI[col]})"
+        )
+    return values
+
+
+def _frozen_columns(columns: Mapping[str, np.ndarray], schema: np.dtype,
+                    table: str) -> Dict[str, np.ndarray]:
+    """``columns`` checked against ``schema`` and made read-only."""
+    frozen = {}
+    for name in schema.names:
+        field = schema[name]
+        column = columns[name]
+        if column.dtype != field.base or column.shape[1:] != field.shape:
+            raise TypeError(
+                f"{table} column {name!r} must be {field.base} with row "
+                f"shape {field.shape}, got {column.dtype} {column.shape[1:]}"
+            )
+        column.setflags(write=False)
+        frozen[name] = column
+    if len({len(column) for column in frozen.values()}) != 1:
+        raise ValueError(f"{table} columns differ in length")
+    return frozen
+
+
+def _records(columns: Mapping[str, np.ndarray], schema: np.dtype,
+             rows: slice) -> np.ndarray:
+    """Structured-array copy of ``rows`` of a column table."""
+    records = np.empty(rows.stop - rows.start, dtype=schema)
+    for name in schema.names:
+        records[name] = columns[name][rows]
+    return records
+
+
+class Forest:
+    """The node and leaf-rule tables of one engine generation, as columns.
+
+    ``node`` and ``rule`` map each field name of :data:`NODE_DTYPE` /
+    :data:`RULE_DTYPE` to one array of exactly that field's width.  The
+    arrays are read-only from construction on: a background builder reads
+    the serving generation's forest while the serving thread walks it, and
+    the next generation is always a fresh forest.
+    """
+
+    def __init__(self, node: Mapping[str, np.ndarray],
+                 rule: Mapping[str, np.ndarray]) -> None:
+        self.node = _frozen_columns(node, NODE_DTYPE, "node")
+        self.rule = _frozen_columns(rule, RULE_DTYPE, "leaf rule")
+        #: Whether any row needs the split arm of the level loop; cut-only
+        #: forests (HiCuts, HyperCuts, EffiCuts) skip it.
+        self.has_split = bool((self.node["kind"] == KIND_SPLIT).any())
+
+    @classmethod
+    def concatenate(cls, trees: Sequence["FlatTree"]) -> "Forest":
+        """A new forest holding a copy of each tree's block, in order.
+
+        Block-internal indices are relative, so this is one
+        ``np.concatenate`` per column and no row is rewritten.
+        """
+        node_blocks = [(t.forest.node, t.node_rows) for t in trees]
+        rule_blocks = [(t.forest.rule, t.rule_rows) for t in trees]
+        return cls(
+            {name: np.concatenate([node[name][rows]
+                                   for node, rows in node_blocks])
+             for name in NODE_DTYPE.names},
+            {name: np.concatenate([rule[name][rows]
+                                   for rule, rows in rule_blocks])
+             for name in RULE_DTYPE.names},
+        )
+
+    def memory_bytes(self) -> int:
+        """Bytes held by every column of both tables."""
+        return sum(column.nbytes for column in self.node.values()) \
+            + sum(column.nbytes for column in self.rule.values())
+
+    # ------------------------------------------------------------------ #
+    # The walk
+    # ------------------------------------------------------------------ #
+    #
+    # ``node_base`` / ``rule_base`` / ``depth`` are per-tree int64 vectors
+    # naming the blocks to walk.  Lanes are laid out tree-major: lane
+    # ``t * n + p`` is packet ``p`` in tree ``t``.
+
+    def descend(self, values: np.ndarray, node_base: np.ndarray,
+                depth: np.ndarray) -> np.ndarray:
+        """Node row of the leaf every lane reaches, ``(trees * n,)`` int64.
+
+        All lanes advance one level per iteration; a lane leaves the active
+        set when it reaches a leaf, so the loop runs at most ``max(depth)``
+        times regardless of batch size or tree count.  A lane still
+        descending past its own tree's recorded depth means a corrupt table
+        and raises ``RuntimeError``.
+        """
+        n = len(values)
+        node = self.node
+        kind, child_start = node["kind"], node["child_start"]
+        flat = values.ravel()
+        lane_cell = np.tile(
+            np.arange(0, n * NUM_DIMENSIONS, NUM_DIMENSIONS), len(node_base))
+        lane_base = np.repeat(node_base, n)
+        lane_bound = np.repeat(depth + 1, n)
+        first_bound = int(depth.min()) + 1  # no lane can overrun before this
+        leaf = lane_base.copy()
+        active = np.flatnonzero(kind[leaf] != KIND_LEAF)
+        cur = leaf[active]
+        level = 0
+        while active.size:
+            if level > first_bound and (level > lane_bound[active]).any():
+                raise RuntimeError("flat tree deeper than its recorded depth")
+            level += 1
+            v = flat[lane_cell[active] + node["dim"][cur]]
+            offset = v - node["lo"][cur]
+            base = node["base"][cur]
+            if self.has_split:
+                split = kind[cur] == KIND_SPLIT
+                # Split rows store base 0; give the cut arithmetic a
+                # divisor for them, their result is replaced below.
+                base = np.where(split, 1, base)
+            # The first ``rem`` children are ``base + 1`` wide, the rest
+            # ``base``: value ``offset`` lies in child ``offset // (base + 1)``
+            # if that is below ``rem``, else in ``(offset - rem) // base``.
+            # Each formula undershoots outside its own region, so the
+            # larger of the two is the child.
+            child = np.maximum(offset // (base + 1),
+                               (offset - node["rem"][cur]) // base)
+            if self.has_split:
+                child = np.where(split, v >= node["point"][cur], child)
+            cur = lane_base[active] + child_start[cur] + child
+            leaf[active] = cur
+            descending = kind[cur] != KIND_LEAF
+            active = active[descending]
+            cur = cur[descending]
+        return leaf
+
+    def lookup(self, values: np.ndarray, node_base: np.ndarray,
+               rule_base: np.ndarray, depth: np.ndarray) -> np.ndarray:
+        """Leaf-rule row matched by every lane (``-1``: none), int64.
+
+        Descends all lanes, then scans the reached leaf spans
+        highest-priority-first in lock-step: step ``k`` tests the ``k``-th
+        row of every leaf still unresolved, so the Python-level work is
+        bounded by the widest leaf.
+        """
+        leaf = self.descend(values, node_base, depth)
+        n = len(values)
+        lane_rule_base = np.repeat(rule_base, n)
+        row = lane_rule_base + self.node["rule_start"][leaf]
+        stop = lane_rule_base + self.node["rule_end"][leaf]
+        matched = np.full(len(leaf), -1, dtype=np.int64)
+        pending = np.flatnonzero(row < stop)
+        if not pending.size:
+            return matched
+        row = row[pending]
+        stop = stop[pending]
+        v = values[pending % n]
+        lo, hi = self.rule["lo"], self.rule["hi"]
+        while True:
+            hit = ((lo[row] <= v) & (v < hi[row])).all(axis=1)
+            matched[pending[hit]] = row[hit]
+            row += 1
+            more = np.flatnonzero(~hit & (row < stop))
+            if not more.size:
+                return matched
+            pending = pending[more]
+            row = row[more]
+            stop = stop[more]
+            v = v[more]
+
 
 @dataclass(frozen=True)
 class KernelTables:
-    """Unstructured, C-contiguous int64 views of a :class:`FlatTree`.
+    """Unstructured, C-contiguous int64 repack of one :class:`FlatTree`.
 
-    Structured arrays are convenient for the NumPy engine but hostile to
-    jitted kernels (field access on a record dtype is not nopython-typable
-    and field views are strided).  This is the same data re-packed as plain
-    matrices: ``nodes`` is ``(num_nodes, 9)`` with the :data:`COL_KIND`...
+    The native kernels walk one tree per call and want plain matrices:
+    ``nodes`` is ``(num_nodes, 9)`` with the :data:`COL_KIND`...
     :data:`COL_RULE_END` columns, and the leaf-rule table is split into
     ``leaf_lo``/``leaf_hi`` ``(num_leaf_rules, 5)`` boxes plus flat
     ``leaf_priority``/``leaf_rule_index`` vectors.
@@ -106,146 +320,120 @@ class KernelTables:
 
 @dataclass
 class FlatTree:
-    """One compiled cut/split-only search tree (no partition nodes)."""
+    """One cut/split-only search tree: a view of one block of a forest."""
 
-    nodes: np.ndarray
-    leaf_rules: np.ndarray
+    forest: Forest
+    node_offset: int
+    num_nodes: int
+    rule_offset: int
+    num_leaf_rules: int
     depth: int
     max_leaf_span: int
 
     def __post_init__(self) -> None:
-        if self.nodes.dtype != NODE_DTYPE:
-            raise TypeError("nodes array must use NODE_DTYPE")
-        if self.leaf_rules.dtype != RULE_DTYPE:
-            raise TypeError("leaf rule array must use RULE_DTYPE")
         self._kernel_tables: KernelTables | None = None
 
-    def kernel_tables(self) -> KernelTables:
-        """The unstructured views the native kernels walk (built once).
+    def moved_to(self, forest: Forest, node_offset: int,
+                 rule_offset: int) -> "FlatTree":
+        """The view of this tree's block copied to ``forest`` at the offsets.
 
-        The flat arrays never mutate after compilation (updates build new
-        trees), so the repack is cached on the instance and shared by every
-        kernel call against this tree.
+        The block's contents are the same wherever it sits, so a repack
+        already built for the kernels goes along: a tree reused by the next
+        engine generation does not rebuild it.
+        """
+        view = replace(self, forest=forest, node_offset=node_offset,
+                       rule_offset=rule_offset)
+        view._kernel_tables = self._kernel_tables
+        return view
+
+    @property
+    def node_rows(self) -> slice:
+        return slice(self.node_offset, self.node_offset + self.num_nodes)
+
+    @property
+    def rule_rows(self) -> slice:
+        return slice(self.rule_offset, self.rule_offset + self.num_leaf_rules)
+
+    @property
+    def nodes(self) -> np.ndarray:
+        """This tree's node rows as :data:`NODE_DTYPE` records (a copy).
+
+        For introspection and tests; no lookup path reads it.
+        """
+        return _records(self.forest.node, NODE_DTYPE, self.node_rows)
+
+    @property
+    def leaf_rules(self) -> np.ndarray:
+        """This tree's leaf-rule rows as :data:`RULE_DTYPE` records (a copy)."""
+        return _records(self.forest.rule, RULE_DTYPE, self.rule_rows)
+
+    def kernel_tables(self) -> KernelTables:
+        """The unstructured repack the native kernels walk (built once).
+
+        Forests never mutate (updates build new ones), so the repack is
+        cached on the view and shared by every kernel call against it.
         """
         tables = self._kernel_tables
         if tables is None:
-            nodes = np.empty((len(self.nodes), NUM_NODE_COLUMNS),
+            node, rule = self.forest.node, self.forest.rule
+            nodes = np.empty((self.num_nodes, NUM_NODE_COLUMNS),
                              dtype=np.int64)
-            src = self.nodes
-            nodes[:, COL_KIND] = src["kind"]
-            nodes[:, COL_DIM] = src["dim"]
-            nodes[:, COL_LO] = src["lo"]
-            nodes[:, COL_BASE] = src["base"]
-            nodes[:, COL_REM] = src["rem"]
-            nodes[:, COL_POINT] = src["point"]
-            nodes[:, COL_CHILD_START] = src["child_start"]
-            nodes[:, COL_RULE_START] = src["rule_start"]
-            nodes[:, COL_RULE_END] = src["rule_end"]
-            rules = self.leaf_rules
+            for col, name in _KERNEL_NODE_COLUMNS:
+                nodes[:, col] = node[name][self.node_rows]
             tables = KernelTables(
                 nodes=nodes,
-                leaf_lo=np.ascontiguousarray(rules["lo"], dtype=np.int64),
-                leaf_hi=np.ascontiguousarray(rules["hi"], dtype=np.int64),
-                leaf_priority=np.ascontiguousarray(rules["priority"],
-                                                   dtype=np.int64),
-                leaf_rule_index=np.ascontiguousarray(
-                    rules["rule_index"], dtype=np.int64),
+                leaf_lo=rule["lo"][self.rule_rows].copy(),
+                leaf_hi=rule["hi"][self.rule_rows].copy(),
+                leaf_priority=rule["priority"][self.rule_rows].copy(),
+                leaf_rule_index=rule["rule_index"][self.rule_rows].astype(
+                    np.int64),
             )
             self._kernel_tables = tables
         return tables
 
-    @property
-    def num_nodes(self) -> int:
-        return len(self.nodes)
-
-    @property
-    def num_leaf_rules(self) -> int:
-        return len(self.leaf_rules)
-
     def memory_bytes(self) -> int:
-        """Bytes actually held by the flat arrays."""
-        return int(self.nodes.nbytes + self.leaf_rules.nbytes)
+        """Bytes this tree's block occupies in the forest's columns."""
+        return sum(c[self.node_rows].nbytes
+                   for c in self.forest.node.values()) \
+            + sum(c[self.rule_rows].nbytes for c in self.forest.rule.values())
 
     # ------------------------------------------------------------------ #
-    # Vectorised lookup
+    # Per-tree lookup: the forest walk with one tree
     # ------------------------------------------------------------------ #
 
     def descend(self, values: np.ndarray, backend: str = "numpy") -> np.ndarray:
         """Return the leaf node index reached by every packet of a batch.
 
-        ``values`` is an ``(n, 5)`` int64 array of packet headers.  Under
-        the default numpy backend all packets advance one level per
-        iteration; the loop runs at most ``depth`` times regardless of
-        batch size.  ``backend="numba"`` walks per packet in the native
-        kernels instead (same leaf indices, byte for byte).
+        ``values`` is an ``(n, 5)`` int64 array of packet headers; indices
+        are relative to this tree's block.  ``backend="numba"`` walks per
+        packet in the native kernels instead (same indices, byte for byte).
         """
+        values = check_headers(values)
         if backend == "numba":
             from repro.engine import kernels
 
             return kernels.descend(self, values)
-        nodes = self.nodes
-        cur = np.zeros(len(values), dtype=np.int64)
-        active = nodes["kind"][cur] != KIND_LEAF
-        iterations = 0
-        while active.any():
-            if iterations > self.depth + 1:
-                raise RuntimeError("flat tree deeper than its recorded depth")
-            iterations += 1
-            idx = np.nonzero(active)[0]
-            row = nodes[cur[idx]]
-            v = values[idx, row["dim"]]
-            child = np.empty(len(idx), dtype=np.int64)
-            cut = row["kind"] == KIND_CUT
-            if cut.any():
-                crow = row[cut]
-                offset = v[cut] - crow["lo"]
-                wide = crow["base"] + 1
-                first = offset // wide
-                rest = crow["rem"] + (offset - crow["rem"] * wide) // crow["base"]
-                child[cut] = np.where(first < crow["rem"], first, rest)
-            split = ~cut
-            if split.any():
-                srow = row[split]
-                child[split] = (v[split] >= srow["point"]).astype(np.int64)
-            cur[idx] = row["child_start"] + child
-            active = nodes["kind"][cur] != KIND_LEAF
-        return cur
+        leaf = self.forest.descend(
+            values, np.array([self.node_offset]), np.array([self.depth]))
+        return leaf - self.node_offset
 
     def lookup(self, values: np.ndarray, backend: str = "numpy") -> np.ndarray:
         """Classify a batch against this tree.
 
-        Returns an ``(n,)`` int64 array of rows into :attr:`leaf_rules`
-        (``-1`` where the reached leaf matches nothing).  Leaf spans are
-        scanned highest-priority-first in lockstep across the batch, so the
-        Python-level work is bounded by the widest leaf, not the batch
-        size; ``backend="numba"`` scans per packet in the native kernels
-        instead, returning the identical rows.
+        Returns an ``(n,)`` int64 array of rows into this tree's block of
+        the leaf rule table (``-1`` where the reached leaf matches
+        nothing); ``backend="numba"`` scans per packet in the native
+        kernels instead, returning the identical rows.
         """
+        values = check_headers(values)
         if backend == "numba":
             from repro.engine import kernels
 
             return kernels.lookup_rows(self, values)
-        leaves = self.descend(values)
-        start = self.nodes["rule_start"][leaves].astype(np.int64)
-        end = self.nodes["rule_end"][leaves].astype(np.int64)
-        matched = np.full(len(values), -1, dtype=np.int64)
-        pending = np.nonzero(start < end)[0]
-        offset = 0
-        rules = self.leaf_rules
-        while pending.size:
-            row = start[pending] + offset
-            in_span = row < end[pending]
-            pending = pending[in_span]
-            if not pending.size:
-                break
-            row = row[in_span]
-            rule = rules[row]
-            v = values[pending]
-            hit = ((rule["lo"] <= v) & (v < rule["hi"])).all(axis=1)
-            matched[pending[hit]] = row[hit]
-            pending = pending[~hit]
-            offset += 1
-        return matched
+        rows = self.forest.lookup(
+            values, np.array([self.node_offset]),
+            np.array([self.rule_offset]), np.array([self.depth]))
+        return np.where(rows >= 0, rows - self.rule_offset, -1)
 
 
 def packets_to_array(packets) -> np.ndarray:

@@ -1,0 +1,296 @@
+"""The engine's forest: column tables, the fused walk, its guards.
+
+One :class:`~repro.engine.Forest` per compiled classifier holds every search
+tree; ``match_indices`` walks all ``(tree, packet)`` lanes in one loop and
+reduces along the tree axis.  These tests pin what that design must keep:
+the tie-break between trees, the per-tree depth guard, the footprint, the
+read-only columns, and the header check at the engine boundary.  Exactness
+against the kernels and linear search lives in ``test_property_based.py``
+and ``test_engine_differential.py``.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from repro.baselines import EffiCutsBuilder, HiCutsBuilder
+from repro.classbench import generate_classifier
+from repro.engine import (
+    KIND_CUT,
+    KIND_LEAF,
+    NODE_DTYPE,
+    RULE_DTYPE,
+    CompiledClassifier,
+    FlatTree,
+    Forest,
+    compile_classifier,
+    compile_tree,
+    packets_to_array,
+)
+from repro.exceptions import InvalidRangeError
+from repro.rules import Dimension, Packet, Rule, RuleSet
+from repro.tree import CutAction, DecisionTree
+
+
+def _kernels(compiled, values):
+    """``match_indices`` through the per-packet reference kernels."""
+    compiled.backend = "numba"  # plain Python where numba is absent
+    try:
+        return compiled.match_indices(values)
+    finally:
+        compiled.backend = "numpy"
+
+
+def _tree_from_records(nodes, leaf_rules, depth, max_leaf_span):
+    """A one-tree forest assembled from structured rows."""
+    forest = Forest(
+        {name: np.ascontiguousarray(nodes[name])
+         for name in NODE_DTYPE.names},
+        {name: np.ascontiguousarray(leaf_rules[name])
+         for name in RULE_DTYPE.names},
+    )
+    return FlatTree(forest, 0, len(nodes), 0, len(leaf_rules),
+                    depth, max_leaf_span)
+
+
+@pytest.fixture(scope="module")
+def efficuts():
+    ruleset = generate_classifier("fw1", 150, seed=0)
+    compiled = compile_classifier(EffiCutsBuilder(binth=8).build(ruleset))
+    values = packets_to_array(
+        ruleset.sample_packets(600, seed=7, rule_bias=0.8))
+    return compiled, values
+
+
+class TestCutArithmetic:
+    def test_every_offset_of_every_uneven_cut(self):
+        # One cut node over [lo, lo + span) of the protocol field with k
+        # leaf children: ``rem`` children of ``base + 1`` values, then
+        # ``base``-value children.  The walk must send every value to the
+        # child whose interval holds it.
+        lo = 3
+        for span in range(2, 41):
+            values = np.zeros((span, 5), dtype=np.int64)
+            values[:, Dimension.PROTOCOL] = lo + np.arange(span)
+            for k in range(2, span + 1):
+                base, rem = divmod(span, k)
+                nodes = np.zeros(k + 1, dtype=NODE_DTYPE)
+                nodes[0] = (KIND_CUT, Dimension.PROTOCOL, lo, base, rem, 0,
+                            1, k, 0, 0)
+                nodes["kind"][1:] = KIND_LEAF
+                tree = _tree_from_records(
+                    nodes, np.empty(0, dtype=RULE_DTYPE), 1, 0)
+                widths = [base + 1] * rem + [base] * (k - rem)
+                expected = 1 + np.repeat(np.arange(k), widths)
+                np.testing.assert_array_equal(tree.descend(values), expected)
+                np.testing.assert_array_equal(
+                    tree.descend(values, backend="numba"), expected)
+
+
+class TestTreeAxisReduce:
+    @pytest.fixture()
+    def two_trees(self):
+        # Two search trees whose answers for the probe packet are different
+        # rules of equal priority ("filler" only makes the first tree worth
+        # cutting, so the two trees also differ in depth).
+        first = Rule.from_fields(src_ip=(0, 1 << 31), priority=7, name="a")
+        filler = Rule.from_fields(src_ip=(1 << 31, 1 << 32), dst_port=(9, 10),
+                                  priority=1, name="filler")
+        second = Rule.from_fields(dst_port=(0, 1024), priority=7, name="b")
+        rule_slot, rules_out, flats = {}, [], []
+        for rules in ([first, filler], [second]):
+            tree = DecisionTree(RuleSet(rules), leaf_threshold=1,
+                                prune_redundant=False)
+            if not tree.is_complete():
+                tree.apply_action(CutAction(Dimension.SRC_IP, 4))
+            tree.truncate()
+            flats.extend(compile_tree(tree, rule_slot, rules_out))
+        assert [flat.depth for flat in flats] == [1, 0]
+        probe = packets_to_array([Packet(5, 0, 0, 80, 6)])
+        return flats, rules_out, probe
+
+    def test_earlier_tree_wins_equal_priority(self, two_trees):
+        flats, rules, probe = two_trees
+        forward = CompiledClassifier(subtrees=flats, rules=rules)
+        swapped = CompiledClassifier(subtrees=flats[::-1], rules=rules)
+        assert rules[forward.match_indices(probe)[0]].name == "a"
+        assert rules[swapped.match_indices(probe)[0]].name == "b"
+        # The per-packet kernels break the tie the same way.
+        assert rules[_kernels(forward, probe)[0]].name == "a"
+        assert rules[_kernels(swapped, probe)[0]].name == "b"
+
+    def test_hit_in_a_later_tree_only(self, two_trees):
+        flats, rules, _ = two_trees
+        compiled = CompiledClassifier(subtrees=flats, rules=rules)
+        probe = packets_to_array([Packet((1 << 31) + 5, 0, 0, 80, 6),
+                                  Packet((1 << 31) + 5, 0, 0, 4000, 6)])
+        found = compiled.match_indices(probe)
+        assert rules[found[0]].name == "b"
+        assert found[1] == -1
+
+
+class TestDepthGuardIsPerTree:
+    def test_shallow_tree_cannot_hide_behind_a_deep_neighbour(self, efficuts):
+        compiled, values = efficuts
+        deepest = max(tree.depth for tree in compiled.subtrees)
+        position, shallow = next(
+            (i, tree) for i, tree in enumerate(compiled.subtrees)
+            if 3 <= tree.depth <= deepest - 2)
+        understated = dataclasses.replace(shallow, depth=0)
+        # On its own the understated tree is refused on these packets...
+        with pytest.raises(RuntimeError,
+                           match="deeper than its recorded depth"):
+            understated.descend(values)
+        # ...and so it must be inside a forest whose maximum depth is fine.
+        subtrees = list(compiled.subtrees)
+        subtrees[position] = understated
+        corrupt = CompiledClassifier(subtrees=subtrees, rules=compiled.rules)
+        assert corrupt.depth == deepest  # the forest maximum is unchanged
+        with pytest.raises(RuntimeError,
+                           match="deeper than its recorded depth"):
+            corrupt.match_indices(values)
+        with pytest.raises(RuntimeError,
+                           match="deeper than its recorded depth"):
+            _kernels(corrupt, values)
+        # The intact engine over the same blocks answers normally.
+        intact = CompiledClassifier(subtrees=compiled.subtrees,
+                                    rules=compiled.rules)
+        np.testing.assert_array_equal(intact.match_indices(values),
+                                      compiled.match_indices(values))
+
+
+class TestFootprint:
+    @pytest.mark.parametrize("family,num_rules,builder,expected", [
+        ("acl1", 150, HiCutsBuilder, 55526),
+        ("fw1", 500, EffiCutsBuilder, 249918),
+    ], ids=["hicuts-acl1-150", "efficuts-fw1-500"])
+    def test_memory_bytes_is_pinned(self, family, num_rules, builder,
+                                    expected):
+        # The integers the structured-array engine reported for the same
+        # classifiers: one resident copy, no wider shadow columns.
+        ruleset = generate_classifier(family, num_rules, seed=1000)
+        compiled = compile_classifier(builder(binth=8).build(ruleset))
+        assert compiled.memory_bytes() == expected
+        assert compiled.memory_bytes() == sum(
+            tree.num_nodes * NODE_DTYPE.itemsize
+            + tree.num_leaf_rules * RULE_DTYPE.itemsize
+            for tree in compiled.subtrees)
+        assert compiled.memory_bytes() == sum(
+            tree.memory_bytes() for tree in compiled.subtrees)
+
+    def test_columns_have_the_schema_widths(self, efficuts):
+        compiled, _ = efficuts
+        forest = compiled.forest
+        for name in NODE_DTYPE.names:
+            assert forest.node[name].dtype == NODE_DTYPE[name]
+            assert forest.node[name].shape == (compiled.num_nodes,)
+        for name in RULE_DTYPE.names:
+            field = RULE_DTYPE[name]
+            assert forest.rule[name].dtype == field.base
+            assert forest.rule[name].shape[1:] == field.shape
+
+    def test_wrong_width_column_is_refused(self, efficuts):
+        compiled, _ = efficuts
+        node = dict(compiled.forest.node)
+        node["kind"] = node["kind"].astype(np.int64)
+        with pytest.raises(TypeError, match="kind"):
+            Forest(node, compiled.forest.rule)
+
+
+class TestReadOnly:
+    def test_forest_columns_are_not_writeable(self, efficuts):
+        compiled, _ = efficuts
+        columns = list(compiled.forest.node.values()) \
+            + list(compiled.forest.rule.values())
+        assert len(columns) == len(NODE_DTYPE.names) + len(RULE_DTYPE.names)
+        for column in columns:
+            assert not column.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                column[...] = 0
+
+    def test_record_arrays_are_detached_copies(self, efficuts):
+        compiled, values = efficuts
+        before = compiled.match_indices(values)
+        tree = compiled.subtrees[0]
+        assert tree.nodes.dtype == NODE_DTYPE
+        assert tree.leaf_rules.dtype == RULE_DTYPE
+        scratch = tree.nodes
+        scratch["kind"] = KIND_LEAF
+        assert (tree.nodes["kind"] != KIND_LEAF).any()
+        np.testing.assert_array_equal(compiled.match_indices(values), before)
+
+
+class TestHeaderCheck:
+    @pytest.fixture(scope="class")
+    def engine(self):
+        ruleset = generate_classifier("fw5", 300, seed=1000)
+        compiled = compile_classifier(EffiCutsBuilder(binth=8).build(ruleset))
+        values = packets_to_array(ruleset.sample_packets(64, seed=2))
+        return compiled, values
+
+    def test_protocol_beyond_eight_bits(self, engine):
+        compiled, values = engine
+        bad = values.copy()
+        bad[17, Dimension.PROTOCOL] = 300
+        with pytest.raises(InvalidRangeError,
+                           match=r"packet 17: field PROTOCOL=300"):
+            compiled.match_indices(bad)
+
+    def test_sixteen_bit_values_in_every_column(self, engine):
+        compiled, _ = engine
+        bad = np.random.default_rng(0).integers(
+            256, 1 << 16, size=(500, 5), dtype=np.int64)
+        with pytest.raises(InvalidRangeError,
+                           match=r"packet 0: field PROTOCOL"):
+            compiled.match_indices(bad)
+
+    def test_negative_value(self, engine):
+        compiled, values = engine
+        bad = values.copy()
+        bad[3, Dimension.SRC_IP] = -5
+        with pytest.raises(InvalidRangeError,
+                           match=r"packet 3: field SRC_IP=-5"):
+            compiled.match_indices(bad)
+
+    def test_wrong_shape(self, engine):
+        compiled, values = engine
+        with pytest.raises(InvalidRangeError, match=r"\(64, 4\)"):
+            compiled.match_indices(values[:, :4])
+        with pytest.raises(InvalidRangeError, match="header matrix"):
+            compiled.match_indices(values[0])
+        with pytest.raises(InvalidRangeError, match="integer"):
+            compiled.match_indices(values.astype(np.float64))
+
+    def test_kernels_path_and_per_tree_lookups_check_too(self, engine):
+        compiled, values = engine
+        bad = values.copy()
+        bad[0, Dimension.DST_PORT] = 1 << 16
+        with pytest.raises(InvalidRangeError, match="DST_PORT"):
+            _kernels(compiled, bad)
+        for backend in ("numpy", "numba"):
+            with pytest.raises(InvalidRangeError, match="DST_PORT"):
+                compiled.subtrees[0].lookup(bad, backend=backend)
+            with pytest.raises(InvalidRangeError, match="DST_PORT"):
+                compiled.subtrees[0].descend(bad, backend=backend)
+
+    def test_empty_batch_passes(self, engine):
+        compiled, values = engine
+        assert compiled.match_indices(values[:0]).shape == (0,)
+
+    def test_flow_cache_stores_nothing_from_a_refused_batch(self, engine):
+        compiled, values = engine
+        cached = CompiledClassifier(subtrees=compiled.subtrees,
+                                    rules=compiled.rules,
+                                    flow_cache_size=128)
+        bad = values.copy()
+        bad[40, Dimension.PROTOCOL] = 300
+        with pytest.raises(InvalidRangeError, match="PROTOCOL=300"):
+            cached.lookup_batch(bad)
+        assert len(cached.flow_cache) == 0
+        # The same engine still serves, and caches, the well-formed batch.
+        np.testing.assert_array_equal(cached.lookup_batch(values),
+                                      compiled.match_indices(values))
+        assert len(cached.flow_cache) > 0

@@ -10,6 +10,7 @@ both route through the kernels regardless of whether the JIT is present.
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 from contextlib import contextmanager
 
@@ -21,7 +22,6 @@ from repro.classbench import generate_classifier
 from repro.engine import (
     ENGINE_BACKENDS,
     NUMBA_AVAILABLE,
-    FlatTree,
     available_backends,
     packets_to_array,
     resolve_backend,
@@ -130,12 +130,13 @@ class TestKernelTables:
             assert array.dtype == np.int64
             assert array.flags["C_CONTIGUOUS"]
         assert tables.leaf_lo.shape == (tree.num_leaf_rules, 5)
+        nodes = tree.nodes
         np.testing.assert_array_equal(tables.nodes[:, COL_KIND],
-                                      tree.nodes["kind"])
+                                      nodes["kind"])
         np.testing.assert_array_equal(tables.nodes[:, COL_CHILD_START],
-                                      tree.nodes["child_start"])
+                                      nodes["child_start"])
         np.testing.assert_array_equal(tables.nodes[:, COL_RULE_END],
-                                      tree.nodes["rule_end"])
+                                      nodes["rule_end"])
 
     def test_tables_are_cached_per_tree(self, single_tree):
         classifier, _ = single_tree
@@ -202,10 +203,9 @@ class TestDepthOverrun:
         classifier, values = single_tree
         tree = classifier.compile().subtrees[0]
         assert tree.depth >= 2, "fixture tree too shallow to under-declare"
-        # Same arrays, recorded depth of zero: a well-formed descent now
+        # Same block, recorded depth of zero: a well-formed descent now
         # exceeds the declared bound, which both backends must refuse.
-        return FlatTree(nodes=tree.nodes, leaf_rules=tree.leaf_rules,
-                        depth=0, max_leaf_span=tree.max_leaf_span), values
+        return dataclasses.replace(tree, depth=0), values
 
     @pytest.mark.parametrize("backend", ["numpy", "numba"])
     def test_descend_overrun_raises(self, corrupt_tree, backend):

@@ -178,9 +178,12 @@ def _serve_sharded(num_workers, seed=4):
                           removes_per_event=1),
     )
     tenants = [ShardTenant(s.tenant_id, s.algorithm, s.binth) for s in specs]
+    # Synchronous swaps: with background builds the batch at which a
+    # rebuilt engine lands (and so every cache counter) depends on how fast
+    # the serving thread runs relative to the builder.
     return serve_sharded(tenants, workload.rulesets, workload.requests,
                          workload.updates, num_workers=num_workers,
-                         backend="serial")
+                         backend="serial", background_swaps=False)
 
 
 class TestServingIntegration:

@@ -3,8 +3,8 @@
 The fast path (:func:`repro.engine.partial_compile_classifier`) must only
 ever *miss* — every fallback returns exactly what a full
 :func:`compile_classifier` would — so these tests pin both sides: the reuse
-accounting (which flat trees were carried by reference, how many node rows
-were rebuilt) and the answers (partial output equals a fresh compile equals
+accounting (which flat trees were carried over as block copies, how many
+node rows were rebuilt) and the answers (partial output equals a fresh compile equals
 linear search).
 """
 
@@ -118,8 +118,16 @@ class TestPartialCompile:
         assert result.trees_recompiled == 0
         assert result.nodes_recompiled == 0
         assert result.subtrees_reused == previous.num_subtrees
+        # Views are per generation; a reused tree is a block copy of the
+        # previous forest's rows (nodes_recompiled == 0 above is what says
+        # nothing was re-flattened).
         for new, old in zip(result.classifier.subtrees, previous.subtrees):
-            assert new is old
+            assert new.forest is result.classifier.forest
+            assert new.forest is not old.forest
+            assert new.nodes.tobytes() == old.nodes.tobytes()
+            assert new.leaf_rules.tobytes() == old.leaf_rules.tobytes()
+            assert (new.depth, new.max_leaf_span) == \
+                (old.depth, old.max_leaf_span)
         assert result.classifier.rules is previous.rules
 
     def test_delta_rebuilds_only_what_it_touched(self, efficuts):

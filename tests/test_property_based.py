@@ -11,12 +11,25 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.baselines import EffiCutsBuilder, HiCutsBuilder
+from repro.baselines import (
+    CutSplitBuilder,
+    EffiCutsBuilder,
+    HiCutsBuilder,
+    HyperCutsBuilder,
+)
 from repro.classbench import generate_classifier, seed_names
-from repro.engine import packets_to_array
+from repro.engine import compile_classifier, packets_to_array
 from repro.rules import DIMENSIONS, FIELD_RANGES, Packet, Rule, RuleSet
 from repro.rules.fields import Dimension, prefix_to_range
-from repro.tree import CUT_SIZES, CutAction, DecisionTree, Node, build_with_policy
+from repro.tree import (
+    CUT_SIZES,
+    CutAction,
+    DecisionTree,
+    Node,
+    PartitionAction,
+    TreeClassifier,
+    build_with_policy,
+)
 from repro.tree.node import remove_redundant_rules
 from repro.nn.distributions import Categorical
 from repro.workloads import generate_flow_trace
@@ -178,6 +191,77 @@ def test_generated_workloads_classify_identically_everywhere(
     finally:
         engine.backend = "numpy"
     assert (kernel_result == reference).all()
+
+
+def _partition_below_cut(ruleset):
+    """A NeuroCuts-style tree whose partition sits *below* a cut, so the
+    engine's partition expansion has to clone the path above it."""
+
+    def policy(node):
+        if node.depth == 0:
+            return CutAction(Dimension.SRC_IP, 2)
+        if node.depth == 1:
+            return PartitionAction(Dimension.DST_IP, 0.5)
+        return CutAction(Dimension(node.depth % len(DIMENSIONS)), 4)
+
+    tree = build_with_policy(ruleset, policy, leaf_threshold=4, max_depth=5,
+                             max_actions=200)
+    return TreeClassifier(ruleset, [tree], name="partition-below-cut")
+
+
+_WALK_BUILDERS = {
+    "HiCuts": HiCutsBuilder(binth=8).build,
+    "HyperCuts": HyperCutsBuilder(binth=8).build,
+    "EffiCuts": EffiCutsBuilder(binth=8).build,
+    "CutSplit": CutSplitBuilder(binth=8).build,
+    "partition-below-cut": _partition_below_cut,
+}
+
+
+@given(family=st.sampled_from(sorted(seed_names())),
+       num_rules=st.integers(min_value=16, max_value=60),
+       seed=st.integers(min_value=0, max_value=10 ** 4),
+       builder=st.sampled_from(sorted(_WALK_BUILDERS)),
+       batch=st.sampled_from([0, 1, 2, 33, 4097]))
+@settings(max_examples=40, deadline=None)
+def test_fused_walk_equals_kernels_equals_linear_search(
+        family, num_rules, seed, builder, batch):
+    """One forest walk over ``trees x packets`` lanes returns, byte for byte,
+    what the per-packet per-tree kernels return, and both name the rule
+    linear search finds — for cut-only, split-carrying and clone-expanded
+    engines, at batch sizes on both sides of the walk's lane chunking."""
+    ruleset = generate_classifier(family, num_rules, seed=seed)
+    engine = compile_classifier(_WALK_BUILDERS[builder](ruleset))
+    distinct = ruleset.sample_packets(min(batch, 48), seed=seed,
+                                      rule_bias=0.7)
+    values = packets_to_array(distinct)
+    if batch:
+        values = np.resize(values, (batch, values.shape[1]))
+    fused = engine.match_indices(values)
+    assert fused.dtype == np.int64 and fused.shape == (batch,)
+    engine.backend = "numba"  # kernels path regardless of JIT availability
+    try:
+        kernel_result = engine.match_indices(values)
+    finally:
+        engine.backend = "numpy"
+    assert fused.tobytes() == kernel_result.tobytes()
+    linear = [ruleset.classify(p) for p in distinct]
+    got = [engine.rules[i].priority if i >= 0 else None
+           for i in fused[:len(distinct)].tolist()]
+    assert got == [m.priority if m else None for m in linear]
+
+
+def test_walk_builders_cover_splits_and_clones():
+    """The property above means what it says only if its builders really
+    produce split rows and a clone-producing expansion."""
+    ruleset = generate_classifier("fw1", 60, seed=1)
+    cutsplit = compile_classifier(_WALK_BUILDERS["CutSplit"](ruleset))
+    assert cutsplit.forest.has_split
+    cloned = compile_classifier(_WALK_BUILDERS["partition-below-cut"](ruleset))
+    assert cloned.num_subtrees > 1
+    assert cloned.provenance.roots == (None,)  # unstable: roots are clones
+    assert not compile_classifier(
+        _WALK_BUILDERS["EffiCuts"](ruleset)).forest.has_split
 
 
 # --------------------------------------------------------------------------- #

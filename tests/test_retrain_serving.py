@@ -524,14 +524,17 @@ class TestShardedServing:
         assert len(result.shard_rows()) == 2
 
     def test_thread_backend_matches_serial_counts(self):
+        # Synchronous swaps: cache hits depend on the batch a rebuilt
+        # engine lands on, which with background builds is a race between
+        # the builder and the serving thread on either backend.
         _, workload, tenants = _build_scenario(seed=6)
         _, serial_merged, _ = serve_sharded(
             tenants, workload.rulesets, workload.requests, workload.updates,
-            num_workers=2, backend="serial",
+            num_workers=2, backend="serial", background_swaps=False,
         )
         _, thread_merged, _ = serve_sharded(
             tenants, workload.rulesets, workload.requests, workload.updates,
-            num_workers=2, backend="thread",
+            num_workers=2, backend="thread", background_swaps=False,
         )
         assert thread_merged.num_requests == serial_merged.num_requests
         assert thread_merged.num_batches == serial_merged.num_batches

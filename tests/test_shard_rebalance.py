@@ -435,14 +435,17 @@ class TestTelemetrySnapshotRace:
         slot = registry.register("t0", small)
         classifiers = [HiCutsBuilder(binth=8).build(small),
                        HiCutsBuilder(binth=8).build(big)]
-        # Adoption i produces epoch i+1 serving classifiers[i % 2].
+        # Adoption i produces epoch i+1 serving classifiers[i % 2].  An
+        # adopted classifier takes over the slot's *current* ruleset, so the
+        # truth for an epoch is read off the slot once its adoption has
+        # landed (swaps are synchronous), not off the classifier beforehand.
         expected = {0: len(small)}
         stop = threading.Event()
 
         def adopter():
             for i in range(60):
-                expected[i + 1] = len(classifiers[i % 2].ruleset)
                 slot.adopt_classifier(classifiers[i % 2])
+                expected[i + 1] = len(slot.ruleset)
             stop.set()
 
         torn = []
