@@ -524,9 +524,24 @@ class TestShardedServing:
         assert len(result.shard_rows()) == 2
 
     def test_thread_backend_matches_serial_counts(self):
-        # Synchronous swaps: cache hits depend on the batch a rebuilt
-        # engine lands on, which with background builds is a race between
-        # the builder and the serving thread on either backend.
+        # Default (background) swaps: cache hits depend on the batch a
+        # rebuilt engine lands on, a race between the builder and the
+        # serving thread on either backend; the other counts do not.
+        _, workload, tenants = _build_scenario(seed=6)
+        _, serial_merged, _ = serve_sharded(
+            tenants, workload.rulesets, workload.requests, workload.updates,
+            num_workers=2, backend="serial",
+        )
+        _, thread_merged, _ = serve_sharded(
+            tenants, workload.rulesets, workload.requests, workload.updates,
+            num_workers=2, backend="thread",
+        )
+        assert thread_merged.num_requests == serial_merged.num_requests
+        assert thread_merged.num_batches == serial_merged.num_batches
+        assert thread_merged.num_updates == serial_merged.num_updates
+        assert thread_merged.swaps == serial_merged.swaps
+
+    def test_thread_backend_matches_serial_cache_hits_sync_swaps(self):
         _, workload, tenants = _build_scenario(seed=6)
         _, serial_merged, _ = serve_sharded(
             tenants, workload.rulesets, workload.requests, workload.updates,
@@ -536,10 +551,9 @@ class TestShardedServing:
             tenants, workload.rulesets, workload.requests, workload.updates,
             num_workers=2, backend="thread", background_swaps=False,
         )
-        assert thread_merged.num_requests == serial_merged.num_requests
-        assert thread_merged.num_batches == serial_merged.num_batches
         assert thread_merged.cache_hits == serial_merged.cache_hits
-        assert thread_merged.swaps == serial_merged.swaps
+        assert thread_merged.deterministic_counters() == \
+            serial_merged.deterministic_counters()
 
     def test_empty_shards_are_skipped(self):
         _, workload, tenants = _build_scenario(num_tenants=2,

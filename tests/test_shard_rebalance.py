@@ -436,16 +436,15 @@ class TestTelemetrySnapshotRace:
         classifiers = [HiCutsBuilder(binth=8).build(small),
                        HiCutsBuilder(binth=8).build(big)]
         # Adoption i produces epoch i+1 serving classifiers[i % 2].  An
-        # adopted classifier takes over the slot's *current* ruleset, so the
-        # truth for an epoch is read off the slot once its adoption has
-        # landed (swaps are synchronous), not off the classifier beforehand.
-        expected = {0: len(small)}
+        # adopted classifier takes over the slot's *current* ruleset (no
+        # rule update happens here), so every epoch reports len(small); the
+        # table is complete before the adopter starts, so no read is skipped.
+        expected = {epoch: len(small) for epoch in range(61)}
         stop = threading.Event()
 
         def adopter():
             for i in range(60):
                 slot.adopt_classifier(classifiers[i % 2])
-                expected[i + 1] = len(slot.ruleset)
             stop.set()
 
         torn = []
