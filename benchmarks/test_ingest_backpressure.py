@@ -22,6 +22,7 @@ from __future__ import annotations
 from repro.harness import format_table
 from repro.harness.serving import run_serving
 from repro.ingest import IngestConfig
+from repro.serve import ServingConfig
 from repro.workloads import FlashCrowdConfig
 
 INGEST = IngestConfig(tenant_rate=20_000.0, tenant_burst=64, queue_limit=128)
@@ -30,14 +31,13 @@ FLASH = FlashCrowdConfig(rate_factor=8.0)
 
 def _run_flash_crowd(ingest: IngestConfig):
     return run_serving(
+        ServingConfig(background_swaps=False, record_batches=True,
+                      ingest=ingest),
         num_tenants=3,
         num_rules=60,
         num_packets=4_000,
         num_flows=300,
         churn_events=0,
-        background_swaps=False,
-        record_batches=True,
-        ingest=ingest,
         flash_crowd=FLASH,
         seed=0,
     )

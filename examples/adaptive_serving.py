@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from repro.harness import format_table
 from repro.harness.serving import run_serving
-from repro.serve import RetrainPolicy
+from repro.serve import RetrainPolicy, ServingConfig
 from repro.workloads import ChurnConfig
 
 RETRAIN_THRESHOLD = 8
@@ -37,6 +37,12 @@ def main() -> None:
           f"{churn.adds_per_event}+{churn.removes_per_event} updates "
           f"(threshold {RETRAIN_THRESHOLD}/tenant)")
     result = run_serving(
+        ServingConfig(
+            retrain_threshold=RETRAIN_THRESHOLD,
+            retrain_policy=RetrainPolicy(timesteps=1_500, backend="thread",
+                                         seed=0),
+            record_batches=True,
+        ),
         num_tenants=NUM_TENANTS,
         families=("acl1", "ipc1"),
         num_rules=120,
@@ -45,10 +51,6 @@ def main() -> None:
         churn_events=churn.num_events,
         adds_per_event=churn.adds_per_event,
         removes_per_event=churn.removes_per_event,
-        retrain_threshold=RETRAIN_THRESHOLD,
-        retrain_policy=RetrainPolicy(timesteps=1_500, backend="thread",
-                                     seed=0),
-        record_batches=True,
         seed=0,
     )
     print("\nAdaptive serving telemetry (retrains ran in the background):")
@@ -64,15 +66,13 @@ def main() -> None:
 
     # 2. The same scenario sharded across two serving worker processes.
     sharded = run_serving(
+        ServingConfig(workers=2, backend="process", record_batches=True),
         num_tenants=4,
         families=("acl1", "ipc1"),
         num_rules=120,
         num_packets=15_000,
         num_flows=500,
         churn_events=2,
-        serving_workers=2,
-        serving_backend="process",
-        record_batches=True,
         seed=1,
     )
     print("\nTenant-sharded serving (2 worker processes, merged telemetry):")

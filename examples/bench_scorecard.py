@@ -25,6 +25,7 @@ from repro.harness import format_table
 from repro.harness.scorecard import run_scorecard
 from repro.harness.serving import run_serving
 from repro.obs import compare_records, read_bench, timings_comparable
+from repro.serve import ServingConfig
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BASELINE_DIR = REPO_ROOT / "benchmarks" / "baselines"
@@ -38,8 +39,9 @@ MIN_CPUS_FOR_TIMINGS = 8
 def main() -> int:
     # 1. A quick serving run to show the metrics registry itself: every
     #    lifecycle phase shows up as a timing series with raw samples.
-    result = run_serving(num_tenants=2, num_rules=60, num_packets=2000,
-                        num_flows=100, background_swaps=False, seed=0)
+    result = run_serving(ServingConfig(background_swaps=False),
+                         num_tenants=2, num_rules=60, num_packets=2000,
+                         num_flows=100, seed=0)
     metrics = result.report.metrics
     print("phase metrics of a small serving run:")
     print(format_table(

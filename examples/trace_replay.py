@@ -21,6 +21,7 @@ import tempfile
 from pathlib import Path
 
 from repro.harness import format_table
+from repro.serve import ServingConfig
 from repro.traces import diff_traces, read_trace, record_serving, replay_trace
 
 SCENARIO = dict(
@@ -46,7 +47,8 @@ def main() -> None:
 
     # 2. Replay from the file alone: the registry, engines, batcher, and
     #    hot swaps are rebuilt from the trace, no generator involved.
-    replay = replay_trace(read_trace(trace_path), max_batch=32)
+    replay = replay_trace(read_trace(trace_path),
+                          ServingConfig(max_batch=32, background_swaps=False))
     print("replay telemetry (batch size 32, still exact):")
     print(format_table(["metric", "value"], replay.result.rows()))
     print(format_table(["check", "count"], replay.report.rows()))
@@ -54,8 +56,8 @@ def main() -> None:
 
     # 3. Shard the same trace across two serving workers — decisions are
     #    tenant-local, so the golden column still matches exactly.
-    sharded = replay_trace(read_trace(trace_path), serving_workers=2,
-                           serving_backend="thread")
+    sharded = replay_trace(read_trace(trace_path), ServingConfig(
+        workers=2, backend="thread", background_swaps=False))
     print(f"\nsharded replay: {sharded.result.num_shards} shards, "
           f"{sharded.report.num_served} served, "
           f"{sharded.report.num_mismatches} mismatches")

@@ -53,6 +53,99 @@ from repro.tree import load_tree, save_tree, validate_classifier
 from repro.harness import format_table
 
 
+def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
+    """The generated-workload flags (``serve-bench`` and ``trace record``)."""
+    parser.add_argument("--tenants", type=int, default=3,
+                        help="number of tenants to register")
+    parser.add_argument("--families", default="acl1,fw1,ipc1",
+                        help="comma-separated seed families cycled across "
+                             "tenants")
+    parser.add_argument("--num-rules", type=int, default=150,
+                        help="rules per tenant classifier")
+    parser.add_argument("--num-packets", type=int, default=20_000,
+                        help="total requests across tenants")
+    parser.add_argument("--num-flows", type=int, default=512,
+                        help="flow population size across tenants")
+    parser.add_argument("--zipf", type=float, default=1.1,
+                        help="Zipf exponent of flow popularity")
+    parser.add_argument("--burst", type=float, default=16.0,
+                        help="mean packets per arrival burst")
+    parser.add_argument("--algorithm", default="HiCuts",
+                        help="tree builder for every tenant (default HiCuts)")
+    parser.add_argument("--binth", type=int, default=8)
+    parser.add_argument("--churn-events", type=int, default=2,
+                        help="mid-trace rule updates triggering hot swaps "
+                             "(captured in a trace's churn sidecar)")
+    parser.add_argument("--seed", type=int, default=0)
+
+
+def _add_batch_flags(parser: argparse.ArgumentParser) -> None:
+    """Batching and flow-cache flags (every serving subcommand)."""
+    parser.add_argument("--batch-size", type=int, default=64,
+                        help="micro-batcher release size")
+    parser.add_argument("--max-delay-ms", type=float, default=1.0,
+                        help="micro-batcher deadline in trace milliseconds")
+    parser.add_argument("--flow-cache", type=int, default=2048,
+                        help="per-tenant LRU flow cache capacity (0 disables)")
+
+
+def _add_stack_flags(parser: argparse.ArgumentParser,
+                     retrain_backend: str) -> None:
+    """Retrain, sharding, rebalancing and ingest flags (``serve-bench`` and
+    ``trace replay``); ``retrain_backend`` is the one default that differs."""
+    parser.add_argument("--retrain-threshold", type=int, default=0,
+                        metavar="N",
+                        help="retrain a tenant's tree once N rule updates "
+                             "accumulate (0 disables the retrain loop)")
+    parser.add_argument("--retrain-timesteps", type=int, default=3000,
+                        help="NeuroCuts timestep budget per retrain")
+    parser.add_argument("--retrain-backend", default=retrain_backend,
+                        choices=EXECUTOR_BACKENDS,
+                        help="where retrain jobs run (thread overlaps "
+                             "serving; serial is deterministic/inline)")
+    parser.add_argument("--retrain-pool-size", type=int, default=0,
+                        metavar="N",
+                        help="multiplex all tenants' retrains over one "
+                             "shared N-worker pool with per-tenant "
+                             "round-robin fairness (0 = one executor per "
+                             "controller)")
+    parser.add_argument("--serving-workers", type=int, default=1,
+                        metavar="N",
+                        help="shard tenants across N serving workers "
+                             "(1 = single process)")
+    parser.add_argument("--serving-backend", default="process",
+                        choices=EXECUTOR_BACKENDS,
+                        help="executor backend for serving shards")
+    parser.add_argument("--rebalance-policy", default="none",
+                        choices=sorted(REBALANCE_POLICIES),
+                        help="live shard rebalancing policy (needs "
+                             "--serving-workers >= 2; 'load' migrates "
+                             "tenants off overloaded shards mid-run, see "
+                             "docs/architecture.md; replayed decisions "
+                             "still verify exactly)")
+    parser.add_argument("--rebalance-interval", type=float,
+                        default=DEFAULT_REBALANCE_INTERVAL, metavar="SECONDS",
+                        help="trace-clock interval between rebalance "
+                             "evaluations")
+    parser.add_argument("--ingest", action="store_true",
+                        help="run the ingestion frontend ahead of the "
+                             "batcher: per-tenant token-bucket admission, "
+                             "queue-delay backpressure, typed throttling "
+                             "(see docs/ingest.md); a trace replay bypasses "
+                             "admission timing, so verified traces stay "
+                             "bit-exact")
+    parser.add_argument("--tenant-rate", type=float, default=20_000.0,
+                        metavar="PPS",
+                        help="sustained admitted packets/sec per tenant "
+                             "(token refill rate; needs --ingest)")
+    parser.add_argument("--tenant-burst", type=int, default=256, metavar="N",
+                        help="token-bucket burst capacity per tenant "
+                             "(needs --ingest)")
+    parser.add_argument("--queue-limit", type=int, default=512, metavar="N",
+                        help="bounded admission-queue capacity per tenant; "
+                             "arrivals beyond it are shed (needs --ingest)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser for the ``repro`` CLI."""
     parser = argparse.ArgumentParser(
@@ -143,80 +236,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="benchmark the multi-tenant serving layer on a generated "
              "flow workload",
     )
-    serve.add_argument("--tenants", type=int, default=3,
-                       help="number of tenants to register")
-    serve.add_argument("--families", default="acl1,fw1,ipc1",
-                       help="comma-separated seed families cycled across "
-                            "tenants")
-    serve.add_argument("--num-rules", type=int, default=150,
-                       help="rules per tenant classifier")
-    serve.add_argument("--num-packets", type=int, default=20_000,
-                       help="total requests across tenants")
-    serve.add_argument("--num-flows", type=int, default=512,
-                       help="flow population size across tenants")
-    serve.add_argument("--zipf", type=float, default=1.1,
-                       help="Zipf exponent of flow popularity")
-    serve.add_argument("--burst", type=float, default=16.0,
-                       help="mean packets per arrival burst")
-    serve.add_argument("--algorithm", default="HiCuts",
-                       help="tree builder for every tenant (default HiCuts)")
-    serve.add_argument("--binth", type=int, default=8)
-    serve.add_argument("--batch-size", type=int, default=64,
-                       help="micro-batcher release size")
-    serve.add_argument("--max-delay-ms", type=float, default=1.0,
-                       help="micro-batcher deadline in trace milliseconds")
-    serve.add_argument("--flow-cache", type=int, default=2048,
-                       help="per-tenant LRU flow cache capacity (0 disables)")
-    serve.add_argument("--churn-events", type=int, default=2,
-                       help="mid-trace rule updates triggering hot swaps")
+    _add_scenario_flags(serve)
+    _add_batch_flags(serve)
+    _add_stack_flags(serve, retrain_backend="thread")
     serve.add_argument("--sync-swaps", action="store_true",
                        help="recompile inline instead of in the background")
     serve.add_argument("--verify", action="store_true",
                        help="re-check every answer against linear search "
                             "(slow; proves exactness across hot swaps)")
-    serve.add_argument("--retrain-threshold", type=int, default=0,
-                       metavar="N",
-                       help="retrain a tenant's tree once N rule updates "
-                            "accumulate (0 disables the retrain loop)")
-    serve.add_argument("--retrain-timesteps", type=int, default=3000,
-                       help="NeuroCuts timestep budget per background "
-                            "retrain")
-    serve.add_argument("--retrain-backend", default="thread",
-                       choices=EXECUTOR_BACKENDS,
-                       help="where retrain jobs run (thread overlaps "
-                            "serving; serial is deterministic/inline)")
-    serve.add_argument("--retrain-pool-size", type=int, default=0,
-                       metavar="N",
-                       help="multiplex all tenants' retrains over one "
-                            "shared N-worker pool with per-tenant "
-                            "round-robin fairness (0 = one executor per "
-                            "controller)")
-    serve.add_argument("--serving-workers", type=int, default=1,
-                       metavar="N",
-                       help="shard tenants across N serving workers "
-                            "(1 = single process)")
-    serve.add_argument("--serving-backend", default="process",
-                       choices=EXECUTOR_BACKENDS,
-                       help="executor backend for serving shards")
     serve.add_argument("--engine", default="numpy", dest="engine_backend",
                        metavar="BACKEND",
                        help="compiled-engine traversal backend for every "
                             "tenant slot: numpy, numba, or auto")
-    serve.add_argument("--ingest", action="store_true",
-                       help="run the ingestion frontend ahead of the "
-                            "batcher: per-tenant token-bucket admission, "
-                            "queue-delay backpressure, typed throttling "
-                            "(see docs/ingest.md)")
-    serve.add_argument("--tenant-rate", type=float, default=20_000.0,
-                       metavar="PPS",
-                       help="sustained admitted packets/sec per tenant "
-                            "(token refill rate; needs --ingest)")
-    serve.add_argument("--tenant-burst", type=int, default=256, metavar="N",
-                       help="token-bucket burst capacity per tenant "
-                            "(needs --ingest)")
-    serve.add_argument("--queue-limit", type=int, default=512, metavar="N",
-                       help="bounded admission-queue capacity per tenant; "
-                            "arrivals beyond it are shed (needs --ingest)")
     serve.add_argument("--flash-crowd", type=float, default=0.0,
                        metavar="FACTOR",
                        help="adversarial scenario: the busiest tenant's "
@@ -227,17 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Zipf exponent of the per-tenant traffic split "
                             "(>1 skews load onto the first tenants; pairs "
                             "with --rebalance-policy load)")
-    serve.add_argument("--rebalance-policy", default="none",
-                       choices=sorted(REBALANCE_POLICIES),
-                       help="live shard rebalancing policy (needs "
-                            "--serving-workers >= 2; 'load' migrates "
-                            "tenants off overloaded shards mid-run, see "
-                            "docs/architecture.md)")
-    serve.add_argument("--rebalance-interval", type=float,
-                       default=DEFAULT_REBALANCE_INTERVAL, metavar="SECONDS",
-                       help="trace-clock interval between rebalance "
-                            "evaluations")
-    serve.add_argument("--seed", type=int, default=0)
     serve.add_argument("--json", type=Path, default=None, metavar="PATH",
                        help="also write the run as a BENCH_serve.json "
                             "scorecard record (see `repro bench compare`)")
@@ -254,28 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     record.add_argument("--output", type=Path, required=True,
                         help="path of the trace file to write")
-    record.add_argument("--tenants", type=int, default=3)
-    record.add_argument("--families", default="acl1,fw1,ipc1",
-                        help="comma-separated seed families cycled across "
-                             "tenants")
-    record.add_argument("--num-rules", type=int, default=150,
-                        help="rules per tenant classifier")
-    record.add_argument("--num-packets", type=int, default=20_000,
-                        help="total requests across tenants")
-    record.add_argument("--num-flows", type=int, default=512)
-    record.add_argument("--zipf", type=float, default=1.1,
-                        help="Zipf exponent of flow popularity")
-    record.add_argument("--burst", type=float, default=16.0,
-                        help="mean packets per arrival burst")
-    record.add_argument("--algorithm", default="HiCuts")
-    record.add_argument("--binth", type=int, default=8)
-    record.add_argument("--batch-size", type=int, default=64)
-    record.add_argument("--max-delay-ms", type=float, default=1.0)
-    record.add_argument("--flow-cache", type=int, default=2048)
-    record.add_argument("--churn-events", type=int, default=2,
-                        help="mid-trace rule updates captured in the "
-                             "churn sidecar")
-    record.add_argument("--seed", type=int, default=0)
+    _add_scenario_flags(record)
+    _add_batch_flags(record)
 
     replay = trace_sub.add_parser(
         "replay",
@@ -288,64 +288,13 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--output", type=Path, default=None,
                         help="re-record the replay to this trace file "
                              "(diffs clean against the source when exact)")
-    replay.add_argument("--batch-size", type=int, default=64)
-    replay.add_argument("--max-delay-ms", type=float, default=1.0)
-    replay.add_argument("--flow-cache", type=int, default=2048,
-                        help="per-tenant LRU flow cache capacity "
-                             "(0 disables)")
+    _add_batch_flags(replay)
     replay.add_argument("--background-swaps", action="store_true",
                         help="rebuild engines in the background like a "
                              "production run (swap timing then depends on "
                              "the wall clock, so --verify may report "
                              "mismatches around update times)")
-    replay.add_argument("--retrain-threshold", type=int, default=0,
-                        metavar="N",
-                        help="arm the retrain loop during the replay "
-                             "(0 disables)")
-    replay.add_argument("--retrain-timesteps", type=int, default=3000)
-    replay.add_argument("--retrain-backend", default="serial",
-                        choices=EXECUTOR_BACKENDS,
-                        help="where replay retrains run (serial keeps the "
-                             "replay deterministic)")
-    replay.add_argument("--retrain-pool-size", type=int, default=0,
-                        metavar="N",
-                        help="multiplex replay retrains over one shared "
-                             "N-worker pool (0 = one executor per "
-                             "controller)")
-    replay.add_argument("--serving-workers", type=int, default=1,
-                        metavar="N",
-                        help="shard the trace's tenants across N serving "
-                             "workers")
-    replay.add_argument("--serving-backend", default="process",
-                        choices=EXECUTOR_BACKENDS)
-    replay.add_argument("--rebalance-policy", default="none",
-                        choices=sorted(REBALANCE_POLICIES),
-                        help="replay through the rebalancing front-end "
-                             "with live tenant migrations (needs "
-                             "--serving-workers >= 2; decisions still "
-                             "verify exactly)")
-    replay.add_argument("--rebalance-interval", type=float,
-                        default=DEFAULT_REBALANCE_INTERVAL,
-                        metavar="SECONDS",
-                        help="trace-clock interval between rebalance "
-                             "evaluations")
-    replay.add_argument("--ingest", action="store_true",
-                        help="replay through the ingest-enabled serving "
-                             "path; admission timing is bypassed on "
-                             "replays (trace clock authoritative, see "
-                             "docs/ingest.md), so verified traces stay "
-                             "bit-exact")
-    replay.add_argument("--tenant-rate", type=float, default=20_000.0,
-                        metavar="PPS",
-                        help="ingest sustained rate per tenant "
-                             "(needs --ingest)")
-    replay.add_argument("--tenant-burst", type=int, default=256,
-                        metavar="N",
-                        help="ingest burst capacity per tenant "
-                             "(needs --ingest)")
-    replay.add_argument("--queue-limit", type=int, default=512, metavar="N",
-                        help="ingest admission-queue capacity per tenant "
-                             "(needs --ingest)")
+    _add_stack_flags(replay, retrain_backend="serial")
 
     inspect = trace_sub.add_parser(
         "inspect", help="print a trace file's header and contents"
@@ -586,97 +535,94 @@ def _cmd_engine_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+def _scenario(args: argparse.Namespace) -> dict:
+    """``run_serving``'s workload keywords from the shared scenario flags."""
+    if args.tenants < 1:
+        raise ValueError("--tenants must be >= 1")
+    if args.num_packets < 1:
+        raise ValueError("--num-packets must be >= 1")
+    return dict(
+        num_tenants=args.tenants,
+        families=tuple(f.strip() for f in args.families.split(",")
+                       if f.strip()),
+        num_rules=args.num_rules,
+        num_packets=args.num_packets,
+        num_flows=args.num_flows,
+        zipf_alpha=args.zipf,
+        mean_burst=args.burst,
+        algorithm=args.algorithm,
+        binth=args.binth,
+        churn_events=args.churn_events,
+        seed=args.seed,
+    )
+
+
+def _batch_fields(args: argparse.Namespace) -> dict:
+    """The ``ServingConfig`` fields behind the shared batch flags."""
+    return dict(
+        max_batch=args.batch_size,
+        max_delay=args.max_delay_ms * 1e-3,
+        flow_cache_size=args.flow_cache if args.flow_cache > 0 else None,
+    )
+
+
+def _serving_config(args: argparse.Namespace, seed: int, **fields):
+    """The ``ServingConfig`` the batch and stack flags describe.
+
+    ``seed`` seeds the retrain policy; ``fields`` are the ones each command
+    spells its own way (swap mode, batch recording, engine backend).  Raises
+    ``ValueError`` on any out-of-range flag.
+    """
+    from repro.ingest import IngestConfig
+    from repro.serve import RetrainPolicy, ServingConfig, \
+        make_rebalance_policy
+
+    if args.retrain_threshold < 0:
+        raise ValueError("--retrain-threshold must be >= 0")
+    if args.retrain_pool_size < 0:
+        raise ValueError("--retrain-pool-size must be >= 0")
+    retrain = args.retrain_threshold > 0
+    return ServingConfig(
+        retrain_threshold=args.retrain_threshold if retrain else None,
+        retrain_policy=RetrainPolicy(
+            timesteps=args.retrain_timesteps,
+            backend=args.retrain_backend,
+            seed=seed,
+            shared_pool_size=args.retrain_pool_size or None,
+        ) if retrain else None,
+        ingest=IngestConfig(tenant_rate=args.tenant_rate,
+                            tenant_burst=args.tenant_burst,
+                            queue_limit=args.queue_limit)
+        if args.ingest else None,
+        workers=args.serving_workers,
+        backend=args.serving_backend,
+        rebalance_policy=make_rebalance_policy(args.rebalance_policy)
+        if args.rebalance_policy != "none" else None,
+        rebalance_interval=args.rebalance_interval,
+        **_batch_fields(args),
+        **fields,
+    )
+
+
 def _cmd_serve_bench(args: argparse.Namespace) -> int:
     from repro.exceptions import EngineBackendError
     from repro.harness.serving import run_serving
+    from repro.workloads.adversarial import FlashCrowdConfig
 
-    if args.tenants < 1:
-        print("error: --tenants must be >= 1", file=sys.stderr)
-        return 2
-    if args.num_packets < 1:
-        print("error: --num-packets must be >= 1", file=sys.stderr)
-        return 2
-    if args.serving_workers < 1:
-        print("error: --serving-workers must be >= 1", file=sys.stderr)
-        return 2
-    if args.retrain_threshold < 0:
-        print("error: --retrain-threshold must be >= 0", file=sys.stderr)
-        return 2
-    if args.retrain_pool_size < 0:
-        print("error: --retrain-pool-size must be >= 0", file=sys.stderr)
-        return 2
-    if args.rebalance_policy != "none" and args.serving_workers < 2:
-        print("error: --rebalance-policy needs --serving-workers >= 2",
-              file=sys.stderr)
-        return 2
-    if args.rebalance_interval <= 0:
-        print("error: --rebalance-interval must be > 0", file=sys.stderr)
-        return 2
-    rebalance_policy = None
-    if args.rebalance_policy != "none":
-        from repro.serve.rebalance import make_rebalance_policy
-
-        rebalance_policy = make_rebalance_policy(args.rebalance_policy)
-    families = tuple(f.strip() for f in args.families.split(",") if f.strip())
-    retrain_policy = None
-    if args.retrain_threshold > 0:
-        from repro.serve.controller import RetrainPolicy
-
-        retrain_policy = RetrainPolicy(timesteps=args.retrain_timesteps,
-                                       backend=args.retrain_backend,
-                                       seed=args.seed,
-                                       shared_pool_size=args.retrain_pool_size
-                                       if args.retrain_pool_size > 0 else None)
-    ingest = None
-    flash_crowd = None
     try:
-        if args.ingest:
-            from repro.ingest import IngestConfig
-
-            ingest = IngestConfig(tenant_rate=args.tenant_rate,
-                                  tenant_burst=args.tenant_burst,
-                                  queue_limit=args.queue_limit)
-        if args.flash_crowd > 0:
-            from repro.workloads.adversarial import FlashCrowdConfig
-
-            flash_crowd = FlashCrowdConfig(rate_factor=args.flash_crowd)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    try:
+        scenario = _scenario(args)
+        config = _serving_config(args, seed=args.seed,
+                                 background_swaps=not args.sync_swaps,
+                                 record_batches=args.verify,
+                                 engine_backend=args.engine_backend)
         result = run_serving(
-            num_tenants=args.tenants,
-            families=families,
-            num_rules=args.num_rules,
-            num_packets=args.num_packets,
-            num_flows=args.num_flows,
-            zipf_alpha=args.zipf,
+            config,
             tenant_zipf_alpha=args.tenant_zipf,
-            mean_burst=args.burst,
-            algorithm=args.algorithm,
-            binth=args.binth,
-            max_batch=args.batch_size,
-            max_delay=args.max_delay_ms * 1e-3,
-            flow_cache_size=args.flow_cache if args.flow_cache > 0 else None,
-            churn_events=args.churn_events,
-            background_swaps=not args.sync_swaps,
-            record_batches=args.verify,
-            retrain_threshold=args.retrain_threshold
-            if args.retrain_threshold > 0 else None,
-            retrain_policy=retrain_policy,
-            serving_workers=args.serving_workers,
-            serving_backend=args.serving_backend,
-            engine_backend=args.engine_backend,
-            ingest=ingest,
-            flash_crowd=flash_crowd,
-            rebalance_policy=rebalance_policy,
-            rebalance_interval=args.rebalance_interval,
-            seed=args.seed,
+            flash_crowd=FlashCrowdConfig(rate_factor=args.flash_crowd)
+            if args.flash_crowd > 0 else None,
+            **scenario,
         )
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    except EngineBackendError as error:
+    except (ValueError, EngineBackendError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     workload = result.workload
@@ -730,7 +676,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
             result.report, name="serve-bench", exactness=exactness,
             config={
                 "tenants": args.tenants,
-                "families": ",".join(families),
+                "families": ",".join(scenario["families"]),
                 "num_rules": args.num_rules,
                 "num_packets": args.num_packets,
                 "num_flows": args.num_flows,
@@ -766,32 +712,14 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
 
 def _cmd_trace_record(args: argparse.Namespace) -> int:
     from repro.exceptions import TraceError
+    from repro.serve import ServingConfig
     from repro.traces import record_serving
 
-    if args.tenants < 1:
-        print("error: --tenants must be >= 1", file=sys.stderr)
-        return 2
-    if args.num_packets < 1:
-        print("error: --num-packets must be >= 1", file=sys.stderr)
-        return 2
-    families = tuple(f.strip() for f in args.families.split(",") if f.strip())
     try:
         outcome = record_serving(
             args.output,
-            num_tenants=args.tenants,
-            families=families,
-            num_rules=args.num_rules,
-            num_packets=args.num_packets,
-            num_flows=args.num_flows,
-            zipf_alpha=args.zipf,
-            mean_burst=args.burst,
-            algorithm=args.algorithm,
-            binth=args.binth,
-            max_batch=args.batch_size,
-            max_delay=args.max_delay_ms * 1e-3,
-            flow_cache_size=args.flow_cache if args.flow_cache > 0 else None,
-            churn_events=args.churn_events,
-            seed=args.seed,
+            ServingConfig(background_swaps=False, **_batch_fields(args)),
+            **_scenario(args),
         )
     except (TraceError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
@@ -807,70 +735,17 @@ def _cmd_trace_record(args: argparse.Namespace) -> int:
 
 def _cmd_trace_replay(args: argparse.Namespace) -> int:
     from repro.exceptions import TraceError
-    from repro.serve.controller import RetrainPolicy
     from repro.traces import read_trace, replay_trace, trace_from_run, \
         write_trace
 
-    if args.serving_workers < 1:
-        print("error: --serving-workers must be >= 1", file=sys.stderr)
-        return 2
-    if args.retrain_threshold < 0:
-        print("error: --retrain-threshold must be >= 0", file=sys.stderr)
-        return 2
-    if args.retrain_pool_size < 0:
-        print("error: --retrain-pool-size must be >= 0", file=sys.stderr)
-        return 2
-    if args.rebalance_policy != "none" and args.serving_workers < 2:
-        print("error: --rebalance-policy needs --serving-workers >= 2",
-              file=sys.stderr)
-        return 2
-    if args.rebalance_interval <= 0:
-        print("error: --rebalance-interval must be > 0", file=sys.stderr)
-        return 2
-    rebalance_policy = None
-    if args.rebalance_policy != "none":
-        from repro.serve.rebalance import make_rebalance_policy
-
-        rebalance_policy = make_rebalance_policy(args.rebalance_policy)
-    ingest = None
-    if args.ingest:
-        from repro.ingest import IngestConfig
-
-        try:
-            ingest = IngestConfig(tenant_rate=args.tenant_rate,
-                                  tenant_burst=args.tenant_burst,
-                                  queue_limit=args.queue_limit)
-        except ValueError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        print("note: trace replay bypasses admission timing (the trace "
-              "clock is authoritative; see docs/ingest.md)")
     try:
         trace = read_trace(args.trace)
-        retrain_policy = None
-        if args.retrain_threshold > 0:
-            retrain_policy = RetrainPolicy(
-                timesteps=args.retrain_timesteps,
-                backend=args.retrain_backend,
-                seed=trace.seed,
-                shared_pool_size=args.retrain_pool_size
-                if args.retrain_pool_size > 0 else None)
-        outcome = replay_trace(
-            trace,
-            verify=True,
-            max_batch=args.batch_size,
-            max_delay=args.max_delay_ms * 1e-3,
-            flow_cache_size=args.flow_cache if args.flow_cache > 0 else None,
-            background_swaps=args.background_swaps,
-            retrain_threshold=args.retrain_threshold
-            if args.retrain_threshold > 0 else None,
-            retrain_policy=retrain_policy,
-            serving_workers=args.serving_workers,
-            serving_backend=args.serving_backend,
-            ingest=ingest,
-            rebalance_policy=rebalance_policy,
-            rebalance_interval=args.rebalance_interval,
-        )
+        config = _serving_config(args, seed=trace.seed,
+                                 background_swaps=args.background_swaps)
+        if args.ingest:
+            print("note: trace replay bypasses admission timing (the trace "
+                  "clock is authoritative; see docs/ingest.md)")
+        outcome = replay_trace(trace, config, verify=True)
     except (TraceError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

@@ -245,56 +245,19 @@ def throughput_scorecard_record(kind: str,
                           engine_backend=engine_backend)
 
 
-def serve_scorecard_record() -> BenchRecord:
-    """Run the canonical serving benchmark and return its record."""
-    from repro.harness.serving import run_serving, serving_bench_record
-
-    cfg = SERVE_SCORECARD
-    result = run_serving(
-        num_tenants=cfg["tenants"],
-        families=tuple(cfg["families"].split(",")),
-        num_rules=cfg["num_rules"],
-        num_packets=cfg["num_packets"],
-        num_flows=cfg["num_flows"],
-        algorithm=cfg["algorithm"],
-        binth=cfg["binth"],
-        max_batch=cfg["batch_size"],
-        flow_cache_size=cfg["flow_cache"],
-        churn_events=cfg["churn_events"],
-        background_swaps=not cfg["sync_swaps"],
-        record_batches=cfg["verify"],
-        engine_backend=cfg["engine_backend"],
-        seed=cfg["seed"],
-    )
-    exactness = result.verify_exactness() if cfg["verify"] else None
-    return serving_bench_record(result.report, name="scorecard-serve",
-                                config=dict(cfg), exactness=exactness)
-
-
-def run_serving_scorecard(kind: str, serving_workers: Optional[int] = None,
-                          rebalance_policy_name: Optional[str] = None):
-    """One ``run_serving`` invocation with a scorecard's pinned knobs.
-
-    Returns the live ``ServingResult`` (or ``ShardedServingResult``) so the
-    acceptance benchmarks can make behavioral assertions on the exact run
-    whose record they then gate against the checked-in baseline.
-    ``serving_workers`` overrides the scorecard's pinned worker count (the
-    sharded benchmark uses this for its serial reference run);
-    ``rebalance_policy_name`` overrides the pinned rebalance policy (the
-    rebalancing benchmark passes ``"none"`` for its static reference).
-    """
+def _run_scorecard(cfg: Dict[str, object]):
+    """One ``run_serving`` invocation with a scorecard's pinned knobs."""
     from repro.harness.serving import run_serving
     from repro.serve.controller import RetrainPolicy
     from repro.serve.rebalance import DEFAULT_REBALANCE_INTERVAL, \
         make_rebalance_policy
+    from repro.serve.stack import ServingConfig
     from repro.workloads.adversarial import FlashCrowdConfig
 
-    cfg = SERVING_SCORECARDS[kind]
-    if serving_workers is None:
-        serving_workers = int(cfg.get("serving_workers", 1))
-    retrain_threshold = cfg.get("retrain_threshold")
+    workers = int(cfg.get("serving_workers", 1))
+    rebalance_policy_name = cfg.get("rebalance_policy", "none")
     retrain_policy = None
-    if retrain_threshold is not None:
+    if "retrain_threshold" in cfg:
         retrain_policy = RetrainPolicy(
             timesteps=cfg["retrain_timesteps"],
             max_iterations=cfg["retrain_max_iterations"],
@@ -302,15 +265,23 @@ def run_serving_scorecard(kind: str, serving_workers: Optional[int] = None,
             quality_gate=bool(cfg.get("retrain_quality_gate", True)),
             seed=cfg["seed"],
         )
-    policy_name = rebalance_policy_name if rebalance_policy_name is not None \
-        else cfg.get("rebalance_policy", "none")
-    rebalance_policy = None
-    if serving_workers > 1 and policy_name != "none":
-        rebalance_policy = make_rebalance_policy(policy_name)
-    flash_crowd = None
-    if cfg.get("flash_crowd"):
-        flash_crowd = FlashCrowdConfig(rate_factor=cfg["flash_crowd"])
+    config = ServingConfig(
+        max_batch=cfg["batch_size"],
+        flow_cache_size=cfg["flow_cache"],
+        background_swaps=not cfg["sync_swaps"],
+        record_batches=cfg["verify"],
+        retrain_threshold=cfg.get("retrain_threshold"),
+        retrain_policy=retrain_policy,
+        engine_backend=cfg["engine_backend"],
+        workers=workers,
+        backend=cfg.get("serving_backend", "process"),
+        rebalance_policy=make_rebalance_policy(rebalance_policy_name)
+        if workers > 1 and rebalance_policy_name != "none" else None,
+        rebalance_interval=cfg.get("rebalance_interval",
+                                   DEFAULT_REBALANCE_INTERVAL),
+    )
     return run_serving(
+        config,
         num_tenants=cfg["tenants"],
         families=tuple(cfg["families"].split(",")),
         num_rules=cfg["num_rules"],
@@ -319,25 +290,40 @@ def run_serving_scorecard(kind: str, serving_workers: Optional[int] = None,
         tenant_zipf_alpha=cfg.get("tenant_zipf", 1.0),
         algorithm=cfg["algorithm"],
         binth=cfg["binth"],
-        max_batch=cfg["batch_size"],
-        flow_cache_size=cfg["flow_cache"],
         churn_events=cfg["churn_events"],
-        adds_per_event=cfg["adds_per_event"],
-        removes_per_event=cfg["removes_per_event"],
-        background_swaps=not cfg["sync_swaps"],
-        record_batches=cfg["verify"],
-        retrain_threshold=retrain_threshold,
-        retrain_policy=retrain_policy,
-        serving_workers=serving_workers,
-        serving_backend=cfg.get("serving_backend", "process")
-        if serving_workers > 1 else "process",
-        engine_backend=cfg["engine_backend"],
-        flash_crowd=flash_crowd,
-        rebalance_policy=rebalance_policy,
-        rebalance_interval=cfg.get("rebalance_interval",
-                                   DEFAULT_REBALANCE_INTERVAL),
+        flash_crowd=FlashCrowdConfig(rate_factor=cfg["flash_crowd"])
+        if cfg.get("flash_crowd") else None,
         seed=cfg["seed"],
+        **{key: cfg[key] for key in ("adds_per_event", "removes_per_event")
+           if key in cfg},
     )
+
+
+def serve_scorecard_record() -> BenchRecord:
+    """Run the canonical serving benchmark and return its record."""
+    cfg = SERVE_SCORECARD
+    return _run_scorecard(cfg).bench_record(
+        name="scorecard-serve", config=dict(cfg), verify=cfg["verify"])
+
+
+def run_serving_scorecard(kind: str, serving_workers: Optional[int] = None,
+                          rebalance_policy_name: Optional[str] = None):
+    """One ``run_serving`` invocation with a scorecard's pinned knobs.
+
+    Returns the live ``ServingResult`` so the acceptance benchmarks can make
+    behavioral assertions on the exact run whose record they then gate
+    against the checked-in baseline.  ``serving_workers`` overrides the
+    scorecard's pinned worker count (the sharded benchmark uses this for its
+    serial reference run); ``rebalance_policy_name`` overrides the pinned
+    rebalance policy (the rebalancing benchmark passes ``"none"`` for its
+    static reference).
+    """
+    cfg = dict(SERVING_SCORECARDS[kind])
+    if serving_workers is not None:
+        cfg["serving_workers"] = serving_workers
+    if rebalance_policy_name is not None:
+        cfg["rebalance_policy"] = rebalance_policy_name
+    return _run_scorecard(cfg)
 
 
 def serving_scorecard_record(kind: str) -> BenchRecord:
@@ -352,14 +338,12 @@ def serving_scorecard_record(kind: str) -> BenchRecord:
     baseline.
     """
     from repro.exceptions import BenchError
-    from repro.harness.serving import serving_bench_record
 
     cfg = SERVING_SCORECARDS[kind]
     workers = int(cfg.get("serving_workers", 1))
     result = run_serving_scorecard(kind)
-    exactness = result.verify_exactness() if cfg["verify"] else None
-    record = serving_bench_record(result.report, name=f"serving-{kind}",
-                                  config=dict(cfg), exactness=exactness)
+    record = result.bench_record(name=f"serving-{kind}", config=dict(cfg),
+                                 verify=cfg["verify"])
     if workers > 1:
         serial = run_serving_scorecard(kind, serving_workers=1)
         serial_counters = dict(serial.report.deterministic_counters())

@@ -11,15 +11,16 @@ prove differential exactness: every served packet is re-checked against
 linear search over the exact ruleset generation its engine was compiled
 from, across any mid-run hot swaps.
 
-Two knobs close the adaptive-serving loop on top of that:
+How the workload is *served* is one :class:`~repro.serve.stack.ServingConfig`;
+``run_serving``'s own keywords only shape the workload.  Two config fields
+close the adaptive-serving loop:
 
 * ``retrain_threshold`` arms the retrain-on-churn path — a
   :class:`~repro.serve.controller.RetrainController` watches every slot and
   swaps in freshly trained NeuroCuts *trees* when accumulated updates cross
   the threshold;
-* ``serving_workers > 1`` shards tenants across worker processes
-  (:mod:`repro.serve.sharded`) and returns a :class:`ShardedServingResult`
-  whose telemetry is merged exactly from the per-shard reports.
+* ``workers > 1`` shards tenants across worker processes
+  (:mod:`repro.serve.sharded`), telemetry merged exactly from the shards.
 
 ``run_serving(trace_path=...)`` swaps the generator out entirely: the
 workload (tenants, rulesets, packets, churn) is loaded from a recorded
@@ -29,24 +30,20 @@ trace file (:mod:`repro.traces`) and served through the identical stack.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
-from repro.ingest.admission import IngestConfig
-from repro.serve.batcher import BatchPolicy
-from repro.serve.controller import RetrainController, RetrainPolicy
-from repro.serve.engines import DEFAULT_RETRAIN_THRESHOLD
-from repro.serve.rebalance import DEFAULT_REBALANCE_INTERVAL, RebalancePolicy
+from repro.serve.controller import RetrainPolicy
 from repro.serve.registry import TenantRegistry
-from repro.serve.service import ClassificationService, ServedBatch, \
-    ServingReport
+from repro.serve.service import ServedBatch, ServingReport
 from repro.serve.sharded import (
     ShardOutcome,
     ShardPlan,
     ShardTenant,
     serve_sharded,
 )
+from repro.serve.stack import ServingConfig, ServingStack, epoch_rulesets
 from repro.rules.ruleset import RuleSet
 from repro.traces.format import ServingTrace
 from repro.traces.io import read_trace
@@ -104,34 +101,18 @@ class ExactnessReport:
         return self.num_mismatches == 0
 
 
-def _tenant_rows(per_tenant: Dict[str, dict]) -> List[List[object]]:
-    """Per-tenant table rows: rules, engine epoch, cache, swaps."""
-    rows = []
-    for tenant_id, entry in per_tenant.items():
-        cache = entry["cache"]
-        rows.append([
-            tenant_id,
-            entry["rules"],
-            entry["epoch"],
-            f"{cache['hit_rate']:.1%}",
-            cache["evictions"],
-            entry["swap"]["swaps"],
-            entry["swap"]["stalls"],
-        ])
-    return rows
-
-
 def serving_bench_record(report: ServingReport, name: str,
                          config: Optional[dict] = None,
-                         exactness: Optional[ExactnessReport] = None
-                         ) -> "BenchRecord":
-    """A serving run as a versioned scorecard entry (area ``"serve"``).
+                         exactness: Optional[ExactnessReport] = None,
+                         area: str = "serve") -> "BenchRecord":
+    """A serving run as a versioned scorecard entry.
 
     The deterministic telemetry (:meth:`ServingReport.deterministic_counters`)
     — plus the differential-exactness tallies when provided — lands in
     ``counters`` and is gated at exact equality; throughput and latency land
-    in ``timings`` and are tolerance-banded.  Shared by the single-process
-    and sharded result types so the two produce schema-identical records.
+    in ``timings`` and are tolerance-banded.  Live runs (area ``"serve"``)
+    and trace replays (``"replay"``) share it, so their records are
+    schema-identical.
     """
     from repro.obs.bench import BenchRecord
 
@@ -147,7 +128,7 @@ def serving_bench_record(report: ServingReport, name: str,
     }
     for pct in sorted(report.latency_percentiles):
         timings[f"latency_p{pct:g}_ms"] = report.latency_ms(pct)
-    return BenchRecord(name=name, area="serve", config=config or {},
+    return BenchRecord(name=name, area=area, config=config or {},
                        counters=counters, timings=timings)
 
 
@@ -173,62 +154,21 @@ def _check_batches(batches: Sequence[ServedBatch],
 
 @dataclass
 class ServingResult:
-    """Everything ``run_serving`` produced: telemetry plus live state."""
+    """Everything ``run_serving`` produced: telemetry plus live state.
 
-    report: ServingReport
-    workload: MultiTenantWorkload
-    registry: TenantRegistry
-
-    def rows(self) -> List[List[object]]:
-        return self.report.rows()
-
-    def tenant_rows(self) -> List[List[object]]:
-        """Per-tenant table rows: rules, engine epoch, cache, swaps."""
-        return _tenant_rows(self.report.per_tenant)
-
-    def verify_exactness(self) -> ExactnessReport:
-        """Re-check every served packet against linear search.
-
-        Each recorded batch is compared against the ruleset generation its
-        serving engine was compiled from (``EngineSlot.ruleset_at``), so the
-        check is exact *across* hot swaps: packets served before a swap are
-        held to the pre-update ruleset, packets after it to the post-update
-        one.  Requires ``run_serving(record_batches=True)``.
-        """
-        if self.report.batches is None:
-            raise ValueError(
-                "verify_exactness() needs run_serving(record_batches=True)"
-            )
-        epoch_rulesets = {
-            tenant_id: [self.registry.slot(tenant_id).ruleset_at(epoch)
-                        for epoch in range(self.registry.slot(tenant_id).epoch + 1)]
-            for tenant_id in self.registry.tenants()
-        }
-        return _check_batches(self.report.batches, epoch_rulesets)
-
-    def bench_record(self, name: str = "serve",
-                     config: Optional[dict] = None,
-                     verify: bool = False) -> "BenchRecord":
-        """This run as a scorecard entry; ``verify=True`` folds in the
-        differential-exactness tallies (needs ``record_batches=True``)."""
-        exactness = self.verify_exactness() if verify else None
-        return serving_bench_record(self.report, name=name, config=config,
-                                    exactness=exactness)
-
-
-@dataclass
-class ShardedServingResult:
-    """Outcome of a tenant-sharded ``run_serving`` (``serving_workers > 1``).
-
+    A single-process run keeps its live ``registry``.  A sharded run
+    (``ServingConfig.workers > 1``) has no registry in this process:
     ``report`` is the merged telemetry (exact percentile merge over the
-    shards' raw latency arrays); ``outcomes`` keeps each shard's own report,
-    per-epoch ruleset history, and wall time for drill-down.
+    shards' raw latency arrays), ``outcomes`` keeps each shard's own report,
+    per-epoch ruleset history and wall time for drill-down, and ``plan`` is
+    the initial tenant placement.
     """
 
     report: ServingReport
     workload: MultiTenantWorkload
-    outcomes: List[ShardOutcome]
-    plan: ShardPlan
+    registry: Optional[TenantRegistry] = None
+    outcomes: List[ShardOutcome] = field(default_factory=list)
+    plan: Optional[ShardPlan] = None
 
     @property
     def num_shards(self) -> int:
@@ -237,12 +177,24 @@ class ShardedServingResult:
 
     def rows(self) -> List[List[object]]:
         rows = self.report.rows()
-        rows.append(["serving shards", str(self.num_shards)])
+        if self.outcomes:
+            rows.append(["serving shards", str(self.num_shards)])
         return rows
 
     def tenant_rows(self) -> List[List[object]]:
         """Per-tenant table rows: rules, engine epoch, cache, swaps."""
-        return _tenant_rows(self.report.per_tenant)
+        return [
+            [
+                tenant_id,
+                entry["rules"],
+                entry["epoch"],
+                f"{entry['cache']['hit_rate']:.1%}",
+                entry["cache"]["evictions"],
+                entry["swap"]["swaps"],
+                entry["swap"]["stalls"],
+            ]
+            for tenant_id, entry in self.report.per_tenant.items()
+        ]
 
     def shard_rows(self) -> List[List[object]]:
         """Per-shard table rows: tenants, requests served, wall seconds."""
@@ -257,22 +209,28 @@ class ShardedServingResult:
         ]
 
     def verify_exactness(self) -> ExactnessReport:
-        """Re-check every shard's served packets against linear search.
+        """Re-check every served packet against linear search.
 
-        The check runs in the front-end process: each shard shipped back
-        its recorded batches *and* the per-epoch ruleset snapshots its
-        engines were compiled from, so exactness is proven across hot
-        swaps, retrain adoptions, and the process boundary.  Requires
-        ``record_batches=True``.
+        Each recorded batch is compared against the ruleset generation its
+        serving engine was compiled from (``EngineSlot.ruleset_at``), so the
+        check is exact *across* hot swaps: packets served before a swap are
+        held to the pre-update ruleset, packets after it to the post-update
+        one.  A sharded run is checked here too — shards ship back their
+        batches *and* per-epoch rulesets — so exactness is proven across
+        retrain adoptions, migrations and the process boundary.  Requires
+        ``ServingConfig(record_batches=True)``.
         """
         if self.report.batches is None:
             raise ValueError(
-                "verify_exactness() needs run_serving(record_batches=True)"
+                "verify_exactness() needs ServingConfig(record_batches=True)"
             )
-        epoch_rulesets: Dict[str, List[RuleSet]] = {}
-        for outcome in self.outcomes:
-            epoch_rulesets.update(outcome.epoch_rulesets)
-        return _check_batches(self.report.batches, epoch_rulesets)
+        if self.registry is not None:
+            history = epoch_rulesets(self.registry)
+        else:
+            history = {}
+            for outcome in self.outcomes:
+                history.update(outcome.epoch_rulesets)
+        return _check_batches(self.report.batches, history)
 
     def bench_record(self, name: str = "serve",
                      config: Optional[dict] = None,
@@ -285,6 +243,8 @@ class ShardedServingResult:
 
 
 def run_serving(
+    config: ServingConfig = ServingConfig(),
+    *,
     num_tenants: int = 3,
     families: Sequence[str] = DEFAULT_FAMILIES,
     num_rules: int = 150,
@@ -295,93 +255,52 @@ def run_serving(
     mean_burst: float = 16.0,
     algorithm: str = "HiCuts",
     binth: int = 8,
-    max_batch: int = 64,
-    max_delay: float = 1e-3,
-    flow_cache_size: Optional[int] = 2048,
     churn_events: int = 2,
     adds_per_event: int = 4,
     removes_per_event: int = 2,
-    background_swaps: bool = True,
-    record_batches: bool = False,
-    retrain_threshold: Optional[int] = None,
-    retrain_policy: Optional[RetrainPolicy] = None,
-    serving_workers: int = 1,
-    serving_backend: str = "process",
-    engine_backend: str = "numpy",
     trace_path: Optional[Union[str, Path, ServingTrace]] = None,
-    ingest: Optional[IngestConfig] = None,
     flash_crowd: Optional[FlashCrowdConfig] = None,
-    rebalance_policy: Optional[RebalancePolicy] = None,
-    rebalance_interval: float = DEFAULT_REBALANCE_INTERVAL,
     seed: int = 0,
-):
+) -> ServingResult:
     """Serve a multi-tenant workload and collect telemetry.
 
-    Args mirror the workload/serving knobs: ``num_packets`` is the total
-    request count across tenants, ``churn_events`` schedules that many
-    mid-trace rule updates (0 disables churn), ``background_swaps=False``
-    recompiles inline (useful for single-threaded determinism studies), and
-    ``record_batches=True`` keeps every served batch so
-    :meth:`ServingResult.verify_exactness` can prove zero misclassifications.
+    ``config`` says how the workload is served (see
+    :class:`~repro.serve.stack.ServingConfig` for every field); the keywords
+    shape the workload: ``num_packets`` is the total request count across
+    tenants, ``churn_events`` schedules that many mid-trace rule updates
+    (0 disables churn).
 
-    ``retrain_threshold`` arms the retrain-on-churn loop: every slot advises
-    a NeuroCuts retrain once that many updates accumulate, and a
-    :class:`~repro.serve.controller.RetrainController` (configured by
-    ``retrain_policy``, default :class:`RetrainPolicy()`) trains and swaps
-    in the new tree mid-run.  ``serving_workers > 1`` shards tenants across
-    that many workers on ``serving_backend`` (``"process"`` for real
-    parallelism; ``"thread"``/``"serial"`` for tests) and returns a
-    :class:`ShardedServingResult` instead of a :class:`ServingResult`.
+    ``config.retrain_threshold`` arms the retrain-on-churn loop, run by
+    ``config.retrain_policy`` (default ``RetrainPolicy(seed=seed)``; on the
+    trace path serial and seeded from the trace); without a threshold the
+    policy is ignored.
 
     ``trace_path`` replays a recorded trace (a file path or a loaded
     :class:`~repro.traces.format.ServingTrace`) instead of generating a
     workload: tenants, rulesets, the packet stream, and the churn schedule
-    all come from the trace, and the generation knobs (``num_tenants``,
+    all come from the trace, and the generation keywords (``num_tenants``,
     ``families``, ``num_packets``, ``churn_events``, ...) are ignored.  The
-    serving knobs still apply, so a trace can be replayed with a different
+    config still applies, so a trace can be replayed with a different
     batch size, cache size, shard count, or retrain policy.
 
-    ``engine_backend`` selects the compiled-engine traversal backend for
-    every tenant slot (``"numpy"``, ``"numba"``, or ``"auto"``; see
-    :data:`repro.engine.kernels.ENGINE_BACKENDS`).
-
-    ``ingest`` attaches the ingestion frontend (:mod:`repro.ingest`):
-    per-tenant token-bucket admission runs ahead of the batcher, over-rate
-    traffic is throttled or shed (typed and counted, never silently
-    dropped), and the report carries the ``ingest_*`` tallies.
     ``flash_crowd`` swaps the nominal workload for the adversarial
     flash-crowd scenario (one tenant goes over-rate mid-trace; see
     :mod:`repro.workloads.adversarial`) — the natural companion to
-    ``ingest``, and only meaningful on the generated-workload path.
+    ``config.ingest``, and only meaningful on the generated-workload path.
 
-    On the trace-replay path ``ingest`` is ignored by construction: a
+    On the trace-replay path ``config.ingest`` is ignored by construction: a
     recorded trace contains only packets that were already admitted, and
     the determinism contract (docs/traces.md) makes the trace clock
     authoritative — re-running admission against replay-time stamps would
     perturb the recorded stream.  ``flash_crowd`` is rejected there (the
     workload comes from the trace, so there is nothing to generate).
-
-    ``rebalance_policy`` (with ``serving_workers > 1``) switches the
-    sharded path into the rebalancing front-end: the policy is evaluated
-    every ``rebalance_interval`` trace seconds on live per-shard telemetry
-    and planned tenants are live-migrated between shards mid-run (see
-    :mod:`repro.serve.rebalance`).
     """
-    if serving_workers < 1:
-        raise ValueError("serving_workers must be >= 1")
-    if rebalance_policy is not None and serving_workers < 2:
-        raise ValueError(
-            "rebalance_policy needs serving_workers >= 2 "
-            "(there is nothing to rebalance on one shard)"
-        )
     if trace_path is not None:
         if flash_crowd is not None:
             raise ValueError(
                 "flash_crowd generates a workload and cannot be combined "
                 "with trace_path (the trace already fixes the packet stream)"
             )
-        # Determinism contract: trace replay bypasses admission timing.
-        ingest = None
         trace = trace_path if isinstance(trace_path, ServingTrace) \
             else read_trace(trace_path)
         workload = trace.to_workload()
@@ -389,12 +308,12 @@ def run_serving(
         for spec in specs:
             warn_if_hicuts_on_fw([spec.seed_name], spec.algorithm,
                                  len(workload.rulesets[spec.tenant_id]))
-        if retrain_threshold is not None and retrain_policy is None:
-            # Replay determinism contract (docs/traces.md): retrains run
-            # serially, seeded from the trace, so every replay surface
-            # trains the same trees and reports the same counters.
-            retrain_policy = RetrainPolicy(backend="serial",
-                                           seed=trace.seed)
+        # Replay determinism contract (docs/traces.md): retrains run
+        # serially, seeded from the trace, so every replay surface trains
+        # the same trees and reports the same counters.
+        default_retrain = RetrainPolicy(backend="serial", seed=trace.seed)
+        # Determinism contract: trace replay bypasses admission timing.
+        config = replace(config, ingest=None)
     else:
         warn_if_hicuts_on_fw(families, algorithm, num_rules)
         specs = make_tenant_specs(num_tenants, families=families,
@@ -415,55 +334,24 @@ def run_serving(
             workload = build_workload(specs, trace,
                                       tenant_zipf_alpha=tenant_zipf_alpha,
                                       churn=churn)
-    if retrain_threshold is not None and retrain_policy is None:
-        retrain_policy = RetrainPolicy(seed=seed)
-    if retrain_threshold is None:
-        retrain_policy = None
+        default_retrain = RetrainPolicy(seed=seed)
+    if config.retrain_threshold is None:
+        config = replace(config, retrain_policy=None)
+    elif config.retrain_policy is None:
+        config = replace(config, retrain_policy=default_retrain)
 
-    if serving_workers > 1:
+    if config.workers > 1:
         outcomes, report, plan = serve_sharded(
             [ShardTenant(s.tenant_id, s.algorithm, s.binth) for s in specs],
-            workload.rulesets,
-            workload.requests,
-            workload.updates,
-            num_workers=serving_workers,
-            backend=serving_backend,
-            max_batch=max_batch,
-            max_delay=max_delay,
-            flow_cache_size=flow_cache_size,
-            background_swaps=background_swaps,
-            record_batches=record_batches,
-            retrain_threshold=retrain_threshold
-            if retrain_threshold is not None else DEFAULT_RETRAIN_THRESHOLD,
-            retrain_policy=retrain_policy,
-            engine_backend=engine_backend,
-            ingest=ingest,
-            rebalance_policy=rebalance_policy,
-            rebalance_interval=rebalance_interval,
-        )
-        return ShardedServingResult(report=report, workload=workload,
-                                    outcomes=outcomes, plan=plan)
+            workload.rulesets, workload.requests, workload.updates, config)
+        return ServingResult(report=report, workload=workload,
+                             outcomes=outcomes, plan=plan)
 
-    registry = TenantRegistry(default_flow_cache_size=flow_cache_size,
-                              background_swaps=background_swaps,
-                              default_retrain_threshold=retrain_threshold
-                              if retrain_threshold is not None
-                              else DEFAULT_RETRAIN_THRESHOLD,
-                              engine_backend=engine_backend)
-    for spec in specs:
-        registry.register(spec.tenant_id, workload.rulesets[spec.tenant_id],
-                          algorithm=spec.algorithm, binth=spec.binth)
-    controller = RetrainController(registry, retrain_policy) \
-        if retrain_policy is not None else None
-    service = ClassificationService(
-        registry, BatchPolicy(max_batch=max_batch, max_delay=max_delay),
-        record_batches=record_batches,
-        retrain_controller=controller,
-        ingest=ingest,
-    )
+    stack = ServingStack(config, specs, workload.rulesets)
     try:
-        report = service.serve(workload.requests, updates=workload.updates)
+        report = stack.service.serve(workload.requests,
+                                     updates=workload.updates)
     finally:
-        if controller is not None:
-            controller.close()
-    return ServingResult(report=report, workload=workload, registry=registry)
+        stack.close()
+    return ServingResult(report=report, workload=workload,
+                         registry=stack.registry)

@@ -52,7 +52,6 @@ from repro.serve.service import (
     ServingSession,
 )
 from repro.serve.sharded import (
-    SERVING_BACKENDS,
     ShardOutcome,
     ShardPlan,
     ShardTask,
@@ -62,6 +61,11 @@ from repro.serve.sharded import (
     serve_shard,
     serve_sharded,
     shard_tenants,
+)
+from repro.serve.stack import (
+    SERVING_BACKENDS,
+    ServingConfig,
+    ServingStack,
 )
 
 __all__ = [
@@ -97,6 +101,8 @@ __all__ = [
     "ServingReport",
     "ServingSession",
     "SERVING_BACKENDS",
+    "ServingConfig",
+    "ServingStack",
     "ShardOutcome",
     "ShardPlan",
     "ShardTask",

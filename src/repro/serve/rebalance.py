@@ -235,7 +235,8 @@ class LoadAwareRebalancePolicy(RebalancePolicy):
        the coldest shard, and move the largest tenant of the hottest shard
        whose move *strictly lowers the maximum of the two shards' loads*
        (ties between tenants broken by tenant id).  Repeat against the
-       post-move loads up to ``max_migrations_per_cycle`` times.
+       post-move loads up to ``max_migrations_per_cycle`` times; a tenant
+       moved earlier in the plan is not moved again.
 
     Every move strictly decreases ``max(shard loads)`` restricted to the
     pair involved, and never raises the global maximum — a decreasing
@@ -289,11 +290,11 @@ class LoadAwareRebalancePolicy(RebalancePolicy):
                                          target_shard=cold))
             loads[hot] -= move.requests
             loads[cold] += move.requests
+            # Its load now counts on the cold shard, but the tenant is not
+            # a candidate there: one move per tenant per plan, so every
+            # move's source is the live placement the front-end checks.
             tenants[hot] = [t for t in tenants[hot]
                             if t.tenant_id != move.tenant_id]
-            tenants[cold] = sorted(
-                tenants[cold] + [move],
-                key=lambda t: (-t.requests, t.tenant_id))
         return MigrationPlan(interval=snapshot.interval,
                              migrations=tuple(moves))
 

@@ -33,28 +33,20 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.executors import EXECUTOR_BACKENDS, make_executor
-from repro.ingest.admission import AdmissionController, IngestConfig
+from repro.executors import make_executor
+from repro.ingest.admission import AdmissionController
 from repro.obs.metrics import MetricsRegistry
 from repro.rules.ruleset import RuleSet
-from repro.serve.batcher import BatchPolicy, Request
-from repro.serve.controller import RetrainController, RetrainPolicy, \
-    RetrainStats
-from repro.serve.engines import DEFAULT_RETRAIN_THRESHOLD, SwapStats
-from repro.serve.rebalance import DEFAULT_REBALANCE_INTERVAL, \
-    RebalancePolicy, TelemetrySnapshot
-from repro.serve.registry import TenantRegistry
+from repro.serve.batcher import Request
+from repro.serve.controller import RetrainStats
+from repro.serve.engines import SwapStats
+from repro.serve.rebalance import TelemetrySnapshot
 from repro.serve.service import (
     LATENCY_PERCENTILES,
-    ClassificationService,
     RuleUpdate,
     ServingReport,
-    ServingSession,
 )
-
-#: Executor backends serving shards may run on (one source of truth:
-#: whatever :func:`repro.executors.make_executor` accepts).
-SERVING_BACKENDS = EXECUTOR_BACKENDS
+from repro.serve.stack import ServingConfig, ServingStack
 
 
 @dataclass(frozen=True)
@@ -110,7 +102,7 @@ class ShardTask:
     stack from scratch: tenant specs and rulesets (engines are compiled
     inside the worker — compiled arrays never cross the process boundary),
     the tenant-filtered request stream and update schedule, and the serving
-    and retrain knobs.
+    config.
     """
 
     shard_index: int
@@ -118,18 +110,10 @@ class ShardTask:
     rulesets: Dict[str, RuleSet]
     requests: List[Request]
     updates: List[RuleUpdate] = field(default_factory=list)
-    max_batch: int = 64
-    max_delay: float = 1e-3
-    flow_cache_size: Optional[int] = 2048
-    background_swaps: bool = True
-    record_batches: bool = False
-    retrain_threshold: int = DEFAULT_RETRAIN_THRESHOLD
-    retrain_policy: Optional[RetrainPolicy] = None
-    engine_backend: str = "numpy"
-    #: Admission control, applied shard-locally.  Exact vs. a single
-    #: process: admission state is per-tenant and tenants never share a
-    #: shard, so per-shard decisions equal the unsharded ones.
-    ingest: Optional[IngestConfig] = None
+    #: Applied shard-locally, admission control included.  Exact vs. a
+    #: single process: admission state is per-tenant and tenants never share
+    #: a shard, so per-shard decisions equal the unsharded ones.
+    config: ServingConfig = ServingConfig()
 
 
 @dataclass
@@ -170,16 +154,8 @@ def _warn_daemonic_downgrade_once() -> None:
 
 def serve_shard(task: ShardTask) -> ShardOutcome:
     """Serve one shard's tenants (the executor-facing task function)."""
-    registry = TenantRegistry(
-        default_flow_cache_size=task.flow_cache_size,
-        background_swaps=task.background_swaps,
-        default_retrain_threshold=task.retrain_threshold,
-        engine_backend=task.engine_backend,
-    )
-    for tenant in task.tenants:
-        registry.register(tenant.tenant_id, task.rulesets[tenant.tenant_id],
-                          algorithm=tenant.algorithm, binth=tenant.binth)
-    retrain_policy = task.retrain_policy
+    config = task.config
+    retrain_policy = config.retrain_policy
     if retrain_policy is not None and retrain_policy.backend == "process" \
             and retrain_policy.shared_pool_size is None \
             and multiprocessing.current_process().daemon:
@@ -189,35 +165,21 @@ def serve_shard(task: ShardTask) -> ShardOutcome:
         # Shared-pool policies never reach this branch: the pool registry
         # resolves the backend itself (repro.executors.resolve_pool_backend).
         _warn_daemonic_downgrade_once()
-        retrain_policy = replace(retrain_policy, backend="thread")
-    controller = RetrainController(registry, retrain_policy) \
-        if retrain_policy is not None else None
-    service = ClassificationService(
-        registry,
-        BatchPolicy(max_batch=task.max_batch, max_delay=task.max_delay),
-        record_batches=task.record_batches,
-        record_latencies=True,
-        retrain_controller=controller,
-        ingest=task.ingest,
-    )
+        config = replace(config, retrain_policy=replace(retrain_policy,
+                                                        backend="thread"))
+    stack = ServingStack(config, task.tenants, task.rulesets,
+                         record_latencies=True)
     started = time.perf_counter()
     try:
-        report = service.serve(task.requests, updates=task.updates)
+        report = stack.service.serve(task.requests, updates=task.updates)
     finally:
-        if controller is not None:
-            controller.close()
+        stack.close()
     wall = time.perf_counter() - started
-    epoch_rulesets = {}
-    for tenant in task.tenants:
-        slot = registry.slot(tenant.tenant_id)
-        epoch_rulesets[tenant.tenant_id] = [
-            slot.ruleset_at(epoch) for epoch in range(slot.epoch + 1)
-        ]
     return ShardOutcome(
         shard_index=task.shard_index,
         tenant_ids=[t.tenant_id for t in task.tenants],
         report=report,
-        epoch_rulesets=epoch_rulesets,
+        epoch_rulesets=stack.epoch_rulesets(),
         wall_seconds=wall,
     )
 
@@ -311,26 +273,15 @@ def serve_sharded(
     rulesets: Dict[str, RuleSet],
     requests: Sequence[Request],
     updates: Sequence[RuleUpdate] = (),
-    num_workers: int = 2,
-    backend: str = "process",
-    max_batch: int = 64,
-    max_delay: float = 1e-3,
-    flow_cache_size: Optional[int] = 2048,
-    background_swaps: bool = True,
-    record_batches: bool = False,
-    retrain_threshold: int = DEFAULT_RETRAIN_THRESHOLD,
-    retrain_policy: Optional[RetrainPolicy] = None,
-    engine_backend: str = "numpy",
-    ingest: Optional[IngestConfig] = None,
-    rebalance_policy: Optional[RebalancePolicy] = None,
-    rebalance_interval: float = DEFAULT_REBALANCE_INTERVAL,
+    config: ServingConfig = ServingConfig(workers=2),
 ) -> Tuple[List[ShardOutcome], ServingReport, ShardPlan]:
-    """Serve a multi-tenant workload sharded across ``num_workers`` workers.
+    """Serve a multi-tenant workload sharded across ``config.workers`` workers.
 
     The front-end half of the sharded path: plans the tenant partition,
     routes requests and updates to the owning shard, dispatches one
-    :class:`ShardTask` per non-empty shard on a ``repro.executors`` backend,
-    and merges the outcomes.  Returns ``(outcomes, merged_report, plan)``.
+    :class:`ShardTask` per non-empty shard on the ``config.backend``
+    executor, and merges the outcomes.  Returns
+    ``(outcomes, merged_report, plan)``.
 
     With ``backend="process"``, per-tenant retrains inside each worker run
     on ``"thread"``-backend controllers regardless of
@@ -338,34 +289,13 @@ def serve_sharded(
     nested process pools (``serve_shard`` downgrades with a
     ``RuntimeWarning``).
 
-    Passing ``rebalance_policy`` switches to the *rebalancing* front-end:
-    the shards become logical serving stacks driven event-by-event in this
-    process, the policy is evaluated every ``rebalance_interval`` trace
-    seconds on live telemetry, and planned tenants are live-migrated
-    between shards mid-run (see :func:`serve_rebalancing`).  ``backend``
-    is ignored in that mode.
+    A config with a ``rebalance_policy`` is served by
+    :func:`serve_rebalancing` instead: logical shards driven event-by-event
+    in this process, with live tenant migration (``backend`` is unused).
     """
-    if backend not in SERVING_BACKENDS:
-        raise ValueError(
-            f"backend must be one of {SERVING_BACKENDS}, got {backend!r}"
-        )
-    if rebalance_policy is not None:
-        return serve_rebalancing(
-            tenants, rulesets, requests, updates,
-            num_workers=num_workers,
-            max_batch=max_batch,
-            max_delay=max_delay,
-            flow_cache_size=flow_cache_size,
-            background_swaps=background_swaps,
-            record_batches=record_batches,
-            retrain_threshold=retrain_threshold,
-            retrain_policy=retrain_policy,
-            engine_backend=engine_backend,
-            ingest=ingest,
-            policy=rebalance_policy,
-            interval=rebalance_interval,
-        )
-    plan = shard_tenants([t.tenant_id for t in tenants], num_workers)
+    if config.rebalance_policy is not None:
+        return serve_rebalancing(tenants, rulesets, requests, updates, config)
+    plan = shard_tenants([t.tenant_id for t in tenants], config.workers)
     by_tenant = {t.tenant_id: t for t in tenants}
     tasks: List[ShardTask] = []
     for index, assigned in enumerate(plan.assignments):
@@ -378,17 +308,9 @@ def serve_sharded(
             rulesets={tid: rulesets[tid] for tid in assigned},
             requests=[r for r in requests if r.tenant_id in assigned_set],
             updates=[u for u in updates if u.tenant_id in assigned_set],
-            max_batch=max_batch,
-            max_delay=max_delay,
-            flow_cache_size=flow_cache_size,
-            background_swaps=background_swaps,
-            record_batches=record_batches,
-            retrain_threshold=retrain_threshold,
-            retrain_policy=retrain_policy,
-            engine_backend=engine_backend,
-            ingest=ingest,
+            config=config,
         ))
-    executor = make_executor(max(1, len(tasks)), backend=backend)
+    executor = make_executor(max(1, len(tasks)), backend=config.backend)
     started = time.perf_counter()
     try:
         outcomes = executor.map(serve_shard, tasks)
@@ -403,28 +325,29 @@ def serve_sharded(
 # The rebalancing front-end (live tenant migration)
 # --------------------------------------------------------------------------- #
 
-@dataclass
-class _ShardStack:
+class _ShardStack(ServingStack):
     """One logical shard in the rebalancing front-end.
 
-    A full serving stack (registry, optional retrain controller, service,
-    streaming session), driven event-by-event by the front-end instead of
-    executing a pre-routed request list.  All stacks live in the front-end
-    process: migration needs the source and target on both ends of the
-    same trace-clock instant, which a process boundary cannot give us —
-    the :class:`~repro.serve.engines.SlotState` still goes through a
-    pickle round-trip so the shipped state is proven process-portable.
+    A full serving stack plus its streaming session, driven event-by-event
+    by the front-end instead of executing a pre-routed request list.  All
+    stacks live in the front-end process: migration needs the source and
+    target on both ends of the same trace-clock instant, which a process
+    boundary cannot give us — the :class:`~repro.serve.engines.SlotState`
+    still goes through a pickle round-trip so the shipped state is proven
+    process-portable.  Sessions never consult ``service.ingest``: admission
+    runs once in the front-end, over the whole stream.
     """
 
-    index: int
-    registry: TenantRegistry
-    controller: Optional[RetrainController]
-    service: ClassificationService
-    session: ServingSession
-    #: Tenants ever placed here (an emptied shard still reports outcomes).
-    ever_tenants: bool = False
-    #: Migrations that landed here (the import side of each move).
-    migrations_in: int = 0
+    def __init__(self, index: int, config: ServingConfig,
+                 tenants: Sequence[ShardTenant],
+                 rulesets: Dict[str, RuleSet]) -> None:
+        super().__init__(config, tenants, rulesets, record_latencies=True)
+        self.index = index
+        self.session = self.service.session()
+        #: Tenants ever placed here (an emptied shard still reports outcomes).
+        self.ever_tenants = bool(tenants)
+        #: Migrations that landed here (the import side of each move).
+        self.migrations_in = 0
 
 
 def _migrate_tenant(tenant_id: str, source: _ShardStack,
@@ -459,19 +382,8 @@ def serve_rebalancing(
     tenants: Sequence[ShardTenant],
     rulesets: Dict[str, RuleSet],
     requests: Sequence[Request],
-    updates: Sequence[RuleUpdate] = (),
-    num_workers: int = 2,
-    max_batch: int = 64,
-    max_delay: float = 1e-3,
-    flow_cache_size: Optional[int] = 2048,
-    background_swaps: bool = True,
-    record_batches: bool = False,
-    retrain_threshold: int = DEFAULT_RETRAIN_THRESHOLD,
-    retrain_policy: Optional[RetrainPolicy] = None,
-    engine_backend: str = "numpy",
-    ingest: Optional[IngestConfig] = None,
-    policy: Optional[RebalancePolicy] = None,
-    interval: float = DEFAULT_REBALANCE_INTERVAL,
+    updates: Sequence[RuleUpdate],
+    config: ServingConfig,
 ) -> Tuple[List[ShardOutcome], ServingReport, ShardPlan]:
     """Serve with live load-aware tenant migration between logical shards.
 
@@ -500,8 +412,9 @@ def serve_rebalancing(
 
     Updates are delivered by the front-end on the global event order
     (exactly the single-process semantics), and admission control — when
-    ``ingest`` is given — runs once in the front-end over the full stream,
-    which per-tenant state makes equivalent to single-process admission.
+    ``config.ingest`` is set — runs once in the front-end over the full
+    stream, which per-tenant state makes equivalent to single-process
+    admission.
 
     A planned move whose tenant has a retrain still *running* at settle
     time is **deferred, never dropped**: the plan stays pending (counted
@@ -515,51 +428,22 @@ def serve_rebalancing(
     ``merged_report.rebalance_deferred`` count the moves executed, the
     policy evaluations run, and the retrain-deferred move episodes.
     """
+    policy, interval = config.rebalance_policy, config.rebalance_interval
     if policy is None:
         raise ValueError("serve_rebalancing needs a rebalance policy")
-    if interval <= 0:
-        raise ValueError("rebalance_interval must be > 0")
     started = time.perf_counter()
-    plan = shard_tenants([t.tenant_id for t in tenants], num_workers)
+    plan = shard_tenants([t.tenant_id for t in tenants], config.workers)
     by_tenant = {t.tenant_id: t for t in tenants}
     placement: Dict[str, int] = {
         tenant_id: index
         for index, assigned in enumerate(plan.assignments)
         for tenant_id in assigned
     }
-
-    stacks: List[_ShardStack] = []
-    for index in range(num_workers):
-        registry = TenantRegistry(
-            default_flow_cache_size=flow_cache_size,
-            background_swaps=background_swaps,
-            default_retrain_threshold=retrain_threshold,
-            engine_backend=engine_backend,
-        )
-        controller = RetrainController(registry, retrain_policy) \
-            if retrain_policy is not None else None
-        service = ClassificationService(
-            registry,
-            BatchPolicy(max_batch=max_batch, max_delay=max_delay),
-            record_batches=record_batches,
-            record_latencies=True,
-            retrain_controller=controller,
-        )
-        stacks.append(_ShardStack(
-            index=index,
-            registry=registry,
-            controller=controller,
-            service=service,
-            session=service.session(),
-        ))
-    for index, assigned in enumerate(plan.assignments):
-        for tenant_id in assigned:
-            tenant = by_tenant[tenant_id]
-            stacks[index].registry.register(
-                tenant_id, rulesets[tenant_id],
-                algorithm=tenant.algorithm, binth=tenant.binth,
-            )
-            stacks[index].ever_tenants = True
+    stacks = [
+        _ShardStack(index, config, [by_tenant[tid] for tid in assigned],
+                    rulesets)
+        for index, assigned in enumerate(plan.assignments)
+    ]
 
     # Admission runs once, up front, over the whole stream — its state is
     # per-tenant, so this is exactly the single-process decision sequence,
@@ -567,9 +451,10 @@ def serve_rebalancing(
     admission: Optional[AdmissionController] = None
     frontend_metrics: Optional[MetricsRegistry] = None
     requests = sorted(requests, key=lambda r: r.time)
-    if ingest is not None:
+    if config.ingest is not None:
         frontend_metrics = MetricsRegistry()
-        admission = AdmissionController(ingest, metrics=frontend_metrics)
+        admission = AdmissionController(config.ingest,
+                                        metrics=frontend_metrics)
         requests = admission.admit(requests)
 
     pending_updates = sorted(updates, key=lambda u: u.time)
@@ -697,24 +582,17 @@ def serve_rebalancing(
             report.migrations = stack.migrations_in
     finally:
         for stack in stacks:
-            if stack.controller is not None:
-                stack.controller.close()
+            stack.close()
 
     outcomes: List[ShardOutcome] = []
     for stack, report in zip(stacks, reports):
         if not stack.ever_tenants and not report.num_requests:
             continue
-        epoch_rulesets = {}
-        for tenant_id in stack.registry.tenants():
-            slot = stack.registry.slot(tenant_id)
-            epoch_rulesets[tenant_id] = [
-                slot.ruleset_at(epoch) for epoch in range(slot.epoch + 1)
-            ]
         outcomes.append(ShardOutcome(
             shard_index=stack.index,
             tenant_ids=stack.registry.tenants(),
             report=report,
-            epoch_rulesets=epoch_rulesets,
+            epoch_rulesets=stack.epoch_rulesets(),
             wall_seconds=report.wall_seconds,
         ))
 

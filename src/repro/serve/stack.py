@@ -1,0 +1,165 @@
+"""The serving knobs as one value, and the one place a stack is wired.
+
+:class:`ServingConfig` is every serving knob as one frozen, picklable value:
+the layers between an entry point (``run_serving``, ``replay_trace``, the
+CLI) and the classes that read the knobs pass *the config*, not its fields.
+:class:`ServingStack` wires a config plus a tenant roster into registry →
+registered tenants → optional retrain controller → classification service;
+single-process serving, shard workers and the rebalancing front-end's
+logical shards all build theirs here.
+"""
+
+from __future__ import annotations
+
+from dataclasses import asdict, dataclass, fields, is_dataclass
+from typing import Dict, List, Mapping, Optional, Sequence
+
+from repro.executors import EXECUTOR_BACKENDS
+from repro.ingest.admission import IngestConfig
+from repro.rules.ruleset import RuleSet
+from repro.serve.batcher import BatchPolicy
+from repro.serve.controller import RetrainController, RetrainPolicy
+from repro.serve.engines import DEFAULT_RETRAIN_THRESHOLD
+from repro.serve.rebalance import DEFAULT_REBALANCE_INTERVAL, RebalancePolicy
+from repro.serve.registry import TenantRegistry
+from repro.serve.service import ClassificationService
+
+#: Executor backends serving shards may run on (one source of truth:
+#: whatever :func:`repro.executors.make_executor` accepts).
+SERVING_BACKENDS = EXECUTOR_BACKENDS
+
+
+@dataclass(frozen=True)
+class ServingConfig:
+    """Every serving knob, validated once.
+
+    Attributes:
+        max_batch: micro-batcher release size (:class:`BatchPolicy`).
+        max_delay: micro-batcher deadline in trace seconds.
+        flow_cache_size: per-tenant LRU flow cache capacity (``None`` = off).
+        background_swaps: rebuild engines on a background thread; ``False``
+            recompiles inline, making every counter a pure function of the
+            workload (the determinism contract of traces and scorecards).
+        record_batches: keep every served batch, for
+            ``ServingResult.verify_exactness`` and golden columns.
+        retrain_threshold: accumulated rule updates at which a slot advises
+            a retrain (``None`` = never).
+        retrain_policy: how retrains run; a ``RetrainController`` is attached
+            exactly when this is set.
+        engine_backend: traversal backend of every slot
+            (:data:`repro.engine.kernels.ENGINE_BACKENDS`).
+        ingest: admission control ahead of the batcher (``None`` = off).
+        workers: serving shards tenants are partitioned across (1 = none).
+        backend: executor backend of the shards (:data:`SERVING_BACKENDS`;
+            unused when rebalancing — logical shards share one process).
+        rebalance_policy: live tenant migration (needs ``workers >= 2``).
+        rebalance_interval: trace seconds between rebalance evaluations.
+    """
+
+    max_batch: int = 64
+    max_delay: float = 1e-3
+    flow_cache_size: Optional[int] = 2048
+    background_swaps: bool = True
+    record_batches: bool = False
+    retrain_threshold: Optional[int] = None
+    retrain_policy: Optional[RetrainPolicy] = None
+    engine_backend: str = "numpy"
+    ingest: Optional[IngestConfig] = None
+    workers: int = 1
+    backend: str = "process"
+    rebalance_policy: Optional[RebalancePolicy] = None
+    rebalance_interval: float = DEFAULT_REBALANCE_INTERVAL
+
+    def __post_init__(self) -> None:
+        if self.workers < 1:
+            raise ValueError("serving workers must be >= 1")
+        if self.backend not in SERVING_BACKENDS:
+            raise ValueError(
+                f"backend must be one of {SERVING_BACKENDS}, "
+                f"got {self.backend!r}"
+            )
+        if self.rebalance_policy is not None and self.workers < 2:
+            raise ValueError(
+                "a rebalance policy needs serving workers >= 2 "
+                "(there is nothing to rebalance on one shard)"
+            )
+        if self.rebalance_interval <= 0:
+            raise ValueError("rebalance interval must be > 0")
+
+    def describe(self) -> Dict[str, object]:
+        """The config as a JSON-safe scorecard ``config`` block: scalar
+        fields as they are, nested configs field by field, the rebalance
+        policy by name — so two runs that differ in any knob differ here."""
+        block: Dict[str, object] = {}
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            if isinstance(value, RebalancePolicy):
+                value = value.name
+            elif is_dataclass(value):
+                value = asdict(value)
+            block[spec.name] = value
+        return block
+
+
+def epoch_rulesets(registry: TenantRegistry) -> Dict[str, List[RuleSet]]:
+    """Per tenant: the ruleset snapshot of every engine epoch, in order —
+    what a batch served at epoch ``e`` is checked against."""
+    history = {}
+    for tenant_id in registry.tenants():
+        slot = registry.slot(tenant_id)
+        history[tenant_id] = [slot.ruleset_at(epoch)
+                              for epoch in range(slot.epoch + 1)]
+    return history
+
+
+class ServingStack:
+    """One wired serving stack over a roster of tenants.
+
+    Owns the :class:`TenantRegistry` (engines compile during construction),
+    the :class:`RetrainController` when ``config.retrain_policy`` is set, and
+    the :class:`ClassificationService` in front of them; :meth:`close`
+    releases the one thing that is not plain memory, the retrain executor.
+
+    ``tenants`` is anything with ``tenant_id`` / ``algorithm`` / ``binth``
+    (``TenantSpec``, ``ShardTenant``).  ``record_latencies`` keeps raw
+    per-request latencies on the report, which shards ship back so the
+    front-end can merge exact percentiles.
+    """
+
+    def __init__(self, config: ServingConfig, tenants: Sequence,
+                 rulesets: Mapping[str, RuleSet],
+                 record_latencies: bool = False) -> None:
+        self.registry = TenantRegistry(
+            default_flow_cache_size=config.flow_cache_size,
+            background_swaps=config.background_swaps,
+            default_retrain_threshold=config.retrain_threshold
+            if config.retrain_threshold is not None
+            else DEFAULT_RETRAIN_THRESHOLD,
+            engine_backend=config.engine_backend,
+        )
+        for tenant in tenants:
+            self.registry.register(tenant.tenant_id,
+                                   rulesets[tenant.tenant_id],
+                                   algorithm=tenant.algorithm,
+                                   binth=tenant.binth)
+        self.controller = RetrainController(self.registry,
+                                            config.retrain_policy) \
+            if config.retrain_policy is not None else None
+        self.service = ClassificationService(
+            self.registry,
+            BatchPolicy(max_batch=config.max_batch,
+                        max_delay=config.max_delay),
+            record_batches=config.record_batches,
+            record_latencies=record_latencies,
+            retrain_controller=self.controller,
+            ingest=config.ingest,
+        )
+
+    def epoch_rulesets(self) -> Dict[str, List[RuleSet]]:
+        """:func:`epoch_rulesets` of this stack's registry."""
+        return epoch_rulesets(self.registry)
+
+    def close(self) -> None:
+        """Shut the retrain executor down (idempotent)."""
+        if self.controller is not None:
+            self.controller.close()

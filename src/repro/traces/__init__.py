@@ -16,8 +16,8 @@ Typical use::
 
     record_serving("run.trace", num_tenants=2, families=("acl1",),
                    num_packets=5_000, churn_events=2, seed=0)
-    outcome = replay_trace("run.trace", serving_workers=2,
-                           serving_backend="thread")
+    outcome = replay_trace("run.trace", ServingConfig(
+        workers=2, backend="thread", background_swaps=False))
     assert outcome.report.is_exact
 """
 
@@ -35,7 +35,6 @@ from repro.traces.replay import (
     ReplayMismatch,
     ReplayOutcome,
     ReplayReport,
-    deterministic_counters,
     replay_trace,
     verify_replay,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "ReplayMismatch",
     "ReplayOutcome",
     "ReplayReport",
-    "deterministic_counters",
     "replay_trace",
     "verify_replay",
     "TraceDiff",

@@ -1,7 +1,7 @@
 """Recording: capture exactly what a live serving run served, as a trace.
 
 The recorder is a tap on the serving harness: run the workload through
-:func:`repro.harness.serving.run_serving` with ``record_batches=True``,
+:func:`repro.harness.serving.run_serving` with recorded batches,
 then fold the served batches back into arrival order via each request's
 ``seq`` stamp to produce the golden column — the matched-rule priority the
 live run actually answered for every packet.  Works unchanged for
@@ -10,12 +10,12 @@ boundary; batch arrival order does not matter).
 
 Golden traces are only stable under the determinism contract (synchronous
 engine swaps, serial retrains — see :mod:`repro.traces.format`), so
-:func:`record_serving` defaults ``background_swaps`` to ``False``.
+:func:`record_serving`'s default config swaps synchronously.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, Optional, Union
 
@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.exceptions import TraceError
 from repro.serve.service import ServedBatch, ServingReport
+from repro.serve.stack import ServingConfig
 from repro.traces.format import RECORD_DTYPE, ServingTrace
 from repro.traces.io import write_trace
 from repro.workloads.scenario import DEFAULT_FAMILIES, MultiTenantWorkload
@@ -122,37 +123,41 @@ def trace_from_run(
 class RecordOutcome:
     """What :func:`record_serving` produced: the run, the trace, the file."""
 
-    result: object  #: ServingResult or ShardedServingResult
+    result: "ServingResult"
     trace: ServingTrace
     path: Optional[Path] = None
 
 
 def record_serving(path: Optional[Union[str, Path]] = None,
-                   **run_serving_kwargs) -> RecordOutcome:
+                   config: ServingConfig = ServingConfig(
+                       background_swaps=False),
+                   **scenario) -> RecordOutcome:
     """Run a serving scenario and record it as a replayable trace.
 
-    Accepts every :func:`repro.harness.serving.run_serving` keyword;
-    ``record_batches`` is forced on (the golden column comes from the served
-    batches) and ``background_swaps`` defaults to ``False`` so the golden
-    column is a pure function of the trace clock.  When ``path`` is given
-    the trace is also written to disk.
+    ``scenario`` takes every workload keyword of
+    :func:`repro.harness.serving.run_serving`; ``config`` is how the
+    recording run is served.  ``record_batches`` is forced on (the golden
+    column comes from the served batches), and the default config swaps
+    synchronously so the golden column is a pure function of the trace
+    clock — a config of your own should say ``background_swaps=False`` too.
+    When ``path`` is given the trace is also written to disk.
     """
     from repro.harness.serving import run_serving
 
-    run_serving_kwargs["record_batches"] = True
-    run_serving_kwargs.setdefault("background_swaps", False)
-    scenario = {
-        key: value for key, value in sorted(run_serving_kwargs.items())
+    config = replace(config, record_batches=True)
+    result = run_serving(config, **scenario)
+    metadata = {
+        key: value for key, value in scenario.items()
         if isinstance(value, (int, float, str, bool, type(None)))
     }
-    scenario["families"] = list(run_serving_kwargs.get(
-        "families", DEFAULT_FAMILIES))
-    result = run_serving(**run_serving_kwargs)
+    metadata.update(families=list(scenario.get("families", DEFAULT_FAMILIES)),
+                    background_swaps=config.background_swaps,
+                    record_batches=True)
     trace = trace_from_run(
         result.workload,
         result.report,
-        seed=run_serving_kwargs.get("seed", 0),
-        scenario=scenario,
+        seed=scenario.get("seed", 0),
+        scenario=metadata,
     )
     written = None
     if path is not None:

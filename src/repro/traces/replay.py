@@ -11,38 +11,27 @@ versioned input: zero drops, zero duplicates, zero decision diffs.
 Replays default to synchronous swaps (the recording determinism contract,
 see :mod:`repro.traces.format`); two replays of the same trace then produce
 identical decisions *and* identical deterministic telemetry counters
-(:func:`deterministic_counters`), in single-process and sharded mode alike.
+(:meth:`~repro.serve.service.ServingReport.deterministic_counters`), in
+single-process and sharded mode alike.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 import numpy as np
 
 from repro.exceptions import TraceError
-from repro.ingest.admission import IngestConfig
-from repro.serve.controller import RetrainPolicy
-from repro.serve.rebalance import DEFAULT_REBALANCE_INTERVAL, RebalancePolicy
 from repro.serve.service import ServingReport
+from repro.serve.stack import ServingConfig
 from repro.traces.format import ServingTrace
 from repro.traces.io import read_trace
 from repro.traces.record import fold_batches_by_seq
 
 #: How many mismatch examples a report keeps for display.
 MAX_MISMATCH_EXAMPLES = 10
-
-
-def deterministic_counters(report: ServingReport) -> Dict[str, int]:
-    """The telemetry counters that must be identical across replays.
-
-    The canonical definition now lives on
-    :meth:`~repro.serve.service.ServingReport.deterministic_counters` (bench
-    scorecards gate on it too); this alias keeps the original call site.
-    """
-    return report.deterministic_counters()
 
 
 @dataclass(frozen=True)
@@ -124,7 +113,7 @@ def verify_replay(trace: ServingTrace, report: ServingReport) -> ReplayReport:
         num_duplicates=int(np.count_nonzero(served > 1)),
         num_mismatches=num_mismatches,
         mismatches=mismatches,
-        counters=deterministic_counters(report),
+        counters=report.deterministic_counters(),
     )
 
 
@@ -133,7 +122,7 @@ class ReplayOutcome:
     """What :func:`replay_trace` produced."""
 
     trace: ServingTrace
-    result: object  #: ServingResult or ShardedServingResult
+    result: "ServingResult"
     report: Optional[ReplayReport] = None
 
     def bench_record(self, name: str,
@@ -144,64 +133,47 @@ class ReplayOutcome:
         tallies (dropped / duplicates / golden mismatches — all gated at
         exact equality); timings carry the machine-dependent figures.
         """
-        from repro.obs.bench import BenchRecord
+        from repro.harness.serving import serving_bench_record
 
-        serving_report: ServingReport = self.result.report
-        counters = dict(serving_report.deterministic_counters())
-        counters["num_records"] = self.trace.num_records
+        record = serving_bench_record(self.result.report, name=name,
+                                      config=config, area="replay")
+        record.counters["num_records"] = self.trace.num_records
         if self.report is not None:
-            counters["verify_dropped"] = self.report.num_dropped
-            counters["verify_duplicates"] = self.report.num_duplicates
-            counters["verify_mismatches"] = self.report.num_mismatches
-        timings = {
-            "throughput_pps": serving_report.pps,
-            "wall_seconds": serving_report.wall_seconds,
-            "engine_seconds": serving_report.engine_seconds,
-        }
-        for pct in sorted(serving_report.latency_percentiles):
-            timings[f"latency_p{pct:g}_ms"] = serving_report.latency_ms(pct)
-        return BenchRecord(name=name, area="replay", config=config or {},
-                           counters=counters, timings=timings)
+            record.counters["verify_dropped"] = self.report.num_dropped
+            record.counters["verify_duplicates"] = self.report.num_duplicates
+            record.counters["verify_mismatches"] = self.report.num_mismatches
+        return record
 
 
 def replay_trace(
     trace: Union[str, Path, ServingTrace],
+    config: ServingConfig = ServingConfig(background_swaps=False),
     verify: bool = True,
-    max_batch: int = 64,
-    max_delay: float = 1e-3,
-    flow_cache_size: Optional[int] = 2048,
-    background_swaps: bool = False,
-    retrain_threshold: Optional[int] = None,
-    retrain_policy: Optional[RetrainPolicy] = None,
-    serving_workers: int = 1,
-    serving_backend: str = "process",
-    ingest: Optional[IngestConfig] = None,
-    rebalance_policy: Optional["RebalancePolicy"] = None,
-    rebalance_interval: float = DEFAULT_REBALANCE_INTERVAL,
     bench_path: Optional[Union[str, Path]] = None,
 ) -> ReplayOutcome:
     """Serve a recorded trace through the full stack and (optionally) verify.
 
-    ``trace`` is a path or an already-loaded :class:`ServingTrace`.  The
-    serving knobs are free to differ from the recording run — batch size,
-    cache size, shard count, even arming the retrain loop — because served
+    ``trace`` is a path or an already-loaded :class:`ServingTrace`.
+    ``config`` is free to differ from the recording run — batch size, cache
+    size, shard count, even arming the retrain loop — because served
     decisions depend only on (packet, epoch ruleset) while swaps stay
-    synchronous.  ``background_swaps=True`` trades that verifiability for
+    synchronous, as they do in the default config; ``record_batches`` is
+    forced on.  ``background_swaps=True`` trades that verifiability for
     realistic swap timing; expect golden mismatches around update times.
 
-    ``ingest`` exercises the ingest-enabled serving path, but admission
-    *timing* is bypassed on replays by construction: the trace's packets
-    were already admitted when recorded and the trace clock is
-    authoritative (docs/traces.md, docs/ingest.md), so golden traces stay
-    bit-exact and the ``ingest_*`` counters report zero.
+    ``config.ingest`` is inert here, as on every trace path of
+    ``run_serving``: the packets were admitted when recorded, so golden
+    traces stay bit-exact and the ``ingest_*`` counters report zero.
 
-    ``rebalance_policy`` (with ``serving_workers > 1``) replays through
+    ``config.rebalance_policy`` (with ``workers > 1``) replays through
     the rebalancing front-end with live mid-trace tenant migrations;
     decisions still verify exactly because they depend only on
     (packet, epoch ruleset), not on placement.
 
     ``bench_path`` additionally writes the run as a ``BENCH_replay.json``
-    scorecard (see :mod:`repro.obs.bench`).
+    scorecard (see :mod:`repro.obs.bench`) whose ``config`` block is
+    :meth:`ServingConfig.describe`, so two replays that differ in any knob
+    cannot pass for each other in ``repro bench compare``.
     """
     from repro.harness.serving import run_serving
 
@@ -209,21 +181,8 @@ def replay_trace(
     if not isinstance(trace, ServingTrace):
         trace_label = Path(trace).stem
         trace = read_trace(trace)
-    result = run_serving(
-        trace_path=trace,
-        max_batch=max_batch,
-        max_delay=max_delay,
-        flow_cache_size=flow_cache_size,
-        background_swaps=background_swaps,
-        record_batches=True,
-        retrain_threshold=retrain_threshold,
-        retrain_policy=retrain_policy,
-        serving_workers=serving_workers,
-        serving_backend=serving_backend,
-        ingest=ingest,
-        rebalance_policy=rebalance_policy,
-        rebalance_interval=rebalance_interval,
-    )
+    config = replace(config, record_batches=True)
+    result = run_serving(config, trace_path=trace)
     report = verify_replay(trace, result.report) if verify else None
     outcome = ReplayOutcome(trace=trace, result=result, report=report)
     if bench_path is not None:
@@ -231,14 +190,7 @@ def replay_trace(
 
         record = outcome.bench_record(
             name=f"replay:{trace_label or f'seed{trace.seed}'}",
-            config={
-                "max_batch": max_batch,
-                "max_delay": max_delay,
-                "flow_cache_size": flow_cache_size,
-                "background_swaps": background_swaps,
-                "verify": verify,
-                "serving_workers": serving_workers,
-            },
+            config=dict(config.describe(), verify=verify),
         )
         write_bench(record, bench_path)
     return outcome

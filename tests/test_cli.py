@@ -1,6 +1,8 @@
 """Tests for the command-line interface."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +24,22 @@ class TestParser:
         assert args.command == "generate"
         assert args.seed_family == "fw1"
         assert args.num_rules == 50
+
+    def test_every_subcommand_keeps_its_flags(self):
+        """``tests/data/cli_flags.json`` was generated before the serving
+        flags were declared once and shared: no option string, dest,
+        default, choice, nargs, metavar or type may differ from it."""
+        script_path = Path(__file__).resolve().parent.parent \
+            / "scripts" / "make_cli_flag_snapshot.py"
+        spec = importlib.util.spec_from_file_location(
+            "make_cli_flag_snapshot", script_path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        expected = json.loads(script.SNAPSHOT.read_text())
+        actual = script.snapshot_parser(build_parser())
+        assert sorted(actual) == sorted(expected)
+        for command in expected:
+            assert actual[command] == expected[command], command
 
 
 class TestCommands:
@@ -156,3 +174,20 @@ class TestServeBench:
         assert main(["serve-bench", "--tenants", "0"]) == 2
         capsys.readouterr()
         assert main(["serve-bench", "--num-packets", "0"]) == 2
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--serving-workers", "0"], "workers must be >= 1"),
+        (["--rebalance-policy", "load"], "needs serving workers >= 2"),
+        (["--serving-workers", "2", "--rebalance-interval", "0"],
+         "interval must be > 0"),
+        (["--retrain-threshold", "-1"], "--retrain-threshold must be >= 0"),
+        (["--retrain-pool-size", "-1"], "--retrain-pool-size must be >= 0"),
+    ])
+    def test_out_of_range_serving_flags_exit_2(self, flags, message, capsys):
+        """serve-bench and trace replay share the flags and the one
+        ``ServingConfig`` that validates them."""
+        golden = Path(__file__).parent / "data" / "acl1_churn.trace"
+        for command in (["serve-bench", "--num-packets", "100"],
+                        ["trace", "replay", str(golden)]):
+            assert main(command + flags) == 2
+            assert message in capsys.readouterr().err

@@ -53,6 +53,7 @@ from repro.serve import (
     LoadAwareRebalancePolicy,
     RetrainController,
     RetrainPolicy,
+    ServingConfig,
     ShardTenant,
     TenantRegistry,
     serve_rebalancing,
@@ -460,14 +461,17 @@ class TestControllerLifecycle:
         with pytest.raises(KeyError):
             serve_rebalancing(
                 tenants, workload.rulesets, workload.requests,
-                updates=list(workload.updates) + [poison],
-                num_workers=2, background_swaps=False,
-                retrain_threshold=threshold,
-                retrain_policy=RetrainPolicy(timesteps=300, max_iterations=1,
-                                             backend="thread",
-                                             quality_gate=False),
-                policy=LoadAwareRebalancePolicy(),
-                interval=0.25,
+                list(workload.updates) + [poison],
+                ServingConfig(
+                    workers=2, background_swaps=False,
+                    retrain_threshold=threshold,
+                    retrain_policy=RetrainPolicy(timesteps=300,
+                                                 max_iterations=1,
+                                                 backend="thread",
+                                                 quality_gate=False),
+                    rebalance_policy=LoadAwareRebalancePolicy(),
+                    rebalance_interval=0.25,
+                ),
             )
         leaked = set(threading.enumerate()) - before
         assert not leaked, f"retrain threads leaked: {leaked}"

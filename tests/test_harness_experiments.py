@@ -71,11 +71,12 @@ class TestFigure10Runner:
 class TestServing:
     def test_run_serving_reports_and_verifies(self):
         from repro.harness import run_serving
+        from repro.serve import ServingConfig
 
-        result = run_serving(num_tenants=2, num_rules=50, num_packets=1000,
-                             num_flows=100, churn_events=1,
-                             background_swaps=False, record_batches=True,
-                             seed=4)
+        result = run_serving(ServingConfig(background_swaps=False,
+                                           record_batches=True),
+                             num_tenants=2, num_rules=50, num_packets=1000,
+                             num_flows=100, churn_events=1, seed=4)
         report = result.report
         assert report.num_requests == len(result.workload.requests)
         assert report.swaps == 1 and report.num_updates == 1

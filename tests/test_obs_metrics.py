@@ -18,6 +18,7 @@ from repro.obs.metrics import TIMING_PERCENTILES, Counter, Gauge, Timing
 from repro.serve import (
     BatchPolicy,
     ClassificationService,
+    ServingConfig,
     ShardTenant,
     TenantRegistry,
     merge_reports,
@@ -169,7 +170,7 @@ class TestStableDict:
         assert out["c"] == {"z": 1}
 
 
-def _serve_sharded(num_workers, seed=4, **kwargs):
+def _serve_sharded(num_workers, seed=4, **fields):
     specs = make_tenant_specs(3, families=("acl1", "ipc1"),
                               num_rules=50, seed=seed)
     workload = build_workload(
@@ -179,8 +180,9 @@ def _serve_sharded(num_workers, seed=4, **kwargs):
     )
     tenants = [ShardTenant(s.tenant_id, s.algorithm, s.binth) for s in specs]
     return serve_sharded(tenants, workload.rulesets, workload.requests,
-                         workload.updates, num_workers=num_workers,
-                         backend="serial", **kwargs)
+                         workload.updates,
+                         ServingConfig(workers=num_workers, backend="serial",
+                                       **fields))
 
 
 class TestServingIntegration:

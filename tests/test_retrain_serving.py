@@ -28,6 +28,7 @@ from repro.serve import (
     EngineSlot,
     RetrainController,
     RetrainPolicy,
+    ServingConfig,
     ShardTenant,
     TenantRegistry,
     merge_reports,
@@ -485,7 +486,7 @@ class TestShardedServing:
         _, workload, tenants = _build_scenario()
         outcomes, merged, plan = serve_sharded(
             tenants, workload.rulesets, workload.requests, workload.updates,
-            num_workers=2, backend="serial", record_batches=True,
+            ServingConfig(workers=2, backend="serial", record_batches=True),
         )
         assert plan.num_shards == 2 and len(outcomes) == 2
         # Every request routed to exactly one shard and served there.
@@ -511,11 +512,11 @@ class TestShardedServing:
     def test_sharded_exactness_across_hot_swaps(self):
         from repro.harness.serving import run_serving
 
-        result = run_serving(num_tenants=3, families=("acl1",),
+        result = run_serving(ServingConfig(workers=2, backend="serial",
+                                           record_batches=True),
+                             num_tenants=3, families=("acl1",),
                              num_rules=50, num_packets=2000, num_flows=150,
-                             churn_events=2, serving_workers=2,
-                             serving_backend="serial",
-                             record_batches=True, seed=5)
+                             churn_events=2, seed=5)
         exactness = result.verify_exactness()
         assert exactness.num_checked == result.report.num_requests
         assert exactness.num_mismatches == 0
@@ -530,11 +531,11 @@ class TestShardedServing:
         _, workload, tenants = _build_scenario(seed=6)
         _, serial_merged, _ = serve_sharded(
             tenants, workload.rulesets, workload.requests, workload.updates,
-            num_workers=2, backend="serial",
+            ServingConfig(workers=2, backend="serial"),
         )
         _, thread_merged, _ = serve_sharded(
             tenants, workload.rulesets, workload.requests, workload.updates,
-            num_workers=2, backend="thread",
+            ServingConfig(workers=2, backend="thread"),
         )
         assert thread_merged.num_requests == serial_merged.num_requests
         assert thread_merged.num_batches == serial_merged.num_batches
@@ -545,11 +546,13 @@ class TestShardedServing:
         _, workload, tenants = _build_scenario(seed=6)
         _, serial_merged, _ = serve_sharded(
             tenants, workload.rulesets, workload.requests, workload.updates,
-            num_workers=2, backend="serial", background_swaps=False,
+            ServingConfig(workers=2, backend="serial",
+                          background_swaps=False),
         )
         _, thread_merged, _ = serve_sharded(
             tenants, workload.rulesets, workload.requests, workload.updates,
-            num_workers=2, backend="thread", background_swaps=False,
+            ServingConfig(workers=2, backend="thread",
+                          background_swaps=False),
         )
         assert thread_merged.cache_hits == serial_merged.cache_hits
         assert thread_merged.deterministic_counters() == \
@@ -561,7 +564,7 @@ class TestShardedServing:
                                                churn_events=0)
         outcomes, merged, plan = serve_sharded(
             tenants, workload.rulesets, workload.requests,
-            num_workers=4, backend="serial",
+            config=ServingConfig(workers=4, backend="serial"),
         )
         assert plan.num_shards == 4
         assert len(outcomes) == 2  # two tenants -> two non-empty shards
@@ -573,7 +576,7 @@ class TestShardedServing:
                                                churn_events=0)
         outcomes, _, _ = serve_sharded(
             tenants, workload.rulesets, workload.requests,
-            num_workers=2, backend="serial",
+            config=ServingConfig(workers=2, backend="serial"),
         )
         merged = merge_reports(outcomes, wall_seconds=1.0)
         assert merged.wall_seconds == 1.0
@@ -651,7 +654,7 @@ def test_process_backend_shards_really_run_in_processes():
                                            churn_events=0)
     outcomes, merged, _ = serve_sharded(
         tenants, workload.rulesets, workload.requests,
-        num_workers=2, backend="process",
+        config=ServingConfig(workers=2, backend="process"),
     )
     assert merged.num_requests == len(workload.requests)
     assert len(outcomes) == 2

@@ -1,0 +1,148 @@
+"""``ServingConfig`` / ``ServingStack``: one value, one wiring, one result.
+
+The config is validated in one place, survives the process boundary inside
+a ``ShardTask``, and drives the single-process and sharded paths to the
+same answers; ``ServingResult`` verifies both shapes of run the same way.
+"""
+
+from __future__ import annotations
+
+import pickle
+from dataclasses import replace
+
+import pytest
+
+from repro.harness.serving import run_serving
+from repro.ingest import IngestConfig
+from repro.serve import (
+    LoadAwareRebalancePolicy,
+    RetrainPolicy,
+    ServingConfig,
+    ServingStack,
+    ShardTenant,
+    serve_sharded,
+)
+from repro.workloads import (
+    ChurnConfig,
+    FlowTraceConfig,
+    build_workload,
+    make_tenant_specs,
+)
+
+
+class TestValidation:
+    """Each range check raises from ``__post_init__`` and nowhere else."""
+
+    def test_workers_must_be_positive(self):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            ServingConfig(workers=0)
+
+    def test_rebalancing_needs_two_shards(self):
+        with pytest.raises(ValueError, match="needs serving workers >= 2"):
+            ServingConfig(rebalance_policy=LoadAwareRebalancePolicy())
+        ServingConfig(workers=2, rebalance_policy=LoadAwareRebalancePolicy())
+
+    def test_rebalance_interval_must_be_positive(self):
+        with pytest.raises(ValueError, match="interval must be > 0"):
+            ServingConfig(rebalance_interval=0.0)
+
+    def test_backend_must_be_an_executor_backend(self):
+        with pytest.raises(ValueError, match="backend must be one of"):
+            ServingConfig(backend="bogus")
+
+
+#: Non-default batch, cache, swap, retrain and ingest fields at once.
+NON_DEFAULT = ServingConfig(
+    max_batch=24,
+    max_delay=5e-4,
+    flow_cache_size=96,
+    background_swaps=False,
+    record_batches=True,
+    retrain_threshold=10_000,
+    retrain_policy=RetrainPolicy(timesteps=300, max_iterations=1,
+                                 backend="serial", seed=3),
+    ingest=IngestConfig(tenant_rate=50_000.0, tenant_burst=32,
+                        queue_limit=64),
+    workers=2,
+    backend="serial",
+)
+
+
+def _workload(seed=6):
+    specs = make_tenant_specs(3, families=("acl1", "ipc1"), num_rules=40,
+                              seed=seed)
+    workload = build_workload(
+        specs, FlowTraceConfig(num_packets=1200, num_flows=100, seed=seed),
+        churn=ChurnConfig(num_events=2, adds_per_event=2,
+                          removes_per_event=1),
+    )
+    tenants = [ShardTenant(s.tenant_id, s.algorithm, s.binth) for s in specs]
+    return workload, tenants
+
+
+class TestOneConfigEverywhere:
+    def test_pickle_round_trip_compares_equal(self):
+        clone = pickle.loads(pickle.dumps(NON_DEFAULT))
+        assert clone == NON_DEFAULT
+        assert clone.describe() == NON_DEFAULT.describe()
+
+    def test_serial_and_thread_shards_agree_under_one_config(self):
+        workload, tenants = _workload()
+        counters = []
+        for backend in ("serial", "thread"):
+            _, merged, _ = serve_sharded(
+                tenants, workload.rulesets, workload.requests,
+                workload.updates, replace(NON_DEFAULT, backend=backend))
+            counters.append(merged.deterministic_counters())
+        assert counters[0] == counters[1]
+        # Every non-default field reached the layer that reads it.
+        assert counters[0]["num_updates"] == 2
+        assert counters[0]["ingest_offered"] == len(workload.requests)
+
+    def test_stack_wires_every_field_and_closes(self):
+        workload, tenants = _workload()
+        stack = ServingStack(NON_DEFAULT, tenants, workload.rulesets)
+        try:
+            assert stack.registry.tenants() == [t.tenant_id for t in tenants]
+            assert stack.registry.default_flow_cache_size == 96
+            assert stack.registry.background_swaps is False
+            assert stack.registry.default_retrain_threshold == 10_000
+            assert stack.controller.policy == NON_DEFAULT.retrain_policy
+            assert stack.service.policy.max_batch == 24
+            assert stack.service.policy.max_delay == 5e-4
+            assert stack.service.record_batches is True
+            assert stack.service.ingest == NON_DEFAULT.ingest
+            assert stack.service.retrain_controller is stack.controller
+            history = stack.epoch_rulesets()
+            assert {t: len(h) for t, h in history.items()} == \
+                {t.tenant_id: 1 for t in tenants}
+        finally:
+            stack.close()
+            stack.close()  # idempotent
+
+
+class TestOneResultType:
+    def test_single_process_and_sharded_runs_verify_identically(self):
+        scenario = dict(num_tenants=3, families=("acl1",), num_rules=40,
+                        num_packets=1500, num_flows=120, churn_events=2,
+                        seed=5)
+        sync = ServingConfig(background_swaps=False, record_batches=True)
+        single = run_serving(sync, **scenario)
+        sharded = run_serving(
+            ServingConfig(background_swaps=False, record_batches=True,
+                          workers=2, backend="serial"),
+            **scenario)
+        assert single.registry is not None and not single.outcomes
+        assert sharded.registry is None and sharded.num_shards == 2
+        exactness = single.verify_exactness()
+        assert exactness == sharded.verify_exactness()
+        assert exactness.is_exact
+        assert exactness.num_checked == 1500 and exactness.num_post_swap > 0
+        assert single.report.deterministic_counters() == \
+            sharded.report.deterministic_counters()
+        # Same row schema either way; the sharded run adds its shard count.
+        assert [row[0] for row in sharded.rows()] == \
+            [row[0] for row in single.rows()] + ["serving shards"]
+        assert sharded.rows()[-1] == ["serving shards", "2"]
+        assert len(single.tenant_rows()) == len(sharded.tenant_rows()) == 3
+        assert single.shard_rows() == []

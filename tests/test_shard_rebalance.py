@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Dict, Mapping
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.baselines import HiCutsBuilder
 from repro.classbench import generate_classifier
@@ -39,6 +39,7 @@ from repro.serve import (
     RetrainController,
     RetrainPolicy,
     ScheduledRebalancePolicy,
+    ServingConfig,
     ShardTelemetry,
     ShardTenant,
     TelemetrySnapshot,
@@ -134,6 +135,11 @@ class TestLoadAwarePolicyProperties:
 
     @settings(max_examples=200, deadline=None)
     @given(case=telemetry_cases())
+    # Three moves allowed, three near-equal heavy tenants: the second
+    # policy used to plan t03 1->2, t01 0->2, then t03 again, 2->0.
+    @example(case=({"t00": 0, "t01": 0, "t02": 1, "t03": 1, "t04": 1},
+                   {"t00": 316, "t01": 317, "t02": 4, "t03": 315,
+                    "t04": 315}, 3))
     def test_plans_are_conservative(self, case):
         """Moves only name real tenants on their actual shard, target real
         shards, never no-op, and respect the per-cycle bound."""
@@ -478,6 +484,12 @@ def rebalance_trace():
     return read_trace(GOLDEN_REBALANCE)
 
 
+def _two_serial_shards(**fields):
+    """A replay config (synchronous swaps) over two in-process shards."""
+    return ServingConfig(workers=2, backend="serial", background_swaps=False,
+                         **fields)
+
+
 class TestThreeWayDifferential:
     """The same golden trace, served three ways, must agree bit-for-bit."""
 
@@ -491,12 +503,9 @@ class TestThreeWayDifferential:
             (2, tenants[1], 0),
         ))
         single = replay_trace(rebalance_trace)
-        static = replay_trace(rebalance_trace, serving_workers=2,
-                              serving_backend="serial")
-        rebalanced = replay_trace(rebalance_trace, serving_workers=2,
-                                  serving_backend="serial",
-                                  rebalance_policy=forced,
-                                  rebalance_interval=0.01)
+        static = replay_trace(rebalance_trace, _two_serial_shards())
+        rebalanced = replay_trace(rebalance_trace, _two_serial_shards(
+            rebalance_policy=forced, rebalance_interval=0.01))
         return single, static, rebalanced
 
     def test_all_three_replays_match_the_golden_column(self, outcomes):
@@ -529,13 +538,12 @@ class TestThreeWayDifferential:
             self, rebalance_trace, outcomes):
         _, _, rebalanced = outcomes
         tenants = sorted(rebalance_trace.rulesets)
-        again = replay_trace(
-            rebalance_trace, serving_workers=2, serving_backend="serial",
+        again = replay_trace(rebalance_trace, _two_serial_shards(
             rebalance_policy=ScheduledRebalancePolicy(moves=(
                 (1, tenants[0], 1),
                 (2, tenants[1], 0),
             )),
-            rebalance_interval=0.01)
+            rebalance_interval=0.01))
         assert again.report.is_exact
         # Full equality including the migration counters this time.
         assert again.result.report.deterministic_counters() == \
@@ -546,10 +554,9 @@ class TestLoadPolicyEndToEnd:
     def test_load_policy_replay_stays_exact(self, rebalance_trace):
         """The load-aware policy on the golden trace: whatever it decides,
         decisions must stay golden and nothing may drop."""
-        outcome = replay_trace(
-            rebalance_trace, serving_workers=2, serving_backend="serial",
+        outcome = replay_trace(rebalance_trace, _two_serial_shards(
             rebalance_policy=LoadAwareRebalancePolicy(),
-            rebalance_interval=0.01)
+            rebalance_interval=0.01))
         assert outcome.report.is_exact, outcome.report.mismatches[:3]
         assert outcome.report.num_dropped == 0
         counters, _ = _stable_counters(outcome.result.report)
@@ -591,25 +598,29 @@ class TestDeferredMigration:
         """Serve a 2-tenant trace on 2 shards with one scheduled move of
         the first tenant (shard 0 -> 1); ``mover_holds`` settle attempts
         are blocked by the scripted in-flight retrain."""
-        import repro.serve.sharded as sharded_module
+        import repro.serve.stack as stack_module
 
         specs = make_tenant_specs(2, families=("acl1",), num_rules=40,
                                   seed=9)
         mover = specs[0].tenant_id  # round-robin start: shard 0
         sticky, state = _sticky_controller({mover: mover_holds})
-        monkeypatch.setattr(sharded_module, "RetrainController", sticky)
+        monkeypatch.setattr(stack_module, "RetrainController", sticky)
         workload = build_workload(
             specs, FlowTraceConfig(num_packets=1200, num_flows=100, seed=9))
         tenants = [ShardTenant(s.tenant_id, s.algorithm, s.binth)
                    for s in specs]
         outcomes, merged, _ = serve_rebalancing(
             tenants, workload.rulesets, workload.requests, workload.updates,
-            num_workers=2, background_swaps=False,
-            retrain_threshold=self.THRESHOLD,
-            retrain_policy=RetrainPolicy(timesteps=300, max_iterations=1,
-                                         backend="serial"),
-            policy=ScheduledRebalancePolicy(moves=((1, mover, 1),)),
-            interval=0.002,  # the trace spans ~0.024s of trace clock
+            ServingConfig(
+                workers=2, background_swaps=False,
+                retrain_threshold=self.THRESHOLD,
+                retrain_policy=RetrainPolicy(timesteps=300, max_iterations=1,
+                                             backend="serial"),
+                rebalance_policy=ScheduledRebalancePolicy(
+                    moves=((1, mover, 1),)),
+                # the trace spans ~0.024s of trace clock
+                rebalance_interval=0.002,
+            ),
         )
         return outcomes, merged, mover, state
 
@@ -668,20 +679,19 @@ class TestDeferredMigrationGoldenTrace:
         decisions stay bit-exact and stable counters match the
         single-process replay even when the forced move is held back by
         an in-flight retrain for several batch boundaries."""
-        import repro.serve.sharded as sharded_module
+        import repro.serve.stack as stack_module
 
         tenants = sorted(rebalance_trace.rulesets)
         sticky, _ = _sticky_controller({tenants[0]: 4})
-        monkeypatch.setattr(sharded_module, "RetrainController", sticky)
-        outcome = replay_trace(
-            rebalance_trace, serving_workers=2, serving_backend="serial",
+        monkeypatch.setattr(stack_module, "RetrainController", sticky)
+        outcome = replay_trace(rebalance_trace, _two_serial_shards(
             retrain_threshold=10_000,
             retrain_policy=RetrainPolicy(timesteps=300, max_iterations=1,
                                          backend="serial"),
             rebalance_policy=ScheduledRebalancePolicy(moves=(
                 (1, tenants[0], 1),
             )),
-            rebalance_interval=0.01)
+            rebalance_interval=0.01))
         assert outcome.report.is_exact, outcome.report.mismatches[:3]
         assert outcome.report.num_dropped == 0
         counters, migration = _stable_counters(outcome.result.report)

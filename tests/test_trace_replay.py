@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.harness.serving import run_serving
-from repro.serve.controller import RetrainPolicy
+from repro.serve import RetrainPolicy, ServingConfig
 from repro.traces import (
     ServingTrace,
     diff_traces,
@@ -33,6 +33,11 @@ from repro.traces import (
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_CHURN = DATA_DIR / "acl1_churn.trace"
 GOLDEN_RETRAIN = DATA_DIR / "acl1_retrain_churn.trace"
+
+
+def _sync(**fields):
+    """A config under the determinism contract: synchronous swaps."""
+    return ServingConfig(background_swaps=False, **fields)
 
 
 @pytest.fixture(scope="module")
@@ -56,8 +61,8 @@ class TestGoldenReplay:
         assert report.counters["swaps"] == 2
 
     def test_sharded_replay_matches_golden(self, churn_trace):
-        outcome = replay_trace(churn_trace, serving_workers=2,
-                               serving_backend="thread")
+        outcome = replay_trace(churn_trace,
+                               _sync(workers=2, backend="thread"))
         assert outcome.report.is_exact, \
             f"mismatches: {outcome.report.mismatches}"
         assert outcome.result.num_shards == 2
@@ -72,8 +77,8 @@ class TestGoldenReplay:
         policy = RetrainPolicy(timesteps=250, max_iterations=1,
                                backend="serial", quality_gate=False,
                                seed=retrain_trace.seed)
-        outcome = replay_trace(retrain_trace, retrain_threshold=12,
-                               retrain_policy=policy)
+        outcome = replay_trace(retrain_trace, _sync(retrain_threshold=12,
+                                                    retrain_policy=policy))
         report = outcome.report
         assert report.is_exact, f"mismatches: {report.mismatches}"
         assert report.counters["retrains_installed"] >= 1
@@ -85,8 +90,8 @@ class TestGoldenReplay:
         and the replay still verifies exactly (no swap, no divergence)."""
         policy = RetrainPolicy(timesteps=250, max_iterations=1,
                                backend="serial", seed=retrain_trace.seed)
-        outcome = replay_trace(retrain_trace, retrain_threshold=12,
-                               retrain_policy=policy)
+        outcome = replay_trace(retrain_trace, _sync(retrain_threshold=12,
+                                                    retrain_policy=policy))
         report = outcome.report
         assert report.is_exact, f"mismatches: {report.mismatches}"
         counters = report.counters
@@ -105,8 +110,8 @@ class TestGoldenReplay:
         assert single[0].is_exact and single[1].is_exact
         assert single[0].counters == single[1].counters
         sharded = [
-            replay_trace(churn_trace, serving_workers=2,
-                         serving_backend="serial").report
+            replay_trace(churn_trace,
+                         _sync(workers=2, backend="serial")).report
             for _ in range(2)
         ]
         assert sharded[0].is_exact and sharded[1].is_exact
@@ -115,7 +120,7 @@ class TestGoldenReplay:
     def test_decisions_are_batching_invariant(self, churn_trace):
         """Golden decisions depend on epochs, not how packets batch."""
         for max_batch in (16, 64, 256):
-            outcome = replay_trace(churn_trace, max_batch=max_batch)
+            outcome = replay_trace(churn_trace, _sync(max_batch=max_batch))
             assert outcome.report.is_exact, \
                 f"max_batch={max_batch}: {outcome.report.mismatches}"
 
@@ -129,7 +134,7 @@ class TestGoldenReplay:
 
         draconian = IngestConfig(tenant_rate=1.0, tenant_burst=1,
                                  queue_limit=1)
-        outcome = replay_trace(churn_trace, ingest=draconian)
+        outcome = replay_trace(churn_trace, _sync(ingest=draconian))
         report = outcome.report
         assert report.is_exact, f"mismatches: {report.mismatches}"
         assert report.num_served == churn_trace.num_records
@@ -142,6 +147,42 @@ class TestGoldenReplay:
         assert report.counters == replay_trace(churn_trace).report.counters
 
 
+class TestReplayScorecard:
+    def test_config_block_tells_two_replays_apart(self, tmp_path):
+        """A retraining replay must not pass for a plain one: the scorecard
+        ``config`` block is the whole ``ServingConfig``, so ``bench compare``
+        reports the one knob that differs as config drift."""
+        from repro.obs import compare_records, read_bench
+
+        policy = RetrainPolicy(timesteps=250, max_iterations=1,
+                               backend="serial", quality_gate=False, seed=23)
+        records = []
+        for threshold in (12, 10_000):
+            path = tmp_path / f"BENCH_replay_{threshold}.json"
+            outcome = replay_trace(
+                GOLDEN_RETRAIN,
+                _sync(retrain_threshold=threshold, retrain_policy=policy),
+                bench_path=path)
+            assert outcome.report.is_exact
+            records.append(read_bench(path))
+        retraining, plain = records
+        assert retraining.area == plain.area == "replay"
+        assert retraining.name == "replay:acl1_retrain_churn"
+        assert retraining.counters["retrains_installed"] >= 1
+        assert plain.counters["retrains_installed"] == 0
+        assert retraining.counters["verify_mismatches"] == 0
+        assert retraining.counters["num_records"] == 800
+        assert retraining.config["retrain_threshold"] == 12
+        assert retraining.config["retrain_policy"]["timesteps"] == 250
+        assert retraining.config["engine_backend"] == "numpy"
+        assert retraining.config["rebalance_policy"] is None
+        assert retraining.config["verify"] is True
+        report = compare_records(retraining, plain, check_timings=False)
+        drift = [check.metric for check in report.failures
+                 if check.kind == "config"]
+        assert drift == ["retrain_threshold"]
+
+
 class TestChurnDeterminism:
     def test_run_serving_same_seed_produces_identical_epochs(self):
         """Two runs with one seed agree on churn and per-tenant epochs.
@@ -151,10 +192,9 @@ class TestChurnDeterminism:
         function of the scenario seed.
         """
         def run():
-            result = run_serving(num_tenants=2, families=("acl1",),
+            result = run_serving(_sync(), num_tenants=2, families=("acl1",),
                                  num_rules=30, num_packets=400,
-                                 num_flows=48, churn_events=2,
-                                 background_swaps=False, seed=13)
+                                 num_flows=48, churn_events=2, seed=13)
             updates = [(u.tenant_id, u.time, u.adds, u.removes)
                        for u in result.workload.updates]
             epochs = {t: result.registry.slot(t).epoch
@@ -168,8 +208,8 @@ class TestChurnDeterminism:
 
 class TestHarnessTracePath:
     def test_run_serving_replays_from_file(self, churn_trace):
-        result = run_serving(trace_path=GOLDEN_CHURN,
-                             background_swaps=False, record_batches=True)
+        result = run_serving(_sync(record_batches=True),
+                             trace_path=GOLDEN_CHURN)
         assert result.report.num_requests == churn_trace.num_records
         exactness = result.verify_exactness()
         assert exactness.is_exact
@@ -182,16 +222,16 @@ class TestHarnessTracePath:
         controller seeded from the trace (the determinism contract), not
         the generation path's thread-backend default.
         """
-        result = run_serving(trace_path=churn_trace,
-                             background_swaps=False, record_batches=True,
-                             retrain_threshold=10_000)
+        result = run_serving(_sync(record_batches=True,
+                                   retrain_threshold=10_000),
+                             trace_path=churn_trace)
         assert result.report.retrains_triggered == 0
         assert result.verify_exactness().is_exact
 
     def test_run_serving_accepts_loaded_trace(self, churn_trace):
-        result = run_serving(trace_path=churn_trace,
-                             background_swaps=False, record_batches=True,
-                             serving_workers=2, serving_backend="serial")
+        result = run_serving(_sync(record_batches=True, workers=2,
+                                   backend="serial"),
+                             trace_path=churn_trace)
         assert result.report.num_requests == churn_trace.num_records
         assert result.verify_exactness().is_exact
 
@@ -204,8 +244,8 @@ class TestRecording:
                         seed=4)
         single = record_serving(tmp_path / "single.trace", **scenario)
         sharded = record_serving(tmp_path / "sharded.trace",
-                                 serving_workers=2,
-                                 serving_backend="serial", **scenario)
+                                 _sync(workers=2, backend="serial"),
+                                 **scenario)
         assert np.array_equal(single.trace.records, sharded.trace.records)
         assert single.trace.updates == sharded.trace.updates
         assert single.trace.rulesets == sharded.trace.rulesets
