@@ -4,12 +4,26 @@ Paper result: space-optimised NeuroCuts (partitioning enabled, c = 0) beats
 HiCuts and HyperCuts decisively, improves on EffiCuts by 40 % at the median,
 and usually sits slightly above CutSplit (26 % higher median) with a 3x
 best-case win over all baselines.
+
+Beside the memory model's bytes per rule the table prints what each tree's
+compiled engine really holds (``CompiledClassifier.memory_bytes()`` over the
+same rule count): leaves hold ``int32`` rule pointers like the model's, so
+the engine tracks the model within a small constant.
 """
 
 from __future__ import annotations
 
+import statistics
+
 from repro.harness import comparison_table, run_figure9, summary_table
-from repro.metrics import summarize_improvements
+from repro.metrics import median_by_algorithm, summarize_improvements
+
+#: Bound on the median compiled-engine / memory-model ratio over every
+#: (algorithm, classifier) cell: measured 2.32 at the default (tiny) scale,
+#: plus a margin.  The trees that replicate rules sit near 1x (HiCuts 1.06,
+#: HyperCuts 1.17); the floor for the others is the 88-byte row every
+#: distinct rule gets, which the model does not charge.
+MAX_MEDIAN_ENGINE_TO_MODEL = 2.6
 
 
 def test_figure9_memory_footprint(scale, run_once):
@@ -29,6 +43,16 @@ def test_figure9_memory_footprint(scale, run_once):
         "NeuroCuts vs EffiCuts": vs_efficuts.as_dict(),
     }))
     print("medians:", {k: round(v, 1) for k, v in result.medians.items()})
+    print("\ncompiled engine, bytes per rule:")
+    print(comparison_table(result.compiled, "engine bytes_per_rule"))
+    engine_to_model = result.engine_to_model()
+    ratios = [ratio for per_label in engine_to_model.values()
+              for ratio in per_label.values()]
+    print("engine / model, median per algorithm:",
+          {k: round(v, 2)
+           for k, v in median_by_algorithm(engine_to_model).items()})
+    print(f"engine / model, median over all {len(ratios)} cells: "
+          f"{statistics.median(ratios):.2f}")
 
     labels = {label for label, _ in result.rows()}
     assert len(labels) == len(scale.specs())
@@ -46,3 +70,6 @@ def test_figure9_memory_footprint(scale, run_once):
     assert partition_based_median <= replication_prone_median
     # NeuroCuts space-optimised should not be drastically worse than EffiCuts.
     assert result.medians["NeuroCuts"] <= 3.0 * result.medians["EffiCuts"]
+    # The engine tracks the paper's memory model within a small constant.
+    assert len(ratios) == len(result.values) * len(labels)
+    assert statistics.median(ratios) <= MAX_MEDIAN_ENGINE_TO_MODEL

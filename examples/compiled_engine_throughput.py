@@ -42,13 +42,17 @@ def main() -> None:
             builder.name,
             result.num_subtrees,
             f"{result.compiled_memory_bytes / 1024:.0f} KiB",
+            f"{result.compiled_memory_bytes / len(ruleset):.1f}",
+            f"{result.model_memory_bytes / len(ruleset):.1f}",
+            f"{result.engine_to_model:.2f}x",
             f"{result.interpreter_pps:,.0f}",
             f"{result.compiled_pps:,.0f}",
             f"{result.speedup:.1f}x",
         ])
         assert result.mismatches == 0, "compiled engine must match interpreter"
     print(format_table(
-        ["algorithm", "search trees", "engine memory",
+        ["algorithm", "search trees", "engine memory", "engine B/rule",
+         "model B/rule", "engine/model",
          "interpreter pps", "compiled pps", "speedup"],
         rows,
     ))

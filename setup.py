@@ -1,8 +1,8 @@
-"""Setuptools shim.
+"""Optional extras for an installed copy of the package.
 
-Kept alongside ``pyproject.toml`` so editable installs work in offline
-environments whose setuptools predates PEP 660 wheel-less editable support
-(``pip install -e . --no-build-isolation``).
+The repo is run from a checkout with ``PYTHONPATH=src`` (there is no
+``pyproject.toml`` and nothing to build); this file exists only to name the
+``native`` extra for environments that do ``pip install .[native]``.
 """
 
 from setuptools import setup

@@ -499,7 +499,10 @@ def _cmd_engine_bench(args: argparse.Namespace) -> int:
     print(f"{args.algorithm} on {ruleset.name or args.seed_family} "
           f"({len(ruleset)} rules, {len(packets)} packets): "
           f"compiled {result.num_subtrees} search tree(s), "
-          f"{result.compiled_memory_bytes} bytes")
+          f"{result.compiled_memory_bytes} bytes "
+          f"({result.compiled_memory_bytes / len(ruleset):.1f} per rule; "
+          f"memory model {result.model_memory_bytes / len(ruleset):.1f} "
+          f"per rule, engine/model {result.engine_to_model:.2f}x)")
     print(f"backend {result.backend}: "
           f"compile {result.compile_seconds * 1000:.1f} ms, "
           f"warmup {result.warmup_seconds * 1000:.1f} ms"

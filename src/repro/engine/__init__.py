@@ -20,12 +20,15 @@ from repro.engine.layout import (
     KIND_CUT,
     KIND_LEAF,
     KIND_SPLIT,
+    LEAF_RULE_DTYPE,
     NODE_DTYPE,
     NO_MATCH_PRIORITY,
     RULE_DTYPE,
+    RULE_TABLE_DTYPE,
     FlatTree,
     Forest,
     packets_to_array,
+    rule_table,
 )
 from repro.engine.compile import (
     MAX_SEARCH_TREES,
@@ -58,12 +61,15 @@ __all__ = [
     "KIND_CUT",
     "KIND_LEAF",
     "KIND_SPLIT",
+    "LEAF_RULE_DTYPE",
     "NODE_DTYPE",
     "NO_MATCH_PRIORITY",
     "RULE_DTYPE",
+    "RULE_TABLE_DTYPE",
     "FlatTree",
     "Forest",
     "packets_to_array",
+    "rule_table",
     "MAX_SEARCH_TREES",
     "CompileError",
     "CompileProvenance",

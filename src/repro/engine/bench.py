@@ -49,6 +49,14 @@ class EngineBenchResult:
     #: this is where the JIT compiles, so the pps figures measure steady
     #: state and this field shows the one-off cost.
     warmup_seconds: float = 0.0
+    #: The same trees under the paper's memory model
+    #: (:mod:`repro.tree.stats`), the yardstick for ``compiled_memory_bytes``.
+    model_memory_bytes: int = 0
+
+    @property
+    def engine_to_model(self) -> float:
+        """Compiled engine bytes over the memory model's bytes."""
+        return self.compiled_memory_bytes / max(self.model_memory_bytes, 1)
 
     @property
     def speedup(self) -> float:
@@ -222,4 +230,5 @@ def bench_classifier(
         cache_hits=cache_hits,
         backend=compiled.backend,
         warmup_seconds=warmup_seconds,
+        model_memory_bytes=classifier.stats().memory_bytes,
     )

@@ -16,7 +16,8 @@ Compilation happens in three steps:
 3. **Flattening** — the normalised tree is laid out breadth-first into the
    node table's columns, so every node's children occupy one contiguous
    index span, and the per-leaf rule lists are concatenated (highest
-   priority first) into the leaf rule table.
+   priority first) into the leaf rule table as slots into the engine's
+   distinct-rule table.
 
 The result is a :class:`~repro.engine.dispatch.CompiledClassifier` whose
 one :class:`~repro.engine.layout.Forest` holds a block — viewed through a
@@ -39,12 +40,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.exceptions import TreeError
-from repro.rules.fields import NUM_DIMENSIONS
 from repro.rules.rule import Rule
 from repro.tree.actions import CutAction, MultiCutAction, SplitAction
 from repro.tree.node import Node
@@ -57,6 +57,7 @@ from repro.engine.layout import (
     RULE_DTYPE,
     FlatTree,
     Forest,
+    rule_table,
 )
 
 #: Safety cap on how many search trees one interpreter tree may expand into
@@ -248,13 +249,21 @@ def _normalize_multicut(node: Node) -> object:
 # Step 3: flattening
 # --------------------------------------------------------------------------- #
 
+#: Smallest and largest value each node column's width can hold.
+_NODE_MIN = np.array([np.iinfo(NODE_DTYPE[name]).min
+                      for name in NODE_DTYPE.names])
+_NODE_MAX = np.array([np.iinfo(NODE_DTYPE[name]).max
+                      for name in NODE_DTYPE.names])
+
+
 class _Flattener:
     """Lays normalised trees out breadth-first, one block of rows each.
 
     Rows are collected for all the trees of a compile and converted to one
     :class:`Forest` at the end (:meth:`trees`): NumPy's per-call cost is
     paid once per engine, not once per search tree, and rule geometry is
-    converted once per distinct rule rather than once per leaf row.
+    converted once per rule new to ``rules_out`` (``table`` describes the
+    ones a previous generation already converted).
 
     ``rule_slot`` keys are the (frozen, hashable) rules themselves, not
     object ids: ids of dead objects get recycled, which would silently
@@ -263,10 +272,11 @@ class _Flattener:
     is sound because equal rules match identically at equal priority.
     """
 
-    def __init__(self, rule_slot: Dict[Rule, int],
-                 rules_out: List[Rule]) -> None:
+    def __init__(self, rule_slot: Dict[Rule, int], rules_out: List[Rule],
+                 table: Optional[Mapping[str, np.ndarray]] = None) -> None:
         self.rule_slot = rule_slot
         self.rules_out = rules_out
+        self.table = table
         self.records: List[tuple] = []  # one NODE_DTYPE-ordered row per node
         self.leaf_slots: List[int] = []  # distinct-rule slot per leaf row
         #: Per tree: FlatTree's fields after ``forest``.
@@ -320,23 +330,21 @@ class _Flattener:
         """The trees added so far, as views of one new forest."""
         table = np.array(self.records, dtype=np.int64).reshape(
             len(self.records), len(NODE_DTYPE.names))
+        if len(table):
+            unfit = (table.min(axis=0) < _NODE_MIN) \
+                | (table.max(axis=0) > _NODE_MAX)
+            if unfit.any():
+                name = NODE_DTYPE.names[int(unfit.argmax())]
+                raise CompileError(
+                    f"node column {name!r} holds a value that does not fit "
+                    f"its {NODE_DTYPE[name]} width")
         node_columns = {
             name: table[:, col].astype(NODE_DTYPE[name])
             for col, name in enumerate(NODE_DTYPE.names)
         }
         slots = np.array(self.leaf_slots, dtype=RULE_DTYPE["rule_index"])
-        distinct, row_of = np.unique(slots, return_inverse=True)
-        held = [self.rules_out[slot] for slot in distinct.tolist()]
-        bounds = np.array([rule.ranges for rule in held], dtype=np.int64
-                          ).reshape(len(held), NUM_DIMENSIONS, 2)[row_of]
-        priority = np.array([rule.priority for rule in held], dtype=np.int64)
-        rule_columns = {
-            "lo": np.ascontiguousarray(bounds[:, :, 0]),
-            "hi": np.ascontiguousarray(bounds[:, :, 1]),
-            "priority": priority[row_of],
-            "rule_index": slots,
-        }
-        forest = Forest(node_columns, rule_columns)
+        forest = Forest(node_columns, {"rule_index": slots},
+                        rule_table(self.rules_out, self.table))
         return [FlatTree(forest, *block) for block in self.blocks]
 
 
@@ -436,9 +444,6 @@ def compile_classifier(classifier, flow_cache_size: Optional[int] = None,
         flow_cache_size=flow_cache_size,
         backend=backend,
     )
-    # Share (not copy) the distinct-rule list: partial recompiles append to
-    # it in place and every engine generation indexes the same storage.
-    compiled.rules = rules_out
     compiled.provenance = CompileProvenance(
         trees=tuple(classifier.trees),
         versions=tuple(tree.version for tree in classifier.trees),
@@ -481,6 +486,11 @@ def partial_compile_classifier(
     fresh :class:`CompiledClassifier` with a forest of its own; the
     still-serving ``previous`` is only read (its forest is read-only) apart
     from appends to the shared rule list.
+
+    Slots of rules no leaf holds any more are never reused, so a long-lived
+    engine under churn accumulates dead rows in its rule list and table;
+    once they outnumber the live ones the result is a full rebuild, which
+    numbers its slots afresh.
     """
     if backend is None:
         backend = previous.backend
@@ -509,7 +519,7 @@ def partial_compile_classifier(
 
     rule_slot = provenance.rule_slot
     rules_out = previous.rules  # append-only; previous keeps serving from it
-    flattener = _Flattener(rule_slot, rules_out)
+    flattener = _Flattener(rule_slot, rules_out, previous.forest.table)
     #: Reused views of the previous forest; None where a re-flattened tree
     #: goes, in the order the flattener holds them.
     subtrees: List[Optional[FlatTree]] = []
@@ -559,7 +569,10 @@ def partial_compile_classifier(
         flow_cache_size=flow_cache_size,
         backend=backend,
     )
-    compiled.rules = rules_out
+    referenced = np.count_nonzero(
+        np.bincount(compiled.forest.rule["rule_index"]))
+    if len(rules_out) > 2 * referenced:
+        return full()
     compiled.provenance = CompileProvenance(
         trees=trees,
         versions=tuple(tree.version for tree in trees),

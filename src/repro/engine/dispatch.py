@@ -3,10 +3,10 @@
 Partitioned classifiers (EffiCuts categories, NeuroCuts top-node partitions,
 or simply several trees per :class:`~repro.tree.lookup.TreeClassifier`)
 compile into several search trees sharing one distinct-rule list.  The
-classifier stores them all in one :class:`~repro.engine.layout.Forest`,
-walks a batch through every tree at once — one lane per ``(tree, packet)``
-pair — and keeps, per packet, the highest-priority match along the tree
-axis.
+classifier stores them all in one :class:`~repro.engine.layout.Forest`
+beside the table of those rules' boxes and priorities, walks a batch through
+every tree at once — one lane per ``(tree, packet)`` pair — and keeps, per
+packet, the highest-priority match along the tree axis.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from repro.engine.layout import (
     Forest,
     check_headers,
     packets_to_array,
+    rule_table,
 )
 
 #: Lanes walked at once.  Larger batches are cut into runs of whole packets
@@ -39,7 +40,11 @@ class CompiledClassifier:
     :func:`~repro.engine.compile.compile_tree`, or another engine's); their
     blocks are copied into this engine's own :attr:`forest` and
     :attr:`subtrees` become views of that, so an engine generation holds
-    exactly one copy of its node and leaf-rule data.
+    exactly one copy of its node and leaf-rule data.  ``rules`` is the list
+    the subtrees' slots index; it is adopted, not copied (partial recompiles
+    append to it in place and every generation indexes the same storage),
+    and the forest's distinct-rule table describes it row for row, extending
+    the longest table the subtrees came with.
 
     ``backend`` names the traversal engine (see
     :data:`repro.engine.kernels.ENGINE_BACKENDS`): ``"numpy"`` is the
@@ -52,7 +57,7 @@ class CompiledClassifier:
     def __init__(
         self,
         subtrees: Sequence[FlatTree],
-        rules: Sequence[Rule],
+        rules: List[Rule],
         name: str = "",
         flow_cache_size: Optional[int] = None,
         backend: str = "numpy",
@@ -60,7 +65,10 @@ class CompiledClassifier:
         subtrees = list(subtrees)
         if not subtrees:
             raise ValueError("a compiled classifier needs at least one tree")
-        self.forest = Forest.concatenate(subtrees)
+        described = max((tree.forest.table for tree in subtrees),
+                        key=lambda table: len(table["priority"]))
+        self.forest = Forest.concatenate(subtrees,
+                                         rule_table(rules, described))
         self.subtrees: List[FlatTree] = []
         node_offset = rule_offset = 0
         for source in subtrees:
@@ -71,7 +79,7 @@ class CompiledClassifier:
         self._node_base = np.array([t.node_offset for t in self.subtrees])
         self._rule_base = np.array([t.rule_offset for t in self.subtrees])
         self._depth = np.array([t.depth for t in self.subtrees])
-        self.rules: List[Rule] = list(rules)
+        self.rules = rules
         self.name = name
         self.flow_cache: Optional[FlowCache] = None
         #: Set by compile_classifier / partial_compile_classifier; None for
@@ -112,7 +120,8 @@ class CompiledClassifier:
         return max(tree.depth for tree in self.subtrees)
 
     def memory_bytes(self) -> int:
-        """Bytes held by every array the walk reads: the forest's columns."""
+        """Bytes held by every array the walk reads: the forest's columns,
+        distinct-rule table included."""
         return self.forest.memory_bytes()
 
     def describe(self) -> str:
@@ -167,19 +176,18 @@ class CompiledClassifier:
     def _walk(self, values: np.ndarray) -> np.ndarray:
         """The fused walk plus the reduce along the tree axis."""
         n = len(values)
-        rule = self.forest.rule
         rows = self.forest.lookup(values, self._node_base, self._rule_base,
                                   self._depth)
         found = np.flatnonzero(rows >= 0)
+        slot = np.full(len(rows), -1, dtype=np.int64)
+        slot[found] = self.forest.rule["rule_index"][rows[found]]
         priority = np.full(len(rows), NO_MATCH_PRIORITY, dtype=np.int64)
-        priority[found] = rule["priority"][rows[found]]
-        # argmax returns the first maximum: the earlier tree wins ties.
+        priority[found] = self.forest.table["priority"][slot[found]]
+        # argmax returns the first maximum: the earlier tree wins ties, and
+        # a packet no tree matched keeps the first lane's -1.
         lane = priority.reshape(len(self.subtrees), n).argmax(axis=0) * n \
             + np.arange(n)
-        best_rule = np.full(n, -1, dtype=np.int64)
-        won = np.flatnonzero(priority[lane] > NO_MATCH_PRIORITY)
-        best_rule[won] = rule["rule_index"][rows[lane[won]]]
-        return best_rule
+        return slot[lane]
 
     def lookup_batch(self, values: np.ndarray) -> np.ndarray:
         """Like :meth:`match_indices`, but served through the flow cache.

@@ -2,16 +2,19 @@
 
 The interpreter in :mod:`repro.tree` walks Python ``Node`` objects one packet
 at a time.  The engine instead stores every search tree of a classifier in
-one :class:`Forest` — two tables kept as **column arrays**, one contiguous
+one :class:`Forest` — three tables kept as **column arrays**, one contiguous
 read-only array per field:
 
 * a **node table** (fields and widths of :data:`NODE_DTYPE`) — one row per
   node, children stored as a contiguous index span so child selection is
   pure integer arithmetic;
-* a **leaf rule table** (fields and widths of :data:`RULE_DTYPE`) — the
-  per-leaf rule lists concatenated into range rows (replicated rules appear
-  once per leaf holding them, mirroring the interpreter's rule-pointer
-  model).
+* a **leaf rule table** (:data:`RULE_DTYPE`) — the per-leaf rule lists
+  concatenated into rule *pointers*: one ``int32`` slot per rule a leaf
+  holds, so a replicated rule costs four bytes per leaf holding it, as in
+  the interpreter's rule-pointer memory model;
+* a **distinct-rule table** (:data:`RULE_TABLE_DTYPE`) — the box and
+  priority of every distinct rule, once: row ``i`` describes the engine's
+  ``rules[i]`` and is what slot ``i`` points at.
 
 Node rows come in three kinds.  ``KIND_CUT`` rows describe an equal-width
 cut: the builder distributes a span of ``width`` values over ``k`` children
@@ -22,13 +25,14 @@ rows carry a single boundary point.  ``KIND_LEAF`` rows carry a span into the
 leaf rule table, sorted highest priority first so the first hit wins inside
 a leaf.
 
-Each search tree occupies one block of consecutive rows in both tables, and
-the indices stored *inside* a block (``child_start``, ``rule_start``,
-``rule_end``) are relative to the block's first row.  Blocks therefore move
-between forests by plain concatenation, and a :class:`FlatTree` — the view
-of one block: its two offsets and spans plus the tree's own ``depth`` and
-``max_leaf_span`` — reads the same whether its forest holds one tree or
-fifty.
+Each search tree occupies one block of consecutive rows in the node and
+leaf rule tables, and the indices stored *inside* a block (``child_start``,
+``rule_start``, ``rule_end``) are relative to the block's first row.  Blocks
+therefore move between forests by plain concatenation, and a
+:class:`FlatTree` — the view of one block: its two offsets and spans plus
+the tree's own ``depth`` and ``max_leaf_span`` — reads the same whether its
+forest holds one tree or fifty.  The distinct-rule table is shared by every
+block of a forest; slots are absolute.
 
 Lookup is one walk for any number of packets and trees
 (:meth:`Forest.lookup`): every ``(tree, packet)`` pair is a *lane*, all
@@ -40,7 +44,7 @@ depth and leaf width, not to the number of packets or trees.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Mapping, Sequence
+from typing import Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -56,14 +60,17 @@ KIND_SPLIT = 2
 #: ``child_start``/``num_children`` delimit the contiguous child block;
 #: ``rule_start``/``rule_end`` delimit the leaf's span in the rule table
 #: (empty for internal nodes).  All three indices are block-relative.
+#: Every header field is at most 32 bits wide, so a cut's ``lo``, its child
+#: width ``base``, ``rem`` and a split ``point`` fit ``uint32`` (compilation
+#: checks), and the walk's cut arithmetic stays in that one type.
 NODE_DTYPE = np.dtype(
     [
         ("kind", np.int8),
         ("dim", np.int8),
-        ("lo", np.int64),
-        ("base", np.int64),
-        ("rem", np.int64),
-        ("point", np.int64),
+        ("lo", np.uint32),
+        ("base", np.uint32),
+        ("rem", np.uint32),
+        ("point", np.uint32),
         ("child_start", np.int32),
         ("num_children", np.int32),
         ("rule_start", np.int32),
@@ -72,16 +79,23 @@ NODE_DTYPE = np.dtype(
 )
 
 #: Schema of the leaf rule table: one row per rule reference stored in some
-#: leaf.  ``rule_index`` points into the compiled classifier's distinct-rule
-#: list.
-RULE_DTYPE = np.dtype(
+#: leaf.  ``rule_index`` is the slot of the rule in the compiled classifier's
+#: distinct-rule list and table.
+RULE_DTYPE = np.dtype([("rule_index", np.int32)])
+
+#: Schema of the distinct-rule table: row ``i`` is the box (``hi``
+#: exclusive) and priority of rule ``i`` of the compiled classifier.
+RULE_TABLE_DTYPE = np.dtype(
     [
         ("lo", np.int64, (NUM_DIMENSIONS,)),
         ("hi", np.int64, (NUM_DIMENSIONS,)),
         ("priority", np.int64),
-        ("rule_index", np.int32),
     ]
 )
+
+#: What :attr:`FlatTree.leaf_rules` assembles: each leaf-rule row beside the
+#: distinct-rule row it points at.
+LEAF_RULE_DTYPE = np.dtype(RULE_DTYPE.descr + RULE_TABLE_DTYPE.descr)
 
 #: Sentinel priority smaller than any real rule priority.
 NO_MATCH_PRIORITY = np.iinfo(np.int64).min
@@ -165,30 +179,67 @@ def _records(columns: Mapping[str, np.ndarray], schema: np.dtype,
     return records
 
 
-class Forest:
-    """The node and leaf-rule tables of one engine generation, as columns.
+def rule_table(rules: Sequence,
+               prefix: Optional[Mapping[str, np.ndarray]] = None
+               ) -> Mapping[str, np.ndarray]:
+    """The distinct-rule table of ``rules`` (:data:`RULE_TABLE_DTYPE` columns).
 
-    ``node`` and ``rule`` map each field name of :data:`NODE_DTYPE` /
-    :data:`RULE_DTYPE` to one array of exactly that field's width.  The
-    arrays are read-only from construction on: a background builder reads
-    the serving generation's forest while the serving thread walks it, and
-    the next generation is always a fresh forest.
+    ``prefix`` is a table already describing the first rules of the list
+    (the previous engine generation's: rule lists only grow); only the rules
+    past its end are converted, and a list it covers entirely gets
+    ``prefix`` itself back — tables are read-only, so generations share.
+    """
+    done = 0 if prefix is None else len(prefix["priority"])
+    if prefix is not None and done == len(rules):
+        return prefix
+    if done > len(rules):
+        raise ValueError(
+            f"rule table describes {done} rules, the rule list holds "
+            f"{len(rules)}")
+    new = rules[done:]
+    bounds = np.array([rule.ranges for rule in new], dtype=np.int64).reshape(
+        len(new), NUM_DIMENSIONS, 2)
+    table = {
+        "lo": np.ascontiguousarray(bounds[:, :, 0]),
+        "hi": np.ascontiguousarray(bounds[:, :, 1]),
+        "priority": np.array([rule.priority for rule in new], dtype=np.int64),
+    }
+    if prefix is None:
+        return table
+    return {name: np.concatenate([prefix[name], column])
+            for name, column in table.items()}
+
+
+class Forest:
+    """The tables of one engine generation, as columns.
+
+    ``node``, ``rule`` and ``table`` map each field name of
+    :data:`NODE_DTYPE` / :data:`RULE_DTYPE` / :data:`RULE_TABLE_DTYPE` to
+    one array of exactly that field's width.  The arrays are read-only from
+    construction on: a background builder reads the serving generation's
+    forest while the serving thread walks it, and the next generation is
+    always a fresh forest (which may share the distinct-rule ``table``
+    columns when no rule was added).
     """
 
     def __init__(self, node: Mapping[str, np.ndarray],
-                 rule: Mapping[str, np.ndarray]) -> None:
+                 rule: Mapping[str, np.ndarray],
+                 table: Mapping[str, np.ndarray]) -> None:
         self.node = _frozen_columns(node, NODE_DTYPE, "node")
         self.rule = _frozen_columns(rule, RULE_DTYPE, "leaf rule")
+        self.table = _frozen_columns(table, RULE_TABLE_DTYPE, "rule table")
         #: Whether any row needs the split arm of the level loop; cut-only
         #: forests (HiCuts, HyperCuts, EffiCuts) skip it.
         self.has_split = bool((self.node["kind"] == KIND_SPLIT).any())
 
     @classmethod
-    def concatenate(cls, trees: Sequence["FlatTree"]) -> "Forest":
+    def concatenate(cls, trees: Sequence["FlatTree"],
+                    table: Mapping[str, np.ndarray]) -> "Forest":
         """A new forest holding a copy of each tree's block, in order.
 
         Block-internal indices are relative, so this is one
-        ``np.concatenate`` per column and no row is rewritten.
+        ``np.concatenate`` per column and no row is rewritten.  ``table``
+        must describe every rule the trees' slots point at.
         """
         node_blocks = [(t.forest.node, t.node_rows) for t in trees]
         rule_blocks = [(t.forest.rule, t.rule_rows) for t in trees]
@@ -199,12 +250,14 @@ class Forest:
             {name: np.concatenate([rule[name][rows]
                                    for rule, rows in rule_blocks])
              for name in RULE_DTYPE.names},
+            table,
         )
 
     def memory_bytes(self) -> int:
-        """Bytes held by every column of both tables."""
-        return sum(column.nbytes for column in self.node.values()) \
-            + sum(column.nbytes for column in self.rule.values())
+        """Bytes held by every column of the three tables."""
+        return sum(column.nbytes
+                   for columns in (self.node, self.rule, self.table)
+                   for column in columns.values())
 
     # ------------------------------------------------------------------ #
     # The walk
@@ -227,7 +280,9 @@ class Forest:
         n = len(values)
         node = self.node
         kind, child_start = node["kind"], node["child_start"]
-        flat = values.ravel()
+        # Headers are range-checked, so every field fits the node columns'
+        # 32 bits and ``value - lo`` of a node the value lies in cannot wrap.
+        flat = values.astype(NODE_DTYPE["lo"]).ravel()
         lane_cell = np.tile(
             np.arange(0, n * NUM_DIMENSIONS, NUM_DIMENSIONS), len(node_base))
         lane_base = np.repeat(node_base, n)
@@ -252,10 +307,11 @@ class Forest:
             # The first ``rem`` children are ``base + 1`` wide, the rest
             # ``base``: value ``offset`` lies in child ``offset // (base + 1)``
             # if that is below ``rem``, else in ``(offset - rem) // base``.
-            # Each formula undershoots outside its own region, so the
-            # larger of the two is the child.
-            child = np.maximum(offset // (base + 1),
-                               (offset - node["rem"][cur]) // base)
+            # Each formula undershoots outside its own region (the second
+            # clamped at 0: the arithmetic is unsigned), so the larger of
+            # the two is the child.
+            rem = np.minimum(node["rem"][cur], offset)
+            child = np.maximum(offset // (base + 1), (offset - rem) // base)
             if self.has_split:
                 child = np.where(split, v >= node["point"][cur], child)
             cur = lane_base[active] + child_start[cur] + child
@@ -270,9 +326,9 @@ class Forest:
         """Leaf-rule row matched by every lane (``-1``: none), int64.
 
         Descends all lanes, then scans the reached leaf spans
-        highest-priority-first in lock-step: step ``k`` tests the ``k``-th
-        row of every leaf still unresolved, so the Python-level work is
-        bounded by the widest leaf.
+        highest-priority-first in lock-step: step ``k`` tests the box the
+        ``k``-th row of every leaf still unresolved points at, so the
+        Python-level work is bounded by the widest leaf.
         """
         leaf = self.descend(values, node_base, depth)
         n = len(values)
@@ -285,10 +341,17 @@ class Forest:
             return matched
         row = row[pending]
         stop = stop[pending]
-        v = values[pending % n]
-        lo, hi = self.rule["lo"], self.rule["hi"]
+        v = values.take(pending % n, axis=0)
+        slot, lo, hi = self.rule["rule_index"], self.table["lo"], \
+            self.table["hi"]
         while True:
-            hit = ((lo[row] <= v) & (v < hi[row])).all(axis=1)
+            rule = slot.take(row)
+            inside = (lo.take(rule, axis=0) <= v) & (v < hi.take(rule, axis=0))
+            # AND of the five columns; ``inside.all(axis=1)`` reduces row by
+            # row and costs more than the rest of the step together.
+            hit = inside[:, 0]
+            for dim in range(1, NUM_DIMENSIONS):
+                hit = hit & inside[:, dim]
             matched[pending[hit]] = row[hit]
             row += 1
             more = np.flatnonzero(~hit & (row < stop))
@@ -297,7 +360,7 @@ class Forest:
             pending = pending[more]
             row = row[more]
             stop = stop[more]
-            v = v[more]
+            v = v.take(more, axis=0)
 
 
 @dataclass(frozen=True)
@@ -306,8 +369,8 @@ class KernelTables:
 
     The native kernels walk one tree per call and want plain matrices:
     ``nodes`` is ``(num_nodes, 9)`` with the :data:`COL_KIND`...
-    :data:`COL_RULE_END` columns, and the leaf-rule table is split into
-    ``leaf_lo``/``leaf_hi`` ``(num_leaf_rules, 5)`` boxes plus flat
+    :data:`COL_RULE_END` columns, and the leaf-rule pointers are expanded
+    into ``leaf_lo``/``leaf_hi`` ``(num_leaf_rules, 5)`` boxes plus flat
     ``leaf_priority``/``leaf_rule_index`` vectors.
     """
 
@@ -364,8 +427,17 @@ class FlatTree:
 
     @property
     def leaf_rules(self) -> np.ndarray:
-        """This tree's leaf-rule rows as :data:`RULE_DTYPE` records (a copy)."""
-        return _records(self.forest.rule, RULE_DTYPE, self.rule_rows)
+        """This tree's leaf-rule rows as :data:`LEAF_RULE_DTYPE` records.
+
+        A copy assembled by gather: each row's slot beside the box and
+        priority of the distinct rule it points at.
+        """
+        slots = self.forest.rule["rule_index"][self.rule_rows]
+        records = np.empty(len(slots), dtype=LEAF_RULE_DTYPE)
+        records["rule_index"] = slots
+        for name, column in self.forest.table.items():
+            records[name] = column[slots]
+        return records
 
     def kernel_tables(self) -> KernelTables:
         """The unstructured repack the native kernels walk (built once).
@@ -375,24 +447,27 @@ class FlatTree:
         """
         tables = self._kernel_tables
         if tables is None:
-            node, rule = self.forest.node, self.forest.rule
+            node, table = self.forest.node, self.forest.table
             nodes = np.empty((self.num_nodes, NUM_NODE_COLUMNS),
                              dtype=np.int64)
             for col, name in _KERNEL_NODE_COLUMNS:
                 nodes[:, col] = node[name][self.node_rows]
+            slots = self.forest.rule["rule_index"][self.rule_rows]
             tables = KernelTables(
                 nodes=nodes,
-                leaf_lo=rule["lo"][self.rule_rows].copy(),
-                leaf_hi=rule["hi"][self.rule_rows].copy(),
-                leaf_priority=rule["priority"][self.rule_rows].copy(),
-                leaf_rule_index=rule["rule_index"][self.rule_rows].astype(
-                    np.int64),
+                leaf_lo=table["lo"][slots],
+                leaf_hi=table["hi"][slots],
+                leaf_priority=table["priority"][slots],
+                leaf_rule_index=slots.astype(np.int64),
             )
             self._kernel_tables = tables
         return tables
 
     def memory_bytes(self) -> int:
-        """Bytes this tree's block occupies in the forest's columns."""
+        """Bytes this tree's block occupies in the node and leaf rule tables.
+
+        The distinct-rule table belongs to the forest, not to any one tree.
+        """
         return sum(c[self.node_rows].nbytes
                    for c in self.forest.node.values()) \
             + sum(c[self.rule_rows].nbytes for c in self.forest.rule.values())

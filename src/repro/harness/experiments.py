@@ -58,6 +58,18 @@ class ComparisonResult:
     values: Dict[str, Dict[str, float]]
     neurocuts_vs_best_baseline: ImprovementSummary
     medians: Dict[str, float]
+    #: What each tree's compiled engine really holds, in bytes per rule,
+    #: beside the memory model's figure in ``values`` (Figure 9 only; empty
+    #: for every other metric).
+    compiled: Dict[str, Dict[str, float]] = field(default_factory=dict)
+
+    def engine_to_model(self) -> Dict[str, Dict[str, float]]:
+        """Compiled-engine over memory-model bytes, shaped like ``values``."""
+        return {
+            name: {label: value / self.values[name][label]
+                   for label, value in per_label.items()}
+            for name, per_label in self.compiled.items()
+        }
 
     def rows(self) -> List[Tuple[str, Dict[str, float]]]:
         """Figure-style rows: (classifier label, per-algorithm values)."""
@@ -68,9 +80,13 @@ class ComparisonResult:
         ]
 
 
-def _build_suite_entry(task: Tuple[ClassifierSpec, int,
-                                   NeuroCutsConfig, str]) -> Dict[str, float]:
-    """Build one suite entry with every algorithm (one parallelisable task)."""
+def _build_suite_entry(task: Tuple[ClassifierSpec, int, NeuroCutsConfig, str]
+                       ) -> Tuple[Dict[str, float], Dict[str, float]]:
+    """Build one suite entry with every algorithm (one parallelisable task).
+
+    Returns the metric per algorithm and, when the metric is
+    ``bytes_per_rule``, the compiled engine's bytes per rule beside it.
+    """
     import multiprocessing
 
     spec, leaf_threshold, neurocuts_config, metric = task
@@ -97,10 +113,15 @@ def _build_suite_entry(task: Tuple[ClassifierSpec, int,
     builders: Dict[str, TreeBuilder] = dict(_baseline_builders(leaf_threshold))
     builders["NeuroCuts"] = NeuroCutsBuilder(config=neurocuts_config)
     ruleset = spec.materialize()
-    return {
-        name: float(getattr(builder.build_with_stats(ruleset).stats, metric))
-        for name, builder in builders.items()
-    }
+    values: Dict[str, float] = {}
+    compiled: Dict[str, float] = {}
+    for name, builder in builders.items():
+        built = builder.build_with_stats(ruleset)
+        values[name] = float(getattr(built.stats, metric))
+        if metric == "bytes_per_rule":
+            compiled[name] = built.classifier.compile().memory_bytes() \
+                / max(1, len(ruleset))
+    return values, compiled
 
 
 def run_suite_comparison(
@@ -123,9 +144,12 @@ def run_suite_comparison(
     per_spec = parallel_map(_build_suite_entry, tasks, num_workers=num_workers)
     algorithms = (*BASELINE_NAMES, "NeuroCuts")
     values: Dict[str, Dict[str, float]] = {name: {} for name in algorithms}
-    for spec, entry in zip(specs, per_spec):
+    compiled: Dict[str, Dict[str, float]] = {}
+    for spec, (entry, engine_entry) in zip(specs, per_spec):
         for name, value in entry.items():
             values[name][spec.label] = value
+        for name, value in engine_entry.items():
+            compiled.setdefault(name, {})[spec.label] = value
     baseline_min = best_baseline(values, exclude=("NeuroCuts",))
     summary = summarize_improvements(values["NeuroCuts"], baseline_min)
     return ComparisonResult(
@@ -133,6 +157,7 @@ def run_suite_comparison(
         values=values,
         neurocuts_vs_best_baseline=summary,
         medians=median_by_algorithm(values),
+        compiled=compiled,
     )
 
 

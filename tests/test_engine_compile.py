@@ -22,8 +22,8 @@ from repro.classbench import generate_classifier
 from repro.engine import (
     KIND_CUT,
     KIND_LEAF,
+    LEAF_RULE_DTYPE,
     NODE_DTYPE,
-    RULE_DTYPE,
     CompiledClassifier,
     FlowCache,
     compile_classifier,
@@ -47,7 +47,7 @@ class TestFlatLayout:
         compiled = acl_classifier.compile()
         tree = compiled.subtrees[0]
         assert tree.nodes.dtype == NODE_DTYPE
-        assert tree.leaf_rules.dtype == RULE_DTYPE
+        assert tree.leaf_rules.dtype == LEAF_RULE_DTYPE
         internal = tree.nodes[tree.nodes["kind"] != KIND_LEAF]
         # Children occupy contiguous spans strictly after their parent.
         for row in internal:

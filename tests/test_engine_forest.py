@@ -21,15 +21,20 @@ from repro.classbench import generate_classifier
 from repro.engine import (
     KIND_CUT,
     KIND_LEAF,
+    LEAF_RULE_DTYPE,
     NODE_DTYPE,
     RULE_DTYPE,
+    RULE_TABLE_DTYPE,
+    CompileError,
     CompiledClassifier,
     FlatTree,
     Forest,
     compile_classifier,
     compile_tree,
     packets_to_array,
+    rule_table,
 )
+from repro.engine.compile import _Cut, _Flattener, _Leaf, _Split
 from repro.exceptions import InvalidRangeError
 from repro.rules import Dimension, Packet, Rule, RuleSet
 from repro.tree import CutAction, DecisionTree
@@ -51,6 +56,7 @@ def _tree_from_records(nodes, leaf_rules, depth, max_leaf_span):
          for name in NODE_DTYPE.names},
         {name: np.ascontiguousarray(leaf_rules[name])
          for name in RULE_DTYPE.names},
+        rule_table([]),
     )
     return FlatTree(forest, 0, len(nodes), 0, len(leaf_rules),
                     depth, max_leaf_span)
@@ -162,50 +168,130 @@ class TestDepthGuardIsPerTree:
                                       compiled.match_indices(values))
 
 
+def _reachable_arrays(root):
+    """Every distinct ndarray reachable from ``root`` through attributes,
+    mappings and sequences (views resolved to the array owning the data)."""
+    found, seen, stack = {}, set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            while obj.base is not None:
+                obj = obj.base
+            found[id(obj)] = obj
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        elif hasattr(obj, "__dict__"):
+            stack.extend(vars(obj).values())
+    return list(found.values())
+
+
 class TestFootprint:
     @pytest.mark.parametrize("family,num_rules,builder,expected", [
-        ("acl1", 150, HiCutsBuilder, 55526),
-        ("fw1", 500, EffiCutsBuilder, 249918),
+        ("acl1", 150, HiCutsBuilder, 21502),
+        ("fw1", 500, EffiCutsBuilder, 98750),
     ], ids=["hicuts-acl1-150", "efficuts-fw1-500"])
     def test_memory_bytes_is_pinned(self, family, num_rules, builder,
                                     expected):
-        # The integers the structured-array engine reported for the same
-        # classifiers: one resident copy, no wider shadow columns.
+        # Re-pinned on purpose when leaves started holding rule pointers:
+        # the same classifiers were 55,526 / 249,918 bytes as 50-byte node
+        # rows plus a 92-byte rule copy per leaf row.
         ruleset = generate_classifier(family, num_rules, seed=1000)
         compiled = compile_classifier(builder(binth=8).build(ruleset))
         assert compiled.memory_bytes() == expected
-        assert compiled.memory_bytes() == sum(
-            tree.num_nodes * NODE_DTYPE.itemsize
-            + tree.num_leaf_rules * RULE_DTYPE.itemsize
-            for tree in compiled.subtrees)
-        assert compiled.memory_bytes() == sum(
+        assert (NODE_DTYPE.itemsize, RULE_DTYPE.itemsize,
+                RULE_TABLE_DTYPE.itemsize) == (34, 4, 88)
+        leaf_rows = sum(tree.num_leaf_rules for tree in compiled.subtrees)
+        assert compiled.memory_bytes() == (
+            compiled.num_nodes * 34        # node rows
+            + leaf_rows * 4                # int32 rule slots held by leaves
+            + len(compiled.rules) * 88)    # lo[5], hi[5], priority per rule
+
+    @pytest.mark.parametrize("builder", [HiCutsBuilder, EffiCutsBuilder])
+    def test_memory_bytes_counts_every_reachable_array(self, builder):
+        ruleset = generate_classifier("fw1", 150, seed=0)
+        compiled = compile_classifier(builder(binth=8).build(ruleset))
+        forest = compiled.forest
+        arrays = _reachable_arrays(forest)
+        assert len(arrays) == len(NODE_DTYPE.names) \
+            + len(RULE_DTYPE.names) + len(RULE_TABLE_DTYPE.names)
+        assert compiled.memory_bytes() == sum(a.nbytes for a in arrays)
+        table_bytes = sum(a.nbytes for a in _reachable_arrays(forest.table))
+        assert table_bytes == len(compiled.rules) * RULE_TABLE_DTYPE.itemsize
+        assert compiled.memory_bytes() == table_bytes + sum(
             tree.memory_bytes() for tree in compiled.subtrees)
 
     def test_columns_have_the_schema_widths(self, efficuts):
         compiled, _ = efficuts
         forest = compiled.forest
-        for name in NODE_DTYPE.names:
-            assert forest.node[name].dtype == NODE_DTYPE[name]
-            assert forest.node[name].shape == (compiled.num_nodes,)
-        for name in RULE_DTYPE.names:
-            field = RULE_DTYPE[name]
-            assert forest.rule[name].dtype == field.base
-            assert forest.rule[name].shape[1:] == field.shape
+        leaf_rows = sum(tree.num_leaf_rules for tree in compiled.subtrees)
+        for columns, schema, rows in (
+                (forest.node, NODE_DTYPE, compiled.num_nodes),
+                (forest.rule, RULE_DTYPE, leaf_rows),
+                (forest.table, RULE_TABLE_DTYPE, len(compiled.rules))):
+            assert list(columns) == list(schema.names)
+            for name in schema.names:
+                field = schema[name]
+                assert columns[name].dtype == field.base
+                assert columns[name].shape == (rows,) + field.shape
 
     def test_wrong_width_column_is_refused(self, efficuts):
         compiled, _ = efficuts
-        node = dict(compiled.forest.node)
+        forest = compiled.forest
+        node = dict(forest.node)
         node["kind"] = node["kind"].astype(np.int64)
         with pytest.raises(TypeError, match="kind"):
-            Forest(node, compiled.forest.rule)
+            Forest(node, forest.rule, forest.table)
+        # The 32-bit node columns and the rule table are held to theirs too.
+        node = dict(forest.node)
+        node["lo"] = node["lo"].astype(np.int64)
+        with pytest.raises(TypeError, match="node column 'lo'"):
+            Forest(node, forest.rule, forest.table)
+        table = dict(forest.table)
+        table["hi"] = table["hi"].astype(np.int32)
+        with pytest.raises(TypeError, match="rule table column 'hi'"):
+            Forest(forest.node, forest.rule, table)
+        with pytest.raises(TypeError, match="leaf rule column 'rule_index'"):
+            Forest(forest.node,
+                   {"rule_index": forest.rule["rule_index"].astype(np.int64)},
+                   forest.table)
+
+    @pytest.mark.parametrize("field,value", [
+        ("lo", 1 << 32), ("base", 1 << 32), ("rem", -1), ("point", 1 << 32)])
+    def test_value_beyond_its_column_is_refused_at_compile(self, field,
+                                                           value):
+        # No header field is wider than 32 bits, so no tree the builders
+        # produce gets here; a row that would wrap must not be stored.
+        params = {"lo": 0, "base": 1, "rem": 0}
+        if field == "point":
+            root = _Split(dim=0, point=value, children=[_Leaf([]), _Leaf([])])
+        else:
+            params[field] = value
+            root = _Cut(dim=0, children=[_Leaf([]), _Leaf([])], **params)
+        flattener = _Flattener({}, [])
+        flattener.add(root)
+        with pytest.raises(CompileError, match=f"node column '{field}'"):
+            flattener.trees()
+
+    def test_rule_table_shorter_than_its_prefix_is_refused(self, efficuts):
+        compiled, _ = efficuts
+        with pytest.raises(ValueError, match="rule table describes"):
+            CompiledClassifier(subtrees=compiled.subtrees,
+                               rules=compiled.rules[:-1])
 
 
 class TestReadOnly:
     def test_forest_columns_are_not_writeable(self, efficuts):
         compiled, _ = efficuts
-        columns = list(compiled.forest.node.values()) \
-            + list(compiled.forest.rule.values())
-        assert len(columns) == len(NODE_DTYPE.names) + len(RULE_DTYPE.names)
+        forest = compiled.forest
+        columns = [*forest.node.values(), *forest.rule.values(),
+                   *forest.table.values()]
+        assert len(columns) == len(NODE_DTYPE.names) \
+            + len(RULE_DTYPE.names) + len(RULE_TABLE_DTYPE.names)
         for column in columns:
             assert not column.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
@@ -216,7 +302,7 @@ class TestReadOnly:
         before = compiled.match_indices(values)
         tree = compiled.subtrees[0]
         assert tree.nodes.dtype == NODE_DTYPE
-        assert tree.leaf_rules.dtype == RULE_DTYPE
+        assert tree.leaf_rules.dtype == LEAF_RULE_DTYPE
         scratch = tree.nodes
         scratch["kind"] = KIND_LEAF
         assert (tree.nodes["kind"] != KIND_LEAF).any()

@@ -47,6 +47,8 @@ class TestSuiteComparison:
         assert all(value >= 1 for value in per_alg.values())
         summary = result.neurocuts_vs_best_baseline
         assert -20.0 < summary.median < 1.0
+        # Only the footprint figure compiles what it builds.
+        assert result.compiled == {} and result.engine_to_model() == {}
 
     def test_bytes_metric_variant(self, micro_scale, micro_specs):
         result = run_suite_comparison(
@@ -57,6 +59,14 @@ class TestSuiteComparison:
         assert result.metric == "bytes_per_rule"
         assert all(v > 0 for values in result.values.values()
                    for v in values.values())
+        # The compiled engine's bytes per rule sit beside the model's.
+        assert {name: set(per_label)
+                for name, per_label in result.compiled.items()} == \
+            {name: set(per_label) for name, per_label in result.values.items()}
+        ratios = result.engine_to_model()
+        assert set(ratios) == set(result.values)
+        assert all(0.5 < ratio < 10 for per_label in ratios.values()
+                   for ratio in per_label.values())
 
 
 class TestFigure10Runner:

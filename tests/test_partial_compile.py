@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.baselines import EffiCutsBuilder, HiCutsBuilder
@@ -255,6 +256,42 @@ class TestEngineSlotPartial:
         slot.adopt_classifier(retrained)
         assert metrics.counters["engine.compiles_full"].value == 2
         assert metrics.counters["engine.compiles_partial"].value == 0
+
+
+class TestDeadRuleSlots:
+    """Slots are append-only across partial recompiles; the rules a churned
+    tenant no longer holds must not pile up in its rule list and table."""
+
+    def test_rule_table_stays_within_twice_the_referenced_rules(self):
+        ruleset = generate_classifier("acl1", 60, seed=3)
+        slot = EngineSlot("t0", HiCutsBuilder(binth=8).build(ruleset),
+                          flow_cache_size=None, background=False)
+        top = max(rule.priority for rule in ruleset.rules)
+        rng = random.Random(11)
+        added, rounds = [], 40
+        for round_ in range(rounds):
+            adds = [Rule.from_prefixes(
+                src_ip=f"10.{round_}.{i}.0/24", dst_port=(80 + i, 90 + i),
+                protocol=6, priority=top + 1 + round_ * 5 + i,
+                name=f"r{round_}-{i}") for i in range(5)]
+            removes, added = added, adds  # last round's adds leave again
+            slot.apply_update(adds=adds, removes=removes)
+            engine = slot.engine()
+            referenced = len(np.unique(engine.forest.rule["rule_index"]))
+            assert len(engine.rules) <= 2 * referenced, round_
+            assert len(engine.forest.table["priority"]) == len(engine.rules)
+            live = slot.ruleset
+            packets = live.sample_packets(60, seed=round_, rule_bias=0.8)
+            packets += [live.sample_matching_packet(rule, rng)
+                        for rule in adds + removes]
+            assert _priorities(engine.classify_batch(packets)) == \
+                _priorities([live.classify(p) for p in packets]), round_
+        assert slot.swap_stats.swaps == rounds
+        counters = slot.metrics.counters
+        # Slot numbering started afresh at least once, and only rarely.
+        assert 1 < counters["engine.compiles_full"].value <= 1 + rounds // 8
+        assert counters["engine.compiles_full"].value \
+            + counters["engine.compiles_partial"].value == 1 + rounds
 
 
 class TestChurnAsGenerated:

@@ -8,6 +8,8 @@ distribution gradients stay consistent with their probabilities.
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -32,6 +34,7 @@ from repro.tree import (
 )
 from repro.tree.node import remove_redundant_rules
 from repro.nn.distributions import Categorical
+from repro.serve import EngineSlot
 from repro.workloads import generate_flow_trace
 
 # --------------------------------------------------------------------------- #
@@ -218,20 +221,48 @@ _WALK_BUILDERS = {
 }
 
 
+def _churned(classifier, seed):
+    """The engine and ruleset of ``classifier`` after three rule updates
+    served the way a tenant's are: new rules appended to the engine's rule
+    list and table by partial recompiles, a removal of the top-priority rule
+    (whatever it shadowed at build time comes back) and of a random one, and
+    an added rule leaving again."""
+    slot = EngineSlot("t0", classifier, flow_cache_size=None,
+                      background=False)
+    built = sorted(classifier.ruleset.rules, key=lambda r: -r.priority)
+    fresh = [Rule.from_prefixes(src_ip=f"10.{i}.0.0/16", dst_port=(0, 1024),
+                                priority=built[0].priority + 1 + i,
+                                name=f"new{i}") for i in range(4)]
+    slot.apply_update(adds=fresh[:3])
+    slot.apply_update(
+        removes=[built[0], random.Random(seed).choice(built[1:])])
+    slot.apply_update(adds=fresh[3:], removes=fresh[1:2])
+    engine = slot.engine()
+    assert slot.swap_stats.swaps == 3
+    assert len(engine.forest.table["priority"]) == len(engine.rules)
+    return engine, slot.ruleset
+
+
 @given(family=st.sampled_from(sorted(seed_names())),
        num_rules=st.integers(min_value=16, max_value=60),
        seed=st.integers(min_value=0, max_value=10 ** 4),
        builder=st.sampled_from(sorted(_WALK_BUILDERS)),
-       batch=st.sampled_from([0, 1, 2, 33, 4097]))
-@settings(max_examples=40, deadline=None)
+       batch=st.sampled_from([0, 1, 2, 33, 4097]),
+       churned=st.booleans())
+@settings(max_examples=60, deadline=None)
 def test_fused_walk_equals_kernels_equals_linear_search(
-        family, num_rules, seed, builder, batch):
+        family, num_rules, seed, builder, batch, churned):
     """One forest walk over ``trees x packets`` lanes returns, byte for byte,
     what the per-packet per-tree kernels return, and both name the rule
     linear search finds — for cut-only, split-carrying and clone-expanded
-    engines, at batch sizes on both sides of the walk's lane chunking."""
+    engines, fresh from the compiler or patched by partial recompiles, at
+    batch sizes on both sides of the walk's lane chunking."""
     ruleset = generate_classifier(family, num_rules, seed=seed)
-    engine = compile_classifier(_WALK_BUILDERS[builder](ruleset))
+    classifier = _WALK_BUILDERS[builder](ruleset)
+    if churned:
+        engine, ruleset = _churned(classifier, seed)
+    else:
+        engine = compile_classifier(classifier)
     distinct = ruleset.sample_packets(min(batch, 48), seed=seed,
                                       rule_bias=0.7)
     values = packets_to_array(distinct)
