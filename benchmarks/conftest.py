@@ -24,14 +24,6 @@ from repro.harness.scales import ExperimentScale
 #: ``scripts/make_bench_baselines.py`` when a counter change is intentional).
 BASELINE_DIR = Path(__file__).resolve().parent / "baselines"
 
-#: Timing bands need real parallel headroom to be meaningful; below this
-#: the gate checks counters only (same floor as ``examples/bench_scorecard.py``).
-MIN_CPUS_FOR_TIMINGS = 8
-
-#: Benchmark throughput numbers are noisier than the small scorecard runs,
-#: so the band is wider than the compare default (25 %).
-BENCH_TIMING_TOLERANCE = 0.5
-
 
 def pytest_report_header(config):
     scale = os.environ.get("REPRO_SCALE", "tiny")
@@ -60,26 +52,16 @@ def bench_gate():
     """Gate a :class:`BenchRecord` against its checked-in baseline.
 
     The shared machinery behind the scorecard-backed acceptance benchmarks
-    (engine throughput, serving hotswap/retrain/sharded): deterministic
-    counters must match the baseline bit-for-bit everywhere, while timings
-    are tolerance-banded only on a comparable machine
-    (``timings_comparable``) with enough CPUs — hard-coded ratio asserts
-    measured the CI machine, not the code.
+    (engine throughput, serving hotswap/retrain/sharded): config and
+    deterministic counters must match the baseline bit-for-bit; timings are
+    not judged — hard-coded ratio asserts measured the CI machine, not the
+    code.
     """
-    from repro.obs import compare_records, read_bench, timings_comparable
+    from repro.obs import compare_records, read_bench
 
-    def _gate(record, baseline_filename,
-              timing_tolerance=BENCH_TIMING_TOLERANCE):
+    def _gate(record, baseline_filename):
         baseline = read_bench(BASELINE_DIR / baseline_filename)
-        comparable, reason = timings_comparable(record, baseline)
-        enough_cpus = (os.cpu_count() or 1) >= MIN_CPUS_FOR_TIMINGS
-        check_timings = comparable and enough_cpus
-        if not check_timings:
-            print(f"timing checks skipped: "
-                  f"{reason if not comparable else '<%d CPUs' % MIN_CPUS_FOR_TIMINGS}")
-        report = compare_records(record, baseline,
-                                 timing_tolerance=timing_tolerance,
-                                 check_timings=check_timings)
+        report = compare_records(record, baseline)
         assert report.ok, "\n".join(
             f"{check.kind}:{check.metric} run={check.run_value} "
             f"baseline={check.baseline_value} ({check.detail})"

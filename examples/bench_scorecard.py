@@ -7,16 +7,13 @@ writes both as versioned ``BENCH_<area>.json`` records, prints the phase
 metrics the serving stack collected along the way (compile, swap install,
 batch flush, queue wait), and finally gates the fresh records against the
 checked-in baselines under ``benchmarks/baselines/`` exactly like the CI
-``bench-scorecard`` job does: deterministic counters must match bit-for-bit,
-timings are tolerance-banded — but only when this machine is big enough
-(>= 8 CPUs) *and* matches the machine class that recorded the baseline
-(same fingerprint ``cpu_count``); otherwise timing checks are skipped, as
-on CI's small hosted runners, and only the counters gate.
+``bench-scorecard`` job does: config and deterministic counters must match
+bit-for-bit; timings are informational (timing claims are ``perfbench``
+pairs, see perfbench/README.md).
 """
 
 from __future__ import annotations
 
-import os
 import sys
 import tempfile
 from pathlib import Path
@@ -24,16 +21,11 @@ from pathlib import Path
 from repro.harness import format_table
 from repro.harness.scorecard import run_scorecard
 from repro.harness.serving import run_serving
-from repro.obs import compare_records, read_bench, timings_comparable
+from repro.obs import compare_records, read_bench
 from repro.serve import ServingConfig
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BASELINE_DIR = REPO_ROOT / "benchmarks" / "baselines"
-
-#: Timing checks need real parallel headroom to be meaningful.  GitHub's
-#: hosted runners have exactly 4 vCPUs, so the floor sits above them and
-#: CI gates counters only (see docs/observability.md).
-MIN_CPUS_FOR_TIMINGS = 8
 
 
 def main() -> int:
@@ -67,24 +59,13 @@ def main() -> int:
               f"{len(record.timings)} timings, "
               f"config {record.config}")
 
-    # 3. The regression gate against the checked-in baselines.  Timing
-    #    bands engage only on a machine with parallel headroom AND the
-    #    same machine class as the baseline (same fingerprint cpu_count)
-    #    — the identical policy the CI bench-scorecard job applies.
-    enough_cpus = (os.cpu_count() or 1) >= MIN_CPUS_FOR_TIMINGS
+    # 3. The regression gate against the checked-in baselines: config
+    #    and counters exactly, as the CI bench-scorecard job does.
     print(f"\ngating against {BASELINE_DIR}")
     failed = False
     for area, path in sorted(paths.items()):
         baseline_path = BASELINE_DIR / path.name
-        fresh, baseline = read_bench(path), read_bench(baseline_path)
-        comparable, reason = timings_comparable(fresh, baseline)
-        check_timings = enough_cpus and comparable
-        if not check_timings:
-            why = reason if not comparable else \
-                f"<{MIN_CPUS_FOR_TIMINGS} CPUs"
-            print(f"  {area}: timing checks skipped ({why})")
-        report = compare_records(fresh, baseline,
-                                 check_timings=check_timings)
+        report = compare_records(read_bench(path), read_bench(baseline_path))
         verdict = "ok" if report.ok else \
             f"{len(report.failures)} regression(s)"
         print(f"  {area}: {len(report.checks)} checks, {verdict}")

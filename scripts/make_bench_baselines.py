@@ -9,8 +9,7 @@ exactness tally); the CI ``bench-scorecard`` job gates every push against
 these files with ``repro bench compare``.
 
 Timing metrics in the baselines record the machine that generated them and
-are only tolerance-banded (or skipped on small CI runners), so there is no
-need to regenerate on a "faster" machine.
+are never judged, so there is no need to regenerate on a "faster" machine.
 
 Usage::
 

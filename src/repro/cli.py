@@ -27,7 +27,8 @@ Python (full reference with copy-pasteable invocations: docs/cli.md):
 * ``repro bench`` — machine-readable bench scorecards: ``compare`` gates a
   ``BENCH_*.json`` record (written by the ``--json`` flags above, or by
   ``examples/bench_scorecard.py``) against a checked-in baseline — strict
-  equality on deterministic counters, tolerance bands on timings — and
+  equality on config and deterministic counters, timings printed for
+  information — and
   ``show`` pretty-prints one record.
 
 Run ``python -m repro.cli --help`` (or the installed ``repro`` script) for
@@ -222,11 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also time a pass with an N-flow LRU cache")
     bench.add_argument("--seed", type=int, default=0,
                        help="seed for ruleset generation and packet sampling")
-    bench.add_argument("--engine", default="numpy", dest="engine_backend",
-                       metavar="BACKEND",
-                       help="traversal backend: numpy, numba, or auto "
-                            "(numba needs the repro[native] extra; asking "
-                            "for it without numba warns and skips the run)")
     bench.add_argument("--json", type=Path, default=None, metavar="PATH",
                        help="also write the run as a BENCH_engine.json "
                             "scorecard record (see `repro bench compare`)")
@@ -244,10 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--verify", action="store_true",
                        help="re-check every answer against linear search "
                             "(slow; proves exactness across hot swaps)")
-    serve.add_argument("--engine", default="numpy", dest="engine_backend",
-                       metavar="BACKEND",
-                       help="compiled-engine traversal backend for every "
-                            "tenant slot: numpy, numba, or auto")
     serve.add_argument("--flash-crowd", type=float, default=0.0,
                        metavar="FACTOR",
                        help="adversarial scenario: the busiest tenant's "
@@ -331,22 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     bcompare.add_argument("baseline", type=Path,
                           help="the baseline record (or directory) to gate "
                                "against")
-    bcompare.add_argument("--timing-tolerance", type=float, default=0.25,
-                          metavar="FRAC",
-                          help="allowed fractional timing regression "
-                               "(default 0.25 = 25%%)")
-    bcompare.add_argument("--skip-timings", action="store_true",
-                          help="gate only the deterministic counters "
-                               "(for noisy/underprovisioned CI runners)")
-    bcompare.add_argument("--min-cpus", type=int, default=0, metavar="N",
-                          help="skip timing checks when the machine has "
-                               "fewer than N CPUs (0 = never skip)")
-    bcompare.add_argument("--cross-machine-timings", action="store_true",
-                          help="band timings even when run and baseline "
-                               "were recorded on different machine classes "
-                               "(different fingerprint cpu_count); skipped "
-                               "by default because such bands gate machine "
-                               "noise, not the code")
     bcompare.add_argument("--ignore-config", action="store_true",
                           help="do not fail on config-knob drift between "
                                "run and baseline")
@@ -459,8 +435,6 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 def _cmd_engine_bench(args: argparse.Namespace) -> int:
     from repro.engine.bench import bench_classifier
-    from repro.engine.kernels import (ENGINE_BACKENDS, NUMBA_AVAILABLE,
-                                      resolve_backend)
 
     if args.num_packets < 1:
         print("error: --num-packets must be >= 1", file=sys.stderr)
@@ -468,17 +442,6 @@ def _cmd_engine_bench(args: argparse.Namespace) -> int:
     if args.flow_cache is not None and args.flow_cache < 1:
         print("error: --flow-cache must be >= 1", file=sys.stderr)
         return 2
-    if args.engine_backend not in ENGINE_BACKENDS:
-        print(f"error: unknown engine backend {args.engine_backend!r}; "
-              f"choose from {ENGINE_BACKENDS}", file=sys.stderr)
-        return 2
-    if args.engine_backend == "numba" and not NUMBA_AVAILABLE:
-        # A missing optional extra is an environment gap, not a usage error:
-        # warn and exit clean so scripted sweeps over backends keep going.
-        print("warning: --engine numba requested but numba is not installed "
-              "(pip install repro[native]); skipping this run", file=sys.stderr)
-        return 0
-    backend = resolve_backend(args.engine_backend)
     if args.rules is not None:
         ruleset = rules_io.load(args.rules)
     else:
@@ -494,8 +457,7 @@ def _cmd_engine_bench(args: argparse.Namespace) -> int:
     packets = generate_trace(ruleset, num_packets=args.num_packets,
                              seed=args.seed)
     result = bench_classifier(classifier, packets,
-                              flow_cache_size=args.flow_cache,
-                              backend=backend)
+                              flow_cache_size=args.flow_cache)
     print(f"{args.algorithm} on {ruleset.name or args.seed_family} "
           f"({len(ruleset)} rules, {len(packets)} packets): "
           f"compiled {result.num_subtrees} search tree(s), "
@@ -503,10 +465,7 @@ def _cmd_engine_bench(args: argparse.Namespace) -> int:
           f"({result.compiled_memory_bytes / len(ruleset):.1f} per rule; "
           f"memory model {result.model_memory_bytes / len(ruleset):.1f} "
           f"per rule, engine/model {result.engine_to_model:.2f}x)")
-    print(f"backend {result.backend}: "
-          f"compile {result.compile_seconds * 1000:.1f} ms, "
-          f"warmup {result.warmup_seconds * 1000:.1f} ms"
-          + (" (includes JIT)" if result.backend == "numba" else ""))
+    print(f"compile {result.compile_seconds * 1000:.1f} ms")
     print(format_table(["engine", "packets/sec", "speedup"], result.rows()))
     if result.cache_hit_rate is not None:
         print(f"flow cache: {result.cache_hit_rate:.1%} hit rate, "
@@ -524,9 +483,6 @@ def _cmd_engine_bench(args: argparse.Namespace) -> int:
             "binth": args.binth,
             "flow_cache": args.flow_cache,
             "seed": args.seed,
-            # The resolved backend, so `repro bench compare` refuses to
-            # diff a numba run against a numpy baseline (or vice versa).
-            "engine_backend": result.backend,
         })
         write_bench(record, args.json)
         print(f"wrote scorecard {args.json}")
@@ -573,7 +529,7 @@ def _serving_config(args: argparse.Namespace, seed: int, **fields):
     """The ``ServingConfig`` the batch and stack flags describe.
 
     ``seed`` seeds the retrain policy; ``fields`` are the ones each command
-    spells its own way (swap mode, batch recording, engine backend).  Raises
+    spells its own way (swap mode, batch recording).  Raises
     ``ValueError`` on any out-of-range flag.
     """
     from repro.ingest import IngestConfig
@@ -608,7 +564,6 @@ def _serving_config(args: argparse.Namespace, seed: int, **fields):
 
 
 def _cmd_serve_bench(args: argparse.Namespace) -> int:
-    from repro.exceptions import EngineBackendError
     from repro.harness.serving import run_serving
     from repro.workloads.adversarial import FlashCrowdConfig
 
@@ -616,8 +571,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         scenario = _scenario(args)
         config = _serving_config(args, seed=args.seed,
                                  background_swaps=not args.sync_swaps,
-                                 record_batches=args.verify,
-                                 engine_backend=args.engine_backend)
+                                 record_batches=args.verify)
         result = run_serving(
             config,
             tenant_zipf_alpha=args.tenant_zipf,
@@ -625,7 +579,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
             if args.flash_crowd > 0 else None,
             **scenario,
         )
-    except (ValueError, EngineBackendError) as error:
+    except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     workload = result.workload
@@ -692,7 +646,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
                 "verify": args.verify,
                 "retrain_threshold": args.retrain_threshold,
                 "serving_workers": args.serving_workers,
-                "engine_backend": args.engine_backend,
                 "ingest": args.ingest,
                 "tenant_rate": args.tenant_rate if args.ingest else None,
                 "tenant_burst": args.tenant_burst if args.ingest else None,
@@ -863,11 +816,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _compare_one(run_path: Path, baseline_path: Path,
                  args: argparse.Namespace) -> int:
     """Gate one run record against one baseline record (one exit code)."""
-    import os
-
     from repro.exceptions import BenchError
     from repro.obs.bench import read_bench
-    from repro.obs.compare import compare_records, timings_comparable
+    from repro.obs.compare import compare_records
 
     try:
         run = read_bench(run_path)
@@ -875,22 +826,7 @@ def _compare_one(run_path: Path, baseline_path: Path,
     except (BenchError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    check_timings = not args.skip_timings
-    if check_timings and args.min_cpus > 0:
-        cpus = os.cpu_count() or 1
-        if cpus < args.min_cpus:
-            print(f"note: {cpus} CPU(s) < --min-cpus {args.min_cpus}; "
-                  f"timing checks skipped")
-            check_timings = False
-    if check_timings and not args.cross_machine_timings:
-        comparable, reason = timings_comparable(run, baseline)
-        if not comparable:
-            print(f"note: {reason}; timing checks skipped "
-                  f"(--cross-machine-timings to force)")
-            check_timings = False
     report = compare_records(run, baseline,
-                             timing_tolerance=args.timing_tolerance,
-                             check_timings=check_timings,
                              ignore_config=args.ignore_config)
     print(f"comparing {run_path} ({run.name}) against "
           f"{baseline_path} ({baseline.name})")
@@ -900,15 +836,12 @@ def _compare_one(run_path: Path, baseline_path: Path,
         print(f"error: {len(report.failures)} regression(s) vs the baseline",
               file=sys.stderr)
         return 1
-    timing_note = "" if check_timings else " (timings skipped)"
-    print(f"gate passed: {len(report.checks)} checks{timing_note}")
+    print(f"gate passed: {len(report.checks)} checks "
+          f"(timings are informational)")
     return 0
 
 
 def _cmd_bench_compare(args: argparse.Namespace) -> int:
-    if args.timing_tolerance < 0:
-        print("error: --timing-tolerance must be >= 0", file=sys.stderr)
-        return 2
     if args.run.is_dir() or args.baseline.is_dir():
         if not (args.run.is_dir() and args.baseline.is_dir()):
             print("error: directory mode needs both run and baseline to be "

@@ -39,12 +39,6 @@ from repro.engine.compile import (
     compile_tree,
     partial_compile_classifier,
 )
-from repro.engine.kernels import (
-    ENGINE_BACKENDS,
-    NUMBA_AVAILABLE,
-    available_backends,
-    resolve_backend,
-)
 from repro.engine.cache import (
     DEFAULT_FLOW_CACHE_SIZE,
     FlowCache,
@@ -77,10 +71,6 @@ __all__ = [
     "compile_classifier",
     "compile_tree",
     "partial_compile_classifier",
-    "ENGINE_BACKENDS",
-    "NUMBA_AVAILABLE",
-    "available_backends",
-    "resolve_backend",
     "DEFAULT_FLOW_CACHE_SIZE",
     "FlowCache",
     "FlowCacheStats",

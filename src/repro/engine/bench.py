@@ -43,12 +43,6 @@ class EngineBenchResult:
     #: Flow-cache hits during the timed cached pass (None: no cache run).
     #: Kept as a raw integer so scorecards can gate on exact equality.
     cache_hits: Optional[int] = None
-    #: The resolved traversal backend the compiled passes ran on.
-    backend: str = "numpy"
-    #: One untimed batch run before the timed passes — on the numba backend
-    #: this is where the JIT compiles, so the pps figures measure steady
-    #: state and this field shows the one-off cost.
-    warmup_seconds: float = 0.0
     #: The same trees under the paper's memory model
     #: (:mod:`repro.tree.stats`), the yardstick for ``compiled_memory_bytes``.
     model_memory_bytes: int = 0
@@ -71,7 +65,7 @@ class EngineBenchResult:
 
         Structural figures (packet/subtree/mismatch/cache counts) land in
         ``counters`` and are gated at exact equality; rates and wall times
-        land in ``timings`` and are tolerance-banded.
+        land in ``timings`` and are informational.
         """
         from repro.obs.bench import BenchRecord
 
@@ -89,7 +83,6 @@ class EngineBenchResult:
             "interpreter_pps": self.interpreter_pps,
             "compiled_pps": self.compiled_pps,
             "compile_seconds": self.compile_seconds,
-            "warmup_seconds": self.warmup_seconds,
             "speedup": self.speedup,
         }
         if self.cached_pps is not None:
@@ -132,7 +125,6 @@ def bench_classifier(
     flow_cache_size: Optional[int] = None,
     repeats: int = 3,
     check_agreement: bool = True,
-    backend: str = "numpy",
 ) -> EngineBenchResult:
     """Benchmark one classifier's interpreter vs compiled throughput.
 
@@ -146,10 +138,6 @@ def bench_classifier(
         repeats: best-of-n timing repeats per engine.
         check_agreement: verify compiled results equal interpreter results
             on the interpreter sample.
-        backend: traversal backend for the compiled passes (resolved
-            eagerly, so ``"numba"`` without numba fails before any timing).
-            One untimed warmup batch runs first — on numba that absorbs the
-            JIT compile into ``warmup_seconds`` instead of the timed rates.
     """
     packets = list(packets)
     if not packets:
@@ -157,12 +145,8 @@ def bench_classifier(
     values = packets_to_array(packets)
 
     start = time.perf_counter()
-    compiled = classifier.compile(backend=backend)
+    compiled = classifier.compile()
     compile_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    compiled.match_indices(values[: min(1024, len(values))])
-    warmup_seconds = time.perf_counter() - start
 
     sample = packets[: min(interpreter_sample, len(packets))]
     interp_results: List[Optional[object]] = []
@@ -228,7 +212,5 @@ def bench_classifier(
         cache_hit_rate=cache_hit_rate,
         cache_evictions=cache_evictions,
         cache_hits=cache_hits,
-        backend=compiled.backend,
-        warmup_seconds=warmup_seconds,
         model_memory_bytes=classifier.stats().memory_bytes,
     )

@@ -412,16 +412,14 @@ def compile_tree(tree: DecisionTree,
     return flattener.trees()
 
 
-def compile_classifier(classifier, flow_cache_size: Optional[int] = None,
-                       backend: str = "numpy"):
+def compile_classifier(classifier, flow_cache_size: Optional[int] = None):
     """Compile a :class:`~repro.tree.lookup.TreeClassifier` for the engine.
 
     Returns a :class:`~repro.engine.dispatch.CompiledClassifier` that
     resolves the highest-priority match across every tree and partition in
-    one pass over the compiled search trees, traversing with the given
-    ``backend`` (see :data:`repro.engine.kernels.ENGINE_BACKENDS`).  The
-    result carries a :class:`CompileProvenance` so later deltas can go
-    through :func:`partial_compile_classifier`.
+    one pass over the compiled search trees.  The result carries a
+    :class:`CompileProvenance` so later deltas can go through
+    :func:`partial_compile_classifier`.
     """
     from repro.engine.dispatch import CompiledClassifier
 
@@ -442,7 +440,6 @@ def compile_classifier(classifier, flow_cache_size: Optional[int] = None,
         rules=rules_out,
         name=classifier.name,
         flow_cache_size=flow_cache_size,
-        backend=backend,
     )
     compiled.provenance = CompileProvenance(
         trees=tuple(classifier.trees),
@@ -459,7 +456,6 @@ def partial_compile_classifier(
     previous,
     dirty_roots: Optional[set] = None,
     flow_cache_size: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> PartialCompileResult:
     """Recompile only what a rule delta touched; copy the rest as blocks.
 
@@ -492,12 +488,9 @@ def partial_compile_classifier(
     once they outnumber the live ones the result is a full rebuild, which
     numbers its slots afresh.
     """
-    if backend is None:
-        backend = previous.backend
-
     def full() -> PartialCompileResult:
         compiled = compile_classifier(
-            classifier, flow_cache_size=flow_cache_size, backend=backend)
+            classifier, flow_cache_size=flow_cache_size)
         return PartialCompileResult(
             classifier=compiled,
             full_rebuild=True,
@@ -567,7 +560,6 @@ def partial_compile_classifier(
         rules=rules_out,
         name=previous.name,
         flow_cache_size=flow_cache_size,
-        backend=backend,
     )
     referenced = np.count_nonzero(
         np.bincount(compiled.forest.rule["rule_index"]))

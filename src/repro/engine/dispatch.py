@@ -11,6 +11,7 @@ packet, the highest-priority match along the tree axis.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
@@ -45,13 +46,6 @@ class CompiledClassifier:
     append to it in place and every generation indexes the same storage),
     and the forest's distinct-rule table describes it row for row, extending
     the longest table the subtrees came with.
-
-    ``backend`` names the traversal engine (see
-    :data:`repro.engine.kernels.ENGINE_BACKENDS`): ``"numpy"`` is the
-    level-synchronous array walk, ``"numba"`` the jitted per-packet
-    kernels, ``"auto"`` picks numba when installed.  The name is resolved
-    eagerly, so an unavailable backend fails at construction rather than
-    on the first batch.
     """
 
     def __init__(
@@ -60,7 +54,6 @@ class CompiledClassifier:
         rules: List[Rule],
         name: str = "",
         flow_cache_size: Optional[int] = None,
-        backend: str = "numpy",
     ) -> None:
         subtrees = list(subtrees)
         if not subtrees:
@@ -72,8 +65,9 @@ class CompiledClassifier:
         self.subtrees: List[FlatTree] = []
         node_offset = rule_offset = 0
         for source in subtrees:
-            self.subtrees.append(
-                source.moved_to(self.forest, node_offset, rule_offset))
+            self.subtrees.append(replace(
+                source, forest=self.forest, node_offset=node_offset,
+                rule_offset=rule_offset))
             node_offset += source.num_nodes
             rule_offset += source.num_leaf_rules
         self._node_base = np.array([t.node_offset for t in self.subtrees])
@@ -85,23 +79,8 @@ class CompiledClassifier:
         #: Set by compile_classifier / partial_compile_classifier; None for
         #: hand-assembled engines (which can only ever be fully rebuilt).
         self.provenance = None
-        self.backend = "numpy"
-        self.set_backend(backend)
         if flow_cache_size is not None:
             self.attach_flow_cache(flow_cache_size)
-
-    def set_backend(self, backend: str) -> str:
-        """Switch the traversal backend in place; returns the resolved name.
-
-        Purely a dispatch change — the flat arrays, rule list, and flow
-        cache are untouched, so swapping backends mid-flight cannot change
-        any answer (the differential suite holds all backends to
-        byte-identical match indices).
-        """
-        from repro.engine.kernels import resolve_backend
-
-        self.backend = resolve_backend(backend)
-        return self.backend
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -159,14 +138,6 @@ class CompiledClassifier:
         """
         values = check_headers(values)
         n = len(values)
-        if self.backend == "numba":
-            from repro.engine import kernels
-
-            best_priority = np.full(n, NO_MATCH_PRIORITY, dtype=np.int64)
-            best_rule = np.full(n, -1, dtype=np.int64)
-            for tree in self.subtrees:
-                kernels.match_into(tree, values, best_priority, best_rule)
-            return best_rule
         step = max(1, _MAX_LANES // len(self.subtrees))
         if n <= step:
             return self._walk(values)

@@ -43,7 +43,7 @@ depth and leaf width, not to the number of packets or trees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence
 
 import numpy as np
@@ -99,26 +99,6 @@ LEAF_RULE_DTYPE = np.dtype(RULE_DTYPE.descr + RULE_TABLE_DTYPE.descr)
 
 #: Sentinel priority smaller than any real rule priority.
 NO_MATCH_PRIORITY = np.iinfo(np.int64).min
-
-#: Columns of the unstructured int64 node matrix handed to the native kernels
-#: (:meth:`FlatTree.kernel_tables`).  ``num_children`` is deliberately absent:
-#: child selection needs only ``child_start`` plus the cut arithmetic.
-COL_KIND = 0
-COL_DIM = 1
-COL_LO = 2
-COL_BASE = 3
-COL_REM = 4
-COL_POINT = 5
-COL_CHILD_START = 6
-COL_RULE_START = 7
-COL_RULE_END = 8
-NUM_NODE_COLUMNS = 9
-
-_KERNEL_NODE_COLUMNS = (
-    (COL_KIND, "kind"), (COL_DIM, "dim"), (COL_LO, "lo"), (COL_BASE, "base"),
-    (COL_REM, "rem"), (COL_POINT, "point"), (COL_CHILD_START, "child_start"),
-    (COL_RULE_START, "rule_start"), (COL_RULE_END, "rule_end"),
-)
 
 _FIELD_LO = np.array([FIELD_RANGES[d][0] for d in DIMENSIONS], dtype=np.int64)
 _FIELD_HI = np.array([FIELD_RANGES[d][1] for d in DIMENSIONS], dtype=np.int64)
@@ -363,24 +343,6 @@ class Forest:
             v = v.take(more, axis=0)
 
 
-@dataclass(frozen=True)
-class KernelTables:
-    """Unstructured, C-contiguous int64 repack of one :class:`FlatTree`.
-
-    The native kernels walk one tree per call and want plain matrices:
-    ``nodes`` is ``(num_nodes, 9)`` with the :data:`COL_KIND`...
-    :data:`COL_RULE_END` columns, and the leaf-rule pointers are expanded
-    into ``leaf_lo``/``leaf_hi`` ``(num_leaf_rules, 5)`` boxes plus flat
-    ``leaf_priority``/``leaf_rule_index`` vectors.
-    """
-
-    nodes: np.ndarray
-    leaf_lo: np.ndarray
-    leaf_hi: np.ndarray
-    leaf_priority: np.ndarray
-    leaf_rule_index: np.ndarray
-
-
 @dataclass
 class FlatTree:
     """One cut/split-only search tree: a view of one block of a forest."""
@@ -392,22 +354,6 @@ class FlatTree:
     num_leaf_rules: int
     depth: int
     max_leaf_span: int
-
-    def __post_init__(self) -> None:
-        self._kernel_tables: KernelTables | None = None
-
-    def moved_to(self, forest: Forest, node_offset: int,
-                 rule_offset: int) -> "FlatTree":
-        """The view of this tree's block copied to ``forest`` at the offsets.
-
-        The block's contents are the same wherever it sits, so a repack
-        already built for the kernels goes along: a tree reused by the next
-        engine generation does not rebuild it.
-        """
-        view = replace(self, forest=forest, node_offset=node_offset,
-                       rule_offset=rule_offset)
-        view._kernel_tables = self._kernel_tables
-        return view
 
     @property
     def node_rows(self) -> slice:
@@ -439,30 +385,6 @@ class FlatTree:
             records[name] = column[slots]
         return records
 
-    def kernel_tables(self) -> KernelTables:
-        """The unstructured repack the native kernels walk (built once).
-
-        Forests never mutate (updates build new ones), so the repack is
-        cached on the view and shared by every kernel call against it.
-        """
-        tables = self._kernel_tables
-        if tables is None:
-            node, table = self.forest.node, self.forest.table
-            nodes = np.empty((self.num_nodes, NUM_NODE_COLUMNS),
-                             dtype=np.int64)
-            for col, name in _KERNEL_NODE_COLUMNS:
-                nodes[:, col] = node[name][self.node_rows]
-            slots = self.forest.rule["rule_index"][self.rule_rows]
-            tables = KernelTables(
-                nodes=nodes,
-                leaf_lo=table["lo"][slots],
-                leaf_hi=table["hi"][slots],
-                leaf_priority=table["priority"][slots],
-                leaf_rule_index=slots.astype(np.int64),
-            )
-            self._kernel_tables = tables
-        return tables
-
     def memory_bytes(self) -> int:
         """Bytes this tree's block occupies in the node and leaf rule tables.
 
@@ -476,35 +398,25 @@ class FlatTree:
     # Per-tree lookup: the forest walk with one tree
     # ------------------------------------------------------------------ #
 
-    def descend(self, values: np.ndarray, backend: str = "numpy") -> np.ndarray:
+    def descend(self, values: np.ndarray) -> np.ndarray:
         """Return the leaf node index reached by every packet of a batch.
 
         ``values`` is an ``(n, 5)`` int64 array of packet headers; indices
-        are relative to this tree's block.  ``backend="numba"`` walks per
-        packet in the native kernels instead (same indices, byte for byte).
+        are relative to this tree's block.
         """
         values = check_headers(values)
-        if backend == "numba":
-            from repro.engine import kernels
-
-            return kernels.descend(self, values)
         leaf = self.forest.descend(
             values, np.array([self.node_offset]), np.array([self.depth]))
         return leaf - self.node_offset
 
-    def lookup(self, values: np.ndarray, backend: str = "numpy") -> np.ndarray:
+    def lookup(self, values: np.ndarray) -> np.ndarray:
         """Classify a batch against this tree.
 
         Returns an ``(n,)`` int64 array of rows into this tree's block of
         the leaf rule table (``-1`` where the reached leaf matches
-        nothing); ``backend="numba"`` scans per packet in the native
-        kernels instead, returning the identical rows.
+        nothing).
         """
         values = check_headers(values)
-        if backend == "numba":
-            from repro.engine import kernels
-
-            return kernels.lookup_rows(self, values)
         rows = self.forest.lookup(
             values, np.array([self.node_offset]),
             np.array([self.rule_offset]), np.array([self.depth]))

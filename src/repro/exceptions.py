@@ -47,12 +47,6 @@ class TraceFormatError(TraceError):
     referencing a tenant the trace never declared)."""
 
 
-class EngineBackendError(ReproError):
-    """A traversal backend was requested that this installation cannot run
-    (e.g. ``"numba"`` without the optional ``repro[native]`` dependency), or
-    the backend name is not in ``repro.engine.kernels.ENGINE_BACKENDS``."""
-
-
 class IngestError(ReproError):
     """The ingestion frontend could not accept or process a request."""
 

@@ -32,15 +32,13 @@ ENGINE_SCORECARD: Dict[str, object] = {
     "binth": 8,
     "flow_cache": 1024,
     "seed": 0,
-    "engine_backend": "numpy",
 }
 
 #: The throughput regression scorecards behind
 #: ``benchmarks/test_engine_throughput.py``: bigger rulesets and traces than
 #: the canonical engine run, one single-tree and one partitioned-classifier
-#: configuration.  Counters gate exactly everywhere; pps timings gate only
-#: against a baseline from the same machine class (see
-#: ``repro.obs.compare.timings_comparable``).
+#: configuration.  Counters gate exactly everywhere; pps timings are
+#: informational (timing claims are ``perfbench`` pairs).
 THROUGHPUT_SCORECARDS: Dict[str, Dict[str, object]] = {
     "hicuts": {
         "seed_family": "acl1",
@@ -50,7 +48,6 @@ THROUGHPUT_SCORECARDS: Dict[str, Dict[str, object]] = {
         "binth": 8,
         "flow_cache": 4096,
         "seed": 0,
-        "engine_backend": "numpy",
     },
     "efficuts": {
         "seed_family": "fw1",
@@ -60,7 +57,6 @@ THROUGHPUT_SCORECARDS: Dict[str, Dict[str, object]] = {
         "binth": 8,
         "flow_cache": 4096,
         "seed": 0,
-        "engine_backend": "numpy",
     },
 }
 
@@ -80,7 +76,6 @@ SERVE_SCORECARD: Dict[str, object] = {
     "sync_swaps": True,
     "verify": True,
     "seed": 0,
-    "engine_backend": "numpy",
 }
 
 
@@ -91,10 +86,9 @@ SERVE_SCORECARD: Dict[str, object] = {
 #: with exact counter gates against checked-in baselines — a cache-locality
 #: regression now shows up as a cache_hits diff, not a flaky threshold.
 #: Counters gate exactly everywhere; throughput/latency/speedup timings
-#: gate only on a comparable machine (``timings_comparable``) with enough
-#: CPUs.  ``sync_swaps`` (and ``"serial"`` retrains) are the determinism
-#: contract: background work lands on the wall clock, which would make the
-#: counters machine-dependent.
+#: are informational.  ``sync_swaps`` (and ``"serial"`` retrains) are the
+#: determinism contract: background work lands on the wall clock, which
+#: would make the counters machine-dependent.
 SERVING_SCORECARDS: Dict[str, Dict[str, object]] = {
     "hotswap": {
         "tenants": 3,
@@ -112,7 +106,6 @@ SERVING_SCORECARDS: Dict[str, Dict[str, object]] = {
         "sync_swaps": True,
         "verify": True,
         "seed": 0,
-        "engine_backend": "numpy",
     },
     "retrain": {
         "tenants": 2,
@@ -141,7 +134,6 @@ SERVING_SCORECARDS: Dict[str, Dict[str, object]] = {
         "sync_swaps": True,
         "verify": True,
         "seed": 0,
-        "engine_backend": "numpy",
     },
     "sharded": {
         "tenants": 4,
@@ -161,7 +153,6 @@ SERVING_SCORECARDS: Dict[str, Dict[str, object]] = {
         "serving_workers": 2,
         "serving_backend": "process",
         "seed": 1,
-        "engine_backend": "numpy",
     },
     # Skewed-tenant flash crowd on 2 shards with live load-aware
     # rebalancing: the steep tenant Zipf split plus the crowd multiplier
@@ -192,7 +183,6 @@ SERVING_SCORECARDS: Dict[str, Dict[str, object]] = {
         "rebalance_policy": "load",
         "rebalance_interval": 0.01,
         "seed": 2,
-        "engine_backend": "numpy",
     },
 }
 
@@ -202,15 +192,12 @@ SERVING_SCORECARDS: Dict[str, Dict[str, object]] = {
 PLACEMENT_COUNTERS = ("migrations", "rebalance_plans", "rebalance_deferred")
 
 
-def _engine_record(cfg: Dict[str, object], name: str,
-                   engine_backend: Optional[str] = None) -> BenchRecord:
+def _engine_record(cfg: Dict[str, object], name: str) -> BenchRecord:
     """Run one engine-bench configuration and return its record."""
     from repro.baselines import default_baselines
     from repro.classbench import generate_classifier, generate_trace
     from repro.engine.bench import bench_classifier
 
-    if engine_backend is not None:
-        cfg = dict(cfg, engine_backend=engine_backend)
     ruleset = generate_classifier(cfg["seed_family"], cfg["num_rules"],
                                   seed=cfg["seed"])
     builder = default_baselines(binth=cfg["binth"])[cfg["algorithm"]]
@@ -218,31 +205,18 @@ def _engine_record(cfg: Dict[str, object], name: str,
     packets = generate_trace(ruleset, num_packets=cfg["num_packets"],
                              seed=cfg["seed"])
     result = bench_classifier(classifier, packets,
-                              flow_cache_size=cfg["flow_cache"],
-                              backend=cfg["engine_backend"])
-    # Record the *resolved* backend ("auto" pins to what actually ran).
-    config = dict(cfg, engine_backend=result.backend)
-    return result.bench_record(name=name, config=config)
+                              flow_cache_size=cfg["flow_cache"])
+    return result.bench_record(name=name, config=dict(cfg))
 
 
-def engine_scorecard_record(engine_backend: Optional[str] = None
-                            ) -> BenchRecord:
-    """Run the canonical engine benchmark and return its record.
-
-    ``engine_backend`` overrides the scorecard's pinned backend — what the
-    CI native-kernel job uses to produce a per-backend record without
-    forking the configuration.
-    """
-    return _engine_record(ENGINE_SCORECARD, "scorecard-engine",
-                          engine_backend=engine_backend)
+def engine_scorecard_record() -> BenchRecord:
+    """Run the canonical engine benchmark and return its record."""
+    return _engine_record(ENGINE_SCORECARD, "scorecard-engine")
 
 
-def throughput_scorecard_record(kind: str,
-                                engine_backend: Optional[str] = None
-                                ) -> BenchRecord:
+def throughput_scorecard_record(kind: str) -> BenchRecord:
     """Run one of the :data:`THROUGHPUT_SCORECARDS` and return its record."""
-    return _engine_record(THROUGHPUT_SCORECARDS[kind], f"throughput-{kind}",
-                          engine_backend=engine_backend)
+    return _engine_record(THROUGHPUT_SCORECARDS[kind], f"throughput-{kind}")
 
 
 def _run_scorecard(cfg: Dict[str, object]):
@@ -272,7 +246,6 @@ def _run_scorecard(cfg: Dict[str, object]):
         record_batches=cfg["verify"],
         retrain_threshold=cfg.get("retrain_threshold"),
         retrain_policy=retrain_policy,
-        engine_backend=cfg["engine_backend"],
         workers=workers,
         backend=cfg.get("serving_backend", "process"),
         rebalance_policy=make_rebalance_policy(rebalance_policy_name)

@@ -15,9 +15,9 @@ claim flows through:
   (``BENCH_<area>.json``): run name, area, config knobs, deterministic
   counters, timing metrics, and an environment fingerprint.
 * :mod:`repro.obs.compare` — the regression gate: strict equality on
-  deterministic counters, tolerance bands on timing metrics (direction
-  aware, skippable on starved CI containers), non-zero exit on regression
-  via ``repro bench compare``.
+  config and deterministic counters, timings printed beside the
+  baseline's but never judged, non-zero exit on regression via
+  ``repro bench compare``.
 * :mod:`repro.obs.serialize` — the one stable-key serialization helper the
   scattered ``as_dict()`` implementations route through.
 
@@ -38,8 +38,6 @@ from repro.obs.compare import (
     CheckResult,
     CompareReport,
     compare_records,
-    timing_direction,
-    timings_comparable,
 )
 from repro.obs.metrics import Counter, Gauge, MetricsRegistry, Timing
 from repro.obs.serialize import stable_dict
@@ -54,8 +52,6 @@ __all__ = [
     "CheckResult",
     "CompareReport",
     "compare_records",
-    "timing_direction",
-    "timings_comparable",
     "Counter",
     "Gauge",
     "MetricsRegistry",

@@ -10,66 +10,22 @@ schema (:mod:`repro.obs.bench`) was split for:
   regression (or an unflagged behaviour change, which the gate exists to
   surface).  A counter present in the baseline but missing from the run is
   a regression too; counters new in the run are reported informationally.
-* **Timings** — tolerance-banded and direction-aware: a metric whose name
-  marks it higher-is-better (``*_pps``, ``*speedup*``, ``*_per_sec``,
-  ``*hit_rate*``) regresses when the run falls more than ``tolerance``
-  below baseline; everything else (seconds, latencies) regresses when the
-  run rises more than ``tolerance`` above.  Improvements never fail the
-  gate.  Timing checks can be skipped wholesale — the 1-CPU CI container
-  cannot meaningfully time multi-worker paths — and the skip is recorded
-  in the report rather than silently passing.
+* **Timings** — informational: each baseline timing is printed beside the
+  run's, and neither a worse value, a timing absent from the run, nor a new
+  one can fail the gate.  Wall-clock numbers from two machines (or two
+  moments on one shared machine) are not a verdict; timing claims are
+  paired ``perfbench`` runs (see perfbench/README.md).
 
-Environment fingerprints never *fail* a comparison, but they do gate what
-gets compared: :func:`timings_comparable` refuses timing bands when the two
-records were produced on different machine classes (different fingerprint
-``cpu_count``) — CI wall-clock numbers banded against a dev-machine
-baseline are noise, not a verdict.  The fingerprint otherwise exists so a
+Environment fingerprints never fail a comparison either; they exist so a
 surprising result can be traced to the machine that produced each side.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.obs.bench import BenchRecord
-
-#: Default relative tolerance for timing metrics (25 %).
-DEFAULT_TIMING_TOLERANCE = 0.25
-
-#: Substrings marking a timing metric as higher-is-better.
-HIGHER_IS_BETTER_MARKERS = ("_pps", "pps_", "speedup", "_per_sec",
-                            "hit_rate", "throughput")
-
-
-def timings_comparable(run: BenchRecord,
-                       baseline: BenchRecord) -> Tuple[bool, str]:
-    """Whether two records' timings come from the same machine class.
-
-    Timing bands only mean something when both sides ran on comparable
-    hardware; the fingerprint's ``cpu_count`` is the proxy used here (a
-    4-vCPU CI runner banded against a 1-CPU dev-container baseline, or
-    vice versa, would gate on machine noise).  Returns ``(ok, reason)``
-    where ``reason`` explains a False verdict.  Counters are unaffected —
-    they are machine-independent by contract.
-    """
-    run_cpus = run.environment.get("cpu_count")
-    base_cpus = baseline.environment.get("cpu_count")
-    if run_cpus == base_cpus:
-        return True, ""
-    return False, (
-        f"run was recorded with cpu_count={run_cpus} but the baseline "
-        f"with cpu_count={base_cpus}; timings are not comparable across "
-        f"machine classes"
-    )
-
-
-def timing_direction(metric: str) -> str:
-    """``"higher"`` or ``"lower"`` — which direction is *better* for a metric."""
-    lowered = metric.lower()
-    if any(marker in lowered for marker in HIGHER_IS_BETTER_MARKERS):
-        return "higher"
-    return "lower"
 
 
 @dataclass(frozen=True)
@@ -78,7 +34,7 @@ class CheckResult:
 
     metric: str
     kind: str  #: "config" | "counter" | "timing"
-    status: str  #: "ok" | "regression" | "missing" | "new" | "skipped"
+    status: str  #: "ok" | "regression" | "missing" | "new" | "info"
     run_value: Optional[object] = None
     baseline_value: Optional[object] = None
     detail: str = ""
@@ -94,8 +50,6 @@ class CompareReport:
 
     run_name: str
     baseline_name: str
-    timing_tolerance: float
-    timings_checked: bool
     checks: List[CheckResult] = field(default_factory=list)
 
     @property
@@ -104,7 +58,7 @@ class CompareReport:
 
     @property
     def ok(self) -> bool:
-        """True when the run passes the gate (no counter/timing/config fails)."""
+        """True when the run passes the gate (no counter/config fails)."""
         return not self.failures
 
     def rows(self) -> List[List[object]]:
@@ -171,49 +125,23 @@ def _check_counters(run: BenchRecord, baseline: BenchRecord,
                                   detail="not in baseline"))
 
 
-def _check_timings(run: BenchRecord, baseline: BenchRecord,
-                   tolerance: float, checked: bool,
-                   checks: List[CheckResult]) -> None:
+def _report_timings(run: BenchRecord, baseline: BenchRecord,
+                    checks: List[CheckResult]) -> None:
+    """Baseline timings beside the run's; no row here can fail the gate."""
     for metric in sorted(baseline.timings):
         base_value = baseline.timings[metric]
         if metric not in run.timings:
             checks.append(CheckResult(
-                metric=metric, kind="timing",
-                status="missing" if checked else "skipped",
-                baseline_value=base_value,
-                detail="timing present in baseline but absent from the run",
+                metric=metric, kind="timing", status="info",
+                baseline_value=base_value, detail="absent from the run",
             ))
             continue
         run_value = run.timings[metric]
-        if not checked:
-            checks.append(CheckResult(metric=metric, kind="timing",
-                                      status="skipped", run_value=run_value,
-                                      baseline_value=base_value))
-            continue
-        direction = timing_direction(metric)
-        if base_value == 0:
-            # A zero baseline carries no scale to band against; only a
-            # higher-is-better metric collapsing to <= 0 could even be
-            # judged, and a zero baseline there means "never measured".
-            checks.append(CheckResult(metric=metric, kind="timing",
-                                      status="ok", run_value=run_value,
-                                      baseline_value=base_value,
-                                      detail="zero baseline, not banded"))
-            continue
-        change = (run_value - base_value) / abs(base_value)
-        worse = -change if direction == "higher" else change
-        if worse > tolerance:
-            checks.append(CheckResult(
-                metric=metric, kind="timing", status="regression",
-                run_value=run_value, baseline_value=base_value,
-                detail=f"{direction}-is-better moved {change:+.1%} "
-                       f"(tolerance {tolerance:.0%})",
-            ))
-        else:
-            checks.append(CheckResult(metric=metric, kind="timing",
-                                      status="ok", run_value=run_value,
-                                      baseline_value=base_value,
-                                      detail=f"{change:+.1%}"))
+        detail = f"{(run_value - base_value) / abs(base_value):+.1%}" \
+            if base_value else ""
+        checks.append(CheckResult(metric=metric, kind="timing",
+                                  status="info", run_value=run_value,
+                                  baseline_value=base_value, detail=detail))
     for metric in sorted(set(run.timings) - set(baseline.timings)):
         checks.append(CheckResult(metric=metric, kind="timing", status="new",
                                   run_value=run.timings[metric],
@@ -223,17 +151,14 @@ def _check_timings(run: BenchRecord, baseline: BenchRecord,
 def compare_records(
     run: BenchRecord,
     baseline: BenchRecord,
-    timing_tolerance: float = DEFAULT_TIMING_TOLERANCE,
-    check_timings: bool = True,
     ignore_config: bool = False,
 ) -> CompareReport:
     """Gate a bench run against a baseline record.
 
     Returns a :class:`CompareReport`; ``report.ok`` is the gate verdict
-    (``repro bench compare`` exits non-zero when it is False).
+    (``repro bench compare`` exits non-zero when it is False).  Area,
+    config and counters decide it; timings are reported, never judged.
     """
-    if timing_tolerance < 0:
-        raise ValueError("timing_tolerance must be >= 0")
     checks: List[CheckResult] = []
     if run.area != baseline.area:
         checks.append(CheckResult(
@@ -244,11 +169,9 @@ def compare_records(
     if not ignore_config:
         _check_config(run, baseline, checks)
     _check_counters(run, baseline, checks)
-    _check_timings(run, baseline, timing_tolerance, check_timings, checks)
+    _report_timings(run, baseline, checks)
     return CompareReport(
         run_name=run.name,
         baseline_name=baseline.name,
-        timing_tolerance=timing_tolerance,
-        timings_checked=check_timings,
         checks=checks,
     )

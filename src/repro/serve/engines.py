@@ -111,7 +111,6 @@ class SlotState:
     retrain_threshold: int
     flow_cache_size: Optional[int]
     background: bool
-    engine_backend: str
     partial_recompile: bool
     swap_stats: SwapStats
     retired_cache_stats: FlowCacheStats
@@ -165,7 +164,6 @@ class EngineSlot:
         background: bool = True,
         retrain_threshold: int = DEFAULT_RETRAIN_THRESHOLD,
         metrics: Optional[MetricsRegistry] = None,
-        engine_backend: str = "numpy",
         partial_recompile: bool = True,
     ) -> None:
         self.tenant_id = tenant_id
@@ -173,7 +171,6 @@ class EngineSlot:
         self.flow_cache_size = flow_cache_size
         self.background = background
         self.retrain_threshold = retrain_threshold
-        self.engine_backend = engine_backend
         #: When True (the default), update rebuilds go through
         #: partial_compile_classifier: only subtrees the delta touched are
         #: re-flattened, everything else is reused by reference.
@@ -203,8 +200,7 @@ class EngineSlot:
         ]
         with self.metrics.span("engine.compile_seconds"):
             self._active = compile_classifier(classifier,
-                                              flow_cache_size=flow_cache_size,
-                                              backend=engine_backend)
+                                              flow_cache_size=flow_cache_size)
         self._full_compiles.inc()
         self._rulesets: List[RuleSet] = [classifier.ruleset]
         self.epoch = 0
@@ -471,7 +467,6 @@ class EngineSlot:
             retrain_threshold=self.retrain_threshold,
             flow_cache_size=self.flow_cache_size,
             background=self.background,
-            engine_backend=self.engine_backend,
             partial_recompile=self.partial_recompile,
             swap_stats=SwapStats(
                 swaps=self.swap_stats.swaps,
@@ -527,7 +522,6 @@ class EngineSlot:
             background=state.background,
             retrain_threshold=state.retrain_threshold,
             metrics=metrics,
-            engine_backend=state.engine_backend,
             partial_recompile=state.partial_recompile,
         )
         slot._rulesets = list(state.epoch_rulesets)
@@ -587,7 +581,6 @@ class EngineSlot:
                     previous,
                     dirty_roots=dirty_roots,
                     flow_cache_size=self.flow_cache_size,
-                    backend=self.engine_backend,
                 )
                 shadow = result.classifier
                 elapsed = time.perf_counter() - started
@@ -602,7 +595,6 @@ class EngineSlot:
                 shadow = compile_classifier(
                     self.classifier,
                     flow_cache_size=self.flow_cache_size,
-                    backend=self.engine_backend,
                 )
                 elapsed = time.perf_counter() - started
                 self._full_compiles.inc()

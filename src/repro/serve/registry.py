@@ -43,15 +43,11 @@ class TenantRegistry:
         background_swaps: bool = True,
         default_retrain_threshold: int = DEFAULT_RETRAIN_THRESHOLD,
         metrics: Optional[MetricsRegistry] = None,
-        engine_backend: str = "numpy",
         partial_recompile: bool = True,
     ) -> None:
         self.default_flow_cache_size = default_flow_cache_size
         self.background_swaps = background_swaps
         self.default_retrain_threshold = default_retrain_threshold
-        #: Traversal backend every slot compiles with (see
-        #: repro.engine.kernels.ENGINE_BACKENDS).
-        self.engine_backend = engine_backend
         self.partial_recompile = partial_recompile
         #: Shared phase-timer registry: every slot this registry creates
         #: records compile/install/retrain spans here, so one merge covers
@@ -126,7 +122,6 @@ class TenantRegistry:
             background=self.background_swaps,
             retrain_threshold=retrain_threshold,
             metrics=self.metrics,
-            engine_backend=self.engine_backend,
             partial_recompile=self.partial_recompile,
         )
         self._slots[tenant_id] = slot

@@ -46,8 +46,6 @@ class ServingConfig:
             a retrain (``None`` = never).
         retrain_policy: how retrains run; a ``RetrainController`` is attached
             exactly when this is set.
-        engine_backend: traversal backend of every slot
-            (:data:`repro.engine.kernels.ENGINE_BACKENDS`).
         ingest: admission control ahead of the batcher (``None`` = off).
         workers: serving shards tenants are partitioned across (1 = none).
         backend: executor backend of the shards (:data:`SERVING_BACKENDS`;
@@ -63,7 +61,6 @@ class ServingConfig:
     record_batches: bool = False
     retrain_threshold: Optional[int] = None
     retrain_policy: Optional[RetrainPolicy] = None
-    engine_backend: str = "numpy"
     ingest: Optional[IngestConfig] = None
     workers: int = 1
     backend: str = "process"
@@ -135,7 +132,6 @@ class ServingStack:
             default_retrain_threshold=config.retrain_threshold
             if config.retrain_threshold is not None
             else DEFAULT_RETRAIN_THRESHOLD,
-            engine_backend=config.engine_backend,
         )
         for tenant in tenants:
             self.registry.register(tenant.tenant_id,

@@ -103,8 +103,8 @@ class TreeClassifier:
     # Compiled engine
     # ------------------------------------------------------------------ #
 
-    def compile(self, flow_cache_size: Optional[int] = None,
-                backend: Optional[str] = None) -> "CompiledClassifier":
+    def compile(self, flow_cache_size: Optional[int] = None
+                ) -> "CompiledClassifier":
         """Compile this classifier for the dataplane engine.
 
         The compiled form is cached and reused until any underlying tree's
@@ -114,8 +114,6 @@ class TreeClassifier:
         (or directly on the compiled object) survives cache-hit calls —
         ``flow_cache_size`` only creates a new cache when none is attached
         or the capacity changes — and is re-created empty on recompile.
-        ``backend`` selects the traversal backend (a pure dispatch switch:
-        a cached compiled form is retargeted in place, not recompiled).
         """
         from repro.engine.compile import compile_classifier
 
@@ -127,17 +125,13 @@ class TreeClassifier:
                 # entries themselves are stale and must not carry over.
                 flow_cache_size = previous.capacity
             self._compiled = compile_classifier(
-                self, flow_cache_size=flow_cache_size,
-                backend=backend if backend is not None else "numpy",
-            )
+                self, flow_cache_size=flow_cache_size)
             self._compiled_versions = versions
         else:
             if flow_cache_size is not None:
                 existing = self._compiled.flow_cache
                 if existing is None or existing.capacity != flow_cache_size:
                     self._compiled.attach_flow_cache(flow_cache_size)
-            if backend is not None:
-                self._compiled.set_backend(backend)
         return self._compiled
 
     def invalidate_compiled(self) -> None:

@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser, main
-from repro.engine import NUMBA_AVAILABLE
 from repro.rules import io as rules_io
 
 
@@ -110,37 +109,6 @@ class TestEngineBench:
                      "--num-rules", "50", "--num-packets", "100"])
         assert code == 2
         assert "unknown algorithm" in capsys.readouterr().err
-
-    def test_engine_bench_rejects_unknown_backend(self, capsys):
-        code = main(["engine-bench", "--engine", "cython",
-                     "--num-rules", "50", "--num-packets", "100"])
-        assert code == 2
-        assert "unknown engine backend" in capsys.readouterr().err
-
-    @pytest.mark.skipif(NUMBA_AVAILABLE, reason="numba is installed here")
-    def test_engine_bench_missing_numba_warns_and_exits_clean(self, capsys):
-        # An environment gap, not a usage error: scripted sweeps over
-        # backends must keep going, so this warns on stderr and returns 0.
-        code = main(["engine-bench", "--engine", "numba",
-                     "--num-rules", "50", "--num-packets", "100"])
-        assert code == 0
-        captured = capsys.readouterr()
-        assert "numba is not installed" in captured.err
-        assert "skipping this run" in captured.err
-        assert captured.out == ""
-
-    def test_engine_bench_reports_backend_and_warmup(self, capsys, tmp_path):
-        record_path = tmp_path / "BENCH_engine.json"
-        code = main(["engine-bench", "--engine", "numpy", "--num-rules", "60",
-                     "--num-packets", "500", "--seed", "2",
-                     "--json", str(record_path)])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "backend numpy" in out
-        assert "warmup" in out
-        record = json.loads(record_path.read_text())
-        assert record["config"]["engine_backend"] == "numpy"
-        assert "warmup_seconds" in record["timings"]
 
 
 class TestServeBench:

@@ -16,6 +16,7 @@ from typing import List, Optional
 import numpy as np
 import pytest
 
+import reference_walk
 from repro.baselines import (
     CutSplitBuilder,
     EffiCutsBuilder,
@@ -24,16 +25,10 @@ from repro.baselines import (
     LinearSearchBuilder,
 )
 from repro.classbench import generate_classifier
-from repro.engine import NUMBA_AVAILABLE, packets_to_array
+from repro.engine import packets_to_array
 from repro.neurocuts import NeuroCutsConfig, NeuroCutsTrainer
 from repro.rules.ruleset import RuleSet
 from repro.tree.lookup import TreeClassifier
-
-#: Traversal-backend axis of the byte-identity test below.  ``"kernels"``
-#: forces the dispatcher down the native-kernel code path (plain Python
-#: without numba, jitted with it); ``"numba"`` additionally goes through
-#: backend resolution where the JIT is installed.
-BACKEND_AXIS = ["kernels"] + (["numba"] if NUMBA_AVAILABLE else [])
 
 #: (seed family, rule count) pairs: one ACL, one firewall, one IPC suite.
 SUITES = [("acl1", 150), ("fw5", 120), ("ipc1", 150)]
@@ -82,30 +77,19 @@ def test_baseline_compiled_matches_linear_search(suite, algorithm):
     _assert_agreement(classifier, ruleset, packets, oracle)
 
 
-@pytest.mark.parametrize("backend", BACKEND_AXIS)
 @pytest.mark.parametrize("algorithm", ["HiCuts", "EffiCuts"])
-def test_kernel_backends_are_byte_identical(suite, algorithm, backend):
-    """Every traversal backend returns the same match indices, bit for bit.
-
-    The exactness contract the backend registry rests on: switching
-    backends is a pure dispatch change, so the kernels must reproduce the
-    numpy engine's answers — including cross-tree priority merges on the
-    partitioned EffiCuts classifier — not merely agree on priorities.
+def test_fused_walk_matches_reference_walk(suite, algorithm):
+    """The fused walk and the per-packet reference walk return the same
+    match indices, bit for bit — including cross-tree priority merges on the
+    partitioned EffiCuts classifier — not merely the same priorities.
     """
     ruleset, packets, oracle = suite
     classifier = _BUILDERS[algorithm].build(ruleset)
     compiled = classifier.compile()
     values = packets_to_array(packets)
     reference = compiled.match_indices(values)
-    if backend == "numba":
-        compiled.set_backend("numba")
-    else:
-        compiled.backend = "numba"  # kernels path without backend resolution
-    try:
-        result = compiled.match_indices(values)
-    finally:
-        compiled.set_backend("numpy")
-    np.testing.assert_array_equal(result, reference)
+    np.testing.assert_array_equal(
+        reference_walk.match_indices(compiled, values), reference)
     got = [compiled.rules[i].priority if i >= 0 else None
            for i in reference.tolist()]
     assert got == [m.priority if m else None for m in oracle]

@@ -5,8 +5,9 @@ tree; ``match_indices`` walks all ``(tree, packet)`` lanes in one loop and
 reduces along the tree axis.  These tests pin what that design must keep:
 the tie-break between trees, the per-tree depth guard, the footprint, the
 read-only columns, and the header check at the engine boundary.  Exactness
-against the kernels and linear search lives in ``test_property_based.py``
-and ``test_engine_differential.py``.
+against the per-packet reference walk (``reference_walk.py``) and linear
+search lives in ``test_property_based.py`` and
+``test_engine_differential.py``.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import reference_walk
 from repro.baselines import EffiCutsBuilder, HiCutsBuilder
 from repro.classbench import generate_classifier
 from repro.engine import (
@@ -38,15 +40,6 @@ from repro.engine.compile import _Cut, _Flattener, _Leaf, _Split
 from repro.exceptions import InvalidRangeError
 from repro.rules import Dimension, Packet, Rule, RuleSet
 from repro.tree import CutAction, DecisionTree
-
-
-def _kernels(compiled, values):
-    """``match_indices`` through the per-packet reference kernels."""
-    compiled.backend = "numba"  # plain Python where numba is absent
-    try:
-        return compiled.match_indices(values)
-    finally:
-        compiled.backend = "numpy"
 
 
 def _tree_from_records(nodes, leaf_rules, depth, max_leaf_span):
@@ -93,7 +86,7 @@ class TestCutArithmetic:
                 expected = 1 + np.repeat(np.arange(k), widths)
                 np.testing.assert_array_equal(tree.descend(values), expected)
                 np.testing.assert_array_equal(
-                    tree.descend(values, backend="numba"), expected)
+                    reference_walk.descend(tree, values), expected)
 
 
 class TestTreeAxisReduce:
@@ -124,9 +117,10 @@ class TestTreeAxisReduce:
         swapped = CompiledClassifier(subtrees=flats[::-1], rules=rules)
         assert rules[forward.match_indices(probe)[0]].name == "a"
         assert rules[swapped.match_indices(probe)[0]].name == "b"
-        # The per-packet kernels break the tie the same way.
-        assert rules[_kernels(forward, probe)[0]].name == "a"
-        assert rules[_kernels(swapped, probe)[0]].name == "b"
+        # The per-packet reference walk breaks the tie the same way.
+        for compiled, winner in ((forward, "a"), (swapped, "b")):
+            index = reference_walk.match_indices(compiled, probe)[0]
+            assert rules[index].name == winner
 
     def test_hit_in_a_later_tree_only(self, two_trees):
         flats, rules, _ = two_trees
@@ -160,7 +154,7 @@ class TestDepthGuardIsPerTree:
             corrupt.match_indices(values)
         with pytest.raises(RuntimeError,
                            match="deeper than its recorded depth"):
-            _kernels(corrupt, values)
+            reference_walk.match_indices(corrupt, values)
         # The intact engine over the same blocks answers normally.
         intact = CompiledClassifier(subtrees=compiled.subtrees,
                                     rules=compiled.rules)
@@ -350,17 +344,14 @@ class TestHeaderCheck:
         with pytest.raises(InvalidRangeError, match="integer"):
             compiled.match_indices(values.astype(np.float64))
 
-    def test_kernels_path_and_per_tree_lookups_check_too(self, engine):
+    def test_per_tree_lookups_check_too(self, engine):
         compiled, values = engine
         bad = values.copy()
         bad[0, Dimension.DST_PORT] = 1 << 16
         with pytest.raises(InvalidRangeError, match="DST_PORT"):
-            _kernels(compiled, bad)
-        for backend in ("numpy", "numba"):
-            with pytest.raises(InvalidRangeError, match="DST_PORT"):
-                compiled.subtrees[0].lookup(bad, backend=backend)
-            with pytest.raises(InvalidRangeError, match="DST_PORT"):
-                compiled.subtrees[0].descend(bad, backend=backend)
+            compiled.subtrees[0].lookup(bad)
+        with pytest.raises(InvalidRangeError, match="DST_PORT"):
+            compiled.subtrees[0].descend(bad)
 
     def test_empty_batch_passes(self, engine):
         compiled, values = engine

@@ -212,12 +212,6 @@ class TestPartialCompile:
         result = partial_compile_classifier(hicuts, bare)
         assert result.full_rebuild
 
-    def test_backend_is_inherited_from_previous(self, hicuts):
-        previous = compile_classifier(hicuts, backend="numpy")
-        result = partial_compile_classifier(hicuts, previous,
-                                            dirty_roots=set())
-        assert result.classifier.backend == previous.backend == "numpy"
-
 
 class TestEngineSlotPartial:
     def _slot(self, classifier, **kwargs):

@@ -13,6 +13,7 @@ import random
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+import reference_walk
 from repro.baselines import (
     CutSplitBuilder,
     EffiCutsBuilder,
@@ -183,17 +184,11 @@ def test_generated_workloads_classify_identically_everywhere(
     assert priorities(interpreted) == priorities(linear)
     assert priorities(compiled) == priorities(linear)
 
-    # The native-kernel traversal backend returns byte-identical match
-    # indices (plain-Python kernels without numba, jitted with it).
+    # The per-packet reference walk returns byte-identical match indices.
     engine = classifier.compile()
     values = packets_to_array(packets)
-    reference = engine.match_indices(values)
-    engine.backend = "numba"  # kernels path regardless of JIT availability
-    try:
-        kernel_result = engine.match_indices(values)
-    finally:
-        engine.backend = "numpy"
-    assert (kernel_result == reference).all()
+    assert (reference_walk.match_indices(engine, values)
+            == engine.match_indices(values)).all()
 
 
 def _partition_below_cut(ruleset):
@@ -253,8 +248,8 @@ def _churned(classifier, seed):
 def test_fused_walk_equals_kernels_equals_linear_search(
         family, num_rules, seed, builder, batch, churned):
     """One forest walk over ``trees x packets`` lanes returns, byte for byte,
-    what the per-packet per-tree kernels return, and both name the rule
-    linear search finds — for cut-only, split-carrying and clone-expanded
+    what the per-packet per-tree reference walk returns, and both name the
+    rule linear search finds — for cut-only, split-carrying and clone-expanded
     engines, fresh from the compiler or patched by partial recompiles, at
     batch sizes on both sides of the walk's lane chunking."""
     ruleset = generate_classifier(family, num_rules, seed=seed)
@@ -270,11 +265,7 @@ def test_fused_walk_equals_kernels_equals_linear_search(
         values = np.resize(values, (batch, values.shape[1]))
     fused = engine.match_indices(values)
     assert fused.dtype == np.int64 and fused.shape == (batch,)
-    engine.backend = "numba"  # kernels path regardless of JIT availability
-    try:
-        kernel_result = engine.match_indices(values)
-    finally:
-        engine.backend = "numpy"
+    kernel_result = reference_walk.match_indices(engine, values)
     assert fused.tobytes() == kernel_result.tobytes()
     linear = [ruleset.classify(p) for p in distinct]
     got = [engine.rules[i].priority if i >= 0 else None

@@ -174,10 +174,9 @@ class TestReplayScorecard:
         assert retraining.counters["num_records"] == 800
         assert retraining.config["retrain_threshold"] == 12
         assert retraining.config["retrain_policy"]["timesteps"] == 250
-        assert retraining.config["engine_backend"] == "numpy"
         assert retraining.config["rebalance_policy"] is None
         assert retraining.config["verify"] is True
-        report = compare_records(retraining, plain, check_timings=False)
+        report = compare_records(retraining, plain)
         drift = [check.metric for check in report.failures
                  if check.kind == "config"]
         assert drift == ["retrain_threshold"]
