@@ -44,12 +44,15 @@ depth and leaf width, not to the number of packets or trees.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 from typing import Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.exceptions import InvalidRangeError
 from repro.rules.fields import DIMENSIONS, FIELD_RANGES, NUM_DIMENSIONS
+from repro.rules.packet import Packet
 
 #: Node kinds stored in the ``kind`` column.
 KIND_LEAF = 0
@@ -423,9 +426,18 @@ class FlatTree:
         return np.where(rows >= 0, rows - self.rule_offset, -1)
 
 
+_HEADER = attrgetter("src_ip", "dst_ip", "src_port", "dst_port", "protocol")
+
+
 def packets_to_array(packets) -> np.ndarray:
     """Stack packets (or raw 5-tuples) into the ``(n, 5)`` header matrix."""
-    rows = [tuple(p) for p in packets]
-    if not rows:
+    packets = list(packets)
+    if not packets:
         return np.empty((0, NUM_DIMENSIONS), dtype=np.int64)
-    return np.asarray(rows, dtype=np.int64)
+    if set(map(type, packets)) == {Packet}:
+        # Fields read in C and streamed straight into the matrix: no
+        # ``Packet.__iter__`` call and no nested-sequence probing per row.
+        return np.fromiter(
+            chain.from_iterable(map(_HEADER, packets)), np.int64,
+            NUM_DIMENSIONS * len(packets)).reshape(-1, NUM_DIMENSIONS)
+    return np.asarray([tuple(p) for p in packets], dtype=np.int64)

@@ -36,7 +36,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List
+from typing import Dict, Iterable, Iterator, List, Sequence
 
 import numpy as np
 
@@ -101,6 +101,11 @@ class Timing:
     def observe(self, seconds: float) -> None:
         """Record one duration (an append; GIL-atomic, see module docs)."""
         self.samples.append(float(seconds))
+
+    def observe_many(self, seconds: Sequence[float]) -> None:
+        """Record a list or array of durations: ``observe`` on each, as one
+        extend."""
+        self.samples.extend(np.asarray(seconds, dtype=float).tolist())
 
     @property
     def count(self) -> int:

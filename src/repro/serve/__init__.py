@@ -5,8 +5,10 @@ already exist; this package is the *serving* side: a
 :class:`~repro.serve.registry.TenantRegistry` holds one compiled engine per
 tenant behind double-buffered :class:`~repro.serve.engines.EngineSlot`
 objects (zero-downtime rule updates via background recompile + atomic
-swap), a :class:`~repro.serve.batcher.MicroBatcher` coalesces per-packet
-requests into vectorised batches, and the
+swap), per-packet requests coalesce into vectorised per-tenant batches
+(:func:`~repro.serve.batcher.plan_block` over a block of arrivals; the
+event-at-a-time :class:`~repro.serve.batcher.MicroBatcher` is the ingest
+server's batcher and the planner's oracle), and the
 :class:`~repro.serve.service.ClassificationService` drives a time-ordered
 request stream through it all while collecting serving telemetry.
 

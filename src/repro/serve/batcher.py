@@ -7,13 +7,23 @@ queue reaches ``max_batch`` packets or when its oldest request has waited
 longer than ``max_delay`` of trace time.  Time is the *workload's* clock
 (request arrival timestamps), so batching behaviour is deterministic for a
 given trace — the same requests always form the same batches.
+
+The rule lives here twice, and the two must agree bit for bit.
+:class:`MicroBatcher` applies it one event at a time: the ingest server's
+batcher, and the oracle ``tests/reference_serve.py`` drives.
+:func:`plan_block` applies it to a whole block of arrival stamps at once, in
+O(batches) steps, and is what :class:`~repro.serve.service.ServingSession`
+runs.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.rules.packet import Packet
 
@@ -128,3 +138,162 @@ class MicroBatcher:
         released = [(t, q) for t, q in self._queues.items() if q]
         self._queues = OrderedDict()
         return released
+
+
+# --------------------------------------------------------------------------- #
+# The block planner: the same release rule, a block of arrivals at a time
+# --------------------------------------------------------------------------- #
+
+#: Step kinds, in the order the per-request loop runs them inside one event:
+#: deadline releases of the event's poll (in tenant order), then the event's
+#: own size or flush release, then — for an update — the update itself.
+POLL_RELEASE, OWN_RELEASE, BARRIER = 0, 1, 2
+
+
+class Barrier(NamedTuple):
+    """A non-arrival event of a block: an update's flush, or a bare poll."""
+
+    time: float
+    #: Tenant whose queue is flushed (-1: none, the event only polls).
+    code: int
+    #: Index of the fresh row the event comes before (the number of fresh
+    #: rows: after them all).
+    before: int
+    #: Mid-stream events expire deadlines first; a tail update (one past
+    #: the last arrival, applied at end of trace) flushes only.
+    polls: bool = True
+
+
+class Step(NamedTuple):
+    """One action of a plan; a plan's steps sort into execution order."""
+
+    event: int
+    kind: int
+    #: Tenant code of a release; index into ``barriers`` of a ``BARRIER``.
+    code: int
+    #: A release serves rows ``[start, stop)`` of the tenant-major table.
+    start: int
+    stop: int
+    flush_time: float
+
+
+class BlockPlan(NamedTuple):
+    """:func:`plan_block`'s answer for one block."""
+
+    #: Stable tenant-major permutation of the planned rows.
+    order: np.ndarray
+    steps: List[Step]
+    #: Rows of the permuted table no event released (still queued).
+    keep: np.ndarray
+
+
+def _first_expired(clock: List[float], lo: int, hi: int, oldest: float,
+                   max_delay: float) -> int:
+    """First ``i`` in ``[lo, hi)`` with ``clock[i] - oldest >= max_delay``.
+
+    That predicate, in that form, is :meth:`MicroBatcher.poll`'s; it is
+    monotone along a non-decreasing clock, so bisecting on the rounded sum
+    ``oldest + max_delay`` lands within a stamp or two of the answer and
+    the exact predicate settles it.  Returns ``hi`` when nothing expires.
+    """
+    i = bisect_left(clock, oldest + max_delay, lo, hi)
+    while i > lo and clock[i - 1] - oldest >= max_delay:
+        i = bisect_left(clock, clock[i - 1], lo, i)
+    while i < hi and not clock[i] - oldest >= max_delay:
+        i = bisect_right(clock, clock[i], i, hi)
+    return i
+
+
+def plan_block(times: np.ndarray, codes: np.ndarray, arrived: int,
+               barriers: Sequence[Barrier], policy: BatchPolicy,
+               end_time: Optional[float] = None) -> BlockPlan:
+    """What :class:`MicroBatcher` would release over a block, as spans.
+
+    ``times`` / ``codes`` are arrival stamp and tenant code per row; the
+    first ``arrived`` rows are already queued (an earlier block's ``keep``,
+    each tenant's in arrival order) and the fresh rows after them arrive in
+    the given order, non-decreasing in time.  A tenant's code is its
+    position in the batcher's queue order: its first arrival or flush.
+    ``barriers`` are sorted by ``before``, polling ones first.  With
+    ``end_time`` set the plan ends the trace: whatever is still queued is
+    released at that stamp (``flush_all``).
+
+    The plan reproduces the per-request loop — ``offer`` polls every queue
+    and then enqueues, an update polls and then flushes its own tenant —
+    bit for bit, in O(batches) steps: each queue is walked release by
+    release, and a release is the earliest of its size event, its tenant's
+    next flush and the first event that finds its deadline expired.
+    """
+    total, fresh = len(times), len(times) - arrived
+    never = fresh + len(barriers)  # the end-of-trace event, past all others
+    barrier_event = [b.before + j for j, b in enumerate(barriers)]
+    event = np.full(total, -1, dtype=np.int64)
+    event[arrived:] = np.arange(fresh)
+    if barriers:
+        event[arrived:] += np.searchsorted(
+            np.asarray([b.before for b in barriers]), np.arange(fresh),
+            side="right")
+    clock = np.empty(never)
+    clock[event[arrived:]] = times[arrived:]
+    clock[barrier_event] = [b.time for b in barriers]
+    # Tail updates come after every arrival and every polling barrier, so
+    # the events that poll are a prefix of the sequence.
+    polls = fresh + sum(b.polls for b in barriers)
+    if np.any(np.diff(clock[:polls]) < 0):
+        raise ValueError("arrivals and updates must be in time order")
+    clock = clock.tolist()
+    flushes: Dict[int, List[int]] = {}
+    for at, barrier in zip(barrier_event, barriers):
+        if barrier.code >= 0:
+            flushes.setdefault(barrier.code, []).append(at)
+
+    order = np.argsort(codes, kind="stable")
+    tenants = max(int(codes.max()) + 1 if total else 0,
+                  max(flushes, default=-1) + 1)
+    bounds = np.searchsorted(codes[order], np.arange(tenants + 1)).tolist()
+    stamp, event = times[order].tolist(), event[order].tolist()
+    max_batch, max_delay = policy.max_batch, policy.max_delay
+    steps = [Step(at, BARRIER, j, 0, 0, 0.0)
+             for j, at in enumerate(barrier_event)]
+    keep = []
+    for code in range(tenants):
+        start, end = bounds[code], bounds[code + 1]
+        own, f = flushes.get(code, ()), 0
+        while start < end:
+            oldest, queued_at = stamp[start], event[start]
+            full = event[start + max_batch - 1] \
+                if start + max_batch <= end else never
+            while f < len(own) and own[f] < queued_at:
+                f += 1
+            flushed = own[f] if f < len(own) else never
+            limit = min(polls, full + 1, flushed + 1)
+            expired = _first_expired(clock, queued_at + 1, limit, oldest,
+                                     max_delay)
+            if expired < limit:
+                # The poll comes first in its event: rows that arrived
+                # before it go, the arriving row starts the next queue.
+                at, kind = expired, POLL_RELEASE
+                stop = bisect_left(event, at, start, end)
+            elif full < flushed:
+                at, kind, stop = full, OWN_RELEASE, start + max_batch
+            elif flushed < never:
+                at, kind = flushed, OWN_RELEASE
+                stop = bisect_left(event, at, start, end)
+            else:
+                break
+            # A timer would have fired at the deadline: queueing delay is
+            # charged against it, never before the batch's last arrival.
+            steps.append(Step(at, kind, code, start, stop, max(
+                stamp[stop - 1], min(clock[at], oldest + max_delay))))
+            start = stop
+        if start == end:
+            continue
+        if end_time is None:
+            keep.append(np.arange(start, end))
+        else:
+            steps.append(Step(never, POLL_RELEASE, code, start, end, max(
+                stamp[end - 1], min(end_time, stamp[start] + max_delay))))
+    steps.sort()
+    return BlockPlan(order, steps,
+                     np.concatenate(keep) if keep
+                     else np.empty(0, dtype=np.int64))

@@ -16,7 +16,9 @@ are seconds, and their sum is the reported request latency.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from bisect import bisect_left
+from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, \
     Tuple
 
@@ -24,9 +26,10 @@ import numpy as np
 
 from repro.engine.layout import packets_to_array
 from repro.ingest.admission import AdmissionController, IngestConfig
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Counter, MetricsRegistry
 from repro.rules.rule import Rule
-from repro.serve.batcher import BatchPolicy, MicroBatcher, Request
+from repro.serve.batcher import BARRIER, Barrier, BatchPolicy, Request, Step, \
+    plan_block
 from repro.serve.engines import SwapStats
 from repro.serve.registry import TenantRegistry
 
@@ -35,6 +38,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: Percentiles reported by default (p50 / p90 / p99).
 LATENCY_PERCENTILES: Tuple[float, ...] = (50.0, 90.0, 99.0)
+
+#: Column positions in a session's block (see ``ServingSession._settle``).
+_TIMES, _CODES, _VALUES, _REQUESTS = range(4)
+_ARRIVAL = attrgetter("time")
 
 
 @dataclass(frozen=True)
@@ -299,7 +306,7 @@ class ClassificationService:
         """
         # Stable sort: equal-timestamp requests keep their stream order, so
         # a given workload always forms the same batches.
-        requests = sorted(requests, key=lambda r: r.time)
+        requests = sorted(requests, key=_ARRIVAL)
         admission: Optional[AdmissionController] = None
         if self.ingest is not None:
             # The frontend decides on arrival stamps and re-stamps admitted
@@ -332,20 +339,30 @@ class ClassificationService:
 
 
 class ServingSession:
-    """One in-progress serving run, driven event by event.
+    """One in-progress serving run, settled a block of arrivals at a time.
 
-    Exactly the loop :meth:`ClassificationService.serve` used to inline,
-    split at its event boundaries so a front-end can interleave several
-    sessions on one trace clock.  Semantics are identical: updates
-    scheduled at construction are applied ahead of the first arrival past
-    their timestamp, batches release by size or deadline, and
-    :meth:`finish` applies tail updates, drains every queue, and builds
-    the :class:`ServingReport`.
+    :meth:`offer` only buffers.  Every point that observes the run —
+    :meth:`poll`, :meth:`queue_depth`, :meth:`deliver_update`,
+    :meth:`settle`, :meth:`finish` — first *settles* the buffer: one pass
+    lifts arrival stamp, tenant code and the ``(n, 5)`` header matrix out of
+    the buffered :class:`Request` objects, :func:`plan_block` turns the
+    stamps, the update barriers and the rows still queued from earlier
+    blocks into batch spans, and each span is one ``lookup_batch`` call on
+    a slice of the block's columns.  The batches, their order, their flush
+    stamps and the engine epoch each one sees are exactly those of feeding
+    the same events one at a time through a :class:`MicroBatcher` (the
+    per-request loop kept as the oracle in ``tests/reference_serve.py``):
+    updates scheduled at construction apply ahead of the first arrival at
+    or past their timestamp, batches release by size or deadline, and
+    :meth:`finish` applies tail updates, drains every queue, and builds the
+    :class:`ServingReport`.
 
-    The migration hooks are :meth:`poll` (advance deadline releases to a
-    trace timestamp without offering anything), :meth:`queue_depth` (is a
-    tenant's in-flight batch drained?), and :meth:`deliver_update` (route
-    one update now, for front-ends that own the update schedule).
+    Offer requests in time order.  The migration hooks are :meth:`poll`
+    (advance deadline releases to a trace timestamp without offering
+    anything), :meth:`queue_depth` (is a tenant's in-flight batch drained?),
+    and :meth:`deliver_update` (route one update now, for front-ends that
+    own the update schedule); a front-end that reads the registry's
+    counters directly calls :meth:`settle` first.
     """
 
     def __init__(self, service: ClassificationService,
@@ -353,11 +370,21 @@ class ServingSession:
                  admission: Optional[AdmissionController] = None) -> None:
         self.service = service
         self.registry = service.registry
-        self.batcher = MicroBatcher(service.policy)
         self.admission = admission
         self._pending_updates = sorted(updates, key=lambda u: u.time)
         self._update_index = 0
-        self._latencies: List[float] = []
+        #: Arrivals offered since the last settle.
+        self._block: List[Request] = []
+        #: Tenant -> code, its position in the batcher's queue order (first
+        #: arrival or flush in the session); ``_tenants`` is the inverse.
+        self._code_of: Dict[str, int] = {}
+        self._tenants: List[str] = []
+        self._tenant_requests: Dict[int, Counter] = {}
+        #: Columns (as ``_settle`` lifts them) of the rows no event has
+        #: released yet; None when nothing is queued.
+        self._queued: Optional[List[np.ndarray]] = None
+        #: Per-request latencies, one array per settled block.
+        self._latencies: List[np.ndarray] = []
         self._recorded: List[ServedBatch] = []
         self._num_batches = 0
         self._num_served = 0
@@ -378,21 +405,13 @@ class ServingSession:
     @property
     def last_time(self) -> float:
         """Largest trace timestamp of any event this session has seen."""
+        if self._block:
+            return max(self._last_time, self._block[-1].time)
         return self._last_time
 
     def offer(self, request: Request) -> None:
-        """Feed one arrival; applies due scheduled updates first."""
-        self._last_time = max(self._last_time, request.time)
-        # Apply every update scheduled before this arrival.  The owning
-        # tenant's queue is flushed first so packets that arrived before
-        # the update are classified by the pre-update engine.
-        while self._update_index < len(self._pending_updates) and \
-                self._pending_updates[self._update_index].time <= request.time:
-            update = self._pending_updates[self._update_index]
-            self._update_index += 1
-            self.deliver_update(update)
-        for tenant_id, batch in self.batcher.offer(request):
-            self._execute(tenant_id, batch, request.time)
+        """Feed one arrival (buffered until the next settle)."""
+        self._block.append(request)
 
     def deliver_update(self, update: RuleUpdate) -> None:
         """Apply one rule update now (mid-stream semantics).
@@ -400,12 +419,126 @@ class ServingSession:
         Deadline-expired queues release first, then the owning tenant's
         queue is flushed so pre-update packets see the pre-update engine.
         """
-        self._last_time = max(self._last_time, update.time)
+        self._settle(event=(update.time, update))
+
+    def poll(self, now: float) -> None:
+        """Release every queue whose deadline has passed at ``now``.
+
+        Batch composition is poll-frequency-invariant: a deadline-expired
+        queue can never gain members (any later arrival would release it
+        first), and the flush-time clamp charges latency against the
+        deadline either way.  Front-ends use this before a migration check
+        so ``queue_depth`` reflects trace time ``now``.
+        """
+        self._settle(event=(now, None))
+
+    def queue_depth(self, tenant_id: str) -> int:
+        """Requests of one tenant still queued (its in-flight batch)."""
+        self._settle()
+        if self._queued is None:
+            return 0
+        return int(np.count_nonzero(
+            self._queued[_CODES] == self._code_of.get(tenant_id, -1)))
+
+    def settle(self) -> None:
+        """Serve everything the buffered arrivals release."""
+        self._settle()
+
+    # ------------------------------------------------------------------ #
+    # Block settlement
+    # ------------------------------------------------------------------ #
+
+    def _settle(self, event: Optional[Tuple[float, Optional[RuleUpdate]]]
+                = None, drain: bool = False) -> None:
+        """Plan and execute the buffered block, then ``event`` (an update
+        delivered now, or a bare poll), then — draining — the end of trace.
+        """
+        block, self._block = self._block, []
+        if not (block or event or drain):
+            return
+        stamps = [r.time for r in block]
+        tenant_ids = [r.tenant_id for r in block]
+        # Barriers as (fresh row they precede, stamp, update, polls).  A
+        # scheduled update goes ahead of the first arrival at or past its
+        # stamp; the ones no arrival reaches are the tail, applied at the
+        # drain without a deadline poll.
+        updates, barriers = self._pending_updates, []
+        while block and self._update_index < len(updates) \
+                and updates[self._update_index].time <= stamps[-1]:
+            update = updates[self._update_index]
+            self._update_index += 1
+            barriers.append(
+                (bisect_left(stamps, update.time), update.time, update, True))
+        if event is not None:
+            barriers.append((len(block), *event, True))
+        if drain:
+            barriers.extend((len(block), update.time, update, False)
+                            for update in updates[self._update_index:])
+            self._update_index = len(updates)
+        self._last_time = max(
+            [self._last_time] + stamps[-1:]
+            + [stamp for _, stamp, update, _ in barriers
+               if update is not None])
+
+        code_of = self._enroll(tenant_ids, barriers)
+
+        # The block's columns: stamps, tenant codes, headers (and the
+        # requests themselves when batches are recorded), behind the rows
+        # still queued from earlier blocks.
+        columns = [
+            np.asarray(stamps, dtype=float),
+            np.fromiter(map(code_of.__getitem__, tenant_ids), np.int64,
+                        len(block)),
+            packets_to_array([r.packet for r in block]),
+        ]
+        if self.service.record_batches:
+            requests = np.empty(len(block), dtype=object)
+            requests[:] = block
+            columns.append(requests)
+        arrived = 0
+        if self._queued is not None:
+            arrived = len(self._queued[_TIMES])
+            columns = [np.concatenate(pair)
+                       for pair in zip(self._queued, columns)]
+        plan = plan_block(
+            columns[_TIMES], columns[_CODES], arrived,
+            [Barrier(stamp, -1 if update is None else code_of[update.tenant_id],
+                     before, polls)
+             for before, stamp, update, polls in barriers],
+            self.service.policy, self._last_time if drain else None)
+        columns = [column[plan.order] for column in columns]
+        served: List[Tuple[int, int, int, float, float]] = []
+        for step in plan.steps:
+            if step.kind != BARRIER:
+                served.append(self._execute(columns, step))
+            elif barriers[step.code][2] is not None:
+                self._apply(barriers[step.code][2])
+        self._account(columns[_TIMES], served)
+        self._queued = [column[plan.keep] for column in columns] \
+            if len(plan.keep) else None
+
+    def _enroll(self, tenant_ids: List[str], barriers: list
+                ) -> Dict[str, int]:
+        """Give the block's new tenants their codes; returns the mapping.
+
+        Queue order is first arrival *or flush*, so new tenants take their
+        codes in the merged order of the two.
+        """
+        code_of = self._code_of
+        firsts = [(tenant_ids.index(tenant_id), 1, 0, tenant_id)
+                  for tenant_id in set(tenant_ids).difference(code_of)]
+        firsts.extend((before, 0, j, update.tenant_id)
+                      for j, (before, _, update, _) in enumerate(barriers)
+                      if update is not None
+                      and update.tenant_id not in code_of)
+        for *_, tenant_id in sorted(firsts):
+            if tenant_id not in code_of:
+                code_of[tenant_id] = len(self._tenants)
+                self._tenants.append(tenant_id)
+        return code_of
+
+    def _apply(self, update: RuleUpdate) -> None:
         self._num_updates += 1
-        for tenant_id, batch in self.batcher.poll(update.time):
-            self._execute(tenant_id, batch, update.time)
-        self._execute(update.tenant_id, self.batcher.flush(update.tenant_id),
-                      update.time)
         self.registry.apply_update(
             update.tenant_id, adds=update.adds, removes=update.removes
         )
@@ -414,39 +547,11 @@ class ServingSession:
             # threshold; trigger the background job right away.
             self.service.retrain_controller.poll_tenant(update.tenant_id)
 
-    def poll(self, now: float) -> None:
-        """Release every queue whose deadline has passed at ``now``.
-
-        Batch composition is poll-frequency-invariant: a deadline-expired
-        queue can never gain members (any later arrival would release it
-        first), and the flush-time clamp in ``_execute`` charges latency
-        against the deadline either way.  Front-ends use this before a
-        migration check so ``queue_depth`` reflects trace time ``now``.
-        """
-        for tenant_id, batch in self.batcher.poll(now):
-            self._execute(tenant_id, batch, now)
-
-    def queue_depth(self, tenant_id: str) -> int:
-        """Requests of one tenant still queued (its in-flight batch)."""
-        return self.batcher.pending(tenant_id)
-
-    # ------------------------------------------------------------------ #
-    # Batch execution
-    # ------------------------------------------------------------------ #
-
-    def _execute(self, tenant_id: str, batch: List[Request],
-                 flush_time: float) -> None:
-        if not batch:
-            return
-        # The event loop only releases queues when an event (arrival,
-        # update, end of trace) reaches it, which can be long after the
-        # queue's deadline if the stream went idle.  A timer-driven
-        # batcher would have fired at oldest-arrival + max_delay, so
-        # queueing latency is charged against that moment (never before
-        # the batch's last arrival).
-        flush_time = max(batch[-1].time,
-                         min(flush_time,
-                             batch[0].time + self.service.policy.max_delay))
+    def _execute(self, columns: List[np.ndarray], step: Step
+                 ) -> Tuple[int, int, int, float, float]:
+        """Serve one planned batch: rows ``[start, stop)`` of the block."""
+        _, _, code, start, stop, flush_time = step
+        tenant_id = self._tenants[code]
         if self.service.retrain_controller is not None:
             # Land a finished background retrain before picking the
             # engine, so the new tree starts serving at the earliest
@@ -455,33 +560,53 @@ class ServingSession:
         slot = self.registry.slot(tenant_id)
         engine = slot.engine()  # installs a finished swap, if any
         epoch = slot.epoch
-        values = packets_to_array([r.packet for r in batch])
-        start = time.perf_counter()
-        indices = engine.lookup_batch(values)
-        wall = time.perf_counter() - start
-        self._engine_seconds += wall
-        self._num_batches += 1
-        self._num_served += len(batch)
-        self._flush_timing.observe(wall)
-        self._batch_counter.inc()
-        self._request_counter.inc(len(batch))
-        self.registry.metrics.counter(
-            f"serve.tenant_requests.{tenant_id}").inc(len(batch))
-        for request in batch:
-            self._queue_timing.observe(flush_time - request.time)
-            self._latencies.append((flush_time - request.time) + wall)
+        began = time.perf_counter()
+        indices = engine.lookup_batch(columns[_VALUES][start:stop])
+        wall = time.perf_counter() - began
         if self.service.record_batches:
             self._recorded.append(ServedBatch(
                 tenant_id=tenant_id,
                 epoch=epoch,
                 flush_time=flush_time,
                 wall_seconds=wall,
-                requests=batch,
+                requests=columns[_REQUESTS][start:stop].tolist(),
                 priorities=[
                     engine.rules[i].priority if i >= 0 else None
                     for i in indices
                 ],
             ))
+        return code, start, stop, flush_time, wall
+
+    def _account(self, stamps: np.ndarray,
+                 served: List[Tuple[int, int, int, float, float]]) -> None:
+        """Telemetry of a block's batches, request by request in the order
+        they were served: queueing delay is trace time (flush stamp minus
+        arrival), service delay the wall time of the request's batch."""
+        if not served:
+            return
+        codes, starts, stops, flushes, walls = map(np.asarray, zip(*served))
+        sizes = stops - starts
+        # Row of every served request, batch after batch: a batch's rows
+        # are consecutive from its start.
+        rows = np.arange(sizes.sum()) \
+            + np.repeat(starts - np.cumsum(sizes) + sizes, sizes)
+        waits = np.repeat(flushes, sizes) - stamps[rows]
+        self._queue_timing.observe_many(waits)
+        self._flush_timing.observe_many(walls)
+        self._latencies.append(waits + np.repeat(walls, sizes))
+        self._engine_seconds += float(walls.sum())
+        self._num_batches += len(served)
+        self._num_served += len(rows)
+        self._batch_counter.inc(len(served))
+        self._request_counter.inc(len(rows))
+        per_tenant = np.bincount(codes, weights=sizes).astype(np.int64)
+        for code in np.flatnonzero(per_tenant).tolist():
+            counter = self._tenant_requests.get(code)
+            if counter is None:
+                counter = self._tenant_requests[code] = \
+                    self.registry.metrics.counter(
+                        f"serve.tenant_requests.{self._tenants[code]}")
+            counter.inc(int(per_tenant[code]))
 
     # ------------------------------------------------------------------ #
     # Quiesce
@@ -491,19 +616,10 @@ class ServingSession:
         """Apply tail updates, drain every queue, and build the report."""
         # Updates scheduled after the last arrival still apply (rule churn
         # with no traffic behind it), then the tail queues drain.
-        for update in self._pending_updates[self._update_index:]:
-            self._update_index += 1
-            self._last_time = max(self._last_time, update.time)
-            self._num_updates += 1
-            self._execute(update.tenant_id,
-                          self.batcher.flush(update.tenant_id), update.time)
-            self.registry.apply_update(
-                update.tenant_id, adds=update.adds, removes=update.removes
-            )
-            if self.service.retrain_controller is not None:
-                self.service.retrain_controller.poll_tenant(update.tenant_id)
-        for tenant_id, batch in self.batcher.flush_all():
-            self._execute(tenant_id, batch, self._last_time)
+        self._settle(drain=True)
+        return self._report()
+
+    def _report(self) -> ServingReport:
         if self.service.retrain_controller is not None:
             # Quiesce: land every in-flight retrain before the registry
             # drain installs the resulting engine rebuilds.
@@ -528,11 +644,12 @@ class ServingSession:
             swaps += entry["swap"]["swaps"]
             stalls += entry["swap"]["stalls"]
             stall_seconds += entry["swap"]["stall_seconds"]
-        percentiles = {
-            pct: float(np.percentile(self._latencies, pct))
-            if self._latencies else 0.0
-            for pct in LATENCY_PERCENTILES
-        }
+        latencies = np.concatenate(self._latencies) if self._latencies \
+            else np.zeros(0)
+        percentiles = dict(zip(
+            LATENCY_PERCENTILES,
+            np.percentile(latencies, LATENCY_PERCENTILES).tolist()
+            if len(latencies) else [0.0] * len(LATENCY_PERCENTILES)))
         controller = self.service.retrain_controller
         retrain_stats = controller.stats if controller is not None else None
         if retrain_stats is not None:
@@ -560,8 +677,7 @@ class ServingSession:
             swap_stall_seconds=stall_seconds,
             per_tenant=per_tenant,
             batches=self._recorded if self.service.record_batches else None,
-            latencies=np.asarray(self._latencies, dtype=float)
-            if self.service.record_latencies else None,
+            latencies=latencies if self.service.record_latencies else None,
             retrains_triggered=retrain_stats.triggered if retrain_stats else 0,
             retrains_installed=retrain_stats.installed if retrain_stats else 0,
             retrains_discarded=retrain_stats.discarded if retrain_stats else 0,

@@ -478,6 +478,10 @@ def serve_rebalancing(
         # the trace don't spin the planner on identical telemetry.
         next_boundary = interval * (int(now / interval) + 1)
         num_plans += 1
+        # The snapshot reads the registries' counters directly: serve what
+        # each shard has buffered first, so they are current as of ``now``.
+        for stack in stacks:
+            stack.session.settle()
         snapshot = TelemetrySnapshot.capture(
             interval=num_plans,
             time=now,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.obs import MetricsRegistry, stable_dict
@@ -73,6 +74,40 @@ class TestPrimitives:
         summary = timing.as_dict()
         for pct in TIMING_PERCENTILES:
             assert f"p{pct:g}_seconds" in summary
+
+    @pytest.mark.parametrize("batch", [
+        [0.1, 0.30000000000000004, 1e-9, 0.0, 3],
+        np.array([0.25, 0.1 + 0.2, 5e-324]),
+        np.arange(4, dtype=np.float32) / 3,
+        [],
+    ], ids=["list", "float64", "float32", "empty"])
+    def test_observe_many_is_observe_on_each(self, batch):
+        """Same samples, as Python floats, through stats, merge and pickle."""
+        one_by_one, at_once = Timing("t"), Timing("t")
+        for registry_timing in (one_by_one, at_once):
+            registry_timing.observe(0.5)
+        for sample in batch:
+            one_by_one.observe(sample)
+        at_once.observe_many(batch)
+        assert at_once.samples == one_by_one.samples
+        assert {type(s) for s in at_once.samples} == {float}
+        assert at_once.as_dict() == one_by_one.as_dict()
+        assert (at_once.count, at_once.total) == \
+            (one_by_one.count, one_by_one.total)
+
+        def registry_of(timing):
+            registry = MetricsRegistry()
+            registry.timing("t").merge(timing)
+            registry.timing("other").observe(1.0)
+            return registry
+
+        merged = [MetricsRegistry.merged([registry_of(t), registry_of(t)])
+                  for t in (at_once, one_by_one)]
+        assert merged[0].summary() == merged[1].summary()
+        assert merged[0].timings["t"].samples == 2 * one_by_one.samples
+        thawed = pickle.loads(pickle.dumps(merged[0]))
+        assert thawed.summary() == merged[1].summary()
+        assert thawed.timings["t"].samples == merged[1].timings["t"].samples
 
     def test_empty_timing_summary_is_zeroed(self):
         timing = Timing("t")
