@@ -90,9 +90,8 @@ def _build_suite_entry(task: Tuple[ClassifierSpec, int, NeuroCutsConfig, str]
     import multiprocessing
 
     spec, leaf_threshold, neurocuts_config, metric = task
-    if multiprocessing.current_process().daemon and (
-            neurocuts_config.num_rollout_workers > 1
-            or neurocuts_config.rollout_backend == "process"):
+    if multiprocessing.current_process().daemon \
+            and neurocuts_config.num_rollout_workers > 1:
         # Suite-level pool workers are daemonic and cannot spawn a nested
         # rollout pool; fall back to serial in-process rollout collection.
         # Shard seeds depend on the worker count, so this changes the
@@ -107,9 +106,8 @@ def _build_suite_entry(task: Tuple[ClassifierSpec, int, NeuroCutsConfig, str]
             RuntimeWarning,
             stacklevel=2,
         )
-        neurocuts_config = replace_config(
-            neurocuts_config, num_rollout_workers=1, rollout_backend="serial"
-        )
+        neurocuts_config = replace_config(neurocuts_config,
+                                          num_rollout_workers=1)
     builders: Dict[str, TreeBuilder] = dict(_baseline_builders(leaf_threshold))
     builders["NeuroCuts"] = NeuroCutsBuilder(config=neurocuts_config)
     ruleset = spec.materialize()

@@ -5,7 +5,6 @@ from repro.neurocuts.config import (
     PARTITION_MODES,
     REWARD_MODES,
     REWARD_SCALING,
-    ROLLOUT_BACKENDS,
 )
 from repro.neurocuts.action_space import (
     ActionSpec,
@@ -29,6 +28,7 @@ from repro.neurocuts.reward import (
 )
 from repro.neurocuts.env import NeuroCutsEnv, RolloutResult
 from repro.neurocuts.workers import (
+    ROLLOUT_BACKENDS,
     RolloutShard,
     RolloutSummary,
     RolloutWorker,

@@ -16,14 +16,12 @@ The block is **double-buffered with a seqlock-style stamp** per slot:
   spins past an odd stamp, copies the payload, and re-checks the stamp —
   a torn read is impossible to return.  A stamp that settled on a *newer*
   generation means the writer lapped the reader: the bounded-staleness
-  contract (``max_weight_lag <= 1``, at most two live generations, one per
-  slot) was violated, and the reader raises instead of silently training
-  on unknown weights.
+  contract (at most two live generations, one per slot) was violated, and
+  the reader raises instead of silently training on unknown weights.
 
-Why double buffering is enough: the pipelined trainer keeps at most one
-round in flight, and a round reading generation ``g`` is always gathered
-before generation ``g + 2`` (the next occupant of the same slot) is
-published.  The staleness bound is therefore *structural* — enforced by
+Why double buffering is enough: the training loop keeps at most one round
+in flight, and a round reading generation ``g`` is always gathered before
+generation ``g + 2`` (the next occupant of the same slot) is published.  The staleness bound is therefore *structural* — enforced by
 slot reuse, not by trusting wall-clock luck.
 
 Serial and thread backends skip all of this and keep the inline ndarray
@@ -201,7 +199,7 @@ def read_weights(handle: WeightHandle, retries: int = 1000) -> np.ndarray:
                 return copied
         raise RuntimeError(
             f"weight generation {handle.generation} is gone from slot "
-            f"{slot} (stamp {int(stamps[slot])}): the max_weight_lag "
+            f"{slot} (stamp {int(stamps[slot])}): the one-round "
             f"staleness bound was violated"
         )
     finally:

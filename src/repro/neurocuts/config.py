@@ -26,10 +26,6 @@ REWARD_SCALING: Tuple[str, ...] = ("linear", "log")
 #: the ablation where every decision receives only the whole-tree reward.
 REWARD_MODES: Tuple[str, ...] = ("subtree", "root")
 
-#: Rollout-collection backends (None = pick from the worker count).
-ROLLOUT_BACKENDS: Tuple[Optional[str], ...] = (None, "serial", "process")
-
-
 @dataclass
 class NeuroCutsConfig:
     """All knobs of a NeuroCuts training run.
@@ -54,19 +50,14 @@ class NeuroCutsConfig:
     setup):
 
     * ``num_rollout_workers`` — how many rollout shards each PPO batch is
-      scattered over.
-    * ``rollout_backend`` — ``None`` (auto: serial for one worker, a
-      persistent process pool otherwise), ``"serial"``, or ``"process"``.
-    * ``async_collection`` — when True, the trainer pipelines collection
-      against learning: the next round's rollout shards are submitted on
-      the *pre-update* weight snapshot before the PPO update runs, so
-      workers keep rolling while the learner learns.  Every trained batch
-      is at most ``max_weight_lag`` weight generations stale (explicitly
-      stamped and asserted).  When False (default) collection is fully
-      synchronous and histories are byte-identical to the classic path.
-    * ``max_weight_lag`` — the staleness bound of async collection; only
-      a lag of 1 (off-by-one snapshots, the paper's pipelined setup) or 0
-      (submit-after-update: async plumbing, no overlap) is supported.
+      scattered over (serial in-process for one, a persistent process pool
+      otherwise; the trainer's ``rollout_backend`` argument overrides).
+    * ``async_collection`` — when True, the training loop keeps one round
+      in flight: the next round's shards are submitted on the *pre-update*
+      weight snapshot before the PPO update runs, so workers keep rolling
+      while the learner learns, and every batch after the first is exactly
+      one weight generation stale (stamped and checked).  When False
+      (default) each round is collected on the current weights.
     """
 
     time_space_coeff: float = 1.0
@@ -95,13 +86,8 @@ class NeuroCutsConfig:
     convergence_patience: Optional[int] = None
     #: Rollout shards per PPO batch (1 = classic single-process collection).
     num_rollout_workers: int = 1
-    #: Executor backend for rollout collection (None = auto).
-    rollout_backend: Optional[str] = None
-    #: Pipeline collection against the PPO update (False = byte-identical
-    #: to the classic synchronous path).
+    #: Keep one collection round in flight across the PPO update.
     async_collection: bool = False
-    #: Bounded staleness of async collection, in weight generations.
-    max_weight_lag: int = 1
 
     def __post_init__(self) -> None:
         self.validate()
@@ -141,17 +127,6 @@ class NeuroCutsConfig:
             raise ConfigError("efficuts_largeness_threshold must be in (0, 1)")
         if self.num_rollout_workers < 1:
             raise ConfigError("num_rollout_workers must be >= 1")
-        if self.rollout_backend not in ROLLOUT_BACKENDS:
-            raise ConfigError(
-                f"rollout_backend must be one of {ROLLOUT_BACKENDS}, "
-                f"got {self.rollout_backend!r}"
-            )
-        if self.max_weight_lag not in (0, 1):
-            raise ConfigError(
-                "max_weight_lag must be 0 or 1: the pipelined collector "
-                "holds at most one in-flight round (double-buffered "
-                f"broadcast), got {self.max_weight_lag!r}"
-            )
 
     def ppo_config(self) -> PPOConfig:
         """The PPO learner configuration implied by this NeuroCuts config."""

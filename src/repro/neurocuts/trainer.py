@@ -1,47 +1,43 @@
 """The NeuroCuts training driver (Algorithm 1 + the PPO realisation of §5).
 
 The trainer is the *learner* of an actor/learner architecture (the paper's
-Figure 7 scaling design).  Each iteration it broadcasts a flat snapshot of
-the policy weights, scatters per-worker seeds and timestep budgets to
-:class:`~repro.neurocuts.workers.RolloutWorker` shards running on a
-backend-pluggable executor (serial in-process by default, a persistent
-process pool for ``num_rollout_workers > 1``), gathers and concatenates the
-experience shards, runs the PPO update centrally, and tracks the best tree
-seen so far under the configured time/space objective — the artifact the
-evaluation section reports.
+Figure 7 scaling design).  It owns one executor of
+:class:`~repro.neurocuts.workers.RolloutWorker` shards — serial in-process
+for one worker, a persistent spawn process pool otherwise — built on first
+use and torn down in :meth:`NeuroCutsTrainer.close`.  A *collection round*
+snapshots the policy weights, scatters them with per-worker seeds and
+timestep budgets, and gathers and concatenates the experience shards; each
+iteration trains one round with a central PPO update and tracks the best
+tree seen so far under the configured time/space objective — the artifact
+the evaluation section reports.
 
 Shard collection is a pure function of (weights, seed, budget), so for a
 fixed configuration the serial backend and a one-worker process pool produce
-byte-identical training histories.
+byte-identical training histories.  Process pools publish each snapshot once
+through :mod:`repro.neurocuts.broadcast` and ship a tiny handle per shard.
 
-Two fleet-trainer refinements ride on that purity:
-
-* **Shared-memory weight broadcast** — process-pool backends publish each
-  weight snapshot once through :mod:`repro.neurocuts.broadcast` and ship a
-  tiny handle per shard instead of pickling the flat vector per request.
-  Serial/thread backends keep the inline ndarray; the bytes collected are
-  identical either way.
-* **Async collection** (``config.async_collection``) — the next round's
-  shards are submitted on the *pre-update* snapshot before the PPO update
-  runs, so workers keep rolling while the learner learns.  Every trained
-  batch carries an explicit weight-generation stamp and the trainer raises
-  if a batch is ever staler than ``config.max_weight_lag``.  Checkpoints
-  persist the gathered-but-untrained prefetch round, so resumed async runs
-  continue byte-identically.  With ``async_collection=False`` the classic
-  synchronous path runs untouched.
+There is one training loop.  By default a round is submitted and gathered
+in the iteration that trains it.  With ``config.async_collection`` the loop
+keeps one round in flight: the next round is submitted on the *pre-update*
+snapshot before the PPO update runs, so workers roll while the learner
+learns, and every batch after the first is exactly one weight generation
+stale — stamped, checked, and recorded in ``collection_lags``.  A round
+still in flight when the loop exits is gathered into a prefetch that the
+next ``train`` call trains first and checkpoints persist, so split calls
+and resumed runs continue byte-identically.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 import numpy as np
 
-from repro.exceptions import BuildError, CheckpointError
+from repro.exceptions import BuildError, CheckpointError, ConfigError
 from repro.rules.ruleset import RuleSet
 from repro.nn.checkpoints import load_training_checkpoint, save_checkpoint
 from repro.nn.model import ActorCriticMLP
@@ -58,10 +54,10 @@ from repro.neurocuts.config import NeuroCutsConfig
 from repro.neurocuts.env import NeuroCutsEnv, RolloutResult
 from repro.neurocuts.reward import RewardComponents
 from repro.neurocuts.workers import (
+    ROLLOUT_BACKENDS,
     RolloutSummary,
     ShardRequest,
     _collect_shard,
-    allocate_session,
     broadcast_weights,
     discard_session,
     make_rollout_executor,
@@ -93,7 +89,7 @@ class IterationStats:
 
 @dataclass
 class _InFlightRound:
-    """One submitted-but-ungathered collection round (the async pipeline)."""
+    """One submitted-but-ungathered collection round."""
 
     handles: List[TaskHandle]
     #: Weight generation the round's snapshot was taken at (staleness stamp).
@@ -138,21 +134,20 @@ class NeuroCutsTrainer:
         ruleset: the classifier to learn a tree for.
         config: training configuration; ``config.num_rollout_workers``
             controls rollout sharding.
-        executor: optional pre-built executor to collect shards on.  When
-            omitted the trainer owns one sized from the config (serial for
-            one worker, a persistent spawn pool otherwise) and tears it down
-            in :meth:`close`.  Externally supplied executors are never shut
-            down by the trainer; their worker processes bootstrap rollout
-            state from the first request they serve.
-        rollout_backend: override the backend choice ("serial" or
-            "process") without touching the config — e.g. to force a
-            one-worker process pool for determinism checks.
+        rollout_backend: the executor the trainer builds for its shards —
+            ``"serial"``, ``"process"``, or ``None`` (serial for one worker,
+            a persistent spawn pool otherwise).  Histories do not depend on
+            it; e.g. a one-worker process pool reproduces the serial run.
     """
 
     def __init__(self, ruleset: RuleSet,
                  config: Optional[NeuroCutsConfig] = None,
-                 executor: Optional[RolloutExecutor] = None,
                  rollout_backend: Optional[str] = None) -> None:
+        if rollout_backend not in ROLLOUT_BACKENDS:
+            raise ConfigError(
+                f"rollout_backend must be one of {ROLLOUT_BACKENDS}, "
+                f"got {rollout_backend!r}"
+            )
         self.config = config or NeuroCutsConfig()
         self.ruleset = ruleset
         self.env = NeuroCutsEnv(ruleset, self.config)
@@ -180,20 +175,18 @@ class NeuroCutsTrainer:
         #: Best rollout overall, including truncated trees (still valid
         #: classifiers — truncation only leaves oversized leaves behind).
         self._best_any: Optional[RolloutResult] = None
-        self._executor = executor
-        self._owns_executor = executor is None
-        self._session: Optional[int] = None
-        #: True when worker state was installed by a pool initializer (so
-        #: shard requests need not carry a bootstrap payload).
-        self._session_initialized = False
         self._rollout_backend = rollout_backend
+        #: The trainer's executor and the session id its workers serve
+        #: (built on first collection, released by close()).
+        self._executor: Optional[RolloutExecutor] = None
+        self._session: Optional[int] = None
         #: Weight generations applied so far (== PPO updates run).  Stamps
-        #: async batches so staleness is asserted, never assumed.
+        #: every round so staleness is asserted, never assumed.
         self._weight_generation = 0
         #: Per-iteration staleness (in weight generations) of the batch each
-        #: PPO update trained on; all zeros on the synchronous path.
+        #: PPO update trained on: 0 synchronous, 1 once a pipeline primes.
         self.collection_lags: List[int] = []
-        #: The async pipeline's one in-flight round (None when synchronous).
+        #: The round submitted ahead of the update (async collection only).
         self._inflight: Optional[_InFlightRound] = None
         #: A gathered-but-untrained round carried across train() calls and
         #: checkpoint resumes.
@@ -208,30 +201,19 @@ class NeuroCutsTrainer:
     @property
     def num_rollout_workers(self) -> int:
         """How many rollout shards each batch is scattered over."""
-        if self._executor is not None and not self._owns_executor:
-            return self._executor.num_workers
         return self.config.num_rollout_workers
 
     def _ensure_executor(self) -> RolloutExecutor:
         if self._executor is None:
             self._executor, self._session = make_rollout_executor(
                 self.ruleset, self.config, self.config.num_rollout_workers,
-                backend=self._rollout_backend or self.config.rollout_backend,
+                backend=self._rollout_backend,
             )
-            self._session_initialized = True
-        elif self._session is None:
-            # External executor: its processes never ran our initializer, so
-            # requests carry a bootstrap payload under a fresh session id.
-            self._session = allocate_session()
         return self._executor
 
     def close(self) -> None:
-        """Shut down the trainer-owned executor (idempotent).
-
-        Externally supplied executors are left running — their owner decides
-        when to release them.
-        """
-        # Drain any in-flight async round before tearing anything down:
+        """Shut down the trainer's executor (idempotent)."""
+        # Drain any in-flight round before tearing anything down:
         # abandoned tasks would otherwise race the shared-memory unlink (and
         # a pool shutdown) below.  Results are discarded; the gathered
         # prefetch (if any) is kept so a save() after close() stays exact.
@@ -248,11 +230,10 @@ class NeuroCutsTrainer:
         # Serial sessions build their rollout worker in this process; drop
         # it so closed trainers do not accumulate env + model replicas.
         discard_session(self._session)
-        if self._owns_executor and self._executor is not None:
+        if self._executor is not None:
             self._executor.shutdown()
             self._executor = None
         self._session = None
-        self._session_initialized = False
 
     def __enter__(self) -> "NeuroCutsTrainer":
         return self
@@ -289,17 +270,9 @@ class NeuroCutsTrainer:
         budgets = shard_budgets(total_budget, num_workers)
         seeds = shard_seeds(self.config.seed, self._collect_rounds, num_workers)
         weights = self._publish_weights(executor)
-        # External executors never ran our initializer, so every request
-        # carries a (ruleset, config) bootstrap payload.  It cannot be
-        # dropped after a warm-up round: map() gives no process-affinity
-        # guarantee, and another trainer sharing the executor may evict this
-        # session's worker between rounds.  Trainer-owned executors (the
-        # default) initialise eagerly and never pay this pickling cost.
-        bootstrap = None if self._session_initialized \
-            else (self.ruleset, self.config)
         return [
             ShardRequest(session=self._session, weights=weights, seed=seed,
-                         budget=budget, bootstrap=bootstrap)
+                         budget=budget)
             for seed, budget in zip(seeds, budgets)
         ]
 
@@ -326,64 +299,59 @@ class NeuroCutsTrainer:
             raise BuildError("no experience collected; rollouts produced no steps")
         return SampleBatch.concat(batches), summaries
 
-    def collect_batch(self) -> tuple[SampleBatch, List[RolloutSummary]]:
-        """Collect one PPO batch worth of rollouts, sharded across workers.
-
-        Broadcasts the current weights, scatters per-worker seeds and
-        budgets, gathers the shards, folds their best-tree candidates into
-        the global best tracking, and concatenates the experience.
-        """
-        executor = self._ensure_executor()
-        requests = self._build_requests(executor)
-        shards = executor.map(_collect_shard, requests)
-        return self._fold_shards(shards)
-
-    # ----- the async pipeline (submit ahead, gather one round behind) ----- #
-
     def _submit_round(self) -> _InFlightRound:
-        """Launch the next collection round without waiting on its results."""
+        """Scatter the next collection round without waiting on its shards."""
         assert self._inflight is None, "at most one round may be in flight"
         executor = self._ensure_executor()
-        requests = self._build_requests(executor)
         return _InFlightRound(
             handles=[executor.submit(_collect_shard, request)
-                     for request in requests],
+                     for request in self._build_requests(executor)],
             generation=self._weight_generation,
         )
 
-    def _gather_inflight(self) -> _ReadyRound:
-        """Block on the in-flight round and fold it (clears the pipeline)."""
-        inflight = self._inflight
-        self._inflight = None
+    def _gather(self, inflight: _InFlightRound) -> _ReadyRound:
+        """Block on a submitted round's shards and fold them."""
         shards = [handle.result() for handle in inflight.handles]
         batch, summaries = self._fold_shards(shards)
         return _ReadyRound(batch=batch, summaries=summaries,
                            generation=inflight.generation)
 
-    def _take_ready_round(self) -> _ReadyRound:
-        """The next round to train on: prefetch, in-flight, or collected now."""
+    def collect_batch(self) -> tuple[SampleBatch, List[RolloutSummary]]:
+        """Collect one PPO batch worth of rollouts on the current weights.
+
+        Broadcasts the weights, scatters per-worker seeds and budgets,
+        gathers the shards, folds their best-tree candidates into the global
+        best tracking, and concatenates the experience.
+        """
+        ready = self._gather(self._submit_round())
+        return ready.batch, ready.summaries
+
+    def _next_round(self) -> _ReadyRound:
+        """The round to train on: the prefetch, the one in flight, or one
+        collected now on the current weights."""
         if self._prefetch is not None:
-            ready = self._prefetch
-            self._prefetch = None
+            ready, self._prefetch = self._prefetch, None
             return ready
-        if self._inflight is None:
-            # Pipeline cold (first iteration, or ``max_weight_lag == 0``):
-            # collect synchronously on the current weights.
-            self._inflight = self._submit_round()
-        return self._gather_inflight()
+        if self._inflight is not None:
+            inflight, self._inflight = self._inflight, None
+            return self._gather(inflight)
+        batch, summaries = self.collect_batch()
+        return _ReadyRound(batch=batch, summaries=summaries,
+                           generation=self._weight_generation)
 
     def _drain_inflight(self) -> None:
         """Gather a leftover in-flight round into the prefetch stash.
 
-        Called when the training loop exits with the pipeline primed: the
+        Called when the training loop exits with a round in flight: the
         round's steps are counted and its best candidates folded (exactly
         the state between gathering and training), and the gathered batch is
         carried in ``self._prefetch`` — consumed by the next ``train`` call
         and persisted by :meth:`save`, so nothing collected is ever lost.
         """
         if self._inflight is not None:
+            inflight, self._inflight = self._inflight, None
             try:
-                self._prefetch = self._gather_inflight()
+                self._prefetch = self._gather(inflight)
             except BuildError:
                 # The drained round had no trainable steps; its (optimal)
                 # tree already reached the best tracking via the fold.
@@ -405,84 +373,42 @@ class NeuroCutsTrainer:
     def train(self, max_iterations: Optional[int] = None) -> TrainingResult:
         """Run training until the timestep budget (or iteration cap) is hit.
 
+        Each iteration trains one round: a stashed prefetch first, else the
+        round in flight, else one collected now.  With
+        ``config.async_collection`` the iteration then submits the next
+        round on the *pre-update* snapshot while budget remains, so workers
+        roll during the update and the batch trained next is one weight
+        generation stale — checked against the stamp, never assumed.  A
+        round still in flight when the loop exits (budget, iteration cap,
+        or convergence) is drained into the prefetch.
+
         Convergence-patience counters live on the trainer (not this call),
         so repeated ``train`` calls — and checkpoint resumes — continue the
         same trajectory an uninterrupted run would follow.
         """
-        if self.config.async_collection:
-            return self._train_async(max_iterations)
+        total = self.config.max_timesteps_total
         iteration = len(self.history)
-        while self._timesteps_total < self.config.max_timesteps_total:
+        while self._timesteps_total < total or self._prefetch is not None:
             if max_iterations is not None and iteration >= max_iterations:
                 break
             start = time.perf_counter()
             try:
-                batch, summaries = self.collect_batch()
+                ready = self._next_round()
             except BuildError:
                 if self._best_any is not None:
                     break  # nothing to learn (single-leaf tree): done
                 raise
-            ppo_stats = self.learner.update(batch)
-            self._weight_generation += 1
-            self.collection_lags.append(0)
-            iteration += 1
-            stats = self._record_iteration(iteration, summaries, ppo_stats,
-                                           time.perf_counter() - start)
-            if self.config.convergence_patience is not None:
-                if stats.best_objective < self._last_best - 1e-9:
-                    self._last_best = stats.best_objective
-                    self._stale_iterations = 0
-                else:
-                    self._stale_iterations += 1
-                    if self._stale_iterations >= self.config.convergence_patience:
-                        break
-        return self.result()
-
-    def _train_async(self, max_iterations: Optional[int] = None
-                     ) -> TrainingResult:
-        """The pipelined training loop (``config.async_collection``).
-
-        Each iteration trains on the round gathered from the pipeline and
-        immediately resubmits collection on the *pre-update* snapshot, so
-        workers roll while the learner updates.  The batch trained on is
-        therefore one weight generation stale from the second iteration on —
-        asserted against ``config.max_weight_lag`` via explicit generation
-        stamps, never assumed.  With ``max_weight_lag=0`` the pipeline never
-        primes and the trajectory is byte-identical to the synchronous path.
-
-        When the loop exits with a round still in flight (budget, iteration
-        cap, or convergence), the round is gathered and stashed as the
-        prefetch consumed by the next ``train`` call — and persisted by
-        :meth:`save` — so interrupted pipelines resume exactly.
-        """
-        iteration = len(self.history)
-        while self._timesteps_total < self.config.max_timesteps_total \
-                or self._prefetch is not None:
-            if max_iterations is not None and iteration >= max_iterations:
-                break
-            start = time.perf_counter()
-            try:
-                ready = self._take_ready_round()
-            except BuildError:
-                if self._best_any is not None:
-                    break  # nothing to learn (single-leaf tree): done
-                raise
-            # Pipeline: launch the next round on the snapshot *before* this
-            # update applies, while there is still budget to spend.  Not
-            # gated on max_iterations: capped runs leave the pipeline primed
-            # (drained to the prefetch below) so a later train() call
-            # continues byte-identically with an uncapped run.
-            if self.config.max_weight_lag >= 1 \
-                    and self._timesteps_total < self.config.max_timesteps_total:
+            # Not gated on max_iterations: a capped run leaves the round in
+            # flight (drained to the prefetch below), so a later train()
+            # call continues byte-identically with an uncapped run.
+            if self.config.async_collection and self._timesteps_total < total:
                 self._inflight = self._submit_round()
             lag = self._weight_generation - ready.generation
-            if lag > self.config.max_weight_lag:
+            if lag > 1:
                 raise BuildError(
-                    f"async collection staleness contract violated: batch "
-                    f"collected at weight generation {ready.generation} "
-                    f"trained at generation {self._weight_generation} "
-                    f"(lag {lag} > max_weight_lag "
-                    f"{self.config.max_weight_lag})"
+                    f"batch collected at weight generation {ready.generation} "
+                    f"trained at generation {self._weight_generation}: the "
+                    f"loop holds at most one round in flight (lag <= 1)"
                 )
             ppo_stats = self.learner.update(ready.batch)
             self._weight_generation += 1
@@ -567,12 +493,12 @@ class NeuroCutsTrainer:
         :meth:`restore` continues training with byte-identical trajectories:
         shard seeds derive from the persisted round counter, the PPO
         minibatch RNG state and adaptive KL coefficient are saved, and the
-        best-tree records (trees included) survive the round trip.  Async
-        runs additionally persist the weight-generation stamp and the
-        gathered-but-untrained prefetch round, so a resumed pipeline
-        continues exactly where an uninterrupted one would be.
+        best-tree records (trees included) survive the round trip, as do
+        the weight-generation stamp and any gathered-but-untrained prefetch
+        round, so a resumed pipeline continues exactly where an
+        uninterrupted one would be.
         """
-        # A checkpoint must never capture a half-gathered pipeline: fold any
+        # A checkpoint must never capture a half-gathered round: fold any
         # in-flight round into the prefetch first (same transition train()
         # performs on exit).
         self._drain_inflight()
@@ -674,7 +600,6 @@ class NeuroCutsTrainer:
     @classmethod
     def restore(cls, path: Union[str, Path], ruleset: RuleSet,
                 config: Optional[NeuroCutsConfig] = None,
-                executor: Optional[RolloutExecutor] = None,
                 rollout_backend: Optional[str] = None) -> "NeuroCutsTrainer":
         """Rebuild a trainer from :meth:`save` and continue exactly.
 
@@ -693,12 +618,8 @@ class NeuroCutsTrainer:
         if config is None:
             saved = bundle.trainer_state.get("config")
             if saved is not None:
-                config = NeuroCutsConfig(**{
-                    key: tuple(value) if key == "hidden_sizes" else value
-                    for key, value in saved.items()
-                })
-        trainer = cls(ruleset, config, executor=executor,
-                      rollout_backend=rollout_backend)
+                config = _config_from_record(saved)
+        trainer = cls(ruleset, config, rollout_backend=rollout_backend)
         trainer.model.load_parameters(bundle.model.parameters())
         bundle.restore_optimizer(trainer.learner.optimizer)
         state = bundle.trainer_state
@@ -722,6 +643,26 @@ class NeuroCutsTrainer:
         trainer._prefetch = trainer._prefetch_from_record(
             state.get("prefetch"))
         return trainer
+
+
+def _config_from_record(saved: Dict) -> NeuroCutsConfig:
+    """Rebuild a checkpoint's config, including one saved by older code.
+
+    Older checkpoints carry two fields the config no longer has.
+    ``rollout_backend`` is now the trainer's own argument and shards do not
+    depend on it, so it is dropped.  ``max_weight_lag=0`` made a pipelined
+    run submit each round after its update — the synchronous loop — so it
+    restores as ``async_collection=False``; a lag of 1 is what
+    ``async_collection`` means now.
+    """
+    saved = dict(saved)
+    saved.pop("rollout_backend", None)
+    if saved.pop("max_weight_lag", 1) == 0:
+        saved["async_collection"] = False
+    return NeuroCutsConfig(**{
+        key: tuple(value) if key == "hidden_sizes" else value
+        for key, value in saved.items()
+    })
 
 
 class NeuroCutsBuilder(TreeBuilder):

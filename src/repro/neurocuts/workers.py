@@ -15,11 +15,11 @@ implements that split:
   summaries for iteration statistics, and at most two best-tree candidates
   (complete and overall) so the learner's best-tree tracking stays exact
   without shipping every tree across the process boundary.
-* :func:`make_rollout_executor` wires workers into the backend-pluggable
-  executor layer (:mod:`repro.executors`): worker state is built once per
-  process by a pool initializer and served for the lifetime of the
-  (persistent) pool, so each training iteration only ships a flat weight
-  vector and a seed per shard.
+* :func:`make_rollout_executor` builds the trainer's executor on the
+  backend-pluggable layer (:mod:`repro.executors`): worker state is built
+  once per process by the executor's initializer and served for the
+  lifetime of the (persistent) pool, so each training iteration only ships
+  a flat weight vector and a seed per shard.
 """
 
 from __future__ import annotations
@@ -74,18 +74,12 @@ class ShardRequest:
         budget: minimum number of environment timesteps to collect; whole
             rollouts are collected, so shards overshoot by at most one
             rollout.
-        bootstrap: optional ``(ruleset, config)`` payload letting a process
-            that never ran the session's initializer build the worker on
-            first contact.  Trainer-owned executors initialise eagerly and
-            leave this ``None``; it exists so externally supplied executors
-            (no initializer hook) still work.
     """
 
     session: int
     weights: Union[np.ndarray, WeightHandle]
     seed: int
     budget: int
-    bootstrap: Optional[Tuple[RuleSet, NeuroCutsConfig]] = None
 
 
 @dataclass
@@ -192,39 +186,28 @@ class RolloutWorker:
 # Executor integration: per-process worker state + top-level task functions
 # --------------------------------------------------------------------------- #
 
-#: Worker state of this process, keyed by session id.  Pool processes hold
-#: their initializer's entry plus at most one bootstrapped entry; the
-#: learner process may hold one per live serial-backend trainer.
-_WORKERS: Dict[int, RolloutWorker] = {}
+#: Executor backends a trainer may build (None = serial for one worker, a
+#: persistent process pool otherwise).
+ROLLOUT_BACKENDS: Tuple[Optional[str], ...] = (None, "serial", "process")
 
-#: Sessions built on demand from a request's bootstrap payload (as opposed
-#: to an executor initializer).  Only the most recent one is kept per
-#: process: external pools can outlive many trainers, and without eviction
-#: every finished trainer would leak an env + model replica here.
-_BOOTSTRAPPED_SESSIONS: set = set()
+#: Worker state of this process, keyed by session id.  A pool process holds
+#: its initializer's entry; the learner process holds one per live
+#: serial-backend trainer.
+_WORKERS: Dict[int, RolloutWorker] = {}
 
 #: Session ids unique within the learner process (workers echo them back).
 _session_counter = itertools.count(os.getpid() << 20)
 
 
-def allocate_session() -> int:
-    """A fresh session id (for callers managing their own executors)."""
-    return next(_session_counter)
-
-
 def discard_session(session: Optional[int]) -> None:
     """Drop this process's worker state for a finished session.
 
-    Serial-backend (and bootstrapped external-serial) sessions build their
-    worker in the learner process; trainers call this from ``close`` so the
-    env + model replica does not outlive them.  State held by pool
-    *processes* is out of reach here: trainer-owned pools die with the
-    trainer, and external pools evict stale bootstrapped sessions on their
-    next bootstrap (see :func:`_collect_shard`).
+    Serial-backend sessions build their worker in the learner process;
+    trainers call this from ``close`` so the env + model replica does not
+    outlive them.  Pool processes die with the trainer's executor.
     """
     if session is not None:
         _WORKERS.pop(session, None)
-        _BOOTSTRAPPED_SESSIONS.discard(session)
 
 
 def _init_worker(session: int, ruleset: RuleSet,
@@ -237,22 +220,10 @@ def _collect_shard(request: ShardRequest) -> RolloutShard:
     """Top-level (picklable) task: serve one shard from per-process state."""
     worker = _WORKERS.get(request.session)
     if worker is None:
-        if request.bootstrap is None:
-            raise RuntimeError(
-                f"rollout session {request.session} not initialised in this "
-                f"process; the executor must run _init_worker first"
-            )
-        # Evict previously bootstrapped sessions first: their trainers have
-        # moved on (collect is pure, so an interleaved trainer would simply
-        # rebuild), and keeping them would leak one env + model replica per
-        # past trainer in long-lived external pools.
-        for stale in list(_BOOTSTRAPPED_SESSIONS):
-            _WORKERS.pop(stale, None)
-        _BOOTSTRAPPED_SESSIONS.clear()
-        ruleset, config = request.bootstrap
-        worker = RolloutWorker(ruleset, config)
-        _WORKERS[request.session] = worker
-        _BOOTSTRAPPED_SESSIONS.add(request.session)
+        raise RuntimeError(
+            f"rollout session {request.session} not initialised in this "
+            f"process; the executor must run _init_worker first"
+        )
     return worker.collect(resolve_weights(request.weights), request.seed,
                           request.budget)
 
@@ -266,7 +237,7 @@ def make_rollout_executor(ruleset: RuleSet, config: NeuroCutsConfig,
     Returns ``(executor, session)``; shard requests must carry the session
     id so tasks find the matching worker state.
     """
-    session = allocate_session()
+    session = next(_session_counter)
     executor = make_executor(
         num_workers,
         backend=backend,

@@ -1,6 +1,6 @@
-"""Tests for the fleet trainer: async rollout collection with bounded
-weight staleness, shared-memory weight broadcast, and the shared
-multiplexed retrain pool.
+"""Tests for the fleet trainer: pipelined rollout collection with
+one-generation weight staleness, shared-memory weight broadcast, and the
+shared multiplexed retrain pool.
 
 Four layers, mirroring the subsystem's contracts:
 
@@ -11,11 +11,12 @@ Four layers, mirroring the subsystem's contracts:
    within a key, queue-depth accounting, exception transparency, and the
    process-local shared-pool registry handing every controller the *same*
    pool (and underlying executor) — the fleet-trainer contract.
-3. **Async collection determinism**: ``max_weight_lag=0`` reproduces the
-   synchronous trajectory byte-for-byte; ``max_weight_lag=1`` is
-   deterministic, never trains on weights older than one generation
-   (hypothesis property over seeds and worker counts), and resumes
-   exactly through a checkpoint carrying the prefetch round.
+3. **Async collection determinism**: a checkpoint saved by a lag-0
+   pipeline restores into the synchronous loop and continues its history
+   byte-for-byte; ``async_collection`` is deterministic, never trains on
+   weights older than one generation (hypothesis property over seeds and
+   worker counts), and resumes exactly through a checkpoint carrying the
+   prefetch round.
 4. **Controller lifecycle**: a trace that dies mid-stream cannot leak
    retrain executors (threads joined by the ``finally``), and the
    daemonic process-backend downgrade warns once per process.
@@ -42,6 +43,7 @@ from repro.executors import (
     shared_retrain_pool,
 )
 from repro.neurocuts import NeuroCutsConfig, NeuroCutsTrainer
+from repro.nn.checkpoints import load_training_checkpoint, save_checkpoint
 from repro.neurocuts.broadcast import (
     WeightBroadcast,
     WeightHandle,
@@ -327,22 +329,38 @@ class TestControllersShareOnePool:
 
 class TestAsyncCollection:
     def test_config_rejects_unsupported_lag(self):
-        with pytest.raises(ConfigError):
+        # The lag is structural (one round in flight), not a knob.
+        with pytest.raises(TypeError, match="max_weight_lag"):
             _fleet_config(async_collection=True, max_weight_lag=2)
+        with pytest.raises(ConfigError, match="rollout_backend"):
+            NeuroCutsTrainer(None, _fleet_config(), rollout_backend="thread")
 
     def test_lag_zero_reproduces_synchronous_history_byte_identically(
-            self, small_acl_ruleset):
+            self, small_acl_ruleset, tmp_path):
+        """A lag-0 pipeline (an older config) submitted each round after
+        its update — the synchronous loop.  Its checkpoints restore into
+        that loop and continue the synchronous history exactly."""
         with NeuroCutsTrainer(small_acl_ruleset, _fleet_config()) as sync:
             sync_result = sync.train()
             assert sync.collection_lags == [0] * len(sync_result.history)
-        config = _fleet_config(async_collection=True, max_weight_lag=0)
-        with NeuroCutsTrainer(small_acl_ruleset, config) as trainer:
-            result = trainer.train()
-            assert trainer.collection_lags == [0] * len(result.history)
+        path = tmp_path / "lag0.ckpt"
+        with NeuroCutsTrainer(small_acl_ruleset, _fleet_config()) as first:
+            first.train(max_iterations=1)
+            first.save(path)
+            state = load_training_checkpoint(path).trainer_state
+            state["config"].update(async_collection=True, max_weight_lag=0,
+                                   rollout_backend="process")
+            save_checkpoint(first.model, path,
+                            optimizer=first.learner.optimizer,
+                            trainer_state=state)
+        with NeuroCutsTrainer.restore(path, small_acl_ruleset) as resumed:
+            assert resumed.config.async_collection is False
+            result = resumed.train()
+            assert resumed.collection_lags == [0] * len(result.history)
         assert _history_dicts(result) == _history_dicts(sync_result)
 
     def test_lag_one_pipelines_and_is_deterministic(self, small_acl_ruleset):
-        config = _fleet_config(async_collection=True, max_weight_lag=1)
+        config = _fleet_config(async_collection=True)
         histories = []
         for _ in range(2):
             with NeuroCutsTrainer(small_acl_ruleset, config) as trainer:
@@ -357,7 +375,7 @@ class TestAsyncCollection:
 
     def test_split_train_calls_match_one_uninterrupted_run(
             self, small_acl_ruleset):
-        config = _fleet_config(async_collection=True, max_weight_lag=1)
+        config = _fleet_config(async_collection=True)
         with NeuroCutsTrainer(small_acl_ruleset, config) as whole:
             uninterrupted = whole.train()
         with NeuroCutsTrainer(small_acl_ruleset, config) as split:
@@ -374,7 +392,7 @@ class TestAsyncCollection:
     def test_property_never_trains_on_weights_older_than_one_generation(
             self, small_acl_ruleset, seed, num_workers):
         config = _fleet_config(
-            async_collection=True, max_weight_lag=1, seed=seed,
+            async_collection=True, seed=seed,
             num_rollout_workers=num_workers,
             max_timesteps_total=300, timesteps_per_batch=150,
         )
@@ -390,7 +408,7 @@ class TestAsyncCollection:
 
     def test_exact_resume_through_async_checkpoint(self, small_acl_ruleset,
                                                    tmp_path):
-        config = _fleet_config(async_collection=True, max_weight_lag=1)
+        config = _fleet_config(async_collection=True)
         with NeuroCutsTrainer(small_acl_ruleset, config) as whole:
             uninterrupted = whole.train()
         path = tmp_path / "async.ckpt"

@@ -4,7 +4,6 @@ collection, backend determinism, and exact checkpoint resume."""
 import numpy as np
 import pytest
 
-from repro.executors import SerialExecutor
 from repro.nn.checkpoints import (
     flatten_parameters,
     load_checkpoint,
@@ -186,9 +185,10 @@ class TestShardedTraining:
             leaf_threshold=8,
             seed=3,
             num_rollout_workers=2,
-            rollout_backend="serial",  # 2 shards, no pool: fast and portable
         )
-        with NeuroCutsTrainer(small_acl_ruleset, config) as trainer:
+        # 2 shards, no pool: fast and portable.
+        with NeuroCutsTrainer(small_acl_ruleset, config,
+                              rollout_backend="serial") as trainer:
             result = trainer.train()
         assert trainer.num_rollout_workers == 2
         report = validate_classifier(result.best_classifier(),
@@ -196,41 +196,6 @@ class TestShardedTraining:
         assert report.is_correct
         # Each iteration gathered at least one rollout per shard.
         assert all(stats.num_rollouts >= 2 for stats in result.history)
-
-    def test_external_executor_is_bootstrapped_and_left_running(
-            self, small_acl_ruleset, worker_config):
-        executor = SerialExecutor()
-        trainer = NeuroCutsTrainer(small_acl_ruleset, worker_config,
-                                   executor=executor)
-        batch, summaries = trainer.collect_batch()
-        assert len(batch) >= worker_config.timesteps_per_batch
-        assert summaries
-        trainer.close()  # must NOT shut down the external executor
-        assert executor.map(len, [[1, 2]]) == [2]
-
-    def test_interleaved_trainers_on_shared_external_executor(
-            self, small_acl_ruleset, small_fw_ruleset, worker_config):
-        # Bootstrapped worker state keeps only the most recent session per
-        # process; interleaved trainers must transparently rebuild (collect
-        # is pure, so results are unaffected) rather than error or leak.
-        from repro.neurocuts import workers
-
-        executor = SerialExecutor()
-        a = NeuroCutsTrainer(small_acl_ruleset, worker_config,
-                             executor=executor)
-        b = NeuroCutsTrainer(small_fw_ruleset, worker_config,
-                             executor=executor)
-        a.collect_batch()
-        b.collect_batch()  # evicts a's bootstrapped worker
-        batch, summaries = a.collect_batch()  # rebuilds from its payload
-        assert len(batch) >= worker_config.timesteps_per_batch
-        assert summaries
-        assert len(workers._BOOTSTRAPPED_SESSIONS) == 1  # only the latest kept
-        sessions = {a._session, b._session}
-        a.close()
-        b.close()
-        assert not workers._BOOTSTRAPPED_SESSIONS & sessions
-        assert not set(workers._WORKERS) & sessions
 
 
 class TestCheckpointResume:
@@ -299,13 +264,14 @@ class TestCheckpointResume:
             time_space_coeff=0.5,
             reward_scaling="log",
             num_rollout_workers=2,
-            rollout_backend="serial",
         )
         path = tmp_path / "cfg.npz"
-        with NeuroCutsTrainer(small_acl_ruleset, config) as trainer:
+        with NeuroCutsTrainer(small_acl_ruleset, config,
+                              rollout_backend="serial") as trainer:
             trainer.train(max_iterations=1)
             trainer.save(path)
-        resumed = NeuroCutsTrainer.restore(path, small_acl_ruleset)
+        resumed = NeuroCutsTrainer.restore(path, small_acl_ruleset,
+                                           rollout_backend="serial")
         with resumed:
             # The saved (non-default) config came back, not NeuroCutsConfig().
             assert resumed.config.seed == 3
