@@ -6,7 +6,7 @@ mid-trace (``repro.workloads.adversarial``) — is admitted through per-tenant
 token buckets and bounded virtual-time queues with
 
 * **no silent drops**: every offered request is accounted for exactly once
-  as admitted, throttled, or shed (typed rejection, never tail-drop), and
+  as admitted, throttled, or shed (counted rejection, never tail-drop), and
   every admitted request is served;
 * **bounded queueing delay**: admission delay never exceeds
   ``queue_limit / drain_rate`` — the structural bound a bounded queue

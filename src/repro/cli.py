@@ -131,7 +131,7 @@ def _add_stack_flags(parser: argparse.ArgumentParser,
     parser.add_argument("--ingest", action="store_true",
                         help="run the ingestion frontend ahead of the "
                              "batcher: per-tenant token-bucket admission, "
-                             "queue-delay backpressure, typed throttling "
+                             "queue-delay backpressure, counted throttling "
                              "(see docs/ingest.md); a trace replay bypasses "
                              "admission timing, so verified traces stay "
                              "bit-exact")

@@ -47,33 +47,6 @@ class TraceFormatError(TraceError):
     referencing a tenant the trace never declared)."""
 
 
-class IngestError(ReproError):
-    """The ingestion frontend could not accept or process a request."""
-
-
-class ThrottledError(IngestError):
-    """A request was rejected at admission — typed, never a silent drop.
-
-    Raised by the asyncio ingestion frontend when a tenant exceeds its
-    token-bucket rate (``reason="throttled"``) or its admission queue is
-    full (``reason="shed"``, the HARD congestion level).  Carries enough
-    context for a well-behaved source to back off: ``retry_after`` is the
-    trace-clock delay until the tenant's bucket holds a token again.
-    """
-
-    def __init__(self, tenant_id: str, time: float, reason: str,
-                 level: int = 0, retry_after: float = 0.0) -> None:
-        super().__init__(
-            f"tenant {tenant_id!r} {reason} at t={time:.6f}"
-            + (f" (retry after {retry_after:.6f}s)" if retry_after > 0 else "")
-        )
-        self.tenant_id = tenant_id
-        self.time = time
-        self.reason = reason
-        self.level = level
-        self.retry_after = retry_after
-
-
 class BenchError(ReproError):
     """A benchmark scorecard could not be produced or compared."""
 

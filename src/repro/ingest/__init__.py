@@ -6,12 +6,10 @@ This package sits between request sources and the serving stack
 :class:`~repro.ingest.bucket.TokenBucket` rate limits, a bounded virtual
 admission queue, and a two-level congestion signal
 (:class:`~repro.ingest.admission.CongestionLevel`) that slows sources
-*before* queues overflow and sheds loudly (a typed
-:class:`~repro.exceptions.ThrottledError`) when they do.  The asyncio
-:class:`~repro.ingest.server.IngestServer` wraps the controller to
-multiplex concurrent per-tenant request streams onto the single serving
-thread; ``run_serving(ingest=...)`` drives the controller inline over a
-generated workload.
+*before* queues overflow and sheds when they do — every refusal counted,
+with an :class:`~repro.ingest.admission.AdmissionDecision` carrying its
+``retry_after``.  ``run_serving`` drives the controller inline whenever the
+serving config carries an :class:`~repro.ingest.admission.IngestConfig`.
 
 Every decision runs on the trace clock (request timestamps), never the
 wall clock, so admission outcomes are deterministic and replayable — see
@@ -29,7 +27,6 @@ from repro.ingest.admission import (
     IngestConfig,
 )
 from repro.ingest.bucket import TokenBucket
-from repro.ingest.server import IngestServer, StreamSummary
 
 __all__ = [
     "ADMITTED",
@@ -39,7 +36,5 @@ __all__ = [
     "AdmissionDecision",
     "CongestionLevel",
     "IngestConfig",
-    "IngestServer",
-    "StreamSummary",
     "TokenBucket",
 ]

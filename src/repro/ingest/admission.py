@@ -1,9 +1,9 @@
 """Admission control: token buckets, bounded queues, congestion signals.
 
-The :class:`AdmissionController` is the synchronous, deterministic core of
-the ingestion frontend (the asyncio :class:`~repro.ingest.server.IngestServer`
-wraps it; ``run_serving(ingest=...)`` drives it inline).  Every offered
-request lands in exactly one of three outcomes:
+The :class:`AdmissionController` is the synchronous, deterministic
+ingestion frontend (``run_serving`` drives it inline when the serving
+config carries an :class:`IngestConfig`).  Every offered request lands in
+exactly one of three outcomes:
 
 * **admitted** — a token was available and the tenant's admission queue has
   room.  The request is stamped with its queue *release* time (the bounded
@@ -61,13 +61,13 @@ class CongestionLevel(enum.IntEnum):
     OK = 0
     #: Sources should slow to the tenant's sustained rate.
     SOFT = 1
-    #: The admission queue is full; new arrivals are shed (typed, loudly).
+    #: The admission queue is full; new arrivals are shed (counted).
     HARD = 2
 
 
 @dataclass(frozen=True)
 class IngestConfig:
-    """Knobs of the ingestion frontend (uniform across tenants by default).
+    """Knobs of the ingestion frontend (one config for every tenant).
 
     Attributes:
         tenant_rate: sustained admitted packets/sec per tenant (token
@@ -191,54 +191,43 @@ class AdmissionController:
     """Deterministic per-tenant admission over a time-ordered stream.
 
     One controller serves one serving stack (a whole single-process run, or
-    one shard).  ``metrics`` (typically the serving registry's
-    :class:`~repro.obs.metrics.MetricsRegistry`) receives the
-    ``ingest.*`` counters and the ``ingest.queue_delay_seconds`` timing
-    histogram, whose raw samples merge exactly across shards.
-
-    ``per_tenant`` overrides the uniform config for named tenants.
+    one shard), with one config for every tenant.  ``metrics`` (typically
+    the serving registry's :class:`~repro.obs.metrics.MetricsRegistry`; a
+    private one when omitted) receives the ``ingest.*`` counters and the
+    ``ingest.queue_delay_seconds`` timing histogram, whose raw samples
+    merge exactly across shards.
     """
 
     def __init__(self, config: IngestConfig = IngestConfig(),
-                 metrics: Optional[MetricsRegistry] = None,
-                 per_tenant: Optional[Dict[str, IngestConfig]] = None
-                 ) -> None:
+                 metrics: Optional[MetricsRegistry] = None) -> None:
         self.config = config
-        self.per_tenant_config = dict(per_tenant or {})
         self._states: Dict[str, _TenantState] = {}
+        if metrics is None:
+            metrics = MetricsRegistry()
         self._metrics = metrics
-        if metrics is not None:
-            self._offered = metrics.counter("ingest.offered")
-            self._admitted = metrics.counter("ingest.admitted")
-            self._throttled = metrics.counter("ingest.throttled")
-            self._shed = metrics.counter("ingest.shed")
-            self._delay = metrics.timing("ingest.queue_delay_seconds")
-            self._depth = metrics.gauge("ingest.queue_depth")
-        else:
-            self._offered = self._admitted = self._throttled = None
-            self._shed = self._delay = self._depth = None
+        self._offered = metrics.counter("ingest.offered")
+        self._admitted = metrics.counter("ingest.admitted")
+        self._throttled = metrics.counter("ingest.throttled")
+        self._shed = metrics.counter("ingest.shed")
+        self._delay = metrics.timing("ingest.queue_delay_seconds")
+        self._depth = metrics.gauge("ingest.queue_depth")
 
     # ------------------------------------------------------------------ #
     # Core decision
     # ------------------------------------------------------------------ #
 
-    def tenant_config(self, tenant_id: str) -> IngestConfig:
-        return self.per_tenant_config.get(tenant_id, self.config)
-
     def _state(self, tenant_id: str) -> _TenantState:
         state = self._states.get(tenant_id)
         if state is None:
-            state = self._states[tenant_id] = _TenantState(
-                self.tenant_config(tenant_id))
+            state = self._states[tenant_id] = _TenantState(self.config)
         return state
 
     def offer(self, request: Request) -> AdmissionDecision:
         """Decide one request; exactly one of admit/throttle/shed."""
-        config = self.tenant_config(request.tenant_id)
+        config = self.config
         state = self._state(request.tenant_id)
         state.offered += 1
-        if self._offered is not None:
-            self._offered.inc()
+        self._offered.inc()
         now = request.time
         if config.adaptive_sources and state.signal >= CongestionLevel.SOFT:
             # Near-source flow control: a SOFT-signalled source falls back
@@ -267,14 +256,12 @@ class AdmissionController:
             # Queue full: shed at admission (no token consumed) rather
             # than tail-drop after queueing.
             state.shed += 1
-            if self._shed is not None:
-                self._shed.inc()
+            self._shed.inc()
             return AdmissionDecision(status=SHED, level=state.signal)
 
         if not state.bucket.try_consume(now):
             state.throttled += 1
-            if self._throttled is not None:
-                self._throttled.inc()
+            self._throttled.inc()
             return AdmissionDecision(
                 status=THROTTLED, level=state.signal,
                 retry_after=state.bucket.seconds_until(),
@@ -287,11 +274,10 @@ class AdmissionController:
         state.max_depth = max(state.max_depth, len(queue))
         state.admitted += 1
         delay = release - now
-        if self._admitted is not None:
-            self._admitted.inc()
-            self._delay.observe(delay)
-            if len(queue) > self._depth.value:
-                self._depth.set(len(queue))
+        self._admitted.inc()
+        self._delay.observe(delay)
+        if len(queue) > self._depth.value:
+            self._depth.set(len(queue))
         return AdmissionDecision(status=ADMITTED, level=state.signal,
                                  release_time=release, queue_delay=delay)
 
@@ -356,9 +342,8 @@ class AdmissionController:
         for tenant_id in sorted(self._states):
             state = self._states[tenant_id]
             goodput = state.admitted / duration
-            if self._metrics is not None:
-                self._metrics.gauge(
-                    f"ingest.goodput_pps.{tenant_id}").set(goodput)
+            self._metrics.gauge(
+                f"ingest.goodput_pps.{tenant_id}").set(goodput)
             summary[tenant_id] = {
                 "offered": state.offered,
                 "admitted": state.admitted,

@@ -9,9 +9,9 @@ The clock is *virtual* on purpose — every refill is driven by the request
 arrival timestamps the workload (or trace) carries, never by the wall
 clock, so the same offered stream always produces the same admit/throttle
 decisions on every machine.  The refill is monotone: a timestamp earlier
-than the last one seen is clamped forward (concurrent per-tenant streams
-may interleave slightly out of order at the asyncio frontend), which keeps
-the bucket's token count a deterministic function of the arrival sequence.
+than the last one seen is clamped forward (a re-paced arrival can run ahead
+of the next arrival's own stamp), which keeps the bucket's token count a
+deterministic function of the arrival sequence.
 """
 
 from __future__ import annotations

@@ -174,6 +174,15 @@ class IncrementalUpdater:
         touched, restored = 0, []
         action = node.action
         if isinstance(action, (PartitionAction, EffiCutsPartitionAction)):
+            # A partition splits the node's rules, not its box.  A rule that
+            # ``rule`` shadowed in this node's box was never routed down, and
+            # may belong to a child ``rule`` is not in, whose leaves cannot
+            # bring it back: insert it into that child here.
+            home = self._partition_child(node, rule)
+            for other in self._restore(node, rule, shadowed) if held else []:
+                child = self._partition_child(node, other)
+                if child is not home and self._insert(child, other):
+                    restored.append(other)
             routed = [(other, self._partition_child(node, other))
                       for other in shadowed]
             below = [(child, [other for other, target in routed
@@ -200,24 +209,25 @@ class IncrementalUpdater:
         return touched, restored
 
     @staticmethod
-    def _restore(leaf: Node, removed: Rule, shadowed: List[Rule]
+    def _restore(node: Node, removed: Rule, shadowed: List[Rule]
                  ) -> List[Rule]:
-        """Bring back into ``leaf`` the rules only ``removed`` shadowed.
+        """Bring back into ``node`` (a leaf, or a partition node) the rules
+        only ``removed`` shadowed.
 
-        Those are the candidates ``removed`` contained inside the leaf's box
-        that the leaf lacks and no remaining higher-priority rule contains
-        there.  Any higher-priority rule of the leaf or candidate counts as
+        Those are the candidates ``removed`` contained inside the node's box
+        that the node lacks and no remaining higher-priority rule contains
+        there.  Any higher-priority rule of the node or candidate counts as
         a coverer, restored or not: containment is transitive, and the
         first rule of a chain of coverers is always restored.
         """
         if not shadowed:
             return []
-        box = leaf.ranges
-        held = set(leaf.rules)
+        box = node.ranges
+        held = set(node.rules)
         lacking = [other for other in shadowed
                    if other not in held
                    and removed.covers_within(other, box)]
-        present = leaf.rules + lacking
+        present = node.rules + lacking
         restored = [
             other for other in lacking
             if not any(higher.priority > other.priority
@@ -225,5 +235,5 @@ class IncrementalUpdater:
                        for higher in present)
         ]
         for other in restored:
-            leaf.insert_rule(other)
+            node.insert_rule(other)
         return restored

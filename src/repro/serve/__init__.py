@@ -7,8 +7,9 @@ tenant behind double-buffered :class:`~repro.serve.engines.EngineSlot`
 objects (zero-downtime rule updates via background recompile + atomic
 swap), per-packet requests coalesce into vectorised per-tenant batches
 (:func:`~repro.serve.batcher.plan_block` over a block of arrivals; the
-event-at-a-time :class:`~repro.serve.batcher.MicroBatcher` is the ingest
-server's batcher and the planner's oracle), and the
+event-at-a-time :class:`~repro.serve.batcher.MicroBatcher` is the
+per-event reference, kept here for the planner's oracle and the perf
+benchmark's tracing), and the
 :class:`~repro.serve.service.ClassificationService` drives a time-ordered
 request stream through it all while collecting serving telemetry.
 

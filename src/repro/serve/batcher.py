@@ -9,11 +9,11 @@ longer than ``max_delay`` of trace time.  Time is the *workload's* clock
 given trace — the same requests always form the same batches.
 
 The rule lives here twice, and the two must agree bit for bit.
-:class:`MicroBatcher` applies it one event at a time: the ingest server's
-batcher, and the oracle ``tests/reference_serve.py`` drives.
 :func:`plan_block` applies it to a whole block of arrival stamps at once, in
 O(batches) steps, and is what :class:`~repro.serve.service.ServingSession`
-runs.
+runs.  :class:`MicroBatcher` applies it one event at a time: it is the
+per-event reference that the oracle ``tests/reference_serve.py`` drives,
+kept in ``src/`` because ``perfbench/`` wraps its methods.
 """
 
 from __future__ import annotations

@@ -197,19 +197,13 @@ class RetrainController:
 
     Args:
         registry: the registry whose tenants are watched.
-        policy: training budget, backend, and objective knobs.
-        executor: optional pre-built executor to run jobs on (the controller
-            then never shuts it down).  By default the controller owns one
-            sized for a single concurrent job per poll cycle, built by
-            :func:`repro.executors.make_executor` from ``policy.backend`` —
-            unless ``policy.shared_pool_size`` is set, in which case jobs
-            multiplex over the process-local shared
-            :class:`~repro.executors.RetrainPool` instead.
-        pool: optional explicit :class:`~repro.executors.RetrainPool` to
-            submit jobs to (overrides both ``executor`` and the policy's
-            shared pool; the controller never shuts it down).  Pool
-            lifecycle belongs to the serving layer / interpreter-exit hook,
-            never to individual controllers.
+        policy: training budget, backend, and objective knobs.  With
+            ``policy.shared_pool_size`` set, jobs multiplex over the
+            process-local shared :class:`~repro.executors.RetrainPool`,
+            whose lifecycle belongs to the serving layer / interpreter-exit
+            hook, never to individual controllers.  Otherwise the controller
+            owns a one-worker executor built by
+            :func:`repro.executors.make_executor` from ``policy.backend``.
 
     Call :meth:`poll_tenant` from the serving loop (cheap: a dict probe and
     a counter comparison), :meth:`drain` at quiesce points to land every
@@ -217,25 +211,20 @@ class RetrainController:
     """
 
     def __init__(self, registry: TenantRegistry,
-                 policy: RetrainPolicy = RetrainPolicy(),
-                 executor: Optional[RolloutExecutor] = None,
-                 pool: Optional[RetrainPool] = None) -> None:
+                 policy: RetrainPolicy = RetrainPolicy()) -> None:
         self.registry = registry
         self.policy = policy
         self.stats = RetrainStats()
-        self._owns_executor = False
-        if pool is None and executor is None \
-                and policy.shared_pool_size is not None:
-            pool = shared_retrain_pool(policy.shared_pool_size,
-                                       backend=policy.backend)
-        if pool is None and executor is None:
+        self._pool: Optional[RetrainPool] = None
+        self._executor: Optional[RolloutExecutor] = None
+        if policy.shared_pool_size is not None:
+            self._pool = shared_retrain_pool(policy.shared_pool_size,
+                                             backend=policy.backend)
+        else:
             # One worker per concurrently-retraining tenant is overkill on
             # small machines; a single background worker serialises jobs
             # while keeping them off the serving thread.
-            executor = make_executor(1, backend=policy.backend)
-            self._owns_executor = True
-        self._pool = pool
-        self._executor = executor
+            self._executor = make_executor(1, backend=policy.backend)
         self._jobs: Dict[str, _RetrainJob] = {}
         self._launch_counts: Dict[str, int] = {}
 
@@ -343,12 +332,12 @@ class RetrainController:
     def close(self) -> None:
         """Shut down the controller-owned executor (idempotent).
 
-        Shared pools (and caller-provided executors) are left running —
-        their lifecycle belongs to the serving layer, which wraps serving
-        loops in ``try/finally`` and shuts pools down at interpreter exit
-        via :func:`repro.executors.shutdown_shared_retrain_pools`.
+        Shared pools are left running — their lifecycle belongs to the
+        serving layer, which wraps serving loops in ``try/finally`` and
+        shuts pools down at interpreter exit via
+        :func:`repro.executors.shutdown_shared_retrain_pools`.
         """
-        if self._owns_executor and self._executor is not None:
+        if self._executor is not None:
             self._executor.shutdown()
 
     def __enter__(self) -> "RetrainController":

@@ -124,7 +124,7 @@ class ServingReport:
     #: Admission-control tally (all zero when no ingestion frontend is
     #: attached).  Invariant: offered == admitted + throttled + shed, and
     #: num_requests == ingest_admitted whenever ingest_offered > 0 — every
-    #: admitted packet is served, every rejection is typed, nothing is
+    #: admitted packet is served, every rejection is counted, nothing is
     #: silently dropped.
     ingest_offered: int = 0
     ingest_admitted: int = 0
@@ -269,8 +269,7 @@ class ClassificationService:
             every request passes per-tenant admission control before the
             batcher, over-rate traffic is throttled or shed (counted,
             never silently dropped), and admitted requests are re-stamped
-            to their admission-queue release times.  ``per_tenant_ingest``
-            overrides the uniform config for named tenants.
+            to their admission-queue release times.
     """
 
     def __init__(
@@ -281,7 +280,6 @@ class ClassificationService:
         record_latencies: bool = False,
         retrain_controller: Optional["RetrainController"] = None,
         ingest: Optional[IngestConfig] = None,
-        per_tenant_ingest: Optional[Dict[str, IngestConfig]] = None,
     ) -> None:
         self.registry = registry
         self.policy = policy
@@ -289,7 +287,6 @@ class ClassificationService:
         self.record_latencies = record_latencies
         self.retrain_controller = retrain_controller
         self.ingest = ingest
-        self.per_tenant_ingest = per_tenant_ingest
 
     # ------------------------------------------------------------------ #
     # Serving loop
@@ -313,10 +310,8 @@ class ClassificationService:
             # requests to their queue release times, so the serving loop
             # below sees the post-admission stream — still time-ordered,
             # still deterministic.
-            admission = AdmissionController(
-                self.ingest, metrics=self.registry.metrics,
-                per_tenant=self.per_tenant_ingest,
-            )
+            admission = AdmissionController(self.ingest,
+                                            metrics=self.registry.metrics)
             requests = admission.admit(requests)
         session = self.session(updates=updates, admission=admission)
         for request in requests:
@@ -350,7 +345,7 @@ class ServingSession:
     blocks into batch spans, and each span is one ``lookup_batch`` call on
     a slice of the block's columns.  The batches, their order, their flush
     stamps and the engine epoch each one sees are exactly those of feeding
-    the same events one at a time through a :class:`MicroBatcher` (the
+    the same events one at a time through the per-event batcher (the
     per-request loop kept as the oracle in ``tests/reference_serve.py``):
     updates scheduled at construction apply ahead of the first arrival at
     or past their timestamp, batches release by size or deadline, and

@@ -160,21 +160,3 @@ class TreeClassifier:
             num_nodes=sum(s.num_nodes for s in per_tree),
             depth=max(s.depth for s in per_tree),
         )
-
-    def validate(self, packets: Iterable[Packet]) -> Tuple[int, int]:
-        """Compare against linear search over a packet sample.
-
-        Returns ``(num_checked, num_mismatches)``; a correct classifier always
-        reports zero mismatches.
-        """
-        checked = 0
-        mismatches = 0
-        for packet in packets:
-            expected = self.ruleset.classify(packet)
-            actual = self.classify(packet)
-            checked += 1
-            expected_prio = expected.priority if expected else None
-            actual_prio = actual.priority if actual else None
-            if expected_prio != actual_prio:
-                mismatches += 1
-        return checked, mismatches

@@ -32,18 +32,27 @@ class ValidationReport:
         return self.num_mismatches == 0
 
 
+_FIELD_ENDS = tuple(FIELD_RANGES[d][1] for d in DIMENSIONS)
+
+
 def corner_packets(ruleset: RuleSet, limit: Optional[int] = None) -> List[Packet]:
-    """Packets at rule-range corners: lo and hi-1 of every rule's box.
+    """Packets at rule-range corners: lo, hi-1 and hi of every rule's box.
 
     These are the values where half-open/closed confusion, rounding in equal
     cuts, or redundant-rule pruning bugs change the classification result.
+    The third corner takes ``hi`` (the first value past the rule) on every
+    field where ``hi`` is still inside the field, and ``hi-1`` elsewhere: a
+    classifier that treats ``hi`` as inclusive matches the rule there.
     """
     packets: List[Packet] = []
     for rule in ruleset:
         lows = tuple(lo for lo, _ in rule.ranges)
         highs = tuple(hi - 1 for _, hi in rule.ranges)
+        past = tuple(min(hi, end - 1)
+                     for (_, hi), end in zip(rule.ranges, _FIELD_ENDS))
         packets.append(Packet.from_values(lows))
         packets.append(Packet.from_values(highs))
+        packets.append(Packet.from_values(past))
         if limit is not None and len(packets) >= limit:
             break
     return packets[:limit] if limit is not None else packets
@@ -62,7 +71,7 @@ def validate_classifier(
     if not sample:
         sample.extend(ruleset.sample_packets(num_random_packets, seed=seed))
         if include_corners:
-            sample.extend(corner_packets(ruleset, limit=2 * len(ruleset)))
+            sample.extend(corner_packets(ruleset, limit=3 * len(ruleset)))
     mismatching = []
     for packet in sample:
         expected = ruleset.classify(packet)

@@ -6,7 +6,7 @@ The first member is the **flash crowd**: one tenant's offered rate
 multiplies mid-trace while the other tenants keep their nominal Zipf
 shares.  Driven through ``run_serving(ingest=...)`` it is the acceptance
 scenario for the ingestion frontend — the over-rate tenant must be
-throttled (typed, counted) while the conforming tenants' goodput and
+throttled (counted, with a retry hint) while the conforming tenants' goodput and
 queue delays stay bounded, and nothing is ever silently dropped.  The
 **skewed flash crowd** variant steepens the tenant Zipf split on top of
 that and is the acceptance scenario for load-aware shard rebalancing.

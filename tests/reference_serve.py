@@ -156,9 +156,8 @@ def serve(service, requests, updates=()):
     requests = sorted(requests, key=lambda r: r.time)
     admission = None
     if service.ingest is not None:
-        admission = AdmissionController(
-            service.ingest, metrics=service.registry.metrics,
-            per_tenant=service.per_tenant_ingest)
+        admission = AdmissionController(service.ingest,
+                                        metrics=service.registry.metrics)
         requests = admission.admit(requests)
     session = ReferenceSession(service, updates, admission)
     for request in requests:

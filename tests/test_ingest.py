@@ -1,6 +1,6 @@
 """Tests for the ingestion frontend (`repro.ingest`).
 
-Three layers:
+Two layers:
 
 * :class:`TokenBucket` unit behaviour — virtual-clock refill, exact burst
   boundary, non-negative balance — plus hypothesis properties over
@@ -10,20 +10,17 @@ Three layers:
   determinism (same stream twice → same tallies), the structural
   queue-delay bound, shard-exactness (disjoint tenants admitted separately
   equal the merged stream), and SOFT/HARD signal behaviour.
-* :class:`IngestServer` — concurrent asyncio streams onto one serving
-  thread: typed rejections, correct answers vs linear search, and counter
-  partition end to end.
+
+Admission inside a serving run (``run_serving`` with an
+:class:`IngestConfig`) is covered end to end by
+``benchmarks/test_ingest_backpressure.py`` and ``tests/test_batch_planner.py``.
 """
 
 from __future__ import annotations
 
-import asyncio
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.classbench import generate_classifier
-from repro.exceptions import IngestError, ThrottledError
 from repro.ingest import (
     ADMITTED,
     SHED,
@@ -31,12 +28,10 @@ from repro.ingest import (
     AdmissionController,
     CongestionLevel,
     IngestConfig,
-    IngestServer,
     TokenBucket,
 )
 from repro.rules import Packet
-from repro.serve.batcher import BatchPolicy, Request
-from repro.serve.registry import TenantRegistry
+from repro.serve.batcher import Request
 
 PACKET = Packet(src_ip=1, dst_ip=2, src_port=3, dst_port=4, protocol=6)
 
@@ -251,21 +246,6 @@ class TestAdmissionController:
         # Times were re-stamped to queue release times (drain at 5/s).
         assert admitted[1].time == pytest.approx(admitted[0].time + 0.2)
 
-    def test_per_tenant_override(self):
-        config = IngestConfig(tenant_rate=10.0, tenant_burst=1,
-                              queue_limit=4, adaptive_sources=False)
-        vip = IngestConfig(tenant_rate=10.0, tenant_burst=8, queue_limit=32,
-                           adaptive_sources=False)
-        controller = AdmissionController(config, per_tenant={"vip": vip})
-        for _ in range(4):
-            controller.offer(_request("vip", 0.0))
-            controller.offer(_request("std", 0.0))
-        summary = controller.tenant_summary(trace_seconds=1.0)
-        assert summary["vip"]["admitted"] == 4
-        assert summary["std"]["admitted"] == 1
-        assert summary["std"]["throttled"] == 3
-        assert summary["vip"]["goodput_pps"] == pytest.approx(4.0)
-
     def test_counters_and_metrics_agree(self):
         from repro.obs.metrics import MetricsRegistry
 
@@ -282,104 +262,3 @@ class TestAdmissionController:
             controller.throttled
         assert metrics.timing("ingest.queue_delay_seconds").count == \
             controller.admitted
-
-
-# --------------------------------------------------------------------- #
-# IngestServer (asyncio frontend)
-# --------------------------------------------------------------------- #
-
-
-@pytest.fixture()
-def ingest_registry():
-    registry = TenantRegistry(background_swaps=False)
-    ruleset = generate_classifier("acl1", 40, seed=5)
-    registry.register("t0", ruleset)
-    return registry, ruleset
-
-
-class TestIngestServer:
-    def test_submit_requires_running_server(self, ingest_registry):
-        registry, _ = ingest_registry
-        server = IngestServer(registry)
-
-        async def scenario():
-            with pytest.raises(IngestError):
-                await server.submit(_request("t0", 0.0))
-
-        asyncio.run(scenario())
-
-    def test_over_rate_stream_throttles_typed_and_serves_exactly(
-            self, ingest_registry):
-        registry, ruleset = ingest_registry
-        config = IngestConfig(tenant_rate=100.0, tenant_burst=8,
-                              queue_limit=16, adaptive_sources=False)
-        from repro.classbench import generate_trace
-        packets = generate_trace(ruleset, num_packets=40, seed=5)
-
-        async def scenario():
-            answers, throttled = [], 0
-            async with IngestServer(registry, config,
-                                    policy=BatchPolicy(max_batch=4)) as server:
-                # 40 same-instant packets against burst=8: typed rejections
-                # for the overflow, never a silent drop.
-                for i, packet in enumerate(packets):
-                    try:
-                        priority = await server.submit(Request(
-                            tenant_id="t0", packet=packet, time=0.0,
-                            flow_id=0, seq=-1))
-                    except ThrottledError as error:
-                        assert error.reason in ("throttled", "shed")
-                        assert error.tenant_id == "t0"
-                        throttled += 1
-                        continue
-                    answers.append((i, priority))
-            return answers, throttled
-
-        answers, throttled = asyncio.run(scenario())
-        assert len(answers) == 8 and throttled == 32
-        # Every admitted answer equals linear search over the ruleset.
-        for i, priority in answers:
-            expected = ruleset.classify(packets[i])
-            assert priority == (expected.priority if expected else None)
-
-    def test_concurrent_streams_partition_counters(self, ingest_registry):
-        registry, ruleset = ingest_registry
-        registry.register("t1", ruleset)
-        config = IngestConfig(tenant_rate=50.0, tenant_burst=4,
-                              queue_limit=8, adaptive_sources=False)
-
-        async def stream(tenant, count):
-            for i in range(count):
-                yield _request(tenant, time=i * 0.001)
-
-        async def scenario():
-            async with IngestServer(registry, config) as server:
-                summaries = await asyncio.gather(
-                    server.serve_stream("t0", stream("t0", 30)),
-                    server.serve_stream("t1", stream("t1", 20)),
-                )
-            return server, summaries
-
-        server, summaries = asyncio.run(scenario())
-        for summary, count in zip(summaries, (30, 20)):
-            assert summary.offered == count
-            assert (summary.admitted + summary.throttled
-                    + summary.shed) == count
-            assert summary.throttled > 0, \
-                "a 1000 pps stream against rate=50 never throttled"
-            assert len(summary.results) == summary.admitted
-        counters = server.admission.counters()
-        assert counters["ingest_offered"] == 50
-        assert counters["ingest_admitted"] == \
-            sum(s.admitted for s in summaries)
-        assert server.served == counters["ingest_admitted"]
-
-    def test_double_start_raises(self, ingest_registry):
-        registry, _ = ingest_registry
-
-        async def scenario():
-            async with IngestServer(registry) as server:
-                with pytest.raises(IngestError):
-                    server.start()
-
-        asyncio.run(scenario())

@@ -46,10 +46,9 @@ class TestIncrementalUpdates:
         new_rule = Rule.from_prefixes(src_ip="77.1.0.0/16", priority=10 ** 6)
         updater.add_rule(new_rule)
         classifier = TreeClassifier(built_tree.ruleset, [built_tree])
-        checked, mismatches = classifier.validate(
-            built_tree.ruleset.sample_packets(150, seed=9)
-        )
-        assert mismatches == 0
+        report = validate_classifier(
+            classifier, packets=built_tree.ruleset.sample_packets(150, seed=9))
+        assert report.num_mismatches == 0
 
     def test_remove_rule(self, built_tree):
         updater = IncrementalUpdater(built_tree)
@@ -71,10 +70,10 @@ class TestIncrementalUpdates:
         victim = built_tree.ruleset[len(built_tree.ruleset) // 2]
         updater.remove_rule(victim)
         classifier = TreeClassifier(built_tree.ruleset, [built_tree])
-        _, mismatches = classifier.validate(
-            built_tree.ruleset.sample_packets(150, seed=11)
-        )
-        assert mismatches == 0
+        report = validate_classifier(
+            classifier,
+            packets=built_tree.ruleset.sample_packets(150, seed=11))
+        assert report.num_mismatches == 0
 
     @pytest.mark.parametrize("partition", [
         PartitionAction(Dimension.SRC_IP, 0.02),
@@ -172,10 +171,10 @@ class TestIncrementalUpdates:
         updater.add_rule(rule)
         assert updater.remove_rule(rule) >= 1
         classifier = TreeClassifier(built_tree.ruleset, [built_tree])
-        _, mismatches = classifier.validate(
-            built_tree.ruleset.sample_packets(150, seed=13)
-        )
-        assert mismatches == 0
+        report = validate_classifier(
+            classifier,
+            packets=built_tree.ruleset.sample_packets(150, seed=13))
+        assert report.num_mismatches == 0
 
     def test_retraining_threshold(self, built_tree):
         updater = IncrementalUpdater(built_tree, retrain_threshold=2)

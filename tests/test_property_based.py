@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import reference_walk
 from repro.baselines import (
@@ -244,6 +244,10 @@ def _churned(classifier, seed):
        builder=st.sampled_from(sorted(_WALK_BUILDERS)),
        batch=st.sampled_from([0, 1, 2, 33, 4097]),
        churned=st.booleans())
+# Removing the top rule brings back a rule it shadowed above a partition,
+# into the partition child the removed rule is not in.
+@example(family="ipc1", num_rules=16, seed=1440,
+         builder="partition-below-cut", batch=33, churned=True)
 @settings(max_examples=60, deadline=None)
 def test_fused_walk_equals_kernels_equals_linear_search(
         family, num_rules, seed, builder, batch, churned):

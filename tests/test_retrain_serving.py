@@ -35,6 +35,7 @@ from repro.serve import (
     serve_sharded,
     shard_tenants,
 )
+from repro.tree import validate_classifier
 from repro.workloads import (
     ChurnConfig,
     FlowTraceConfig,
@@ -162,9 +163,9 @@ class TestRetrainService:
         assert response.tenant_id == "t0"
         assert response.timesteps_total > 0
         classifier = response.classifier(small_ruleset)
-        checked, mismatches = classifier.validate(
-            small_ruleset.sample_packets(150, seed=5))
-        assert checked == 150 and mismatches == 0
+        report = validate_classifier(
+            classifier, packets=small_ruleset.sample_packets(150, seed=5))
+        assert report.num_packets == 150 and report.num_mismatches == 0
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):

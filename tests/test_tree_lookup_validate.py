@@ -54,11 +54,11 @@ class TestTreeClassifier:
 
     def test_multi_tree_lookup_matches_linear(self, two_tree_classifier,
                                               small_fw_ruleset):
-        checked, mismatches = two_tree_classifier.validate(
-            small_fw_ruleset.sample_packets(150, seed=3)
-        )
-        assert checked == 150
-        assert mismatches == 0
+        report = validate_classifier(
+            two_tree_classifier,
+            packets=small_fw_ruleset.sample_packets(150, seed=3))
+        assert report.num_packets == 150
+        assert report.num_mismatches == 0
 
     def test_stats_aggregate_across_trees(self, two_tree_classifier):
         stats = two_tree_classifier.stats()
@@ -79,7 +79,31 @@ class TestTreeClassifier:
 class TestValidation:
     def test_corner_packets_cover_rule_bounds(self, tiny_ruleset):
         packets = corner_packets(tiny_ruleset)
-        assert len(packets) == 2 * len(tiny_ruleset)
+        assert len(packets) == 3 * len(tiny_ruleset)
+        # r0's hi corner: one past src_ip and dst_ip, the ports and the
+        # protocol (wildcards that end at the field maximum) at hi - 1.
+        r0 = tiny_ruleset[0]
+        assert packets[2].as_tuple() == (
+            r0.ranges[0][1], r0.ranges[1][1], 65535, 65535, 255)
+
+    def test_corners_catch_an_inclusive_upper_bound(self, tiny_ruleset):
+        class InclusiveUpperBound:
+            """Matches ``lo <= x <= hi``: right everywhere except at hi."""
+
+            ruleset = tiny_ruleset
+
+            def classify(self, packet):
+                matches = [
+                    rule for rule in tiny_ruleset
+                    if all(lo <= value <= hi for value, (lo, hi)
+                           in zip(packet.as_tuple(), rule.ranges))]
+                return max(matches, key=lambda rule: rule.priority,
+                           default=None)
+
+        report = validate_classifier(InclusiveUpperBound(),
+                                     num_random_packets=0)
+        assert report.num_packets == 3 * len(tiny_ruleset)
+        assert not report.is_correct
 
     def test_validate_tree_reports_correct(self, small_acl_ruleset):
         tree = build_with_policy(
