@@ -13,7 +13,7 @@ Typical use::
     matches = compiled.classify_batch(trace) # one Rule (or None) per packet
 
 or, for the raw array path, ``compiled.lookup_batch(values)`` with an
-``(n, 5)`` int64 header matrix.
+``(n, 5)`` integer header matrix.
 """
 
 from repro.engine.layout import (

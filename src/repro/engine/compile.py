@@ -44,7 +44,6 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.exceptions import TreeError
 from repro.rules.rule import Rule
 from repro.tree.actions import CutAction, MultiCutAction, SplitAction
 from repro.tree.node import Node
@@ -55,6 +54,7 @@ from repro.engine.layout import (
     KIND_SPLIT,
     NODE_DTYPE,
     RULE_DTYPE,
+    CompileError,
     FlatTree,
     Forest,
     rule_table,
@@ -63,10 +63,6 @@ from repro.engine.layout import (
 #: Safety cap on how many search trees one interpreter tree may expand into
 #: (partitions below the top of a tree multiply variants).
 MAX_SEARCH_TREES = 256
-
-
-class CompileError(TreeError):
-    """Raised when a tree cannot be lowered to the flat layout."""
 
 
 # --------------------------------------------------------------------------- #
@@ -301,11 +297,11 @@ class _Flattener:
                         slot = rule_slot[rule] = len(rules_out)
                         rules_out.append(rule)
                     leaf_slots.append(slot)
-                records.append((KIND_LEAF, 0, 0, 0, 0, 0, 0, 0,
-                                start, len(leaf_slots) - rule_offset))
+                records.append((KIND_LEAF, 0, 0, 0, 0, start,
+                                len(node.rules)))
                 max_span = max(max_span, len(node.rules))
                 continue
-            child_start = next_index
+            start = next_index
             children = node.children
             next_index += len(children)
             queue.extend((child, depth + 1) for child in children)
@@ -313,14 +309,14 @@ class _Flattener:
                 if node.base < 1:
                     raise CompileError("cut node with zero-width children")
                 records.append(
-                    (KIND_CUT, node.dim, node.lo, node.base, node.rem, 0,
-                     child_start, len(children), 0, 0)
+                    (KIND_CUT, node.dim, node.lo, node.base, node.rem,
+                     start, len(children))
                 )
             else:
                 assert isinstance(node, _Split)
                 records.append(
-                    (KIND_SPLIT, node.dim, 0, 0, 0, node.point,
-                     child_start, len(children), 0, 0)
+                    (KIND_SPLIT, node.dim, node.point, 0, 0,
+                     start, len(children))
                 )
         self.blocks.append((node_offset, len(records) - node_offset,
                             rule_offset, len(leaf_slots) - rule_offset,

@@ -130,8 +130,9 @@ class CompiledClassifier:
     def match_indices(self, values: np.ndarray) -> np.ndarray:
         """Per-packet index into :attr:`rules` of the winning rule (-1: none).
 
-        ``values`` is an ``(n, 5)`` int64 header matrix, checked against the
-        field ranges (:func:`~repro.engine.layout.check_headers`).  Every
+        ``values`` is an ``(n, 5)`` integer header matrix, checked against
+        the field ranges and cast once to the ``uint32`` the walk reads
+        (:func:`~repro.engine.layout.check_headers`).  Every
         search tree is consulted and the highest-priority hit wins — the
         earlier tree on ties — matching the interpreter's partition /
         multi-tree semantics.

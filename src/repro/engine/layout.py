@@ -21,14 +21,20 @@ cut: the builder distributes a span of ``width`` values over ``k`` children
 as ``rem`` children of ``base + 1`` values followed by ``k - rem`` children
 of ``base`` values, so the child holding value ``v`` is computed directly
 from ``(v - lo, base, rem)`` without touching per-child boxes.  ``KIND_SPLIT``
-rows carry a single boundary point.  ``KIND_LEAF`` rows carry a span into the
-leaf rule table, sorted highest priority first so the first hit wins inside
-a leaf.
+rows carry a single boundary point, in ``lo``.  ``KIND_LEAF`` rows carry a
+span into the leaf rule table, sorted highest priority first so the first
+hit wins inside a leaf.  Every row's ``start``/``count`` is the span of its
+children: node rows for an internal node, leaf-rule rows for a leaf.
+
+All three tables are at header width: no header field is wider than 32
+bits, so node ``lo``/``base``/``rem`` and a rule's box are ``uint32`` (a
+box's ``hi`` is inclusive, as an IP range's exclusive end does not fit), and
+:func:`check_headers` hands the walk headers already cast to ``uint32``.
 
 Each search tree occupies one block of consecutive rows in the node and
-leaf rule tables, and the indices stored *inside* a block (``child_start``,
-``rule_start``, ``rule_end``) are relative to the block's first row.  Blocks
-therefore move between forests by plain concatenation, and a
+leaf rule tables, and the indices stored *inside* a block (``start``) are
+relative to the block's first row.  Blocks therefore move between forests
+by plain concatenation, and a
 :class:`FlatTree` — the view of one block: its two offsets and spans plus
 the tree's own ``depth`` and ``max_leaf_span`` — reads the same whether its
 forest holds one tree or fifty.  The distinct-rule table is shared by every
@@ -50,22 +56,27 @@ from typing import Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.exceptions import InvalidRangeError
+from repro.exceptions import InvalidRangeError, TreeError
 from repro.rules.fields import DIMENSIONS, FIELD_RANGES, NUM_DIMENSIONS
 from repro.rules.packet import Packet
+
+
+class CompileError(TreeError):
+    """Raised when a tree cannot be lowered to the flat layout."""
+
 
 #: Node kinds stored in the ``kind`` column.
 KIND_LEAF = 0
 KIND_CUT = 1
 KIND_SPLIT = 2
 
-#: Schema of the node table: one column per field, at this width.
-#: ``child_start``/``num_children`` delimit the contiguous child block;
-#: ``rule_start``/``rule_end`` delimit the leaf's span in the rule table
-#: (empty for internal nodes).  All three indices are block-relative.
-#: Every header field is at most 32 bits wide, so a cut's ``lo``, its child
-#: width ``base``, ``rem`` and a split ``point`` fit ``uint32`` (compilation
-#: checks), and the walk's cut arithmetic stays in that one type.
+#: Schema of the node table: one column per field, at this width (22 B).
+#: ``start``/``count`` delimit, block-relative, the span of a node's
+#: children: node rows for an internal node, leaf-rule rows for a leaf.
+#: ``lo`` is a cut's first value and a split's boundary.  Every header field
+#: is at most 32 bits wide, so ``lo``, a cut's child width ``base`` and
+#: ``rem`` fit ``uint32`` (compilation checks), and the walk's cut
+#: arithmetic stays in that one type.
 NODE_DTYPE = np.dtype(
     [
         ("kind", np.int8),
@@ -73,11 +84,8 @@ NODE_DTYPE = np.dtype(
         ("lo", np.uint32),
         ("base", np.uint32),
         ("rem", np.uint32),
-        ("point", np.uint32),
-        ("child_start", np.int32),
-        ("num_children", np.int32),
-        ("rule_start", np.int32),
-        ("rule_end", np.int32),
+        ("start", np.int32),
+        ("count", np.int32),
     ]
 )
 
@@ -86,13 +94,16 @@ NODE_DTYPE = np.dtype(
 #: distinct-rule list and table.
 RULE_DTYPE = np.dtype([("rule_index", np.int32)])
 
-#: Schema of the distinct-rule table: row ``i`` is the box (``hi``
-#: exclusive) and priority of rule ``i`` of the compiled classifier.
+#: Schema of the distinct-rule table (44 B): row ``i`` is the box and
+#: priority of rule ``i`` of the compiled classifier.  ``hi`` is
+#: *inclusive* — an IP range's exclusive end, 2**32, does not fit ``uint32``
+#: — and all five fields share one ``uint32`` box, so the leaf scan gathers
+#: two rows per step rather than one per field.
 RULE_TABLE_DTYPE = np.dtype(
     [
-        ("lo", np.int64, (NUM_DIMENSIONS,)),
-        ("hi", np.int64, (NUM_DIMENSIONS,)),
-        ("priority", np.int64),
+        ("lo", np.uint32, (NUM_DIMENSIONS,)),
+        ("hi", np.uint32, (NUM_DIMENSIONS,)),
+        ("priority", np.int32),
     ]
 )
 
@@ -105,16 +116,22 @@ NO_MATCH_PRIORITY = np.iinfo(np.int64).min
 
 _FIELD_LO = np.array([FIELD_RANGES[d][0] for d in DIMENSIONS], dtype=np.int64)
 _FIELD_HI = np.array([FIELD_RANGES[d][1] for d in DIMENSIONS], dtype=np.int64)
+#: The same bounds for unsigned headers: ``uint64`` against ``int64`` would
+#: compare in ``float64``.
+_UNSIGNED_BOUNDS = (_FIELD_LO.astype(np.uint64), _FIELD_HI.astype(np.uint64))
 
 
 def check_headers(values: np.ndarray) -> np.ndarray:
-    """Validate an ``(n, 5)`` header matrix; returns it as contiguous int64.
+    """Validate an ``(n, 5)`` header matrix; returns it as contiguous uint32.
 
     The walk turns header values into row indices with unchecked integer
     arithmetic, so a value outside its field's range would read some other
     node's — in a shared forest some other *tree's* — rows.  Raises
     :class:`~repro.exceptions.InvalidRangeError` naming the first offending
     row and field, as :class:`~repro.rules.packet.Packet` does per packet.
+    The caller's values are checked before any cast, so the message quotes
+    them as given.  Every field fits 32 bits, so the matrix returned is the
+    ``uint32`` one both the descent and the leaf scan read.
     """
     values = np.asarray(values)
     if (values.ndim != 2 or values.shape[1] != NUM_DIMENSIONS
@@ -123,15 +140,16 @@ def check_headers(values: np.ndarray) -> np.ndarray:
             f"expected an (n, {NUM_DIMENSIONS}) integer header matrix, "
             f"got {values.dtype} of shape {values.shape}"
         )
-    values = np.ascontiguousarray(values, dtype=np.int64)
-    bad = (values < _FIELD_LO) | (values >= _FIELD_HI)
+    lo, hi = _UNSIGNED_BOUNDS if values.dtype.kind == "u" \
+        else (_FIELD_LO, _FIELD_HI)
+    bad = (values < lo) | (values >= hi)
     if bad.any():
         row, col = (int(i) for i in np.argwhere(bad)[0])
         raise InvalidRangeError(
             f"packet {row}: field {DIMENSIONS[col].name}={values[row, col]} "
             f"out of range [{_FIELD_LO[col]}, {_FIELD_HI[col]})"
         )
-    return values
+    return np.ascontiguousarray(values, dtype=np.uint32)
 
 
 def _frozen_columns(columns: Mapping[str, np.ndarray], schema: np.dtype,
@@ -182,10 +200,18 @@ def rule_table(rules: Sequence,
     new = rules[done:]
     bounds = np.array([rule.ranges for rule in new], dtype=np.int64).reshape(
         len(new), NUM_DIMENSIONS, 2)
+    priority = np.array([rule.priority for rule in new], dtype=np.int64)
+    width = np.iinfo(RULE_TABLE_DTYPE["priority"])
+    if len(new) and (priority.min() < width.min or priority.max() > width.max):
+        raise CompileError(
+            f"rule table column 'priority' holds a value that does not fit "
+            f"its {RULE_TABLE_DTYPE['priority']} width")
+    # Rules are validated against the field ranges, so both ends fit 32 bits
+    # once ``hi`` is made inclusive.
     table = {
-        "lo": np.ascontiguousarray(bounds[:, :, 0]),
-        "hi": np.ascontiguousarray(bounds[:, :, 1]),
-        "priority": np.array([rule.priority for rule in new], dtype=np.int64),
+        "lo": bounds[:, :, 0].astype(RULE_TABLE_DTYPE["lo"].base),
+        "hi": (bounds[:, :, 1] - 1).astype(RULE_TABLE_DTYPE["hi"].base),
+        "priority": priority.astype(RULE_TABLE_DTYPE["priority"]),
     }
     if prefix is None:
         return table
@@ -262,10 +288,10 @@ class Forest:
         """
         n = len(values)
         node = self.node
-        kind, child_start = node["kind"], node["child_start"]
-        # Headers are range-checked, so every field fits the node columns'
-        # 32 bits and ``value - lo`` of a node the value lies in cannot wrap.
-        flat = values.astype(NODE_DTYPE["lo"]).ravel()
+        kind, start = node["kind"], node["start"]
+        # ``values`` is check_headers' uint32 matrix, the node columns' type:
+        # ``value - lo`` of a cut the value lies in cannot wrap.
+        flat = values.ravel()
         lane_cell = np.tile(
             np.arange(0, n * NUM_DIMENSIONS, NUM_DIMENSIONS), len(node_base))
         lane_base = np.repeat(node_base, n)
@@ -280,12 +306,14 @@ class Forest:
                 raise RuntimeError("flat tree deeper than its recorded depth")
             level += 1
             v = flat[lane_cell[active] + node["dim"][cur]]
-            offset = v - node["lo"][cur]
+            lo = node["lo"][cur]
+            offset = v - lo
             base = node["base"][cur]
             if self.has_split:
                 split = kind[cur] == KIND_SPLIT
-                # Split rows store base 0; give the cut arithmetic a
-                # divisor for them, their result is replaced below.
+                # Split rows store base 0 and their boundary in ``lo``; give
+                # the cut arithmetic a divisor for them (its result, wrapped
+                # or not, is replaced below).
                 base = np.where(split, 1, base)
             # The first ``rem`` children are ``base + 1`` wide, the rest
             # ``base``: value ``offset`` lies in child ``offset // (base + 1)``
@@ -296,8 +324,8 @@ class Forest:
             rem = np.minimum(node["rem"][cur], offset)
             child = np.maximum(offset // (base + 1), (offset - rem) // base)
             if self.has_split:
-                child = np.where(split, v >= node["point"][cur], child)
-            cur = lane_base[active] + child_start[cur] + child
+                child = np.where(split, v >= lo, child)
+            cur = lane_base[active] + start[cur] + child
             leaf[active] = cur
             descending = kind[cur] != KIND_LEAF
             active = active[descending]
@@ -316,8 +344,8 @@ class Forest:
         leaf = self.descend(values, node_base, depth)
         n = len(values)
         lane_rule_base = np.repeat(rule_base, n)
-        row = lane_rule_base + self.node["rule_start"][leaf]
-        stop = lane_rule_base + self.node["rule_end"][leaf]
+        row = lane_rule_base + self.node["start"][leaf]
+        stop = row + self.node["count"][leaf]
         matched = np.full(len(leaf), -1, dtype=np.int64)
         pending = np.flatnonzero(row < stop)
         if not pending.size:
@@ -329,7 +357,8 @@ class Forest:
             self.table["hi"]
         while True:
             rule = slot.take(row)
-            inside = (lo.take(rule, axis=0) <= v) & (v < hi.take(rule, axis=0))
+            inside = (lo.take(rule, axis=0) <= v) \
+                & (v <= hi.take(rule, axis=0))
             # AND of the five columns; ``inside.all(axis=1)`` reduces row by
             # row and costs more than the rest of the step together.
             hit = inside[:, 0]
@@ -404,7 +433,7 @@ class FlatTree:
     def descend(self, values: np.ndarray) -> np.ndarray:
         """Return the leaf node index reached by every packet of a batch.
 
-        ``values`` is an ``(n, 5)`` int64 array of packet headers; indices
+        ``values`` is an ``(n, 5)`` integer array of packet headers; indices
         are relative to this tree's block.
         """
         values = check_headers(values)

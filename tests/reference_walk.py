@@ -35,8 +35,8 @@ def descend(tree, values):
                 if child >= rem:
                     child = rem + (offset - rem * (base + 1)) // base
             else:  # KIND_SPLIT
-                child = int(v >= node_of["point"][node])
-            node = node_of["child_start"][node] + child
+                child = int(v >= node_of["lo"][node])  # the boundary
+            node = node_of["start"][node] + child
         leaves[i] = node
     return leaves
 
@@ -45,15 +45,15 @@ def lookup_rows(tree, values):
     """Block-relative leaf-rule row each packet matches in ``tree`` (-1: none).
 
     The reached leaf's span is scanned in ``leaf_rules`` order; the first
-    row whose box contains the packet wins.
+    row whose box (``hi`` inclusive) contains the packet wins.
     """
     node_of, rule_of = _columns(tree.nodes), _columns(tree.leaf_rules)
     rows = np.full(len(values), -1, dtype=np.int64)
     packets = values.tolist()
     for i, leaf in enumerate(descend(tree, values)):
-        for row in range(node_of["rule_start"][leaf],
-                         node_of["rule_end"][leaf]):
-            if all(lo <= v < hi for lo, v, hi in zip(
+        start = node_of["start"][leaf]
+        for row in range(start, start + node_of["count"][leaf]):
+            if all(lo <= v <= hi for lo, v, hi in zip(
                     rule_of["lo"][row], packets[i], rule_of["hi"][row])):
                 rows[i] = row
                 break

@@ -51,11 +51,13 @@ class TestFlatLayout:
         internal = tree.nodes[tree.nodes["kind"] != KIND_LEAF]
         # Children occupy contiguous spans strictly after their parent.
         for row in internal:
-            assert row["num_children"] >= 2
-            assert row["child_start"] > 0
-            assert row["child_start"] + row["num_children"] <= len(tree.nodes)
+            assert row["count"] >= 2
+            assert row["start"] > 0
+            assert row["start"] + row["count"] <= len(tree.nodes)
         leaves = tree.nodes[tree.nodes["kind"] == KIND_LEAF]
-        assert (leaves["rule_end"] >= leaves["rule_start"]).all()
+        assert (leaves["count"] >= 0).all()
+        assert (leaves["start"] + leaves["count"]
+                <= len(tree.leaf_rules)).all()
 
     def test_leaf_rules_sorted_by_priority(self, acl_classifier):
         compiled = acl_classifier.compile()
@@ -63,7 +65,7 @@ class TestFlatLayout:
             leaves = tree.nodes[tree.nodes["kind"] == KIND_LEAF]
             for row in leaves:
                 span = tree.leaf_rules["priority"][
-                    row["rule_start"]:row["rule_end"]
+                    row["start"]:row["start"] + row["count"]
                 ]
                 assert (np.diff(span) <= 0).all()
 

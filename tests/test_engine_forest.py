@@ -18,7 +18,12 @@ import numpy as np
 import pytest
 
 import reference_walk
-from repro.baselines import EffiCutsBuilder, HiCutsBuilder
+from repro.baselines import (
+    CutSplitBuilder,
+    EffiCutsBuilder,
+    HiCutsBuilder,
+    LinearSearchBuilder,
+)
 from repro.classbench import generate_classifier
 from repro.engine import (
     KIND_CUT,
@@ -77,8 +82,7 @@ class TestCutArithmetic:
             for k in range(2, span + 1):
                 base, rem = divmod(span, k)
                 nodes = np.zeros(k + 1, dtype=NODE_DTYPE)
-                nodes[0] = (KIND_CUT, Dimension.PROTOCOL, lo, base, rem, 0,
-                            1, k, 0, 0)
+                nodes[0] = (KIND_CUT, Dimension.PROTOCOL, lo, base, rem, 1, k)
                 nodes["kind"][1:] = KIND_LEAF
                 tree = _tree_from_records(
                     nodes, np.empty(0, dtype=RULE_DTYPE), 1, 0)
@@ -162,6 +166,68 @@ class TestDepthGuardIsPerTree:
                                       compiled.match_indices(values))
 
 
+class TestFieldEnds:
+    """The box's ``hi`` is stored inclusive: the last value of every field
+    and the last value of a rule's range must still match, the value one
+    past a range must not."""
+
+    #: One rule bounded in every field, each range ending one past
+    #: ``_INSIDE``, over a wildcard of lower priority that catches what it
+    #: misses; the fillers, far from every probe, make the builders cut
+    #: (and CutSplit split) rather than stop at one leaf.
+    _INSIDE = (0x0A000000, 0xFFFFFFFE, 1023, 65534, 16)
+    _BOUNDED = Rule.from_fields(
+        src_ip=(0x0A000000 - 4, 0x0A000001), dst_ip=(0xFFFFFF00, 0xFFFFFFFF),
+        src_port=(1000, 1024), dst_port=(80, 65535), protocol=(6, 17),
+        priority=2, name="bounded")
+    _WILDCARD = Rule.from_fields(priority=1, name="wildcard")
+    _FILLERS = [Rule.from_fields(src_ip=(i << 24, (i + 1) << 24),
+                                 dst_port=(i, i + 1), priority=3)
+                for i in range(6)]
+
+    @pytest.fixture(params=[
+        LinearSearchBuilder, lambda: HiCutsBuilder(binth=2),
+        lambda: CutSplitBuilder(binth=2), lambda: EffiCutsBuilder(binth=2)],
+        ids=["linear", "hicuts", "cutsplit", "efficuts"])
+    def ruleset_and_engine(self, request):
+        ruleset = RuleSet([self._BOUNDED, self._WILDCARD, *self._FILLERS])
+        return ruleset, compile_classifier(request.param().build(ruleset))
+
+    def _probes(self):
+        field_max = (0xFFFFFFFF, 0xFFFFFFFF, 65535, 65535, 255)
+        probes = {"field maxima": (field_max, "wildcard"),
+                  "last value of every range": (self._INSIDE, "bounded")}
+        for dim in range(5):
+            past = list(self._INSIDE)
+            past[dim] += 1
+            probes[f"one past {Dimension(dim).name}"] = (tuple(past),
+                                                         "wildcard")
+        return probes
+
+    def test_every_path_agrees_at_the_field_ends(self, ruleset_and_engine):
+        ruleset, compiled = ruleset_and_engine
+        probes = self._probes()
+        values = np.array([header for header, _ in probes.values()],
+                          dtype=np.int64)
+        fused = compiled.match_indices(values)
+        reference = reference_walk.match_indices(compiled, values)
+        for (label, (header, winner)), f, r in zip(probes.items(), fused,
+                                                   reference):
+            assert compiled.rules[f].name == winner, label
+            assert compiled.rules[r].name == winner, label
+            assert ruleset.classify(Packet(*header)).name == winner, label
+
+    def test_no_match_one_past_a_range_without_a_wildcard(self):
+        compiled = compile_classifier(
+            LinearSearchBuilder().build(RuleSet([self._BOUNDED])))
+        inside = np.array([self._INSIDE], dtype=np.int64)
+        past = inside + np.eye(5, dtype=np.int64)
+        assert compiled.match_indices(inside).tolist() == [0]
+        assert compiled.match_indices(past).tolist() == [-1] * 5
+        assert reference_walk.match_indices(compiled, past).tolist() \
+            == [-1] * 5
+
+
 def _reachable_arrays(root):
     """Every distinct ndarray reachable from ``root`` through attributes,
     mappings and sequences (views resolved to the array owning the data)."""
@@ -186,24 +252,27 @@ def _reachable_arrays(root):
 
 class TestFootprint:
     @pytest.mark.parametrize("family,num_rules,builder,expected", [
-        ("acl1", 150, HiCutsBuilder, 21502),
-        ("fw1", 500, EffiCutsBuilder, 98750),
+        ("acl1", 150, HiCutsBuilder, 12682),
+        ("fw1", 500, EffiCutsBuilder, 60658),
     ], ids=["hicuts-acl1-150", "efficuts-fw1-500"])
     def test_memory_bytes_is_pinned(self, family, num_rules, builder,
                                     expected):
-        # Re-pinned on purpose when leaves started holding rule pointers:
-        # the same classifiers were 55,526 / 249,918 bytes as 50-byte node
-        # rows plus a 92-byte rule copy per leaf row.
+        # Re-pinned on purpose when the tables went to header width: the
+        # same classifiers were 21,502 / 98,750 bytes as 34-byte node rows
+        # and 88-byte (int64) rule rows, and 55,526 / 249,918 before that,
+        # as 50-byte node rows plus a 92-byte rule copy per leaf row.
         ruleset = generate_classifier(family, num_rules, seed=1000)
         compiled = compile_classifier(builder(binth=8).build(ruleset))
         assert compiled.memory_bytes() == expected
         assert (NODE_DTYPE.itemsize, RULE_DTYPE.itemsize,
-                RULE_TABLE_DTYPE.itemsize) == (34, 4, 88)
+                RULE_TABLE_DTYPE.itemsize) == (22, 4, 44)
         leaf_rows = sum(tree.num_leaf_rules for tree in compiled.subtrees)
         assert compiled.memory_bytes() == (
-            compiled.num_nodes * 34        # node rows
+            compiled.num_nodes * 22        # kind, dim, lo, base, rem, start,
+                                           # count per node
             + leaf_rows * 4                # int32 rule slots held by leaves
-            + len(compiled.rules) * 88)    # lo[5], hi[5], priority per rule
+            + len(compiled.rules) * 44)    # uint32 lo[5], hi[5] and an
+                                           # int32 priority per rule
 
     @pytest.mark.parametrize("builder", [HiCutsBuilder, EffiCutsBuilder])
     def test_memory_bytes_counts_every_reachable_array(self, builder):
@@ -259,9 +328,11 @@ class TestFootprint:
     def test_value_beyond_its_column_is_refused_at_compile(self, field,
                                                            value):
         # No header field is wider than 32 bits, so no tree the builders
-        # produce gets here; a row that would wrap must not be stored.
+        # produce gets here; a row that would wrap must not be stored.  A
+        # split row stores its point in ``lo``.
         params = {"lo": 0, "base": 1, "rem": 0}
         if field == "point":
+            field = "lo"
             root = _Split(dim=0, point=value, children=[_Leaf([]), _Leaf([])])
         else:
             params[field] = value
@@ -270,6 +341,17 @@ class TestFootprint:
         flattener.add(root)
         with pytest.raises(CompileError, match=f"node column '{field}'"):
             flattener.trees()
+
+    def test_priority_beyond_its_column_is_refused_at_compile(self):
+        wide = Rule.from_fields(priority=1 << 31, name="wide")
+        with pytest.raises(CompileError, match="'priority'"):
+            rule_table([wide])
+        tree = DecisionTree(RuleSet([wide]), leaf_threshold=1)
+        with pytest.raises(CompileError, match="'priority'"):
+            compile_tree(tree)
+        # The widest priority that fits still compiles.
+        fits = Rule.from_fields(priority=(1 << 31) - 1)
+        assert rule_table([fits])["priority"][0] == (1 << 31) - 1
 
     def test_rule_table_shorter_than_its_prefix_is_refused(self, efficuts):
         compiled, _ = efficuts
@@ -326,6 +408,19 @@ class TestHeaderCheck:
         with pytest.raises(InvalidRangeError,
                            match=r"packet 0: field PROTOCOL"):
             compiled.match_indices(bad)
+
+    def test_unsigned_value_is_reported_as_given(self, engine):
+        # Checked before any cast: an int64 copy would read -2**63 here.
+        compiled, _ = engine
+        bad = np.array([[1 << 63, 0, 0, 0, 0]], dtype=np.uint64)
+        as_given = r"packet 0: field SRC_IP=9223372036854775808 out of range"
+        with pytest.raises(InvalidRangeError, match=as_given):
+            compiled.match_indices(bad)
+        # An in-range unsigned matrix is served like its int64 twin.
+        _, values = engine
+        np.testing.assert_array_equal(
+            compiled.match_indices(values.astype(np.uint64)),
+            compiled.match_indices(values))
 
     def test_negative_value(self, engine):
         compiled, values = engine
