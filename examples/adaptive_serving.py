@@ -11,7 +11,7 @@ on top, so the differential exactness proof holds across the whole
 retrain → adopt → swap sequence.
 
 The same scenario is then served again with tenants *sharded* across two
-worker processes (``repro.serve.sharded``), showing the merged telemetry a
+logical shards (``repro.serve.sharded``), showing the merged telemetry a
 sharded front-end reports.
 """
 
@@ -64,9 +64,9 @@ def main() -> None:
               f"{entry['rules']} rules, retrain counters reset to "
               f"{entry['retrain']['accumulated_updates']}")
 
-    # 2. The same scenario sharded across two serving worker processes.
+    # 2. The same scenario sharded across two logical serving shards.
     sharded = run_serving(
-        ServingConfig(workers=2, backend="process", record_batches=True),
+        ServingConfig(workers=2, record_batches=True),
         num_tenants=4,
         families=("acl1", "ipc1"),
         num_rules=120,
@@ -75,14 +75,13 @@ def main() -> None:
         churn_events=2,
         seed=1,
     )
-    print("\nTenant-sharded serving (2 worker processes, merged telemetry):")
+    print("\nTenant-sharded serving (2 logical shards, merged telemetry):")
     print(format_table(["metric", "value"], sharded.rows()))
     print(format_table(["shard", "tenants", "requests", "wall"],
                        sharded.shard_rows()))
     exactness = sharded.verify_exactness()
     print(f"differential check: {exactness.num_checked} packets, "
-          f"{exactness.num_mismatches} mismatches across the process "
-          f"boundary")
+          f"{exactness.num_mismatches} mismatches across the shards")
 
 
 if __name__ == "__main__":

@@ -54,10 +54,10 @@ def main() -> None:
     print(format_table(["check", "count"], replay.report.rows()))
     assert replay.report.is_exact, replay.report.mismatches
 
-    # 3. Shard the same trace across two serving workers — decisions are
+    # 3. Shard the same trace across two logical shards — decisions are
     #    tenant-local, so the golden column still matches exactly.
     sharded = replay_trace(read_trace(trace_path), ServingConfig(
-        workers=2, backend="thread", background_swaps=False))
+        workers=2, background_swaps=False))
     print(f"\nsharded replay: {sharded.result.num_shards} shards, "
           f"{sharded.report.num_served} served, "
           f"{sharded.report.num_mismatches} mismatches")

@@ -112,11 +112,8 @@ def _add_stack_flags(parser: argparse.ArgumentParser,
                              "controller)")
     parser.add_argument("--serving-workers", type=int, default=1,
                         metavar="N",
-                        help="shard tenants across N serving workers "
-                             "(1 = single process)")
-    parser.add_argument("--serving-backend", default="process",
-                        choices=EXECUTOR_BACKENDS,
-                        help="executor backend for serving shards")
+                        help="shard tenants across N logical serving "
+                             "shards in this process (1 = no sharding)")
     parser.add_argument("--rebalance-policy", default="none",
                         choices=sorted(REBALANCE_POLICIES),
                         help="live shard rebalancing policy (needs "
@@ -554,7 +551,6 @@ def _serving_config(args: argparse.Namespace, seed: int, **fields):
                             queue_limit=args.queue_limit)
         if args.ingest else None,
         workers=args.serving_workers,
-        backend=args.serving_backend,
         rebalance_policy=make_rebalance_policy(args.rebalance_policy)
         if args.rebalance_policy != "none" else None,
         rebalance_interval=args.rebalance_interval,

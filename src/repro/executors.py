@@ -474,18 +474,6 @@ class RetrainPool:
 _SHARED_RETRAIN_POOLS: Dict[Tuple[str, int], RetrainPool] = {}
 
 
-def resolve_pool_backend(backend: str) -> str:
-    """Resolve a retrain-pool backend for the *current* process.
-
-    Daemonic pool workers (process-backend serving shards) cannot spawn
-    child processes, so a ``"process"`` retrain pool inside one silently
-    resolves to ``"thread"`` — by construction, not per-task warning.
-    """
-    if backend == "process" and multiprocessing.current_process().daemon:
-        return "thread"
-    return backend
-
-
 def shared_retrain_pool(num_workers: int,
                         backend: str = "thread") -> RetrainPool:
     """The process-local shared retrain pool for this width and backend.
@@ -499,7 +487,6 @@ def shared_retrain_pool(num_workers: int,
     """
     if num_workers < 1:
         raise ValueError("num_workers must be >= 1")
-    backend = resolve_pool_backend(backend)
     if backend not in EXECUTOR_BACKENDS:
         raise ValueError(
             f"backend must be one of {EXECUTOR_BACKENDS}, got {backend!r}"

@@ -85,8 +85,8 @@ SERVE_SCORECARD: Dict[str, object] = {
 #: hard-coded ratio asserts (cache hit rate >= 0.5, sharded speedup >= 1.1)
 #: with exact counter gates against checked-in baselines — a cache-locality
 #: regression now shows up as a cache_hits diff, not a flaky threshold.
-#: Counters gate exactly everywhere; throughput/latency/speedup timings
-#: are informational.  ``sync_swaps`` (and ``"serial"`` retrains) are the
+#: Counters gate exactly everywhere; throughput/latency timings are
+#: informational.  ``sync_swaps`` (and ``"serial"`` retrains) are the
 #: determinism contract: background work lands on the wall clock, which
 #: would make the counters machine-dependent.
 SERVING_SCORECARDS: Dict[str, Dict[str, object]] = {
@@ -151,16 +151,15 @@ SERVING_SCORECARDS: Dict[str, Dict[str, object]] = {
         "sync_swaps": True,
         "verify": True,
         "serving_workers": 2,
-        "serving_backend": "process",
         "seed": 1,
     },
     # Skewed-tenant flash crowd on 2 shards with live load-aware
     # rebalancing: the steep tenant Zipf split plus the crowd multiplier
     # concentrate the stream on the shard that drew tenant 0, and the
-    # policy must migrate load off it mid-run.  Serial shards + sync swaps
-    # keep every counter (including migrations) a pure function of the
-    # workload.  The serial reference comparison ignores the migration
-    # counters — placement changes, decisions and telemetry must not.
+    # policy must migrate load off it mid-run.  Sync swaps keep every
+    # counter (including migrations) a pure function of the workload.  The
+    # serial reference comparison ignores the migration counters —
+    # placement changes, decisions and telemetry must not.
     "rebalance": {
         "tenants": 4,
         "families": "acl1,ipc1",
@@ -179,7 +178,6 @@ SERVING_SCORECARDS: Dict[str, Dict[str, object]] = {
         "sync_swaps": True,
         "verify": True,
         "serving_workers": 2,
-        "serving_backend": "serial",
         "rebalance_policy": "load",
         "rebalance_interval": 0.01,
         "seed": 2,
@@ -247,7 +245,6 @@ def _run_scorecard(cfg: Dict[str, object]):
         retrain_threshold=cfg.get("retrain_threshold"),
         retrain_policy=retrain_policy,
         workers=workers,
-        backend=cfg.get("serving_backend", "process"),
         rebalance_policy=make_rebalance_policy(rebalance_policy_name)
         if workers > 1 and rebalance_policy_name != "none" else None,
         rebalance_interval=cfg.get("rebalance_interval",
@@ -302,10 +299,9 @@ def run_serving_scorecard(kind: str, serving_workers: Optional[int] = None,
 def serving_scorecard_record(kind: str) -> BenchRecord:
     """Run one of the :data:`SERVING_SCORECARDS` and return its record.
 
-    The ``"sharded"`` scorecard runs the scenario twice — serial, then
+    A sharded scorecard runs the scenario twice — single-process, then
     sharded across its pinned worker count — and reports the counters (and
-    exactness tallies) of the *sharded* run plus a ``sharded_speedup``
-    timing (sharded pps over serial pps).  Sharding is exact by
+    exactness tallies) of the *sharded* run.  Sharding is exact by
     construction, so the two runs' deterministic counters must agree; a
     disagreement fails loudly here rather than producing a silently wrong
     baseline.
@@ -332,8 +328,6 @@ def serving_scorecard_record(kind: str) -> BenchRecord:
                 f"serving scorecard {kind!r}: sharded counters diverge "
                 f"from the serial run — sharding is supposed to be exact"
             )
-        record.timings["sharded_speedup"] = \
-            result.report.pps / max(serial.report.pps, 1e-12)
     return record
 
 

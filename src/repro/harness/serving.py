@@ -19,7 +19,7 @@ close the adaptive-serving loop:
   :class:`~repro.serve.controller.RetrainController` watches every slot and
   swaps in freshly trained NeuroCuts *trees* when accumulated updates cross
   the threshold;
-* ``workers > 1`` shards tenants across worker processes
+* ``workers > 1`` shards tenants across logical serving shards
   (:mod:`repro.serve.sharded`), telemetry merged exactly from the shards.
 
 ``run_serving(trace_path=...)`` swaps the generator out entirely: the
@@ -37,12 +37,7 @@ from typing import Dict, List, Optional, Sequence, Union
 from repro.serve.controller import RetrainPolicy
 from repro.serve.registry import TenantRegistry
 from repro.serve.service import ServedBatch, ServingReport
-from repro.serve.sharded import (
-    ShardOutcome,
-    ShardPlan,
-    ShardTenant,
-    serve_sharded,
-)
+from repro.serve.sharded import ShardOutcome, ShardPlan, serve_sharded
 from repro.serve.stack import ServingConfig, ServingStack, epoch_rulesets
 from repro.rules.ruleset import RuleSet
 from repro.traces.format import ServingTrace
@@ -157,11 +152,11 @@ class ServingResult:
     """Everything ``run_serving`` produced: telemetry plus live state.
 
     A single-process run keeps its live ``registry``.  A sharded run
-    (``ServingConfig.workers > 1``) has no registry in this process:
-    ``report`` is the merged telemetry (exact percentile merge over the
-    shards' raw latency arrays), ``outcomes`` keeps each shard's own report,
-    per-epoch ruleset history and wall time for drill-down, and ``plan`` is
-    the initial tenant placement.
+    (``ServingConfig.workers > 1``) keeps no registry: ``report`` is the
+    merged telemetry (exact percentile merge over the shards' raw latency
+    arrays), ``outcomes`` keeps each shard's own report and per-epoch
+    ruleset history for drill-down, and ``plan`` is the initial tenant
+    placement.
     """
 
     report: ServingReport
@@ -203,7 +198,7 @@ class ServingResult:
                 outcome.shard_index,
                 ", ".join(outcome.tenant_ids),
                 outcome.report.num_requests,
-                f"{outcome.wall_seconds:.3f}s",
+                f"{outcome.report.wall_seconds:.3f}s",
             ]
             for outcome in self.outcomes
         ]
@@ -215,9 +210,9 @@ class ServingResult:
         serving engine was compiled from (``EngineSlot.ruleset_at``), so the
         check is exact *across* hot swaps: packets served before a swap are
         held to the pre-update ruleset, packets after it to the post-update
-        one.  A sharded run is checked here too — shards ship back their
+        one.  A sharded run is checked here too — each shard keeps its
         batches *and* per-epoch rulesets — so exactness is proven across
-        retrain adoptions, migrations and the process boundary.  Requires
+        retrain adoptions and migrations.  Requires
         ``ServingConfig(record_batches=True)``.
         """
         if self.report.batches is None:
@@ -342,8 +337,8 @@ def run_serving(
 
     if config.workers > 1:
         outcomes, report, plan = serve_sharded(
-            [ShardTenant(s.tenant_id, s.algorithm, s.binth) for s in specs],
-            workload.rulesets, workload.requests, workload.updates, config)
+            specs, workload.rulesets, workload.requests, workload.updates,
+            config)
         return ServingResult(report=report, workload=workload,
                              outcomes=outcomes, plan=plan)
 

@@ -30,8 +30,8 @@ virtual clock so it stays deterministic.  **HARD** (queue full) sheds.
 Everything runs on the trace clock: decisions are a pure function of the
 offered (tenant, time) sequence and the config, which is what makes the
 over-rate scenarios replay bit-identically — and because all state is
-per-tenant and tenants are disjoint across serving shards, per-shard
-admission equals single-process admission *exactly* (the same argument
+per-tenant, admission over a whole stream decides for each tenant exactly
+what admission over that tenant's requests alone would (the same argument
 that makes tenant sharding exact in :mod:`repro.serve.sharded`).
 """
 

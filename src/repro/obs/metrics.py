@@ -16,7 +16,7 @@ carries.  Three series kinds cover the repo's needs:
   :mod:`repro.serve.sharded`, applied to every timed phase.
 
 Merging is associative and commutative in the summary view, which is what
-lets the sharded front-end fold worker registries in any order.  Registries
+lets the sharded front-end fold shard registries in any order.  Registries
 hold only plain containers — no locks, no threads — so they pickle across
 the process boundary unchanged.
 

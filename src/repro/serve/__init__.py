@@ -57,19 +57,11 @@ from repro.serve.service import (
 from repro.serve.sharded import (
     ShardOutcome,
     ShardPlan,
-    ShardTask,
-    ShardTenant,
     merge_reports,
-    serve_rebalancing,
-    serve_shard,
     serve_sharded,
     shard_tenants,
 )
-from repro.serve.stack import (
-    SERVING_BACKENDS,
-    ServingConfig,
-    ServingStack,
-)
+from repro.serve.stack import ServingConfig, ServingStack
 
 __all__ = [
     "BatchPolicy",
@@ -103,16 +95,11 @@ __all__ = [
     "ServedBatch",
     "ServingReport",
     "ServingSession",
-    "SERVING_BACKENDS",
     "ServingConfig",
     "ServingStack",
     "ShardOutcome",
     "ShardPlan",
-    "ShardTask",
-    "ShardTenant",
     "merge_reports",
-    "serve_rebalancing",
-    "serve_shard",
     "serve_sharded",
     "shard_tenants",
 ]

@@ -32,9 +32,9 @@ class TenantRegistry:
     **Thread-safety.**  Like the slots it owns, the registry expects a
     single serving thread: registration, updates, and telemetry reads all
     happen from that thread, while each slot's background builder thread
-    only ever reads tree state.  Sharding tenants across *processes* (see
-    :mod:`repro.serve.sharded`) gives each worker its own registry, so no
-    cross-process synchronisation exists or is needed.
+    only ever reads tree state.  Sharding tenants (see
+    :mod:`repro.serve.sharded`) gives each logical shard its own registry,
+    all driven from the one front-end thread.
     """
 
     def __init__(

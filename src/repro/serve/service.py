@@ -119,7 +119,7 @@ class ServingReport:
     rebalance_plans: int = 0
     #: Planned migrations deferred because the tenant had a retrain in
     #: flight at settle time; each deferral is retried until it executes,
-    #: so no plan is ever lost (see repro.serve.sharded.serve_rebalancing).
+    #: so no plan is ever lost (see repro.serve.sharded.serve_sharded).
     rebalance_deferred: int = 0
     #: Admission-control tally (all zero when no ingestion frontend is
     #: attached).  Invariant: offered == admitted + throttled + shed, and
@@ -250,8 +250,8 @@ class ClassificationService:
     retrain controller's polling.  Background concurrency (engine builder
     threads, retrain jobs) never touches serving state — finished work is
     *installed* from this thread between batches.  One service instance must
-    not be driven from multiple threads; to use more CPUs, shard tenants
-    across processes with :mod:`repro.serve.sharded` instead.
+    not be driven from multiple threads; :mod:`repro.serve.sharded`
+    partitions tenants across several services, one per logical shard.
 
     Args:
         registry: tenants to serve (slots are consulted per batch, so
@@ -325,7 +325,7 @@ class ClassificationService:
         :meth:`serve`).
 
         Offer requests in time order, then :meth:`ServingSession.finish`.
-        The rebalancing front-end (:mod:`repro.serve.sharded`) drives
+        The sharded front-end (:mod:`repro.serve.sharded`) drives
         several sessions side by side — one per logical shard — routing
         each event to the session that currently owns its tenant, which is
         what makes mid-run tenant migration possible at all.

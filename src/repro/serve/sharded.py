@@ -1,39 +1,35 @@
-"""Multi-process serving: tenants sharded across workers, telemetry merged.
+"""Tenant-sharded serving: one front-end driving logical shards.
 
 One :class:`~repro.serve.service.ClassificationService` is single-threaded
-by design; to use more cores the layer scales *out*, the classic
-shard-the-workload move: tenants are partitioned across N serving workers
-(each worker a full serving stack — registry, engine slots, micro-batcher,
-optional retrain controller — over just its tenants), the request stream is
-routed by tenant to the owning shard, and a front-end merges the shards'
-telemetry into one report.
+by design.  Sharding partitions tenants across N logical shards, each a
+full serving stack (registry, engine slots, batch planner, optional retrain
+controller) over just its tenants.  One front-end, :func:`serve_sharded`,
+routes every event to the shard that owns its tenant on a single trace
+clock and merges the shards' telemetry into one report.  Every shard lives
+in the front-end's process; admission runs once, in the front-end, over
+the whole stream.
 
 Because tenants never share state, sharding is *exact by construction*:
 each request is served by the same engine generation it would have seen in
 a single-process run, and every per-epoch exactness guarantee carries over
-shard-locally.  The merge is exact too — workers return raw latency arrays
+shard-locally.  The merge is exact too — shards keep raw latency arrays
 (not pre-computed percentiles), so the merged percentiles equal those of a
 single process serving the union.
 
-The shard task (:func:`serve_shard`) is a module-level pure function of a
-picklable payload, so it runs unchanged on every
-:class:`repro.executors.RolloutExecutor` backend: ``"process"`` for real
-multi-core serving, ``"thread"``/``"serial"`` for deterministic tests on
-small machines.
+Without a ``rebalance_policy`` the placement is the static round-robin
+:class:`ShardPlan`.  With one, the front-end also moves tenants between
+shards mid-run (drain → ship → install; see :func:`serve_sharded`).
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import pickle
 import time
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.executors import make_executor
 from repro.ingest.admission import AdmissionController
 from repro.obs.metrics import MetricsRegistry
 from repro.rules.ruleset import RuleSet
@@ -45,17 +41,9 @@ from repro.serve.service import (
     LATENCY_PERCENTILES,
     RuleUpdate,
     ServingReport,
+    ServingSession,
 )
 from repro.serve.stack import ServingConfig, ServingStack
-
-
-@dataclass(frozen=True)
-class ShardTenant:
-    """One tenant as a shard worker sees it: id plus engine-build knobs."""
-
-    tenant_id: str
-    algorithm: str = "HiCuts"
-    binth: int = 8
 
 
 @dataclass(frozen=True)
@@ -82,8 +70,8 @@ class ShardPlan:
 def shard_tenants(tenant_ids: Sequence[str], num_shards: int) -> ShardPlan:
     """Partition tenants round-robin across ``num_shards`` workers.
 
-    Shards can end up empty when there are more shards than tenants; such
-    shards are skipped at dispatch (no worker is launched for them).
+    Shards can end up empty when there are more shards than tenants; a
+    shard that never holds a tenant reports no :class:`ShardOutcome`.
     """
     if num_shards < 1:
         raise ValueError("num_shards must be >= 1")
@@ -95,35 +83,13 @@ def shard_tenants(tenant_ids: Sequence[str], num_shards: int) -> ShardPlan:
 
 
 @dataclass
-class ShardTask:
-    """The picklable payload one serving worker executes.
-
-    Carries everything a worker needs to rebuild its slice of the serving
-    stack from scratch: tenant specs and rulesets (engines are compiled
-    inside the worker — compiled arrays never cross the process boundary),
-    the tenant-filtered request stream and update schedule, and the serving
-    config.
-    """
-
-    shard_index: int
-    tenants: List[ShardTenant]
-    rulesets: Dict[str, RuleSet]
-    requests: List[Request]
-    updates: List[RuleUpdate] = field(default_factory=list)
-    #: Applied shard-locally, admission control included.  Exact vs. a
-    #: single process: admission state is per-tenant and tenants never share
-    #: a shard, so per-shard decisions equal the unsharded ones.
-    config: ServingConfig = ServingConfig()
-
-
-@dataclass
 class ShardOutcome:
-    """What one serving worker sends back to the front-end.
+    """One logical shard's share of a sharded run.
 
     ``report.latencies`` is always populated (shards record latencies so the
     front-end can merge exact percentiles), and ``epoch_rulesets`` carries
-    each tenant's full per-epoch ruleset history so differential exactness
-    can be verified *in the front-end process* against recorded batches.
+    the per-epoch ruleset history of every tenant the shard ended up with,
+    so differential exactness can be verified against recorded batches.
     """
 
     shard_index: int
@@ -131,57 +97,6 @@ class ShardOutcome:
     report: ServingReport
     #: Per tenant: the ruleset snapshot of every engine epoch, in order.
     epoch_rulesets: Dict[str, List[RuleSet]]
-    #: Wall seconds this shard spent inside its serve() call.
-    wall_seconds: float = 0.0
-
-
-#: Process-local latch so the daemonic-downgrade warning fires once per
-#: shard worker, not once per retrain-armed shard task it serves.
-_DAEMONIC_DOWNGRADE_WARNED = False
-
-
-def _warn_daemonic_downgrade_once() -> None:
-    global _DAEMONIC_DOWNGRADE_WARNED
-    if _DAEMONIC_DOWNGRADE_WARNED:
-        return
-    _DAEMONIC_DOWNGRADE_WARNED = True
-    warnings.warn(
-        "process-backend retrains cannot run inside a (daemonic) "
-        "serving shard worker; falling back to the thread backend",
-        RuntimeWarning,
-    )
-
-
-def serve_shard(task: ShardTask) -> ShardOutcome:
-    """Serve one shard's tenants (the executor-facing task function)."""
-    config = task.config
-    retrain_policy = config.retrain_policy
-    if retrain_policy is not None and retrain_policy.backend == "process" \
-            and retrain_policy.shared_pool_size is None \
-            and multiprocessing.current_process().daemon:
-        # Pool workers are daemonic and cannot spawn child processes, so a
-        # process-backend retrain inside a process-backend shard would die
-        # at the first trigger; threads share the worker's core anyway.
-        # Shared-pool policies never reach this branch: the pool registry
-        # resolves the backend itself (repro.executors.resolve_pool_backend).
-        _warn_daemonic_downgrade_once()
-        config = replace(config, retrain_policy=replace(retrain_policy,
-                                                        backend="thread"))
-    stack = ServingStack(config, task.tenants, task.rulesets,
-                         record_latencies=True)
-    started = time.perf_counter()
-    try:
-        report = stack.service.serve(task.requests, updates=task.updates)
-    finally:
-        stack.close()
-    wall = time.perf_counter() - started
-    return ShardOutcome(
-        shard_index=task.shard_index,
-        tenant_ids=[t.tenant_id for t in task.tenants],
-        report=report,
-        epoch_rulesets=stack.epoch_rulesets(),
-        wall_seconds=wall,
-    )
 
 
 def merge_reports(outcomes: Sequence[ShardOutcome],
@@ -191,9 +106,10 @@ def merge_reports(outcomes: Sequence[ShardOutcome],
     Counters sum; latency percentiles are recomputed over the concatenated
     raw latency arrays (exact, not an approximation over per-shard
     percentiles); ``wall_seconds`` is the front-end's end-to-end wall time
-    (shards overlap, so summing their walls would be wrong) and is what the
-    merged ``pps`` is measured against.  ``engine_seconds`` sums CPU-style
-    across shards and can therefore exceed the wall on multi-core runs.
+    (shards interleave, so summing their walls would be wrong) and is what
+    the merged ``pps`` is measured against.  Admission and rebalancing
+    counters are the front-end's, not the shards', and are set by
+    :func:`serve_sharded`.
     """
     reports = [o.report for o in outcomes]
     latencies = np.concatenate([
@@ -256,91 +172,26 @@ def merge_reports(outcomes: Sequence[ShardOutcome],
         retrain_queue_submitted=sum(r.retrain_queue_submitted
                                     for r in reports),
         migrations=sum(r.migrations for r in reports),
-        rebalance_plans=sum(r.rebalance_plans for r in reports),
-        rebalance_deferred=sum(r.rebalance_deferred for r in reports),
-        ingest_offered=sum(r.ingest_offered for r in reports),
-        ingest_admitted=sum(r.ingest_admitted for r in reports),
-        ingest_throttled=sum(r.ingest_throttled for r in reports),
-        ingest_shed=sum(r.ingest_shed for r in reports),
         metrics=metrics,
         swap_stats=swap_stats,
         retrain_stats=retrain_stats,
     )
 
 
-def serve_sharded(
-    tenants: Sequence[ShardTenant],
-    rulesets: Dict[str, RuleSet],
-    requests: Sequence[Request],
-    updates: Sequence[RuleUpdate] = (),
-    config: ServingConfig = ServingConfig(workers=2),
-) -> Tuple[List[ShardOutcome], ServingReport, ShardPlan]:
-    """Serve a multi-tenant workload sharded across ``config.workers`` workers.
-
-    The front-end half of the sharded path: plans the tenant partition,
-    routes requests and updates to the owning shard, dispatches one
-    :class:`ShardTask` per non-empty shard on the ``config.backend``
-    executor, and merges the outcomes.  Returns
-    ``(outcomes, merged_report, plan)``.
-
-    With ``backend="process"``, per-tenant retrains inside each worker run
-    on ``"thread"``-backend controllers regardless of
-    ``retrain_policy.backend`` — pool workers are daemonic and cannot spawn
-    nested process pools (``serve_shard`` downgrades with a
-    ``RuntimeWarning``).
-
-    A config with a ``rebalance_policy`` is served by
-    :func:`serve_rebalancing` instead: logical shards driven event-by-event
-    in this process, with live tenant migration (``backend`` is unused).
-    """
-    if config.rebalance_policy is not None:
-        return serve_rebalancing(tenants, rulesets, requests, updates, config)
-    plan = shard_tenants([t.tenant_id for t in tenants], config.workers)
-    by_tenant = {t.tenant_id: t for t in tenants}
-    tasks: List[ShardTask] = []
-    for index, assigned in enumerate(plan.assignments):
-        if not assigned:
-            continue
-        assigned_set = set(assigned)
-        tasks.append(ShardTask(
-            shard_index=index,
-            tenants=[by_tenant[tid] for tid in assigned],
-            rulesets={tid: rulesets[tid] for tid in assigned},
-            requests=[r for r in requests if r.tenant_id in assigned_set],
-            updates=[u for u in updates if u.tenant_id in assigned_set],
-            config=config,
-        ))
-    executor = make_executor(max(1, len(tasks)), backend=config.backend)
-    started = time.perf_counter()
-    try:
-        outcomes = executor.map(serve_shard, tasks)
-    finally:
-        executor.shutdown()
-    wall = time.perf_counter() - started
-    outcomes.sort(key=lambda o: o.shard_index)
-    return outcomes, merge_reports(outcomes, wall), plan
-
-
-# --------------------------------------------------------------------------- #
-# The rebalancing front-end (live tenant migration)
-# --------------------------------------------------------------------------- #
-
 class _ShardStack(ServingStack):
-    """One logical shard in the rebalancing front-end.
+    """One logical shard: a full serving stack plus its streaming session,
+    driven event by event by the front-end.
 
-    A full serving stack plus its streaming session, driven event-by-event
-    by the front-end instead of executing a pre-routed request list.  All
-    stacks live in the front-end process: migration needs the source and
-    target on both ends of the same trace-clock instant, which a process
-    boundary cannot give us — the :class:`~repro.serve.engines.SlotState`
-    still goes through a pickle round-trip so the shipped state is proven
+    Migration needs the source and target on both ends of the same
+    trace-clock instant, which is why every shard lives in the front-end's
+    process; the :class:`~repro.serve.engines.SlotState` a migration ships
+    still goes through a pickle round-trip, so the shipped state is proven
     process-portable.  Sessions never consult ``service.ingest``: admission
     runs once in the front-end, over the whole stream.
     """
 
     def __init__(self, index: int, config: ServingConfig,
-                 tenants: Sequence[ShardTenant],
-                 rulesets: Dict[str, RuleSet]) -> None:
+                 tenants: Sequence, rulesets: Dict[str, RuleSet]) -> None:
         super().__init__(config, tenants, rulesets, record_latencies=True)
         self.index = index
         self.session = self.service.session()
@@ -358,10 +209,8 @@ def _migrate_tenant(tenant_id: str, source: _ShardStack,
     (``queue_depth == 0`` after a ``poll``) and that no retrain is still
     *running* (``settle`` defers the move otherwise).  A finished-but-
     uninstalled retrain lands (or is rejected) here, then the slot state
-    crosses a
-    real ``pickle`` round-trip — proving every migration this front-end
-    performs could equally cross a process boundary — and is installed on
-    the target through the same atomic compile-and-install path as tenant
+    crosses a real ``pickle`` round-trip and is installed on the target
+    through the same atomic compile-and-install path as tenant
     registration.  Retrain launch counters ship along so the per-tenant
     retrain seed sequence continues unbroken.
     """
@@ -378,19 +227,31 @@ def _migrate_tenant(tenant_id: str, source: _ShardStack,
     target.migrations_in += 1
 
 
-def serve_rebalancing(
-    tenants: Sequence[ShardTenant],
+def serve_sharded(
+    tenants: Sequence,
     rulesets: Dict[str, RuleSet],
     requests: Sequence[Request],
-    updates: Sequence[RuleUpdate],
-    config: ServingConfig,
+    updates: Sequence[RuleUpdate] = (),
+    config: ServingConfig = ServingConfig(workers=2),
 ) -> Tuple[List[ShardOutcome], ServingReport, ShardPlan]:
-    """Serve with live load-aware tenant migration between logical shards.
+    """Serve a multi-tenant workload on ``config.workers`` logical shards.
 
-    The rebalancing counterpart of :func:`serve_sharded`: tenants start on
-    the same round-robin plan, but the front-end drives one streaming
+    ``tenants`` are the run's tenant specs (anything with ``tenant_id`` /
+    ``algorithm`` / ``binth``, as :class:`~repro.serve.stack.ServingStack`
+    takes them).  Tenants start on the round-robin :func:`shard_tenants`
+    plan, and the front-end drives one streaming
     :class:`~repro.serve.service.ServingSession` per shard on a single
-    trace clock and re-places tenants mid-run:
+    trace clock:
+
+    * admission control — when ``config.ingest`` is set — runs once, here,
+      over the full stream; its state is per-tenant, so this is exactly
+      the single-process decision sequence, and each tenant's ``ingest``
+      summary is taken over the whole run's trace span;
+    * updates are delivered on the global event order (exactly the
+      single-process semantics) to the shard that owns their tenant.
+
+    With ``config.rebalance_policy`` set, the front-end also re-places
+    tenants mid-run:
 
     1. **Plan** — the first event at or past each interval boundary
        triggers a policy evaluation (the ``k``-th evaluation sees
@@ -410,27 +271,18 @@ def serve_rebalancing(
        classified against its epoch's ruleset, so ``verify_exactness``
        holds straight through the migration boundary.
 
-    Updates are delivered by the front-end on the global event order
-    (exactly the single-process semantics), and admission control — when
-    ``config.ingest`` is set — runs once in the front-end over the full
-    stream, which per-tenant state makes equivalent to single-process
-    admission.
-
     A planned move whose tenant has a retrain still *running* at settle
     time is **deferred, never dropped**: the plan stays pending (counted
     once per episode in ``merged_report.rebalance_deferred``) and retries
     at the tenant's later events; a plan still pending when the trace ends
     executes at the quiesce point, after ``finish()`` drained every batch
-    and retrain.
+    and retrain.  Without a policy none of this runs, so a static run
+    reports ``rebalance_plans == migrations == 0``.
 
-    Returns ``(outcomes, merged_report, plan)`` like :func:`serve_sharded`;
-    ``merged_report.migrations`` / ``merged_report.rebalance_plans`` /
-    ``merged_report.rebalance_deferred`` count the moves executed, the
-    policy evaluations run, and the retrain-deferred move episodes.
+    Returns ``(outcomes, merged_report, plan)``: one outcome per shard that
+    ever held a tenant, the merged telemetry, and the initial placement.
     """
     policy, interval = config.rebalance_policy, config.rebalance_interval
-    if policy is None:
-        raise ValueError("serve_rebalancing needs a rebalance policy")
     started = time.perf_counter()
     plan = shard_tenants([t.tenant_id for t in tenants], config.workers)
     by_tenant = {t.tenant_id: t for t in tenants}
@@ -445,9 +297,7 @@ def serve_rebalancing(
         for index, assigned in enumerate(plan.assignments)
     ]
 
-    # Admission runs once, up front, over the whole stream — its state is
-    # per-tenant, so this is exactly the single-process decision sequence,
-    # and the serving stacks below see the post-admission stream.
+    # The serving stacks below see the post-admission stream.
     admission: Optional[AdmissionController] = None
     frontend_metrics: Optional[MetricsRegistry] = None
     requests = sorted(requests, key=lambda r: r.time)
@@ -511,8 +361,8 @@ def serve_rebalancing(
         (the normal batch-boundary wait) and a retrain still running on
         the source shard.  The latter is counted — once per deferral
         episode — in ``rebalance_deferred``; blocking the whole event loop
-        on the training job (the old behaviour) would stall every tenant
-        on the shard behind one background retrain.
+        on the training job would stall every tenant on the shard behind
+        one background retrain.
         """
         nonlocal num_deferred
         target_index = pending_moves.get(tenant_id)
@@ -542,10 +392,13 @@ def serve_rebalancing(
         del pending_moves[tenant_id]
         deferred_moves.discard(tenant_id)
 
-    def deliver(update: RuleUpdate) -> None:
-        evaluate(update.time)
-        settle(update.tenant_id, update.time)
-        stacks[placement[update.tenant_id]].session.deliver_update(update)
+    def owner(tenant_id: str, now: float) -> ServingSession:
+        """The session serving ``tenant_id`` at ``now``, after any
+        rebalancing the event is due to trigger."""
+        if policy is not None:
+            evaluate(now)
+            settle(tenant_id, now)
+        return stacks[placement[tenant_id]].session
 
     # try/finally so a mid-trace exception cannot leak the per-stack
     # retrain executors (close() is idempotent; shared pools are left to
@@ -558,13 +411,12 @@ def serve_rebalancing(
             # first.
             while update_index < len(pending_updates) and \
                     pending_updates[update_index].time <= request.time:
-                deliver(pending_updates[update_index])
+                update = pending_updates[update_index]
+                owner(update.tenant_id, update.time).deliver_update(update)
                 update_index += 1
-            evaluate(request.time)
-            settle(request.tenant_id, request.time)
-            stacks[placement[request.tenant_id]].session.offer(request)
+            owner(request.tenant_id, request.time).offer(request)
         for update in pending_updates[update_index:]:
-            deliver(update)
+            owner(update.tenant_id, update.time).deliver_update(update)
 
         for stack in stacks:
             reports.append(stack.session.finish())
@@ -588,36 +440,31 @@ def serve_rebalancing(
         for stack in stacks:
             stack.close()
 
-    outcomes: List[ShardOutcome] = []
-    for stack, report in zip(stacks, reports):
-        if not stack.ever_tenants and not report.num_requests:
-            continue
-        outcomes.append(ShardOutcome(
+    outcomes = [
+        ShardOutcome(
             shard_index=stack.index,
             tenant_ids=stack.registry.tenants(),
             report=report,
             epoch_rulesets=stack.epoch_rulesets(),
-            wall_seconds=report.wall_seconds,
-        ))
-
-    wall = time.perf_counter() - started
-    merged = merge_reports(outcomes, wall)
+        )
+        for stack, report in zip(stacks, reports)
+        if stack.ever_tenants
+    ]
+    merged = merge_reports(outcomes, time.perf_counter() - started)
     merged.rebalance_plans = num_plans
     merged.rebalance_deferred = num_deferred
     if admission is not None:
-        # The frontend owns admission in this mode; fold its counters and
-        # per-tenant summaries into the merged report the same way a
-        # single-process serve() does.
+        # Fold the front-end's admission counters and per-tenant summaries
+        # into the merged report the same way a single-process serve()
+        # does, over the whole run's trace span.
         merged.ingest_offered = admission.offered
         merged.ingest_admitted = admission.admitted
         merged.ingest_throttled = admission.throttled
         merged.ingest_shed = admission.shed
-        last_time = max((s.session.last_time for s in stacks), default=0.0)
+        last_time = max(stack.session.last_time for stack in stacks)
         for tenant_id, summary in \
                 admission.tenant_summary(last_time).items():
             merged.per_tenant.setdefault(tenant_id, {})["ingest"] = summary
-        if merged.metrics is not None and frontend_metrics is not None:
-            merged.metrics = MetricsRegistry.merged(
-                [merged.metrics, frontend_metrics.snapshot()]
-            )
+        merged.metrics = MetricsRegistry.merged(
+            [merged.metrics, frontend_metrics.snapshot()])
     return outcomes, merged, plan

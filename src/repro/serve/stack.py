@@ -5,8 +5,8 @@ the layers between an entry point (``run_serving``, ``replay_trace``, the
 CLI) and the classes that read the knobs pass *the config*, not its fields.
 :class:`ServingStack` wires a config plus a tenant roster into registry →
 registered tenants → optional retrain controller → classification service;
-single-process serving, shard workers and the rebalancing front-end's
-logical shards all build theirs here.
+single-process serving and the sharded front-end's logical shards both
+build theirs here.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, fields, is_dataclass
 from typing import Dict, List, Mapping, Optional, Sequence
 
-from repro.executors import EXECUTOR_BACKENDS
 from repro.ingest.admission import IngestConfig
 from repro.rules.ruleset import RuleSet
 from repro.serve.batcher import BatchPolicy
@@ -23,10 +22,6 @@ from repro.serve.engines import DEFAULT_RETRAIN_THRESHOLD
 from repro.serve.rebalance import DEFAULT_REBALANCE_INTERVAL, RebalancePolicy
 from repro.serve.registry import TenantRegistry
 from repro.serve.service import ClassificationService
-
-#: Executor backends serving shards may run on (one source of truth:
-#: whatever :func:`repro.executors.make_executor` accepts).
-SERVING_BACKENDS = EXECUTOR_BACKENDS
 
 
 @dataclass(frozen=True)
@@ -47,9 +42,8 @@ class ServingConfig:
         retrain_policy: how retrains run; a ``RetrainController`` is attached
             exactly when this is set.
         ingest: admission control ahead of the batcher (``None`` = off).
-        workers: serving shards tenants are partitioned across (1 = none).
-        backend: executor backend of the shards (:data:`SERVING_BACKENDS`;
-            unused when rebalancing — logical shards share one process).
+        workers: logical serving shards tenants are partitioned across
+            (1 = none; every shard runs in the caller's process).
         rebalance_policy: live tenant migration (needs ``workers >= 2``).
         rebalance_interval: trace seconds between rebalance evaluations.
     """
@@ -63,18 +57,12 @@ class ServingConfig:
     retrain_policy: Optional[RetrainPolicy] = None
     ingest: Optional[IngestConfig] = None
     workers: int = 1
-    backend: str = "process"
     rebalance_policy: Optional[RebalancePolicy] = None
     rebalance_interval: float = DEFAULT_REBALANCE_INTERVAL
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError("serving workers must be >= 1")
-        if self.backend not in SERVING_BACKENDS:
-            raise ValueError(
-                f"backend must be one of {SERVING_BACKENDS}, "
-                f"got {self.backend!r}"
-            )
         if self.rebalance_policy is not None and self.workers < 2:
             raise ValueError(
                 "a rebalance policy needs serving workers >= 2 "
@@ -118,9 +106,9 @@ class ServingStack:
     releases the one thing that is not plain memory, the retrain executor.
 
     ``tenants`` is anything with ``tenant_id`` / ``algorithm`` / ``binth``
-    (``TenantSpec``, ``ShardTenant``).  ``record_latencies`` keeps raw
-    per-request latencies on the report, which shards ship back so the
-    front-end can merge exact percentiles.
+    (a ``TenantSpec``).  ``record_latencies`` keeps raw per-request
+    latencies on the report, which shards keep so the front-end can merge
+    exact percentiles.
     """
 
     def __init__(self, config: ServingConfig, tenants: Sequence,

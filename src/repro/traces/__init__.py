@@ -17,7 +17,7 @@ Typical use::
     record_serving("run.trace", num_tenants=2, families=("acl1",),
                    num_packets=5_000, churn_events=2, seed=0)
     outcome = replay_trace("run.trace", ServingConfig(
-        workers=2, backend="thread", background_swaps=False))
+        workers=2, background_swaps=False))
     assert outcome.report.is_exact
 """
 

@@ -5,8 +5,8 @@ The recorder is a tap on the serving harness: run the workload through
 then fold the served batches back into arrival order via each request's
 ``seq`` stamp to produce the golden column — the matched-rule priority the
 live run actually answered for every packet.  Works unchanged for
-single-process and tenant-sharded runs (``seq`` survives the shard pickle
-boundary; batch arrival order does not matter).
+single-process and tenant-sharded runs (batch arrival order does not
+matter).
 
 Golden traces are only stable under the determinism contract (synchronous
 engine swaps, serial retrains — see :mod:`repro.traces.format`), so

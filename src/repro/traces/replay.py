@@ -165,8 +165,8 @@ def replay_trace(
     ``run_serving``: the packets were admitted when recorded, so golden
     traces stay bit-exact and the ``ingest_*`` counters report zero.
 
-    ``config.rebalance_policy`` (with ``workers > 1``) replays through
-    the rebalancing front-end with live mid-trace tenant migrations;
+    ``config.rebalance_policy`` (with ``workers > 1``) adds live mid-trace
+    tenant migrations to the sharded front-end;
     decisions still verify exactly because they depend only on
     (packet, epoch ruleset), not on placement.
 

@@ -30,9 +30,8 @@ from repro.serve import (
     RuleUpdate,
     ServingConfig,
     ServingSession,
-    ShardTenant,
     TenantRegistry,
-    serve_rebalancing,
+    serve_sharded,
 )
 from repro.serve.batcher import (
     BARRIER,
@@ -374,9 +373,8 @@ def _rebalancing_snapshots(monkeypatch, session_type):
         churn=ChurnConfig(num_events=4, adds_per_event=2,
                           removes_per_event=1))
     policy = _RecordingPolicy()
-    _, merged, _ = serve_rebalancing(
-        [ShardTenant(s.tenant_id, s.algorithm, s.binth) for s in specs],
-        workload.rulesets, workload.requests, workload.updates,
+    _, merged, _ = serve_sharded(
+        specs, workload.rulesets, workload.requests, workload.updates,
         ServingConfig(workers=2, background_swaps=False,
                       # ~16 ticks over the trace, none on a batch boundary
                       rebalance_policy=policy,

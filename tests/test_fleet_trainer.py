@@ -18,15 +18,12 @@ Four layers, mirroring the subsystem's contracts:
    worker counts), and resumes exactly through a checkpoint carrying the
    prefetch round.
 4. **Controller lifecycle**: a trace that dies mid-stream cannot leak
-   retrain executors (threads joined by the ``finally``), and the
-   daemonic process-backend downgrade warns once per process.
+   retrain executors (threads joined by the ``finally``).
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import threading
-import warnings
 
 import numpy as np
 import pytest
@@ -39,7 +36,6 @@ from repro.executors import (
     SerialExecutor,
     TaskHandle,
     ThreadExecutor,
-    resolve_pool_backend,
     shared_retrain_pool,
 )
 from repro.neurocuts import NeuroCutsConfig, NeuroCutsTrainer
@@ -56,9 +52,8 @@ from repro.serve import (
     RetrainController,
     RetrainPolicy,
     ServingConfig,
-    ShardTenant,
     TenantRegistry,
-    serve_rebalancing,
+    serve_sharded,
 )
 from repro.rules import Rule
 from repro.workloads import (
@@ -252,14 +247,6 @@ class TestRetrainPool:
         with pytest.raises(ValueError):
             shared_retrain_pool(1, backend="bogus")
 
-    def test_resolve_pool_backend_downgrades_in_daemonic_workers(
-            self, monkeypatch):
-        assert resolve_pool_backend("process") == "process"
-        assert resolve_pool_backend("thread") == "thread"
-        monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
-        assert resolve_pool_backend("process") == "thread"
-        assert resolve_pool_backend("serial") == "serial"
-
 
 class TestControllersShareOnePool:
     """The tentpole contract: one pool instance, not per-controller pools."""
@@ -429,7 +416,7 @@ class TestAsyncCollection:
 
 
 # --------------------------------------------------------------------------- #
-# Controller lifecycle: no executor leaks, daemonic warn-once
+# Controller lifecycle: no executor leaks
 # --------------------------------------------------------------------------- #
 
 
@@ -454,8 +441,8 @@ class TestControllerLifecycle:
         controller.close()
 
     def test_mid_trace_exception_does_not_leak_retrain_threads(self):
-        """The satellite regression: serve_rebalancing dying mid-stream
-        must close every shard's retrain executor (threads joined)."""
+        """A rebalancing serve_sharded dying mid-stream must close every
+        shard's retrain executor (threads joined)."""
         import dataclasses as dc
 
         threshold = 4
@@ -473,12 +460,10 @@ class TestControllerLifecycle:
         # thread-backend retrain executor has started its pool.
         poison = dc.replace(workload.updates[-1], tenant_id="ghost",
                             time=workload.requests[-1].time)
-        tenants = [ShardTenant(s.tenant_id, s.algorithm, s.binth)
-                   for s in specs]
         before = set(threading.enumerate())
         with pytest.raises(KeyError):
-            serve_rebalancing(
-                tenants, workload.rulesets, workload.requests,
+            serve_sharded(
+                specs, workload.rulesets, workload.requests,
                 list(workload.updates) + [poison],
                 ServingConfig(
                     workers=2, background_swaps=False,
@@ -493,29 +478,3 @@ class TestControllerLifecycle:
             )
         leaked = set(threading.enumerate()) - before
         assert not leaked, f"retrain threads leaked: {leaked}"
-
-
-class TestDaemonicDowngradeWarnsOnce:
-    def test_warn_once_latch(self, monkeypatch):
-        import repro.serve.sharded as sharded
-
-        monkeypatch.setattr(sharded, "_DAEMONIC_DOWNGRADE_WARNED", False)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            sharded._warn_daemonic_downgrade_once()
-            sharded._warn_daemonic_downgrade_once()
-        runtime = [w for w in caught
-                   if issubclass(w.category, RuntimeWarning)]
-        assert len(runtime) == 1
-        assert "thread backend" in str(runtime[0].message)
-
-    def test_shared_pool_policies_resolve_silently(self, monkeypatch):
-        """Shared-pool policies never hit the per-shard warning branch:
-        the pool registry resolves the backend itself, silently."""
-        monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            pool = shared_retrain_pool(1, backend="process")
-        assert isinstance(pool.executor, ThreadExecutor)
-        assert not [w for w in caught
-                    if issubclass(w.category, RuntimeWarning)]

@@ -20,7 +20,6 @@ from repro.serve import (
     BatchPolicy,
     ClassificationService,
     ServingConfig,
-    ShardTenant,
     TenantRegistry,
     merge_reports,
     serve_sharded,
@@ -213,11 +212,9 @@ def _serve_sharded(num_workers, seed=4, **fields):
         churn=ChurnConfig(num_events=2, adds_per_event=2,
                           removes_per_event=1),
     )
-    tenants = [ShardTenant(s.tenant_id, s.algorithm, s.binth) for s in specs]
-    return serve_sharded(tenants, workload.rulesets, workload.requests,
+    return serve_sharded(specs, workload.rulesets, workload.requests,
                          workload.updates,
-                         ServingConfig(workers=num_workers, backend="serial",
-                                       **fields))
+                         ServingConfig(workers=num_workers, **fields))
 
 
 class TestServingIntegration:

@@ -3,12 +3,11 @@
 Covers the `needs_retraining()` threshold edges, tree adoption with churn
 replay, the RetrainController state machine on every executor backend, the
 churn schedules sized to force retrains, and telemetry merging across
-sharded serving workers.
+logical serving shards.
 """
 
 from __future__ import annotations
 
-import os
 import random
 
 import pytest
@@ -29,7 +28,6 @@ from repro.serve import (
     RetrainController,
     RetrainPolicy,
     ServingConfig,
-    ShardTenant,
     TenantRegistry,
     merge_reports,
     serve_sharded,
@@ -461,8 +459,7 @@ def _build_scenario(num_tenants=3, num_packets=2000, churn_events=2, seed=4):
                                seed=seed),
         churn=churn,
     )
-    tenants = [ShardTenant(s.tenant_id, s.algorithm, s.binth) for s in specs]
-    return specs, workload, tenants
+    return workload, specs
 
 
 class TestShardPlan:
@@ -484,10 +481,10 @@ class TestShardPlan:
 
 class TestShardedServing:
     def test_merged_telemetry_equals_shard_sums(self):
-        _, workload, tenants = _build_scenario()
+        workload, tenants = _build_scenario()
         outcomes, merged, plan = serve_sharded(
             tenants, workload.rulesets, workload.requests, workload.updates,
-            ServingConfig(workers=2, backend="serial", record_batches=True),
+            ServingConfig(workers=2, record_batches=True),
         )
         assert plan.num_shards == 2 and len(outcomes) == 2
         # Every request routed to exactly one shard and served there.
@@ -513,8 +510,7 @@ class TestShardedServing:
     def test_sharded_exactness_across_hot_swaps(self):
         from repro.harness.serving import run_serving
 
-        result = run_serving(ServingConfig(workers=2, backend="serial",
-                                           record_batches=True),
+        result = run_serving(ServingConfig(workers=2, record_batches=True),
                              num_tenants=3, families=("acl1",),
                              num_rules=50, num_packets=2000, num_flows=150,
                              churn_events=2, seed=5)
@@ -525,59 +521,25 @@ class TestShardedServing:
         assert result.num_shards == 2
         assert len(result.shard_rows()) == 2
 
-    def test_thread_backend_matches_serial_counts(self):
-        # Default (background) swaps: cache hits depend on the batch a
-        # rebuilt engine lands on, a race between the builder and the
-        # serving thread on either backend; the other counts do not.
-        _, workload, tenants = _build_scenario(seed=6)
-        _, serial_merged, _ = serve_sharded(
-            tenants, workload.rulesets, workload.requests, workload.updates,
-            ServingConfig(workers=2, backend="serial"),
-        )
-        _, thread_merged, _ = serve_sharded(
-            tenants, workload.rulesets, workload.requests, workload.updates,
-            ServingConfig(workers=2, backend="thread"),
-        )
-        assert thread_merged.num_requests == serial_merged.num_requests
-        assert thread_merged.num_batches == serial_merged.num_batches
-        assert thread_merged.num_updates == serial_merged.num_updates
-        assert thread_merged.swaps == serial_merged.swaps
-
-    def test_thread_backend_matches_serial_cache_hits_sync_swaps(self):
-        _, workload, tenants = _build_scenario(seed=6)
-        _, serial_merged, _ = serve_sharded(
-            tenants, workload.rulesets, workload.requests, workload.updates,
-            ServingConfig(workers=2, backend="serial",
-                          background_swaps=False),
-        )
-        _, thread_merged, _ = serve_sharded(
-            tenants, workload.rulesets, workload.requests, workload.updates,
-            ServingConfig(workers=2, backend="thread",
-                          background_swaps=False),
-        )
-        assert thread_merged.cache_hits == serial_merged.cache_hits
-        assert thread_merged.deterministic_counters() == \
-            serial_merged.deterministic_counters()
-
     def test_empty_shards_are_skipped(self):
-        _, workload, tenants = _build_scenario(num_tenants=2,
-                                               num_packets=600,
-                                               churn_events=0)
+        workload, tenants = _build_scenario(num_tenants=2,
+                                            num_packets=600,
+                                            churn_events=0)
         outcomes, merged, plan = serve_sharded(
             tenants, workload.rulesets, workload.requests,
-            config=ServingConfig(workers=4, backend="serial"),
+            config=ServingConfig(workers=4),
         )
         assert plan.num_shards == 4
         assert len(outcomes) == 2  # two tenants -> two non-empty shards
         assert merged.num_requests == len(workload.requests)
 
     def test_merge_reports_requires_outcomes_shape(self):
-        _, workload, tenants = _build_scenario(num_tenants=2,
-                                               num_packets=400,
-                                               churn_events=0)
+        workload, tenants = _build_scenario(num_tenants=2,
+                                            num_packets=400,
+                                            churn_events=0)
         outcomes, _, _ = serve_sharded(
             tenants, workload.rulesets, workload.requests,
-            config=ServingConfig(workers=2, backend="serial"),
+            config=ServingConfig(workers=2),
         )
         merged = merge_reports(outcomes, wall_seconds=1.0)
         assert merged.wall_seconds == 1.0
@@ -645,17 +607,3 @@ class TestServiceRetrainIntegration:
                 if (expected.priority if expected else None) != priority:
                     mismatches += 1
         assert mismatches == 0
-
-
-@pytest.mark.skipif((os.cpu_count() or 1) < 2,
-                    reason="process-shard smoke needs >= 2 CPUs to be "
-                           "worth the spawn cost")
-def test_process_backend_shards_really_run_in_processes():
-    _, workload, tenants = _build_scenario(num_tenants=2, num_packets=600,
-                                           churn_events=0)
-    outcomes, merged, _ = serve_sharded(
-        tenants, workload.rulesets, workload.requests,
-        config=ServingConfig(workers=2, backend="process"),
-    )
-    assert merged.num_requests == len(workload.requests)
-    assert len(outcomes) == 2

@@ -1,17 +1,17 @@
 """``ServingConfig`` / ``ServingStack``: one value, one wiring, one result.
 
-The config is validated in one place, survives the process boundary inside
-a ``ShardTask``, and drives the single-process and sharded paths to the
-same answers; ``ServingResult`` verifies both shapes of run the same way.
+The config is validated in one place, survives a pickle round trip, and
+drives the single-process and sharded paths to the same answers;
+``ServingResult`` verifies both shapes of run the same way.
 """
 
 from __future__ import annotations
 
 import pickle
-from dataclasses import replace
 
 import pytest
 
+from repro.harness.scorecard import PLACEMENT_COUNTERS
 from repro.harness.serving import run_serving
 from repro.ingest import IngestConfig
 from repro.serve import (
@@ -19,10 +19,10 @@ from repro.serve import (
     RetrainPolicy,
     ServingConfig,
     ServingStack,
-    ShardTenant,
     serve_sharded,
 )
 from repro.workloads import (
+    FlashCrowdConfig,
     ChurnConfig,
     FlowTraceConfig,
     build_workload,
@@ -46,10 +46,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="interval must be > 0"):
             ServingConfig(rebalance_interval=0.0)
 
-    def test_backend_must_be_an_executor_backend(self):
-        with pytest.raises(ValueError, match="backend must be one of"):
-            ServingConfig(backend="bogus")
-
 
 #: Non-default batch, cache, swap, retrain and ingest fields at once.
 NON_DEFAULT = ServingConfig(
@@ -64,7 +60,6 @@ NON_DEFAULT = ServingConfig(
     ingest=IngestConfig(tenant_rate=50_000.0, tenant_burst=32,
                         queue_limit=64),
     workers=2,
-    backend="serial",
 )
 
 
@@ -76,8 +71,7 @@ def _workload(seed=6):
         churn=ChurnConfig(num_events=2, adds_per_event=2,
                           removes_per_event=1),
     )
-    tenants = [ShardTenant(s.tenant_id, s.algorithm, s.binth) for s in specs]
-    return workload, tenants
+    return workload, specs
 
 
 class TestOneConfigEverywhere:
@@ -86,18 +80,15 @@ class TestOneConfigEverywhere:
         assert clone == NON_DEFAULT
         assert clone.describe() == NON_DEFAULT.describe()
 
-    def test_serial_and_thread_shards_agree_under_one_config(self):
+    def test_every_field_reaches_the_sharded_run(self):
         workload, tenants = _workload()
-        counters = []
-        for backend in ("serial", "thread"):
-            _, merged, _ = serve_sharded(
-                tenants, workload.rulesets, workload.requests,
-                workload.updates, replace(NON_DEFAULT, backend=backend))
-            counters.append(merged.deterministic_counters())
-        assert counters[0] == counters[1]
+        _, merged, _ = serve_sharded(
+            tenants, workload.rulesets, workload.requests, workload.updates,
+            NON_DEFAULT)
+        counters = merged.deterministic_counters()
         # Every non-default field reached the layer that reads it.
-        assert counters[0]["num_updates"] == 2
-        assert counters[0]["ingest_offered"] == len(workload.requests)
+        assert counters["num_updates"] == 2
+        assert counters["ingest_offered"] == len(workload.requests)
 
     def test_stack_wires_every_field_and_closes(self):
         workload, tenants = _workload()
@@ -130,7 +121,7 @@ class TestOneResultType:
         single = run_serving(sync, **scenario)
         sharded = run_serving(
             ServingConfig(background_swaps=False, record_batches=True,
-                          workers=2, backend="serial"),
+                          workers=2),
             **scenario)
         assert single.registry is not None and not single.outcomes
         assert sharded.registry is None and sharded.num_shards == 2
@@ -146,3 +137,36 @@ class TestOneResultType:
         assert sharded.rows()[-1] == ["serving shards", "2"]
         assert len(single.tenant_rows()) == len(sharded.tenant_rows()) == 3
         assert single.shard_rows() == []
+
+    def test_ingest_summaries_span_the_whole_run_on_every_placement(self):
+        """Admission runs once, in the front-end: a tenant's goodput is
+        taken over the run's trace span whichever shard serves it, so the
+        single-process, static and rebalanced runs report the same
+        per-tenant ``ingest`` summaries and the same counters."""
+        scenario = dict(num_tenants=3, families=("acl1", "ipc1"),
+                        num_rules=60, num_packets=4000, churn_events=2,
+                        flash_crowd=FlashCrowdConfig(rate_factor=8), seed=0)
+        ingest = IngestConfig(tenant_rate=20000, tenant_burst=64,
+                              queue_limit=128)
+        runs = [
+            run_serving(ServingConfig(background_swaps=False, ingest=ingest,
+                                      **fields), **scenario).report
+            for fields in (
+                {},
+                {"workers": 2},
+                {"workers": 2,
+                 "rebalance_policy": LoadAwareRebalancePolicy()},
+            )
+        ]
+        summaries = [{tenant_id: entry["ingest"]
+                      for tenant_id, entry in report.per_tenant.items()}
+                     for report in runs]
+        assert summaries[0]["tenant-01-ipc1"]["throttled"] > 0
+        assert summaries[1] == summaries[0]
+        assert summaries[2] == summaries[0]
+        counters = [report.deterministic_counters() for report in runs]
+        for placed in counters:
+            for key in PLACEMENT_COUNTERS:
+                placed.pop(key)
+        assert counters[1] == counters[0]
+        assert counters[2] == counters[0]

@@ -41,14 +41,13 @@ from repro.serve import (
     ScheduledRebalancePolicy,
     ServingConfig,
     ShardTelemetry,
-    ShardTenant,
     TelemetrySnapshot,
     TenantLoad,
     TenantMigration,
     TenantRegistry,
     UnknownTenantError,
     make_rebalance_policy,
-    serve_rebalancing,
+    serve_sharded,
 )
 from repro.traces import read_trace, replay_trace
 from repro.workloads import FlowTraceConfig, build_workload, make_tenant_specs
@@ -485,9 +484,8 @@ def rebalance_trace():
 
 
 def _two_serial_shards(**fields):
-    """A replay config (synchronous swaps) over two in-process shards."""
-    return ServingConfig(workers=2, backend="serial", background_swaps=False,
-                         **fields)
+    """A replay config (synchronous swaps) over two logical shards."""
+    return ServingConfig(workers=2, background_swaps=False, **fields)
 
 
 class TestThreeWayDifferential:
@@ -607,10 +605,8 @@ class TestDeferredMigration:
         monkeypatch.setattr(stack_module, "RetrainController", sticky)
         workload = build_workload(
             specs, FlowTraceConfig(num_packets=1200, num_flows=100, seed=9))
-        tenants = [ShardTenant(s.tenant_id, s.algorithm, s.binth)
-                   for s in specs]
-        outcomes, merged, _ = serve_rebalancing(
-            tenants, workload.rulesets, workload.requests, workload.updates,
+        outcomes, merged, _ = serve_sharded(
+            specs, workload.rulesets, workload.requests, workload.updates,
             ServingConfig(
                 workers=2, background_swaps=False,
                 retrain_threshold=self.THRESHOLD,

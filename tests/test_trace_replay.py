@@ -61,8 +61,7 @@ class TestGoldenReplay:
         assert report.counters["swaps"] == 2
 
     def test_sharded_replay_matches_golden(self, churn_trace):
-        outcome = replay_trace(churn_trace,
-                               _sync(workers=2, backend="thread"))
+        outcome = replay_trace(churn_trace, _sync(workers=2))
         assert outcome.report.is_exact, \
             f"mismatches: {outcome.report.mismatches}"
         assert outcome.result.num_shards == 2
@@ -110,8 +109,7 @@ class TestGoldenReplay:
         assert single[0].is_exact and single[1].is_exact
         assert single[0].counters == single[1].counters
         sharded = [
-            replay_trace(churn_trace,
-                         _sync(workers=2, backend="serial")).report
+            replay_trace(churn_trace, _sync(workers=2)).report
             for _ in range(2)
         ]
         assert sharded[0].is_exact and sharded[1].is_exact
@@ -228,8 +226,7 @@ class TestHarnessTracePath:
         assert result.verify_exactness().is_exact
 
     def test_run_serving_accepts_loaded_trace(self, churn_trace):
-        result = run_serving(_sync(record_batches=True, workers=2,
-                                   backend="serial"),
+        result = run_serving(_sync(record_batches=True, workers=2),
                              trace_path=churn_trace)
         assert result.report.num_requests == churn_trace.num_records
         assert result.verify_exactness().is_exact
@@ -237,14 +234,13 @@ class TestHarnessTracePath:
 
 class TestRecording:
     def test_sharded_recording_equals_single_process(self, tmp_path):
-        """The golden column is shard-invariant (seq survives the pickle)."""
+        """The golden column is shard-invariant."""
         scenario = dict(num_tenants=2, families=("acl1",), num_rules=30,
                         num_packets=400, num_flows=64, churn_events=2,
                         seed=4)
         single = record_serving(tmp_path / "single.trace", **scenario)
         sharded = record_serving(tmp_path / "sharded.trace",
-                                 _sync(workers=2, backend="serial"),
-                                 **scenario)
+                                 _sync(workers=2), **scenario)
         assert np.array_equal(single.trace.records, sharded.trace.records)
         assert single.trace.updates == sharded.trace.updates
         assert single.trace.rulesets == sharded.trace.rulesets
