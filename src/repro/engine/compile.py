@@ -24,23 +24,27 @@ one :class:`~repro.engine.layout.Forest` holds a block — viewed through a
 :class:`~repro.engine.layout.FlatTree` — per partition of each tree of the
 source classifier.
 
-**Partial recompilation.**  :func:`compile_classifier` records a
-:class:`CompileProvenance` on its result — which source tree produced which
-span of flat trees, at which version, from which expanded roots — and
-:func:`partial_compile_classifier` uses it to rebuild *only* the subtrees
-whose rules changed: the blocks of untouched subtrees are copied row for row
-from the previous forest into the new one, and the shared distinct-rule list
-is patched in place (append-only, so the still-serving engine's indices
-never move).  Any structural surprise — different tree objects, a partition
-that changed its expansion, clones in the expansion — falls back to a full
-rebuild, so the fast path can never be wrong, only missed.
+**Partial recompilation.**  A rule update only edits the rule lists of the
+leaves it reaches; it never changes a tree's shape.  :func:`compile_classifier`
+records a :class:`CompileProvenance` on its result — the source trees at
+their versions, and which interpreter leaf each leaf row was flattened from
+— and :func:`partial_compile_classifier` uses it to *re-span* only the
+leaves an :class:`~repro.neurocuts.updates.IncrementalUpdater` recorded:
+the new generation shares every node column of the previous forest except
+``start``/``count``, appends one fresh span per touched leaf to the leaf-slot
+column and re-points that leaf's rows at it.  Anything the record does not
+cover — different tree objects, a tree changed behind the updater's back —
+is a full rebuild instead, so the fast path can never be wrong, only missed;
+so is a rule list more than half of whose rules no live span references.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from itertools import chain
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, \
+    Tuple
 
 import numpy as np
 
@@ -48,6 +52,7 @@ from repro.rules.rule import Rule
 from repro.tree.actions import CutAction, MultiCutAction, SplitAction
 from repro.tree.node import Node
 from repro.tree.tree import DecisionTree
+from repro.engine.dispatch import CompiledClassifier
 from repro.engine.layout import (
     KIND_CUT,
     KIND_LEAF,
@@ -59,6 +64,9 @@ from repro.engine.layout import (
     Forest,
     rule_table,
 )
+
+if TYPE_CHECKING:
+    from repro.neurocuts.updates import LeafRecord
 
 #: Safety cap on how many search trees one interpreter tree may expand into
 #: (partitions below the top of a tree multiply variants).
@@ -72,6 +80,8 @@ MAX_SEARCH_TREES = 256
 @dataclass
 class _Leaf:
     rules: List[Rule]
+    #: The interpreter leaf these rules came from.
+    source: Optional[Node] = None
 
 
 @dataclass
@@ -127,9 +137,8 @@ def _expand_partitions(node: Node) -> List[Node]:
     if total == 1:
         return [node]
     # Cartesian product over per-child variants: each combination is a clone
-    # of this node routing into one member of every nested partition.  Note
-    # for partial recompilation: clones are fresh objects, so an expansion
-    # that reaches this point is *unstable* (see _partition_frontier).
+    # of this node routing into one member of every nested partition.  The
+    # leaves below are shared, so such a leaf is flattened once per clone.
     roots: List[Node] = []
     indices = [0] * len(variant_lists)
     for _ in range(total):
@@ -152,24 +161,6 @@ def _expand_partitions(node: Node) -> List[Node]:
     return roots
 
 
-def _partition_frontier(node: Node) -> List[Node]:
-    """The nodes just below the tree's partition structure, in tree order.
-
-    Descends through partition nodes only.  When no partition sits *below*
-    a cut, :func:`_expand_partitions` returns exactly these nodes (by
-    identity, no clones) — the *stable* case partial recompilation needs:
-    every frontier node is a live node of the interpreter tree that rule
-    updates mutate in place, so "which subtree did this delta touch" is
-    answerable by looking at the frontier nodes' rule lists.
-    """
-    if not node.is_leaf and node.is_partition_node:
-        frontier: List[Node] = []
-        for child in node.children:
-            frontier.extend(_partition_frontier(child))
-        return frontier
-    return [node]
-
-
 # --------------------------------------------------------------------------- #
 # Step 2: normalisation
 # --------------------------------------------------------------------------- #
@@ -189,7 +180,8 @@ def _normalize(node: Node) -> object:
     """Rewrite one expanded node into the primitive _Leaf/_Cut/_Split shapes."""
     if node.is_leaf:
         # Highest priority first so the first match inside a leaf wins.
-        return _Leaf(rules=sorted(node.rules, key=lambda r: -r.priority))
+        return _Leaf(rules=sorted(node.rules, key=lambda r: -r.priority),
+                     source=node)
     action = node.action
     children = node.children
     if isinstance(action, CutAction):
@@ -258,8 +250,7 @@ class _Flattener:
     Rows are collected for all the trees of a compile and converted to one
     :class:`Forest` at the end (:meth:`trees`): NumPy's per-call cost is
     paid once per engine, not once per search tree, and rule geometry is
-    converted once per rule new to ``rules_out`` (``table`` describes the
-    ones a previous generation already converted).
+    converted once per distinct rule.
 
     ``rule_slot`` keys are the (frozen, hashable) rules themselves, not
     object ids: ids of dead objects get recycled, which would silently
@@ -268,13 +259,14 @@ class _Flattener:
     is sound because equal rules match identically at equal priority.
     """
 
-    def __init__(self, rule_slot: Dict[Rule, int], rules_out: List[Rule],
-                 table: Optional[Mapping[str, np.ndarray]] = None) -> None:
+    def __init__(self, rule_slot: Dict[Rule, int],
+                 rules_out: List[Rule]) -> None:
         self.rule_slot = rule_slot
         self.rules_out = rules_out
-        self.table = table
         self.records: List[tuple] = []  # one NODE_DTYPE-ordered row per node
         self.leaf_slots: List[int] = []  # distinct-rule slot per leaf row
+        #: The interpreter leaf of each leaf row, in row order.
+        self.leaves: List[Optional[Node]] = []
         #: Per tree: FlatTree's fields after ``forest``.
         self.blocks: List[Tuple[int, int, int, int, int, int]] = []
 
@@ -297,6 +289,7 @@ class _Flattener:
                         slot = rule_slot[rule] = len(rules_out)
                         rules_out.append(rule)
                     leaf_slots.append(slot)
+                self.leaves.append(node.source)
                 records.append((KIND_LEAF, 0, 0, 0, 0, start,
                                 len(node.rules)))
                 max_span = max(max_span, len(node.rules))
@@ -340,7 +333,7 @@ class _Flattener:
         }
         slots = np.array(self.leaf_slots, dtype=RULE_DTYPE["rule_index"])
         forest = Forest(node_columns, {"rule_index": slots},
-                        rule_table(self.rules_out, self.table))
+                        rule_table(self.rules_out))
         return [FlatTree(forest, *block) for block in self.blocks]
 
 
@@ -352,45 +345,74 @@ class _Flattener:
 class CompileProvenance:
     """How a :class:`CompiledClassifier` was derived from its source trees.
 
-    ``spans[t]`` is the half-open range of ``classifier.subtrees`` compiled
-    from source tree ``t`` (one :class:`FlatTree` per expanded root);
-    ``roots[t]`` holds that tree's expanded roots when the expansion was
-    *stable* (every root is a live node of the interpreter tree — see
-    :func:`_partition_frontier`), else ``None``.  ``rule_slot`` is the
-    live index into the engine's shared distinct-rule list; partial
-    recompiles extend both in place.
+    ``trees`` at ``versions`` are what the engine was compiled from.
+    ``leaves`` holds the interpreter leaf each leaf row of the forest was
+    flattened from, in row order — a leaf below a partition that sits below
+    a cut owns one row per clone of its path.  It is one flat list (no
+    per-row objects for the collector to walk); :meth:`rows_of` indexes it.
+    ``rule_slot`` is the live index into the engine's shared distinct-rule
+    list; partial recompiles extend both in place.  ``slot_refs`` counts,
+    per rule slot, the leaf-slot rows of live spans holding it (``None``:
+    every row is live, as after a full compile).
     """
 
     trees: Tuple[DecisionTree, ...]
     versions: Tuple[int, ...]
-    spans: Tuple[Tuple[int, int], ...]
-    roots: Tuple[Optional[Tuple[Node, ...]], ...]
+    leaves: List[Optional[Node]]
     rule_slot: Dict[Rule, int]
+    slot_refs: Optional[np.ndarray] = None
+    _rows: Optional[Dict[int, Tuple[Node, List[Tuple[int, int]]]]] = field(
+        default=None, repr=False)
+    _slot_ids: Optional[Dict[int, int]] = field(default=None, repr=False)
+
+    def rows_of(self, compiled: CompiledClassifier
+                ) -> Dict[int, Tuple[Node, List[Tuple[int, int]]]]:
+        """``id(leaf) -> (leaf, [(node row, block), ...])`` over the forest
+        of ``compiled`` (any generation: re-spans move no node row), built on
+        first use and shared by every partial generation after it.
+        ``leaves`` holds each keyed node alive, so no key's id can be
+        recycled; the node beside the rows lets a lookup check identity all
+        the same."""
+        if self._rows is None:
+            rows = np.flatnonzero(compiled.forest.node["kind"] == KIND_LEAF)
+            blocks = np.searchsorted(
+                [tree.node_offset for tree in compiled.subtrees], rows,
+                side="right") - 1
+            triples = list(zip(self.leaves, rows.tolist(), blocks.tolist()))
+            table = {id(leaf): (leaf, [(row, block)])
+                     for leaf, row, block in triples}
+            if len(table) < len(triples):  # some leaf owns several rows
+                table = {}
+                for leaf, row, block in triples:
+                    table.setdefault(id(leaf), (leaf, []))[1].append(
+                        (row, block))
+            table.pop(id(None), None)
+            self._rows = table
+        return self._rows
+
+    def slot_ids(self, rules: List[Rule]) -> Dict[int, int]:
+        """``id(rule) -> slot`` over ``rules``, the engine's rule list: a
+        way past hashing a rule by value, built on first use and extended
+        as partial recompiles append.  Only objects the list holds are
+        keyed, so no key's id can be recycled."""
+        if self._slot_ids is None:
+            self._slot_ids = {id(rule): slot
+                              for slot, rule in enumerate(rules)}
+        return self._slot_ids
 
 
 @dataclass
 class PartialCompileResult:
     """What :func:`partial_compile_classifier` did, for metrics and tests."""
 
-    classifier: "CompiledClassifier"  # noqa: F821 - forward ref
-    #: True when provenance could not be exploited and everything rebuilt.
+    classifier: CompiledClassifier
+    #: True when the record could not be used and everything rebuilt.
     full_rebuild: bool
-    #: Source trees whose flat spans were (at least partly) re-flattened.
-    trees_recompiled: int
-    #: Flat search trees carried into the new engine as block copies.
-    subtrees_reused: int
-    #: Flat-array node rows actually rebuilt (O(delta), not O(tree)).
-    nodes_recompiled: int
-
-
-def _expand_with_stability(tree: DecisionTree
-                           ) -> Tuple[List[Node], Optional[Tuple[Node, ...]]]:
-    """Expanded roots of ``tree`` plus their stable form (None if cloned)."""
-    roots = _expand_partitions(tree.root)
-    frontier = _partition_frontier(tree.root)
-    stable = (len(roots) == len(frontier)
-              and all(a is b for a, b in zip(roots, frontier)))
-    return roots, tuple(roots) if stable else None
+    #: True when dead rows passed a bound: the leaf-slot column was packed,
+    #: or (with ``full_rebuild``) the rule slots were numbered afresh.
+    compacted: bool = False
+    #: Leaves whose rule spans were appended and re-pointed.
+    leaves_respanned: int = 0
 
 
 # --------------------------------------------------------------------------- #
@@ -417,20 +439,12 @@ def compile_classifier(classifier, flow_cache_size: Optional[int] = None):
     :class:`CompileProvenance` so later deltas can go through
     :func:`partial_compile_classifier`.
     """
-    from repro.engine.dispatch import CompiledClassifier
-
     rule_slot: Dict[Rule, int] = {}
     rules_out: List[Rule] = []
     flattener = _Flattener(rule_slot, rules_out)
-    spans: List[Tuple[int, int]] = []
-    roots_record: List[Optional[Tuple[Node, ...]]] = []
     for tree in classifier.trees:
-        roots, stable_roots = _expand_with_stability(tree)
-        start = len(flattener.blocks)
-        for root in roots:
+        for root in _expand_partitions(tree.root):
             flattener.add(_normalize(root))
-        spans.append((start, len(flattener.blocks)))
-        roots_record.append(stable_roots)
     compiled = CompiledClassifier(
         subtrees=flattener.trees(),
         rules=rules_out,
@@ -440,8 +454,7 @@ def compile_classifier(classifier, flow_cache_size: Optional[int] = None):
     compiled.provenance = CompileProvenance(
         trees=tuple(classifier.trees),
         versions=tuple(tree.version for tree in classifier.trees),
-        spans=tuple(spans),
-        roots=tuple(roots_record),
+        leaves=flattener.leaves,
         rule_slot=rule_slot,
     )
     return compiled
@@ -450,128 +463,202 @@ def compile_classifier(classifier, flow_cache_size: Optional[int] = None):
 def partial_compile_classifier(
     classifier,
     previous,
-    dirty_roots: Optional[set] = None,
+    touched_leaves: Optional[Sequence[LeafRecord]] = None,
     flow_cache_size: Optional[int] = None,
 ) -> PartialCompileResult:
-    """Recompile only what a rule delta touched; copy the rest as blocks.
+    """Re-span only the leaves a rule delta edited; share everything else.
 
-    ``previous`` is the engine currently compiled from ``classifier``
-    (before the delta bumped tree versions); ``dirty_roots`` narrows the
-    rebuild to the expanded roots whose rules changed, given as a set of
-    ``id(node)`` over the provenance's stable roots.  When provided it is
-    *authoritative*: unflagged roots of a version-changed tree are reused
-    as they are — a tree's version can move without any of its node rule
-    lists changing (e.g. a remove that only touched the shared ruleset of
-    a partitioned classifier), and rebuilding such trees would make every
-    delta O(classifier) again.  Callers must therefore flag every stable
-    root whose rule lists the delta touched, the way
-    :meth:`~repro.serve.engines.EngineSlot._dirty_roots_for` does (removes
-    mapped *before* the trees mutate, adds after).  ``None`` means the
-    delta is unknown — every root of every version-changed tree rebuilds.
+    ``previous`` is the engine compiled from ``classifier`` before the
+    delta; ``touched_leaves`` holds one
+    :class:`~repro.neurocuts.updates.LeafRecord` per tree the delta went
+    through (:meth:`IncrementalUpdater.take_touched
+    <repro.neurocuts.updates.IncrementalUpdater.take_touched>`).  The new
+    generation shares every node column of ``previous.forest`` except
+    ``start`` / ``count``, which it copies; each touched leaf gets one span
+    of its current rules, in :func:`_normalize`'s order, appended to the
+    leaf-slot column (rules new to the engine appended to the shared rule
+    list and table), and every row compiled from that leaf is re-pointed at
+    it.  Its old span stays behind as dead rows.
 
-    The fast path holds exactly when the delta stayed inside the recorded
-    structure: same tree objects, and each changed tree re-expands to the
-    *same* root nodes.  Anything else — adopted trees, a partition that
-    gained or lost members, clone-producing expansions — returns a full
-    rebuild (``full_rebuild=True``), so the answer is always the one
-    :func:`compile_classifier` would give.  Either way the result is a
-    fresh :class:`CompiledClassifier` with a forest of its own; the
-    still-serving ``previous`` is only read (its forest is read-only) apart
-    from appends to the shared rule list.
+    Compaction (``compacted=True``) is due when dead leaf-slot rows
+    outnumber live ones — the column is then packed (:func:`_pack`), which
+    leaves it row for row the size a cold compile gives — or when the rule
+    list holds more than twice the rules live spans reference, which is a
+    full rebuild: it numbers the rule slots afresh.
 
-    Slots of rules no leaf holds any more are never reused, so a long-lived
-    engine under churn accumulates dead rows in its rule list and table;
-    once they outnumber the live ones the result is a full rebuild, which
-    numbers its slots afresh.
+    The result is a full rebuild (``full_rebuild=True``), with the answers
+    :func:`compile_classifier` gives, also when ``previous`` carries no
+    provenance or ``touched_leaves`` is ``None``, the trees are different
+    objects (adoption, migration), a tree's version moved without a record
+    covering the move, or a recorded leaf was never compiled.  Either way
+    the result is a fresh :class:`CompiledClassifier`; the still-serving
+    ``previous`` is only read, apart from appends to the shared rule list.
     """
-    def full() -> PartialCompileResult:
+    def full(compacted: bool = False) -> PartialCompileResult:
         compiled = compile_classifier(
             classifier, flow_cache_size=flow_cache_size)
-        return PartialCompileResult(
-            classifier=compiled,
-            full_rebuild=True,
-            trees_recompiled=len(compiled.provenance.trees),
-            subtrees_reused=0,
-            nodes_recompiled=compiled.num_nodes,
-        )
-
-    from repro.engine.dispatch import CompiledClassifier
+        return PartialCompileResult(compiled, full_rebuild=True,
+                                    compacted=compacted)
 
     provenance: Optional[CompileProvenance] = getattr(
         previous, "provenance", None)
-    if provenance is None:
+    if provenance is None or touched_leaves is None:
         return full()
     trees = tuple(classifier.trees)
     if len(trees) != len(provenance.trees) or any(
             tree is not prev for tree, prev in zip(trees, provenance.trees)):
         return full()
+    records = {id(record.tree): record for record in touched_leaves}
+    for tree, version in zip(trees, provenance.versions):
+        record = records.get(id(tree))
+        if tree.version != version and (
+                record is None
+                or (record.since, record.until) != (version, tree.version)):
+            return full()
 
+    forest = previous.forest
     rule_slot = provenance.rule_slot
     rules_out = previous.rules  # append-only; previous keeps serving from it
-    flattener = _Flattener(rule_slot, rules_out, previous.forest.table)
-    #: Reused views of the previous forest; None where a re-flattened tree
-    #: goes, in the order the flattener holds them.
-    subtrees: List[Optional[FlatTree]] = []
-    spans: List[Tuple[int, int]] = []
-    roots_record: List[Optional[Tuple[Node, ...]]] = []
-    trees_recompiled = 0
-    subtrees_reused = 0
-    for index, tree in enumerate(trees):
-        start, end = provenance.spans[index]
-        old_flats = previous.subtrees[start:end]
-        span_start = len(subtrees)
-        if tree.version == provenance.versions[index]:
-            # Untouched by the delta: its flat arrays are still exact.
-            subtrees.extend(old_flats)
-            subtrees_reused += len(old_flats)
-            spans.append((span_start, len(subtrees)))
-            roots_record.append(provenance.roots[index])
-            continue
-        old_roots = provenance.roots[index]
-        roots, stable_roots = _expand_with_stability(tree)
-        if (old_roots is None or stable_roots is None
-                or len(roots) != len(old_roots)
-                or any(root is not old
-                       for root, old in zip(roots, old_roots))):
-            # The delta moved the partition structure itself; the span
-            # bookkeeping no longer lines up root-for-root.
-            return full()
-        tree_rebuilt = False
-        for offset, root in enumerate(roots):
-            if dirty_roots is not None and id(root) not in dirty_roots:
-                subtrees.append(old_flats[offset])
-                subtrees_reused += 1
-            else:
-                flattener.add(_normalize(root))
-                subtrees.append(None)
-                tree_rebuilt = True
-        trees_recompiled += tree_rebuilt
-        spans.append((span_start, len(subtrees)))
-        roots_record.append(stable_roots)
+    slot_ids = provenance.slot_ids(rules_out)
+    rows_of = provenance.rows_of(previous)
+    appended: List[int] = []  # the touched leaves' slots, leaf after leaf
+    lengths: List[int] = []  # per touched leaf
+    repointed: List[Tuple[int, int]] = []  # (node row, block) of their rows
+    owner: List[int] = []  # per such row, the touched leaf it was built from
+    for record in touched_leaves:
+        for leaf in record.leaves:
+            entry = rows_of.get(id(leaf))
+            if entry is None or entry[0] is not leaf:
+                return full()
+            slots = list(map(slot_ids.get, map(id, leaf.rules)))
+            if None in slots:
+                slots = [_intern(rule, rule_slot, slot_ids, rules_out)
+                         if slot is None else slot
+                         for rule, slot in zip(leaf.rules, slots)]
+            appended.extend(slots)
+            owner.extend([len(lengths)] * len(entry[1]))
+            repointed.extend(entry[1])
+            lengths.append(len(slots))
 
-    rebuilt = iter(flattener.trees())
-    compiled = CompiledClassifier(
-        subtrees=[tree if tree is not None else next(rebuilt)
-                  for tree in subtrees],
+    table = rule_table(rules_out, forest.table)
+    old_slots = forest.rule["rule_index"]
+    refs = provenance.slot_refs
+    if refs is None:
+        refs = np.bincount(old_slots, minlength=len(rules_out))
+    elif len(refs) < len(rules_out):
+        refs = np.concatenate(
+            [refs, np.zeros(len(rules_out) - len(refs), refs.dtype)])
+    node, slots, subtrees = forest.node, old_slots, list(previous.subtrees)
+    if lengths:
+        length = np.array(lengths)
+        new_slots = np.array(appended, dtype=old_slots.dtype)
+        first = len(old_slots) + np.cumsum(length) - length
+        # Each span ordered as _normalize orders a leaf: by descending
+        # priority, stably.  Node rule lists are kept in that order, so the
+        # sort is only paid for when some span is not.
+        priority = table["priority"][new_slots]
+        leaf_start = np.zeros(len(new_slots), dtype=bool)
+        leaf_start[first[length > 0] - len(old_slots)] = True
+        if ((priority[1:] > priority[:-1]) & ~leaf_start[1:]).any():
+            leaf = np.cumsum(leaf_start) - 1
+            new_slots = new_slots[np.argsort(
+                (leaf << 33) - priority, kind="stable")]
+        rows, blocks = np.fromiter(chain.from_iterable(repointed), np.int64,
+                                   2 * len(repointed)).reshape(-1, 2).T
+        offsets = np.array([tree.rule_offset for tree in subtrees])[blocks]
+        owner_of = np.array(owner)
+        # The rows' old spans die, each once: the rows of a leaf re-spanned
+        # before share one.
+        old_first = offsets + node["start"][rows]
+        old_length = node["count"][rows]
+        if len(rows) > len(lengths):
+            once = np.ones(len(rows), dtype=bool)
+            once[1:] = (owner_of[1:] != owner_of[:-1]) \
+                | (old_first[1:] != old_first[:-1])
+            old_first, old_length = old_first[once], old_length[once]
+        dead = old_slots[_span_rows(old_first, old_length)]
+        refs = refs + np.bincount(new_slots, minlength=len(refs)) \
+            - np.bincount(dead, minlength=len(refs))
+        start, count = node["start"].copy(), node["count"].copy()
+        start[rows] = first[owner_of] - offsets
+        count[rows] = length[owner_of]
+        node = dict(node, start=start, count=count)
+        slots = np.concatenate([old_slots, new_slots])
+        for block in set(blocks.tolist()):
+            mine = owner_of[blocks == block]
+            tree = subtrees[block]
+            subtrees[block] = replace(
+                tree,
+                num_leaf_rules=int((first + length)[mine].max())
+                - tree.rule_offset,
+                max_leaf_span=max(tree.max_leaf_span,
+                                  int(length[mine].max())))
+    if len(rules_out) > 2 * np.count_nonzero(refs):
+        return full(compacted=True)
+    live = int(refs.sum())
+    compacted = len(slots) - live > live
+    if compacted:
+        node, slots, subtrees = _pack(node, slots, subtrees)
+    new_forest = Forest(node, {"rule_index": slots}, table)
+    compiled = CompiledClassifier.from_forest(
+        new_forest,
+        [replace(tree, forest=new_forest) for tree in subtrees],
         rules=rules_out,
         name=previous.name,
         flow_cache_size=flow_cache_size,
     )
-    referenced = np.count_nonzero(
-        np.bincount(compiled.forest.rule["rule_index"]))
-    if len(rules_out) > 2 * referenced:
-        return full()
-    compiled.provenance = CompileProvenance(
-        trees=trees,
-        versions=tuple(tree.version for tree in trees),
-        spans=tuple(spans),
-        roots=tuple(roots_record),
-        rule_slot=rule_slot,
-    )
-    return PartialCompileResult(
-        classifier=compiled,
-        full_rebuild=False,
-        trees_recompiled=trees_recompiled,
-        subtrees_reused=subtrees_reused,
-        nodes_recompiled=len(flattener.records),
-    )
+    compiled.provenance = replace(
+        provenance, versions=tuple(tree.version for tree in trees),
+        slot_refs=refs)
+    return PartialCompileResult(compiled, full_rebuild=False,
+                                compacted=compacted,
+                                leaves_respanned=len(lengths))
+
+
+def _intern(rule: Rule, rule_slot: Dict[Rule, int], slot_ids: Dict[int, int],
+            rules_out: List[Rule]) -> int:
+    """The slot of ``rule``, appending it to the rule list if it is new."""
+    slot = rule_slot.get(rule)
+    if slot is None:
+        slot = rule_slot[rule] = slot_ids[id(rule)] = len(rules_out)
+        rules_out.append(rule)
+    return slot
+
+
+def _span_rows(first: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The rows of the spans ``[first, first + length)``, span after span."""
+    ends = np.cumsum(lengths)
+    return np.repeat(first - (ends - lengths), lengths) \
+        + np.arange(int(ends[-1]) if len(ends) else 0)
+
+
+def _pack(node: Mapping[str, np.ndarray], slots: np.ndarray,
+          subtrees: List[FlatTree]
+          ) -> Tuple[Dict[str, np.ndarray], np.ndarray, List[FlatTree]]:
+    """The leaf-slot column without dead rows: one span per leaf row, in
+    node-row order, block after block — where a cold compile puts them.
+
+    Returns the node columns with the leaf rows' ``start`` rewritten, the
+    packed column and the subtrees with their new rule blocks.
+    """
+    leaf_rows = np.flatnonzero(node["kind"] == KIND_LEAF)
+    block = np.searchsorted([t.node_offset for t in subtrees], leaf_rows,
+                            side="right") - 1
+    first = np.array([t.rule_offset for t in subtrees])[block] \
+        + node["start"][leaf_rows]
+    lengths = node["count"][leaf_rows].astype(np.int64)
+    ends = np.cumsum(lengths)
+    begins = ends - lengths
+    packed = slots[_span_rows(first, lengths)]
+    # Every block holds at least one leaf; leaf rows are grouped by block.
+    block_first = np.searchsorted(block, np.arange(len(subtrees)))
+    block_end = np.append(begins[block_first][1:], ends[-1])
+    offsets = begins[block_first]
+    start = node["start"].copy()
+    start[leaf_rows] = begins - offsets[block]
+    widest = np.maximum.reduceat(lengths, block_first)
+    return dict(node, start=start), packed, [
+        replace(tree, rule_offset=int(offset),
+                num_leaf_rules=int(end - offset), max_leaf_span=int(span))
+        for tree, offset, end, span in zip(subtrees, offsets, block_end,
+                                           widest)]

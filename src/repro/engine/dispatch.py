@@ -60,19 +60,37 @@ class CompiledClassifier:
             raise ValueError("a compiled classifier needs at least one tree")
         described = max((tree.forest.table for tree in subtrees),
                         key=lambda table: len(table["priority"]))
-        self.forest = Forest.concatenate(subtrees,
-                                         rule_table(rules, described))
-        self.subtrees: List[FlatTree] = []
+        forest = Forest.concatenate(subtrees, rule_table(rules, described))
+        views: List[FlatTree] = []
         node_offset = rule_offset = 0
         for source in subtrees:
-            self.subtrees.append(replace(
-                source, forest=self.forest, node_offset=node_offset,
+            views.append(replace(
+                source, forest=forest, node_offset=node_offset,
                 rule_offset=rule_offset))
             node_offset += source.num_nodes
             rule_offset += source.num_leaf_rules
-        self._node_base = np.array([t.node_offset for t in self.subtrees])
-        self._rule_base = np.array([t.rule_offset for t in self.subtrees])
-        self._depth = np.array([t.depth for t in self.subtrees])
+        self._adopt(forest, views, rules, name, flow_cache_size)
+
+    @classmethod
+    def from_forest(cls, forest: Forest, subtrees: Sequence[FlatTree],
+                    rules: List[Rule], name: str = "",
+                    flow_cache_size: Optional[int] = None
+                    ) -> "CompiledClassifier":
+        """An engine over ``forest`` as it stands: ``subtrees`` are already
+        views of it and nothing is copied (a partial recompile's
+        generation, whose re-spanned leaves point past their blocks)."""
+        compiled = cls.__new__(cls)
+        compiled._adopt(forest, list(subtrees), rules, name, flow_cache_size)
+        return compiled
+
+    def _adopt(self, forest: Forest, subtrees: List[FlatTree],
+               rules: List[Rule], name: str,
+               flow_cache_size: Optional[int]) -> None:
+        self.forest = forest
+        self.subtrees = subtrees
+        self._node_base = np.array([t.node_offset for t in subtrees])
+        self._rule_base = np.array([t.rule_offset for t in subtrees])
+        self._depth = np.array([t.depth for t in subtrees])
         self.rules = rules
         self.name = name
         self.flow_cache: Optional[FlowCache] = None

@@ -38,7 +38,10 @@ by plain concatenation, and a
 :class:`FlatTree` — the view of one block: its two offsets and spans plus
 the tree's own ``depth`` and ``max_leaf_span`` — reads the same whether its
 forest holds one tree or fifty.  The distinct-rule table is shared by every
-block of a forest; slots are absolute.
+block of a forest; slots are absolute.  A partial recompile appends a
+re-spanned leaf's rule pointers at the end of the leaf rule table, past
+every block, and stretches its tree's leaf-rule rows to reach them: such a
+block's rows also cover later blocks' rows and dead spans.
 
 Lookup is one walk for any number of packets and trees
 (:meth:`Forest.lookup`): every ``(tree, packet)`` pair is a *lane*, all
@@ -106,6 +109,8 @@ RULE_TABLE_DTYPE = np.dtype(
         ("priority", np.int32),
     ]
 )
+
+_PRIORITY_WIDTH = np.iinfo(RULE_TABLE_DTYPE["priority"])
 
 #: What :attr:`FlatTree.leaf_rules` assembles: each leaf-rule row beside the
 #: distinct-rule row it points at.
@@ -198,11 +203,14 @@ def rule_table(rules: Sequence,
             f"rule table describes {done} rules, the rule list holds "
             f"{len(rules)}")
     new = rules[done:]
-    bounds = np.array([rule.ranges for rule in new], dtype=np.int64).reshape(
-        len(new), NUM_DIMENSIONS, 2)
-    priority = np.array([rule.priority for rule in new], dtype=np.int64)
-    width = np.iinfo(RULE_TABLE_DTYPE["priority"])
-    if len(new) and (priority.min() < width.min or priority.max() > width.max):
+    bounds = np.fromiter(
+        chain.from_iterable(chain.from_iterable(rule.ranges for rule in new)),
+        np.int64, len(new) * NUM_DIMENSIONS * 2).reshape(
+            len(new), NUM_DIMENSIONS, 2)
+    priorities = [rule.priority for rule in new]
+    width = _PRIORITY_WIDTH
+    if priorities and (min(priorities) < width.min
+                       or max(priorities) > width.max):
         raise CompileError(
             f"rule table column 'priority' holds a value that does not fit "
             f"its {RULE_TABLE_DTYPE['priority']} width")
@@ -211,7 +219,7 @@ def rule_table(rules: Sequence,
     table = {
         "lo": bounds[:, :, 0].astype(RULE_TABLE_DTYPE["lo"].base),
         "hi": (bounds[:, :, 1] - 1).astype(RULE_TABLE_DTYPE["hi"].base),
-        "priority": priority.astype(RULE_TABLE_DTYPE["priority"]),
+        "priority": np.array(priorities, dtype=RULE_TABLE_DTYPE["priority"]),
     }
     if prefix is None:
         return table
@@ -248,7 +256,9 @@ class Forest:
 
         Block-internal indices are relative, so this is one
         ``np.concatenate`` per column and no row is rewritten.  ``table``
-        must describe every rule the trees' slots point at.
+        must describe every rule the trees' slots point at.  A stretched
+        block (a partial recompile's) is copied whole, spans and the rows
+        between them included: exact, not compact.
         """
         node_blocks = [(t.forest.node, t.node_rows) for t in trees]
         rule_blocks = [(t.forest.rule, t.rule_rows) for t in trees]
@@ -377,7 +387,13 @@ class Forest:
 
 @dataclass
 class FlatTree:
-    """One cut/split-only search tree: a view of one block of a forest."""
+    """One cut/split-only search tree: a view of one block of a forest.
+
+    ``num_leaf_rules`` runs from the block's first leaf-rule row to the end
+    of the last span a leaf of it points at, so after a partial recompile it
+    covers the spans appended past the original block too (and whatever lies
+    between); ``max_leaf_span`` is at least the widest of them.
+    """
 
     forest: Forest
     node_offset: int
@@ -418,7 +434,8 @@ class FlatTree:
         return records
 
     def memory_bytes(self) -> int:
-        """Bytes this tree's block occupies in the node and leaf rule tables.
+        """Bytes this tree's block occupies in the node and leaf rule tables
+        (a stretched block's rows included).
 
         The distinct-rule table belongs to the forest, not to any one tree.
         """

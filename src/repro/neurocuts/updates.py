@@ -15,14 +15,18 @@ it whose box meets the leaf's: *the leaf holds the rule, or holds a
 higher-priority rule that contains it inside the leaf's box*.
 
 Node rule lists are only ever edited through ``Node.insert_rule`` /
-``Node.discard_rule``, which also drop the node's derived array state.
+``Node.discard_rule``, which also drop the node's derived array state.  The
+updater makes both calls in one place (:meth:`IncrementalUpdater._edit`),
+which also records every leaf whose rule list changed: the compiled engine
+re-spans exactly those leaves (:func:`repro.engine.partial_compile_classifier`)
+instead of re-flattening the tree.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Dict, List, Sequence
 
 from repro.rules.rule import Rule
 from repro.tree.actions import (
@@ -47,6 +51,19 @@ class UpdateStats:
         return self.rules_added + self.rules_removed
 
 
+@dataclass
+class LeafRecord:
+    """The leaves whose rule lists an updater edited, and the versions the
+    edits moved its tree through: from ``since`` (the tree's version when
+    the record began) to ``until`` (its version after the last edit).  A
+    tree at a version outside the record was changed by something else."""
+
+    tree: DecisionTree
+    since: int
+    until: int
+    leaves: List[Node]
+
+
 class IncrementalUpdater:
     """Applies rule insertions/removals to an already-built decision tree."""
 
@@ -54,6 +71,10 @@ class IncrementalUpdater:
         self.tree = tree
         self.retrain_threshold = retrain_threshold
         self.stats = UpdateStats()
+        self._since = self._until = tree.version
+        #: Leaves edited since ``_since``; the values hold them alive, so
+        #: the ids keying them cannot be recycled.
+        self._touched: Dict[int, Node] = {}
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -72,6 +93,7 @@ class IncrementalUpdater:
             self.stats.rules_added += 1
             self.stats.leaves_touched += touched
             self.tree.mark_modified()
+            self._until = self.tree.version
         return touched
 
     def remove_rule(self, rule: Rule) -> int:
@@ -98,7 +120,16 @@ class IncrementalUpdater:
             self.stats.rules_removed += 1
             self.stats.leaves_touched += touched
             self.tree.mark_modified()
+            self._until = self.tree.version
         return touched
+
+    def take_touched(self) -> LeafRecord:
+        """The leaves edited since the last call, and start a new record."""
+        record = LeafRecord(self.tree, self._since, self._until,
+                            list(self._touched.values()))
+        self._since = self._until = self.tree.version
+        self._touched = {}
+        return record
 
     def needs_retraining(self) -> bool:
         """True once enough updates accumulated that retraining is advised."""
@@ -107,6 +138,15 @@ class IncrementalUpdater:
     # ------------------------------------------------------------------ #
     # Routing
     # ------------------------------------------------------------------ #
+
+    def _edit(self, node: Node, rule: Rule, insert: bool) -> bool:
+        """Insert ``rule`` into (or discard it from) ``node``'s rule list,
+        recording the node if it is a leaf the edit changed."""
+        changed = node.insert_rule(rule) if insert \
+            else node.discard_rule(rule)
+        if changed and node.is_leaf:
+            self._touched[id(node)] = node
+        return changed
 
     def _partition_child(self, node: Node, rule: Rule) -> Node:
         """The child of a partition node a rule is routed to."""
@@ -145,7 +185,7 @@ class IncrementalUpdater:
     def _insert(self, node: Node, rule: Rule) -> int:
         """Insert below ``node``, whose box ``rule`` reaches into."""
         if node.is_leaf:
-            node.insert_rule(rule)
+            self._edit(node, rule, insert=True)
             return 1
         if isinstance(node.action,
                       (PartitionAction, EffiCutsPartitionAction)):
@@ -154,7 +194,7 @@ class IncrementalUpdater:
             touched = sum(self._insert(child, rule)
                           for child in self._children_reached(node, rule))
         if touched:
-            node.insert_rule(rule)
+            self._edit(node, rule, insert=True)
         return touched
 
     def _remove(self, node: Node, rule: Rule,
@@ -167,7 +207,7 @@ class IncrementalUpdater:
         leaves held ``rule`` and which of ``shadowed`` were brought back
         into some leaf, so every node on the way up holds them too.
         """
-        held = node.discard_rule(rule)
+        held = self._edit(node, rule, insert=False)
         if node.is_leaf:
             restored = self._restore(node, rule, shadowed) if held else []
             return int(held), restored
@@ -205,11 +245,10 @@ class IncrementalUpdater:
             touched += child_touched
             restored.extend(child_restored)
         for other in restored:
-            node.insert_rule(other)
+            self._edit(node, other, insert=True)
         return touched, restored
 
-    @staticmethod
-    def _restore(node: Node, removed: Rule, shadowed: List[Rule]
+    def _restore(self, node: Node, removed: Rule, shadowed: List[Rule]
                  ) -> List[Rule]:
         """Bring back into ``node`` (a leaf, or a partition node) the rules
         only ``removed`` shadowed.
@@ -235,5 +274,5 @@ class IncrementalUpdater:
                        for higher in present)
         ]
         for other in restored:
-            node.insert_rule(other)
+            self._edit(node, other, insert=True)
         return restored

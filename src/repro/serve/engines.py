@@ -2,8 +2,10 @@
 
 A tenant's packets are served from a compiled engine (flat arrays); its rule
 updates are applied to the *Python* tree through
-:class:`~repro.neurocuts.updates.IncrementalUpdater` and recompiled in the
-background while the old engine keeps serving.  The finished engine is
+:class:`~repro.neurocuts.updates.IncrementalUpdater`, which records the
+leaves it edits, and only those leaves are re-spanned into the next engine
+(:func:`~repro.engine.compile.partial_compile_classifier`) in the background
+while the old engine keeps serving.  The finished engine is
 swapped in atomically between batches, keyed on the trees' structural
 version counters so a swap can never install arrays compiled from a stale
 tree.  The serving path therefore never waits for a recompile — the only
@@ -111,7 +113,6 @@ class SlotState:
     retrain_threshold: int
     flow_cache_size: Optional[int]
     background: bool
-    partial_recompile: bool
     swap_stats: SwapStats
     retired_cache_stats: FlowCacheStats
     #: Live flow-cache contents as ``(flow key, matched rule or None)``.
@@ -164,17 +165,12 @@ class EngineSlot:
         background: bool = True,
         retrain_threshold: int = DEFAULT_RETRAIN_THRESHOLD,
         metrics: Optional[MetricsRegistry] = None,
-        partial_recompile: bool = True,
     ) -> None:
         self.tenant_id = tenant_id
         self.classifier = classifier
         self.flow_cache_size = flow_cache_size
         self.background = background
         self.retrain_threshold = retrain_threshold
-        #: When True (the default), update rebuilds go through
-        #: partial_compile_classifier: only subtrees the delta touched are
-        #: re-flattened, everything else is reused by reference.
-        self.partial_recompile = partial_recompile
         self.swap_stats = SwapStats()
         #: Phase-timer spans land here; a registry-owned MetricsRegistry is
         #: shared across slots (see TenantRegistry), else the slot owns one.
@@ -189,7 +185,8 @@ class EngineSlot:
         self._full_compiles = self.metrics.counter("engine.compiles_full")
         self._partial_compiles = self.metrics.counter(
             "engine.compiles_partial")
-        self._nodes_recompiled = self.metrics.gauge("engine.nodes_recompiled")
+        self._compactions = self.metrics.counter("engine.compactions")
+        self._leaves_respanned = self.metrics.gauge("engine.leaves_respanned")
         self._install_timing = self.metrics.timing(
             "serve.swap_install_seconds")
         #: Flow-cache counters of engines already retired by swaps.
@@ -326,46 +323,18 @@ class EngineSlot:
         # keeps updates strictly ordered — every epoch's engine corresponds
         # to exactly one ruleset snapshot.
         self._join_builder(count_stall=True)
-        # Removed rules must be mapped to their subtrees *before* the
-        # updaters strip them from the node rule lists.
-        dirty_roots = self._dirty_roots_for(removes)
         for rule in removes:
             for updater in self._updaters:
                 updater.remove_rule(rule)
         for rule in adds:
             self._updaters[0].add_rule(rule)
-        if dirty_roots is not None:
-            # Additions sit on their insert path now; map them after.
-            dirty_roots |= self._dirty_roots_for(adds)
         ruleset = self.ruleset
         if removes:
             ruleset = ruleset.with_rules_removed(removes)
         if adds:
             ruleset = ruleset.with_rules_added(adds)
         self.classifier.ruleset = ruleset
-        self._start_build(ruleset, dirty_roots=dirty_roots)
-
-    def _dirty_roots_for(self, rules: Sequence[Rule]) -> Optional[set]:
-        """Ids of the active engine's stable expanded roots holding ``rules``.
-
-        Returns ``None`` when partial recompilation is off or the active
-        engine carries no provenance (hand-assembled engine) — the build
-        then falls back to recompiling every changed tree in full.
-        """
-        if not self.partial_recompile:
-            return None
-        provenance = getattr(self._active, "provenance", None)
-        if provenance is None:
-            return None
-        dirty: set = set()
-        for rule in rules:
-            for tree_roots in provenance.roots:
-                if tree_roots is None:
-                    continue
-                for root in tree_roots:
-                    if rule in root.rules:
-                        dirty.add(id(root))
-        return dirty
+        self._start_build(ruleset)
 
     def adopt_classifier(self, classifier: TreeClassifier,
                          base_ruleset: Optional[RuleSet] = None) -> None:
@@ -467,7 +436,6 @@ class EngineSlot:
             retrain_threshold=self.retrain_threshold,
             flow_cache_size=self.flow_cache_size,
             background=self.background,
-            partial_recompile=self.partial_recompile,
             swap_stats=SwapStats(
                 swaps=self.swap_stats.swaps,
                 stalls=self.swap_stats.stalls,
@@ -522,7 +490,6 @@ class EngineSlot:
             background=state.background,
             retrain_threshold=state.retrain_threshold,
             metrics=metrics,
-            partial_recompile=state.partial_recompile,
         )
         slot._rulesets = list(state.epoch_rulesets)
         slot.epoch = state.epoch
@@ -563,44 +530,35 @@ class EngineSlot:
     def _versions(self) -> Tuple[int, ...]:
         return tuple(tree.version for tree in self.classifier.trees)
 
-    def _start_build(self, target_ruleset: RuleSet,
-                     dirty_roots: Optional[set] = None) -> None:
+    def _start_build(self, target_ruleset: RuleSet) -> None:
         target_versions = self._versions()
         # Captured on the serving thread: _active cannot change while this
         # build is in flight (installs only happen once the builder exits).
         previous = self._active
+        # Every build consumes the leaves edited since the last one, which
+        # are exactly the edits ``previous`` does not hold.
+        touched = [updater.take_touched() for updater in self._updaters]
 
         def build() -> None:
             # The builder only *reads* the trees; the main thread never
             # mutates them while a build is in flight (apply_update joins
             # first), so no lock is needed around the traversal.
             started = time.perf_counter()
-            if self.partial_recompile:
-                result = partial_compile_classifier(
-                    self.classifier,
-                    previous,
-                    dirty_roots=dirty_roots,
-                    flow_cache_size=self.flow_cache_size,
-                )
-                shadow = result.classifier
-                elapsed = time.perf_counter() - started
-                if result.full_rebuild:
-                    self._full_compiles.inc()
-                    self._compile_timing.observe(elapsed)
-                else:
-                    self._partial_compiles.inc()
-                    self._partial_timing.observe(elapsed)
-                    self._nodes_recompiled.set(result.nodes_recompiled)
-            else:
-                shadow = compile_classifier(
-                    self.classifier,
-                    flow_cache_size=self.flow_cache_size,
-                )
-                elapsed = time.perf_counter() - started
+            result = partial_compile_classifier(
+                self.classifier, previous, touched,
+                flow_cache_size=self.flow_cache_size)
+            elapsed = time.perf_counter() - started
+            if result.compacted:
+                self._compactions.inc()
+            if result.full_rebuild:
                 self._full_compiles.inc()
                 self._compile_timing.observe(elapsed)
+            else:
+                self._partial_compiles.inc()
+                self._partial_timing.observe(elapsed)
+                self._leaves_respanned.set(result.leaves_respanned)
             self._shadow_build_seconds = elapsed
-            self._shadow = shadow
+            self._shadow = result.classifier
             self._shadow_ruleset = target_ruleset
             self._shadow_versions = target_versions
 

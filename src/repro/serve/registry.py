@@ -43,12 +43,10 @@ class TenantRegistry:
         background_swaps: bool = True,
         default_retrain_threshold: int = DEFAULT_RETRAIN_THRESHOLD,
         metrics: Optional[MetricsRegistry] = None,
-        partial_recompile: bool = True,
     ) -> None:
         self.default_flow_cache_size = default_flow_cache_size
         self.background_swaps = background_swaps
         self.default_retrain_threshold = default_retrain_threshold
-        self.partial_recompile = partial_recompile
         #: Shared phase-timer registry: every slot this registry creates
         #: records compile/install/retrain spans here, so one merge covers
         #: the whole control plane.
@@ -122,7 +120,6 @@ class TenantRegistry:
             background=self.background_swaps,
             retrain_threshold=retrain_threshold,
             metrics=self.metrics,
-            partial_recompile=self.partial_recompile,
         )
         self._slots[tenant_id] = slot
         self.metrics.gauge("serve.tenants").set(len(self._slots))

@@ -1,11 +1,12 @@
-"""Partial recompilation: provenance, O(delta) rebuilds, slot metrics.
+"""Partial recompilation: the leaf record, leaf-granular re-spans, metrics.
 
 The fast path (:func:`repro.engine.partial_compile_classifier`) must only
 ever *miss* — every fallback returns exactly what a full
-:func:`compile_classifier` would — so these tests pin both sides: the reuse
-accounting (which flat trees were carried over as block copies, how many
-node rows were rebuilt) and the answers (partial output equals a fresh compile equals
-linear search).
+:func:`compile_classifier` would — so these tests pin both sides: what a
+generation shares, copies and appends (every node column by reference but
+``start``/``count``, one new span per leaf the updater recorded) and the
+answers (partial output equals a fresh compile, the per-packet reference
+walk and linear search).
 """
 
 from __future__ import annotations
@@ -15,9 +16,12 @@ import random
 import numpy as np
 import pytest
 
+import reference_walk
 from repro.baselines import EffiCutsBuilder, HiCutsBuilder
 from repro.classbench import generate_classifier
 from repro.engine import (
+    KIND_LEAF,
+    NODE_DTYPE,
     CompiledClassifier,
     compile_classifier,
     packets_to_array,
@@ -25,8 +29,11 @@ from repro.engine import (
 )
 from repro.neurocuts import IncrementalUpdater
 from repro.obs.metrics import MetricsRegistry
-from repro.rules import Rule
+from repro.rules import DIMENSIONS, Dimension, Packet, Rule
 from repro.serve import EngineSlot
+from repro.tree import CutAction, PartitionAction, TreeClassifier, \
+    build_with_policy
+from repro.tree.validate import corner_packets
 
 
 def _fresh_rule(ruleset, name="hot"):
@@ -40,24 +47,10 @@ def _victim(ruleset):
     return next(r for r in ruleset.rules if r.num_wildcard_dims() < 5)
 
 
-def _dirty_roots(provenance, rules):
-    """The same delta-to-subtree mapping EngineSlot computes."""
-    dirty = set()
-    for rule in rules:
-        for tree_roots in provenance.roots:
-            if tree_roots is None:
-                continue
-            for root in tree_roots:
-                if rule in root.rules:
-                    dirty.add(id(root))
-    return dirty
-
-
 def _apply_delta(classifier, adds=(), removes=()):
-    """Mutate the trees and ruleset the way the serving layer does."""
+    """Mutate the trees and ruleset the way the serving layer does; returns
+    the updaters' leaf records, one per tree."""
     updaters = [IncrementalUpdater(tree) for tree in classifier.trees]
-    previous_provenance_rules = removes
-    dirty = None  # computed by the caller against provenance
     for rule in removes:
         for updater in updaters:
             updater.remove_rule(rule)
@@ -69,10 +62,45 @@ def _apply_delta(classifier, adds=(), removes=()):
     if adds:
         ruleset = ruleset.with_rules_added(adds)
     classifier.ruleset = ruleset
+    return [updater.take_touched() for updater in updaters]
 
 
 def _priorities(matches):
     return [m.priority if m else None for m in matches]
+
+
+def _assert_exact(engine, ruleset, packets):
+    """``engine`` answers as the reference walk and linear search do."""
+    values = packets_to_array(packets)
+    indices = engine.match_indices(values)
+    assert indices.tobytes() == \
+        reference_walk.match_indices(engine, values).tobytes()
+    assert [engine.rules[i].priority if i >= 0 else None
+            for i in indices.tolist()] == \
+        _priorities([ruleset.classify(p) for p in packets])
+
+
+def _leaf_rows(engine):
+    """``(interpreter leaf, node row, block)`` of every leaf row."""
+    return [(leaf, row, block)
+            for leaf, rows in engine.provenance.rows_of(engine).values()
+            for row, block in rows]
+
+
+def _partition_below_cut(ruleset):
+    """A tree whose partition sits below a cut: its leaves are flattened
+    once per clone of the path above the partition."""
+
+    def policy(node):
+        if node.depth == 0:
+            return CutAction(Dimension.SRC_IP, 2)
+        if node.depth == 1:
+            return PartitionAction(Dimension.DST_IP, 0.5)
+        return CutAction(Dimension(node.depth % len(DIMENSIONS)), 4)
+
+    tree = build_with_policy(ruleset, policy, leaf_threshold=4, max_depth=5,
+                             max_actions=200)
+    return TreeClassifier(ruleset, [tree], name="partition-below-cut")
 
 
 @pytest.fixture()
@@ -94,11 +122,21 @@ class TestProvenance:
         assert prov is not None
         assert prov.trees == tuple(efficuts.trees)
         assert prov.versions == tuple(t.version for t in efficuts.trees)
-        # Spans tile the subtree list tree-for-tree.
-        assert prov.spans[0][0] == 0
-        assert prov.spans[-1][1] == compiled.num_subtrees
-        for (_, end), (start, _) in zip(prov.spans, prov.spans[1:]):
-            assert end == start
+        # Every leaf row of the forest is recorded, in row order, as the
+        # interpreter leaf it was flattened from; the map finds its block.
+        node = compiled.forest.node
+        rows = np.flatnonzero(node["kind"] == KIND_LEAF)
+        assert len(prov.leaves) == len(rows)
+        leaves = {id(leaf) for tree in efficuts.trees
+                  for leaf in tree.leaves()}
+        for leaf, row in zip(prov.leaves, rows):
+            assert id(leaf) in leaves
+            assert node["count"][row] == len(leaf.rules)
+        mapped = _leaf_rows(compiled)
+        assert sorted(row for _, row, _ in mapped) == rows.tolist()
+        for leaf, row, block in mapped:
+            tree = compiled.subtrees[block]
+            assert tree.node_offset <= row < tree.node_offset + tree.num_nodes
         # The rule-slot map IS the index into the shared rule list.
         for rule, slot in prov.rule_slot.items():
             assert compiled.rules[slot] == rule
@@ -114,43 +152,54 @@ class TestPartialCompile:
     def test_noop_delta_reuses_every_subtree(self, efficuts):
         previous = compile_classifier(efficuts)
         result = partial_compile_classifier(efficuts, previous,
-                                            dirty_roots=set())
+                                            _apply_delta(efficuts))
         assert not result.full_rebuild
-        assert result.trees_recompiled == 0
-        assert result.nodes_recompiled == 0
-        assert result.subtrees_reused == previous.num_subtrees
-        # Views are per generation; a reused tree is a block copy of the
-        # previous forest's rows (nodes_recompiled == 0 above is what says
-        # nothing was re-flattened).
-        for new, old in zip(result.classifier.subtrees, previous.subtrees):
-            assert new.forest is result.classifier.forest
-            assert new.forest is not old.forest
-            assert new.nodes.tobytes() == old.nodes.tobytes()
-            assert new.leaf_rules.tobytes() == old.leaf_rules.tobytes()
-            assert (new.depth, new.max_leaf_span) == \
-                (old.depth, old.max_leaf_span)
+        assert result.leaves_respanned == 0
+        # Every column of the previous forest is shared, none copied.
+        new = result.classifier.forest
+        for columns, old in ((new.node, previous.forest.node),
+                             (new.rule, previous.forest.rule),
+                             (new.table, previous.forest.table)):
+            assert all(columns[name] is old[name] for name in old)
+        for tree, old in zip(result.classifier.subtrees, previous.subtrees):
+            assert tree.forest is new
+            assert (tree.node_offset, tree.num_nodes, tree.rule_offset,
+                    tree.num_leaf_rules, tree.depth, tree.max_leaf_span) == \
+                (old.node_offset, old.num_nodes, old.rule_offset,
+                 old.num_leaf_rules, old.depth, old.max_leaf_span)
         assert result.classifier.rules is previous.rules
+        assert result.classifier.flow_cache is None
 
     def test_delta_rebuilds_only_what_it_touched(self, efficuts):
         ruleset = efficuts.ruleset
         previous = compile_classifier(efficuts)
-        removes = [_victim(ruleset)]
         adds = [_fresh_rule(ruleset)]
-        dirty = _dirty_roots(previous.provenance, removes)
-        _apply_delta(efficuts, adds=adds, removes=removes)
-        dirty |= _dirty_roots(previous.provenance, adds)
+        records = _apply_delta(efficuts, adds=adds,
+                               removes=[_victim(ruleset)])
+        recorded = {id(leaf) for record in records for leaf in record.leaves}
+        assert recorded
 
-        result = partial_compile_classifier(efficuts, previous,
-                                            dirty_roots=dirty)
+        result = partial_compile_classifier(efficuts, previous, records)
         assert not result.full_rebuild
-        assert result.trees_recompiled >= 1
-        assert 0 < result.nodes_recompiled <= result.classifier.num_nodes
-        # Only the flagged subtrees were re-flattened; the other categories
-        # of the partitioned classifier were carried by reference even
-        # though the shared ruleset bumped every tree's version.
-        assert result.subtrees_reused == \
-            result.classifier.num_subtrees - len(dirty)
-        assert result.subtrees_reused > 0
+        assert result.leaves_respanned == len(recorded)
+        old, new = previous.forest, result.classifier.forest
+        # Node columns are shared but for start/count, which are copies
+        # that differ exactly at the rows of the recorded leaves.
+        for name in NODE_DTYPE.names:
+            assert (new.node[name] is old.node[name]) == \
+                (name not in ("start", "count"))
+        moved = np.flatnonzero((new.node["start"] != old.node["start"])
+                               | (new.node["count"] != old.node["count"]))
+        assert set(moved.tolist()) == {
+            row for leaf, row, _ in _leaf_rows(previous)
+            if id(leaf) in recorded}
+        # Each recorded leaf's span was appended past the old column.
+        for leaf, row, block in _leaf_rows(previous):
+            if id(leaf) in recorded:
+                tree = result.classifier.subtrees[block]
+                assert tree.rule_offset + new.node["start"][row] \
+                    >= len(old.rule["rule_index"])
+                assert new.node["count"][row] == len(leaf.rules)
         # The rule list is shared storage, patched append-only.
         assert result.classifier.rules is previous.rules
         assert adds[0] in result.classifier.rules
@@ -163,45 +212,50 @@ class TestPartialCompile:
         fresh = compile_classifier(efficuts)
         got = _priorities(result.classifier.classify_batch(packets))
         assert got == _priorities(fresh.classify_batch(packets))
-        assert got == _priorities(
-            [efficuts.ruleset.classify(p) for p in packets])
+        _assert_exact(result.classifier, efficuts.ruleset, packets)
 
-    def test_missing_dirty_map_rebuilds_changed_trees(self, hicuts):
+    def test_missing_record_is_a_full_rebuild(self, hicuts):
         previous = compile_classifier(hicuts)
-        _apply_delta(hicuts, adds=[_fresh_rule(hicuts.ruleset)])
-        result = partial_compile_classifier(hicuts, previous,
-                                            dirty_roots=None)
-        assert not result.full_rebuild
-        assert result.trees_recompiled == 1
-        assert result.subtrees_reused == 0
-        assert result.nodes_recompiled == result.classifier.num_nodes
+        records = _apply_delta(hicuts, adds=[_fresh_rule(hicuts.ruleset)])
+        result = partial_compile_classifier(hicuts, previous, None)
+        assert result.full_rebuild and not result.compacted
+        # A tree that moved past what its record covers is rebuilt too.
+        hicuts.trees[0].mark_modified()
+        result = partial_compile_classifier(hicuts, previous, records)
+        assert result.full_rebuild
+        assert result.classifier.num_nodes == previous.num_nodes
 
     def test_ruleset_only_version_bump_reuses_subtrees(self, efficuts):
         # Removing a rule from a partitioned classifier bumps *every*
-        # tree's version (they share the ruleset) but only changes node
-        # rule lists where the rule actually lived.  With an authoritative
-        # dirty map the untouched trees are reused, and the result is
-        # still exact against linear search.
+        # tree's version (they share the ruleset) but edits only the leaf
+        # rule lists of the trees the rule lived in.  Their records cover
+        # the version moves with no leaves, so those trees' blocks keep
+        # every row, and the result is still exact against linear search.
         ruleset = efficuts.ruleset
         previous = compile_classifier(efficuts)
-        removes = [_victim(ruleset)]
-        dirty = _dirty_roots(previous.provenance, removes)
-        assert 0 < len(dirty) < previous.num_subtrees
-        _apply_delta(efficuts, removes=removes)
-        result = partial_compile_classifier(efficuts, previous,
-                                            dirty_roots=dirty)
+        records = _apply_delta(efficuts, removes=[_victim(ruleset)])
+        assert all(t.version != v for t, v in
+                   zip(efficuts.trees, previous.provenance.versions))
+        edited = [bool(record.leaves) for record in records]
+        assert any(edited) and not all(edited)
+        result = partial_compile_classifier(efficuts, previous, records)
         assert not result.full_rebuild
-        assert result.trees_recompiled == len(dirty)
-        assert result.subtrees_reused == previous.num_subtrees - len(dirty)
+        assert result.leaves_respanned == sum(len(r.leaves) for r in records)
+        blocks = {block for leaf, _, block in _leaf_rows(previous)
+                  if any(leaf is touched for record in records
+                         for touched in record.leaves)}
+        for block, (new, old) in enumerate(zip(result.classifier.subtrees,
+                                               previous.subtrees)):
+            if block not in blocks:
+                assert new.nodes.tobytes() == old.nodes.tobytes()
+                assert new.leaf_rules.tobytes() == old.leaf_rules.tobytes()
         packets = efficuts.ruleset.sample_packets(400, seed=3, rule_bias=0.8)
-        got = _priorities(result.classifier.classify_batch(packets))
-        assert got == _priorities(
-            [efficuts.ruleset.classify(p) for p in packets])
+        _assert_exact(result.classifier, efficuts.ruleset, packets)
 
     def test_different_trees_force_full_rebuild(self, hicuts):
         previous = compile_classifier(hicuts)
         retrained = HiCutsBuilder(binth=12).build(hicuts.ruleset)
-        result = partial_compile_classifier(retrained, previous)
+        result = partial_compile_classifier(retrained, previous, [])
         assert result.full_rebuild
         assert result.classifier.provenance is not None
 
@@ -209,8 +263,117 @@ class TestPartialCompile:
         previous = compile_classifier(hicuts)
         bare = CompiledClassifier(subtrees=previous.subtrees,
                                   rules=previous.rules)
-        result = partial_compile_classifier(hicuts, bare)
+        result = partial_compile_classifier(hicuts, bare, [])
         assert result.full_rebuild
+
+
+class TestRespannedLayout:
+    """Re-spanned leaves point past their block; every reader of a block
+    must still see their spans."""
+
+    def test_leaf_wider_than_its_block_stays_exact(self, hicuts):
+        previous = compile_classifier(hicuts)
+        tree = previous.subtrees[0]
+        count = previous.forest.node["count"]
+        leaf = next(leaf for leaf, row, _ in _leaf_rows(previous)
+                    if count[row] == tree.max_leaf_span)
+        # Rules exactly covering the widest leaf's box land in it alone,
+        # above every rule it held: its span doubles.
+        top = max(r.priority for r in hicuts.ruleset.rules)
+        adds = [Rule(ranges=leaf.ranges, priority=top + 1 + i,
+                     name=f"wide{i}") for i in range(tree.max_leaf_span)]
+        records = _apply_delta(hicuts, adds=adds)
+        assert [len(r.leaves) for r in records] == [1]
+        result = partial_compile_classifier(hicuts, previous, records)
+        assert not result.full_rebuild
+        engine = result.classifier
+        widened = engine.subtrees[0]
+        assert widened.max_leaf_span == 2 * tree.max_leaf_span
+        # The block now reaches to the appended span, so its views see it.
+        assert widened.num_leaf_rules == len(engine.forest.rule["rule_index"])
+        assert len(widened.leaf_rules) == widened.num_leaf_rules
+        packets = [Packet.from_values(tuple(lo for lo, _ in leaf.ranges)),
+                   Packet.from_values(tuple(hi - 1 for _, hi in leaf.ranges))]
+        packets += hicuts.ruleset.sample_packets(300, seed=2, rule_bias=0.8)
+        _assert_exact(engine, hicuts.ruleset, packets)
+        assert engine.classify_batch(packets[:1])[0] is adds[-1]
+        # A copy of the re-spanned subtrees carries the spans with them.
+        copied = CompiledClassifier(subtrees=engine.subtrees,
+                                    rules=engine.rules)
+        values = packets_to_array(packets)
+        assert copied.match_indices(values).tobytes() == \
+            engine.match_indices(values).tobytes()
+
+    def test_every_row_of_a_cloned_leaf_is_repointed(self):
+        ruleset = generate_classifier("fw1", 60, seed=1)
+        classifier = _partition_below_cut(ruleset)
+        previous = compile_classifier(classifier)
+        rows_of = previous.provenance.rows_of(previous)
+        leaf, rows = next(entry for entry in rows_of.values()
+                          if len(entry[1]) > 1 and entry[0].rules)
+        records = _apply_delta(classifier, removes=[leaf.rules[0]])
+        assert any(touched is leaf for touched in records[0].leaves)
+        result = partial_compile_classifier(classifier, previous, records)
+        assert not result.full_rebuild
+        engine, old_end = result.classifier, \
+            len(previous.forest.rule["rule_index"])
+        for touched in records[0].leaves:
+            spans = {(engine.subtrees[block].rule_offset
+                      + int(engine.forest.node["start"][row]),
+                      int(engine.forest.node["count"][row]))
+                     for row, block in rows_of[id(touched)][1]}
+            # All of a leaf's rows point at its one new span.
+            assert len(spans) == 1
+            (first, length), = spans
+            assert first >= old_end and length == len(touched.rules)
+        packets = classifier.ruleset.sample_packets(300, seed=4,
+                                                    rule_bias=0.8)
+        _assert_exact(engine, classifier.ruleset, packets)
+
+    def test_leaf_restored_in_another_partition_child_is_respanned(self):
+        # Removing the top rule brings back a rule it shadowed above the
+        # partition, into the partition child the removed rule is not in:
+        # leaves it never held must be re-spanned too.
+        ruleset = generate_classifier("ipc1", 16, seed=1440)
+        classifier = _partition_below_cut(ruleset)
+        previous = compile_classifier(classifier)
+        top = max(ruleset.rules, key=lambda rule: rule.priority)
+        holders = {id(leaf) for leaf in classifier.trees[0].leaves()
+                   if top in leaf.rules}
+        records = _apply_delta(classifier, removes=[top])
+        assert any(id(leaf) not in holders for leaf in records[0].leaves)
+        result = partial_compile_classifier(classifier, previous, records)
+        assert not result.full_rebuild
+        packets = corner_packets(ruleset) + classifier.ruleset.sample_packets(
+            300, seed=1, rule_bias=0.8)
+        _assert_exact(result.classifier, classifier.ruleset, packets)
+
+    def test_compaction_packs_to_a_cold_compile(self, hicuts):
+        engine = compile_classifier(hicuts)
+        top = max(r.priority for r in hicuts.ruleset.rules)
+        for i in range(8):
+            # Near-wildcard rules reach almost every leaf: each add turns
+            # most of the column into dead spans.
+            records = _apply_delta(hicuts, adds=[Rule.from_fields(
+                protocol=(6, 7), dst_port=(i, i + 1), priority=top + 1 + i,
+                name=f"wide{i}")])
+            result = partial_compile_classifier(hicuts, engine, records)
+            assert not result.full_rebuild
+            engine = result.classifier
+            if result.compacted:
+                break
+        assert result.compacted
+        cold = compile_classifier(hicuts)
+        assert engine.memory_bytes() == cold.memory_bytes()
+        for name in NODE_DTYPE.names:
+            assert engine.forest.node[name].tobytes() == \
+                cold.forest.node[name].tobytes()
+        assert [engine.rules[s] for s in engine.forest.rule["rule_index"]] \
+            == [cold.rules[s] for s in cold.forest.rule["rule_index"]]
+        values = packets_to_array(
+            hicuts.ruleset.sample_packets(400, seed=6, rule_bias=0.8))
+        assert [engine.rules[i] for i in engine.match_indices(values)] == \
+            [cold.rules[i] for i in cold.match_indices(values)]
 
 
 class TestEngineSlotPartial:
@@ -228,21 +391,15 @@ class TestEngineSlotPartial:
                           removes=[victim])
         assert metrics.counters["engine.compiles_full"].value == 1
         assert metrics.counters["engine.compiles_partial"].value == 1
+        assert metrics.counters["engine.compactions"].value == 0
         assert metrics.timings["engine.partial_compile_seconds"].count == 1
         assert metrics.timings["engine.compile_seconds"].count == 1
-        assert metrics.gauges["engine.nodes_recompiled"].value > 0
+        assert metrics.gauges["engine.leaves_respanned"].value > 0
         # The partially recompiled engine is exact against linear search.
         packets = slot.ruleset.sample_packets(400, seed=9, rule_bias=0.8)
         got = _priorities(slot.engine().classify_batch(packets))
         assert got == _priorities(
             [slot.ruleset.classify(p) for p in packets])
-
-    def test_partial_recompile_off_means_full_compiles(self, hicuts):
-        slot, metrics = self._slot(hicuts, partial_recompile=False)
-        slot.apply_update(adds=[_fresh_rule(slot.ruleset)])
-        assert metrics.counters["engine.compiles_full"].value == 2
-        assert metrics.counters["engine.compiles_partial"].value == 0
-        assert metrics.gauges["engine.nodes_recompiled"].value == 0
 
     def test_adopting_retrained_trees_is_a_full_rebuild(self, hicuts):
         slot, metrics = self._slot(hicuts)
@@ -273,6 +430,10 @@ class TestDeadRuleSlots:
             engine = slot.engine()
             referenced = len(np.unique(engine.forest.rule["rule_index"]))
             assert len(engine.rules) <= 2 * referenced, round_
+            node = engine.forest.node
+            live = int(node["count"][node["kind"] == KIND_LEAF].sum())
+            assert len(engine.forest.rule["rule_index"]) - live <= live, \
+                round_
             assert len(engine.forest.table["priority"]) == len(engine.rules)
             live = slot.ruleset
             packets = live.sample_packets(60, seed=round_, rule_bias=0.8)

@@ -285,7 +285,9 @@ def test_walk_builders_cover_splits_and_clones():
     assert cutsplit.forest.has_split
     cloned = compile_classifier(_WALK_BUILDERS["partition-below-cut"](ruleset))
     assert cloned.num_subtrees > 1
-    assert cloned.provenance.roots == (None,)  # unstable: roots are clones
+    # Clones share the leaves below them: some leaf owns several rows.
+    assert any(len(rows) > 1
+               for _, rows in cloned.provenance.rows_of(cloned).values())
     assert not compile_classifier(
         _WALK_BUILDERS["EffiCuts"](ruleset)).forest.has_split
 
