@@ -39,7 +39,8 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from operator import attrgetter
 from typing import TYPE_CHECKING, Deque, Dict, Iterable, List, Optional, \
     Tuple
 
@@ -53,6 +54,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 ADMITTED = "admitted"
 THROTTLED = "throttled"
 SHED = "shed"
+
+_ARRIVAL = attrgetter("time")
 
 
 class CongestionLevel(enum.IntEnum):
@@ -166,6 +169,10 @@ class AdmissionDecision:
         return self.status == ADMITTED
 
 
+_OK, _SOFT, _HARD = CongestionLevel.OK, CongestionLevel.SOFT, \
+    CongestionLevel.HARD
+
+
 class _TenantState:
     """Per-tenant admission state (bucket, bounded queue, pacing clock)."""
 
@@ -202,6 +209,14 @@ class AdmissionController:
                  metrics: Optional[MetricsRegistry] = None) -> None:
         self.config = config
         self._states: Dict[str, _TenantState] = {}
+        # The config's derived figures, resolved once for the per-arrival
+        # core (each the same float the property returns).
+        self._adaptive = config.adaptive_sources
+        self._pace_gap = 1.0 / config.tenant_rate
+        self._drain_gap = 1.0 / config.resolved_drain_rate
+        self._queue_limit = config.queue_limit
+        self._soft_occupancy = config.soft_occupancy
+        self._soft_age = config.resolved_soft_age
         if metrics is None:
             metrics = MetricsRegistry()
         self._metrics = metrics
@@ -222,21 +237,20 @@ class AdmissionController:
             state = self._states[tenant_id] = _TenantState(self.config)
         return state
 
-    def offer(self, request: Request) -> AdmissionDecision:
-        """Decide one request; exactly one of admit/throttle/shed."""
-        config = self.config
-        state = self._state(request.tenant_id)
+    def _decide(self, state: _TenantState, now: float
+                ) -> Tuple[str, float, float]:
+        """The verdict on one arrival at trace time ``now``: its status,
+        effective arrival and queue release time (the release is the
+        arrival unless admitted).  Updates the tenant's state and tallies;
+        the metrics are the caller's."""
         state.offered += 1
-        self._offered.inc()
-        now = request.time
-        if config.adaptive_sources and state.signal >= CongestionLevel.SOFT:
+        if self._adaptive and state.signal >= _SOFT:
             # Near-source flow control: a SOFT-signalled source falls back
             # to sustained-rate pacing, so its effective arrival may be
             # later than its wire arrival.  Deterministic: a pure function
             # of the arrival sequence.
             now = max(now, state.next_allowed)
-        state.next_allowed = max(state.next_allowed, now) \
-            + 1.0 / config.tenant_rate
+        state.next_allowed = max(state.next_allowed, now) + self._pace_gap
 
         # Drain the virtual queue to the (effective) arrival, then judge
         # congestion on what is still backed up.
@@ -244,59 +258,99 @@ class AdmissionController:
         while queue and queue[0][1] <= now:
             queue.popleft()
         occupancy = len(queue)
-        if occupancy >= config.queue_limit:
-            state.signal = CongestionLevel.HARD
-        elif occupancy >= config.soft_occupancy or (
-                queue and now - queue[0][0] >= config.resolved_soft_age):
-            state.signal = CongestionLevel.SOFT
-        else:
-            state.signal = CongestionLevel.OK
-
-        if state.signal is CongestionLevel.HARD:
+        if occupancy >= self._queue_limit:
             # Queue full: shed at admission (no token consumed) rather
             # than tail-drop after queueing.
+            state.signal = _HARD
             state.shed += 1
-            self._shed.inc()
-            return AdmissionDecision(status=SHED, level=state.signal)
+            return SHED, now, now
+        if occupancy >= self._soft_occupancy or (
+                queue and now - queue[0][0] >= self._soft_age):
+            state.signal = _SOFT
+        else:
+            state.signal = _OK
 
         if not state.bucket.try_consume(now):
             state.throttled += 1
+            return THROTTLED, now, now
+
+        release = max(now, state.last_release + self._drain_gap)
+        state.last_release = release
+        queue.append((now, release))
+        if len(queue) > state.max_depth:
+            state.max_depth = len(queue)
+        state.admitted += 1
+        return ADMITTED, now, release
+
+    def offer(self, request: Request) -> AdmissionDecision:
+        """Decide one request; exactly one of admit/throttle/shed."""
+        state = self._state(request.tenant_id)
+        status, now, release = self._decide(state, request.time)
+        self._offered.inc()
+        if status is SHED:
+            self._shed.inc()
+            return AdmissionDecision(status=SHED, level=state.signal)
+        if status is THROTTLED:
             self._throttled.inc()
             return AdmissionDecision(
                 status=THROTTLED, level=state.signal,
                 retry_after=state.bucket.seconds_until(),
             )
-
-        release = max(now, state.last_release
-                      + 1.0 / config.resolved_drain_rate)
-        state.last_release = release
-        queue.append((now, release))
-        state.max_depth = max(state.max_depth, len(queue))
-        state.admitted += 1
         delay = release - now
         self._admitted.inc()
         self._delay.observe(delay)
-        if len(queue) > self._depth.value:
-            self._depth.set(len(queue))
+        if len(state.queue) > self._depth.value:
+            self._depth.set(len(state.queue))
         return AdmissionDecision(status=ADMITTED, level=state.signal,
                                  release_time=release, queue_delay=delay)
 
     def admit(self, requests: Iterable[Request]) -> List[Request]:
-        """Run a whole time-ordered stream through admission.
+        """Run a whole stream, in any order, through admission.
 
-        Returns the admitted requests re-stamped to their queue release
-        times, re-sorted (stably) so the serving loop sees a time-ordered
-        stream again.  Throttled and shed requests are counted, never
-        forwarded — the callers that need the per-request verdicts use
-        :meth:`offer` directly.
+        Requests are decided in arrival order (a stable sort, so equal
+        stamps keep their stream order), each exactly as :meth:`offer`
+        would decide it.  Returns the admitted requests re-stamped to their
+        queue release times, re-sorted (stably) so the serving loop sees a
+        time-ordered stream again.  Throttled and shed requests are
+        counted, never forwarded — the callers that need the per-request
+        verdicts use :meth:`offer` directly.  The metrics are written once
+        for the stream: the same counts, delay samples (in arrival order)
+        and peak-depth gauge a request-by-request run leaves.
         """
+        from repro.serve.batcher import Request
+
+        decide, states = self._decide, self._states
         admitted: List[Request] = []
-        for request in sorted(requests, key=lambda r: r.time):
-            decision = self.offer(request)
-            if decision.admitted:
-                admitted.append(replace(request,
-                                        time=decision.release_time))
-        admitted.sort(key=lambda r: r.time)
+        delays: List[float] = []
+        peak, raises = self._depth.value, 0
+        offered = shed = 0
+        for request in sorted(requests, key=_ARRIVAL):
+            offered += 1
+            state = states.get(request.tenant_id)
+            if state is None:
+                state = self._state(request.tenant_id)
+            status, now, release = decide(state, request.time)
+            if status is ADMITTED:
+                delays.append(release - now)
+                admitted.append(Request(request.tenant_id, request.packet,
+                                        release, request.flow_id,
+                                        request.seq))
+                if len(state.queue) > peak:
+                    peak = len(state.queue)
+                    raises += 1
+            elif status is SHED:
+                shed += 1
+        self._offered.inc(offered)
+        self._admitted.inc(len(admitted))
+        self._throttled.inc(offered - len(admitted) - shed)
+        self._shed.inc(shed)
+        self._delay.observe_many(delays)
+        if raises:
+            # One gauge write per stream, counted as the writes a
+            # request-by-request run makes (one per new peak).
+            self._depth.set(peak)
+            self._depth.updates += raises - 1
+        admitted.sort(key=_ARRIVAL)
         return admitted
 
     # ------------------------------------------------------------------ #

@@ -28,7 +28,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
-from repro.rules.rule import Rule
+from repro.rules.rule import Rule, find_rule, rank_above
 from repro.tree.actions import (
     CutAction,
     EffiCutsPartitionAction,
@@ -85,16 +85,7 @@ class IncrementalUpdater:
 
         Returns the number of leaves the rule was added to.
         """
-        root = self.tree.root
-        touched = self._insert(root, rule) \
-            if rule.intersects(root.ranges) else 0
-        if touched:
-            self.tree.ruleset = self.tree.ruleset.with_rules_added([rule])
-            self.stats.rules_added += 1
-            self.stats.leaves_touched += touched
-            self.tree.mark_modified()
-            self._until = self.tree.version
-        return touched
+        return self.apply(adds=[rule])
 
     def remove_rule(self, rule: Rule) -> int:
         """Remove a rule from every node holding it, and bring back into
@@ -102,26 +93,40 @@ class IncrementalUpdater:
 
         Returns the number of leaves the rule was removed from.
         """
-        root = self.tree.root
-        touched = 0
-        if rule.intersects(root.ranges):
-            # The root holds every rule of this tree, highest priority
-            # first; those after the removed rule that overlap it are all it
-            # can have shadowed.
-            try:
-                lower = root.rules[root.rules.index(rule) + 1:]
-            except ValueError:
-                lower = []
-            shadowed = [other for other in lower if other.overlaps(rule)
-                        and other.intersects(root.ranges)]
-            touched = self._remove(root, rule, shadowed)[0]
-        if touched or rule in self.tree.ruleset.rules:
-            self.tree.ruleset = self.tree.ruleset.with_rules_removed([rule])
-            self.stats.rules_removed += 1
-            self.stats.leaves_touched += touched
-            self.tree.mark_modified()
-            self._until = self.tree.version
-        return touched
+        return self.apply(removes=[rule])
+
+    def apply(self, adds: Sequence[Rule] = (),
+              removes: Sequence[Rule] = ()) -> int:
+        """Apply one update event: each of ``removes`` in turn as
+        :meth:`remove_rule` does, then each of ``adds`` as :meth:`add_rule`
+        does, with one copy of the tree's ruleset for the whole event.
+
+        Returns the number of leaves touched, summed over the rules.
+        """
+        tree = self.tree
+        root = tree.root
+        removed: List[Rule] = []
+        added: List[Rule] = []
+        total = 0
+        for rule in removes:
+            touched = self._strip(rule) if rule.intersects(root.ranges) \
+                else 0
+            if touched or (rule in tree.ruleset and rule not in removed):
+                removed.append(rule)
+                self.stats.rules_removed += 1
+                self._count(touched)
+            total += touched
+        for rule in adds:
+            touched = self._insert(root, rule) \
+                if rule.intersects(root.ranges) else 0
+            if touched:
+                added.append(rule)
+                self.stats.rules_added += 1
+                self._count(touched)
+            total += touched
+        if removed or added:
+            tree.ruleset = tree.ruleset.with_changes(added, removed)
+        return total
 
     def take_touched(self) -> LeafRecord:
         """The leaves edited since the last call, and start a new record."""
@@ -138,6 +143,12 @@ class IncrementalUpdater:
     # ------------------------------------------------------------------ #
     # Routing
     # ------------------------------------------------------------------ #
+
+    def _count(self, touched: int) -> None:
+        """Book one applied rule that touched ``touched`` leaves."""
+        self.stats.leaves_touched += touched
+        self.tree.mark_modified()
+        self._until = self.tree.version
 
     def _edit(self, node: Node, rule: Rule, insert: bool) -> bool:
         """Insert ``rule`` into (or discard it from) ``node``'s rule list,
@@ -196,6 +207,19 @@ class IncrementalUpdater:
         if touched:
             self._edit(node, rule, insert=True)
         return touched
+
+    def _strip(self, rule: Rule) -> int:
+        """Remove ``rule``, which reaches into the root's box, from the
+        tree; how many leaves held it."""
+        root = self.tree.root
+        # The root holds every rule of this tree, highest priority first;
+        # those after the removed rule that overlap it are all it can have
+        # shadowed.
+        index = find_rule(root.rules, rule)
+        lower = root.rules[index + 1:] if index >= 0 else []
+        shadowed = [other for other in lower if other.intersects(rule.ranges)
+                    and other.intersects(root.ranges)]
+        return self._remove(root, rule, shadowed)[0]
 
     def _remove(self, node: Node, rule: Rule,
                 shadowed: List[Rule]) -> tuple[int, List[Rule]]:
@@ -257,21 +281,28 @@ class IncrementalUpdater:
         that the node lacks and no remaining higher-priority rule contains
         there.  Any higher-priority rule of the node or candidate counts as
         a coverer, restored or not: containment is transitive, and the
-        first rule of a chain of coverers is always restored.
+        first rule of a chain of coverers is always restored.  The node's
+        higher-priority rules are those ranked above the candidate.
         """
         if not shadowed:
             return []
         box = node.ranges
-        held = set(node.rules)
+        rules = node.rules
+        # A held candidate is nearly always the very object the node holds
+        # (both come from the tree's own lists): identity settles those
+        # without hashing a rule, and equality settles the rest.
+        held = {id(rule) for rule in rules}
         lacking = [other for other in shadowed
-                   if other not in held
-                   and removed.covers_within(other, box)]
-        present = node.rules + lacking
+                   if id(other) not in held
+                   and removed.covers_within(other, box)
+                   and find_rule(rules, other) < 0]
         restored = [
             other for other in lacking
-            if not any(higher.priority > other.priority
-                       and higher.covers_within(other, box)
-                       for higher in present)
+            if not any(higher.covers_within(other, box) for higher
+                       in rules[:rank_above(rules, other.priority)])
+            and not any(higher.priority > other.priority
+                        and higher.covers_within(other, box)
+                        for higher in lacking)
         ]
         for other in restored:
             self._edit(node, other, insert=True)

@@ -8,6 +8,7 @@ than one rule.  Higher priority wins, matching the paper's convention
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Tuple
 
@@ -24,7 +25,6 @@ from repro.rules.fields import (
     prefix_to_range,
     range_contains,
     range_intersection,
-    range_overlap,
     validate_range,
 )
 from repro.rules.packet import Packet
@@ -132,8 +132,9 @@ class Rule:
 
     def intersects(self, ranges: Sequence[Range]) -> bool:
         """Return True if the rule's hypercube intersects the given box."""
-        for mine, other in zip(self.ranges, ranges):
-            if not range_overlap(mine, other):
+        # ``range_overlap`` in every dimension, spelled without the calls.
+        for (lo, hi), (other_lo, other_hi) in zip(self.ranges, ranges):
+            if lo >= other_hi or other_lo >= hi:
                 return False
         return True
 
@@ -264,3 +265,30 @@ def highest_priority(rules: Iterable[Rule]) -> Optional[Rule]:
         if best is None or rule.priority > best.priority:
             best = rule
     return best
+
+
+def _rank(rule: Rule) -> int:
+    return -rule.priority
+
+
+def rank_above(rules: Sequence[Rule], priority: int) -> int:
+    """How many of ``rules``, highest priority first, have a priority above
+    ``priority``: where that priority's run of rules starts."""
+    return bisect_left(rules, -priority, key=_rank)
+
+
+def find_rule(rules: Sequence[Rule], rule: Rule) -> int:
+    """Index of the first rule equal to ``rule`` in ``rules``, highest
+    priority first — ``rules.index(rule)``, looking only at the run of
+    rules of its priority, the only ones that can equal it.
+
+    When none is equal, ``~position`` (a negative number) for the position
+    just past that run: where a stable sort by priority places ``rule``
+    once appended.
+    """
+    index = bisect_left(rules, -rule.priority, key=_rank)
+    while index < len(rules) and rules[index].priority == rule.priority:
+        if rules[index] == rule:
+            return index
+        index += 1
+    return ~index

@@ -18,7 +18,7 @@ from repro.exceptions import RuleFormatError
 from repro.rules.bounds import RuleBounds
 from repro.rules.fields import DIMENSIONS, FIELD_RANGES, Dimension, Range
 from repro.rules.packet import Packet
-from repro.rules.rule import Rule
+from repro.rules.rule import Rule, find_rule
 
 
 @dataclass
@@ -78,7 +78,7 @@ class RuleSet:
         return self._rules[index]
 
     def __contains__(self, rule: Rule) -> bool:
-        return rule in self._rules
+        return find_rule(self._rules, rule) >= 0
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RuleSet):
@@ -129,18 +129,27 @@ class RuleSet:
         otherwise priorities are reassigned from list order with the new
         rules ranked lowest.
         """
-        combined = list(self._rules) + list(new_rules)
-        distinct = len({r.priority for r in combined}) == len(combined)
-        return RuleSet(combined, name=self.name,
-                       reassign_priorities=not distinct)
+        return self.with_changes(added=new_rules)
 
     def with_rules_removed(self, to_remove: Iterable[Rule]) -> "RuleSet":
         """Return a new classifier with the given rules removed."""
-        removal = set(to_remove)
-        remaining = [r for r in self._rules if r not in removal]
+        return self.with_changes(removed=to_remove)
+
+    def with_changes(self, added: Iterable[Rule] = (),
+                     removed: Iterable[Rule] = ()) -> "RuleSet":
+        """``with_rules_removed(removed).with_rules_added(added)`` as one
+        copy: every rule equal to a removed one goes, then the added rules
+        join as :meth:`with_rules_added` describes."""
+        # Priorities are distinct here, so a removed rule is equal to at
+        # most one rule: the one ``find_rule`` finds.
+        drop = {find_rule(self._rules, rule) for rule in removed}
+        remaining = [rule for index, rule in enumerate(self._rules)
+                     if index not in drop]
         if not remaining:
             raise RuleFormatError("cannot remove every rule from a classifier")
-        return RuleSet(remaining, name=self.name)
+        # The constructor keeps the priorities if they are all distinct and
+        # reassigns them from list order otherwise.
+        return RuleSet(remaining + list(added), name=self.name)
 
     # ------------------------------------------------------------------ #
     # Sampling and statistics

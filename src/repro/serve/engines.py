@@ -323,16 +323,9 @@ class EngineSlot:
         # keeps updates strictly ordered — every epoch's engine corresponds
         # to exactly one ruleset snapshot.
         self._join_builder(count_stall=True)
-        for rule in removes:
-            for updater in self._updaters:
-                updater.remove_rule(rule)
-        for rule in adds:
-            self._updaters[0].add_rule(rule)
-        ruleset = self.ruleset
-        if removes:
-            ruleset = ruleset.with_rules_removed(removes)
-        if adds:
-            ruleset = ruleset.with_rules_added(adds)
+        for index, updater in enumerate(self._updaters):
+            updater.apply(adds=adds if index == 0 else (), removes=removes)
+        ruleset = self.ruleset.with_changes(adds, removes)
         self.classifier.ruleset = ruleset
         self._start_build(ruleset)
 
@@ -375,13 +368,12 @@ class EngineSlot:
             # thread; iteration order stays that of the rule lists.
             base_set = set(base_ruleset.rules)
             current_set = set(current.rules)
-            for rule in base_ruleset.rules:
-                if rule not in current_set:
-                    for updater in updaters:
-                        updater.remove_rule(rule)
-            for rule in current.rules:
-                if rule not in base_set:
-                    updaters[0].add_rule(rule)
+            removes = [rule for rule in base_ruleset.rules
+                       if rule not in current_set]
+            adds = [rule for rule in current.rules if rule not in base_set]
+            for index, updater in enumerate(updaters):
+                updater.apply(adds=adds if index == 0 else (),
+                              removes=removes)
         classifier.ruleset = current
         self.classifier = classifier
         self._updaters = updaters

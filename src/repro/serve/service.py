@@ -301,18 +301,19 @@ class ClassificationService:
         ``record_batches`` is set, every served batch for differential
         verification).
         """
-        # Stable sort: equal-timestamp requests keep their stream order, so
-        # a given workload always forms the same batches.
-        requests = sorted(requests, key=_ARRIVAL)
         admission: Optional[AdmissionController] = None
         if self.ingest is not None:
             # The frontend decides on arrival stamps and re-stamps admitted
             # requests to their queue release times, so the serving loop
             # below sees the post-admission stream — still time-ordered,
-            # still deterministic.
+            # still deterministic.  It sorts the stream itself.
             admission = AdmissionController(self.ingest,
                                             metrics=self.registry.metrics)
             requests = admission.admit(requests)
+        else:
+            # Stable sort: equal-timestamp requests keep their stream
+            # order, so a given workload always forms the same batches.
+            requests = sorted(requests, key=_ARRIVAL)
         session = self.session(updates=updates, admission=admission)
         for request in requests:
             session.offer(request)

@@ -300,12 +300,14 @@ def serve_sharded(
     # The serving stacks below see the post-admission stream.
     admission: Optional[AdmissionController] = None
     frontend_metrics: Optional[MetricsRegistry] = None
-    requests = sorted(requests, key=lambda r: r.time)
     if config.ingest is not None:
+        # Admission sorts the stream by arrival itself.
         frontend_metrics = MetricsRegistry()
         admission = AdmissionController(config.ingest,
                                         metrics=frontend_metrics)
         requests = admission.admit(requests)
+    else:
+        requests = sorted(requests, key=lambda r: r.time)
 
     pending_updates = sorted(updates, key=lambda u: u.time)
     update_index = 0

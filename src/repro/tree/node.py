@@ -24,7 +24,7 @@ import numpy as np
 from repro.exceptions import InvalidActionError
 from repro.rules.bounds import RuleBounds
 from repro.rules.fields import DIMENSIONS, Dimension, Range, Ranges
-from repro.rules.rule import Rule
+from repro.rules.rule import Rule, find_rule
 from repro.tree.actions import (
     Action,
     CutAction,
@@ -162,20 +162,21 @@ class Node:
         return table.lo[rows], table.hi[rows]
 
     def insert_rule(self, rule: Rule) -> bool:
-        """Add a rule at its priority position; False if already held."""
-        if rule in self.rules:
+        """Add a rule at its priority position, after any rules of equal
+        priority; False if an equal rule is already held."""
+        index = find_rule(self.rules, rule)
+        if index >= 0:
             return False
-        self.rules.append(rule)
-        self.rules.sort(key=lambda r: -r.priority)
+        self.rules.insert(~index, rule)
         self.release_rows()
         return True
 
     def discard_rule(self, rule: Rule) -> bool:
-        """Drop a rule; False if it was not held."""
-        try:
-            self.rules.remove(rule)
-        except ValueError:
+        """Drop the first rule equal to ``rule``; False if none is held."""
+        index = find_rule(self.rules, rule)
+        if index < 0:
             return False
+        del self.rules[index]
         self.release_rows()
         return True
 

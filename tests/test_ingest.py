@@ -18,8 +18,12 @@ Admission inside a serving run (``run_serving`` with an
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from reference_admission import ReferenceAdmission
 
 from repro.ingest import (
     ADMITTED,
@@ -30,6 +34,7 @@ from repro.ingest import (
     IngestConfig,
     TokenBucket,
 )
+from repro.obs.metrics import MetricsRegistry
 from repro.rules import Packet
 from repro.serve.batcher import Request
 
@@ -262,3 +267,116 @@ class TestAdmissionController:
             controller.throttled
         assert metrics.timing("ingest.queue_delay_seconds").count == \
             controller.admitted
+
+
+# --------------------------------------------------------------------- #
+# admit() against the per-request reference
+# --------------------------------------------------------------------- #
+
+#: Small rates, bursts and queues, so a short stream reaches every level.
+oracle_configs = st.builds(
+    IngestConfig,
+    tenant_rate=st.sampled_from([4.0, 40.0, 400.0, 4000.0]),
+    tenant_burst=st.integers(min_value=1, max_value=12),
+    queue_limit=st.integers(min_value=1, max_value=12),
+    drain_rate=st.none() | st.sampled_from([2.0, 50.0, 1000.0]),
+    soft_fraction=st.sampled_from([0.25, 0.5, 1.0]),
+    soft_age=st.none() | st.sampled_from([0.0, 0.01, 0.1]),
+    adaptive_sources=st.booleans(),
+)
+
+#: Stamps on a 1/64 s grid collide often (equal stamps, and releases that
+#: land exactly on a later arrival); free floats cover the rest.
+oracle_streams = st.lists(
+    st.tuples(st.sampled_from(["a", "b", "c"]),
+              st.integers(min_value=0, max_value=48).map(lambda k: k / 64)
+              | st.floats(min_value=0.0, max_value=1.0)),
+    max_size=150,
+)
+
+
+def _check_admit_against_reference(config, stream, split=None):
+    """``admit`` over ``stream`` (unsorted, cut in two time-ordered calls at
+    ``split``) and per-request ``offer`` each equal the reference exactly.
+    Returns the reference verdicts in arrival order."""
+    requests = [_request(tenant, time, seq=i)
+                for i, (tenant, time) in enumerate(stream)]
+    ordered = sorted(requests, key=lambda r: r.time)
+    reference = ReferenceAdmission(config)
+    verdicts = [reference.offer(r.tenant_id, r.time) for r in ordered]
+
+    offer_metrics = MetricsRegistry()
+    offering = AdmissionController(config, metrics=offer_metrics)
+    decisions = [offering.offer(r) for r in ordered]
+    assert [(d.status, d.level, d.release_time, d.queue_delay,
+             d.retry_after) for d in decisions] == verdicts
+
+    admit_metrics = MetricsRegistry()
+    admitting = AdmissionController(config, metrics=admit_metrics)
+    if split is None:
+        admitted = admitting.admit(iter(requests))
+    else:
+        cut = min(split, len(ordered))
+        admitted = (admitting.admit(ordered[:cut])
+                    + admitting.admit(ordered[cut:]))
+    expected = [replace(r, time=v[2]) for r, v in zip(ordered, verdicts)
+                if v[0] == ADMITTED]
+    if split is None:
+        expected.sort(key=lambda r: r.time)
+        # The same requests in the same order, stamped with the same floats.
+        assert admitted == expected
+    else:
+        # Each call's output is sorted on its own.
+        assert sorted(admitted, key=lambda r: r.seq) == \
+            sorted(expected, key=lambda r: r.seq)
+
+    for controller, metrics in ((offering, offer_metrics),
+                                (admitting, admit_metrics)):
+        assert controller.counters() == reference.counters()
+        assert {name: metrics.counter(f"ingest.{name}").value
+                for name in ("offered", "admitted", "throttled", "shed")} \
+            == {key[len("ingest_"):]: value
+                for key, value in reference.counters().items()}
+        assert metrics.timing("ingest.queue_delay_seconds").samples == \
+            reference.delays
+        assert metrics.gauge("ingest.queue_depth").as_dict() == {
+            "value": reference.peak, "updates": reference.peak_writes}
+    assert admitting.tenant_summary(1.0) == offering.tenant_summary(1.0)
+    return verdicts
+
+
+class TestAdmitMatchesReference:
+    @given(config=oracle_configs, stream=oracle_streams)
+    @settings(max_examples=300, deadline=None)
+    def test_admit_and_offer_equal_the_reference(self, config, stream):
+        _check_admit_against_reference(config, stream)
+
+    @given(config=oracle_configs, stream=oracle_streams,
+           split=st.integers(min_value=0, max_value=150))
+    @settings(max_examples=100, deadline=None)
+    def test_consecutive_admits_carry_state_and_metrics(self, config,
+                                                        stream, split):
+        _check_admit_against_reference(config, stream, split)
+
+    @pytest.mark.parametrize("config, stream, status, level", [
+        # Spaced arrivals well under the rate: admitted at OK.
+        (IngestConfig(tenant_rate=100.0, tenant_burst=4, queue_limit=8),
+         [("a", k / 8) for k in range(8)], ADMITTED, CongestionLevel.OK),
+        # A volley half-fills the queue: SOFT, and the source is re-paced.
+        (IngestConfig(tenant_rate=10.0, tenant_burst=64, queue_limit=8),
+         [("a", 0.0)] * 8 + [("b", 0.0)] * 8, ADMITTED,
+         CongestionLevel.SOFT),
+        # A volley overflows a queue shorter than the burst: HARD, shed.
+        (IngestConfig(tenant_rate=10.0, tenant_burst=32, queue_limit=4,
+                      adaptive_sources=False),
+         [("a", 0.0)] * 8, SHED, CongestionLevel.HARD),
+        # More than the burst with room to queue: throttled.
+        (IngestConfig(tenant_rate=10.0, tenant_burst=2, queue_limit=8,
+                      adaptive_sources=False),
+         [("a", 0.0)] * 4 + [("a", 0.1)] * 2, THROTTLED,
+         CongestionLevel.OK),
+    ], ids=["ok", "soft", "hard", "throttle"])
+    def test_each_level_is_reached_and_matched(self, config, stream,
+                                               status, level):
+        verdicts = _check_admit_against_reference(config, stream)
+        assert (status, level) in {(v[0], v[1]) for v in verdicts}
