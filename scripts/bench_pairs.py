@@ -2,7 +2,7 @@
 """Alternating parent/change pairs of one ``perfbench`` workload.
 
     python scripts/bench_pairs.py PARENT_REF --workload W
-        [--pairs 10] [--seed N] [--seconds S] [--scale X]
+        [--pairs 10] [--seed N] [--seconds S] [--scale X] [--json OUT]
 
 The protocol every change that claims a gain has to show (ROADMAP, "Two
 measurement systems"): the parent's committed files are unpacked into a
@@ -19,6 +19,14 @@ and whether the change is worse than the parent by more than the metric's
 bound.  A gain may be claimed on a metric the change wins in at least nine
 pairs of ten with the medians further apart than that spread.  Exits 1 if
 any run on either side failed its verify pass.
+
+``--json OUT`` also writes the comparison as a versioned record (format
+:data:`RECORD_VERSION`): both sides' commits, the flags, the metric
+definitions judged, every run's result line on both sides, and the row and
+verdict of each metric.  The rows are a pure function of the runs and the
+metric definitions, so a reader can recompute them from the record alone
+(:func:`recompute`); records of claimed gains live under
+``benchmarks/trajectory/``.
 """
 
 from __future__ import annotations
@@ -33,6 +41,8 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 ROOT = Path(__file__).resolve().parent.parent
+#: Version of the ``--json`` record's layout.
+RECORD_VERSION = 1
 
 
 def unpack(ref: str, into: Path) -> None:
@@ -86,24 +96,83 @@ def judge(metric: dict, parent: List[float], change: List[float]
     }
 
 
-def report(bench: dict, parent: List[dict], change: List[dict]) -> List[str]:
-    lines = [f"{'metric':<22} {'parent q1/median/q3':>38} "
-             f"{'change q1/median/q3':>38} {'won':>5} {'worse by':>9}  verdict"]
-    for metric in bench["end_to_end"]:
+def verdict(row: Dict[str, object]) -> str:
+    """The one word a metric's row comes to."""
+    return "REGRESSION" if row["regressed"] else \
+        "gain" if row["claimable"] else \
+        "beyond parent spread" if row["beyond_spread"] else "level"
+
+
+def rows(metrics: Sequence[dict], parent: List[dict], change: List[dict]
+         ) -> Dict[str, Dict[str, object]]:
+    """:func:`judge`'s row, plus its verdict, for every metric of
+    ``metrics`` over the two sides' result lines."""
+    judged = {}
+    for metric in metrics:
         name = metric["name"]
         row = judge(metric,
                     [run["metrics"][name]["value"] for run in parent],
                     [run["metrics"][name]["value"] for run in change])
-        verdict = "REGRESSION" if row["regressed"] else \
-            "gain" if row["claimable"] else \
-            "beyond parent spread" if row["beyond_spread"] else "level"
+        judged[name] = {**row, "verdict": verdict(row)}
+    return judged
+
+
+def report(bench: dict, parent: List[dict], change: List[dict]) -> List[str]:
+    lines = [f"{'metric':<22} {'parent q1/median/q3':>38} "
+             f"{'change q1/median/q3':>38} {'won':>5} {'worse by':>9}  verdict"]
+    for name, row in rows(bench["end_to_end"], parent, change).items():
         lines.append(
             f"{name:<22} "
             + "/".join(f"{v:>12.6g}" for v in row["parent"]) + " "
             + "/".join(f"{v:>12.6g}" for v in row["change"])
             + f" {row['won']:>2}/{len(parent):<2} {row['worse_by']:>+9.4f}"
-            f"  {verdict}")
+            f"  {row['verdict']}")
     return lines
+
+
+def commit_of(ref: str) -> str:
+    """The full SHA ``ref`` names in this repository."""
+    return subprocess.run(["git", "rev-parse", f"{ref}^{{commit}}"],
+                          cwd=ROOT, check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+def record(bench: dict, args: argparse.Namespace,
+           runs: Dict[str, List[dict]]) -> dict:
+    """The ``--json`` record of one comparison.
+
+    The change side is this working tree: its ``HEAD`` and whether the
+    files the benchmark reads (``src/`` and the benchmark's own paths)
+    differed from it when the runs were made.
+    """
+    paths = ["src", *bench["paths"]]
+    dirty = subprocess.run(["git", "diff", "--quiet", "HEAD", "--", *paths],
+                           cwd=ROOT).returncode != 0
+    return {
+        "version": RECORD_VERSION,
+        "workload": args.workload,
+        "seed": args.seed,
+        "seconds": args.seconds,
+        "scale": args.scale,
+        "pairs": args.pairs,
+        "parent": {"ref": args.parent, "sha": commit_of(args.parent)},
+        "change": {"sha": commit_of("HEAD"), "dirty": dirty},
+        "metrics": bench["end_to_end"],
+        "runs": runs,
+        "rows": rows(bench["end_to_end"], runs["parent"], runs["change"]),
+    }
+
+
+def recompute(saved: dict) -> Dict[str, Dict[str, object]]:
+    """A record's rows, recomputed from its own runs and metric definitions
+    and put through JSON as the record's were: equal to ``saved["rows"]``
+    for any record this script wrote."""
+    if saved.get("version") != RECORD_VERSION:
+        raise ValueError(f"record version {saved.get('version')!r}, this "
+                         f"script reads {RECORD_VERSION}")
+    return json.loads(json.dumps(rows(saved["metrics"],
+                                      saved["runs"]["parent"],
+                                      saved["runs"]["change"])))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -117,6 +186,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--seconds", type=float,
                         default=float(bench["run_seconds"]))
     parser.add_argument("--scale", type=float, default=1.0)
+    parser.add_argument("--json", metavar="OUT", type=Path,
+                        help="also write the comparison as a JSON record")
     args = parser.parse_args(argv)
     flags = ["--workload", args.workload, "--seed", str(args.seed),
              "--seconds", str(args.seconds), "--scale", str(args.scale)]
@@ -138,6 +209,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     failed = {side: sum(run["failed"] for run in side_runs)
               for side, side_runs in runs.items()}
     print(f"failed: parent {failed['parent']}, change {failed['change']}")
+    if args.json is not None:
+        args.json.write_text(
+            json.dumps(record(bench, args, runs), indent=1, sort_keys=True)
+            + "\n")
     return 1 if any(failed.values()) else 0
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from repro.obs.serialize import stable_dict
 
@@ -96,6 +96,29 @@ class FlowCache:
         if len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
             self.stats.evictions += 1
+
+    def probe(self, keys: Sequence[FlowKey]) -> List[Optional[int]]:
+        """Each key's cached rule index, or None; changes no counter and no
+        LRU order, so a batch refused after probing leaves no trace."""
+        return list(map(self._entries.get, keys))
+
+    def commit(self, hits: Sequence[FlowKey],
+               misses: Mapping[FlowKey, int]) -> None:
+        """Account one served batch after a :meth:`probe`.
+
+        ``hits`` holds the key of every packet the probe answered, in batch
+        order; ``misses`` maps each distinct missing key, in order of first
+        appearance, to its walked result.  Counters, LRU order and evictions
+        end as one :meth:`get` per hit-or-first-miss packet followed by one
+        :meth:`put` per miss would leave them.
+        """
+        self.stats.hits += len(hits)
+        self.stats.misses += len(misses)
+        refresh = self._entries.move_to_end
+        for key in hits:
+            refresh(key)
+        for key, rule_index in misses.items():
+            self.put(key, rule_index)
 
     def entries(self) -> "list[Tuple[FlowKey, int]]":
         """The cached ``(flow key, rule index)`` pairs in LRU order.

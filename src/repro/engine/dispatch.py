@@ -184,32 +184,33 @@ class CompiledClassifier:
 
         Flows repeating *within* the batch are deduplicated: each distinct
         missing 5-tuple goes through the tree walk once and its result is
-        fanned out to every packet of the flow.
+        fanned out to every packet of the flow.  The cache is probed without
+        side effects and updated only once the walk has returned, so a batch
+        the walk refuses (:class:`~repro.exceptions.InvalidRangeError`)
+        changes neither its entries nor its counters.
         """
         if self.flow_cache is None:
             return self.match_indices(values)
         cache = self.flow_cache
-        result = np.empty(len(values), dtype=np.int64)
-        misses: dict = {}  # flow key -> positions awaiting the result
         # tolist() converts the whole batch to Python ints in one C call;
         # the per-row tuples are the same 5-int keys the cache always used.
-        for i, key in enumerate(map(tuple, values.tolist())):
-            pending = misses.get(key)
-            if pending is not None:
-                pending.append(i)
-                continue
-            cached = cache.get(key)
-            if cached is None:
-                misses[key] = [i]
-            else:
-                result[i] = cached
-        if misses:
-            first_rows = np.asarray([rows[0] for rows in misses.values()],
-                                    dtype=np.int64)
-            resolved = self.match_indices(values[first_rows])
-            for (key, rows), rule_index in zip(misses.items(), resolved):
-                result[rows] = rule_index
-                cache.put(key, int(rule_index))
+        keys = list(map(tuple, values.tolist()))
+        answers = cache.probe(keys)
+        result = np.fromiter((-1 if a is None else a for a in answers),
+                             np.int64, len(answers))
+        hits = [key for key, answer in zip(keys, answers)
+                if answer is not None]
+        walked: dict = {}  # distinct missing key -> its walked result
+        if len(hits) < len(keys):
+            miss_rows = [i for i, answer in enumerate(answers)
+                         if answer is None]
+            first: dict = {}  # distinct missing key -> its first row
+            for i in miss_rows:
+                first.setdefault(keys[i], i)
+            resolved = self.match_indices(values[list(first.values())])
+            walked = dict(zip(first, resolved.tolist()))
+            result[miss_rows] = [walked[keys[i]] for i in miss_rows]
+        cache.commit(hits, walked)
         return result
 
     # ------------------------------------------------------------------ #

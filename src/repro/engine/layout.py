@@ -46,8 +46,9 @@ block's rows also cover later blocks' rows and dead spans.
 Lookup is one walk for any number of packets and trees
 (:meth:`Forest.lookup`): every ``(tree, packet)`` pair is a *lane*, all
 lanes advance one level per iteration of a single loop, and the leaves they
-reach are scanned in lock-step.  Python-level work is proportional to tree
-depth and leaf width, not to the number of packets or trees.
+reach are scanned in one pass (small walks) or in lock-step (large ones).
+Python-level work is proportional to tree depth and at most leaf width, not
+to the number of packets or trees.
 """
 
 from __future__ import annotations
@@ -227,6 +228,17 @@ def rule_table(rules: Sequence,
             for name, column in table.items()}
 
 
+#: Leaf-rule rows up to which :meth:`Forest.lookup` tests the reached spans
+#: in one pass rather than in lock-step.  One pass is a fixed ~25 NumPy calls
+#: plus work in every row of every span; lock-step is ~20 calls per row
+#: position (up to ``binth`` rounds) but drops each lane at its first hit.
+#: On the benchmark's HiCuts and EffiCuts engines one pass is 20-35% faster
+#: up to ~2,000 rows and the two break even between ~6,000 and ~12,000
+#: rows; this sits below the lowest break-even.  Serving's cache-miss walks
+#: (at most 64 packets) fall under it, 4,096-packet scans far above.
+_ONE_PASS_ROWS = 4096
+
+
 class Forest:
     """The tables of one engine generation, as columns.
 
@@ -346,34 +358,30 @@ class Forest:
                rule_base: np.ndarray, depth: np.ndarray) -> np.ndarray:
         """Leaf-rule row matched by every lane (``-1``: none), int64.
 
-        Descends all lanes, then scans the reached leaf spans
-        highest-priority-first in lock-step: step ``k`` tests the box the
-        ``k``-th row of every leaf still unresolved points at, so the
-        Python-level work is bounded by the widest leaf.
+        Descends all lanes, then scans the reached leaf spans, each
+        highest-priority-first so the first hit wins.  When the spans hold
+        at most :data:`_ONE_PASS_ROWS` rows together, every row is tested in
+        one pass; otherwise the spans are scanned in lock-step: step ``k``
+        tests the box the ``k``-th row of every leaf still unresolved points
+        at, so the Python-level work is bounded by the widest leaf.  Both
+        forms return the same rows.
         """
         leaf = self.descend(values, node_base, depth)
         n = len(values)
-        lane_rule_base = np.repeat(rule_base, n)
-        row = lane_rule_base + self.node["start"][leaf]
-        stop = row + self.node["count"][leaf]
+        row = np.repeat(rule_base, n) + self.node["start"][leaf]
+        count = self.node["count"][leaf]
+        total = int(count.sum())
+        if total <= _ONE_PASS_ROWS:
+            return self._scan_once(values, row, count, total)
         matched = np.full(len(leaf), -1, dtype=np.int64)
-        pending = np.flatnonzero(row < stop)
-        if not pending.size:
-            return matched
+        stop = row + count
+        pending = np.flatnonzero(count)
         row = row[pending]
         stop = stop[pending]
         v = values.take(pending % n, axis=0)
-        slot, lo, hi = self.rule["rule_index"], self.table["lo"], \
-            self.table["hi"]
+        slot = self.rule["rule_index"]
         while True:
-            rule = slot.take(row)
-            inside = (lo.take(rule, axis=0) <= v) \
-                & (v <= hi.take(rule, axis=0))
-            # AND of the five columns; ``inside.all(axis=1)`` reduces row by
-            # row and costs more than the rest of the step together.
-            hit = inside[:, 0]
-            for dim in range(1, NUM_DIMENSIONS):
-                hit = hit & inside[:, dim]
+            hit = self._boxes_hold(slot.take(row), v)
             matched[pending[hit]] = row[hit]
             row += 1
             more = np.flatnonzero(~hit & (row < stop))
@@ -383,6 +391,41 @@ class Forest:
             row = row[more]
             stop = stop[more]
             v = v.take(more, axis=0)
+
+    def _scan_once(self, values: np.ndarray, row: np.ndarray,
+                   count: np.ndarray, total: int) -> np.ndarray:
+        """The leaf scan in one pass: lane ``i``'s span is ``count[i]``
+        leaf-rule rows from ``row[i]``; ``total`` is their sum."""
+        matched = np.full(len(row), -1, dtype=np.int64)
+        if not total:
+            return matched
+        # Every span's rows laid end to end, lane by lane: flat position
+        # ``j`` of lane ``i`` is row ``row[i] + j - first[i]``.
+        first = np.cumsum(count) - count
+        rows = np.repeat(row - first, count) + np.arange(total)
+        lane = np.repeat(np.arange(len(row)), count)
+        hit = np.flatnonzero(self._boxes_hold(
+            self.rule["rule_index"].take(rows),
+            values.take(lane % len(values), axis=0)))
+        # Hits are in lane order, each lane's highest priority first: keep
+        # the first hit of every lane.
+        hit_lane = lane[hit]
+        first_hit = np.empty(len(hit), dtype=bool)
+        first_hit[:1] = True
+        np.not_equal(hit_lane[1:], hit_lane[:-1], out=first_hit[1:])
+        matched[hit_lane[first_hit]] = rows[hit[first_hit]]
+        return matched
+
+    def _boxes_hold(self, rule: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Whether the box of rule slot ``rule[i]`` holds header ``v[i]``."""
+        inside = (self.table["lo"].take(rule, axis=0) <= v) \
+            & (v <= self.table["hi"].take(rule, axis=0))
+        # AND of the five columns; ``inside.all(axis=1)`` reduces row by row
+        # and costs more than the rest of the test together.
+        hit = inside[:, 0]
+        for dim in range(1, NUM_DIMENSIONS):
+            hit = hit & inside[:, dim]
+        return hit
 
 
 @dataclass

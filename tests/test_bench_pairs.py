@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "bench_pairs.py"
+TRAJECTORY = ROOT / "benchmarks" / "trajectory"
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +47,28 @@ def test_judge_applies_the_nine_in_ten_and_spread_rules(bench_pairs):
     assert (row["won"], row["lost"], row["claimable"]) == (0, 0, False)
 
 
-def test_two_tiny_pairs_against_head():
+@pytest.mark.parametrize("path", sorted(TRAJECTORY.glob("*.json")),
+                         ids=lambda path: path.name)
+def test_trajectory_record_recomputes_from_its_runs(bench_pairs, path):
+    saved = json.loads(path.read_text())
+    assert saved["version"] == bench_pairs.RECORD_VERSION
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert saved["workload"] in {w["name"] for w in bench["workloads"]}
+    for side in ("parent", "change"):
+        assert len(saved[side]["sha"]) == 40
+        runs = saved["runs"][side]
+        assert len(runs) == saved["pairs"]
+        assert all(run["failed"] == 0 and run["correct"] for run in runs)
+    assert not saved["change"]["dirty"]
+    assert [m["name"] for m in saved["metrics"]] == list(saved["rows"])
+    assert bench_pairs.recompute(saved) == saved["rows"]
+
+
+def test_trajectory_is_not_empty():
+    assert list(TRAJECTORY.glob("*.json"))
+
+
+def test_two_tiny_pairs_against_head(bench_pairs, tmp_path):
     in_repo = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT,
                              capture_output=True)
     if in_repo.returncode:
@@ -53,7 +76,8 @@ def test_two_tiny_pairs_against_head():
     done = subprocess.run(
         [sys.executable, str(SCRIPT), "HEAD", "--workload", "serve_cold",
          "--seconds", "0.2", "--scale", "0.02", "--pairs", "2", "--seed",
-         "3"], cwd=ROOT, capture_output=True, text=True, timeout=300)
+         "3", "--json", str(tmp_path / "record.json")], cwd=ROOT,
+        capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stdout + done.stderr
     printed = done.stdout.splitlines()
     assert printed[0].startswith("pair 1/2: parent")
@@ -64,3 +88,13 @@ def test_two_tiny_pairs_against_head():
     # The exact metrics tie in every pair and read level.
     assert rows["tree_accesses"].split()[-3:-1] == ["0/2", "+0.0000"]
     assert printed[-1] == "failed: parent 0, change 0"
+    # The record carries what was printed, and recomputes from its runs.
+    saved = json.loads((tmp_path / "record.json").read_text())
+    assert (saved["workload"], saved["seed"], saved["pairs"]) == \
+        ("serve_cold", 3, 2)
+    assert saved["parent"]["sha"] == saved["change"]["sha"] \
+        == in_repo.stdout.decode().strip()
+    assert bench_pairs.recompute(saved) == saved["rows"]
+    assert saved["rows"]["tree_accesses"]["verdict"] == "level"
+    with pytest.raises(ValueError, match="version"):
+        bench_pairs.recompute({**saved, "version": 0})

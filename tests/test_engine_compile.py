@@ -182,6 +182,31 @@ class TestFlowCache:
         assert [r.priority if r else None for r in again] == \
             [r.priority if r else None for r in uncached]
 
+    def test_batch_path_keeps_per_packet_lru_semantics(self, acl_classifier):
+        # lookup_batch probes first and accounts after the walk; counters,
+        # entries and LRU order must end as the per-packet get/put loop
+        # leaves them: a hit per cached packet, a miss per distinct missing
+        # flow, then one put per missing flow in order of first appearance.
+        compiled = acl_classifier.compile(flow_cache_size=24)
+        reference = FlowCache(capacity=24)
+        flows = packets_to_array(
+            acl_classifier.ruleset.sample_packets(60, seed=11))
+        rng = np.random.default_rng(4)
+        for _ in range(30):
+            batch = flows[rng.zipf(1.3, size=int(rng.integers(1, 40))) % 60]
+            found = compiled.lookup_batch(batch)
+            np.testing.assert_array_equal(found,
+                                          compiled.match_indices(batch))
+            walked = {}
+            for key, rule_index in zip(map(tuple, batch.tolist()), found):
+                if key not in walked and reference.get(key) is None:
+                    walked[key] = int(rule_index)
+            for key, rule_index in walked.items():
+                reference.put(key, rule_index)
+            assert compiled.flow_cache.stats == reference.stats
+            assert compiled.flow_cache.entries() == reference.entries()
+        assert reference.stats.evictions > 0 and reference.stats.hits > 0
+
     def test_clear_counts_invalidations_separately(self):
         cache = FlowCache(capacity=4)
         cache.put((1, 1, 1, 1, 1), 10)

@@ -457,12 +457,23 @@ class TestHeaderCheck:
         cached = CompiledClassifier(subtrees=compiled.subtrees,
                                     rules=compiled.rules,
                                     flow_cache_size=128)
-        bad = values.copy()
+        cache = cached.flow_cache
+        # A warm cache of ten flows, the oldest first in LRU order.
+        cached.lookup_batch(values[:10])
+        stats = dataclasses.replace(cache.stats)
+        entries = cache.entries()
+        assert (stats.hits, stats.misses, len(entries)) == (0, 10, 10)
+        # Fifty rows: the ten cached flows newest first, then forty new
+        # flows, one of them out of range.
+        bad = np.concatenate([values[9::-1], values[10:50]])
         bad[40, Dimension.PROTOCOL] = 300
         with pytest.raises(InvalidRangeError, match="PROTOCOL=300"):
             cached.lookup_batch(bad)
-        assert len(cached.flow_cache) == 0
+        # Neither a counter, nor an entry, nor the LRU order moved.
+        assert cache.stats == stats
+        assert cache.entries() == entries
         # The same engine still serves, and caches, the well-formed batch.
         np.testing.assert_array_equal(cached.lookup_batch(values),
                                       compiled.match_indices(values))
-        assert len(cached.flow_cache) > 0
+        assert (cache.stats.hits, cache.stats.misses) == (10, 10 + 54)
+        assert len(cache) == 64
