@@ -60,7 +60,7 @@ def test_trajectory_record_recomputes_from_its_runs(bench_pairs, path):
         assert len(runs) == saved["pairs"]
         assert all(run["failed"] == 0 and run["correct"] for run in runs)
     assert not saved["change"]["dirty"]
-    assert [m["name"] for m in saved["metrics"]] == list(saved["rows"])
+    assert {m["name"] for m in saved["metrics"]} == set(saved["rows"])
     assert bench_pairs.recompute(saved) == saved["rows"]
 
 
