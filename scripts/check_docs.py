@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation consistency checks (run by the CI docs job).
 
-Two guarantees keep the docs from drifting away from the code:
+Three guarantees keep the docs from drifting away from the code:
 
 1. **Links resolve** — every intra-repo markdown link in README.md,
    ROADMAP.md, and docs/*.md points at a file that exists (external
@@ -9,6 +9,9 @@ Two guarantees keep the docs from drifting away from the code:
 2. **The CLI reference is live** — every ``repro <command>`` heading in
    docs/cli.md names a real subcommand (``repro <command> --help`` must
    exit 0), and every subcommand the CLI actually exposes is documented.
+3. **Named source files exist** — every ``*.py`` path inside a backticked
+   span of README.md or docs/*.md resolves as given, under ``src/``, or
+   under ``src/repro/``.
 
 Exit code 0 when everything checks out; 1 with a per-problem report
 otherwise.  Run from the repository root:
@@ -36,6 +39,15 @@ LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 #: Matches CLI reference headings: ## `repro <command>`
 CLI_HEADING_RE = re.compile(r"^##\s+`repro\s+([a-z][a-z0-9-]*)`", re.MULTILINE)
 
+#: Matches inline code spans: `...`.
+CODE_SPAN_RE = re.compile(r"`([^`\n]+)`")
+
+#: Matches a ``*.py`` path inside a code span, e.g. tests/test_cli.py.
+PY_PATH_RE = re.compile(r"(?<![\w./-])([\w./-]+\.py)(?!\w)")
+
+#: Where a named source file may live, relative to the repository root.
+PY_PATH_ROOTS = (".", "src", "src/repro")
+
 
 def check_links(problems: List[str]) -> int:
     """Verify every relative markdown link target exists; returns #links."""
@@ -59,6 +71,28 @@ def check_links(problems: List[str]) -> int:
                 problems.append(
                     f"{doc.relative_to(REPO_ROOT)}: broken link -> {target}"
                 )
+    return checked
+
+
+def check_source_paths(problems: List[str],
+                       repo_root: Path = REPO_ROOT) -> int:
+    """Verify every backticked ``*.py`` path in README.md and docs/*.md
+    names a file that exists; returns #paths checked."""
+    files = [repo_root / "README.md"]
+    files.extend(sorted((repo_root / "docs").glob("*.md")))
+    checked = 0
+    for doc in files:
+        if not doc.exists():
+            continue
+        for span in CODE_SPAN_RE.finditer(doc.read_text(encoding="utf-8")):
+            for path in PY_PATH_RE.findall(span.group(1)):
+                checked += 1
+                if not any((repo_root / root / path).is_file()
+                           for root in PY_PATH_ROOTS):
+                    problems.append(
+                        f"{doc.relative_to(repo_root)}: no such source "
+                        f"file -> {path}"
+                    )
     return checked
 
 
@@ -106,6 +140,7 @@ def check_cli_reference(problems: List[str]) -> List[str]:
 def main() -> int:
     problems: List[str] = []
     num_links = check_links(problems)
+    num_paths = check_source_paths(problems)
     documented = check_cli_reference(problems)
     if problems:
         print(f"docs check FAILED ({len(problems)} problem(s)):")
@@ -113,6 +148,7 @@ def main() -> int:
             print(f"  - {problem}")
         return 1
     print(f"docs check OK: {num_links} intra-repo links resolve, "
+          f"{num_paths} named source files exist, "
           f"{len(documented)} CLI subcommands documented and live "
           f"({', '.join(documented)})")
     return 0

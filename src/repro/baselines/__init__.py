@@ -1,23 +1,20 @@
 """Baseline packet-classification algorithms the paper compares against."""
 
-from repro.baselines.base import BuildResult, TreeBuilder, compare_builders
+from repro.baselines.base import BuildResult, TreeBuilder
 from repro.baselines.hicuts import HiCutsBuilder
 from repro.baselines.hypercuts import HyperCutsBuilder
 from repro.baselines.efficuts import EffiCutsBuilder
 from repro.baselines.cutsplit import CutSplitBuilder
 from repro.baselines.linear import LinearSearchBuilder
-from repro.baselines.tuplespace import TupleSpaceClassifier
 
 __all__ = [
     "BuildResult",
     "TreeBuilder",
-    "compare_builders",
     "HiCutsBuilder",
     "HyperCutsBuilder",
     "EffiCutsBuilder",
     "CutSplitBuilder",
     "LinearSearchBuilder",
-    "TupleSpaceClassifier",
 ]
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
@@ -80,9 +80,3 @@ def distinct_projections(node: Node) -> List[int]:
                    | (hi - 1).astype(np.uint64), axis=0)
     return (1 + np.count_nonzero(keys[1:] != keys[:-1], axis=0)).tolist()
 
-
-def compare_builders(ruleset: RuleSet,
-                     builders: Dict[str, TreeBuilder]) -> Dict[str, BuildResult]:
-    """Build one classifier with several algorithms and collect the results."""
-    return {name: builder.build_with_stats(ruleset)
-            for name, builder in builders.items()}

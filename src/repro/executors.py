@@ -2,8 +2,8 @@
 
 The paper scales NeuroCuts by collecting decision-tree rollouts on many
 parallel workers (Figure 7).  This module is the execution substrate for that
-and for harness suite-parallelism: a small :class:`RolloutExecutor` interface
-with two backends —
+and for background retrains: a small :class:`RolloutExecutor` interface
+with three backends —
 
 * :class:`SerialExecutor` — runs tasks inline in the calling process.  Serial
   execution is a first-class backend, not a degenerate case: determinism
@@ -507,38 +507,3 @@ def shutdown_shared_retrain_pools() -> None:
 
 
 atexit.register(shutdown_shared_retrain_pools)
-
-
-# --------------------------------------------------------------------------- #
-# Shared executors: process pools reused across unrelated map calls
-# --------------------------------------------------------------------------- #
-
-_SHARED_EXECUTORS: Dict[int, ProcessPoolExecutor] = {}
-
-
-def shared_executor(num_workers: int) -> RolloutExecutor:
-    """A process-pool executor shared by all callers needing this width.
-
-    Used by :func:`repro.harness.parallel.parallel_map` so repeated harness
-    calls reuse one persistent pool per worker count instead of spawning a
-    fresh pool every call.  Shared executors carry no initializer (tasks must
-    be self-contained) and live until :func:`shutdown_shared_executors` or
-    interpreter exit.
-    """
-    if num_workers <= 1:
-        return SerialExecutor()
-    executor = _SHARED_EXECUTORS.get(num_workers)
-    if executor is None:
-        executor = ProcessPoolExecutor(num_workers)
-        _SHARED_EXECUTORS[num_workers] = executor
-    return executor
-
-
-def shutdown_shared_executors() -> None:
-    """Terminate every shared pool (they are recreated lazily if needed)."""
-    for executor in list(_SHARED_EXECUTORS.values()):
-        executor.shutdown()
-    _SHARED_EXECUTORS.clear()
-
-
-atexit.register(shutdown_shared_executors)

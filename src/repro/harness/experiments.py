@@ -13,13 +13,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.baselines import (
-    CutSplitBuilder,
-    EffiCutsBuilder,
-    HiCutsBuilder,
-    HyperCutsBuilder,
-)
-from repro.baselines.base import TreeBuilder
+from repro.baselines import EffiCutsBuilder, HiCutsBuilder, default_baselines
 from repro.classbench.suite import ClassifierSpec
 from repro.metrics.summary import (
     ImprovementSummary,
@@ -30,20 +24,21 @@ from repro.metrics.summary import (
 from repro.neurocuts.config import NeuroCutsConfig
 from repro.neurocuts.trainer import NeuroCutsBuilder, NeuroCutsTrainer
 from repro.neurocuts.visualize import TreeProfile, profile_tree
-from repro.harness.parallel import parallel_map
 from repro.harness.scales import ExperimentScale, TINY
 
 #: Names of the four baseline algorithms in paper order.
-BASELINE_NAMES: Tuple[str, ...] = ("HiCuts", "HyperCuts", "EffiCuts", "CutSplit")
+BASELINE_NAMES: Tuple[str, ...] = tuple(default_baselines())
 
 
-def _baseline_builders(leaf_threshold: int) -> Dict[str, TreeBuilder]:
-    return {
-        "HiCuts": HiCutsBuilder(binth=leaf_threshold),
-        "HyperCuts": HyperCutsBuilder(binth=leaf_threshold),
-        "EffiCuts": EffiCutsBuilder(binth=leaf_threshold),
-        "CutSplit": CutSplitBuilder(binth=leaf_threshold),
-    }
+def _check_unique_labels(specs: Sequence[ClassifierSpec]) -> None:
+    """Refuse specs that share a label: their rows would overwrite each other."""
+    seen = set()
+    for spec in specs:
+        if spec.label in seen:
+            raise ValueError(
+                f"two specs share the label {spec.label!r}; results are keyed "
+                f"by label, so one would overwrite the other")
+        seen.add(spec.label)
 
 
 # --------------------------------------------------------------------------- #
@@ -80,74 +75,34 @@ class ComparisonResult:
         ]
 
 
-def _build_suite_entry(task: Tuple[ClassifierSpec, int, NeuroCutsConfig, str]
-                       ) -> Tuple[Dict[str, float], Dict[str, float]]:
-    """Build one suite entry with every algorithm (one parallelisable task).
-
-    Returns the metric per algorithm and, when the metric is
-    ``bytes_per_rule``, the compiled engine's bytes per rule beside it.
-    """
-    import multiprocessing
-
-    spec, leaf_threshold, neurocuts_config, metric = task
-    if multiprocessing.current_process().daemon \
-            and neurocuts_config.num_rollout_workers > 1:
-        # Suite-level pool workers are daemonic and cannot spawn a nested
-        # rollout pool; fall back to serial in-process rollout collection.
-        # Shard seeds depend on the worker count, so this changes the
-        # training trajectory vs a non-parallel suite run — warn loudly.
-        import warnings
-
-        warnings.warn(
-            f"suite parallelism downgraded NeuroCuts rollout collection for "
-            f"{spec.label} to 1 serial worker (nested process pools are not "
-            f"allowed); training results will differ from a "
-            f"num_rollout_workers={neurocuts_config.num_rollout_workers} run",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        neurocuts_config = replace_config(neurocuts_config,
-                                          num_rollout_workers=1)
-    builders: Dict[str, TreeBuilder] = dict(_baseline_builders(leaf_threshold))
-    builders["NeuroCuts"] = NeuroCutsBuilder(config=neurocuts_config)
-    ruleset = spec.materialize()
-    values: Dict[str, float] = {}
-    compiled: Dict[str, float] = {}
-    for name, builder in builders.items():
-        built = builder.build_with_stats(ruleset)
-        values[name] = float(getattr(built.stats, metric))
-        if metric == "bytes_per_rule":
-            compiled[name] = built.classifier.compile().memory_bytes() \
-                / max(1, len(ruleset))
-    return values, compiled
-
-
 def run_suite_comparison(
     scale: ExperimentScale = TINY,
     metric: str = "classification_time",
     neurocuts_config: Optional[NeuroCutsConfig] = None,
     specs: Optional[Sequence[ClassifierSpec]] = None,
-    num_workers: Optional[int] = None,
 ) -> ComparisonResult:
     """Build every classifier with every algorithm and collect one metric.
 
     ``metric`` is ``"classification_time"`` (Figure 8) or ``"bytes_per_rule"``
-    (Figure 9).  ``num_workers > 1`` distributes suite entries over the
-    shared persistent process pool (one entry per task).
+    (Figure 9); for the latter the compiled engine's bytes per rule are
+    collected beside the memory model's.
     """
     specs = list(specs) if specs is not None else scale.specs()
+    _check_unique_labels(specs)
     neurocuts_config = neurocuts_config or scale.neurocuts_config()
-    tasks = [(spec, scale.leaf_threshold, neurocuts_config, metric)
-             for spec in specs]
-    per_spec = parallel_map(_build_suite_entry, tasks, num_workers=num_workers)
-    algorithms = (*BASELINE_NAMES, "NeuroCuts")
-    values: Dict[str, Dict[str, float]] = {name: {} for name in algorithms}
+    builders = default_baselines(binth=scale.leaf_threshold)
+    builders["NeuroCuts"] = NeuroCutsBuilder(config=neurocuts_config)
+    values: Dict[str, Dict[str, float]] = {name: {} for name in builders}
     compiled: Dict[str, Dict[str, float]] = {}
-    for spec, (entry, engine_entry) in zip(specs, per_spec):
-        for name, value in entry.items():
-            values[name][spec.label] = value
-        for name, value in engine_entry.items():
-            compiled.setdefault(name, {})[spec.label] = value
+    for spec in specs:
+        ruleset = spec.materialize()
+        for name, builder in builders.items():
+            built = builder.build_with_stats(ruleset)
+            values[name][spec.label] = float(getattr(built.stats, metric))
+            if metric == "bytes_per_rule":
+                compiled.setdefault(name, {})[spec.label] = \
+                    built.classifier.compile().memory_bytes() \
+                    / max(1, len(ruleset))
     baseline_min = best_baseline(values, exclude=("NeuroCuts",))
     summary = summarize_improvements(values["NeuroCuts"], baseline_min)
     return ComparisonResult(
@@ -160,28 +115,28 @@ def run_suite_comparison(
 
 
 def run_figure8(scale: ExperimentScale = TINY,
-                specs: Optional[Sequence[ClassifierSpec]] = None,
-                num_workers: Optional[int] = None) -> ComparisonResult:
+                specs: Optional[Sequence[ClassifierSpec]] = None
+                ) -> ComparisonResult:
     """Figure 8: classification time, NeuroCuts time-optimised (c = 1)."""
     config = scale.neurocuts_config(
         time_space_coeff=1.0, partition_mode="none", reward_scaling="linear"
     )
     return run_suite_comparison(
         scale, metric="classification_time", neurocuts_config=config,
-        specs=specs, num_workers=num_workers,
+        specs=specs,
     )
 
 
 def run_figure9(scale: ExperimentScale = TINY,
-                specs: Optional[Sequence[ClassifierSpec]] = None,
-                num_workers: Optional[int] = None) -> ComparisonResult:
+                specs: Optional[Sequence[ClassifierSpec]] = None
+                ) -> ComparisonResult:
     """Figure 9: bytes per rule, NeuroCuts space-optimised (c = 0)."""
     config = scale.neurocuts_config(
         time_space_coeff=0.0, partition_mode="efficuts", reward_scaling="log"
     )
     return run_suite_comparison(
         scale, metric="bytes_per_rule", neurocuts_config=config,
-        specs=specs, num_workers=num_workers,
+        specs=specs,
     )
 
 
@@ -204,6 +159,7 @@ def run_figure10(scale: ExperimentScale = TINY,
                  ) -> EffiCutsImprovementResult:
     """Figure 10: NeuroCuts restricted to the EffiCuts partition action."""
     specs = list(specs) if specs is not None else scale.specs()
+    _check_unique_labels(specs)
     efficuts = EffiCutsBuilder(binth=scale.leaf_threshold)
     config = scale.neurocuts_config(
         time_space_coeff=0.5, partition_mode="efficuts", reward_scaling="log"
@@ -320,14 +276,18 @@ def run_figure5(scale: ExperimentScale = TINY, seed_name: str = "fw5",
     total_iterations = 0
     with NeuroCutsTrainer(ruleset, config) as trainer:
         # Train iteration by iteration so we can snapshot the policy's trees.
-        while trainer._timesteps_total < config.max_timesteps_total:
-            trainer.train(max_iterations=total_iterations + 1)
+        while True:
+            result = trainer.train(max_iterations=total_iterations + 1)
+            if len(result.history) == total_iterations:
+                break  # nothing to learn (a ruleset that fits one leaf)
             total_iterations += 1
-            best_depths.append(trainer.result().best_time)
+            best_depths.append(result.best_time)
             if len(snapshots) < num_snapshots:
                 tree = trainer.sample_trees(1)[0]
                 snapshots.append(profile_tree(tree))
                 snapshot_iters.append(total_iterations)
+            if result.timesteps_total >= config.max_timesteps_total:
+                break
         # Always snapshot the final best tree as the last entry.
         final = trainer.result()
     snapshots.append(profile_tree(final.best_tree))
@@ -376,121 +336,6 @@ def run_figure6(scale: ExperimentScale = TINY, seed_name: str = "acl4",
 
 
 # --------------------------------------------------------------------------- #
-# Engine throughput: compiled dataplane vs the interpreter
-# --------------------------------------------------------------------------- #
-
-@dataclass
-class ThroughputRow:
-    """Throughput of one algorithm's classifier on one packet trace."""
-
-    algorithm: str
-    classifier: str
-    interpreter_pps: float
-    compiled_pps: float
-    speedup: float
-    compiled_memory_bytes: int
-    num_subtrees: int
-
-
-@dataclass
-class ThroughputResult:
-    """Compiled-engine throughput comparison across algorithms."""
-
-    rows: List[ThroughputRow]
-    num_packets: int
-
-    def table_rows(self) -> List[List[object]]:
-        return [
-            [r.algorithm, r.classifier, f"{r.interpreter_pps:,.0f}",
-             f"{r.compiled_pps:,.0f}", f"{r.speedup:.1f}x"]
-            for r in self.rows
-        ]
-
-    def median_speedup(self) -> float:
-        return float(np.median([r.speedup for r in self.rows])) \
-            if self.rows else 0.0
-
-    def bench_record(self, name: str = "throughput",
-                     config: Optional[dict] = None) -> "BenchRecord":
-        """This sweep as a scorecard entry (area ``"engine"``).
-
-        Per-row structural figures (memory, subtree counts) are exact-gated
-        counters keyed ``<algorithm>:<classifier>:<metric>``; rates are
-        tolerance-banded timings under the same keys.
-        """
-        from repro.obs.bench import BenchRecord
-
-        counters: Dict[str, int] = {"num_packets": self.num_packets,
-                                    "num_rows": len(self.rows)}
-        timings: Dict[str, float] = {"median_speedup": self.median_speedup()}
-        for row in self.rows:
-            key = f"{row.algorithm}:{row.classifier}"
-            counters[f"{key}:compiled_memory_bytes"] = \
-                row.compiled_memory_bytes
-            counters[f"{key}:num_subtrees"] = row.num_subtrees
-            timings[f"{key}:interpreter_pps"] = row.interpreter_pps
-            timings[f"{key}:compiled_pps"] = row.compiled_pps
-            timings[f"{key}:speedup"] = row.speedup
-        return BenchRecord(name=name, area="engine", config=config or {},
-                           counters=counters, timings=timings)
-
-
-def run_throughput(
-    scale: ExperimentScale = TINY,
-    specs: Optional[Sequence[ClassifierSpec]] = None,
-    num_packets: int = 20_000,
-    algorithms: Optional[Sequence[str]] = None,
-    bench_path: Optional[str] = None,
-) -> ThroughputResult:
-    """Measure interpreter vs compiled packets/sec for the baselines.
-
-    This is the experiment backing the engine's headline claim: every
-    classifier built by this repository, learned or heuristic, executes an
-    order of magnitude faster once compiled to the flat-array engine.
-
-    When ``specs`` is not given, only the *first* spec of the scale is
-    benchmarked (throughput timing per classifier is expensive and the
-    speedup is insensitive to the seed family); pass ``specs=scale.specs()``
-    explicitly to sweep a whole suite.
-    """
-    from repro.engine.bench import bench_classifier
-
-    specs = list(specs) if specs is not None else scale.specs()[:1]
-    builders = _baseline_builders(scale.leaf_threshold)
-    if algorithms is not None:
-        builders = {name: builders[name] for name in algorithms}
-    rows: List[ThroughputRow] = []
-    for spec in specs:
-        ruleset = spec.materialize()
-        packets = ruleset.sample_packets(num_packets, seed=scale.seed)
-        for name, builder in builders.items():
-            classifier = builder.build(ruleset)
-            bench = bench_classifier(classifier, packets)
-            rows.append(
-                ThroughputRow(
-                    algorithm=name,
-                    classifier=spec.label,
-                    interpreter_pps=bench.interpreter_pps,
-                    compiled_pps=bench.compiled_pps,
-                    speedup=bench.speedup,
-                    compiled_memory_bytes=bench.compiled_memory_bytes,
-                    num_subtrees=bench.num_subtrees,
-                )
-            )
-    result = ThroughputResult(rows=rows, num_packets=num_packets)
-    if bench_path is not None:
-        from repro.obs.bench import write_bench
-
-        write_bench(result.bench_record(config={
-            "num_packets": num_packets,
-            "algorithms": sorted(builders),
-            "leaf_threshold": scale.leaf_threshold,
-            "seed": scale.seed,
-        }), bench_path)
-    return result
-
-
-# --------------------------------------------------------------------------- #
 # Figure 7: rollout-collection scaling with parallel workers
 # --------------------------------------------------------------------------- #
 
@@ -532,29 +377,6 @@ class ScalingResult:
                 return point.speedup
         raise KeyError(f"no scaling point for {workers} workers")
 
-    def bench_record(self, name: str = "scaling",
-                     config: Optional[dict] = None) -> "BenchRecord":
-        """This sweep as a scorecard entry (area ``"scaling"``).
-
-        Only the sweep shape is deterministic; every throughput figure is a
-        tolerance-banded timing keyed ``w<workers>:<metric>``.
-        """
-        from repro.obs.bench import BenchRecord
-
-        counters = {
-            "num_points": len(self.points),
-            "rounds": self.rounds,
-            "timesteps_per_round": self.timesteps_per_round,
-        }
-        timings: Dict[str, float] = {}
-        for point in self.points:
-            key = f"w{point.workers}"
-            timings[f"{key}:timesteps_per_sec"] = point.timesteps_per_sec
-            timings[f"{key}:rollouts_per_sec"] = point.rollouts_per_sec
-            timings[f"{key}:speedup"] = point.speedup
-        return BenchRecord(name=name, area="scaling", config=config or {},
-                           counters=counters, timings=timings)
-
 
 def run_scaling(
     scale: ExperimentScale = TINY,
@@ -562,8 +384,6 @@ def run_scaling(
     rounds: int = 3,
     spec: Optional[ClassifierSpec] = None,
     neurocuts_config: Optional[NeuroCutsConfig] = None,
-    bench_path: Optional[str] = None,
-    async_collection: bool = False,
 ) -> ScalingResult:
     """Figure 7: rollout-collection throughput vs parallel workers.
 
@@ -574,12 +394,9 @@ def run_scaling(
     are excluded from the timed region, matching the paper's steady-state
     rollouts/sec measurement.
 
-    By default no PPO updates run — the experiment isolates the actor side
-    that Figure 7 parallelises (process pools still exercise the
-    shared-memory weight broadcast).  With ``async_collection=True`` the
-    timed region is ``rounds`` full training iterations through the
-    pipelined fleet trainer instead, so the measurement includes the learner
-    update that pipelining hides behind collection.
+    No PPO updates run — the experiment isolates the actor side that
+    Figure 7 parallelises (process pools still exercise the shared-memory
+    weight broadcast).
     """
     import time
 
@@ -590,29 +407,16 @@ def run_scaling(
     for workers in worker_counts:
         config = replace_config(base_config, num_rollout_workers=int(workers),
                                 max_timesteps_total=10 ** 9,
-                                convergence_patience=None,
-                                async_collection=async_collection)
+                                convergence_patience=None)
         with NeuroCutsTrainer(ruleset, config) as trainer:
             trainer.collect_batch()  # warm-up: spawn pool, build workers
             start = time.perf_counter()
             steps = rollouts = 0
-            if async_collection:
-                before = trainer.result().timesteps_total
-                result = trainer.train(max_iterations=rounds)
-                elapsed = time.perf_counter() - start
-                # History rows are cumulative; the drained prefetch round
-                # (collected inside the timed region but not trained on) is
-                # excluded from both counts, slightly understating
-                # throughput rather than ever overstating it.
-                if result.history:
-                    steps = result.history[-1].timesteps_total - before
-                    rollouts = sum(s.num_rollouts for s in result.history)
-            else:
-                for _ in range(rounds):
-                    _, summaries = trainer.collect_batch()
-                    steps += sum(s.num_steps for s in summaries)
-                    rollouts += len(summaries)
-                elapsed = time.perf_counter() - start
+            for _ in range(rounds):
+                _, summaries = trainer.collect_batch()
+                steps += sum(s.num_steps for s in summaries)
+                rollouts += len(summaries)
+            elapsed = time.perf_counter() - start
         points.append(
             ScalingPoint(
                 workers=int(workers),
@@ -626,22 +430,12 @@ def run_scaling(
                     min(points, key=lambda p: p.workers))
     for point in points:
         point.speedup = point.timesteps_per_sec / baseline.timesteps_per_sec
-    result = ScalingResult(
+    return ScalingResult(
         classifier=spec.label,
         points=points,
         rounds=rounds,
         timesteps_per_round=base_config.timesteps_per_batch,
     )
-    if bench_path is not None:
-        from repro.obs.bench import write_bench
-
-        write_bench(result.bench_record(config={
-            "classifier": spec.label,
-            "worker_counts": [int(w) for w in worker_counts],
-            "rounds": rounds,
-            "async_collection": bool(async_collection),
-        }), bench_path)
-    return result
 
 
 def replace_config(config: NeuroCutsConfig, **overrides) -> NeuroCutsConfig:

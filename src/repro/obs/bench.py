@@ -40,7 +40,7 @@ from repro.obs.serialize import stable_dict
 BENCH_SCHEMA_VERSION = 1
 
 #: Benchmark areas with a conventional ``BENCH_<area>.json`` file name.
-BENCH_AREAS = ("engine", "serve", "scaling", "replay")
+BENCH_AREAS = ("engine", "serve", "replay")
 
 _NUMBER_TYPES = (int, float)
 

@@ -2,12 +2,7 @@
 
 from repro.rl.spaces import Box, Discrete, TupleSpace
 from repro.rl.batch import ExperienceBuilder, SampleBatch
-from repro.rl.advantages import (
-    discounted_returns,
-    gae_advantages,
-    normalize_advantages,
-    one_step_advantages,
-)
+from repro.rl.advantages import normalize_advantages
 from repro.rl.ppo import PPOConfig, PPOLearner, PPOStats
 from repro.rl.policy import Policy, PolicyDecision
 
@@ -17,10 +12,7 @@ __all__ = [
     "TupleSpace",
     "ExperienceBuilder",
     "SampleBatch",
-    "discounted_returns",
-    "gae_advantages",
     "normalize_advantages",
-    "one_step_advantages",
     "PPOConfig",
     "PPOLearner",
     "PPOStats",

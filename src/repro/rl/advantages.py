@@ -1,28 +1,14 @@
-"""Advantage and return computation.
+"""Advantage normalisation.
 
 NeuroCuts frames each node decision as a 1-step problem whose return is the
 negated time/space objective of the subtree the action produced, so the
-advantage is simply ``return − V(s)``.  For completeness (and for the generic
-MDP tests of the RL substrate) standard discounted returns and Generalised
-Advantage Estimation over sequential trajectories are provided as well.
+advantage is simply ``return − V(s)`` (:attr:`SampleBatch.advantages`);
+PPO then normalises it here.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
-
-
-def one_step_advantages(returns: np.ndarray, value_preds: np.ndarray,
-                        normalize: bool = True) -> np.ndarray:
-    """Advantages for the 1-step (contextual-bandit-like) NeuroCuts framing."""
-    advantages = np.asarray(returns, dtype=np.float64) - np.asarray(
-        value_preds, dtype=np.float64
-    )
-    if normalize:
-        advantages = normalize_advantages(advantages)
-    return advantages
 
 
 def normalize_advantages(advantages: np.ndarray, epsilon: float = 1e-8) -> np.ndarray:
@@ -32,33 +18,3 @@ def normalize_advantages(advantages: np.ndarray, epsilon: float = 1e-8) -> np.nd
     if std < epsilon:
         return advantages - advantages.mean()
     return (advantages - advantages.mean()) / (std + epsilon)
-
-
-def discounted_returns(rewards: Sequence[float], gamma: float,
-                       bootstrap_value: float = 0.0) -> np.ndarray:
-    """Discounted return at every step of a sequential trajectory."""
-    returns = np.zeros(len(rewards), dtype=np.float64)
-    running = bootstrap_value
-    for t in reversed(range(len(rewards))):
-        running = rewards[t] + gamma * running
-        returns[t] = running
-    return returns
-
-
-def gae_advantages(rewards: Sequence[float], values: Sequence[float],
-                   gamma: float = 0.99, lam: float = 0.95,
-                   bootstrap_value: float = 0.0) -> np.ndarray:
-    """Generalised Advantage Estimation over one sequential trajectory."""
-    rewards = np.asarray(rewards, dtype=np.float64)
-    values = np.asarray(values, dtype=np.float64)
-    if len(rewards) != len(values):
-        raise ValueError("rewards and values must have equal length")
-    advantages = np.zeros(len(rewards), dtype=np.float64)
-    next_value = bootstrap_value
-    running = 0.0
-    for t in reversed(range(len(rewards))):
-        delta = rewards[t] + gamma * next_value - values[t]
-        running = delta + gamma * lam * running
-        advantages[t] = running
-        next_value = values[t]
-    return advantages

@@ -1,15 +1,13 @@
 """Adversarial serving scenarios: workloads built to stress admission.
 
-The scenarios here deliberately violate the polite-traffic assumptions the
-nominal :func:`~repro.workloads.scenario.build_workload` mix satisfies.
-The first member is the **flash crowd**: one tenant's offered rate
+The scenario here deliberately violates the polite-traffic assumptions
+the nominal :func:`~repro.workloads.scenario.build_workload` mix
+satisfies.  It is the **flash crowd**: one tenant's offered rate
 multiplies mid-trace while the other tenants keep their nominal Zipf
 shares.  Driven through ``run_serving(ingest=...)`` it is the acceptance
 scenario for the ingestion frontend — the over-rate tenant must be
 throttled (counted, with a retry hint) while the conforming tenants' goodput and
-queue delays stay bounded, and nothing is ever silently dropped.  The
-**skewed flash crowd** variant steepens the tenant Zipf split on top of
-that and is the acceptance scenario for load-aware shard rebalancing.
+queue delays stay bounded, and nothing is ever silently dropped.
 
 Like every workload in this package the result is a pure function of its
 config and seeds, so over-rate runs replay bit-identically.
@@ -67,39 +65,6 @@ class FlashCrowdConfig:
             "crowd_tenant": self.crowd_tenant,
             "start": self.start,
         }
-
-
-def build_skewed_flash_crowd_workload(
-    num_tenants: int = 4,
-    trace: FlowTraceConfig = FlowTraceConfig(),
-    flash: FlashCrowdConfig = FlashCrowdConfig(),
-    tenant_zipf_alpha: float = 1.5,
-    num_rules: int = 150,
-    seed_name: str = "acl1",
-    churn: Optional[ChurnConfig] = None,
-    seed: int = 0,
-) -> MultiTenantWorkload:
-    """Skewed-tenant flash crowd: the shard-rebalancing stress scenario.
-
-    A steeper-than-nominal Zipf split (``tenant_zipf_alpha`` defaults to
-    1.5 instead of 1.0) concentrates most of the traffic on tenant 0, and
-    the flash crowd then multiplies that tenant's rate mid-trace.  Under a
-    static round-robin shard plan the shard that drew tenant 0 ends up
-    carrying almost the whole stream, which is exactly the imbalance a
-    load-aware :class:`~repro.serve.rebalance.RebalancePolicy` must detect
-    and migrate away from.  Deterministic for a fixed config and seed,
-    like every workload in this package.
-    """
-    if num_tenants < 2:
-        raise ValueError("num_tenants must be >= 2 (skew needs neighbours)")
-    specs = [
-        TenantSpec(tenant_id=f"tenant-{i}", seed_name=seed_name,
-                   num_rules=num_rules, seed=seed + i)
-        for i in range(num_tenants)
-    ]
-    return build_flash_crowd_workload(
-        specs, trace=trace, flash=flash,
-        tenant_zipf_alpha=tenant_zipf_alpha, churn=churn)
 
 
 def build_flash_crowd_workload(

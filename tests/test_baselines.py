@@ -1,5 +1,5 @@
-"""Tests for the baseline algorithms: HiCuts, HyperCuts, EffiCuts, CutSplit,
-linear search and tuple-space search.
+"""Tests for the baseline algorithms: HiCuts, HyperCuts, EffiCuts, CutSplit
+and linear search.
 
 Every baseline must (a) build a complete classifier, (b) classify exactly
 like linear search, and (c) exhibit the qualitative behaviour the literature
@@ -14,8 +14,6 @@ from repro.baselines import (
     HiCutsBuilder,
     HyperCutsBuilder,
     LinearSearchBuilder,
-    TupleSpaceClassifier,
-    compare_builders,
     default_baselines,
 )
 from repro.classbench import generate_classifier
@@ -154,28 +152,15 @@ class TestLinearSearch:
         assert report.is_correct
 
 
-class TestTupleSpace:
-    def test_matches_linear_search(self, small_acl_ruleset):
-        tss = TupleSpaceClassifier(small_acl_ruleset)
-        for packet in small_acl_ruleset.sample_packets(150, seed=7):
-            expected = small_acl_ruleset.classify(packet)
-            actual = tss.classify(packet)
-            assert (actual.priority if actual else None) == \
-                (expected.priority if expected else None)
-
-    def test_has_fewer_tuples_than_rules(self, small_acl_ruleset):
-        tss = TupleSpaceClassifier(small_acl_ruleset)
-        assert 1 <= tss.num_tuples <= len(small_acl_ruleset)
-
-
 class TestComparisonHelpers:
     def test_default_baselines_keys(self):
         assert set(default_baselines()) == {
             "HiCuts", "HyperCuts", "EffiCuts", "CutSplit"
         }
 
-    def test_compare_builders(self, small_acl_ruleset):
-        results = compare_builders(small_acl_ruleset, default_baselines(binth=8))
+    def test_default_baselines_build_under_their_names(self, small_acl_ruleset):
+        results = {name: builder.build_with_stats(small_acl_ruleset)
+                   for name, builder in default_baselines(binth=8).items()}
         assert set(results) == {"HiCuts", "HyperCuts", "EffiCuts", "CutSplit"}
         for name, result in results.items():
             assert result.algorithm == name

@@ -1,4 +1,4 @@
-"""Tests for the backend-pluggable executor layer and harness parallel_map."""
+"""Tests for the backend-pluggable executor layer."""
 
 import os
 
@@ -11,10 +11,7 @@ from repro.executors import (
     SerialExecutor,
     ThreadExecutor,
     make_executor,
-    shared_executor,
-    shutdown_shared_executors,
 )
-from repro.harness.parallel import default_worker_count, parallel_map
 
 
 def _square(x):
@@ -157,41 +154,3 @@ class TestSubmit:
             handle = executor.submit(_square, 8)
             assert handle.result() == 64
             assert handle.ready()
-
-
-class TestSharedExecutors:
-    def test_shared_pool_is_reused(self):
-        shutdown_shared_executors()
-        first = shared_executor(2)
-        second = shared_executor(2)
-        assert first is second
-        assert isinstance(first, ProcessPoolExecutor)
-        shutdown_shared_executors()
-
-    def test_serial_for_one_worker(self):
-        assert isinstance(shared_executor(1), SerialExecutor)
-
-
-class TestParallelMap:
-    def test_serial_path(self):
-        assert parallel_map(_square, [1, 2, 3], num_workers=1) == [1, 4, 9]
-        assert parallel_map(_square, [5]) == [25]
-
-    def test_pool_path_reuses_shared_pool(self):
-        shutdown_shared_executors()
-        first = parallel_map(_getpid, [0, 1, 2], num_workers=2)
-        second = parallel_map(_getpid, [0, 1, 2], num_workers=2)
-        # Same persistent pool serves both calls (scheduling may route a
-        # short second call to a subset of its workers).
-        assert set(second) <= set(first)
-        assert os.getpid() not in first
-        shutdown_shared_executors()
-
-    def test_explicit_executor(self):
-        with SerialExecutor() as executor:
-            result = parallel_map(_square, [3, 4], executor=executor)
-        assert result == [9, 16]
-
-    def test_default_worker_count_bounds(self):
-        count = default_worker_count(cap=4)
-        assert 1 <= count <= 4

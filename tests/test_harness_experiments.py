@@ -1,16 +1,18 @@
-"""Light tests of the figure runners (micro budgets, structure only).
+"""Light tests of the figure runners (micro budgets).
 
 The benchmarks run the figure experiments at meaningful budgets; these tests
-only verify the runners wire the pieces together correctly, so they use a
-single tiny classifier and a few hundred training steps.
+verify the runners wire the pieces together correctly, so they use a single
+tiny classifier and a few hundred training steps.  The suite runner's exact
+outputs are pinned: every build is deterministic for a fixed seed.
 """
 
 import dataclasses
+import signal
 
 import pytest
 
 from repro.classbench import ClassifierSpec
-from repro.harness import TINY, run_figure10, run_suite_comparison
+from repro.harness import TINY, run_figure5, run_figure10, run_suite_comparison
 from repro.harness.experiments import BASELINE_NAMES
 
 
@@ -44,7 +46,8 @@ class TestSuiteComparison:
         assert len(rows) == 1
         label, per_alg = rows[0]
         assert label == "acl1_1k"
-        assert all(value >= 1 for value in per_alg.values())
+        assert per_alg == {"HiCuts": 3.0, "HyperCuts": 3.0, "EffiCuts": 3.0,
+                           "CutSplit": 6.0, "NeuroCuts": 5.0}
         summary = result.neurocuts_vs_best_baseline
         assert -20.0 < summary.median < 1.0
         # Only the footprint figure compiles what it builds.
@@ -57,16 +60,27 @@ class TestSuiteComparison:
                                                           reward_scaling="log"),
         )
         assert result.metric == "bytes_per_rule"
-        assert all(v > 0 for values in result.values.values()
-                   for v in values.values())
+        assert result.values == {
+            "HiCuts": {"acl1_1k": 67.52}, "HyperCuts": {"acl1_1k": 49.92},
+            "EffiCuts": {"acl1_1k": 56.0}, "CutSplit": {"acl1_1k": 22.56},
+            "NeuroCuts": {"acl1_1k": 58.88},
+        }
         # The compiled engine's bytes per rule sit beside the model's.
-        assert {name: set(per_label)
-                for name, per_label in result.compiled.items()} == \
-            {name: set(per_label) for name, per_label in result.values.items()}
+        assert result.compiled == {
+            "HiCuts": {"acl1_1k": 85.72}, "HyperCuts": {"acl1_1k": 83.64},
+            "EffiCuts": {"acl1_1k": 88.76}, "CutSplit": {"acl1_1k": 55.48},
+            "NeuroCuts": {"acl1_1k": 79.48},
+        }
         ratios = result.engine_to_model()
         assert set(ratios) == set(result.values)
         assert all(0.5 < ratio < 10 for per_label in ratios.values()
                    for ratio in per_label.values())
+
+    def test_duplicate_labels_are_refused(self, micro_scale, micro_specs):
+        twin = dataclasses.replace(micro_specs[0], seed=1)
+        assert twin.label == micro_specs[0].label
+        with pytest.raises(ValueError, match="acl1_1k"):
+            run_suite_comparison(micro_scale, specs=[micro_specs[0], twin])
 
 
 class TestFigure10Runner:
@@ -76,6 +90,36 @@ class TestFigure10Runner:
         assert set(result.time_improvement.per_classifier) == {"acl1_1k"}
         assert "acl1_1k" in result.neurocuts["bytes_per_rule"]
         assert "acl1_1k" in result.efficuts["bytes_per_rule"]
+
+    def test_duplicate_labels_are_refused(self, micro_scale, micro_specs):
+        twin = dataclasses.replace(micro_specs[0], num_rules=60)
+        with pytest.raises(ValueError, match="acl1_1k"):
+            run_figure10(micro_scale, specs=[micro_specs[0], twin])
+
+
+def _fail_after(seconds):
+    """Raise in the main thread once ``seconds`` pass (no pytest-timeout)."""
+    def on_alarm(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    signal.alarm(seconds)
+    return previous
+
+
+class TestFigure5Runner:
+    def test_ruleset_that_fits_one_leaf_returns(self):
+        # Five rules fit one leaf (leaf_threshold 8): training takes no steps.
+        scale = dataclasses.replace(TINY, scale_sizes={"1k": 5})
+        previous = _fail_after(30)
+        try:
+            result = run_figure5(scale)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert result.best_depth_over_time == []
+        assert result.snapshot_iterations == [0]
+        assert result.final_best_depth == 1
 
 
 class TestServing:
@@ -105,21 +149,3 @@ class TestServing:
                              num_flows=40, churn_events=0, seed=1)
         with pytest.raises(ValueError):
             result.verify_exactness()
-
-
-class TestThroughput:
-    def test_run_throughput_reports_every_algorithm(self, micro_scale,
-                                                    micro_specs):
-        from repro.harness import run_throughput
-
-        result = run_throughput(micro_scale, specs=micro_specs,
-                                num_packets=2000,
-                                algorithms=("HiCuts", "EffiCuts"))
-        assert {row.algorithm for row in result.rows} == {"HiCuts", "EffiCuts"}
-        for row in result.rows:
-            assert row.interpreter_pps > 0
-            assert row.compiled_pps > 0
-            assert row.compiled_memory_bytes > 0
-            assert row.num_subtrees >= 1
-        assert result.median_speedup() > 0
-        assert len(result.table_rows()) == len(result.rows)

@@ -21,7 +21,6 @@ from repro.harness import (
     comparison_table,
     format_table,
     get_scale,
-    parallel_map,
     paper_vs_measured_table,
     series_table,
     summary_table,
@@ -150,17 +149,3 @@ class TestTable1:
     def test_paper_defaults_cover_table(self):
         assert "learning_rate" in TABLE1_PAPER_DEFAULTS
         assert "hidden_sizes" in TABLE1_PAPER_DEFAULTS
-
-
-class TestParallel:
-    def test_serial_fallback(self):
-        assert parallel_map(_square, [1, 2, 3], num_workers=1) == [1, 4, 9]
-
-    def test_parallel_map_results_ordered(self):
-        results = parallel_map(_square, list(range(6)), num_workers=2)
-        assert results == [x * x for x in range(6)]
-
-
-def _square(x: int) -> int:
-    """Top-level helper so it is picklable for the process pool."""
-    return x * x

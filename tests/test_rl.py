@@ -13,10 +13,7 @@ from repro.rl import (
     Policy,
     SampleBatch,
     TupleSpace,
-    discounted_returns,
-    gae_advantages,
     normalize_advantages,
-    one_step_advantages,
 )
 
 
@@ -103,11 +100,6 @@ class TestSampleBatch:
 
 
 class TestAdvantages:
-    def test_one_step_advantages_unnormalised(self):
-        adv = one_step_advantages(np.array([3.0, 1.0]), np.array([1.0, 1.0]),
-                                  normalize=False)
-        assert np.allclose(adv, [2.0, 0.0])
-
     def test_normalize_zero_mean_unit_std(self):
         adv = normalize_advantages(np.array([1.0, 2.0, 3.0, 4.0]))
         assert adv.mean() == pytest.approx(0.0, abs=1e-9)
@@ -116,19 +108,6 @@ class TestAdvantages:
     def test_normalize_constant_vector_safe(self):
         adv = normalize_advantages(np.array([2.0, 2.0, 2.0]))
         assert np.allclose(adv, 0.0)
-
-    def test_discounted_returns(self):
-        returns = discounted_returns([1.0, 1.0, 1.0], gamma=0.5)
-        assert np.allclose(returns, [1.75, 1.5, 1.0])
-
-    def test_gae_matches_mc_when_lambda_one_and_zero_values(self):
-        rewards = [1.0, 2.0, 3.0]
-        adv = gae_advantages(rewards, [0.0, 0.0, 0.0], gamma=1.0, lam=1.0)
-        assert np.allclose(adv, [6.0, 5.0, 3.0])
-
-    def test_gae_length_mismatch(self):
-        with pytest.raises(ValueError):
-            gae_advantages([1.0], [1.0, 2.0])
 
 
 class TestPPO:
