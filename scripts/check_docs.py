@@ -4,8 +4,9 @@
 Three guarantees keep the docs from drifting away from the code:
 
 1. **Links resolve** — every intra-repo markdown link in README.md,
-   ROADMAP.md, and docs/*.md points at a file that exists (external
-   http(s) links and pure #anchors are skipped).
+   ROADMAP.md, and docs/*.md points at a file that exists, and a
+   ``file.md#anchor`` link names a heading of that file under GitHub's slug
+   rules (external http(s) links and pure #anchors are skipped).
 2. **The CLI reference is live** — every ``repro <command>`` heading in
    docs/cli.md names a real subcommand (``repro <command> --help`` must
    exit 0), and every subcommand the CLI actually exposes is documented.
@@ -26,7 +27,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
-from typing import List
+from collections import Counter
+from typing import List, Set
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -35,6 +37,12 @@ LINKED_DOCS = ["README.md", "ROADMAP.md"]
 
 #: Matches markdown inline links: [text](target).
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+
+#: Matches a markdown heading line, capturing its text (closing #s dropped).
+HEADING_RE = re.compile(r"^#{1,6}\s+(.*?)(?:\s+#+)?\s*$")
+
+#: Matches an inline link inside heading text, capturing the link text.
+LINK_TEXT_RE = re.compile(r"\[([^\]]*)\]\([^)]*\)")
 
 #: Matches CLI reference headings: ## `repro <command>`
 CLI_HEADING_RE = re.compile(r"^##\s+`repro\s+([a-z][a-z0-9-]*)`", re.MULTILINE)
@@ -49,27 +57,59 @@ PY_PATH_RE = re.compile(r"(?<![\w./-])([\w./-]+\.py)(?!\w)")
 PY_PATH_ROOTS = (".", "src", "src/repro")
 
 
-def check_links(problems: List[str]) -> int:
-    """Verify every relative markdown link target exists; returns #links."""
-    files = [REPO_ROOT / name for name in LINKED_DOCS]
-    files.extend(sorted((REPO_ROOT / "docs").glob("*.md")))
+def heading_anchors(text: str) -> Set[str]:
+    """The anchors GitHub gives a markdown file's headings.
+
+    A heading's slug is its rendered text lowercased, with punctuation
+    other than ``-`` and ``_`` dropped and spaces turned into ``-``; the
+    second and later headings with the same slug get ``-1``, ``-2``, ...
+    Lines inside fenced code blocks are not headings.
+    """
+    anchors: Set[str] = set()
+    seen: Counter = Counter()
+    in_fence = False
+    for line in text.splitlines():
+        if line.lstrip().startswith(("```", "~~~")):
+            in_fence = not in_fence
+            continue
+        match = HEADING_RE.match(line)
+        if in_fence or match is None:
+            continue
+        title = LINK_TEXT_RE.sub(r"\1", match.group(1)).lower()
+        slug = re.sub(r"[^\w\- ]", "", title).replace(" ", "-")
+        anchors.add(f"{slug}-{seen[slug]}" if seen[slug] else slug)
+        seen[slug] += 1
+    return anchors
+
+
+def check_links(problems: List[str], repo_root: Path = REPO_ROOT) -> int:
+    """Verify every relative markdown link target (and the heading a
+    ``file.md#anchor`` link names) exists; returns #links."""
+    files = [repo_root / name for name in LINKED_DOCS]
+    files.extend(sorted((repo_root / "docs").glob("*.md")))
     checked = 0
     for doc in files:
         if not doc.exists():
-            problems.append(f"{doc.relative_to(REPO_ROOT)}: file missing")
+            problems.append(f"{doc.relative_to(repo_root)}: file missing")
             continue
         for match in LINK_RE.finditer(doc.read_text(encoding="utf-8")):
             target = match.group(1)
             if target.startswith(("http://", "https://", "mailto:", "#")):
                 continue
-            path = target.split("#", 1)[0]
+            path, _, anchor = target.partition("#")
             if not path:
                 continue
             checked += 1
             resolved = (doc.parent / path).resolve()
             if not resolved.exists():
                 problems.append(
-                    f"{doc.relative_to(REPO_ROOT)}: broken link -> {target}"
+                    f"{doc.relative_to(repo_root)}: broken link -> {target}"
+                )
+            elif anchor and resolved.suffix == ".md" and anchor not in \
+                    heading_anchors(resolved.read_text(encoding="utf-8")):
+                problems.append(
+                    f"{doc.relative_to(repo_root)}: no heading for anchor "
+                    f"-> {target}"
                 )
     return checked
 

@@ -45,6 +45,7 @@ from typing import List, Optional, Sequence
 
 from repro.baselines import default_baselines
 from repro.classbench import generate_classifier, generate_trace, seed_names
+from repro.exceptions import ConfigError
 from repro.executors import EXECUTOR_BACKENDS
 from repro.neurocuts import NeuroCutsConfig, NeuroCutsTrainer
 from repro.serve.rebalance import DEFAULT_REBALANCE_INTERVAL, \
@@ -189,10 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--workers", type=int, default=1,
                        help="rollout workers collecting experience shards in "
                             "parallel (1 = serial collection)")
-    train.add_argument("--async-collection", action="store_true",
-                       help="pipeline rollout collection against the PPO "
-                            "update (workers roll on a snapshot at most one "
-                            "weight generation stale)")
 
     classify = subparsers.add_parser(
         "classify", help="classify sampled packets against a saved tree"
@@ -356,11 +353,15 @@ def _training_config(args: argparse.Namespace) -> NeuroCutsConfig:
         leaf_threshold=getattr(args, "leaf_threshold", 16),
         seed=getattr(args, "seed", 0),
         num_rollout_workers=getattr(args, "workers", 1),
-        async_collection=getattr(args, "async_collection", False),
     )
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    try:
+        config = _training_config(args) if args.with_neurocuts else None
+    except ConfigError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     ruleset = rules_io.load(args.rules)
     rows: List[List[object]] = []
     for name, builder in default_baselines(binth=args.binth).items():
@@ -368,8 +369,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         rows.append([name, result.stats.classification_time,
                      round(result.stats.bytes_per_rule, 1),
                      result.stats.num_trees, result.stats.num_nodes])
-    if args.with_neurocuts:
-        config = _training_config(args)
+    if config is not None:
         with NeuroCutsTrainer(ruleset, config) as trainer:
             result = trainer.train()
         stats = result.best_classifier().stats()
@@ -383,11 +383,12 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    if args.workers < 1:
-        print("error: --workers must be >= 1", file=sys.stderr)
+    try:
+        config = _training_config(args)
+    except ConfigError as error:
+        print(f"error: {error}", file=sys.stderr)
         return 2
     ruleset = rules_io.load(args.rules)
-    config = _training_config(args)
     with NeuroCutsTrainer(ruleset, config) as trainer:
         result = trainer.train()
     classifier = result.best_classifier()

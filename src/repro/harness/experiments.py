@@ -395,8 +395,8 @@ def run_scaling(
     rollouts/sec measurement.
 
     No PPO updates run — the experiment isolates the actor side that
-    Figure 7 parallelises (process pools still exercise the shared-memory
-    weight broadcast).
+    Figure 7 parallelises (each shard request still carries the flat weight
+    vector, as in training).
     """
     import time
 

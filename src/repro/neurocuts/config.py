@@ -46,18 +46,13 @@ class NeuroCutsConfig:
     * ``partition_top_levels`` — tree levels at which partition actions stay
       unmasked (the paper prohibits partitioning at lower levels).
 
-    Beyond Table 1, the actor/learner knobs (the paper's Figure 7 scaling
+    Beyond Table 1, the actor/learner knob (the paper's Figure 7 scaling
     setup):
 
     * ``num_rollout_workers`` — how many rollout shards each PPO batch is
       scattered over (serial in-process for one, a persistent process pool
       otherwise; the trainer's ``rollout_backend`` argument overrides).
-    * ``async_collection`` — when True, the training loop keeps one round
-      in flight: the next round's shards are submitted on the *pre-update*
-      weight snapshot before the PPO update runs, so workers keep rolling
-      while the learner learns, and every batch after the first is exactly
-      one weight generation stale (stamped and checked).  When False
-      (default) each round is collected on the current weights.
+      Every batch is collected on the current weights.
     """
 
     time_space_coeff: float = 1.0
@@ -86,8 +81,6 @@ class NeuroCutsConfig:
     convergence_patience: Optional[int] = None
     #: Rollout shards per PPO batch (1 = classic single-process collection).
     num_rollout_workers: int = 1
-    #: Keep one collection round in flight across the PPO update.
-    async_collection: bool = False
 
     def __post_init__(self) -> None:
         self.validate()

@@ -28,7 +28,6 @@ from repro.tree.serialize import tree_from_dict, tree_to_dict
 
 
 def default_retrain_config(timesteps: int = 3_000,
-                           rollout_workers: int = 1,
                            seed: int = 0,
                            **overrides) -> NeuroCutsConfig:
     """A training configuration sized for *serving-loop* retrains.
@@ -36,8 +35,7 @@ def default_retrain_config(timesteps: int = 3_000,
     Retrains triggered by rule churn trade ultimate tree quality for
     turnaround: a small policy network and a tight timestep budget so the
     new tree lands while the workload that triggered it is still relevant.
-    ``rollout_workers`` shards collection across a ``repro.executors`` pool
-    exactly as offline training does.
+    A retrain job collects its rollouts with one worker.
     """
     defaults = dict(
         hidden_sizes=(64, 64),
@@ -49,7 +47,6 @@ def default_retrain_config(timesteps: int = 3_000,
         sgd_minibatch_size=128,
         learning_rate=3e-4,
         convergence_patience=4,
-        num_rollout_workers=rollout_workers,
         seed=seed,
     )
     defaults.update(overrides)

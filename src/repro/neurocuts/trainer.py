@@ -11,20 +11,15 @@ iteration trains one round with a central PPO update and tracks the best
 tree seen so far under the configured time/space objective — the artifact
 the evaluation section reports.
 
-Shard collection is a pure function of (weights, seed, budget), so for a
-fixed configuration the serial backend and a one-worker process pool produce
-byte-identical training histories.  Process pools publish each snapshot once
-through :mod:`repro.neurocuts.broadcast` and ship a tiny handle per shard.
+Shard collection is a pure function of (weights, seed, budget), and every
+shard request carries the flat weight vector itself, so for a fixed
+configuration the serial backend and a one-worker process pool produce
+byte-identical training histories.
 
-There is one training loop.  By default a round is submitted and gathered
-in the iteration that trains it.  With ``config.async_collection`` the loop
-keeps one round in flight: the next round is submitted on the *pre-update*
-snapshot before the PPO update runs, so workers roll while the learner
-learns, and every batch after the first is exactly one weight generation
-stale — stamped, checked, and recorded in ``collection_lags``.  A round
-still in flight when the loop exits is gathered into a prefetch that the
-next ``train`` call trains first and checkpoints persist, so split calls
-and resumed runs continue byte-identically.
+There is one training loop and it is synchronous: each iteration collects
+one round on the current weights (:meth:`NeuroCutsTrainer.collect_batch`)
+and then trains on it, so split ``train`` calls and resumed runs continue
+byte-identically.
 """
 
 from __future__ import annotations
@@ -48,8 +43,7 @@ from repro.tree.lookup import TreeClassifier
 from repro.tree.serialize import tree_from_dict, tree_to_dict
 from repro.tree.tree import DecisionTree
 from repro.baselines.base import TreeBuilder
-from repro.executors import ProcessPoolExecutor, RolloutExecutor, TaskHandle
-from repro.neurocuts.broadcast import WeightBroadcast, shared_memory_available
+from repro.executors import RolloutExecutor
 from repro.neurocuts.config import NeuroCutsConfig
 from repro.neurocuts.env import NeuroCutsEnv, RolloutResult
 from repro.neurocuts.reward import RewardComponents
@@ -85,30 +79,6 @@ class IterationStats:
 
     def as_dict(self) -> Dict[str, float]:
         return dict(self.__dict__)
-
-
-@dataclass
-class _InFlightRound:
-    """One submitted-but-ungathered collection round."""
-
-    handles: List[TaskHandle]
-    #: Weight generation the round's snapshot was taken at (staleness stamp).
-    generation: int
-
-
-@dataclass
-class _ReadyRound:
-    """A gathered round waiting to be trained on.
-
-    Its steps are already counted and its best-tree candidates already
-    folded — exactly the state an uninterrupted run is in between gathering
-    a round and running its PPO update — so a checkpoint carrying one
-    resumes byte-identically.
-    """
-
-    batch: SampleBatch
-    summaries: List[RolloutSummary]
-    generation: int
 
 
 @dataclass
@@ -180,19 +150,6 @@ class NeuroCutsTrainer:
         #: (built on first collection, released by close()).
         self._executor: Optional[RolloutExecutor] = None
         self._session: Optional[int] = None
-        #: Weight generations applied so far (== PPO updates run).  Stamps
-        #: every round so staleness is asserted, never assumed.
-        self._weight_generation = 0
-        #: Per-iteration staleness (in weight generations) of the batch each
-        #: PPO update trained on: 0 synchronous, 1 once a pipeline primes.
-        self.collection_lags: List[int] = []
-        #: The round submitted ahead of the update (async collection only).
-        self._inflight: Optional[_InFlightRound] = None
-        #: A gathered-but-untrained round carried across train() calls and
-        #: checkpoint resumes.
-        self._prefetch: Optional[_ReadyRound] = None
-        #: Shared-memory weight publisher (process-pool backends only).
-        self._broadcast: Optional[WeightBroadcast] = None
 
     # ------------------------------------------------------------------ #
     # Executor lifecycle
@@ -213,20 +170,6 @@ class NeuroCutsTrainer:
 
     def close(self) -> None:
         """Shut down the trainer's executor (idempotent)."""
-        # Drain any in-flight round before tearing anything down:
-        # abandoned tasks would otherwise race the shared-memory unlink (and
-        # a pool shutdown) below.  Results are discarded; the gathered
-        # prefetch (if any) is kept so a save() after close() stays exact.
-        if self._inflight is not None:
-            for handle in self._inflight.handles:
-                try:
-                    handle.result()
-                except Exception:  # noqa: BLE001 - draining, not consuming
-                    pass
-            self._inflight = None
-        if self._broadcast is not None:
-            self._broadcast.close()
-            self._broadcast = None
         # Serial sessions build their rollout worker in this process; drop
         # it so closed trainers do not accumulate env + model replicas.
         discard_session(self._session)
@@ -245,31 +188,14 @@ class NeuroCutsTrainer:
     # Rollout collection (the scatter/gather half of the learner loop)
     # ------------------------------------------------------------------ #
 
-    def _publish_weights(self, executor: RolloutExecutor):
-        """Snapshot the model for scatter: inline ndarray or shm handle.
-
-        Process pools publish the flat vector once into shared memory and
-        ship a tiny :class:`~repro.neurocuts.broadcast.WeightHandle` per
-        shard (stamped with the round index it serves).  Serial and thread
-        backends keep the inline ndarray — the same bytes either way, so
-        histories are byte-identical across the two transports.
-        """
-        flat = broadcast_weights(self.model)
-        if not (isinstance(executor, ProcessPoolExecutor)
-                and shared_memory_available()):
-            return flat
-        if self._broadcast is None:
-            self._broadcast = WeightBroadcast(capacity=len(flat))
-        return self._broadcast.publish(flat, generation=self._collect_rounds)
-
-    def _build_requests(self, executor: RolloutExecutor) -> List[ShardRequest]:
+    def _build_requests(self) -> List[ShardRequest]:
         """Scatter plan for the next collection round (round index seeds it)."""
         remaining = self.config.max_timesteps_total - self._timesteps_total
         total_budget = max(1, min(self.config.timesteps_per_batch, remaining))
         num_workers = max(1, self.num_rollout_workers)
         budgets = shard_budgets(total_budget, num_workers)
         seeds = shard_seeds(self.config.seed, self._collect_rounds, num_workers)
-        weights = self._publish_weights(executor)
+        weights = broadcast_weights(self.model)
         return [
             ShardRequest(session=self._session, weights=weights, seed=seed,
                          budget=budget)
@@ -299,23 +225,6 @@ class NeuroCutsTrainer:
             raise BuildError("no experience collected; rollouts produced no steps")
         return SampleBatch.concat(batches), summaries
 
-    def _submit_round(self) -> _InFlightRound:
-        """Scatter the next collection round without waiting on its shards."""
-        assert self._inflight is None, "at most one round may be in flight"
-        executor = self._ensure_executor()
-        return _InFlightRound(
-            handles=[executor.submit(_collect_shard, request)
-                     for request in self._build_requests(executor)],
-            generation=self._weight_generation,
-        )
-
-    def _gather(self, inflight: _InFlightRound) -> _ReadyRound:
-        """Block on a submitted round's shards and fold them."""
-        shards = [handle.result() for handle in inflight.handles]
-        batch, summaries = self._fold_shards(shards)
-        return _ReadyRound(batch=batch, summaries=summaries,
-                           generation=inflight.generation)
-
     def collect_batch(self) -> tuple[SampleBatch, List[RolloutSummary]]:
         """Collect one PPO batch worth of rollouts on the current weights.
 
@@ -323,39 +232,9 @@ class NeuroCutsTrainer:
         gathers the shards, folds their best-tree candidates into the global
         best tracking, and concatenates the experience.
         """
-        ready = self._gather(self._submit_round())
-        return ready.batch, ready.summaries
-
-    def _next_round(self) -> _ReadyRound:
-        """The round to train on: the prefetch, the one in flight, or one
-        collected now on the current weights."""
-        if self._prefetch is not None:
-            ready, self._prefetch = self._prefetch, None
-            return ready
-        if self._inflight is not None:
-            inflight, self._inflight = self._inflight, None
-            return self._gather(inflight)
-        batch, summaries = self.collect_batch()
-        return _ReadyRound(batch=batch, summaries=summaries,
-                           generation=self._weight_generation)
-
-    def _drain_inflight(self) -> None:
-        """Gather a leftover in-flight round into the prefetch stash.
-
-        Called when the training loop exits with a round in flight: the
-        round's steps are counted and its best candidates folded (exactly
-        the state between gathering and training), and the gathered batch is
-        carried in ``self._prefetch`` — consumed by the next ``train`` call
-        and persisted by :meth:`save`, so nothing collected is ever lost.
-        """
-        if self._inflight is not None:
-            inflight, self._inflight = self._inflight, None
-            try:
-                self._prefetch = self._gather(inflight)
-            except BuildError:
-                # The drained round had no trainable steps; its (optimal)
-                # tree already reached the best tracking via the fold.
-                pass
+        shards = self._ensure_executor().map(_collect_shard,
+                                             self._build_requests())
+        return self._fold_shards(shards)
 
     def _consider_best(self, result: RolloutResult) -> None:
         """Track the best complete (non-overflowing) tree seen so far."""
@@ -373,14 +252,8 @@ class NeuroCutsTrainer:
     def train(self, max_iterations: Optional[int] = None) -> TrainingResult:
         """Run training until the timestep budget (or iteration cap) is hit.
 
-        Each iteration trains one round: a stashed prefetch first, else the
-        round in flight, else one collected now.  With
-        ``config.async_collection`` the iteration then submits the next
-        round on the *pre-update* snapshot while budget remains, so workers
-        roll during the update and the batch trained next is one weight
-        generation stale — checked against the stamp, never assumed.  A
-        round still in flight when the loop exits (budget, iteration cap,
-        or convergence) is drained into the prefetch.
+        Each iteration collects one round on the current weights and runs
+        one PPO update on it.
 
         Convergence-patience counters live on the trainer (not this call),
         so repeated ``train`` calls — and checkpoint resumes — continue the
@@ -388,34 +261,19 @@ class NeuroCutsTrainer:
         """
         total = self.config.max_timesteps_total
         iteration = len(self.history)
-        while self._timesteps_total < total or self._prefetch is not None:
+        while self._timesteps_total < total:
             if max_iterations is not None and iteration >= max_iterations:
                 break
             start = time.perf_counter()
             try:
-                ready = self._next_round()
+                batch, summaries = self.collect_batch()
             except BuildError:
                 if self._best_any is not None:
                     break  # nothing to learn (single-leaf tree): done
                 raise
-            # Not gated on max_iterations: a capped run leaves the round in
-            # flight (drained to the prefetch below), so a later train()
-            # call continues byte-identically with an uncapped run.
-            if self.config.async_collection and self._timesteps_total < total:
-                self._inflight = self._submit_round()
-            lag = self._weight_generation - ready.generation
-            if lag > 1:
-                raise BuildError(
-                    f"batch collected at weight generation {ready.generation} "
-                    f"trained at generation {self._weight_generation}: the "
-                    f"loop holds at most one round in flight (lag <= 1)"
-                )
-            ppo_stats = self.learner.update(ready.batch)
-            self._weight_generation += 1
-            self.collection_lags.append(lag)
+            ppo_stats = self.learner.update(batch)
             iteration += 1
-            stats = self._record_iteration(iteration, ready.summaries,
-                                           ppo_stats,
+            stats = self._record_iteration(iteration, summaries, ppo_stats,
                                            time.perf_counter() - start)
             if self.config.convergence_patience is not None:
                 if stats.best_objective < self._last_best - 1e-9:
@@ -425,7 +283,6 @@ class NeuroCutsTrainer:
                     self._stale_iterations += 1
                     if self._stale_iterations >= self.config.convergence_patience:
                         break
-        self._drain_inflight()
         return self.result()
 
     def _record_iteration(self, iteration: int,
@@ -493,15 +350,8 @@ class NeuroCutsTrainer:
         :meth:`restore` continues training with byte-identical trajectories:
         shard seeds derive from the persisted round counter, the PPO
         minibatch RNG state and adaptive KL coefficient are saved, and the
-        best-tree records (trees included) survive the round trip, as do
-        the weight-generation stamp and any gathered-but-untrained prefetch
-        round, so a resumed pipeline continues exactly where an
-        uninterrupted one would be.
+        best-tree records (trees included) survive the round trip.
         """
-        # A checkpoint must never capture a half-gathered round: fold any
-        # in-flight round into the prefetch first (same transition train()
-        # performs on exit).
-        self._drain_inflight()
         trainer_state = {
             "config": {
                 key: list(value) if isinstance(value, tuple) else value
@@ -517,9 +367,6 @@ class NeuroCutsTrainer:
             "history": [stats.as_dict() for stats in self.history],
             "best_rollout": self._rollout_record(self._best_rollout),
             "best_any": self._rollout_record(self._best_any),
-            "weight_generation": self._weight_generation,
-            "collection_lags": list(self.collection_lags),
-            "prefetch": self._prefetch_record(self._prefetch),
         }
         save_checkpoint(self.model, path, optimizer=self.learner.optimizer,
                         trainer_state=trainer_state)
@@ -536,51 +383,6 @@ class NeuroCutsTrainer:
             "num_steps": result.num_steps,
             "truncated": result.truncated,
         }
-
-    @staticmethod
-    def _prefetch_record(round_: Optional[_ReadyRound]) -> Optional[Dict]:
-        """Serialise the prefetch round as JSON-safe nested lists.
-
-        ``json`` round-trips float64 exactly (shortest-repr encoding), so a
-        restored prefetch batch is byte-identical to the saved one.
-        """
-        if round_ is None:
-            return None
-        batch = round_.batch
-        return {
-            "generation": round_.generation,
-            "summaries": [dataclasses.asdict(s) for s in round_.summaries],
-            "batch": {
-                "obs": batch.obs.tolist(),
-                "actions": batch.actions.tolist(),
-                "returns": batch.returns.tolist(),
-                "value_preds": batch.value_preds.tolist(),
-                "logp_old": batch.logp_old.tolist(),
-                "action_masks": None if batch.action_masks is None else
-                [mask.tolist() for mask in batch.action_masks],
-            },
-        }
-
-    @staticmethod
-    def _prefetch_from_record(record: Optional[Dict]) -> Optional[_ReadyRound]:
-        if record is None:
-            return None
-        raw = record["batch"]
-        masks = raw.get("action_masks")
-        batch = SampleBatch(
-            obs=np.array(raw["obs"], dtype=np.float64),
-            actions=np.array(raw["actions"], dtype=np.int64),
-            returns=np.array(raw["returns"], dtype=np.float64),
-            value_preds=np.array(raw["value_preds"], dtype=np.float64),
-            logp_old=np.array(raw["logp_old"], dtype=np.float64),
-            action_masks=None if masks is None else
-            [np.array(mask, dtype=bool) for mask in masks],
-        )
-        return _ReadyRound(
-            batch=batch,
-            summaries=[RolloutSummary(**s) for s in record["summaries"]],
-            generation=int(record["generation"]),
-        )
 
     def _rollout_from_record(self, record: Optional[Dict]
                              ) -> Optional[RolloutResult]:
@@ -608,12 +410,22 @@ class NeuroCutsTrainer:
         ``config`` overrides the saved one (e.g. to change the worker count
         on different hardware); overriding seed-relevant fields changes the
         continuation trajectory.
+
+        Checkpoints of the retired pipelined loop restore too: their
+        weight-generation stamp and lag record are ignored.  One that holds
+        a collected round that was never trained (``prefetch``) cannot
+        continue exactly and is refused.
         """
         bundle = load_training_checkpoint(path)
         if bundle.trainer_state is None:
             raise CheckpointError(
                 f"{path} is a model-only checkpoint; save it with "
                 f"NeuroCutsTrainer.save() to resume training"
+            )
+        if bundle.trainer_state.get("prefetch") is not None:
+            raise CheckpointError(
+                f"{path} holds a pipelined 'prefetch' round that was never "
+                f"trained; the synchronous loop cannot resume it exactly"
             )
         if config is None:
             saved = bundle.trainer_state.get("config")
@@ -633,32 +445,21 @@ class NeuroCutsTrainer:
         trainer.history = [IterationStats(**stats) for stats in state["history"]]
         trainer._best_rollout = trainer._rollout_from_record(state["best_rollout"])
         trainer._best_any = trainer._rollout_from_record(state["best_any"])
-        # Fleet-trainer state (absent in pre-async checkpoints: default to
-        # the synchronous interpretation — one generation per update, no
-        # prefetch in the pipeline).
-        trainer._weight_generation = int(
-            state.get("weight_generation", len(trainer.history)))
-        trainer.collection_lags = [
-            int(lag) for lag in state.get("collection_lags", [])]
-        trainer._prefetch = trainer._prefetch_from_record(
-            state.get("prefetch"))
         return trainer
 
 
 def _config_from_record(saved: Dict) -> NeuroCutsConfig:
     """Rebuild a checkpoint's config, including one saved by older code.
 
-    Older checkpoints carry two fields the config no longer has.
-    ``rollout_backend`` is now the trainer's own argument and shards do not
-    depend on it, so it is dropped.  ``max_weight_lag=0`` made a pipelined
-    run submit each round after its update — the synchronous loop — so it
-    restores as ``async_collection=False``; a lag of 1 is what
-    ``async_collection`` means now.
+    Older checkpoints carry fields the config no longer has, and each is
+    dropped.  ``rollout_backend`` is now the trainer's own argument and
+    shards do not depend on it.  ``async_collection`` and
+    ``max_weight_lag`` selected the retired pipelined loop; a pipelined
+    checkpoint without a pending round continues synchronously.
     """
     saved = dict(saved)
-    saved.pop("rollout_backend", None)
-    if saved.pop("max_weight_lag", 1) == 0:
-        saved["async_collection"] = False
+    for legacy in ("rollout_backend", "async_collection", "max_weight_lag"):
+        saved.pop(legacy, None)
     return NeuroCutsConfig(**{
         key: tuple(value) if key == "hidden_sizes" else value
         for key, value in saved.items()

@@ -28,12 +28,11 @@ import itertools
 import os
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.executors import RolloutExecutor, make_executor
-from repro.neurocuts.broadcast import WeightHandle, resolve_weights
 from repro.nn.checkpoints import (
     flatten_parameters,
     parameter_spec,
@@ -64,11 +63,9 @@ class ShardRequest:
     Attributes:
         session: identifies which worker state (ruleset + config) serves the
             request; guards against stale per-process worker caches.
-        weights: the learner's policy snapshot — either the flat float64
-            vector inline (serial/thread backends) or a
-            :class:`~repro.neurocuts.broadcast.WeightHandle` naming a
-            generation published once into shared memory (process pools,
-            which would otherwise pickle one copy per shard).
+        weights: the learner's policy snapshot as a flat float64 vector,
+            carried inline on every backend (a process pool pickles one
+            copy per shard).
         seed: entropy for this shard's action sampling (scattered per worker
             per iteration by the learner).
         budget: minimum number of environment timesteps to collect; whole
@@ -77,7 +74,7 @@ class ShardRequest:
     """
 
     session: int
-    weights: Union[np.ndarray, WeightHandle]
+    weights: np.ndarray
     seed: int
     budget: int
 
@@ -224,8 +221,7 @@ def _collect_shard(request: ShardRequest) -> RolloutShard:
             f"rollout session {request.session} not initialised in this "
             f"process; the executor must run _init_worker first"
         )
-    return worker.collect(resolve_weights(request.weights), request.seed,
-                          request.budget)
+    return worker.collect(request.weights, request.seed, request.budget)
 
 
 def make_rollout_executor(ruleset: RuleSet, config: NeuroCutsConfig,

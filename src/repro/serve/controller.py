@@ -70,8 +70,6 @@ class RetrainPolicy:
             :func:`repro.neurocuts.service.default_retrain_config`.
         max_iterations: optional PPO-iteration cap per job (tests use this
             to bound wall time independently of the timestep budget).
-        rollout_workers: rollout shards inside each training job (>1 spawns
-            the trainer's own ``repro.executors`` process pool).
         backend: where the retrain job itself runs — ``"thread"`` (default:
             overlaps serving in-process, no pickling), ``"process"`` (a
             spawn pool; request/response are picklable by construction), or
@@ -101,7 +99,6 @@ class RetrainPolicy:
 
     timesteps: int = 3_000
     max_iterations: Optional[int] = None
-    rollout_workers: int = 1
     backend: str = "thread"
     time_space_coeff: float = 1.0
     quality_gate: bool = True
@@ -111,8 +108,6 @@ class RetrainPolicy:
     def __post_init__(self) -> None:
         if self.timesteps < 1:
             raise ValueError("timesteps must be >= 1")
-        if self.rollout_workers < 1:
-            raise ValueError("rollout_workers must be >= 1")
         if self.backend not in RETRAIN_BACKENDS:
             raise ValueError(
                 f"backend must be one of {RETRAIN_BACKENDS}, "
@@ -125,7 +120,6 @@ class RetrainPolicy:
         """The NeuroCuts configuration one retrain job runs with."""
         return default_retrain_config(
             timesteps=self.timesteps,
-            rollout_workers=self.rollout_workers,
             seed=seed,
             time_space_coeff=self.time_space_coeff,
             reward_scaling="log" if self.time_space_coeff < 1.0 else "linear",

@@ -77,6 +77,26 @@ class TestCommands:
         assert "0 mismatches" in capsys.readouterr().out
 
 
+    @pytest.mark.parametrize("command, flags, message", [
+        ("train", ["--timesteps", "0"], "max_timesteps_total must be >= 1"),
+        ("train", ["--coefficient", "2"],
+         "time_space_coeff must be within [0, 1]"),
+        ("train", ["--leaf-threshold", "0"], "leaf_threshold must be >= 1"),
+        ("compare", ["--timesteps", "0"], "max_timesteps_total must be >= 1"),
+    ])
+    def test_out_of_range_training_flags_exit_2(self, tmp_path, capsys,
+                                                small_acl_ruleset, command,
+                                                flags, message):
+        """Exit 2 with an ``error:`` line, not 1 (the code ``train`` uses
+        for a learnt tree that disagrees with linear search)."""
+        rules_path = tmp_path / "rules.cb"
+        rules_io.dump(small_acl_ruleset, rules_path)
+        extra = {"train": ["--output", str(tmp_path / "tree.json")],
+                 "compare": ["--with-neurocuts"]}[command]
+        assert main([command, str(rules_path), *extra, *flags]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
+
 class TestEngineBench:
     def test_engine_bench_reports_speedup_and_hit_rate(self, capsys):
         code = main(["engine-bench", "--num-rules", "120",

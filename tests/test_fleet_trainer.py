@@ -1,23 +1,12 @@
-"""Tests for the fleet trainer: pipelined rollout collection with
-one-generation weight staleness, shared-memory weight broadcast, and the
-shared multiplexed retrain pool.
+"""Tests for the fleet trainer's shared multiplexed retrain pool.
 
-Four layers, mirroring the subsystem's contracts:
+Two layers, mirroring the subsystem's contracts:
 
-1. **Broadcast mechanics**: the double-buffered seqlock block round-trips
-   weight generations exactly, and a lapped (stale) handle raises instead
-   of silently returning unknown weights.
-2. **RetrainPool semantics**: round-robin fairness across keys, FIFO
+1. **RetrainPool semantics**: round-robin fairness across keys, FIFO
    within a key, queue-depth accounting, exception transparency, and the
    process-local shared-pool registry handing every controller the *same*
    pool (and underlying executor) — the fleet-trainer contract.
-3. **Async collection determinism**: a checkpoint saved by a lag-0
-   pipeline restores into the synchronous loop and continues its history
-   byte-for-byte; ``async_collection`` is deterministic, never trains on
-   weights older than one generation (hypothesis property over seeds and
-   worker counts), and resumes exactly through a checkpoint carrying the
-   prefetch round.
-4. **Controller lifecycle**: a trace that dies mid-stream cannot leak
+2. **Controller lifecycle**: a trace that dies mid-stream cannot leak
    retrain executors (threads joined by the ``finally``).
 """
 
@@ -25,11 +14,8 @@ from __future__ import annotations
 
 import threading
 
-import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.exceptions import ConfigError
 from repro.executors import (
     RetrainPool,
     RolloutExecutor,
@@ -37,15 +23,6 @@ from repro.executors import (
     TaskHandle,
     ThreadExecutor,
     shared_retrain_pool,
-)
-from repro.neurocuts import NeuroCutsConfig, NeuroCutsTrainer
-from repro.nn.checkpoints import load_training_checkpoint, save_checkpoint
-from repro.neurocuts.broadcast import (
-    WeightBroadcast,
-    WeightHandle,
-    read_weights,
-    resolve_weights,
-    shared_memory_available,
 )
 from repro.serve import (
     LoadAwareRebalancePolicy,
@@ -64,27 +41,6 @@ from repro.workloads import (
 )
 
 
-def _history_dicts(result):
-    """Iteration stats without the timing field (never reproducible)."""
-    return [
-        {k: v for k, v in stats.as_dict().items() if k != "wall_time_s"}
-        for stats in result.history
-    ]
-
-
-def _fleet_config(**overrides):
-    defaults = dict(
-        hidden_sizes=(8, 8),
-        max_timesteps_total=600,
-        timesteps_per_batch=200,
-        max_timesteps_per_rollout=100,
-        leaf_threshold=8,
-        seed=11,
-    )
-    defaults.update(overrides)
-    return NeuroCutsConfig.fast_test_config(**defaults)
-
-
 def _fresh_rules(ruleset, count, tag="fleet"):
     base = max(r.priority for r in ruleset) + 1
     return [
@@ -92,59 +48,6 @@ def _fresh_rules(ruleset, count, tag="fleet"):
                            name=f"{tag}{i}")
         for i in range(count)
     ]
-
-
-# --------------------------------------------------------------------------- #
-# Shared-memory broadcast mechanics
-# --------------------------------------------------------------------------- #
-
-
-@pytest.mark.skipif(not shared_memory_available(),
-                    reason="multiprocessing.shared_memory unavailable")
-class TestWeightBroadcast:
-    def test_publish_read_round_trip_both_slots(self):
-        rng = np.random.default_rng(3)
-        with WeightBroadcast(capacity=64) as broadcast:
-            for generation in range(4):  # exercises slot 0 and slot 1 twice
-                flat = rng.standard_normal(64)
-                handle = broadcast.publish(flat, generation=generation)
-                assert handle.generation == generation
-                assert handle.length == 64
-                np.testing.assert_array_equal(read_weights(handle), flat)
-
-    def test_short_vector_round_trips_by_length(self):
-        with WeightBroadcast(capacity=32) as broadcast:
-            flat = np.arange(5, dtype=np.float64)
-            handle = broadcast.publish(flat, generation=0)
-            np.testing.assert_array_equal(read_weights(handle), flat)
-
-    def test_lapped_handle_raises_instead_of_returning_unknown_weights(self):
-        with WeightBroadcast(capacity=8) as broadcast:
-            stale = broadcast.publish(np.zeros(8), generation=0)
-            # Generation 2 reuses slot 0 (2 % 2 == 0): the staleness bound
-            # (at most two live generations) is violated for the old handle.
-            broadcast.publish(np.ones(8), generation=2)
-            with pytest.raises(RuntimeError, match="staleness"):
-                read_weights(stale)
-
-    def test_validation_and_idempotent_close(self):
-        with pytest.raises(ValueError):
-            WeightBroadcast(capacity=0)
-        broadcast = WeightBroadcast(capacity=4)
-        with pytest.raises(ValueError):
-            broadcast.publish(np.zeros(5), generation=0)
-        with pytest.raises(ValueError):
-            broadcast.publish(np.zeros(4), generation=-1)
-        broadcast.close()
-        broadcast.close()
-
-    def test_resolve_weights_passthrough_and_handle(self):
-        flat = np.arange(6, dtype=np.float64)
-        assert resolve_weights(flat) is flat
-        with WeightBroadcast(capacity=6) as broadcast:
-            handle = broadcast.publish(flat, generation=1)
-            assert isinstance(handle, WeightHandle)
-            np.testing.assert_array_equal(resolve_weights(handle), flat)
 
 
 # --------------------------------------------------------------------------- #
@@ -307,112 +210,6 @@ class TestControllersShareOnePool:
                 registry.apply_update("t0", adds=[rule])
             assert controller.poll_tenant("t0") is True
         assert gauge.value == 0
-
-
-# --------------------------------------------------------------------------- #
-# Async collection: staleness bound, determinism, exact resume
-# --------------------------------------------------------------------------- #
-
-
-class TestAsyncCollection:
-    def test_config_rejects_unsupported_lag(self):
-        # The lag is structural (one round in flight), not a knob.
-        with pytest.raises(TypeError, match="max_weight_lag"):
-            _fleet_config(async_collection=True, max_weight_lag=2)
-        with pytest.raises(ConfigError, match="rollout_backend"):
-            NeuroCutsTrainer(None, _fleet_config(), rollout_backend="thread")
-
-    def test_lag_zero_reproduces_synchronous_history_byte_identically(
-            self, small_acl_ruleset, tmp_path):
-        """A lag-0 pipeline (an older config) submitted each round after
-        its update — the synchronous loop.  Its checkpoints restore into
-        that loop and continue the synchronous history exactly."""
-        with NeuroCutsTrainer(small_acl_ruleset, _fleet_config()) as sync:
-            sync_result = sync.train()
-            assert sync.collection_lags == [0] * len(sync_result.history)
-        path = tmp_path / "lag0.ckpt"
-        with NeuroCutsTrainer(small_acl_ruleset, _fleet_config()) as first:
-            first.train(max_iterations=1)
-            first.save(path)
-            state = load_training_checkpoint(path).trainer_state
-            state["config"].update(async_collection=True, max_weight_lag=0,
-                                   rollout_backend="process")
-            save_checkpoint(first.model, path,
-                            optimizer=first.learner.optimizer,
-                            trainer_state=state)
-        with NeuroCutsTrainer.restore(path, small_acl_ruleset) as resumed:
-            assert resumed.config.async_collection is False
-            result = resumed.train()
-            assert resumed.collection_lags == [0] * len(result.history)
-        assert _history_dicts(result) == _history_dicts(sync_result)
-
-    def test_lag_one_pipelines_and_is_deterministic(self, small_acl_ruleset):
-        config = _fleet_config(async_collection=True)
-        histories = []
-        for _ in range(2):
-            with NeuroCutsTrainer(small_acl_ruleset, config) as trainer:
-                result = trainer.train()
-                # First batch is collected cold (lag 0); every later one
-                # was submitted on the pre-update snapshot (lag exactly 1).
-                assert trainer.collection_lags[0] == 0
-                assert trainer.collection_lags[1:] == \
-                    [1] * (len(result.history) - 1)
-                histories.append(_history_dicts(result))
-        assert histories[0] == histories[1]
-
-    def test_split_train_calls_match_one_uninterrupted_run(
-            self, small_acl_ruleset):
-        config = _fleet_config(async_collection=True)
-        with NeuroCutsTrainer(small_acl_ruleset, config) as whole:
-            uninterrupted = whole.train()
-        with NeuroCutsTrainer(small_acl_ruleset, config) as split:
-            split.train(max_iterations=1)
-            # The iteration cap left the pipeline primed: its round was
-            # drained into the prefetch so the next call continues exactly.
-            assert split._prefetch is not None
-            resumed = split.train()
-        assert _history_dicts(resumed) == _history_dicts(uninterrupted)
-
-    @settings(max_examples=5, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=6),
-           num_workers=st.sampled_from([1, 2]))
-    def test_property_never_trains_on_weights_older_than_one_generation(
-            self, small_acl_ruleset, seed, num_workers):
-        config = _fleet_config(
-            async_collection=True, seed=seed,
-            num_rollout_workers=num_workers,
-            max_timesteps_total=300, timesteps_per_batch=150,
-        )
-        with NeuroCutsTrainer(small_acl_ruleset, config,
-                              rollout_backend="serial") as trainer:
-            result = trainer.train()
-            lags = list(trainer.collection_lags)
-            assert len(lags) == len(result.history)
-            assert all(0 <= lag <= 1 for lag in lags)
-            assert lags[0] == 0
-            # One weight generation per PPO update, stamped explicitly.
-            assert trainer._weight_generation == len(result.history)
-
-    def test_exact_resume_through_async_checkpoint(self, small_acl_ruleset,
-                                                   tmp_path):
-        config = _fleet_config(async_collection=True)
-        with NeuroCutsTrainer(small_acl_ruleset, config) as whole:
-            uninterrupted = whole.train()
-        path = tmp_path / "async.ckpt"
-        with NeuroCutsTrainer(small_acl_ruleset, config) as first:
-            first.train(max_iterations=1)
-            first.save(path)
-            lags_so_far = list(first.collection_lags)
-        resumed = NeuroCutsTrainer.restore(path, small_acl_ruleset)
-        with resumed:
-            # The checkpoint carried the gathered-but-untrained prefetch
-            # round plus the generation stamp and lag record.
-            assert resumed.config.async_collection is True
-            assert resumed._prefetch is not None
-            assert resumed.collection_lags == lags_so_far
-            final = resumed.train()
-        assert _history_dicts(final) == _history_dicts(uninterrupted)
-        assert final.timesteps_total == uninterrupted.timesteps_total
 
 
 # --------------------------------------------------------------------------- #

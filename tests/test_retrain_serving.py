@@ -170,8 +170,6 @@ class TestRetrainService:
             RetrainPolicy(timesteps=0)
         with pytest.raises(ValueError):
             RetrainPolicy(backend="fork")
-        with pytest.raises(ValueError):
-            RetrainPolicy(rollout_workers=0)
 
 
 class TestRetrainController:

@@ -150,6 +150,12 @@ class TestBackendDeterminism:
 
 
 class TestTrainerLifecycle:
+    def test_rejects_unsupported_rollout_backend(self, worker_config):
+        from repro.exceptions import ConfigError
+
+        with pytest.raises(ConfigError, match="rollout_backend"):
+            NeuroCutsTrainer(None, worker_config, rollout_backend="thread")
+
     def test_single_leaf_ruleset_returns_optimal_tree(self, tiny_ruleset):
         # Every rule fits one terminal leaf: there are no decisions to
         # learn, but train() must return the (optimal) single-leaf tree

@@ -1,12 +1,12 @@
-"""The one training loop: synchronous and pipelined collection share it.
+"""The one training loop: every iteration collects on the current weights.
 
 ``NeuroCutsTrainer.train`` used to be two loops — a synchronous one and a
-pipelined one behind ``async_collection`` — and accepted executors built
-elsewhere.  The digests below were computed by that two-loop trainer (same
-configs, same rulesets), so they pin that merging the loops and making the
-executor the trainer's own changed no history, lag record or learned tree,
-in either mode, at one and two workers, on either backend, and across split
-``train`` calls.
+pipelined one — then one loop for both modes, with process pools reading
+the weights from shared memory.  The digests below were computed by the
+two-loop trainer's synchronous mode (same configs, same rulesets), so they
+pin that none of those rewrites changed a history or a learned tree, at one
+and two workers, on either backend, and across split ``train`` calls.  The
+same digests referee checkpoints written by the pipelined trainer.
 """
 
 from __future__ import annotations
@@ -17,17 +17,17 @@ import json
 
 import pytest
 
+from repro.exceptions import CheckpointError
 from repro.neurocuts import NeuroCutsConfig, NeuroCutsTrainer
+from repro.nn.checkpoints import load_training_checkpoint, save_checkpoint
 from repro.tree.serialize import tree_to_dict
 
 #: SHA-256 of (history without wall time, collection lags, timesteps, best
-#: objective, best tree) per (async_collection, workers), computed before
-#: the loops were merged.
+#: objective, best tree), keyed (pipelined, workers) as first computed; only
+#: the synchronous rows remain.
 DIGESTS = {
     (False, 1): "362fde4490c6765d821d2f820c71b8f334c0146bad629478b5426ad6ccafd51b",
     (False, 2): "de62cc4a05320b8a4fe3f4b78fb32034cb0303cc8c5e39bc8fd9cd2e3ff89290",
-    (True, 1): "d88f7543b44dc3f64b9a208a82a482499959774e49e36c0295949d2de293b873",
-    (True, 2): "86575d391f3fc9b06cda2ea5877a6a88af58494796d7ab178b9668d5f9bdb0da",
 }
 
 
@@ -39,10 +39,12 @@ def _config(**overrides) -> NeuroCutsConfig:
     return NeuroCutsConfig.fast_test_config(**defaults)
 
 
-def _digest(trainer: NeuroCutsTrainer, result) -> str:
+def _digest(result) -> str:
     rows = [{k: v for k, v in stats.as_dict().items() if k != "wall_time_s"}
             for stats in result.history]
-    payload = {"history": rows, "lags": list(trainer.collection_lags),
+    # Every batch is trained on the weights it was collected with: the lag
+    # record the digests were computed over is all zeros.
+    payload = {"history": rows, "lags": [0] * len(result.history),
                "steps": result.timesteps_total,
                "best": result.best_objective,
                "tree": tree_to_dict(result.best_tree)}
@@ -50,51 +52,65 @@ def _digest(trainer: NeuroCutsTrainer, result) -> str:
         json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
-@pytest.mark.parametrize("async_collection", [False, True])
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("workers, backend",
+                         [(1, "serial"), (2, "serial"), (2, "process")])
 def test_history_matches_the_two_loop_trainer(small_acl_ruleset,
-                                              async_collection, workers):
-    config = _config(async_collection=async_collection,
-                     num_rollout_workers=workers)
+                                              workers, backend):
+    config = _config(num_rollout_workers=workers)
     with NeuroCutsTrainer(small_acl_ruleset, config,
-                          rollout_backend="serial") as trainer:
-        assert _digest(trainer, trainer.train()) == \
-            DIGESTS[async_collection, workers]
-    # Split calls: the first leaves a pipelined round drained into the
-    # prefetch, which the second trains first.
+                          rollout_backend=backend) as trainer:
+        assert _digest(trainer.train()) == DIGESTS[False, workers]
     with NeuroCutsTrainer(small_acl_ruleset, config,
-                          rollout_backend="serial") as trainer:
+                          rollout_backend=backend) as trainer:
         trainer.train(max_iterations=1)
-        assert (trainer._prefetch is not None) == async_collection
-        assert _digest(trainer, trainer.train()) == \
-            DIGESTS[async_collection, workers]
+        assert _digest(trainer.train()) == DIGESTS[False, workers]
 
 
-def test_pipelined_process_pool_matches_the_two_loop_trainer(
-        small_acl_ruleset):
-    """One spawn worker: rounds travel through ``apply_async`` and the
-    shared-memory broadcast, and still reproduce the serial digest."""
-    with NeuroCutsTrainer(small_acl_ruleset, _config(async_collection=True),
-                          rollout_backend="process") as trainer:
-        assert _digest(trainer, trainer.train()) == DIGESTS[True, 1]
+def _pending_round(trainer: NeuroCutsTrainer) -> dict:
+    """A collected round in the pipelined trainer's ``prefetch`` format."""
+    batch, summaries = trainer.collect_batch()
+    arrays = ("obs", "actions", "returns", "value_preds", "logp_old")
+    record = {name: getattr(batch, name).tolist() for name in arrays}
+    record["action_masks"] = [mask.tolist() for mask in batch.action_masks]
+    return {"generation": 1, "batch": record,
+            "summaries": [dataclasses.asdict(s) for s in summaries]}
 
 
-def test_prefetch_restored_into_a_synchronous_trainer_is_trained_first(
-        small_acl_ruleset, tmp_path):
-    """A pipelined checkpoint resumed with ``async_collection=False`` trains
-    the stashed round (one generation stale) and then collects on current
-    weights; the stash is never counted without being trained."""
-    config = _config(async_collection=True)
-    path = tmp_path / "pipelined.ckpt"
-    with NeuroCutsTrainer(small_acl_ruleset, config) as first:
+def _legacy_checkpoint(ruleset, path, legacy_config: dict,
+                       pending: bool = False) -> None:
+    """Save a one-iteration checkpoint in the pipelined trainer's shape:
+    ``legacy_config`` merged into the saved config, its weight stamp and
+    lag record, and a ``prefetch`` round if ``pending``."""
+    with NeuroCutsTrainer(ruleset, _config()) as first:
         first.train(max_iterations=1)
         first.save(path)
-        assert first._prefetch is not None
-    sync = dataclasses.replace(config, async_collection=False)
-    with NeuroCutsTrainer.restore(path, small_acl_ruleset, sync) as resumed:
-        stashed = len(resumed._prefetch.summaries)
-        result = resumed.train()
-        assert resumed._prefetch is None
-        assert result.history[1].num_rollouts == stashed
-        assert resumed.collection_lags == [0, 1] + [0] * (
-            len(result.history) - 2)
+        state = load_training_checkpoint(path).trainer_state
+        state["config"].update(legacy_config)
+        state.update(weight_generation=1, collection_lags=[0],
+                     prefetch=_pending_round(first) if pending else None)
+        save_checkpoint(first.model, path, optimizer=first.learner.optimizer,
+                        trainer_state=state)
+
+
+@pytest.mark.parametrize("legacy_config", [
+    # The pipelined trainer, synchronous mode.
+    {"async_collection": False},
+    # Older still: a lag-0 pipeline submitted each round after its update.
+    {"async_collection": True, "max_weight_lag": 0,
+     "rollout_backend": "process"},
+], ids=["synchronous", "lag-zero"])
+def test_pipelined_trainer_checkpoint_resumes_exactly(small_acl_ruleset,
+                                                      tmp_path, legacy_config):
+    path = tmp_path / "legacy.npz"
+    _legacy_checkpoint(small_acl_ruleset, path, legacy_config)
+    with NeuroCutsTrainer.restore(path, small_acl_ruleset) as resumed:
+        assert _digest(resumed.train()) == DIGESTS[False, 1]
+
+
+def test_checkpoint_with_an_untrained_round_is_refused(small_acl_ruleset,
+                                                       tmp_path):
+    path = tmp_path / "pending.npz"
+    _legacy_checkpoint(small_acl_ruleset, path, {"async_collection": True},
+                       pending=True)
+    with pytest.raises(CheckpointError, match="prefetch"):
+        NeuroCutsTrainer.restore(path, small_acl_ruleset)
