@@ -466,7 +466,8 @@ def _cmd_engine_bench(args: argparse.Namespace) -> int:
     print(f"compile {result.compile_seconds * 1000:.1f} ms")
     print(format_table(["engine", "packets/sec", "speedup"], result.rows()))
     if result.cache_hit_rate is not None:
-        print(f"flow cache: {result.cache_hit_rate:.1%} hit rate, "
+        print(f"flow cache: {result.cache_hit_rate:.1%} hit rate over "
+              f"probed packets, {result.cache_bypassed:,} bypassed, "
               f"{result.cache_evictions} evictions "
               f"(capacity {args.flow_cache})")
     if args.json is not None:

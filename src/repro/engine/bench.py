@@ -43,6 +43,9 @@ class EngineBenchResult:
     #: Flow-cache hits during the timed cached pass (None: no cache run).
     #: Kept as a raw integer so scorecards can gate on exact equality.
     cache_hits: Optional[int] = None
+    #: Packets the timed cached pass served past a dormant cache (None: no
+    #: cache run); see :mod:`repro.engine.cache`.
+    cache_bypassed: Optional[int] = None
     #: The same trees under the paper's memory model
     #: (:mod:`repro.tree.stats`), the yardstick for ``compiled_memory_bytes``.
     model_memory_bytes: int = 0
@@ -79,6 +82,8 @@ class EngineBenchResult:
             counters["cache_hits"] = self.cache_hits
         if self.cache_evictions is not None:
             counters["cache_evictions"] = self.cache_evictions
+        if self.cache_bypassed is not None:
+            counters["cache_bypassed"] = self.cache_bypassed
         timings = {
             "interpreter_pps": self.interpreter_pps,
             "compiled_pps": self.compiled_pps,
@@ -171,6 +176,7 @@ def bench_classifier(
         cache_hit_rate = None
         cache_evictions = None
         cache_hits = None
+        cache_bypassed = None
         if flow_cache_size is not None:
             cache = compiled.attach_flow_cache(flow_cache_size)
             compiled.lookup_batch(values)  # warm the cache
@@ -178,6 +184,8 @@ def bench_classifier(
             def timed_cached_pass() -> None:
                 # Reset counters at the start of every repeat so the stats
                 # reflect exactly one timed pass, not their accumulation.
+                # Dormancy lives on the cache, not in its stats, so it
+                # carries from one pass to the next as it would in serving.
                 cache.stats = FlowCacheStats()
                 compiled.lookup_batch(values)
 
@@ -186,6 +194,7 @@ def bench_classifier(
             cache_hit_rate = cache.stats.hit_rate
             cache_evictions = cache.stats.evictions
             cache_hits = cache.stats.hits
+            cache_bypassed = cache.stats.bypassed
             compiled.flow_cache = None
 
         mismatches = 0
@@ -212,5 +221,6 @@ def bench_classifier(
         cache_hit_rate=cache_hit_rate,
         cache_evictions=cache_evictions,
         cache_hits=cache_hits,
+        cache_bypassed=cache_bypassed,
         model_memory_bytes=classifier.stats().memory_bytes,
     )

@@ -188,10 +188,18 @@ class CompiledClassifier:
         side effects and updated only once the walk has returned, so a batch
         the walk refuses (:class:`~repro.exceptions.InvalidRangeError`)
         changes neither its entries nor its counters.
+
+        A dormant cache (:mod:`repro.engine.cache`) is skipped: the batch
+        goes straight to :meth:`match_indices` and counts only as
+        ``bypassed``.
         """
-        if self.flow_cache is None:
-            return self.match_indices(values)
         cache = self.flow_cache
+        if cache is None:
+            return self.match_indices(values)
+        if cache.dormant:
+            result = self.match_indices(values)
+            cache.bypass(len(result))
+            return result
         # tolist() converts the whole batch to Python ints in one C call;
         # the per-row tuples are the same 5-int keys the cache always used.
         keys = list(map(tuple, values.tolist()))

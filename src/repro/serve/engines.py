@@ -251,12 +251,7 @@ class EngineSlot:
 
     def cache_stats(self) -> FlowCacheStats:
         """Cumulative flow-cache counters across every engine generation."""
-        total = FlowCacheStats(
-            hits=self.retired_cache_stats.hits,
-            misses=self.retired_cache_stats.misses,
-            evictions=self.retired_cache_stats.evictions,
-            invalidations=self.retired_cache_stats.invalidations,
-        )
+        total = self.retired_cache_stats.copy()
         if self._active.flow_cache is not None:
             total.merge(self._active.flow_cache.stats)
         return total
@@ -411,7 +406,9 @@ class EngineSlot:
         and swap counters, and the live flow-cache contents.  The returned
         :class:`SlotState` is picklable and decoupled from this slot (no
         shared mutable state), so the source can be deregistered the
-        moment it is taken.
+        moment it is taken.  A dormant flow cache's dormancy does not ship:
+        it is derived from traffic, and the target's cache judges its first
+        window afresh.
         """
         self.force_swap()
         cache = self._active.flow_cache
@@ -435,22 +432,13 @@ class EngineSlot:
                 build_seconds=list(self.swap_stats.build_seconds),
                 stale_builds=self.swap_stats.stale_builds,
             ),
-            retired_cache_stats=FlowCacheStats(
-                hits=self.retired_cache_stats.hits,
-                misses=self.retired_cache_stats.misses,
-                evictions=self.retired_cache_stats.evictions,
-                invalidations=self.retired_cache_stats.invalidations,
-            ),
+            retired_cache_stats=self.retired_cache_stats.copy(),
             cache_entries=[
                 (key, None if index < 0 else self._active.rules[index])
                 for key, index in cache.entries()
             ] if cache is not None else [],
-            cache_stats=FlowCacheStats(
-                hits=cache.stats.hits,
-                misses=cache.stats.misses,
-                evictions=cache.stats.evictions,
-                invalidations=cache.stats.invalidations,
-            ) if cache is not None else FlowCacheStats(),
+            cache_stats=cache.stats.copy() if cache is not None
+            else FlowCacheStats(),
         )
 
     @classmethod

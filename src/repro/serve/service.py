@@ -102,6 +102,9 @@ class ServingReport:
     #: Per-request latencies in serve order (``record_latencies=True``);
     #: what lets a sharding front-end merge exact percentiles across workers.
     latencies: Optional[np.ndarray] = None
+    #: Packets served past a dormant flow cache (see
+    #: :mod:`repro.engine.cache`): neither hits nor lookups.
+    cache_bypassed: int = 0
     #: Retrain-loop counters (zero unless a RetrainController was attached).
     retrains_triggered: int = 0
     retrains_installed: int = 0
@@ -204,7 +207,8 @@ class ServingReport:
             rows.append([f"latency p{pct:g}", f"{self.latency_ms(pct):.3f} ms"])
         rows.extend([
             ["cache hit rate", f"{self.cache_hit_rate:.1%} "
-                               f"({self.cache_hits:,}/{self.cache_lookups:,})"],
+                               f"({self.cache_hits:,}/{self.cache_lookups:,} "
+                               f"probed, {self.cache_bypassed:,} bypassed)"],
             ["cache evictions", f"{self.cache_evictions:,}"],
             ["rule updates", f"{self.num_updates:,}"],
             ["engine swaps", f"{self.swaps:,}"],
@@ -629,7 +633,8 @@ class ServingSession:
             for tenant_id, summary in \
                     admission.tenant_summary(self._last_time).items():
                 per_tenant.setdefault(tenant_id, {})["ingest"] = summary
-        cache = {"hits": 0, "lookups": 0, "evictions": 0, "invalidations": 0}
+        cache = {"hits": 0, "lookups": 0, "evictions": 0, "invalidations": 0,
+                 "bypassed": 0}
         swaps = stalls = 0
         stall_seconds = 0.0
         for entry in per_tenant.values():
@@ -637,6 +642,7 @@ class ServingSession:
             cache["lookups"] += entry["cache"]["hits"] + entry["cache"]["misses"]
             cache["evictions"] += entry["cache"]["evictions"]
             cache["invalidations"] += entry["cache"]["invalidations"]
+            cache["bypassed"] += entry["cache"]["bypassed"]
             swaps += entry["swap"]["swaps"]
             stalls += entry["swap"]["stalls"]
             stall_seconds += entry["swap"]["stall_seconds"]
@@ -668,6 +674,7 @@ class ServingSession:
             cache_lookups=cache["lookups"],
             cache_evictions=cache["evictions"],
             cache_invalidations=cache["invalidations"],
+            cache_bypassed=cache["bypassed"],
             swaps=swaps,
             swap_stalls=stalls,
             swap_stall_seconds=stall_seconds,

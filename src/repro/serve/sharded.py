@@ -159,6 +159,7 @@ def merge_reports(outcomes: Sequence[ShardOutcome],
         cache_lookups=sum(r.cache_lookups for r in reports),
         cache_evictions=sum(r.cache_evictions for r in reports),
         cache_invalidations=sum(r.cache_invalidations for r in reports),
+        cache_bypassed=sum(r.cache_bypassed for r in reports),
         swaps=sum(r.swaps for r in reports),
         swap_stalls=sum(r.swap_stalls for r in reports),
         swap_stall_seconds=sum(r.swap_stall_seconds for r in reports),

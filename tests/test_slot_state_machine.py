@@ -8,10 +8,14 @@ a rebuilt classifier.  After every step the serving engine *and* a cold
 compile of the slot's trees must answer as linear search over the epoch's
 ruleset, at the corners of every rule touched so far and at random packets,
 and the compile counters must account for every engine the slot installed.
+The engine carries a flow cache, and one step floods it with traffic that
+has no flow locality, so the invariants also meet a cache that probes, one
+that is dormant and one that probes again.
 """
 
 from __future__ import annotations
 
+import numpy as np
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -24,14 +28,16 @@ from hypothesis.stateful import (
 from repro.baselines import CutSplitBuilder, EffiCutsBuilder, HiCutsBuilder
 from repro.classbench import generate_classifier
 from repro.engine import compile_classifier
+from repro.engine.cache import DORMANT_PACKETS, PROBE_WINDOW
 from repro.obs.metrics import MetricsRegistry
-from repro.rules import Rule, RuleSet
+from repro.rules import FIELD_RANGES, Packet, Rule, RuleSet
 from repro.serve import EngineSlot
 from repro.tree.validate import corner_packets
 
 #: Rule shapes new rules are drawn from (re-prioritised above the tenant's).
 _POOL = tuple(generate_classifier("fw1", 40, seed=5).rules) \
     + tuple(generate_classifier("acl1", 40, seed=6).rules)
+_FIELD_HI = [hi for _, hi in FIELD_RANGES.values()]
 
 
 class SlotMachine(RuleBasedStateMachine):
@@ -100,6 +106,43 @@ class SlotMachine(RuleBasedStateMachine):
     @rule()
     def adopt_rebuilt(self):
         self.slot.adopt_classifier(self.builder.build(self.slot.ruleset))
+
+    @rule(seed=st.integers(min_value=0, max_value=2**16))
+    def cycle_the_cache(self, seed):
+        """Uniform headers through the live engine's cache: one window puts
+        it to sleep, ``DORMANT_PACKETS`` wake it, the next batch is probed.
+        Every batch answers as linear search over the epoch's ruleset."""
+        engine = self.slot.engine()
+        cache = engine.flow_cache
+        ruleset = self.slot.ruleset_at(self.slot.epoch)
+        rng = np.random.default_rng(seed)
+
+        def serve(size):
+            values = rng.integers(0, _FIELD_HI, size=(size, 5))
+            found = engine.lookup_batch(values)
+            assert found.tolist() == engine.match_indices(values).tolist()
+            for row, index in list(zip(values.tolist(), found))[:16]:
+                expected = ruleset.classify(Packet(*row))
+                assert (expected.priority if expected else None) == \
+                    (engine.rules[index].priority if index >= 0 else None)
+
+        if cache.dormant:
+            serve(cache.dormant)
+        assert not cache.dormant
+        # The open window may hold earlier probes and hits; the batch that
+        # closes it judges all of them, so a second window of misses may
+        # be needed.
+        for _ in range(2):
+            serve(PROBE_WINDOW)
+            if cache.dormant:
+                break
+        assert cache.dormant == DORMANT_PACKETS
+        bypassed, probed = cache.stats.bypassed, cache.stats.lookups
+        serve(DORMANT_PACKETS)
+        assert not cache.dormant
+        assert cache.stats.bypassed == bypassed + DORMANT_PACKETS
+        serve(32)  # awake: probed again
+        assert cache.stats.lookups == probed + 32
 
     @invariant()
     def answers_as_linear_search(self):
