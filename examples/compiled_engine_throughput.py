@@ -73,7 +73,9 @@ def main() -> None:
     stats = compiled.flow_cache.stats
     print(f"\nPer-packet serving of {len(flows)} flows with a 4096-flow "
           f"LRU cache: {len(replay) / elapsed:,.0f} pps "
-          f"(hit rate {stats.hit_rate:.0%} over {stats.lookups} lookups)")
+          f"(hit rate {stats.hit_rate:.0%} over {stats.lookups} probed "
+          f"packets, {stats.bypassed} bypassed while the cache was "
+          f"dormant)")
 
 
 if __name__ == "__main__":

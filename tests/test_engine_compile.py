@@ -220,14 +220,22 @@ class TestFlowCache:
     def test_stats_merge_and_as_dict(self):
         from repro.engine import FlowCacheStats
 
-        total = FlowCacheStats(hits=3, misses=1, evictions=2, invalidations=1)
-        total.merge(FlowCacheStats(hits=1, misses=1, evictions=0,
-                                   invalidations=4))
+        total = FlowCacheStats(hits=3, misses=1, evictions=2, invalidations=1,
+                               bypassed=7)
+        other = FlowCacheStats(hits=1, misses=1, evictions=0,
+                               invalidations=4, bypassed=8)
+        copy = other.copy()
+        total.merge(other)
         assert (total.hits, total.misses) == (4, 2)
         assert (total.evictions, total.invalidations) == (2, 5)
+        assert total.bypassed == 15
         as_dict = total.as_dict()
+        # Bypassed packets were never probed: not in the hit rate's base.
         assert as_dict["hit_rate"] == pytest.approx(4 / 6)
         assert as_dict["invalidations"] == 5
+        assert as_dict["bypassed"] == 15
+        copy.bypassed += 1  # a copy shares no counter with its source
+        assert copy != other and other.bypassed == 8
 
     def test_attach_and_detach(self, acl_classifier):
         compiled = acl_classifier.compile()

@@ -176,21 +176,6 @@ def test_a_window_sleeps_only_under_the_hit_share(engine, hits):
     assert bool(cache.dormant) == (hits < MIN_HIT_SHARE * PROBE_WINDOW)
 
 
-def test_stats_copy_merge_and_as_dict_carry_bypassed():
-    from repro.engine import FlowCacheStats
-
-    stats = FlowCacheStats(hits=3, misses=1, evictions=2, invalidations=1,
-                           bypassed=7)
-    copy = stats.copy()
-    assert copy == stats and copy is not stats
-    copy.bypassed += 1
-    assert stats.bypassed == 7
-    total = stats.copy().merge(copy)
-    assert total.bypassed == 15
-    assert total.as_dict()["bypassed"] == 15
-    assert total.hit_rate == pytest.approx(6 / 8)  # bypassed is not probed
-
-
 def test_a_migrated_slot_keeps_every_cache_counter():
     """Export -> import carries every ``FlowCacheStats`` field, retired
     engines' included, but not the dormancy: the target judges afresh."""
