@@ -499,6 +499,8 @@ def _scenario(args: argparse.Namespace) -> dict:
         raise ValueError("--tenants must be >= 1")
     if args.num_packets < 1:
         raise ValueError("--num-packets must be >= 1")
+    if args.churn_events < 0:
+        raise ValueError("--churn-events must be >= 0")
     return dict(
         num_tenants=args.tenants,
         families=tuple(f.strip() for f in args.families.split(",")
@@ -517,6 +519,8 @@ def _scenario(args: argparse.Namespace) -> dict:
 
 def _batch_fields(args: argparse.Namespace) -> dict:
     """The ``ServingConfig`` fields behind the shared batch flags."""
+    if args.flow_cache < 0:
+        raise ValueError("--flow-cache must be >= 0")
     return dict(
         max_batch=args.batch_size,
         max_delay=args.max_delay_ms * 1e-3,

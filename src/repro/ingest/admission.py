@@ -197,12 +197,12 @@ class _TenantState:
 class AdmissionController:
     """Deterministic per-tenant admission over a time-ordered stream.
 
-    One controller serves one serving stack (a whole single-process run, or
-    one shard), with one config for every tenant.  ``metrics`` (typically
-    the serving registry's :class:`~repro.obs.metrics.MetricsRegistry`; a
-    private one when omitted) receives the ``ingest.*`` counters and the
+    One controller admits one front-end's stream (a whole run, however many
+    shards serve it), with one config for every tenant.  ``metrics`` (the
+    front-end's :class:`~repro.obs.metrics.MetricsRegistry`; a private one
+    when omitted) receives the ``ingest.*`` counters and the
     ``ingest.queue_delay_seconds`` timing histogram, whose raw samples
-    merge exactly across shards.
+    merge exactly into a serving report.
     """
 
     def __init__(self, config: IngestConfig = IngestConfig(),
@@ -219,7 +219,7 @@ class AdmissionController:
         self._soft_age = config.resolved_soft_age
         if metrics is None:
             metrics = MetricsRegistry()
-        self._metrics = metrics
+        self.metrics = metrics
         self._offered = metrics.counter("ingest.offered")
         self._admitted = metrics.counter("ingest.admitted")
         self._throttled = metrics.counter("ingest.throttled")
@@ -396,7 +396,7 @@ class AdmissionController:
         for tenant_id in sorted(self._states):
             state = self._states[tenant_id]
             goodput = state.admitted / duration
-            self._metrics.gauge(
+            self.metrics.gauge(
                 f"ingest.goodput_pps.{tenant_id}").set(goodput)
             summary[tenant_id] = {
                 "offered": state.offered,

@@ -159,9 +159,6 @@ class Barrier(NamedTuple):
     #: Index of the fresh row the event comes before (the number of fresh
     #: rows: after them all).
     before: int
-    #: Mid-stream events expire deadlines first; a tail update (one past
-    #: the last arrival, applied at end of trace) flushes only.
-    polls: bool = True
 
 
 class Step(NamedTuple):
@@ -214,9 +211,9 @@ def plan_block(times: np.ndarray, codes: np.ndarray, arrived: int,
     each tenant's in arrival order) and the fresh rows after them arrive in
     the given order, non-decreasing in time.  A tenant's code is its
     position in the batcher's queue order: its first arrival or flush.
-    ``barriers`` are sorted by ``before``, polling ones first.  With
-    ``end_time`` set the plan ends the trace: whatever is still queued is
-    released at that stamp (``flush_all``).
+    ``barriers`` are sorted by ``before``.  With ``end_time`` set the plan
+    ends the trace: whatever is still queued is released at that stamp
+    (``flush_all``).
 
     The plan reproduces the per-request loop — ``offer`` polls every queue
     and then enqueues, an update polls and then flushes its own tenant —
@@ -236,10 +233,7 @@ def plan_block(times: np.ndarray, codes: np.ndarray, arrived: int,
     clock = np.empty(never)
     clock[event[arrived:]] = times[arrived:]
     clock[barrier_event] = [b.time for b in barriers]
-    # Tail updates come after every arrival and every polling barrier, so
-    # the events that poll are a prefix of the sequence.
-    polls = fresh + sum(b.polls for b in barriers)
-    if np.any(np.diff(clock[:polls]) < 0):
+    if np.any(np.diff(clock) < 0):
         raise ValueError("arrivals and updates must be in time order")
     clock = clock.tolist()
     flushes: Dict[int, List[int]] = {}
@@ -266,7 +260,7 @@ def plan_block(times: np.ndarray, codes: np.ndarray, arrived: int,
             while f < len(own) and own[f] < queued_at:
                 f += 1
             flushed = own[f] if f < len(own) else never
-            limit = min(polls, full + 1, flushed + 1)
+            limit = min(never, full + 1, flushed + 1)
             expired = _first_expired(clock, queued_at + 1, limit, oldest,
                                      max_delay)
             if expired < limit:

@@ -1,10 +1,12 @@
 """The classification service: the serving loop over tenants and time.
 
-``ClassificationService.serve`` consumes a time-ordered request stream (and
-an optional schedule of rule updates), coalesces requests through the
-micro-batcher, executes each released batch on the owning tenant's compiled
-engine, and reports serving telemetry: packets/second, latency percentiles,
-flow-cache hit rates, and hot-swap counters.
+``ClassificationService.serve`` consumes a request stream (and an optional
+schedule of rule updates), runs :func:`~repro.serve.batcher.plan_block` over
+each settled block of arrivals, executes each planned batch on the owning
+tenant's compiled engine, and reports serving telemetry: packets/second,
+latency percentiles, flow-cache hit rates, and hot-swap counters.  It and
+:func:`~repro.serve.sharded.serve_sharded` are one front-end over different
+sessions: :func:`admit`, :func:`feed`, :func:`fold_admission`.
 
 Latency accounting uses two clocks on purpose: the *queueing* delay of a
 request (from arrival to batch release) is trace time — a property of the
@@ -19,8 +21,8 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from operator import attrgetter
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, \
-    Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, \
+    Sequence, Tuple
 
 import numpy as np
 
@@ -41,7 +43,8 @@ LATENCY_PERCENTILES: Tuple[float, ...] = (50.0, 90.0, 99.0)
 
 #: Column positions in a session's block (see ``ServingSession._settle``).
 _TIMES, _CODES, _VALUES, _REQUESTS = range(4)
-_ARRIVAL = attrgetter("time")
+#: Trace stamp of an arrival or an update.
+_STAMP = attrgetter("time")
 
 
 @dataclass(frozen=True)
@@ -136,10 +139,10 @@ class ServingReport:
     #: Phase-timer registry snapshot (compile / swap-install / retrain /
     #: batch-flush / queue-wait spans plus request counters), detached
     #: at the end-of-trace quiesce point so later runs and background
-    #: builders can't mutate it.  Cumulative over the registry's lifetime:
-    #: repeated ``serve()`` calls on the same ``TenantRegistry`` include
-    #: the earlier runs' observations.  Merged exactly across shards by
-    #: ``merge_reports``.
+    #: builders can't mutate it.  Cumulative over the registry's lifetime
+    #: (the ``ingest.*`` series: the front-end's): repeated ``serve()``
+    #: calls on the same ``TenantRegistry`` include the earlier runs'
+    #: observations.  Merged exactly across shards by ``merge_reports``.
     metrics: Optional[MetricsRegistry] = None
     #: Swap counters merged over every tenant slot (raw build_seconds kept,
     #: so cross-shard merges stay exact).
@@ -246,16 +249,85 @@ class ServingReport:
         return rows
 
 
+# --------------------------------------------------------------------------- #
+# The front-end: admission, the event loop, the admission fold
+# --------------------------------------------------------------------------- #
+
+
+def admit(ingest: Optional[IngestConfig], requests: Iterable[Request],
+          metrics: MetricsRegistry
+          ) -> Tuple[Optional[AdmissionController], List[Request]]:
+    """The stream a front-end serves, and the controller that admitted it.
+
+    With ``ingest`` set, every request passes per-tenant admission control
+    (series written to ``metrics``) and the admitted ones come back
+    re-stamped to their queue release times — still time-ordered, still
+    deterministic.  Without it the stream is stably sorted by arrival, so
+    equal-timestamp requests keep their stream order and a given workload
+    always forms the same batches.
+    """
+    if ingest is None:
+        return None, sorted(requests, key=_STAMP)
+    admission = AdmissionController(ingest, metrics=metrics)
+    return admission, admission.admit(requests)
+
+
+def feed(requests: Sequence[Request], updates: Sequence[RuleUpdate],
+         offer: Callable[[Request], None],
+         deliver_update: Callable[[RuleUpdate], None]) -> None:
+    """Feed a time-ordered stream and an update schedule, in event order.
+
+    Each update (in stamp order) is delivered after every arrival stamped
+    before it and ahead of the first arrival at or past its stamp; updates
+    past the last arrival are delivered the same way, after it.  The
+    stream is cut at each update stamp by bisection, so between updates the
+    loop is one ``offer`` per arrival and nothing else.
+    """
+    start = 0
+    for update in sorted(updates, key=_STAMP):
+        stop = bisect_left(requests, update.time, start, key=_STAMP)
+        for request in requests[start:stop]:
+            offer(request)
+        deliver_update(update)
+        start = stop
+    for request in requests[start:]:
+        offer(request)
+
+
+def fold_admission(report: ServingReport,
+                   admission: Optional[AdmissionController]) -> ServingReport:
+    """Fold a front-end's admission tally into its finished report.
+
+    The ``ingest_*`` counters, each tenant's ``ingest`` summary over the
+    run's trace span, and the series admission wrote (goodput gauges
+    included) join the report.  Admission's registry is the front-end's
+    own, never a serving registry, so nothing is counted twice.
+    """
+    if admission is None:
+        return report
+    report.ingest_offered = admission.offered
+    report.ingest_admitted = admission.admitted
+    report.ingest_throttled = admission.throttled
+    report.ingest_shed = admission.shed
+    for tenant_id, summary in \
+            admission.tenant_summary(report.trace_seconds).items():
+        report.per_tenant.setdefault(tenant_id, {})["ingest"] = summary
+    report.metrics.merge(admission.metrics)
+    return report
+
+
 class ClassificationService:
     """Serves classification requests for every registered tenant.
 
     The service is the single *serving thread* the rest of the layer
-    assumes: it owns the batcher, calls every slot method, and hosts the
-    retrain controller's polling.  Background concurrency (engine builder
-    threads, retrain jobs) never touches serving state — finished work is
-    *installed* from this thread between batches.  One service instance must
-    not be driven from multiple threads; :mod:`repro.serve.sharded`
-    partitions tenants across several services, one per logical shard.
+    assumes: its sessions plan every batch with
+    :func:`~repro.serve.batcher.plan_block`, it calls every slot method, and
+    it hosts the retrain controller's polling.  Background concurrency
+    (engine builder threads, retrain jobs) never touches serving state —
+    finished work is *installed* from this thread between batches.  One
+    service instance must not be driven from multiple threads;
+    :mod:`repro.serve.sharded` partitions tenants across several services,
+    one per logical shard.
 
     Args:
         registry: tenants to serve (slots are consulted per batch, so
@@ -270,10 +342,10 @@ class ClassificationService:
             update and before every batch (so finished retrains install
             promptly), and drains it with the registry at end of trace.
         ingest: attach an ingestion frontend (see :mod:`repro.ingest`):
-            every request passes per-tenant admission control before the
-            batcher, over-rate traffic is throttled or shed (counted,
-            never silently dropped), and admitted requests are re-stamped
-            to their admission-queue release times.
+            every request passes per-tenant admission control before it is
+            planned into a batch, over-rate traffic is throttled or shed
+            (counted, never silently dropped), and admitted requests are
+            re-stamped to their admission-queue release times.
     """
 
     def __init__(
@@ -291,51 +363,24 @@ class ClassificationService:
         self.record_latencies = record_latencies
         self.retrain_controller = retrain_controller
         self.ingest = ingest
-
-    # ------------------------------------------------------------------ #
-    # Serving loop
-    # ------------------------------------------------------------------ #
+        #: What admission writes: the front-end's own series, cumulative
+        #: over the service's ``serve()`` calls as the registry's are.
+        self.admission_metrics = MetricsRegistry()
 
     def serve(self, requests: Iterable[Request],
               updates: Sequence[RuleUpdate] = ()) -> ServingReport:
-        """Serve a time-ordered request stream with scheduled rule updates.
+        """Serve a request stream with scheduled rule updates.
 
         Every request is answered exactly once; none are dropped across
         updates or engine swaps.  Returns the run's telemetry (and, when
         ``record_batches`` is set, every served batch for differential
         verification).
         """
-        admission: Optional[AdmissionController] = None
-        if self.ingest is not None:
-            # The frontend decides on arrival stamps and re-stamps admitted
-            # requests to their queue release times, so the serving loop
-            # below sees the post-admission stream — still time-ordered,
-            # still deterministic.  It sorts the stream itself.
-            admission = AdmissionController(self.ingest,
-                                            metrics=self.registry.metrics)
-            requests = admission.admit(requests)
-        else:
-            # Stable sort: equal-timestamp requests keep their stream
-            # order, so a given workload always forms the same batches.
-            requests = sorted(requests, key=_ARRIVAL)
-        session = self.session(updates=updates, admission=admission)
-        for request in requests:
-            session.offer(request)
-        return session.finish()
-
-    def session(self, updates: Sequence[RuleUpdate] = (),
-                admission: Optional[AdmissionController] = None
-                ) -> "ServingSession":
-        """Open an incremental serving session (the streaming form of
-        :meth:`serve`).
-
-        Offer requests in time order, then :meth:`ServingSession.finish`.
-        The sharded front-end (:mod:`repro.serve.sharded`) drives
-        several sessions side by side — one per logical shard — routing
-        each event to the session that currently owns its tenant, which is
-        what makes mid-run tenant migration possible at all.
-        """
-        return ServingSession(self, updates=updates, admission=admission)
+        admission, requests = admit(self.ingest, requests,
+                                    self.admission_metrics)
+        session = ServingSession(self)
+        feed(requests, updates, session.offer, session.deliver_update)
+        return fold_admission(session.finish(), admission)
 
 
 class ServingSession:
@@ -346,33 +391,27 @@ class ServingSession:
     :meth:`settle`, :meth:`finish` — first *settles* the buffer: one pass
     lifts arrival stamp, tenant code and the ``(n, 5)`` header matrix out of
     the buffered :class:`Request` objects, :func:`plan_block` turns the
-    stamps, the update barriers and the rows still queued from earlier
+    stamps, the delivered event and the rows still queued from earlier
     blocks into batch spans, and each span is one ``lookup_batch`` call on
     a slice of the block's columns.  The batches, their order, their flush
     stamps and the engine epoch each one sees are exactly those of feeding
     the same events one at a time through the per-event batcher (the
     per-request loop kept as the oracle in ``tests/reference_serve.py``):
-    updates scheduled at construction apply ahead of the first arrival at
-    or past their timestamp, batches release by size or deadline, and
-    :meth:`finish` applies tail updates, drains every queue, and builds the
-    :class:`ServingReport`.
+    batches release by size or deadline, an update releases expired
+    deadlines and then its own tenant's queue, and :meth:`finish` drains
+    every queue and builds the :class:`ServingReport`.
 
-    Offer requests in time order.  The migration hooks are :meth:`poll`
-    (advance deadline releases to a trace timestamp without offering
-    anything), :meth:`queue_depth` (is a tenant's in-flight batch drained?),
-    and :meth:`deliver_update` (route one update now, for front-ends that
-    own the update schedule); a front-end that reads the registry's
-    counters directly calls :meth:`settle` first.
+    Offer requests in time order; :meth:`deliver_update` is the only way a
+    session learns of a rule update (:func:`feed` interleaves a schedule).
+    The migration hooks are :meth:`poll` (advance deadline releases to a
+    trace timestamp without offering anything) and :meth:`queue_depth` (is
+    a tenant's in-flight batch drained?); a front-end that reads the
+    registry's counters directly calls :meth:`settle` first.
     """
 
-    def __init__(self, service: ClassificationService,
-                 updates: Sequence[RuleUpdate] = (),
-                 admission: Optional[AdmissionController] = None) -> None:
+    def __init__(self, service: ClassificationService) -> None:
         self.service = service
         self.registry = service.registry
-        self.admission = admission
-        self._pending_updates = sorted(updates, key=lambda u: u.time)
-        self._update_index = 0
         #: Arrivals offered since the last settle.
         self._block: List[Request] = []
         #: Tenant -> code, its position in the batcher's queue order (first
@@ -419,7 +458,7 @@ class ServingSession:
         Deadline-expired queues release first, then the owning tenant's
         queue is flushed so pre-update packets see the pre-update engine.
         """
-        self._settle(event=(update.time, update))
+        self._settle(update.time, update)
 
     def poll(self, now: float) -> None:
         """Release every queue whose deadline has passed at ``now``.
@@ -430,7 +469,7 @@ class ServingSession:
         deadline either way.  Front-ends use this before a migration check
         so ``queue_depth`` reflects trace time ``now``.
         """
-        self._settle(event=(now, None))
+        self._settle(now)
 
     def queue_depth(self, tenant_id: str) -> int:
         """Requests of one tenant still queued (its in-flight batch)."""
@@ -448,39 +487,21 @@ class ServingSession:
     # Block settlement
     # ------------------------------------------------------------------ #
 
-    def _settle(self, event: Optional[Tuple[float, Optional[RuleUpdate]]]
-                = None, drain: bool = False) -> None:
-        """Plan and execute the buffered block, then ``event`` (an update
-        delivered now, or a bare poll), then — draining — the end of trace.
+    def _settle(self, stamp: Optional[float] = None,
+                update: Optional[RuleUpdate] = None,
+                drain: bool = False) -> None:
+        """Plan and execute the buffered block, then the event at ``stamp``
+        (``update`` delivered now, or a bare poll), then — draining — the
+        end of trace.
         """
         block, self._block = self._block, []
-        if not (block or event or drain):
+        if not block and stamp is None and not drain:
             return
         stamps = [r.time for r in block]
         tenant_ids = [r.tenant_id for r in block]
-        # Barriers as (fresh row they precede, stamp, update, polls).  A
-        # scheduled update goes ahead of the first arrival at or past its
-        # stamp; the ones no arrival reaches are the tail, applied at the
-        # drain without a deadline poll.
-        updates, barriers = self._pending_updates, []
-        while block and self._update_index < len(updates) \
-                and updates[self._update_index].time <= stamps[-1]:
-            update = updates[self._update_index]
-            self._update_index += 1
-            barriers.append(
-                (bisect_left(stamps, update.time), update.time, update, True))
-        if event is not None:
-            barriers.append((len(block), *event, True))
-        if drain:
-            barriers.extend((len(block), update.time, update, False)
-                            for update in updates[self._update_index:])
-            self._update_index = len(updates)
-        self._last_time = max(
-            [self._last_time] + stamps[-1:]
-            + [stamp for _, stamp, update, _ in barriers
-               if update is not None])
-
-        code_of = self._enroll(tenant_ids, barriers)
+        self._last_time = max([self._last_time] + stamps[-1:]
+                              + ([update.time] if update is not None else []))
+        code_of = self._enroll(tenant_ids, update)
 
         # The block's columns: stamps, tenant codes, headers (and the
         # requests themselves when batches are recorded), behind the rows
@@ -500,41 +521,40 @@ class ServingSession:
             arrived = len(self._queued[_TIMES])
             columns = [np.concatenate(pair)
                        for pair in zip(self._queued, columns)]
-        plan = plan_block(
-            columns[_TIMES], columns[_CODES], arrived,
-            [Barrier(stamp, -1 if update is None else code_of[update.tenant_id],
-                     before, polls)
-             for before, stamp, update, polls in barriers],
-            self.service.policy, self._last_time if drain else None)
+        # The event comes after every buffered arrival.
+        barriers = [] if stamp is None else [Barrier(
+            stamp, -1 if update is None else code_of[update.tenant_id],
+            len(block))]
+        plan = plan_block(columns[_TIMES], columns[_CODES], arrived,
+                          barriers, self.service.policy,
+                          self._last_time if drain else None)
         columns = [column[plan.order] for column in columns]
         served: List[Tuple[int, int, int, float, float]] = []
         for step in plan.steps:
             if step.kind != BARRIER:
                 served.append(self._execute(columns, step))
-            elif barriers[step.code][2] is not None:
-                self._apply(barriers[step.code][2])
+            elif update is not None:
+                self._apply(update)
         self._account(columns[_TIMES], served)
         self._queued = [column[plan.keep] for column in columns] \
             if len(plan.keep) else None
 
-    def _enroll(self, tenant_ids: List[str], barriers: list
+    def _enroll(self, tenant_ids: List[str], update: Optional[RuleUpdate]
                 ) -> Dict[str, int]:
         """Give the block's new tenants their codes; returns the mapping.
 
-        Queue order is first arrival *or flush*, so new tenants take their
-        codes in the merged order of the two.
+        Queue order is first arrival *or flush*: new tenants take their
+        codes in first-arrival order, then an update's tenant (its flush
+        comes after every buffered arrival).
         """
         code_of = self._code_of
-        firsts = [(tenant_ids.index(tenant_id), 1, 0, tenant_id)
-                  for tenant_id in set(tenant_ids).difference(code_of)]
-        firsts.extend((before, 0, j, update.tenant_id)
-                      for j, (before, _, update, _) in enumerate(barriers)
-                      if update is not None
-                      and update.tenant_id not in code_of)
-        for *_, tenant_id in sorted(firsts):
-            if tenant_id not in code_of:
-                code_of[tenant_id] = len(self._tenants)
-                self._tenants.append(tenant_id)
+        new = set(tenant_ids).difference(code_of)
+        for tenant_id in sorted(new, key=tenant_ids.index):
+            code_of[tenant_id] = len(self._tenants)
+            self._tenants.append(tenant_id)
+        if update is not None and update.tenant_id not in code_of:
+            code_of[update.tenant_id] = len(self._tenants)
+            self._tenants.append(update.tenant_id)
         return code_of
 
     def _apply(self, update: RuleUpdate) -> None:
@@ -613,9 +633,7 @@ class ServingSession:
     # ------------------------------------------------------------------ #
 
     def finish(self) -> ServingReport:
-        """Apply tail updates, drain every queue, and build the report."""
-        # Updates scheduled after the last arrival still apply (rule churn
-        # with no traffic behind it), then the tail queues drain.
+        """Drain every queue and build the report."""
         self._settle(drain=True)
         return self._report()
 
@@ -627,12 +645,7 @@ class ServingSession:
         self.registry.drain()
         wall_seconds = time.perf_counter() - self._wall_start
 
-        admission = self.admission
         per_tenant = self.registry.telemetry()
-        if admission is not None:
-            for tenant_id, summary in \
-                    admission.tenant_summary(self._last_time).items():
-                per_tenant.setdefault(tenant_id, {})["ingest"] = summary
         cache = {"hits": 0, "lookups": 0, "evictions": 0, "invalidations": 0,
                  "bypassed": 0}
         swaps = stalls = 0
@@ -687,10 +700,6 @@ class ServingSession:
             retrains_rejected=retrain_stats.rejected if retrain_stats else 0,
             retrain_queue_submitted=retrain_stats.queued
             if retrain_stats else 0,
-            ingest_offered=admission.offered if admission else 0,
-            ingest_admitted=admission.admitted if admission else 0,
-            ingest_throttled=admission.throttled if admission else 0,
-            ingest_shed=admission.shed if admission else 0,
             # Snapshot, like retrain_stats above: the registry is the live
             # shared instance (builder threads and later serve() runs keep
             # writing into it), and the drains above are the one point

@@ -26,22 +26,25 @@ from __future__ import annotations
 import pickle
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.ingest.admission import AdmissionController
 from repro.obs.metrics import MetricsRegistry
 from repro.rules.ruleset import RuleSet
 from repro.serve.batcher import Request
 from repro.serve.controller import RetrainStats
 from repro.serve.engines import SwapStats
 from repro.serve.rebalance import TelemetrySnapshot
+from repro.serve.registry import UnknownTenantError
 from repro.serve.service import (
     LATENCY_PERCENTILES,
     RuleUpdate,
     ServingReport,
     ServingSession,
+    admit,
+    feed,
+    fold_admission,
 )
 from repro.serve.stack import ServingConfig, ServingStack
 
@@ -109,7 +112,8 @@ def merge_reports(outcomes: Sequence[ShardOutcome],
     (shards interleave, so summing their walls would be wrong) and is what
     the merged ``pps`` is measured against.  Admission and rebalancing
     counters are the front-end's, not the shards', and are set by
-    :func:`serve_sharded`.
+    :func:`serve_sharded` (admission through
+    :func:`~repro.serve.service.fold_admission`).
     """
     reports = [o.report for o in outcomes]
     latencies = np.concatenate([
@@ -195,7 +199,7 @@ class _ShardStack(ServingStack):
                  tenants: Sequence, rulesets: Dict[str, RuleSet]) -> None:
         super().__init__(config, tenants, rulesets, record_latencies=True)
         self.index = index
-        self.session = self.service.session()
+        self.session = ServingSession(self.service)
         #: Tenants ever placed here (an emptied shard still reports outcomes).
         self.ever_tenants = bool(tenants)
         #: Migrations that landed here (the import side of each move).
@@ -245,11 +249,14 @@ def serve_sharded(
     trace clock:
 
     * admission control — when ``config.ingest`` is set — runs once, here,
-      over the full stream; its state is per-tenant, so this is exactly
-      the single-process decision sequence, and each tenant's ``ingest``
-      summary is taken over the whole run's trace span;
-    * updates are delivered on the global event order (exactly the
-      single-process semantics) to the shard that owns their tenant.
+      over the full stream (:func:`~repro.serve.service.admit`); its state
+      is per-tenant, so this is exactly the single-process decision
+      sequence, and each tenant's ``ingest`` summary is taken over the
+      whole run's trace span;
+    * arrivals and updates go through the single-process event loop
+      (:func:`~repro.serve.service.feed`), each to the shard that owns its
+      tenant; an event for a tenant no shard owns raises
+      :class:`~repro.serve.registry.UnknownTenantError`.
 
     With ``config.rebalance_policy`` set, the front-end also re-places
     tenants mid-run:
@@ -299,19 +306,7 @@ def serve_sharded(
     ]
 
     # The serving stacks below see the post-admission stream.
-    admission: Optional[AdmissionController] = None
-    frontend_metrics: Optional[MetricsRegistry] = None
-    if config.ingest is not None:
-        # Admission sorts the stream by arrival itself.
-        frontend_metrics = MetricsRegistry()
-        admission = AdmissionController(config.ingest,
-                                        metrics=frontend_metrics)
-        requests = admission.admit(requests)
-    else:
-        requests = sorted(requests, key=lambda r: r.time)
-
-    pending_updates = sorted(updates, key=lambda u: u.time)
-    update_index = 0
+    admission, requests = admit(config.ingest, requests, MetricsRegistry())
     next_boundary = interval
     num_plans = 0
     num_deferred = 0
@@ -395,9 +390,14 @@ def serve_sharded(
         del pending_moves[tenant_id]
         deferred_moves.discard(tenant_id)
 
-    def owner(tenant_id: str, now: float) -> ServingSession:
-        """The session serving ``tenant_id`` at ``now``, after any
-        rebalancing the event is due to trigger."""
+    def owner(event) -> ServingSession:
+        """The session serving an arrival's or update's tenant at its
+        stamp, after any rebalancing the event is due to trigger."""
+        tenant_id, now = event.tenant_id, event.time
+        if tenant_id not in placement:
+            raise UnknownTenantError(
+                f"tenant {tenant_id!r} is not registered "
+                f"(known: {list(placement)})")
         if policy is not None:
             evaluate(now)
             settle(tenant_id, now)
@@ -408,19 +408,9 @@ def serve_sharded(
     # the process-level registry and its interpreter-exit hook).
     reports: List[ServingReport] = []
     try:
-        for request in requests:
-            # Global event order, exactly like the single-process loop:
-            # every update scheduled at or before this arrival applies
-            # first.
-            while update_index < len(pending_updates) and \
-                    pending_updates[update_index].time <= request.time:
-                update = pending_updates[update_index]
-                owner(update.tenant_id, update.time).deliver_update(update)
-                update_index += 1
-            owner(request.tenant_id, request.time).offer(request)
-        for update in pending_updates[update_index:]:
-            owner(update.tenant_id, update.time).deliver_update(update)
-
+        feed(requests, updates,
+             lambda request: owner(request).offer(request),
+             lambda update: owner(update).deliver_update(update))
         for stack in stacks:
             reports.append(stack.session.finish())
 
@@ -456,18 +446,4 @@ def serve_sharded(
     merged = merge_reports(outcomes, time.perf_counter() - started)
     merged.rebalance_plans = num_plans
     merged.rebalance_deferred = num_deferred
-    if admission is not None:
-        # Fold the front-end's admission counters and per-tenant summaries
-        # into the merged report the same way a single-process serve()
-        # does, over the whole run's trace span.
-        merged.ingest_offered = admission.offered
-        merged.ingest_admitted = admission.admitted
-        merged.ingest_throttled = admission.throttled
-        merged.ingest_shed = admission.shed
-        last_time = max(stack.session.last_time for stack in stacks)
-        for tenant_id, summary in \
-                admission.tenant_summary(last_time).items():
-            merged.per_tenant.setdefault(tenant_id, {})["ingest"] = summary
-        merged.metrics = MetricsRegistry.merged(
-            [merged.metrics, frontend_metrics.snapshot()])
-    return outcomes, merged, plan
+    return outcomes, fold_admission(merged, admission), plan

@@ -16,7 +16,7 @@ import numpy as np
 from repro.engine.layout import packets_to_array
 from repro.ingest.admission import AdmissionController
 from repro.serve.batcher import MicroBatcher
-from repro.serve.service import ServedBatch, ServingSession
+from repro.serve.service import ServedBatch, ServingSession, fold_admission
 
 
 class ReferenceLoop:
@@ -24,6 +24,8 @@ class ReferenceLoop:
 
     ``execute(tenant_id, batch, flush_time)`` receives every non-empty
     release in order; ``apply(update)`` every update, after its barrier.
+    Scheduled ``updates`` are this loop's own: each is delivered ahead of
+    the first arrival at or past its stamp, the rest at :meth:`finish`.
     """
 
     def __init__(self, policy, updates=(), execute=None, apply=None):
@@ -62,13 +64,10 @@ class ReferenceLoop:
         return self.batcher.pending(tenant_id)
 
     def finish(self):
-        # Tail updates flush their own tenant only; then everything drains.
+        # Tail updates are delivered like any other; then everything drains.
         for update in self._pending_updates[self._update_index:]:
             self._update_index += 1
-            self.last_time = max(self.last_time, update.time)
-            self._release(update.tenant_id,
-                          self.batcher.flush(update.tenant_id), update.time)
-            self.apply(update)
+            self.deliver_update(update)
         for tenant_id, batch in self.batcher.flush_all():
             self._release(tenant_id, batch, self.last_time)
 
@@ -91,8 +90,8 @@ class ReferenceSession(ServingSession):
     the code under test from the same tallies.
     """
 
-    def __init__(self, service, updates=(), admission=None):
-        super().__init__(service, admission=admission)
+    def __init__(self, service, updates=()):
+        super().__init__(service)
         self.loop = ReferenceLoop(service.policy, updates,
                                   self._serve_batch, self._apply)
 
@@ -152,14 +151,15 @@ class ReferenceSession(ServingSession):
 
 
 def serve(service, requests, updates=()):
-    """``ClassificationService.serve`` over the per-request loop."""
+    """``ClassificationService.serve`` over the per-request loop, which
+    interleaves the update schedule itself."""
     requests = sorted(requests, key=lambda r: r.time)
     admission = None
     if service.ingest is not None:
         admission = AdmissionController(service.ingest,
-                                        metrics=service.registry.metrics)
+                                        metrics=service.admission_metrics)
         requests = admission.admit(requests)
-    session = ReferenceSession(service, updates, admission)
+    session = ReferenceSession(service, updates)
     for request in requests:
         session.offer(request)
-    return session.finish()
+    return fold_admission(session.finish(), admission)

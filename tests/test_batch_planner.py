@@ -33,6 +33,7 @@ from repro.serve import (
     TenantRegistry,
     serve_sharded,
 )
+from repro.serve import sharded
 from repro.serve.batcher import (
     BARRIER,
     OWN_RELEASE,
@@ -109,7 +110,9 @@ def _request(tenant_id, stamp, seq):
 
 
 def _drive(session_type, policy, requests, updates, probes, tenants):
-    """Offer ``requests``; before offering row ``i`` run ``probes[i]``.
+    """Offer ``requests``; before offering row ``i`` run ``probes[i]``,
+    then deliver every scheduled update stamped at or before row ``i`` (the
+    ones past the last row after the last probes).
 
     Returns everything observable: the registry's batch/update log, the
     served batches, what the probes read, and the metrics summary.
@@ -117,7 +120,8 @@ def _drive(session_type, policy, requests, updates, probes, tenants):
     registry = _StubRegistry()
     service = ClassificationService(registry, policy, record_batches=True,
                                     record_latencies=True)
-    session = session_type(service, updates=updates)
+    session = session_type(service)
+    updates = sorted(updates, key=lambda u: u.time)
     seen = []
     for i in range(len(requests) + 1):
         for op, argument in probes.get(i, ()):
@@ -129,6 +133,9 @@ def _drive(session_type, policy, requests, updates, probes, tenants):
                 session.deliver_update(argument)
             seen.append((i, session.last_time,
                          [session.queue_depth(t) for t in tenants]))
+        while updates and (i == len(requests)
+                           or updates[0].time <= requests[i].time):
+            session.deliver_update(updates.pop(0))
         if i < len(requests):
             session.offer(requests[i])
     report = session.finish()
@@ -213,7 +220,7 @@ class TestPlannerEqualsTheLoop:
     def test_random_streams(self, stream):
         policy, requests, updates, probes, tenants = stream
         # Scheduled and explicitly delivered updates do not mix in any
-        # driver (a front-end owns the schedule or hands it over).
+        # front-end: each delivers one time-ordered schedule.
         if any(op == "update" for ops in probes.values() for op, _ in ops):
             updates = []
         planned = _drive(ServingSession, policy, requests, updates, probes,
@@ -363,10 +370,8 @@ class _RecordingPolicy(RebalancePolicy):
 
 
 def _rebalancing_snapshots(monkeypatch, session_type):
-    monkeypatch.setattr(
-        ClassificationService, "session",
-        lambda self, updates=(), admission=None:
-        session_type(self, updates=updates, admission=admission))
+    # Every shard opens its session here.
+    monkeypatch.setattr(sharded, "ServingSession", session_type)
     specs = make_tenant_specs(4, families=("acl1",), num_rules=40, seed=9)
     workload = build_workload(
         specs, FlowTraceConfig(num_packets=2000, num_flows=150, seed=9),

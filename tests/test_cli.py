@@ -10,6 +10,15 @@ from repro.cli import build_parser, main
 from repro.rules import io as rules_io
 
 
+def _declares(parser, command, flag):
+    """Whether the (possibly nested) subcommand ``command`` takes ``flag``."""
+    for word in command:
+        parser = next(action.choices[word] for action in parser._actions
+                      if isinstance(action.choices, dict)
+                      and word in action.choices)
+    return any(flag in action.option_strings for action in parser._actions)
+
+
 class TestParser:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
@@ -170,12 +179,27 @@ class TestServeBench:
          "interval must be > 0"),
         (["--retrain-threshold", "-1"], "--retrain-threshold must be >= 0"),
         (["--retrain-pool-size", "-1"], "--retrain-pool-size must be >= 0"),
+        (["--flow-cache", "-5"], "--flow-cache must be >= 0"),
+        (["--churn-events", "-1"], "--churn-events must be >= 0"),
     ])
-    def test_out_of_range_serving_flags_exit_2(self, flags, message, capsys):
-        """serve-bench and trace replay share the flags and the one
-        ``ServingConfig`` that validates them."""
+    def test_out_of_range_serving_flags_exit_2(self, flags, message, capsys,
+                                               tmp_path):
+        """Every serving subcommand that declares a flag shares its check
+        (and, for the stack flags, the one ``ServingConfig`` that
+        validates them): an out-of-range value exits 2, writing nothing."""
         golden = Path(__file__).parent / "data" / "acl1_churn.trace"
-        for command in (["serve-bench", "--num-packets", "100"],
-                        ["trace", "replay", str(golden)]):
-            assert main(command + flags) == 2
+        output = tmp_path / "out.trace"
+        parser = build_parser()
+        tried = 0
+        for command, arguments in (
+                (["serve-bench"], ["--num-packets", "100"]),
+                (["trace", "record"], ["--num-packets", "100",
+                                       "--output", str(output)]),
+                (["trace", "replay"], [str(golden)])):
+            if not _declares(parser, command, flags[0]):
+                continue
+            tried += 1
+            assert main(command + arguments + flags) == 2
             assert message in capsys.readouterr().err
+            assert not output.exists()
+        assert tried >= 2

@@ -8,17 +8,22 @@ drives the single-process and sharded paths to the same answers;
 from __future__ import annotations
 
 import pickle
+from dataclasses import replace
 
 import pytest
 
 from repro.harness.scorecard import PLACEMENT_COUNTERS
 from repro.harness.serving import run_serving
 from repro.ingest import IngestConfig
+from repro.rules import Packet
 from repro.serve import (
     LoadAwareRebalancePolicy,
+    Request,
     RetrainPolicy,
+    RuleUpdate,
     ServingConfig,
     ServingStack,
+    UnknownTenantError,
     serve_sharded,
 )
 from repro.workloads import (
@@ -170,3 +175,96 @@ class TestOneResultType:
                 placed.pop(key)
         assert counters[1] == counters[0]
         assert counters[2] == counters[0]
+
+
+def _serve_once(tenants, rulesets, requests, updates, config):
+    """One single-process ``serve()`` on a fresh stack (what
+    ``run_serving`` runs at one worker), called as ``serve_sharded`` is."""
+    stack = ServingStack(config, tenants, rulesets)
+    try:
+        return stack.service.serve(requests, updates)
+    finally:
+        stack.close()
+
+
+class TestOneFrontEnd:
+    """``serve()`` and ``serve_sharded`` are one event loop, one update
+    intake and one admission path over different session routers."""
+
+    @pytest.mark.parametrize("event", ["arrival", "update"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_unknown_tenant_fails_typed(self, workers, event):
+        workload, tenants = _workload()
+        requests, updates = list(workload.requests), list(workload.updates)
+        middle = requests[len(requests) // 2].time
+        if event == "arrival":
+            requests.append(Request("ghost", Packet(1, 2, 3, 4, 6),
+                                    time=middle))
+        else:
+            updates.append(RuleUpdate("ghost", middle))
+        config = ServingConfig(background_swaps=False, workers=workers)
+        front_ends = [serve_sharded]
+        if workers == 1:
+            front_ends.append(_serve_once)
+        for front_end in front_ends:
+            with pytest.raises(UnknownTenantError, match="ghost"):
+                front_end(tenants, workload.rulesets, requests, updates,
+                          config)
+
+    def test_serve_equals_sharded_with_ingest_and_a_tail_update(self):
+        """Churn, throttling admission and an update 0.5 s past the last
+        arrival: the same answer for every ``seq``, the same per-tenant
+        ``ingest`` summaries and the same counters on every front-end, and
+        one shard plans exactly the single process's batches."""
+        def run(front_end, workers):
+            specs = make_tenant_specs(3, families=("acl1", "ipc1"),
+                                      num_rules=50, seed=4)
+            workload = build_workload(
+                specs, FlowTraceConfig(num_packets=3000, num_flows=150,
+                                       seed=4),
+                churn=ChurnConfig(num_events=3, adds_per_event=3,
+                                  removes_per_event=1))
+            updates = sorted(workload.updates, key=lambda u: u.time)
+            last = max(r.time for r in workload.requests)
+            updates[-1] = replace(updates[-1], time=last + 0.5)
+            config = ServingConfig(
+                background_swaps=False, record_batches=True,
+                ingest=IngestConfig(tenant_rate=20_000.0, tenant_burst=32,
+                                    queue_limit=64),
+                workers=workers)
+            report = front_end(specs, workload.rulesets, workload.requests,
+                               updates, config)
+            return report[1] if front_end is serve_sharded else report
+
+        reports = [run(_serve_once, 1), run(serve_sharded, 1),
+                   run(serve_sharded, 2)]
+        single = reports[0]
+        assert single.num_updates == 3
+        assert single.ingest_throttled > 0
+        assert single.trace_seconds > \
+            max(r.time for b in single.batches for r in b.requests) + 0.4
+
+        def answers(report):
+            return {request.seq: priority for batch in report.batches
+                    for request, priority in zip(batch.requests,
+                                                 batch.priorities)}
+
+        def ingest(report):
+            return {tenant_id: entry["ingest"]
+                    for tenant_id, entry in report.per_tenant.items()}
+
+        def counters(report):
+            counters = report.deterministic_counters()
+            for key in PLACEMENT_COUNTERS:
+                counters.pop(key)
+            return counters
+
+        for report in reports[1:]:
+            assert answers(report) == answers(single)
+            assert ingest(report) == ingest(single)
+            assert counters(report) == counters(single)
+        assert len(answers(single)) == single.ingest_admitted
+        assert [(b.tenant_id, b.epoch, b.flush_time,
+                 [r.seq for r in b.requests]) for b in reports[1].batches] \
+            == [(b.tenant_id, b.epoch, b.flush_time,
+                 [r.seq for r in b.requests]) for b in single.batches]
