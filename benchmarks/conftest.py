@@ -52,7 +52,7 @@ def bench_gate():
     """Gate a :class:`BenchRecord` against its checked-in baseline.
 
     The shared machinery behind the scorecard-backed acceptance benchmarks
-    (engine throughput, serving hotswap/retrain/sharded): config and
+    (engine throughput, serving hotswap/retrain): config and
     deterministic counters must match the baseline bit-for-bit; timings are
     not judged — hard-coded ratio asserts measured the CI machine, not the
     code.

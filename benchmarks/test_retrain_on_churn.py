@@ -1,21 +1,15 @@
-"""Acceptance benchmark for the adaptive serving loop (retrain + sharding).
+"""Acceptance benchmark for the adaptive serving loop (retrain-on-churn).
 
-Two guarantees are asserted end to end, each against its pinned serving
-scorecard (``repro.harness.scorecard.SERVING_SCORECARDS``) and checked-in
-baseline record:
-
-1. **Retrain-on-churn** (``BENCH_serving_retrain.json``): a churn-heavy
-   multi-tenant workload pushes every tenant past its retrain threshold;
-   NeuroCuts retrains are triggered mid-run, and the freshly trained *trees*
-   (not just recompiled arrays) hot-swap into the serving path with zero
-   dropped and zero misclassified packets — every answer still equals linear
-   search over the exact ruleset generation its engine served.  The
-   scorecard pins ``backend="serial"`` retrains: background training lands
-   on the wall clock, which would make the counters machine-dependent.
-2. **Tenant-sharded serving** (``BENCH_serving_sharded.json``): the same
-   scenario sharded across logical shards serves the identical request set
-   with *exactly* the single-process run's deterministic counters (sharding
-   is exact by construction).
+Asserted end to end against its pinned serving scorecard
+(``repro.harness.scorecard.SERVING_SCORECARDS``) and checked-in baseline
+record ``BENCH_serving_retrain.json``: a churn-heavy multi-tenant workload
+pushes every tenant past its retrain threshold; NeuroCuts retrains are
+triggered mid-run, and the freshly trained *trees* (not just recompiled
+arrays) hot-swap into the serving path with zero dropped and zero
+misclassified packets — every answer still equals linear search over the
+exact ruleset generation its engine served.  The scorecard pins
+``backend="serial"`` retrains: background training lands on the wall
+clock, which would make the counters machine-dependent.
 
 Regenerate the baselines with ``scripts/make_bench_baselines.py`` when a
 counter change is intentional.
@@ -84,35 +78,3 @@ def test_retrain_on_churn_zero_misclassification(run_once, benchmark,
     record = serving_bench_record(report, name="serving-retrain",
                                   config=dict(cfg), exactness=exactness)
     bench_gate(record, serving_bench_filename("retrain"))
-
-
-def test_sharded_serving_merged_telemetry(run_once, benchmark, bench_gate):
-    cfg = SERVING_SCORECARDS["sharded"]
-    serial = run_serving_scorecard("sharded", serving_workers=1)
-    sharded = run_once(run_serving_scorecard, "sharded")
-    report = sharded.report
-
-    print("\n=== Tenant-sharded serving (2 logical shards) ===")
-    print(format_table(["metric", "value"], sharded.rows()))
-    print(format_table(["shard", "tenants", "requests", "wall"],
-                       sharded.shard_rows()))
-    benchmark.extra_info["pps_sharded"] = report.pps
-    benchmark.extra_info["pps_serial"] = serial.report.pps
-
-    # Merged telemetry: every request served exactly once, across shards.
-    assert report.num_requests == len(sharded.workload.requests)
-    assert sharded.num_shards == cfg["serving_workers"]
-
-    # Sharding is exact: the merged deterministic counters equal the serial
-    # run's, bit for bit — not just the same request count.
-    assert report.deterministic_counters() == \
-        serial.report.deterministic_counters()
-
-    # Exactness holds shard-locally.
-    exactness = sharded.verify_exactness()
-    assert exactness.num_checked == report.num_requests
-    assert exactness.num_mismatches == 0
-
-    record = serving_bench_record(report, name="serving-sharded",
-                                  config=dict(cfg), exactness=exactness)
-    bench_gate(record, serving_bench_filename("sharded"))

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""The adaptive serving loop: churn-driven retraining + sharded serving.
+"""The adaptive serving loop: churn-driven retraining.
 
 The closed loop in one script.  Two tenants serve a flow workload while a
 churn schedule — sized by ``ChurnConfig.forcing_retrain`` so *every* tenant
@@ -9,10 +9,6 @@ training jobs on a ``repro.executors`` backend, and hot-swaps the freshly
 trained *trees* into the live path; churn that raced a retrain is replayed
 on top, so the differential exactness proof holds across the whole
 retrain → adopt → swap sequence.
-
-The same scenario is then served again with tenants *sharded* across two
-logical shards (``repro.serve.sharded``), showing the merged telemetry a
-sharded front-end reports.
 """
 
 from __future__ import annotations
@@ -27,8 +23,8 @@ NUM_TENANTS = 2
 
 
 def main() -> None:
-    # 1. Retrain-on-churn: enough update events per tenant that every slot
-    #    crosses the retrain threshold mid-trace.
+    # Retrain-on-churn: enough update events per tenant that every slot
+    # crosses the retrain threshold mid-trace.
     churn = ChurnConfig.forcing_retrain(RETRAIN_THRESHOLD,
                                         num_tenants=NUM_TENANTS,
                                         adds_per_event=4,
@@ -54,7 +50,7 @@ def main() -> None:
         seed=0,
     )
     print("\nAdaptive serving telemetry (retrains ran in the background):")
-    print(format_table(["metric", "value"], result.rows()))
+    print(format_table(["metric", "value"], result.report.rows()))
     exactness = result.verify_exactness()
     print(f"differential check: {exactness.num_checked} packets "
           f"({exactness.num_post_swap} post-swap), "
@@ -63,25 +59,6 @@ def main() -> None:
         print(f"  {tenant_id}: epoch {entry['epoch']}, "
               f"{entry['rules']} rules, retrain counters reset to "
               f"{entry['retrain']['accumulated_updates']}")
-
-    # 2. The same scenario sharded across two logical serving shards.
-    sharded = run_serving(
-        ServingConfig(workers=2, record_batches=True),
-        num_tenants=4,
-        families=("acl1", "ipc1"),
-        num_rules=120,
-        num_packets=15_000,
-        num_flows=500,
-        churn_events=2,
-        seed=1,
-    )
-    print("\nTenant-sharded serving (2 logical shards, merged telemetry):")
-    print(format_table(["metric", "value"], sharded.rows()))
-    print(format_table(["shard", "tenants", "requests", "wall"],
-                       sharded.shard_rows()))
-    exactness = sharded.verify_exactness()
-    print(f"differential check: {exactness.num_checked} packets, "
-          f"{exactness.num_mismatches} mismatches across the shards")
 
 
 if __name__ == "__main__":

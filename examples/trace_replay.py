@@ -8,8 +8,8 @@ column), and the mid-trace churn schedule — and then replays it through a
 freshly built serving stack.  The replay serves the identical packets on
 the trace's own clock, crosses the same hot swaps, and is verified against
 the golden column: zero drops, zero decision diffs.  Replays are also free
-to change serving knobs (here: a different batch size and a sharded run),
-because decisions depend only on each packet's epoch ruleset.
+to change serving knobs (here: two other batch sizes, one with the flow
+cache off), because decisions depend only on each packet's epoch ruleset.
 
 Recorded traces are how serving bugs become regression tests: check the
 file in, replay it in CI, and any behaviour change shows up as a diff.
@@ -22,7 +22,8 @@ from pathlib import Path
 
 from repro.harness import format_table
 from repro.serve import ServingConfig
-from repro.traces import diff_traces, read_trace, record_serving, replay_trace
+from repro.traces import diff_traces, read_trace, record_serving, \
+    replay_trace, trace_from_run
 
 SCENARIO = dict(
     num_tenants=3,
@@ -50,24 +51,30 @@ def main() -> None:
     replay = replay_trace(read_trace(trace_path),
                           ServingConfig(max_batch=32, background_swaps=False))
     print("replay telemetry (batch size 32, still exact):")
-    print(format_table(["metric", "value"], replay.result.rows()))
+    print(format_table(["metric", "value"], replay.result.report.rows()))
     print(format_table(["check", "count"], replay.report.rows()))
     assert replay.report.is_exact, replay.report.mismatches
 
-    # 3. Shard the same trace across two logical shards — decisions are
-    #    tenant-local, so the golden column still matches exactly.
-    sharded = replay_trace(read_trace(trace_path), ServingConfig(
-        workers=2, background_swaps=False))
-    print(f"\nsharded replay: {sharded.result.num_shards} shards, "
-          f"{sharded.report.num_served} served, "
-          f"{sharded.report.num_mismatches} mismatches")
-    assert sharded.report.is_exact
+    # 3. Replay again at batch size 16 with the flow cache off: other
+    #    batches, the same decisions.
+    rebatched = replay_trace(read_trace(trace_path), ServingConfig(
+        max_batch=16, flow_cache_size=None, background_swaps=False))
+    print(f"\nreplay at batch size 16, no flow cache: "
+          f"{rebatched.result.report.num_batches} batches, "
+          f"{rebatched.report.num_served} served, "
+          f"{rebatched.report.num_mismatches} mismatches")
+    assert rebatched.report.is_exact
 
-    # 4. A replay re-recorded as a trace diffs clean against its source —
-    #    the regression gate CI runs on every push.
-    diff = diff_traces(outcome.trace, read_trace(trace_path))
-    print(f"\ntrace diff vs itself on disk: "
+    # 4. That replay re-recorded as a trace diffs clean against its source
+    #    — the regression gate CI runs on every push.
+    replayed = trace_from_run(rebatched.result.workload,
+                              rebatched.result.report,
+                              seed=outcome.trace.seed,
+                              scenario=outcome.trace.scenario)
+    diff = diff_traces(outcome.trace, replayed)
+    print(f"re-recorded replay vs the source: "
           f"{'identical' if diff.identical else diff.lines()}")
+    assert diff.identical
 
 
 if __name__ == "__main__":

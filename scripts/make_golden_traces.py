@@ -40,11 +40,10 @@ SCENARIOS = {
         num_tenants=2, families=("acl1",), num_rules=40, num_packets=800,
         num_flows=96, churn_events=4, seed=23,
     ),
-    # Four tenants so a 2-shard replay has non-trivial placements: the
-    # shard-rebalancing differential (tests/test_shard_rebalance.py)
-    # replays this trace single-process, statically sharded, and with
-    # forced mid-trace migrations, expecting identical decisions and
-    # deterministic counters in all three.
+    # The widest golden: four tenants over two seed families (acl1, ipc1),
+    # with churn on both families' trees.  The file keeps the name it was
+    # recorded under (the checked-in bytes never change); it is replayed
+    # single-process in tests/test_trace_replay.py.
     "acl1_rebalance.trace": dict(
         num_tenants=4, families=("acl1", "ipc1"), num_rules=60,
         num_packets=2_000, num_flows=160, churn_events=2, seed=31,

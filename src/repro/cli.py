@@ -16,8 +16,7 @@ Python (full reference with copy-pasteable invocations: docs/cli.md):
   churn with zero-downtime engine hot swaps) and report pps, latency
   percentiles, cache hit rate, and swap telemetry.  ``--retrain-threshold``
   arms the retrain-on-churn loop (background NeuroCuts retrains swap in new
-  trees mid-run) and ``--serving-workers`` shards tenants across serving
-  processes with merged telemetry.
+  trees mid-run).
 * ``repro trace`` — record serving runs as replayable binary trace files
   and work with them: ``record`` captures a scenario plus every served
   decision (the golden column), ``replay`` drives the full serving stack
@@ -48,8 +47,6 @@ from repro.classbench import generate_classifier, generate_trace, seed_names
 from repro.exceptions import ConfigError
 from repro.executors import EXECUTOR_BACKENDS
 from repro.neurocuts import NeuroCutsConfig, NeuroCutsTrainer
-from repro.serve.rebalance import DEFAULT_REBALANCE_INTERVAL, \
-    REBALANCE_POLICIES
 from repro.rules import io as rules_io
 from repro.tree import load_tree, save_tree, validate_classifier
 from repro.harness import format_table
@@ -93,8 +90,8 @@ def _add_batch_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_stack_flags(parser: argparse.ArgumentParser,
                      retrain_backend: str) -> None:
-    """Retrain, sharding, rebalancing and ingest flags (``serve-bench`` and
-    ``trace replay``); ``retrain_backend`` is the one default that differs."""
+    """Retrain and ingest flags (``serve-bench`` and ``trace replay``);
+    ``retrain_backend`` is the one default that differs."""
     parser.add_argument("--retrain-threshold", type=int, default=0,
                         metavar="N",
                         help="retrain a tenant's tree once N rule updates "
@@ -111,21 +108,6 @@ def _add_stack_flags(parser: argparse.ArgumentParser,
                              "shared N-worker pool with per-tenant "
                              "round-robin fairness (0 = one executor per "
                              "controller)")
-    parser.add_argument("--serving-workers", type=int, default=1,
-                        metavar="N",
-                        help="shard tenants across N logical serving "
-                             "shards in this process (1 = no sharding)")
-    parser.add_argument("--rebalance-policy", default="none",
-                        choices=sorted(REBALANCE_POLICIES),
-                        help="live shard rebalancing policy (needs "
-                             "--serving-workers >= 2; 'load' migrates "
-                             "tenants off overloaded shards mid-run, see "
-                             "docs/architecture.md; replayed decisions "
-                             "still verify exactly)")
-    parser.add_argument("--rebalance-interval", type=float,
-                        default=DEFAULT_REBALANCE_INTERVAL, metavar="SECONDS",
-                        help="trace-clock interval between rebalance "
-                             "evaluations")
     parser.add_argument("--ingest", action="store_true",
                         help="run the ingestion frontend ahead of the "
                              "batcher: per-tenant token-bucket admission, "
@@ -242,8 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--tenant-zipf", type=float, default=1.0,
                        metavar="ALPHA",
                        help="Zipf exponent of the per-tenant traffic split "
-                            "(>1 skews load onto the first tenants; pairs "
-                            "with --rebalance-policy load)")
+                            "(>1 skews load onto the first tenants)")
     serve.add_argument("--json", type=Path, default=None, metavar="PATH",
                        help="also write the run as a BENCH_serve.json "
                             "scorecard record (see `repro bench compare`)")
@@ -358,8 +339,9 @@ def _training_config(args: argparse.Namespace) -> NeuroCutsConfig:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     try:
+        _check_binth(args)
         config = _training_config(args) if args.with_neurocuts else None
-    except ConfigError as error:
+    except (ConfigError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     ruleset = rules_io.load(args.rules)
@@ -440,6 +422,11 @@ def _cmd_engine_bench(args: argparse.Namespace) -> int:
     if args.flow_cache is not None and args.flow_cache < 1:
         print("error: --flow-cache must be >= 1", file=sys.stderr)
         return 2
+    try:
+        _check_binth(args)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     if args.rules is not None:
         ruleset = rules_io.load(args.rules)
     else:
@@ -493,8 +480,15 @@ def _cmd_engine_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_binth(args: argparse.Namespace) -> None:
+    """Every tree-building command refuses a leaf size below one."""
+    if args.binth < 1:
+        raise ValueError("--binth must be >= 1")
+
+
 def _scenario(args: argparse.Namespace) -> dict:
     """``run_serving``'s workload keywords from the shared scenario flags."""
+    _check_binth(args)
     if args.tenants < 1:
         raise ValueError("--tenants must be >= 1")
     if args.num_packets < 1:
@@ -536,8 +530,7 @@ def _serving_config(args: argparse.Namespace, seed: int, **fields):
     ``ValueError`` on any out-of-range flag.
     """
     from repro.ingest import IngestConfig
-    from repro.serve import RetrainPolicy, ServingConfig, \
-        make_rebalance_policy
+    from repro.serve import RetrainPolicy, ServingConfig
 
     if args.retrain_threshold < 0:
         raise ValueError("--retrain-threshold must be >= 0")
@@ -556,10 +549,6 @@ def _serving_config(args: argparse.Namespace, seed: int, **fields):
                             tenant_burst=args.tenant_burst,
                             queue_limit=args.queue_limit)
         if args.ingest else None,
-        workers=args.serving_workers,
-        rebalance_policy=make_rebalance_policy(args.rebalance_policy)
-        if args.rebalance_policy != "none" else None,
-        rebalance_interval=args.rebalance_interval,
         **_batch_fields(args),
         **fields,
     )
@@ -571,6 +560,10 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
 
     try:
         scenario = _scenario(args)
+        if args.flash_crowd != 0 and not args.flash_crowd > 1:
+            raise ValueError("--flash-crowd must be 0 (off) or > 1")
+        if not args.tenant_zipf >= 0:
+            raise ValueError("--tenant-zipf must be >= 0")
         config = _serving_config(args, seed=args.seed,
                                  background_swaps=not args.sync_swaps,
                                  record_batches=args.verify)
@@ -578,7 +571,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
             config,
             tenant_zipf_alpha=args.tenant_zipf,
             flash_crowd=FlashCrowdConfig(rate_factor=args.flash_crowd)
-            if args.flash_crowd > 0 else None,
+            if args.flash_crowd else None,
             **scenario,
         )
     except ValueError as error:
@@ -586,17 +579,12 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         return 2
     workload = result.workload
     print(f"served {workload.describe()}")
-    print(format_table(["metric", "value"], result.rows()))
+    print(format_table(["metric", "value"], result.report.rows()))
     print(format_table(
         ["tenant", "rules", "epoch", "hit rate", "evictions", "swaps",
          "stalls"],
         result.tenant_rows(),
     ))
-    if args.serving_workers > 1:
-        print(format_table(
-            ["shard", "tenants", "requests", "wall"],
-            result.shard_rows(),
-        ))
     report = result.report
     if args.ingest:
         delay = report.metrics.timing("ingest.queue_delay_seconds") \
@@ -647,16 +635,12 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
                 "sync_swaps": args.sync_swaps,
                 "verify": args.verify,
                 "retrain_threshold": args.retrain_threshold,
-                "serving_workers": args.serving_workers,
                 "ingest": args.ingest,
                 "tenant_rate": args.tenant_rate if args.ingest else None,
                 "tenant_burst": args.tenant_burst if args.ingest else None,
                 "queue_limit": args.queue_limit if args.ingest else None,
                 "flash_crowd": args.flash_crowd,
                 "tenant_zipf": args.tenant_zipf,
-                "rebalance_policy": args.rebalance_policy,
-                "rebalance_interval": args.rebalance_interval
-                if args.rebalance_policy != "none" else None,
                 "seed": args.seed,
             })
         write_bench(record, args.json)
@@ -709,7 +693,7 @@ def _cmd_trace_replay(args: argparse.Namespace) -> int:
         return 2
     result, report = outcome.result, outcome.report
     print(f"replayed {trace.describe()}")
-    print(format_table(["metric", "value"], result.rows()))
+    print(format_table(["metric", "value"], result.report.rows()))
     print(format_table(["check", "count"], report.rows()))
     if args.output is not None:
         try:

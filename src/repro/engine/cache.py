@@ -189,29 +189,8 @@ class FlowCache:
         self.dormant = max(0, self.dormant - served)
 
     def entries(self) -> "list[Tuple[FlowKey, int]]":
-        """The cached ``(flow key, rule index)`` pairs in LRU order.
-
-        What ships when a tenant slot migrates between serving shards —
-        restoring them on the target keeps hit/miss telemetry continuous
-        across the move.
-        """
+        """The cached ``(flow key, rule index)`` pairs in LRU order."""
         return list(self._entries.items())
-
-    def restore(self, entries: "list[Tuple[FlowKey, int]]",
-                stats: FlowCacheStats) -> None:
-        """Adopt another cache's entries and counters (slot migration).
-
-        Replaces contents wholesale without touching eviction or
-        invalidation counters; entries beyond capacity are dropped oldest
-        first (uncounted — they were already accounted by the source).
-        Dormancy is not adopted: it is derived from traffic, so this cache
-        judges its own first window afresh.
-        """
-        self._entries = OrderedDict(entries)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-        self.stats = stats
-        self.dormant = self._window_probed = self._window_hits = 0
 
     def clear(self) -> int:
         """Drop every entry; returns how many flows were invalidated.

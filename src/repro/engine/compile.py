@@ -489,7 +489,7 @@ def partial_compile_classifier(
     The result is a full rebuild (``full_rebuild=True``), with the answers
     :func:`compile_classifier` gives, also when ``previous`` carries no
     provenance or ``touched_leaves`` is ``None``, the trees are different
-    objects (adoption, migration), a tree's version moved without a record
+    objects (adoption), a tree's version moved without a record
     covering the move, or a recorded leaf was never compiled.  Either way
     the result is a fresh :class:`CompiledClassifier`; the still-serving
     ``previous`` is only read, apart from appends to the shared rule list.

@@ -365,8 +365,7 @@ class RetrainPool:
     """Multiplexes many submitters' tasks over one shared executor, fairly.
 
     Every :class:`~repro.serve.controller.RetrainController` — across all
-    tenants, and across shards within a process — submits here instead of
-    owning a private executor.  Tasks are keyed (by tenant) and dispatched
+    tenants — submits here instead of owning a private executor.  Tasks are keyed (by tenant) and dispatched
     round-robin across keys whenever an executor slot frees up, so one noisy
     tenant cannot starve the rest; tasks of the *same* key run in FIFO order.
 
@@ -481,7 +480,7 @@ def shared_retrain_pool(num_workers: int,
     All retrain controllers in a process that ask for the same
     ``(backend, num_workers)`` get the *same* :class:`RetrainPool` (and thus
     the same underlying executor) — the fleet-trainer contract that retrains
-    across tenants and shards multiplex over one pool instead of each
+    across tenants multiplex over one pool instead of each
     controller spawning its own.  Pools live until
     :func:`shutdown_shared_retrain_pools` or interpreter exit.
     """

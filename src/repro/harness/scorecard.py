@@ -18,7 +18,7 @@ deterministic scorecard cannot tolerate (see docs/observability.md).
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, Union
 
 from repro.obs.bench import BenchRecord, bench_filename, write_bench
 
@@ -82,8 +82,8 @@ SERVE_SCORECARD: Dict[str, object] = {
 #: The serving regression scorecards behind
 #: ``benchmarks/test_serving_hotswap.py`` and
 #: ``benchmarks/test_retrain_on_churn.py``.  They replace the old
-#: hard-coded ratio asserts (cache hit rate >= 0.5, sharded speedup >= 1.1)
-#: with exact counter gates against checked-in baselines — a cache-locality
+#: hard-coded ratio asserts (cache hit rate >= 0.5) with exact counter
+#: gates against checked-in baselines — a cache-locality
 #: regression now shows up as a cache_hits diff, not a flaky threshold.
 #: Counters gate exactly everywhere; throughput/latency timings are
 #: informational.  ``sync_swaps`` (and ``"serial"`` retrains) are the
@@ -135,59 +135,7 @@ SERVING_SCORECARDS: Dict[str, Dict[str, object]] = {
         "verify": True,
         "seed": 0,
     },
-    "sharded": {
-        "tenants": 4,
-        "families": "acl1,ipc1",
-        "num_rules": 60,
-        "num_packets": 20_000,
-        "num_flows": 600,
-        "algorithm": "HiCuts",
-        "binth": 8,
-        "batch_size": 64,
-        "flow_cache": 2048,
-        "churn_events": 2,
-        "adds_per_event": 4,
-        "removes_per_event": 2,
-        "sync_swaps": True,
-        "verify": True,
-        "serving_workers": 2,
-        "seed": 1,
-    },
-    # Skewed-tenant flash crowd on 2 shards with live load-aware
-    # rebalancing: the steep tenant Zipf split plus the crowd multiplier
-    # concentrate the stream on the shard that drew tenant 0, and the
-    # policy must migrate load off it mid-run.  Sync swaps keep every
-    # counter (including migrations) a pure function of the workload.  The
-    # serial reference comparison ignores the migration counters —
-    # placement changes, decisions and telemetry must not.
-    "rebalance": {
-        "tenants": 4,
-        "families": "acl1,ipc1",
-        "num_rules": 60,
-        "num_packets": 12_000,
-        "num_flows": 400,
-        "algorithm": "HiCuts",
-        "binth": 8,
-        "batch_size": 64,
-        "flow_cache": 2048,
-        "churn_events": 2,
-        "adds_per_event": 4,
-        "removes_per_event": 2,
-        "tenant_zipf": 1.5,
-        "flash_crowd": 6.0,
-        "sync_swaps": True,
-        "verify": True,
-        "serving_workers": 2,
-        "rebalance_policy": "load",
-        "rebalance_interval": 0.01,
-        "seed": 2,
-    },
 }
-
-#: Deterministic counters that *describe the placement history* rather than
-#: serving behaviour: they legitimately differ between a rebalancing run
-#: and its single-process reference.
-PLACEMENT_COUNTERS = ("migrations", "rebalance_plans", "rebalance_deferred")
 
 
 def _engine_record(cfg: Dict[str, object], name: str) -> BenchRecord:
@@ -221,13 +169,8 @@ def _run_scorecard(cfg: Dict[str, object]):
     """One ``run_serving`` invocation with a scorecard's pinned knobs."""
     from repro.harness.serving import run_serving
     from repro.serve.controller import RetrainPolicy
-    from repro.serve.rebalance import DEFAULT_REBALANCE_INTERVAL, \
-        make_rebalance_policy
     from repro.serve.stack import ServingConfig
-    from repro.workloads.adversarial import FlashCrowdConfig
 
-    workers = int(cfg.get("serving_workers", 1))
-    rebalance_policy_name = cfg.get("rebalance_policy", "none")
     retrain_policy = None
     if "retrain_threshold" in cfg:
         retrain_policy = RetrainPolicy(
@@ -244,11 +187,6 @@ def _run_scorecard(cfg: Dict[str, object]):
         record_batches=cfg["verify"],
         retrain_threshold=cfg.get("retrain_threshold"),
         retrain_policy=retrain_policy,
-        workers=workers,
-        rebalance_policy=make_rebalance_policy(rebalance_policy_name)
-        if workers > 1 and rebalance_policy_name != "none" else None,
-        rebalance_interval=cfg.get("rebalance_interval",
-                                   DEFAULT_REBALANCE_INTERVAL),
     )
     return run_serving(
         config,
@@ -257,12 +195,9 @@ def _run_scorecard(cfg: Dict[str, object]):
         num_rules=cfg["num_rules"],
         num_packets=cfg["num_packets"],
         num_flows=cfg["num_flows"],
-        tenant_zipf_alpha=cfg.get("tenant_zipf", 1.0),
         algorithm=cfg["algorithm"],
         binth=cfg["binth"],
         churn_events=cfg["churn_events"],
-        flash_crowd=FlashCrowdConfig(rate_factor=cfg["flash_crowd"])
-        if cfg.get("flash_crowd") else None,
         seed=cfg["seed"],
         **{key: cfg[key] for key in ("adds_per_event", "removes_per_event")
            if key in cfg},
@@ -276,59 +211,21 @@ def serve_scorecard_record() -> BenchRecord:
         name="scorecard-serve", config=dict(cfg), verify=cfg["verify"])
 
 
-def run_serving_scorecard(kind: str, serving_workers: Optional[int] = None,
-                          rebalance_policy_name: Optional[str] = None):
+def run_serving_scorecard(kind: str):
     """One ``run_serving`` invocation with a scorecard's pinned knobs.
 
     Returns the live ``ServingResult`` so the acceptance benchmarks can make
     behavioral assertions on the exact run whose record they then gate
-    against the checked-in baseline.  ``serving_workers`` overrides the
-    scorecard's pinned worker count (the sharded benchmark uses this for its
-    serial reference run); ``rebalance_policy_name`` overrides the pinned
-    rebalance policy (the rebalancing benchmark passes ``"none"`` for its
-    static reference).
+    against the checked-in baseline.
     """
-    cfg = dict(SERVING_SCORECARDS[kind])
-    if serving_workers is not None:
-        cfg["serving_workers"] = serving_workers
-    if rebalance_policy_name is not None:
-        cfg["rebalance_policy"] = rebalance_policy_name
-    return _run_scorecard(cfg)
+    return _run_scorecard(SERVING_SCORECARDS[kind])
 
 
 def serving_scorecard_record(kind: str) -> BenchRecord:
-    """Run one of the :data:`SERVING_SCORECARDS` and return its record.
-
-    A sharded scorecard runs the scenario twice — single-process, then
-    sharded across its pinned worker count — and reports the counters (and
-    exactness tallies) of the *sharded* run.  Sharding is exact by
-    construction, so the two runs' deterministic counters must agree; a
-    disagreement fails loudly here rather than producing a silently wrong
-    baseline.
-    """
-    from repro.exceptions import BenchError
-
+    """Run one of the :data:`SERVING_SCORECARDS` and return its record."""
     cfg = SERVING_SCORECARDS[kind]
-    workers = int(cfg.get("serving_workers", 1))
-    result = run_serving_scorecard(kind)
-    record = result.bench_record(name=f"serving-{kind}", config=dict(cfg),
-                                 verify=cfg["verify"])
-    if workers > 1:
-        serial = run_serving_scorecard(kind, serving_workers=1)
-        serial_counters = dict(serial.report.deterministic_counters())
-        sharded_counters = dict(result.report.deterministic_counters())
-        if cfg.get("rebalance_policy", "none") != "none":
-            # Live migration changes the placement history, never the
-            # served decisions or telemetry.
-            for key in PLACEMENT_COUNTERS:
-                serial_counters.pop(key, None)
-                sharded_counters.pop(key, None)
-        if serial_counters != sharded_counters:
-            raise BenchError(
-                f"serving scorecard {kind!r}: sharded counters diverge "
-                f"from the serial run — sharding is supposed to be exact"
-            )
-    return record
+    return run_serving_scorecard(kind).bench_record(
+        name=f"serving-{kind}", config=dict(cfg), verify=cfg["verify"])
 
 
 def throughput_bench_filename(kind: str) -> str:

@@ -12,15 +12,11 @@ linear search over the exact ruleset generation its engine was compiled
 from, across any mid-run hot swaps.
 
 How the workload is *served* is one :class:`~repro.serve.stack.ServingConfig`;
-``run_serving``'s own keywords only shape the workload.  Two config fields
-close the adaptive-serving loop:
-
-* ``retrain_threshold`` arms the retrain-on-churn path — a
-  :class:`~repro.serve.controller.RetrainController` watches every slot and
-  swaps in freshly trained NeuroCuts *trees* when accumulated updates cross
-  the threshold;
-* ``workers > 1`` shards tenants across logical serving shards
-  (:mod:`repro.serve.sharded`), telemetry merged exactly from the shards.
+``run_serving``'s own keywords only shape the workload.  The config's
+``retrain_threshold`` closes the adaptive-serving loop: a
+:class:`~repro.serve.controller.RetrainController` watches every slot and
+swaps in freshly trained NeuroCuts *trees* when accumulated updates cross
+the threshold.
 
 ``run_serving(trace_path=...)`` swaps the generator out entirely: the
 workload (tenants, rulesets, packets, churn) is loaded from a recorded
@@ -30,16 +26,14 @@ trace file (:mod:`repro.traces`) and served through the identical stack.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 from repro.serve.controller import RetrainPolicy
 from repro.serve.registry import TenantRegistry
-from repro.serve.service import ServedBatch, ServingReport
-from repro.serve.sharded import ShardOutcome, ShardPlan, serve_sharded
+from repro.serve.service import ServingReport
 from repro.serve.stack import ServingConfig, ServingStack, epoch_rulesets
-from repro.rules.ruleset import RuleSet
 from repro.traces.format import ServingTrace
 from repro.traces.io import read_trace
 from repro.workloads.adversarial import FlashCrowdConfig, \
@@ -127,54 +121,14 @@ def serving_bench_record(report: ServingReport, name: str,
                        counters=counters, timings=timings)
 
 
-def _check_batches(batches: Sequence[ServedBatch],
-                   epoch_rulesets: Dict[str, List[RuleSet]]
-                   ) -> ExactnessReport:
-    """Differentially check recorded batches against per-epoch rulesets."""
-    checked = mismatches = post_swap = 0
-    for batch in batches:
-        ruleset = epoch_rulesets[batch.tenant_id][batch.epoch]
-        if batch.epoch >= 1:
-            post_swap += len(batch.requests)
-        for request, priority in zip(batch.requests, batch.priorities):
-            expected = ruleset.classify(request.packet)
-            expected_priority = expected.priority if expected else None
-            checked += 1
-            if expected_priority != priority:
-                mismatches += 1
-    return ExactnessReport(num_checked=checked,
-                           num_mismatches=mismatches,
-                           num_post_swap=post_swap)
-
-
 @dataclass
 class ServingResult:
-    """Everything ``run_serving`` produced: telemetry plus live state.
-
-    A single-process run keeps its live ``registry``.  A sharded run
-    (``ServingConfig.workers > 1``) keeps no registry: ``report`` is the
-    merged telemetry (exact percentile merge over the shards' raw latency
-    arrays), ``outcomes`` keeps each shard's own report and per-epoch
-    ruleset history for drill-down, and ``plan`` is the initial tenant
-    placement.
-    """
+    """Everything ``run_serving`` produced: telemetry plus the live
+    ``registry`` that served it."""
 
     report: ServingReport
     workload: MultiTenantWorkload
-    registry: Optional[TenantRegistry] = None
-    outcomes: List[ShardOutcome] = field(default_factory=list)
-    plan: Optional[ShardPlan] = None
-
-    @property
-    def num_shards(self) -> int:
-        """Shards that actually served tenants (empty shards are skipped)."""
-        return len(self.outcomes)
-
-    def rows(self) -> List[List[object]]:
-        rows = self.report.rows()
-        if self.outcomes:
-            rows.append(["serving shards", str(self.num_shards)])
-        return rows
+    registry: TenantRegistry
 
     def tenant_rows(self) -> List[List[object]]:
         """Per-tenant table rows: rules, engine epoch, cache, swaps."""
@@ -191,18 +145,6 @@ class ServingResult:
             for tenant_id, entry in self.report.per_tenant.items()
         ]
 
-    def shard_rows(self) -> List[List[object]]:
-        """Per-shard table rows: tenants, requests served, wall seconds."""
-        return [
-            [
-                outcome.shard_index,
-                ", ".join(outcome.tenant_ids),
-                outcome.report.num_requests,
-                f"{outcome.report.wall_seconds:.3f}s",
-            ]
-            for outcome in self.outcomes
-        ]
-
     def verify_exactness(self) -> ExactnessReport:
         """Re-check every served packet against linear search.
 
@@ -210,22 +152,27 @@ class ServingResult:
         serving engine was compiled from (``EngineSlot.ruleset_at``), so the
         check is exact *across* hot swaps: packets served before a swap are
         held to the pre-update ruleset, packets after it to the post-update
-        one.  A sharded run is checked here too — each shard keeps its
-        batches *and* per-epoch rulesets — so exactness is proven across
-        retrain adoptions and migrations.  Requires
+        one, also across retrain adoptions.  Requires
         ``ServingConfig(record_batches=True)``.
         """
         if self.report.batches is None:
             raise ValueError(
                 "verify_exactness() needs ServingConfig(record_batches=True)"
             )
-        if self.registry is not None:
-            history = epoch_rulesets(self.registry)
-        else:
-            history = {}
-            for outcome in self.outcomes:
-                history.update(outcome.epoch_rulesets)
-        return _check_batches(self.report.batches, history)
+        history = epoch_rulesets(self.registry)
+        checked = mismatches = post_swap = 0
+        for batch in self.report.batches:
+            ruleset = history[batch.tenant_id][batch.epoch]
+            if batch.epoch >= 1:
+                post_swap += len(batch.requests)
+            for request, priority in zip(batch.requests, batch.priorities):
+                expected = ruleset.classify(request.packet)
+                checked += 1
+                if (expected.priority if expected else None) != priority:
+                    mismatches += 1
+        return ExactnessReport(num_checked=checked,
+                               num_mismatches=mismatches,
+                               num_post_swap=post_swap)
 
     def bench_record(self, name: str = "serve",
                      config: Optional[dict] = None,
@@ -276,7 +223,7 @@ def run_serving(
     all come from the trace, and the generation keywords (``num_tenants``,
     ``families``, ``num_packets``, ``churn_events``, ...) are ignored.  The
     config still applies, so a trace can be replayed with a different
-    batch size, cache size, shard count, or retrain policy.
+    batch size, cache size, or retrain policy.
 
     ``flash_crowd`` swaps the nominal workload for the adversarial
     flash-crowd scenario (one tenant goes over-rate mid-trace; see
@@ -334,13 +281,6 @@ def run_serving(
         config = replace(config, retrain_policy=None)
     elif config.retrain_policy is None:
         config = replace(config, retrain_policy=default_retrain)
-
-    if config.workers > 1:
-        outcomes, report, plan = serve_sharded(
-            specs, workload.rulesets, workload.requests, workload.updates,
-            config)
-        return ServingResult(report=report, workload=workload,
-                             outcomes=outcomes, plan=plan)
 
     stack = ServingStack(config, specs, workload.rulesets)
     try:

@@ -31,8 +31,7 @@ Everything runs on the trace clock: decisions are a pure function of the
 offered (tenant, time) sequence and the config, which is what makes the
 over-rate scenarios replay bit-identically — and because all state is
 per-tenant, admission over a whole stream decides for each tenant exactly
-what admission over that tenant's requests alone would (the same argument
-that makes tenant sharding exact in :mod:`repro.serve.sharded`).
+what admission over that tenant's requests alone would.
 """
 
 from __future__ import annotations
@@ -197,8 +196,8 @@ class _TenantState:
 class AdmissionController:
     """Deterministic per-tenant admission over a time-ordered stream.
 
-    One controller admits one front-end's stream (a whole run, however many
-    shards serve it), with one config for every tenant.  ``metrics`` (the
+    One controller admits one front-end's stream (a whole run), with one
+    config for every tenant.  ``metrics`` (the
     front-end's :class:`~repro.obs.metrics.MetricsRegistry`; a private one
     when omitted) receives the ``ingest.*`` counters and the
     ``ingest.queue_delay_seconds`` timing histogram, whose raw samples
@@ -388,8 +387,7 @@ class AdmissionController:
         Goodput is admitted packets over the run's trace duration — a
         trace-clock figure, so it is deterministic like the counters.
         Also publishes ``ingest.goodput_pps.<tenant>`` gauges into the
-        bound metrics registry (max-merge across shards is exact because
-        tenants are shard-disjoint).
+        bound metrics registry.
         """
         duration = max(trace_seconds, 1e-12)
         summary: Dict[str, dict] = {}

@@ -5,10 +5,8 @@ claim flows through:
 
 * :mod:`repro.obs.metrics` — a lightweight :class:`MetricsRegistry` of
   counters, gauges, and timing histograms.  Registries are picklable and
-  *exactly* mergeable across the shard boundary: timings keep raw samples,
-  so merged percentiles equal those of a single process observing the union
-  (the same contract as the raw-latency percentile merge in
-  :mod:`repro.serve.sharded`).  Phase-timer spans instrument the hot
+  *exactly* mergeable: timings keep raw samples, so merged percentiles
+  equal those computed over the union.  Phase-timer spans instrument the hot
   serving-lifecycle edges: compile, swap install, retrain job, batch flush,
   queue wait.
 * :mod:`repro.obs.bench` — the versioned :class:`BenchRecord` JSON schema

@@ -6,19 +6,16 @@ carries.  Three series kinds cover the repo's needs:
 * :class:`Counter` — a monotonically growing integer; merge is addition.
 * :class:`Gauge` — a last-written level (queue depth, tenant count).  Merge
   takes the **max** — the only associative, commutative, order-free choice
-  that still answers the fleet question gauges are used for here ("what was
-  the highest level any shard saw"); ``updates`` counts sets and merges by
-  addition.
+  that still answers "what was the highest level either side saw";
+  ``updates`` counts sets and merges by addition.
 * :class:`Timing` — a timing histogram that keeps its **raw samples**, so a
   merge concatenates samples and every percentile of the merged series
-  equals the percentile a single process would have computed over the union.
-  This is the identical contract to the raw-latency percentile merge in
-  :mod:`repro.serve.sharded`, applied to every timed phase.
+  equals the percentile computed over the union.
 
-Merging is associative and commutative in the summary view, which is what
-lets the sharded front-end fold shard registries in any order.  Registries
-hold only plain containers — no locks, no threads — so they pickle across
-the process boundary unchanged.
+Merging is associative and commutative in the summary view; a serving
+report folds the admission front-end's registry into the serving one this
+way.  Registries hold only plain containers — no locks, no threads — so
+they pickle unchanged.
 
 **Threading.**  A registry assumes the single-serving-thread model of
 :mod:`repro.serve`: series are created and read from the serving thread.
@@ -36,7 +33,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Sequence
+from typing import Dict, Iterator, List, Sequence
 
 import numpy as np
 
@@ -218,15 +215,6 @@ class MetricsRegistry:
         for name, timing in other.timings.items():
             self.timing(name).merge(timing)
         return self
-
-    @classmethod
-    def merged(cls, registries: Iterable["MetricsRegistry"]
-               ) -> "MetricsRegistry":
-        """A fresh registry holding the exact union of the given ones."""
-        result = cls()
-        for registry in registries:
-            result.merge(registry)
-        return result
 
     def snapshot(self) -> "MetricsRegistry":
         """A detached point-in-time copy of every series.

@@ -30,21 +30,7 @@ from repro.serve.controller import (
     RetrainStats,
 )
 from repro.serve.engines import DEFAULT_RETRAIN_THRESHOLD, EngineSlot, \
-    SlotState, SwapStats
-from repro.serve.rebalance import (
-    DEFAULT_REBALANCE_INTERVAL,
-    REBALANCE_POLICIES,
-    LoadAwareRebalancePolicy,
-    MigrationPlan,
-    NoRebalancePolicy,
-    RebalancePolicy,
-    ScheduledRebalancePolicy,
-    ShardTelemetry,
-    TelemetrySnapshot,
-    TenantLoad,
-    TenantMigration,
-    make_rebalance_policy,
-)
+    SwapStats
 from repro.serve.registry import TenantRegistry, UnknownTenantError
 from repro.serve.service import (
     LATENCY_PERCENTILES,
@@ -53,13 +39,6 @@ from repro.serve.service import (
     ServedBatch,
     ServingReport,
     ServingSession,
-)
-from repro.serve.sharded import (
-    ShardOutcome,
-    ShardPlan,
-    merge_reports,
-    serve_sharded,
-    shard_tenants,
 )
 from repro.serve.stack import ServingConfig, ServingStack
 
@@ -73,20 +52,7 @@ __all__ = [
     "RetrainStats",
     "DEFAULT_RETRAIN_THRESHOLD",
     "EngineSlot",
-    "SlotState",
     "SwapStats",
-    "DEFAULT_REBALANCE_INTERVAL",
-    "REBALANCE_POLICIES",
-    "LoadAwareRebalancePolicy",
-    "MigrationPlan",
-    "NoRebalancePolicy",
-    "RebalancePolicy",
-    "ScheduledRebalancePolicy",
-    "ShardTelemetry",
-    "TelemetrySnapshot",
-    "TenantLoad",
-    "TenantMigration",
-    "make_rebalance_policy",
     "TenantRegistry",
     "UnknownTenantError",
     "LATENCY_PERCENTILES",
@@ -97,9 +63,4 @@ __all__ = [
     "ServingSession",
     "ServingConfig",
     "ServingStack",
-    "ShardOutcome",
-    "ShardPlan",
-    "merge_reports",
-    "serve_sharded",
-    "shard_tenants",
 ]

@@ -40,9 +40,9 @@ class Request:
         flow_id: the workload flow this packet belongs to (per-tenant
             namespace; -1 when the source carries no flow structure).
         seq: position of the request in its workload's time-ordered stream
-            (-1 for ad-hoc requests).  Stable across batching, hot swaps,
-            and the shard pickle boundary, which is what lets trace
-            recording map served decisions back to trace rows.
+            (-1 for ad-hoc requests).  Stable across batching and hot
+            swaps, which is what lets trace recording map served decisions
+            back to trace rows.
     """
 
     tenant_id: str

@@ -92,9 +92,7 @@ class RetrainPolicy:
             to the process-local *shared* :class:`repro.executors.RetrainPool`
             of this width (and ``backend``) instead of each owning a private
             executor — the fleet-trainer path.  Tenants across controllers
-            (and shards within a process) multiplex over one pool with
-            round-robin fairness.  The policy stays picklable, so process
-            shards reconstruct their own process-local pool from it.
+            multiplex over one pool with round-robin fairness.
     """
 
     timesteps: int = 3_000
@@ -145,20 +143,6 @@ class RetrainStats:
     queued: int = 0
     #: Wall seconds each *installed* job spent training, in install order.
     train_seconds: List[float] = field(default_factory=list)
-
-    def merge(self, other: "RetrainStats") -> "RetrainStats":
-        """Accumulate another controller's counters (across shards).
-
-        ``train_seconds`` concatenates, so merged means/percentiles are
-        exact over the union of installed jobs.
-        """
-        self.triggered += other.triggered
-        self.installed += other.installed
-        self.discarded += other.discarded
-        self.rejected += other.rejected
-        self.queued += other.queued
-        self.train_seconds.extend(other.train_seconds)
-        return self
 
     def as_dict(self) -> dict:
         return stable_dict({
@@ -260,49 +244,6 @@ class RetrainController:
         """Poll every registered tenant; returns those that got a new tree."""
         return [tenant_id for tenant_id in self.registry.tenants()
                 if self.poll_tenant(tenant_id)]
-
-    def retrain_in_flight(self, tenant_id: str) -> bool:
-        """True while the tenant's launched retrain is still *running*.
-
-        A finished-but-uninstalled job returns False: the caller's next
-        poll or drain lands it without waiting, so it must not defer a
-        migration.  Polling the handle also pumps a shared pool, advancing
-        queued jobs of other tenants.
-        """
-        job = self._jobs.get(tenant_id)
-        return job is not None and not job.handle.ready()
-
-    def drain_tenant(self, tenant_id: str) -> bool:
-        """Land (or reject) one tenant's in-flight retrain, blocking.
-
-        The pre-migration quiesce: a tenant cannot ship to another shard
-        while a retrain trained against its old slot is still in flight.
-        Returns True if a tree was installed.
-        """
-        job = self._jobs.pop(tenant_id, None)
-        if job is None:
-            return False
-        return self._install(job)
-
-    def export_tenant(self, tenant_id: str) -> int:
-        """Forget a migrating tenant and return its retrain launch count.
-
-        Call after :meth:`drain_tenant`; raises if a job is still in
-        flight.  The launch count ships with the tenant so the target
-        shard's controller continues the per-tenant seed sequence exactly
-        where this one left off — retrain N produces the same training run
-        no matter which shard launches it.
-        """
-        if tenant_id in self._jobs:
-            raise RuntimeError(
-                f"tenant {tenant_id!r} has a retrain in flight; "
-                f"drain_tenant() before exporting"
-            )
-        return self._launch_counts.pop(tenant_id, 0)
-
-    def import_tenant(self, tenant_id: str, launch_count: int) -> None:
-        """Adopt a migrated tenant's retrain launch count (seed continuity)."""
-        self._launch_counts[tenant_id] = launch_count
 
     def drain(self) -> List[str]:
         """Block until every in-flight retrain finishes and installs.

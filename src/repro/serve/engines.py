@@ -31,7 +31,6 @@ from repro.obs.serialize import stable_dict
 from repro.rules.rule import Rule
 from repro.rules.ruleset import RuleSet
 from repro.tree.lookup import TreeClassifier
-from repro.tree.serialize import tree_from_dict, tree_to_dict
 
 #: Default number of accumulated rule updates before a slot advises a
 #: retrain.  Effectively "never" — retraining is opt-in; pass a real
@@ -55,11 +54,10 @@ class SwapStats:
     stale_builds: int = 0
 
     def merge(self, other: "SwapStats") -> "SwapStats":
-        """Accumulate another slot's counters (telemetry across tenants/shards).
+        """Accumulate another slot's counters (telemetry across tenants).
 
         ``build_seconds`` concatenates, so the merged mean (and any
-        percentile a caller computes) is exact over the union — the same
-        raw-sample contract as the sharded latency merge.
+        percentile a caller computes) is exact over the union.
         """
         self.swaps += other.swaps
         self.stalls += other.stalls
@@ -79,50 +77,6 @@ class SwapStats:
                 if self.build_seconds else 0.0
             ),
         })
-
-
-@dataclass
-class SlotState:
-    """A picklable snapshot of one :class:`EngineSlot`, taken at quiesce.
-
-    This is what crosses the wire when a tenant migrates between serving
-    shards (:mod:`repro.serve.rebalance`): the decision trees (serialized,
-    compiled arrays never travel), the full per-epoch ruleset history so
-    differential exactness holds *across* the migration boundary, the
-    pending-update counters so the retrain trigger carries over, and the
-    flow-cache contents so cache telemetry stays continuous.  Restore with
-    :meth:`EngineSlot.from_state` — the rebuilt slot compiles an engine
-    from the shipped trees for the *same* epoch, so every later packet is
-    still classified against its epoch's ruleset.
-    """
-
-    tenant_id: str
-    #: One ``(tree_to_dict(tree), tree.ruleset)`` pair per tree; each tree
-    #: is reconstructed against its own ruleset (partitioned trees hold
-    #: subsets of the classifier ruleset).
-    tree_payloads: List[Tuple[dict, RuleSet]]
-    classifier_name: str
-    #: The classifier's current ruleset (equals ``epoch_rulesets[-1]``).
-    ruleset: RuleSet
-    #: Per-epoch ruleset snapshots, epoch 0 first.
-    epoch_rulesets: List[RuleSet]
-    epoch: int
-    #: ``(rules_added, rules_removed, leaves_touched)`` per updater, so
-    #: ``updates_since_adoption`` / ``needs_retraining`` survive the move.
-    updater_stats: List[Tuple[int, int, int]]
-    retrain_threshold: int
-    flow_cache_size: Optional[int]
-    background: bool
-    swap_stats: SwapStats
-    retired_cache_stats: FlowCacheStats
-    #: Live flow-cache contents as ``(flow key, matched rule or None)``.
-    #: Entries ship as *rules*, not engine indices: the source engine's
-    #: rule table reflects its compile history (partial recompiles append
-    #: new rules at the end), so its indices are meaningless in the
-    #: target's freshly-compiled table.  The import side re-interns each
-    #: rule against the new engine's table.
-    cache_entries: List[Tuple[Tuple[int, int, int, int, int], Optional[Rule]]]
-    cache_stats: FlowCacheStats
 
 
 class EngineSlot:
@@ -393,104 +347,6 @@ class EngineSlot:
         """
         for updater in self._updaters:
             updater.stats = UpdateStats()
-
-    # ------------------------------------------------------------------ #
-    # Migration (ship the slot across a shard boundary)
-    # ------------------------------------------------------------------ #
-
-    def export_state(self) -> SlotState:
-        """Snapshot everything a target shard needs to take this slot over.
-
-        Quiesces first (any in-flight rebuild lands), then serialises the
-        decision trees, the per-epoch ruleset history, the pending-update
-        and swap counters, and the live flow-cache contents.  The returned
-        :class:`SlotState` is picklable and decoupled from this slot (no
-        shared mutable state), so the source can be deregistered the
-        moment it is taken.  A dormant flow cache's dormancy does not ship:
-        it is derived from traffic, and the target's cache judges its first
-        window afresh.
-        """
-        self.force_swap()
-        cache = self._active.flow_cache
-        return SlotState(
-            tenant_id=self.tenant_id,
-            tree_payloads=[(tree_to_dict(tree), tree.ruleset)
-                           for tree in self.classifier.trees],
-            classifier_name=self.classifier.name,
-            ruleset=self.ruleset,
-            epoch_rulesets=list(self._rulesets),
-            epoch=self.epoch,
-            updater_stats=[(u.stats.rules_added, u.stats.rules_removed,
-                            u.stats.leaves_touched) for u in self._updaters],
-            retrain_threshold=self.retrain_threshold,
-            flow_cache_size=self.flow_cache_size,
-            background=self.background,
-            swap_stats=SwapStats(
-                swaps=self.swap_stats.swaps,
-                stalls=self.swap_stats.stalls,
-                stall_seconds=self.swap_stats.stall_seconds,
-                build_seconds=list(self.swap_stats.build_seconds),
-                stale_builds=self.swap_stats.stale_builds,
-            ),
-            retired_cache_stats=self.retired_cache_stats.copy(),
-            cache_entries=[
-                (key, None if index < 0 else self._active.rules[index])
-                for key, index in cache.entries()
-            ] if cache is not None else [],
-            cache_stats=cache.stats.copy() if cache is not None
-            else FlowCacheStats(),
-        )
-
-    @classmethod
-    def from_state(cls, state: SlotState,
-                   metrics: Optional[MetricsRegistry] = None) -> "EngineSlot":
-        """Rebuild a slot from a shipped :class:`SlotState` (the install).
-
-        The engine is compiled from the shipped trees through the normal
-        constructor path (compiled arrays never cross the wire), then the
-        epoch history, update counters, swap counters, and flow-cache
-        contents are restored — the rebuilt engine serves the *same*
-        epoch the source was on, so the per-epoch exactness contract holds
-        straight through the migration.
-        """
-        if state.epoch != len(state.epoch_rulesets) - 1:
-            raise ValueError(
-                f"slot state for {state.tenant_id!r} is inconsistent: "
-                f"epoch {state.epoch} with "
-                f"{len(state.epoch_rulesets)} ruleset snapshots"
-            )
-        trees = [tree_from_dict(payload, ruleset)
-                 for payload, ruleset in state.tree_payloads]
-        classifier = TreeClassifier(state.ruleset, trees,
-                                    name=state.classifier_name)
-        slot = cls(
-            state.tenant_id,
-            classifier,
-            flow_cache_size=state.flow_cache_size,
-            background=state.background,
-            retrain_threshold=state.retrain_threshold,
-            metrics=metrics,
-        )
-        slot._rulesets = list(state.epoch_rulesets)
-        slot.epoch = state.epoch
-        slot.swap_stats = state.swap_stats
-        slot.retired_cache_stats = state.retired_cache_stats
-        for updater, (added, removed, touched) in zip(slot._updaters,
-                                                      state.updater_stats):
-            updater.stats = UpdateStats(rules_added=added,
-                                        rules_removed=removed,
-                                        leaves_touched=touched)
-        if slot._active.flow_cache is not None:
-            # Re-intern the shipped (flow key, rule) pairs against the new
-            # engine's rule table; -1 is the cached "no match" sentinel.
-            index_of = {rule: i for i, rule in enumerate(slot._active.rules)}
-            entries = [
-                (key, -1 if rule is None else index_of[rule])
-                for key, rule in state.cache_entries
-                if rule is None or rule in index_of
-            ]
-            slot._active.flow_cache.restore(entries, state.cache_stats)
-        return slot
 
     def _join_builder(self, count_stall: bool) -> None:
         if self._builder is None:

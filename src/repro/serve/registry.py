@@ -18,7 +18,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.rules.rule import Rule
 from repro.rules.ruleset import RuleSet
 from repro.serve.engines import DEFAULT_RETRAIN_THRESHOLD, EngineSlot, \
-    SlotState, SwapStats
+    SwapStats
 from repro.tree.lookup import TreeClassifier
 
 
@@ -32,9 +32,7 @@ class TenantRegistry:
     **Thread-safety.**  Like the slots it owns, the registry expects a
     single serving thread: registration, updates, and telemetry reads all
     happen from that thread, while each slot's background builder thread
-    only ever reads tree state.  Sharding tenants (see
-    :mod:`repro.serve.sharded`) gives each logical shard its own registry,
-    all driven from the one front-end thread.
+    only ever reads tree state.
     """
 
     def __init__(
@@ -131,40 +129,6 @@ class TenantRegistry:
         slot.force_swap()
         del self._slots[tenant_id]
         self.metrics.gauge("serve.tenants").set(len(self._slots))
-        return slot
-
-    def export_slot(self, tenant_id: str) -> SlotState:
-        """Remove a tenant and return its picklable serving state.
-
-        The ship half of a live migration: the slot quiesces (pending
-        rebuild installed), its full state — trees, epoch history, pending
-        update counters, swap stats, flow cache — is snapshotted, and the
-        tenant leaves this registry.  Feed the state to another registry's
-        :meth:`import_slot`.
-        """
-        slot = self.slot(tenant_id)
-        state = slot.export_state()
-        del self._slots[tenant_id]
-        self.metrics.gauge("serve.tenants").set(len(self._slots))
-        self.metrics.counter("serve.migrations_out").inc()
-        return state
-
-    def import_slot(self, state: SlotState) -> EngineSlot:
-        """Install a migrated tenant from its shipped state.
-
-        The install half of a live migration: the engine is recompiled
-        from the shipped trees (same atomic-install path as registration),
-        the epoch history carries over, and the tenant starts serving here
-        at the exact epoch it left the source shard on.
-        """
-        if state.tenant_id in self._slots:
-            raise ValueError(
-                f"tenant {state.tenant_id!r} is already registered"
-            )
-        slot = EngineSlot.from_state(state, metrics=self.metrics)
-        self._slots[state.tenant_id] = slot
-        self.metrics.gauge("serve.tenants").set(len(self._slots))
-        self.metrics.counter("serve.migrations_in").inc()
         return slot
 
     def slot(self, tenant_id: str) -> EngineSlot:

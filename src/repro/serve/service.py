@@ -4,9 +4,9 @@
 schedule of rule updates), runs :func:`~repro.serve.batcher.plan_block` over
 each settled block of arrivals, executes each planned batch on the owning
 tenant's compiled engine, and reports serving telemetry: packets/second,
-latency percentiles, flow-cache hit rates, and hot-swap counters.  It and
-:func:`~repro.serve.sharded.serve_sharded` are one front-end over different
-sessions: :func:`admit`, :func:`feed`, :func:`fold_admission`.
+latency percentiles, flow-cache hit rates, and hot-swap counters.  Its
+front-end is three functions: :func:`admit`, :func:`feed` and
+:func:`fold_admission`.
 
 Latency accounting uses two clocks on purpose: the *queueing* delay of a
 request (from arrival to batch release) is trace time — a property of the
@@ -102,8 +102,7 @@ class ServingReport:
     swap_stall_seconds: float
     per_tenant: Dict[str, dict]
     batches: Optional[List[ServedBatch]] = None
-    #: Per-request latencies in serve order (``record_latencies=True``);
-    #: what lets a sharding front-end merge exact percentiles across workers.
+    #: Per-request latencies in serve order (``record_latencies=True``).
     latencies: Optional[np.ndarray] = None
     #: Packets served past a dormant flow cache (see
     #: :mod:`repro.engine.cache`): neither hits nor lookups.
@@ -118,15 +117,6 @@ class ServingReport:
     #: Retrain jobs submitted through a *shared* retrain pool (the
     #: fleet-trainer path; zero when controllers own private executors).
     retrain_queue_submitted: int = 0
-    #: Live tenant migrations completed (zero outside the rebalancing
-    #: sharded path; see repro.serve.rebalance).
-    migrations: int = 0
-    #: Rebalance plans evaluated on the trace clock (one per interval).
-    rebalance_plans: int = 0
-    #: Planned migrations deferred because the tenant had a retrain in
-    #: flight at settle time; each deferral is retried until it executes,
-    #: so no plan is ever lost (see repro.serve.sharded.serve_sharded).
-    rebalance_deferred: int = 0
     #: Admission-control tally (all zero when no ingestion frontend is
     #: attached).  Invariant: offered == admitted + throttled + shed, and
     #: num_requests == ingest_admitted whenever ingest_offered > 0 — every
@@ -142,10 +132,9 @@ class ServingReport:
     #: builders can't mutate it.  Cumulative over the registry's lifetime
     #: (the ``ingest.*`` series: the front-end's): repeated ``serve()``
     #: calls on the same ``TenantRegistry`` include the earlier runs'
-    #: observations.  Merged exactly across shards by ``merge_reports``.
+    #: observations.
     metrics: Optional[MetricsRegistry] = None
-    #: Swap counters merged over every tenant slot (raw build_seconds kept,
-    #: so cross-shard merges stay exact).
+    #: Swap counters merged over every tenant slot (raw build_seconds kept).
     swap_stats: Optional[SwapStats] = None
     #: Retrain-controller counters with raw train_seconds (None when no
     #: controller was attached).
@@ -189,9 +178,6 @@ class ServingReport:
             "retrains_discarded": self.retrains_discarded,
             "retrains_rejected": self.retrains_rejected,
             "retrain_queue_submitted": self.retrain_queue_submitted,
-            "migrations": self.migrations,
-            "rebalance_plans": self.rebalance_plans,
-            "rebalance_deferred": self.rebalance_deferred,
             "ingest_offered": self.ingest_offered,
             "ingest_admitted": self.ingest_admitted,
             "ingest_throttled": self.ingest_throttled,
@@ -230,13 +216,6 @@ class ServingReport:
             rows.append([
                 "retrain pool",
                 f"{self.retrain_queue_submitted:,} jobs via shared pool",
-            ])
-        if self.migrations or self.rebalance_plans:
-            rows.append([
-                "rebalancing",
-                f"{self.rebalance_plans:,} plans, "
-                f"{self.migrations:,} migrations, "
-                f"{self.rebalance_deferred:,} deferred",
             ])
         if self.ingest_offered:
             rows.append([
@@ -325,9 +304,7 @@ class ClassificationService:
     it hosts the retrain controller's polling.  Background concurrency
     (engine builder threads, retrain jobs) never touches serving state —
     finished work is *installed* from this thread between batches.  One
-    service instance must not be driven from multiple threads;
-    :mod:`repro.serve.sharded` partitions tenants across several services,
-    one per logical shard.
+    service instance must not be driven from multiple threads.
 
     Args:
         registry: tenants to serve (slots are consulted per batch, so
@@ -336,7 +313,7 @@ class ClassificationService:
         record_batches: keep every served batch (with its engine epoch) for
             differential exactness checks.
         record_latencies: additionally report the raw per-request latency
-            array, enabling exact percentile merges across sharded workers.
+            array.
         retrain_controller: a :class:`~repro.serve.controller.RetrainController`
             watching this registry.  The service polls it after every rule
             update and before every batch (so finished retrains install
@@ -403,10 +380,10 @@ class ServingSession:
 
     Offer requests in time order; :meth:`deliver_update` is the only way a
     session learns of a rule update (:func:`feed` interleaves a schedule).
-    The migration hooks are :meth:`poll` (advance deadline releases to a
-    trace timestamp without offering anything) and :meth:`queue_depth` (is
-    a tenant's in-flight batch drained?); a front-end that reads the
-    registry's counters directly calls :meth:`settle` first.
+    A caller driving a session by hand can observe it mid-stream:
+    :meth:`poll` advances deadline releases to a trace timestamp without
+    offering anything, :meth:`queue_depth` reads a tenant's in-flight batch,
+    and :meth:`settle` serves what the buffered arrivals release.
     """
 
     def __init__(self, service: ClassificationService) -> None:
@@ -466,8 +443,7 @@ class ServingSession:
         Batch composition is poll-frequency-invariant: a deadline-expired
         queue can never gain members (any later arrival would release it
         first), and the flush-time clamp charges latency against the
-        deadline either way.  Front-ends use this before a migration check
-        so ``queue_depth`` reflects trace time ``now``.
+        deadline either way.
         """
         self._settle(now)
 

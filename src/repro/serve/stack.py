@@ -4,14 +4,12 @@
 the layers between an entry point (``run_serving``, ``replay_trace``, the
 CLI) and the classes that read the knobs pass *the config*, not its fields.
 :class:`ServingStack` wires a config plus a tenant roster into registry →
-registered tenants → optional retrain controller → classification service;
-single-process serving and the sharded front-end's logical shards both
-build theirs here.
+registered tenants → optional retrain controller → classification service.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields, is_dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.ingest.admission import IngestConfig
@@ -19,14 +17,16 @@ from repro.rules.ruleset import RuleSet
 from repro.serve.batcher import BatchPolicy
 from repro.serve.controller import RetrainController, RetrainPolicy
 from repro.serve.engines import DEFAULT_RETRAIN_THRESHOLD
-from repro.serve.rebalance import DEFAULT_REBALANCE_INTERVAL, RebalancePolicy
 from repro.serve.registry import TenantRegistry
 from repro.serve.service import ClassificationService
 
 
 @dataclass(frozen=True)
 class ServingConfig:
-    """Every serving knob, validated once.
+    """Every serving knob as one value.
+
+    Each field is range-checked by the class that reads it
+    (:class:`BatchPolicy`, :class:`RetrainPolicy`, ``IngestConfig``).
 
     Attributes:
         max_batch: micro-batcher release size (:class:`BatchPolicy`).
@@ -42,10 +42,6 @@ class ServingConfig:
         retrain_policy: how retrains run; a ``RetrainController`` is attached
             exactly when this is set.
         ingest: admission control ahead of the batcher (``None`` = off).
-        workers: logical serving shards tenants are partitioned across
-            (1 = none; every shard runs in the caller's process).
-        rebalance_policy: live tenant migration (needs ``workers >= 2``).
-        rebalance_interval: trace seconds between rebalance evaluations.
     """
 
     max_batch: int = 64
@@ -56,34 +52,12 @@ class ServingConfig:
     retrain_threshold: Optional[int] = None
     retrain_policy: Optional[RetrainPolicy] = None
     ingest: Optional[IngestConfig] = None
-    workers: int = 1
-    rebalance_policy: Optional[RebalancePolicy] = None
-    rebalance_interval: float = DEFAULT_REBALANCE_INTERVAL
-
-    def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ValueError("serving workers must be >= 1")
-        if self.rebalance_policy is not None and self.workers < 2:
-            raise ValueError(
-                "a rebalance policy needs serving workers >= 2 "
-                "(there is nothing to rebalance on one shard)"
-            )
-        if self.rebalance_interval <= 0:
-            raise ValueError("rebalance interval must be > 0")
 
     def describe(self) -> Dict[str, object]:
         """The config as a JSON-safe scorecard ``config`` block: scalar
-        fields as they are, nested configs field by field, the rebalance
-        policy by name — so two runs that differ in any knob differ here."""
-        block: Dict[str, object] = {}
-        for spec in fields(self):
-            value = getattr(self, spec.name)
-            if isinstance(value, RebalancePolicy):
-                value = value.name
-            elif is_dataclass(value):
-                value = asdict(value)
-            block[spec.name] = value
-        return block
+        fields as they are, nested configs field by field — so two runs
+        that differ in any knob differ here."""
+        return asdict(self)
 
 
 def epoch_rulesets(registry: TenantRegistry) -> Dict[str, List[RuleSet]]:
@@ -106,14 +80,11 @@ class ServingStack:
     releases the one thing that is not plain memory, the retrain executor.
 
     ``tenants`` is anything with ``tenant_id`` / ``algorithm`` / ``binth``
-    (a ``TenantSpec``).  ``record_latencies`` keeps raw per-request
-    latencies on the report, which shards keep so the front-end can merge
-    exact percentiles.
+    (a ``TenantSpec``).
     """
 
     def __init__(self, config: ServingConfig, tenants: Sequence,
-                 rulesets: Mapping[str, RuleSet],
-                 record_latencies: bool = False) -> None:
+                 rulesets: Mapping[str, RuleSet]) -> None:
         self.registry = TenantRegistry(
             default_flow_cache_size=config.flow_cache_size,
             background_swaps=config.background_swaps,
@@ -134,14 +105,9 @@ class ServingStack:
             BatchPolicy(max_batch=config.max_batch,
                         max_delay=config.max_delay),
             record_batches=config.record_batches,
-            record_latencies=record_latencies,
             retrain_controller=self.controller,
             ingest=config.ingest,
         )
-
-    def epoch_rulesets(self) -> Dict[str, List[RuleSet]]:
-        """:func:`epoch_rulesets` of this stack's registry."""
-        return epoch_rulesets(self.registry)
 
     def close(self) -> None:
         """Shut the retrain executor down (idempotent)."""

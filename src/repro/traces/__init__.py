@@ -6,8 +6,8 @@ package makes runs *reproducible byte-for-byte*.  A recorded
 initial rulesets, every served packet (5-tuple, arrival time, tenant, flow
 id) with the decision the live run made (the golden column), and the churn
 sidecar — everything needed to replay the identical run through the full
-serving stack (registry, batcher, hot swaps, retrains, shards) and assert
-zero decision diffs.  See docs/traces.md for the on-disk format and the
+serving stack (registry, batcher, hot swaps, retrains) and assert zero
+decision diffs.  See docs/traces.md for the on-disk format and the
 ``repro trace`` CLI group for the command-line workflow.
 
 Typical use::
@@ -16,8 +16,9 @@ Typical use::
 
     record_serving("run.trace", num_tenants=2, families=("acl1",),
                    num_packets=5_000, churn_events=2, seed=0)
+    # Another batch size forms other batches, never other decisions.
     outcome = replay_trace("run.trace", ServingConfig(
-        workers=2, background_swaps=False))
+        max_batch=16, background_swaps=False))
     assert outcome.report.is_exact
 """
 

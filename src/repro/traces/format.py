@@ -197,7 +197,7 @@ class ServingTrace:
 
         Row ``i`` becomes the request with ``seq == i``, so decisions made
         during a replay can be mapped back to the golden column no matter
-        how batching or sharding reorders execution.
+        how batching reorders execution.
         """
         tenant_ids = self.tenant_ids
         try:

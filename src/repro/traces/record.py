@@ -4,8 +4,7 @@ The recorder is a tap on the serving harness: run the workload through
 :func:`repro.harness.serving.run_serving` with recorded batches,
 then fold the served batches back into arrival order via each request's
 ``seq`` stamp to produce the golden column — the matched-rule priority the
-live run actually answered for every packet.  Works unchanged for
-single-process and tenant-sharded runs (batch arrival order does not
+live run actually answered for every packet (batch order does not
 matter).
 
 Golden traces are only stable under the determinism contract (synchronous

@@ -1,9 +1,9 @@
 """Replay: drive the full serving stack from a trace file.
 
 ``replay_trace`` rebuilds the serving stack — registry, compiled engines,
-micro-batcher, hot swaps, optional retrain controller, optional tenant
-shards — from a recorded trace and serves exactly the recorded packet
-stream on the trace's own clock.  With ``verify=True`` every served
+micro-batcher, hot swaps, optional retrain controller — from a recorded
+trace and serves exactly the recorded packet stream on the trace's own
+clock.  With ``verify=True`` every served
 decision is compared against the trace's golden column, turning the
 zero-misclassification invariant into a regression check against a fixed,
 versioned input: zero drops, zero duplicates, zero decision diffs.
@@ -11,8 +11,7 @@ versioned input: zero drops, zero duplicates, zero decision diffs.
 Replays default to synchronous swaps (the recording determinism contract,
 see :mod:`repro.traces.format`); two replays of the same trace then produce
 identical decisions *and* identical deterministic telemetry counters
-(:meth:`~repro.serve.service.ServingReport.deterministic_counters`), in
-single-process and sharded mode alike.
+(:meth:`~repro.serve.service.ServingReport.deterministic_counters`).
 """
 
 from __future__ import annotations
@@ -80,8 +79,8 @@ def verify_replay(trace: ServingTrace, report: ServingReport) -> ReplayReport:
     """Compare a replay's served decisions against the golden column.
 
     ``report`` must carry recorded batches.  Decisions map back to trace
-    rows via each request's ``seq`` stamp, so batching order, hot swaps,
-    retrains, and sharding cannot confuse the comparison.
+    rows via each request's ``seq`` stamp, so batching order, hot swaps and
+    retrains cannot confuse the comparison.
     """
     if report.batches is None:
         raise TraceError(
@@ -155,7 +154,7 @@ def replay_trace(
 
     ``trace`` is a path or an already-loaded :class:`ServingTrace`.
     ``config`` is free to differ from the recording run — batch size, cache
-    size, shard count, even arming the retrain loop — because served
+    size, even arming the retrain loop — because served
     decisions depend only on (packet, epoch ruleset) while swaps stay
     synchronous, as they do in the default config; ``record_batches`` is
     forced on.  ``background_swaps=True`` trades that verifiability for
@@ -164,11 +163,6 @@ def replay_trace(
     ``config.ingest`` is inert here, as on every trace path of
     ``run_serving``: the packets were admitted when recorded, so golden
     traces stay bit-exact and the ``ingest_*`` counters report zero.
-
-    ``config.rebalance_policy`` (with ``workers > 1``) adds live mid-trace
-    tenant migrations to the sharded front-end;
-    decisions still verify exactly because they depend only on
-    (packet, epoch ruleset), not on placement.
 
     ``bench_path`` additionally writes the run as a ``BENCH_replay.json``
     scorecard (see :mod:`repro.obs.bench`) whose ``config`` block is

@@ -223,7 +223,7 @@ def assemble_workload(
     """Merge per-tenant streams into a time-ordered, seq-stamped workload."""
     requests.sort(key=lambda r: r.time)
     # Stamp stream positions so every request can be traced back to its row
-    # in a recorded trace (see repro.traces), across batching and sharding.
+    # in a recorded trace (see repro.traces), across batching.
     requests = [replace(r, seq=i) for i, r in enumerate(requests)]
     workload = MultiTenantWorkload(specs=list(specs),
                                    rulesets=dict(rulesets),

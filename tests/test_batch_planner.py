@@ -5,8 +5,8 @@ through :func:`repro.serve.batcher.plan_block`; ``tests/reference_serve.py``
 feeds the same events one by one to the real ``MicroBatcher``.  Everything
 here is a differential between the two: random event streams on a stub
 registry (who is served with whom, with what flush stamp, in what order,
-around which updates), then whole ``serve()`` runs and a rebalancing run on
-real engines (epochs, answers, counters, what a policy tick sees).
+around which updates), then whole ``serve()`` runs on real engines (epochs,
+answers, counters).
 """
 
 from __future__ import annotations
@@ -24,16 +24,11 @@ from repro.rules import Packet
 from repro.serve import (
     BatchPolicy,
     ClassificationService,
-    MigrationPlan,
-    RebalancePolicy,
     Request,
     RuleUpdate,
-    ServingConfig,
     ServingSession,
     TenantRegistry,
-    serve_sharded,
 )
-from repro.serve import sharded
 from repro.serve.batcher import (
     BARRIER,
     OWN_RELEASE,
@@ -47,7 +42,6 @@ from repro.workloads import (
     FlashCrowdConfig,
     FlowTraceConfig,
     build_flash_crowd_workload,
-    build_workload,
     make_tenant_specs,
 )
 
@@ -351,52 +345,3 @@ def test_benchmark_workloads_serve_the_loops_batches(name, seed, monkeypatch):
     _, looped = workload._serve(service)
     assert _signature(planned) == _signature(looped)
     assert planned.deterministic_counters() == looped.deterministic_counters()
-
-
-# --------------------------------------------------------------------------- #
-# A rebalance tick landing mid-buffer
-# --------------------------------------------------------------------------- #
-
-
-class _RecordingPolicy(RebalancePolicy):
-    """Moves nothing; keeps every snapshot the front-end shows it."""
-
-    def __init__(self):
-        self.seen = []
-
-    def plan(self, snapshot):
-        self.seen.append(snapshot)
-        return MigrationPlan(interval=snapshot.interval)
-
-
-def _rebalancing_snapshots(monkeypatch, session_type):
-    # Every shard opens its session here.
-    monkeypatch.setattr(sharded, "ServingSession", session_type)
-    specs = make_tenant_specs(4, families=("acl1",), num_rules=40, seed=9)
-    workload = build_workload(
-        specs, FlowTraceConfig(num_packets=2000, num_flows=150, seed=9),
-        churn=ChurnConfig(num_events=4, adds_per_event=2,
-                          removes_per_event=1))
-    policy = _RecordingPolicy()
-    _, merged, _ = serve_sharded(
-        specs, workload.rulesets, workload.requests, workload.updates,
-        ServingConfig(workers=2, background_swaps=False,
-                      # ~16 ticks over the trace, none on a batch boundary
-                      rebalance_policy=policy,
-                      rebalance_interval=workload.requests[-1].time / 16.3))
-    return policy.seen, merged
-
-
-def test_a_tick_mid_buffer_sees_what_the_per_event_loop_saw(monkeypatch):
-    planned, merged = _rebalancing_snapshots(monkeypatch, ServingSession)
-    looped, reference = _rebalancing_snapshots(
-        monkeypatch, reference_serve.ReferenceSession)
-    assert len(planned) >= 10
-    # Per-tenant request counters, queue depths and the queue-wait p99 of
-    # every shard, at every tick: settled state, not buffered state.
-    assert planned == looped
-    assert any(load.queue_depth for snapshot in planned
-               for shard in snapshot.shards for load in shard.tenants)
-    assert any(0 < load.requests for load in planned[0].shards[0].tenants)
-    assert merged.deterministic_counters() == \
-        reference.deterministic_counters()

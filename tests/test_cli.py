@@ -92,6 +92,7 @@ class TestCommands:
          "time_space_coeff must be within [0, 1]"),
         ("train", ["--leaf-threshold", "0"], "leaf_threshold must be >= 1"),
         ("compare", ["--timesteps", "0"], "max_timesteps_total must be >= 1"),
+        ("compare", ["--binth", "0"], "--binth must be >= 1"),
     ])
     def test_out_of_range_training_flags_exit_2(self, tmp_path, capsys,
                                                 small_acl_ruleset, command,
@@ -139,6 +140,13 @@ class TestEngineBench:
         assert code == 2
         assert "unknown algorithm" in capsys.readouterr().err
 
+    def test_engine_bench_rejects_a_zero_leaf_size(self, capsys, tmp_path):
+        output = tmp_path / "BENCH_engine.json"
+        assert main(["engine-bench", "--num-rules", "50", "--num-packets",
+                     "100", "--binth", "0", "--json", str(output)]) == 2
+        assert "error: --binth must be >= 1" in capsys.readouterr().err
+        assert not output.exists()
+
 
 class TestServeBench:
     def test_serve_bench_arguments(self):
@@ -173,10 +181,7 @@ class TestServeBench:
         assert main(["serve-bench", "--num-packets", "0"]) == 2
 
     @pytest.mark.parametrize("flags, message", [
-        (["--serving-workers", "0"], "workers must be >= 1"),
-        (["--rebalance-policy", "load"], "needs serving workers >= 2"),
-        (["--serving-workers", "2", "--rebalance-interval", "0"],
-         "interval must be > 0"),
+        (["--binth", "0"], "--binth must be >= 1"),
         (["--retrain-threshold", "-1"], "--retrain-threshold must be >= 0"),
         (["--retrain-pool-size", "-1"], "--retrain-pool-size must be >= 0"),
         (["--flow-cache", "-5"], "--flow-cache must be >= 0"),
@@ -203,3 +208,17 @@ class TestServeBench:
             assert message in capsys.readouterr().err
             assert not output.exists()
         assert tried >= 2
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--flash-crowd", "-1"], "--flash-crowd must be 0 (off) or > 1"),
+        (["--tenant-zipf", "-1"], "--tenant-zipf must be >= 0"),
+    ])
+    def test_out_of_range_workload_flags_exit_2(self, flags, message,
+                                                capsys, tmp_path):
+        """A negative crowd factor or tenant skew is refused, not served
+        as the nominal (or an inverted) split: exit 2, no scorecard."""
+        output = tmp_path / "BENCH_serve.json"
+        assert main(["serve-bench", "--num-packets", "100",
+                     "--json", str(output)] + flags) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not output.exists()

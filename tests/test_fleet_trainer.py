@@ -24,13 +24,12 @@ from repro.executors import (
     ThreadExecutor,
     shared_retrain_pool,
 )
+from repro.harness import serving
 from repro.serve import (
-    LoadAwareRebalancePolicy,
     RetrainController,
     RetrainPolicy,
     ServingConfig,
     TenantRegistry,
-    serve_sharded,
 )
 from repro.rules import Rule
 from repro.workloads import (
@@ -237,9 +236,10 @@ class TestControllerLifecycle:
         assert not executor.is_running
         controller.close()
 
-    def test_mid_trace_exception_does_not_leak_retrain_threads(self):
-        """A rebalancing serve_sharded dying mid-stream must close every
-        shard's retrain executor (threads joined)."""
+    def test_mid_trace_exception_does_not_leak_retrain_threads(
+            self, monkeypatch):
+        """A run dying mid-stream must still close its retrain executor
+        (threads joined): ``run_serving`` serves inside ``try/finally``."""
         import dataclasses as dc
 
         threshold = 4
@@ -253,25 +253,25 @@ class TestControllerLifecycle:
                                               removes_per_event=0,
                                               window=(0.1, 0.5)),
         )
-        # Poison the stream after the churn window: by then each shard's
+        # Poison the stream after the churn window: by then the
         # thread-backend retrain executor has started its pool.
         poison = dc.replace(workload.updates[-1], tenant_id="ghost",
                             time=workload.requests[-1].time)
+        workload.updates = list(workload.updates) + [poison]
+        monkeypatch.setattr(serving, "build_workload",
+                            lambda *args, **kwargs: workload)
         before = set(threading.enumerate())
         with pytest.raises(KeyError):
-            serve_sharded(
-                specs, workload.rulesets, workload.requests,
-                list(workload.updates) + [poison],
+            serving.run_serving(
                 ServingConfig(
-                    workers=2, background_swaps=False,
+                    background_swaps=False,
                     retrain_threshold=threshold,
                     retrain_policy=RetrainPolicy(timesteps=300,
                                                  max_iterations=1,
                                                  backend="thread",
                                                  quality_gate=False),
-                    rebalance_policy=LoadAwareRebalancePolicy(),
-                    rebalance_interval=0.25,
                 ),
+                num_tenants=2, families=("acl1",), num_rules=40, seed=12,
             )
         leaked = set(threading.enumerate()) - before
         assert not leaked, f"retrain threads leaked: {leaked}"

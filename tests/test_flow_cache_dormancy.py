@@ -176,9 +176,9 @@ def test_a_window_sleeps_only_under_the_hit_share(engine, hits):
     assert bool(cache.dormant) == (hits < MIN_HIT_SHARE * PROBE_WINDOW)
 
 
-def test_a_migrated_slot_keeps_every_cache_counter():
-    """Export -> import carries every ``FlowCacheStats`` field, retired
-    engines' included, but not the dormancy: the target judges afresh."""
+def test_a_slot_keeps_every_retired_engines_cache_counter():
+    """A swap retires the engine's cache counters into the slot, bypassed
+    packets included; the slot's total is retired plus live."""
     rng = np.random.default_rng(6)
     ruleset = generate_classifier("acl1", 40, seed=8)
     slot = EngineSlot("t0", HiCutsBuilder(binth=8).build(ruleset),
@@ -191,15 +191,12 @@ def test_a_migrated_slot_keeps_every_cache_counter():
     serve(engine, uniform(rng, 200))
     assert engine.flow_cache.dormant
     assert slot.retired_cache_stats.bypassed == 300
-    source = slot.cache_stats()
-    assert source.bypassed == 500 and source.invalidations > 0
-
-    migrated = EngineSlot.from_state(slot.export_state())
-    assert dataclasses.asdict(migrated.cache_stats()) == \
-        dataclasses.asdict(source)
-    assert not migrated.engine().flow_cache.dormant
-    assert dataclasses.asdict(slot.cache_stats()) == \
-        dataclasses.asdict(source)  # the export copied, it did not alias
+    total = slot.cache_stats()
+    assert total.bypassed == 500 and total.invalidations > 0
+    live = engine.flow_cache.stats
+    for name, value in dataclasses.asdict(total).items():
+        assert value == getattr(slot.retired_cache_stats, name) \
+            + getattr(live, name), name
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

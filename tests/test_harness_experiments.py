@@ -135,7 +135,7 @@ class TestServing:
         assert report.num_requests == len(result.workload.requests)
         assert report.swaps == 1 and report.num_updates == 1
         assert report.pps > 0
-        assert len(result.rows()) >= 8
+        assert len(result.report.rows()) >= 8
         assert len(result.tenant_rows()) == 2
         exactness = result.verify_exactness()
         assert exactness.is_exact

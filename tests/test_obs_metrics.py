@@ -1,10 +1,10 @@
 """Tests for the metrics registry (`repro.obs.metrics`).
 
-The registry's whole reason to exist is the shard boundary: registries must
-pickle, and merging them must be exact and order-independent — the same
-contract the raw-latency percentile merge in `repro.serve.sharded` honours.
-So the tests here lean on pickling round-trips, merge associativity, and
-the serving integration that carries a registry across `merge_reports`.
+Registries must pickle, and merging them must be exact and
+order-independent (a serving report folds the admission front-end's
+registry into the serving one).  So the tests here lean on pickling
+round-trips, merge associativity, and the serving integration that carries
+a registry snapshot on every report.
 """
 
 from __future__ import annotations
@@ -20,9 +20,8 @@ from repro.serve import (
     BatchPolicy,
     ClassificationService,
     ServingConfig,
+    ServingStack,
     TenantRegistry,
-    merge_reports,
-    serve_sharded,
 )
 from repro.workloads import (
     ChurnConfig,
@@ -30,6 +29,14 @@ from repro.workloads import (
     build_workload,
     make_tenant_specs,
 )
+
+
+def _merged(registries):
+    """A fresh registry with every one of ``registries`` merged in."""
+    result = MetricsRegistry()
+    for registry in registries:
+        result.merge(registry)
+    return result
 
 
 def _registry(counter=0, gauge=0.0, samples=()):
@@ -100,7 +107,7 @@ class TestPrimitives:
             registry.timing("other").observe(1.0)
             return registry
 
-        merged = [MetricsRegistry.merged([registry_of(t), registry_of(t)])
+        merged = [_merged([registry_of(t), registry_of(t)])
                   for t in (at_once, one_by_one)]
         assert merged[0].summary() == merged[1].summary()
         assert merged[0].timings["t"].samples == 2 * one_by_one.samples
@@ -143,12 +150,12 @@ class TestRegistry:
             _registry(counter=5, gauge=9.0, samples=(0.05,)),
             _registry(counter=2, samples=(0.4, 0.3, 0.9)),
         ]
-        # The shard boundary: registries cross it pickled.
+        # Registries cross a process boundary pickled.
         thawed = [pickle.loads(pickle.dumps(r)) for r in regs]
 
-        left = MetricsRegistry.merged([thawed[0], thawed[1]])
+        left = _merged([thawed[0], thawed[1]])
         left.merge(thawed[2])
-        right = MetricsRegistry.merged([thawed[1], thawed[2], thawed[0]])
+        right = _merged([thawed[1], thawed[2], thawed[0]])
 
         assert left.counters["c"].value == right.counters["c"].value == 10
         assert left.gauges["g"].value == right.gauges["g"].value == 9.0
@@ -158,10 +165,11 @@ class TestRegistry:
         assert left.timings["t"].percentile(99) == \
             pytest.approx(right.timings["t"].percentile(99))
 
-    def test_merged_leaves_inputs_untouched(self):
+    def test_merge_leaves_its_arguments_untouched(self):
         one = _registry(counter=1, samples=(0.5,))
         two = _registry(counter=2)
-        merged = MetricsRegistry.merged([one, two])
+        merged = MetricsRegistry()
+        merged.merge(one).merge(two)
         merged.counter("c").inc(100)
         merged.timing("t").observe(9.9)
         assert one.counters["c"].value == 1
@@ -204,7 +212,7 @@ class TestStableDict:
         assert out["c"] == {"z": 1}
 
 
-def _serve_sharded(num_workers, seed=4, **fields):
+def _serve(seed=4, **fields):
     specs = make_tenant_specs(3, families=("acl1", "ipc1"),
                               num_rules=50, seed=seed)
     workload = build_workload(
@@ -212,59 +220,42 @@ def _serve_sharded(num_workers, seed=4, **fields):
         churn=ChurnConfig(num_events=2, adds_per_event=2,
                           removes_per_event=1),
     )
-    return serve_sharded(specs, workload.rulesets, workload.requests,
-                         workload.updates,
-                         ServingConfig(workers=num_workers, **fields))
+    stack = ServingStack(ServingConfig(**fields), specs, workload.rulesets)
+    try:
+        return stack.service.serve(workload.requests, workload.updates)
+    finally:
+        stack.close()
 
 
 class TestServingIntegration:
-    def test_merged_report_carries_exact_shard_metrics(self):
-        outcomes, merged, _ = _serve_sharded(num_workers=2)
-        assert len(outcomes) == 2
-        metrics = merged.metrics
+    def test_report_metrics_count_every_request_batch_and_swap(self):
+        report = _serve()
+        metrics = report.metrics
         assert metrics is not None
-        # Counters are exact sums across shards.
         assert metrics.counters["serve.requests"].value == \
-            merged.num_requests
-        assert metrics.counters["serve.batches"].value == merged.num_batches
-        # Timing series concatenate raw samples: one queue-wait per request,
-        # one flush per batch, one swap-install per installed swap.
+            report.num_requests == 1500
+        assert metrics.counters["serve.batches"].value == report.num_batches
+        # One queue-wait per request, one flush per batch, one
+        # swap-install per installed swap.
         assert metrics.timings["serve.queue_wait_seconds"].count == \
-            merged.num_requests
+            report.num_requests
         assert metrics.timings["serve.batch_flush_seconds"].count == \
-            merged.num_batches
+            report.num_batches
         assert metrics.timings["serve.swap_install_seconds"].count == \
-            merged.swaps
+            report.swaps
         assert metrics.timings["engine.compile_seconds"].count >= 3
-        # Stats objects survive the merge too.
-        assert merged.swap_stats is not None
-        assert merged.swap_stats.swaps == merged.swaps
-        per_shard = [o.report.metrics.counters["serve.requests"].value
-                     for o in outcomes]
-        assert sum(per_shard) == merged.num_requests
+        assert report.swap_stats is not None
+        assert report.swap_stats.swaps == report.swaps
 
-    def test_single_process_matches_sharded_counters(self):
-        # Default (background) swaps: which batch a rebuilt engine lands on
-        # is a race between the builder and the serving thread, so only the
-        # counters that do not depend on it are compared here.
-        _, merged_1, _ = _serve_sharded(num_workers=1)
-        _, merged_2, _ = _serve_sharded(num_workers=2)
-        for name in ("num_requests", "num_batches", "num_updates", "swaps"):
-            assert getattr(merged_1, name) == getattr(merged_2, name), name
-        one = merged_1.metrics
-        two = merged_2.metrics
-        for name in ("serve.requests", "serve.batches"):
-            assert one.counters[name].value == two.counters[name].value
-
-    def test_single_process_matches_sharded_counters_sync_swaps(self):
+    def test_sync_swap_counters_repeat_exactly(self):
         # The determinism contract (synchronous swaps): every counter,
         # cache hits included, is a pure function of the workload.
-        _, merged_1, _ = _serve_sharded(num_workers=1,
-                                        background_swaps=False)
-        _, merged_2, _ = _serve_sharded(num_workers=2,
-                                        background_swaps=False)
-        assert merged_1.deterministic_counters() == \
-            merged_2.deterministic_counters()
+        first = _serve(background_swaps=False)
+        second = _serve(background_swaps=False)
+        assert first.deterministic_counters() == \
+            second.deterministic_counters()
+        assert first.metrics.summary()["counters"] == \
+            second.metrics.summary()["counters"]
 
     def test_report_metrics_are_a_snapshot_not_the_live_registry(self):
         specs = make_tenant_specs(1, families=("acl1",), num_rules=40,
@@ -287,13 +278,3 @@ class TestServingIntegration:
         assert first.metrics.counters["serve.requests"].value == served
         assert second.metrics.counters["serve.requests"].value == 2 * served
         assert registry.metrics.counters["serve.requests"].value == 2 * served
-
-    def test_merge_reports_without_metrics_stays_none(self):
-        outcomes, _, _ = _serve_sharded(num_workers=2)
-        for outcome in outcomes:
-            outcome.report.metrics = None
-            outcome.report.swap_stats = None
-            outcome.report.retrain_stats = None
-        merged = merge_reports(outcomes, wall_seconds=1.0)
-        assert len(merged.metrics.counters) == 0
-        assert merged.retrain_stats is None

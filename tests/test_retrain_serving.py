@@ -1,9 +1,8 @@
-"""Tests for the adaptive serving loop: retrain-on-churn + tenant sharding.
+"""Tests for the adaptive serving loop: retrain-on-churn.
 
 Covers the `needs_retraining()` threshold edges, tree adoption with churn
-replay, the RetrainController state machine on every executor backend, the
-churn schedules sized to force retrains, and telemetry merging across
-logical serving shards.
+replay, the RetrainController state machine on every executor backend, and
+the churn schedules sized to force retrains.
 """
 
 from __future__ import annotations
@@ -27,11 +26,7 @@ from repro.serve import (
     EngineSlot,
     RetrainController,
     RetrainPolicy,
-    ServingConfig,
     TenantRegistry,
-    merge_reports,
-    serve_sharded,
-    shard_tenants,
 )
 from repro.tree import validate_classifier
 from repro.workloads import (
@@ -445,103 +440,6 @@ class TestForcingRetrainChurn:
         for spec in specs:
             assert registry.slot(spec.tenant_id).needs_retraining(), \
                 f"{spec.tenant_id} never crossed the retrain threshold"
-
-
-def _build_scenario(num_tenants=3, num_packets=2000, churn_events=2, seed=4):
-    specs = make_tenant_specs(num_tenants, families=("acl1", "ipc1"),
-                              num_rules=50, seed=seed)
-    churn = ChurnConfig(num_events=churn_events, adds_per_event=2,
-                        removes_per_event=1) if churn_events else None
-    workload = build_workload(
-        specs, FlowTraceConfig(num_packets=num_packets, num_flows=150,
-                               seed=seed),
-        churn=churn,
-    )
-    return workload, specs
-
-
-class TestShardPlan:
-    def test_round_robin_assignment(self):
-        plan = shard_tenants(["a", "b", "c", "d", "e"], 2)
-        assert plan.assignments == (("a", "c", "e"), ("b", "d"))
-        assert plan.shard_of("d") == 1
-        with pytest.raises(KeyError):
-            plan.shard_of("zz")
-
-    def test_more_shards_than_tenants_leaves_empty_shards(self):
-        plan = shard_tenants(["a"], 3)
-        assert plan.assignments == (("a",), (), ())
-
-    def test_rejects_zero_shards(self):
-        with pytest.raises(ValueError):
-            shard_tenants(["a"], 0)
-
-
-class TestShardedServing:
-    def test_merged_telemetry_equals_shard_sums(self):
-        workload, tenants = _build_scenario()
-        outcomes, merged, plan = serve_sharded(
-            tenants, workload.rulesets, workload.requests, workload.updates,
-            ServingConfig(workers=2, record_batches=True),
-        )
-        assert plan.num_shards == 2 and len(outcomes) == 2
-        # Every request routed to exactly one shard and served there.
-        assert merged.num_requests == len(workload.requests)
-        assert merged.num_requests == \
-            sum(o.report.num_requests for o in outcomes)
-        for counter in ("num_batches", "num_updates", "cache_hits",
-                        "cache_evictions", "swaps", "swap_stalls"):
-            assert getattr(merged, counter) == \
-                sum(getattr(o.report, counter) for o in outcomes), counter
-        # Per-tenant entries survive the merge, disjointly.
-        tenant_ids = [t.tenant_id for t in tenants]
-        assert sorted(merged.per_tenant) == sorted(tenant_ids)
-        # Merged percentiles are exact over the concatenated latencies.
-        import numpy as np
-        all_lat = np.concatenate([o.report.latencies for o in outcomes])
-        assert merged.latency_percentiles[99.0] == \
-            pytest.approx(float(np.percentile(all_lat, 99.0)))
-        assert merged.latency_percentiles[50.0] <= \
-            merged.latency_percentiles[90.0] <= \
-            merged.latency_percentiles[99.0]
-
-    def test_sharded_exactness_across_hot_swaps(self):
-        from repro.harness.serving import run_serving
-
-        result = run_serving(ServingConfig(workers=2, record_batches=True),
-                             num_tenants=3, families=("acl1",),
-                             num_rules=50, num_packets=2000, num_flows=150,
-                             churn_events=2, seed=5)
-        exactness = result.verify_exactness()
-        assert exactness.num_checked == result.report.num_requests
-        assert exactness.num_mismatches == 0
-        assert result.report.swaps >= 1
-        assert result.num_shards == 2
-        assert len(result.shard_rows()) == 2
-
-    def test_empty_shards_are_skipped(self):
-        workload, tenants = _build_scenario(num_tenants=2,
-                                            num_packets=600,
-                                            churn_events=0)
-        outcomes, merged, plan = serve_sharded(
-            tenants, workload.rulesets, workload.requests,
-            config=ServingConfig(workers=4),
-        )
-        assert plan.num_shards == 4
-        assert len(outcomes) == 2  # two tenants -> two non-empty shards
-        assert merged.num_requests == len(workload.requests)
-
-    def test_merge_reports_requires_outcomes_shape(self):
-        workload, tenants = _build_scenario(num_tenants=2,
-                                            num_packets=400,
-                                            churn_events=0)
-        outcomes, _, _ = serve_sharded(
-            tenants, workload.rulesets, workload.requests,
-            config=ServingConfig(workers=2),
-        )
-        merged = merge_reports(outcomes, wall_seconds=1.0)
-        assert merged.wall_seconds == 1.0
-        assert merged.pps == pytest.approx(merged.num_requests / 1.0)
 
 
 class TestHiCutsFwWarning:

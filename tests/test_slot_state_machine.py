@@ -3,8 +3,7 @@
 A hypothesis state machine drives an ``EngineSlot(background=False)`` over a
 HiCuts, an EffiCuts and a CutSplit tree through every way its trees and
 engines change: fresh rules added, built-in and added rules removed, mixed
-updates, a migration (``export_state`` -> ``from_state``) and the adoption of
-a rebuilt classifier.  After every step the serving engine *and* a cold
+updates and the adoption of a rebuilt classifier.  After every step the serving engine *and* a cold
 compile of the slot's trees must answer as linear search over the epoch's
 ruleset, at the corners of every rule touched so far and at random packets,
 and the compile counters must account for every engine the slot installed.
@@ -53,9 +52,6 @@ class SlotMachine(RuleBasedStateMachine):
         self.slot = EngineSlot("t0", self.builder.build(ruleset),
                                flow_cache_size=64, background=False,
                                metrics=self.metrics)
-        #: Engines compiled from scratch outside a swap (registration and
-        #: every migration's install).
-        self.initial_compiles = 1
         self.built = sorted(ruleset.rules, key=lambda r: -r.priority)
         self.added = []
         self.touched = []
@@ -96,12 +92,6 @@ class SlotMachine(RuleBasedStateMachine):
         candidates = self.built + self.added
         removes = [candidates[pick % len(candidates)]]
         self._update(adds=[self._fresh(s) for s in shapes], removes=removes)
-
-    @rule()
-    def migrate(self):
-        state = self.slot.export_state()
-        self.slot = EngineSlot.from_state(state, metrics=self.metrics)
-        self.initial_compiles += 1
 
     @rule()
     def adopt_rebuilt(self):
@@ -172,7 +162,7 @@ class SlotMachine(RuleBasedStateMachine):
         counters = self.metrics.counters
         assert counters["engine.compiles_full"].value \
             + counters["engine.compiles_partial"].value \
-            == self.slot.swap_stats.swaps + self.initial_compiles
+            == self.slot.swap_stats.swaps + 1  # + the registration compile
 
 
 _SETTINGS = settings(max_examples=20, stateful_step_count=12, deadline=None)

@@ -3,8 +3,8 @@
 The traces under ``tests/data/`` were recorded under the determinism
 contract (synchronous swaps; see docs/traces.md), so the decisions they
 carry are a pure function of the trace clock.  Replaying them through the
-full serving stack — single-process and tenant-sharded, across mid-trace
-hot swaps and a forced retrain — must reproduce every decision bit-for-bit.
+full serving stack — across mid-trace hot swaps and a forced retrain, at
+any batch size — must reproduce every decision bit-for-bit.
 A failure here means serving behaviour changed for recorded traffic: a real
 regression, not flake.
 
@@ -14,6 +14,7 @@ Regenerate the fixtures only on a deliberate format/scenario change:
 
 from __future__ import annotations
 
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,8 @@ from repro.traces import (
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_CHURN = DATA_DIR / "acl1_churn.trace"
 GOLDEN_RETRAIN = DATA_DIR / "acl1_retrain_churn.trace"
+#: Four tenants over two seed families (acl1, ipc1): the widest golden.
+GOLDEN_FOUR_TENANT = DATA_DIR / "acl1_rebalance.trace"
 
 
 def _sync(**fields):
@@ -60,11 +63,15 @@ class TestGoldenReplay:
         assert report.counters["num_updates"] == 2
         assert report.counters["swaps"] == 2
 
-    def test_sharded_replay_matches_golden(self, churn_trace):
-        outcome = replay_trace(churn_trace, _sync(workers=2))
-        assert outcome.report.is_exact, \
-            f"mismatches: {outcome.report.mismatches}"
-        assert outcome.result.num_shards == 2
+    def test_four_tenant_two_family_replay_matches_golden(self):
+        trace = read_trace(GOLDEN_FOUR_TENANT)
+        assert len(trace.specs) == 4
+        assert {spec.seed_name for spec in trace.specs} == {"acl1", "ipc1"}
+        report = replay_trace(trace).report
+        assert report.is_exact, f"mismatches: {report.mismatches}"
+        assert report.num_served == trace.num_records == 2000
+        assert report.counters["num_updates"] == report.counters["swaps"] \
+            == 2
 
     def test_replay_across_forced_retrain(self, retrain_trace):
         """Decisions stay golden even when the replay retrains mid-trace.
@@ -108,12 +115,6 @@ class TestGoldenReplay:
         single = [replay_trace(churn_trace).report for _ in range(2)]
         assert single[0].is_exact and single[1].is_exact
         assert single[0].counters == single[1].counters
-        sharded = [
-            replay_trace(churn_trace, _sync(workers=2)).report
-            for _ in range(2)
-        ]
-        assert sharded[0].is_exact and sharded[1].is_exact
-        assert sharded[0].counters == sharded[1].counters
 
     def test_decisions_are_batching_invariant(self, churn_trace):
         """Golden decisions depend on epochs, not how packets batch."""
@@ -172,7 +173,8 @@ class TestReplayScorecard:
         assert retraining.counters["num_records"] == 800
         assert retraining.config["retrain_threshold"] == 12
         assert retraining.config["retrain_policy"]["timesteps"] == 250
-        assert retraining.config["rebalance_policy"] is None
+        assert sorted(retraining.config) == sorted(
+            [field.name for field in fields(ServingConfig)] + ["verify"])
         assert retraining.config["verify"] is True
         report = compare_records(retraining, plain)
         drift = [check.metric for check in report.failures
@@ -226,24 +228,25 @@ class TestHarnessTracePath:
         assert result.verify_exactness().is_exact
 
     def test_run_serving_accepts_loaded_trace(self, churn_trace):
-        result = run_serving(_sync(record_batches=True, workers=2),
+        result = run_serving(_sync(record_batches=True, max_batch=16),
                              trace_path=churn_trace)
         assert result.report.num_requests == churn_trace.num_records
         assert result.verify_exactness().is_exact
 
 
 class TestRecording:
-    def test_sharded_recording_equals_single_process(self, tmp_path):
-        """The golden column is shard-invariant."""
+    def test_recording_is_batching_invariant(self, tmp_path):
+        """The golden column does not depend on how packets batch."""
         scenario = dict(num_tenants=2, families=("acl1",), num_rules=30,
                         num_packets=400, num_flows=64, churn_events=2,
                         seed=4)
-        single = record_serving(tmp_path / "single.trace", **scenario)
-        sharded = record_serving(tmp_path / "sharded.trace",
-                                 _sync(workers=2), **scenario)
-        assert np.array_equal(single.trace.records, sharded.trace.records)
-        assert single.trace.updates == sharded.trace.updates
-        assert single.trace.rulesets == sharded.trace.rulesets
+        default = record_serving(tmp_path / "default.trace", **scenario)
+        rebatched = record_serving(tmp_path / "rebatched.trace",
+                                   _sync(max_batch=16, flow_cache_size=None),
+                                   **scenario)
+        assert np.array_equal(default.trace.records, rebatched.trace.records)
+        assert default.trace.updates == rebatched.trace.updates
+        assert default.trace.rulesets == rebatched.trace.rulesets
 
     def test_rerecorded_replay_diffs_clean(self, churn_trace, tmp_path):
         """replay --output's trace is byte-equal in every compared field."""
