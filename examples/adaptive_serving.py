@@ -5,7 +5,8 @@ The closed loop in one script.  Two tenants serve a flow workload while a
 churn schedule — sized by ``ChurnConfig.forcing_retrain`` so *every* tenant
 crosses its retrain threshold — degrades their trees with incremental rule
 updates.  A ``RetrainController`` notices, runs background NeuroCuts
-training jobs on a ``repro.executors`` backend, and hot-swaps the freshly
+training jobs on its own one-worker executor (``concurrent.futures``, from
+``repro.executors.make_executor``), and hot-swaps the freshly
 trained *trees* into the live path; churn that raced a retrain is replayed
 on top, so the differential exactness proof holds across the whole
 retrain → adopt → swap sequence.

@@ -10,8 +10,9 @@ Classification* (Liang, Zhu, Jin, Stoica — SIGCOMM 2019).  It provides:
 * :mod:`repro.nn` / :mod:`repro.rl` — a numpy neural-network and PPO substrate.
 * :mod:`repro.neurocuts` — the NeuroCuts RL formulation, sharded rollout
   workers, and the actor/learner trainer.
-* :mod:`repro.executors` — backend-pluggable task executors (serial /
-  persistent process pools) shared by training and the harness.
+* :mod:`repro.executors` — ``make_executor``, the one factory for the
+  ``concurrent.futures`` executors (serial / thread / spawn process pool)
+  that run rollouts and background retrains.
 * :mod:`repro.engine` — the compiled dataplane: flat-array trees, batched
   lookup, and the LRU flow cache.
 * :mod:`repro.workloads` — serving workloads: flow traces with Zipf

@@ -102,12 +102,6 @@ def _add_stack_flags(parser: argparse.ArgumentParser,
                         choices=EXECUTOR_BACKENDS,
                         help="where retrain jobs run (thread overlaps "
                              "serving; serial is deterministic/inline)")
-    parser.add_argument("--retrain-pool-size", type=int, default=0,
-                        metavar="N",
-                        help="multiplex all tenants' retrains over one "
-                             "shared N-worker pool with per-tenant "
-                             "round-robin fairness (0 = one executor per "
-                             "controller)")
     parser.add_argument("--ingest", action="store_true",
                         help="run the ingestion frontend ahead of the "
                              "batcher: per-tenant token-bucket admission, "
@@ -534,8 +528,6 @@ def _serving_config(args: argparse.Namespace, seed: int, **fields):
 
     if args.retrain_threshold < 0:
         raise ValueError("--retrain-threshold must be >= 0")
-    if args.retrain_pool_size < 0:
-        raise ValueError("--retrain-pool-size must be >= 0")
     retrain = args.retrain_threshold > 0
     return ServingConfig(
         retrain_threshold=args.retrain_threshold if retrain else None,
@@ -543,7 +535,6 @@ def _serving_config(args: argparse.Namespace, seed: int, **fields):
             timesteps=args.retrain_timesteps,
             backend=args.retrain_backend,
             seed=seed,
-            shared_pool_size=args.retrain_pool_size or None,
         ) if retrain else None,
         ingest=IngestConfig(tenant_rate=args.tenant_rate,
                             tenant_burst=args.tenant_burst,
@@ -627,14 +618,19 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
                 "num_rules": args.num_rules,
                 "num_packets": args.num_packets,
                 "num_flows": args.num_flows,
+                "zipf": args.zipf,
+                "burst": args.burst,
                 "algorithm": args.algorithm,
                 "binth": args.binth,
                 "batch_size": args.batch_size,
+                "max_delay_ms": args.max_delay_ms,
                 "flow_cache": args.flow_cache,
                 "churn_events": args.churn_events,
                 "sync_swaps": args.sync_swaps,
                 "verify": args.verify,
                 "retrain_threshold": args.retrain_threshold,
+                "retrain_timesteps": args.retrain_timesteps
+                if args.retrain_threshold else None,
                 "ingest": args.ingest,
                 "tenant_rate": args.tenant_rate if args.ingest else None,
                 "tenant_burst": args.tenant_burst if args.ingest else None,

@@ -5,8 +5,8 @@ needs to run a whole NeuroCuts training job *behind* the live path — on a
 background thread, on a process pool, or inline for deterministic tests.
 This module packages one training run as a pure task: a picklable
 :class:`RetrainRequest` in, a picklable :class:`RetrainResponse` out, with
-:func:`run_retrain` as the module-level entrypoint any
-:class:`repro.executors.RolloutExecutor` backend can execute.
+:func:`run_retrain` as the module-level entrypoint any executor from
+:func:`repro.executors.make_executor` can run.
 
 The response carries the best tree in its serialised (dict) form rather
 than as live ``Node`` objects, so the same payload crosses process

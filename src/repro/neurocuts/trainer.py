@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
+from concurrent.futures import Executor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Union
@@ -43,7 +44,6 @@ from repro.tree.lookup import TreeClassifier
 from repro.tree.serialize import tree_from_dict, tree_to_dict
 from repro.tree.tree import DecisionTree
 from repro.baselines.base import TreeBuilder
-from repro.executors import RolloutExecutor
 from repro.neurocuts.config import NeuroCutsConfig
 from repro.neurocuts.env import NeuroCutsEnv, RolloutResult
 from repro.neurocuts.reward import RewardComponents
@@ -148,7 +148,7 @@ class NeuroCutsTrainer:
         self._rollout_backend = rollout_backend
         #: The trainer's executor and the session id its workers serve
         #: (built on first collection, released by close()).
-        self._executor: Optional[RolloutExecutor] = None
+        self._executor: Optional[Executor] = None
         self._session: Optional[int] = None
 
     # ------------------------------------------------------------------ #
@@ -160,7 +160,7 @@ class NeuroCutsTrainer:
         """How many rollout shards each batch is scattered over."""
         return self.config.num_rollout_workers
 
-    def _ensure_executor(self) -> RolloutExecutor:
+    def _ensure_executor(self) -> Executor:
         if self._executor is None:
             self._executor, self._session = make_rollout_executor(
                 self.ruleset, self.config, self.config.num_rollout_workers,
@@ -174,7 +174,7 @@ class NeuroCutsTrainer:
         # it so closed trainers do not accumulate env + model replicas.
         discard_session(self._session)
         if self._executor is not None:
-            self._executor.shutdown()
+            self._executor.shutdown(wait=True, cancel_futures=True)
             self._executor = None
         self._session = None
 
@@ -232,8 +232,8 @@ class NeuroCutsTrainer:
         gathers the shards, folds their best-tree candidates into the global
         best tracking, and concatenates the experience.
         """
-        shards = self._ensure_executor().map(_collect_shard,
-                                             self._build_requests())
+        shards = list(self._ensure_executor().map(_collect_shard,
+                                                  self._build_requests()))
         return self._fold_shards(shards)
 
     def _consider_best(self, result: RolloutResult) -> None:

@@ -15,11 +15,11 @@ implements that split:
   summaries for iteration statistics, and at most two best-tree candidates
   (complete and overall) so the learner's best-tree tracking stays exact
   without shipping every tree across the process boundary.
-* :func:`make_rollout_executor` builds the trainer's executor on the
-  backend-pluggable layer (:mod:`repro.executors`): worker state is built
-  once per process by the executor's initializer and served for the
-  lifetime of the (persistent) pool, so each training iteration only ships
-  a flat weight vector and a seed per shard.
+* :func:`make_rollout_executor` builds the trainer's executor through
+  :func:`repro.executors.make_executor` (a ``concurrent.futures``
+  executor): worker state is built once per process by the executor's
+  initializer and served for the lifetime of the persistent pool, so each
+  training iteration only ships a flat weight vector and a seed per shard.
 """
 
 from __future__ import annotations
@@ -27,12 +27,13 @@ from __future__ import annotations
 import itertools
 import os
 import dataclasses
+from concurrent.futures import Executor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.executors import RolloutExecutor, make_executor
+from repro.executors import make_executor
 from repro.nn.checkpoints import (
     flatten_parameters,
     parameter_spec,
@@ -227,7 +228,7 @@ def _collect_shard(request: ShardRequest) -> RolloutShard:
 def make_rollout_executor(ruleset: RuleSet, config: NeuroCutsConfig,
                           num_workers: int,
                           backend: Optional[str] = None
-                          ) -> Tuple[RolloutExecutor, int]:
+                          ) -> Tuple[Executor, int]:
     """Build an executor whose processes each own a ready rollout worker.
 
     Returns ``(executor, session)``; shard requests must carry the session

@@ -24,7 +24,6 @@ Typical use::
 
 from repro.serve.batcher import BatchPolicy, MicroBatcher, Request
 from repro.serve.controller import (
-    RETRAIN_BACKENDS,
     RetrainController,
     RetrainPolicy,
     RetrainStats,
@@ -46,7 +45,6 @@ __all__ = [
     "BatchPolicy",
     "MicroBatcher",
     "Request",
-    "RETRAIN_BACKENDS",
     "RetrainController",
     "RetrainPolicy",
     "RetrainStats",

@@ -6,7 +6,8 @@ had no one listening.  The :class:`RetrainController` closes that loop.  It
 watches every slot's accumulated-update counters, and when a tenant's drift
 crosses its retrain threshold it launches a background NeuroCuts training
 job (a :func:`repro.neurocuts.service.run_retrain` task on a
-``repro.executors`` backend), then installs the resulting *tree* — not just
+``concurrent.futures`` executor from :func:`repro.executors.make_executor`),
+then installs the resulting *tree* — not just
 recompiled arrays — through the slot's double-buffered
 :meth:`~repro.serve.engines.EngineSlot.adopt_classifier` path.  Rule churn
 that lands while the retrain is running is replayed onto the new tree at
@@ -14,22 +15,22 @@ installation, so the per-epoch exactness guarantees hold across the whole
 retrain → adopt → swap sequence.
 
 **Thread-safety.**  The controller itself runs on the serving thread —
-``poll_tenant``/``poll``/``drain`` are called between batches, exactly like
-slot methods.  Only the *training job* runs elsewhere (a thread-pool or
+``poll_tenant``/``drain`` are called between batches, exactly like slot
+methods.  Only the *training job* runs elsewhere (a thread-pool or
 process-pool task, per :class:`RetrainPolicy.backend`); completions are
-detected by polling the task handle, and installation always happens on the
-serving thread.  With ``backend="serial"`` the retrain runs inline at
+detected by polling the job's future, and installation always happens on
+the serving thread.  With ``backend="serial"`` the retrain runs inline at
 trigger time, which keeps single-threaded runs deterministic.
 """
 
 from __future__ import annotations
 
 import zlib
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.executors import EXECUTOR_BACKENDS, RetrainPool, RolloutExecutor, \
-    TaskHandle, make_executor, shared_retrain_pool
+from repro.executors import EXECUTOR_BACKENDS, make_executor
 from repro.neurocuts.config import NeuroCutsConfig
 from repro.neurocuts.service import (
     RetrainRequest,
@@ -40,10 +41,6 @@ from repro.neurocuts.service import (
 from repro.obs.serialize import stable_dict
 from repro.rules.ruleset import RuleSet
 from repro.serve.registry import TenantRegistry, UnknownTenantError
-
-#: Executor backends a controller may run retrain jobs on (one source of
-#: truth: whatever :func:`repro.executors.make_executor` accepts).
-RETRAIN_BACKENDS = EXECUTOR_BACKENDS
 
 
 def classifier_objective(stats, time_space_coeff: float) -> float:
@@ -88,11 +85,6 @@ class RetrainPolicy:
         seed: base RNG seed; each launched job derives its own seed from
             this plus the per-tenant launch counter, so successive retrains
             explore different rollouts.
-        shared_pool_size: when set (>= 1), controllers submit retrain jobs
-            to the process-local *shared* :class:`repro.executors.RetrainPool`
-            of this width (and ``backend``) instead of each owning a private
-            executor — the fleet-trainer path.  Tenants across controllers
-            multiplex over one pool with round-robin fairness.
     """
 
     timesteps: int = 3_000
@@ -101,18 +93,15 @@ class RetrainPolicy:
     time_space_coeff: float = 1.0
     quality_gate: bool = True
     seed: int = 0
-    shared_pool_size: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.timesteps < 1:
             raise ValueError("timesteps must be >= 1")
-        if self.backend not in RETRAIN_BACKENDS:
+        if self.backend not in EXECUTOR_BACKENDS:
             raise ValueError(
-                f"backend must be one of {RETRAIN_BACKENDS}, "
+                f"backend must be one of {EXECUTOR_BACKENDS}, "
                 f"got {self.backend!r}"
             )
-        if self.shared_pool_size is not None and self.shared_pool_size < 1:
-            raise ValueError("shared_pool_size must be >= 1 when set")
 
     def training_config(self, seed: int) -> NeuroCutsConfig:
         """The NeuroCuts configuration one retrain job runs with."""
@@ -137,10 +126,6 @@ class RetrainStats:
     #: Finished jobs whose tree failed the quality gate (objective did not
     #: beat the patched incumbent); the incumbent kept serving.
     rejected: int = 0
-    #: Jobs submitted through a *shared* retrain pool (0 when the
-    #: controller owns a private executor).  Deterministic: every trigger
-    #: under a shared-pool policy enqueues exactly once.
-    queued: int = 0
     #: Wall seconds each *installed* job spent training, in install order.
     train_seconds: List[float] = field(default_factory=list)
 
@@ -150,7 +135,6 @@ class RetrainStats:
             "installed": self.installed,
             "discarded": self.discarded,
             "rejected": self.rejected,
-            "queued": self.queued,
             "mean_train_seconds": (
                 sum(self.train_seconds) / len(self.train_seconds)
                 if self.train_seconds else 0.0
@@ -160,11 +144,11 @@ class RetrainStats:
 
 @dataclass
 class _RetrainJob:
-    """One in-flight retrain: the handle plus the snapshot it trains on."""
+    """One in-flight retrain: the future plus the snapshot it trains on."""
 
     tenant_id: str
     base_ruleset: RuleSet
-    handle: TaskHandle[RetrainResponse]
+    future: Future[RetrainResponse]
     #: The incumbent's objective at launch, when it served exactly
     #: ``base_ruleset`` — the apples-to-apples bar for the quality gate.
     incumbent_objective: float = float("inf")
@@ -175,12 +159,8 @@ class RetrainController:
 
     Args:
         registry: the registry whose tenants are watched.
-        policy: training budget, backend, and objective knobs.  With
-            ``policy.shared_pool_size`` set, jobs multiplex over the
-            process-local shared :class:`~repro.executors.RetrainPool`,
-            whose lifecycle belongs to the serving layer / interpreter-exit
-            hook, never to individual controllers.  Otherwise the controller
-            owns a one-worker executor built by
+        policy: training budget, backend, and objective knobs.  The
+            controller owns a one-worker executor built by
             :func:`repro.executors.make_executor` from ``policy.backend``.
 
     Call :meth:`poll_tenant` from the serving loop (cheap: a dict probe and
@@ -193,27 +173,16 @@ class RetrainController:
         self.registry = registry
         self.policy = policy
         self.stats = RetrainStats()
-        self._pool: Optional[RetrainPool] = None
-        self._executor: Optional[RolloutExecutor] = None
-        if policy.shared_pool_size is not None:
-            self._pool = shared_retrain_pool(policy.shared_pool_size,
-                                             backend=policy.backend)
-        else:
-            # One worker per concurrently-retraining tenant is overkill on
-            # small machines; a single background worker serialises jobs
-            # while keeping them off the serving thread.
-            self._executor = make_executor(1, backend=policy.backend)
+        # One worker per concurrently-retraining tenant is overkill on
+        # small machines; a single background worker serialises jobs while
+        # keeping them off the serving thread.
+        self._executor = make_executor(1, backend=policy.backend)
         self._jobs: Dict[str, _RetrainJob] = {}
         self._launch_counts: Dict[str, int] = {}
 
     # ------------------------------------------------------------------ #
     # The control loop
     # ------------------------------------------------------------------ #
-
-    @property
-    def in_flight(self) -> List[str]:
-        """Tenants with a retrain currently running (or awaiting install)."""
-        return list(self._jobs)
 
     def poll_tenant(self, tenant_id: str) -> bool:
         """Advance one tenant's retrain state machine; True if a tree landed.
@@ -225,7 +194,7 @@ class RetrainController:
         """
         job = self._jobs.get(tenant_id)
         if job is not None:
-            if not job.handle.ready():
+            if not job.future.done():
                 return False
             del self._jobs[tenant_id]
             return self._install(job)
@@ -235,15 +204,10 @@ class RetrainController:
             # Serial jobs complete inside _launch; land them immediately so
             # the very next batch serves from the retrained tree.
             job = self._jobs[tenant_id]
-            if job.handle.ready():
+            if job.future.done():
                 del self._jobs[tenant_id]
                 return self._install(job)
         return False
-
-    def poll(self) -> List[str]:
-        """Poll every registered tenant; returns those that got a new tree."""
-        return [tenant_id for tenant_id in self.registry.tenants()
-                if self.poll_tenant(tenant_id)]
 
     def drain(self) -> List[str]:
         """Block until every in-flight retrain finishes and installs.
@@ -259,21 +223,12 @@ class RetrainController:
                 landed.append(tenant_id)
         return landed
 
-    @property
-    def pool(self) -> Optional[RetrainPool]:
-        """The shared retrain pool jobs multiplex over (None = private)."""
-        return self._pool
-
     def close(self) -> None:
-        """Shut down the controller-owned executor (idempotent).
+        """Shut down the controller's executor (idempotent).
 
-        Shared pools are left running — their lifecycle belongs to the
-        serving layer, which wraps serving loops in ``try/finally`` and
-        shuts pools down at interpreter exit via
-        :func:`repro.executors.shutdown_shared_retrain_pools`.
+        A job still running is waited for; queued ones are cancelled.
         """
-        if self._executor is not None:
-            self._executor.shutdown()
+        self._executor.shutdown(wait=True, cancel_futures=True)
 
     def __enter__(self) -> "RetrainController":
         return self
@@ -299,25 +254,16 @@ class RetrainController:
             ),
             max_iterations=self.policy.max_iterations,
         )
-        if self._pool is not None:
-            handle = self._pool.submit(tenant_id, run_retrain, request)
-            self.stats.queued += 1
-            self.registry.metrics.gauge("serve.retrain_queue_depth").set(
-                self._pool.queue_depth())
-        else:
-            handle = self._executor.submit(run_retrain, request)
         self._jobs[tenant_id] = _RetrainJob(
-            tenant_id=tenant_id, base_ruleset=base, handle=handle,
+            tenant_id=tenant_id, base_ruleset=base,
+            future=self._executor.submit(run_retrain, request),
             incumbent_objective=classifier_objective(
                 slot.classifier.stats(), self.policy.time_space_coeff),
         )
         self.stats.triggered += 1
 
     def _install(self, job: _RetrainJob) -> bool:
-        response = job.handle.result()
-        if self._pool is not None:
-            self.registry.metrics.gauge("serve.retrain_queue_depth").set(
-                self._pool.queue_depth())
+        response = job.future.result()
         try:
             slot = self.registry.slot(job.tenant_id)
         except UnknownTenantError:

@@ -49,10 +49,6 @@ class TenantRegistry:
         #: records compile/install/retrain spans here, so one merge covers
         #: the whole control plane.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        # Pre-register the fleet-trainer gauge so every snapshot carries it
-        # with a stable schema, whether or not a shared retrain pool is
-        # configured (controllers update it on submit/install).
-        self.metrics.gauge("serve.retrain_queue_depth").set(0)
         self._slots: "OrderedDict[str, EngineSlot]" = OrderedDict()
 
     # ------------------------------------------------------------------ #

@@ -114,9 +114,6 @@ class ServingReport:
     #: Retrained trees whose time/space objective failed to beat the
     #: incrementally-patched incumbent (quality gate; see RetrainController).
     retrains_rejected: int = 0
-    #: Retrain jobs submitted through a *shared* retrain pool (the
-    #: fleet-trainer path; zero when controllers own private executors).
-    retrain_queue_submitted: int = 0
     #: Admission-control tally (all zero when no ingestion frontend is
     #: attached).  Invariant: offered == admitted + throttled + shed, and
     #: num_requests == ingest_admitted whenever ingest_offered > 0 — every
@@ -177,7 +174,6 @@ class ServingReport:
             "retrains_installed": self.retrains_installed,
             "retrains_discarded": self.retrains_discarded,
             "retrains_rejected": self.retrains_rejected,
-            "retrain_queue_submitted": self.retrain_queue_submitted,
             "ingest_offered": self.ingest_offered,
             "ingest_admitted": self.ingest_admitted,
             "ingest_throttled": self.ingest_throttled,
@@ -211,11 +207,6 @@ class ServingReport:
                 f"{self.retrains_installed:,} installed, "
                 f"{self.retrains_rejected:,} rejected, "
                 f"{self.retrains_discarded:,} discarded",
-            ])
-        if self.retrain_queue_submitted:
-            rows.append([
-                "retrain pool",
-                f"{self.retrain_queue_submitted:,} jobs via shared pool",
             ])
         if self.ingest_offered:
             rows.append([
@@ -674,8 +665,6 @@ class ServingSession:
             retrains_installed=retrain_stats.installed if retrain_stats else 0,
             retrains_discarded=retrain_stats.discarded if retrain_stats else 0,
             retrains_rejected=retrain_stats.rejected if retrain_stats else 0,
-            retrain_queue_submitted=retrain_stats.queued
-            if retrain_stats else 0,
             # Snapshot, like retrain_stats above: the registry is the live
             # shared instance (builder threads and later serve() runs keep
             # writing into it), and the drains above are the one point

@@ -183,7 +183,7 @@ class TestServeBench:
     @pytest.mark.parametrize("flags, message", [
         (["--binth", "0"], "--binth must be >= 1"),
         (["--retrain-threshold", "-1"], "--retrain-threshold must be >= 0"),
-        (["--retrain-pool-size", "-1"], "--retrain-pool-size must be >= 0"),
+        (["--batch-size", "0"], "max_batch must be >= 1"),
         (["--flow-cache", "-5"], "--flow-cache must be >= 0"),
         (["--churn-events", "-1"], "--churn-events must be >= 0"),
     ])
@@ -208,6 +208,27 @@ class TestServeBench:
             assert message in capsys.readouterr().err
             assert not output.exists()
         assert tried >= 2
+
+    def test_json_config_records_every_counter_changing_flag(self, tmp_path,
+                                                             capsys):
+        """Two scorecards that differ only in ``--zipf`` read as config
+        drift on ``zipf``, not as unexplained counter regressions."""
+        from repro.obs.bench import read_bench
+        from repro.obs.compare import compare_records
+
+        paths = []
+        for zipf in ("1.1", "0.5"):
+            paths.append(tmp_path / f"BENCH_zipf{zipf}.json")
+            assert main(["serve-bench", "--tenants", "1", "--num-rules", "30",
+                         "--num-packets", "400", "--churn-events", "0",
+                         "--zipf", zipf, "--json", str(paths[-1])]) == 0
+        assert main(["bench", "compare", str(paths[1]), str(paths[0])]) == 1
+        capsys.readouterr()
+        report = compare_records(read_bench(paths[1]), read_bench(paths[0]))
+        drift = [check for check in report.failures if check.kind == "config"]
+        assert [check.metric for check in drift] == ["zipf"]
+        for key in ("burst", "max_delay_ms", "retrain_timesteps"):
+            assert key in read_bench(paths[0]).config
 
     @pytest.mark.parametrize("flags, message", [
         (["--flash-crowd", "-1"], "--flash-crowd must be 0 (off) or > 1"),
