@@ -5,12 +5,16 @@
         [--pairs 10] [--seed N] [--seconds S] [--scale X] [--json OUT]
 
 The protocol every change that claims a gain has to show (ROADMAP, "Two
-measurement systems"): the parent's committed files are unpacked into a
-temporary directory (``git archive`` — nothing is written into ``.git``),
-and ``python3 perfbench/run.py --workload W --seconds S`` is run there and
-in this working tree, ``--pairs`` times, the side that goes first flipping
-every pair.  Metric names, directions, bounds and the default ``S``
-(``run_seconds``) come from the working tree's ``BENCHMARK.json``.
+measurement systems").  Both sides run from sibling directories under one
+temporary directory, so neither has a warm ``__pycache__``, a shorter path
+or the working tree's own directory: the parent's committed files are
+unpacked into one (``git archive`` — nothing is written into ``.git``),
+and this working tree's files as they stand — tracked and untracked, not
+ignored — are copied into the other.  ``python3 perfbench/run.py
+--workload W --seconds S`` is run in each, ``--pairs`` times, the side
+that goes first flipping every pair.  Metric names, directions, bounds and
+the default ``S`` (``run_seconds``) come from the working tree's
+``BENCHMARK.json``.
 
 Per end-to-end metric it prints each side's median and quartiles over the
 runs, how many pairs the change won (ties count for neither), whether the
@@ -33,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -51,6 +56,21 @@ def unpack(ref: str, into: Path) -> None:
                              cwd=ROOT, check=True, capture_output=True)
     subprocess.run(["tar", "-x", "-C", str(into)], input=archive.stdout,
                    check=True)
+
+
+def copy_tree(into: Path) -> None:
+    """This working tree's files as they stand (``git ls-files -co
+    --exclude-standard``: tracked and untracked, not ignored), copied
+    under ``into``."""
+    listed = subprocess.run(
+        ["git", "ls-files", "-co", "--exclude-standard", "-z"], cwd=ROOT,
+        check=True, capture_output=True).stdout.decode().split("\0")
+    for name in filter(None, listed):
+        source = ROOT / name
+        if source.is_file():  # a tracked file deleted from the tree is listed
+            target = into / name
+            target.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, target)
 
 
 def run_once(checkout: Path, flags: Sequence[str]) -> dict:
@@ -141,9 +161,9 @@ def record(bench: dict, args: argparse.Namespace,
            runs: Dict[str, List[dict]]) -> dict:
     """The ``--json`` record of one comparison.
 
-    The change side is this working tree: its ``HEAD`` and whether the
-    files the benchmark reads (``src/`` and the benchmark's own paths)
-    differed from it when the runs were made.
+    The change side is a copy of this working tree: its ``HEAD`` and
+    whether the files the benchmark reads (``src/`` and the benchmark's
+    own paths) differed from it when the runs were made.
     """
     paths = ["src", *bench["paths"]]
     dirty = subprocess.run(["git", "diff", "--quiet", "HEAD", "--", *paths],
@@ -193,8 +213,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
              "--seconds", str(args.seconds), "--scale", str(args.scale)]
     runs: Dict[str, List[dict]] = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="bench_pairs.") as scratch:
-        unpack(args.parent, Path(scratch))
-        where = {"parent": Path(scratch), "change": ROOT}
+        where = {side: Path(scratch) / side for side in ("parent", "change")}
+        for checkout in where.values():
+            checkout.mkdir()
+        unpack(args.parent, where["parent"])
+        copy_tree(where["change"])
         for pair in range(args.pairs):
             order = ("parent", "change") if pair % 2 == 0 \
                 else ("change", "parent")

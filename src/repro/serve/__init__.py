@@ -6,7 +6,7 @@ already exist; this package is the *serving* side: a
 tenant behind double-buffered :class:`~repro.serve.engines.EngineSlot`
 objects (zero-downtime rule updates via background recompile + atomic
 swap), per-packet requests coalesce into vectorised per-tenant batches
-(:func:`~repro.serve.batcher.plan_block` over a block of arrivals; the
+(one :func:`~repro.serve.batcher.plan_block` per ``serve()`` call; the
 event-at-a-time :class:`~repro.serve.batcher.MicroBatcher` is the
 per-event reference, kept here for the planner's oracle and the perf
 benchmark's tracing), and the

@@ -9,11 +9,12 @@ longer than ``max_delay`` of trace time.  Time is the *workload's* clock
 given trace — the same requests always form the same batches.
 
 The rule lives here twice, and the two must agree bit for bit.
-:func:`plan_block` applies it to a whole block of arrival stamps at once, in
-O(batches) steps, and is what :class:`~repro.serve.service.ServingSession`
-runs.  :class:`MicroBatcher` applies it one event at a time: it is the
-per-event reference that the oracle ``tests/reference_serve.py`` drives,
-kept in ``src/`` because ``perfbench/`` wraps its methods.
+:func:`plan_block` applies it to a whole ``serve()`` call at once — every
+arrival stamp and every update — in O(batches) steps, and is what
+:class:`~repro.serve.service.ServingSession` runs.  :class:`MicroBatcher`
+applies it one event at a time: it is the per-event reference that the
+oracle ``tests/reference_serve.py`` drives, kept in ``src/`` because
+``perfbench/`` wraps its methods.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -141,7 +142,7 @@ class MicroBatcher:
 
 
 # --------------------------------------------------------------------------- #
-# The block planner: the same release rule, a block of arrivals at a time
+# The planner: the same release rule, a whole serve() call at a time
 # --------------------------------------------------------------------------- #
 
 #: Step kinds, in the order the per-request loop runs them inside one event:
@@ -151,12 +152,12 @@ POLL_RELEASE, OWN_RELEASE, BARRIER = 0, 1, 2
 
 
 class Barrier(NamedTuple):
-    """A non-arrival event of a block: an update's flush, or a bare poll."""
+    """An update's event in a plan: it polls, then flushes one tenant."""
 
     time: float
-    #: Tenant whose queue is flushed (-1: none, the event only polls).
+    #: Tenant whose queue is flushed.
     code: int
-    #: Index of the fresh row the event comes before (the number of fresh
+    #: Index of the arrival row the update comes before (the number of
     #: rows: after them all).
     before: int
 
@@ -175,13 +176,11 @@ class Step(NamedTuple):
 
 
 class BlockPlan(NamedTuple):
-    """:func:`plan_block`'s answer for one block."""
+    """:func:`plan_block`'s answer for one ``serve()`` call."""
 
-    #: Stable tenant-major permutation of the planned rows.
+    #: Stable tenant-major permutation of the arrival rows.
     order: np.ndarray
     steps: List[Step]
-    #: Rows of the permuted table no event released (still queued).
-    keep: np.ndarray
 
 
 def _first_expired(clock: List[float], lo: int, hi: int, oldest: float,
@@ -201,19 +200,17 @@ def _first_expired(clock: List[float], lo: int, hi: int, oldest: float,
     return i
 
 
-def plan_block(times: np.ndarray, codes: np.ndarray, arrived: int,
+def plan_block(times: np.ndarray, codes: np.ndarray,
                barriers: Sequence[Barrier], policy: BatchPolicy,
-               end_time: Optional[float] = None) -> BlockPlan:
-    """What :class:`MicroBatcher` would release over a block, as spans.
+               end_time: float) -> BlockPlan:
+    """What :class:`MicroBatcher` would release over a whole trace, as spans.
 
-    ``times`` / ``codes`` are arrival stamp and tenant code per row; the
-    first ``arrived`` rows are already queued (an earlier block's ``keep``,
-    each tenant's in arrival order) and the fresh rows after them arrive in
-    the given order, non-decreasing in time.  A tenant's code is its
+    ``times`` / ``codes`` are arrival stamp and tenant code per row, the
+    rows in arrival order, non-decreasing in time.  A tenant's code is its
     position in the batcher's queue order: its first arrival or flush.
-    ``barriers`` are sorted by ``before``.  With ``end_time`` set the plan
-    ends the trace: whatever is still queued is released at that stamp
-    (``flush_all``).
+    ``barriers`` are the updates, sorted by ``before``.  The plan ends the
+    trace: whatever is still queued after the last event is released at
+    ``end_time`` (``flush_all``).
 
     The plan reproduces the per-request loop — ``offer`` polls every queue
     and then enqueues, an update polls and then flushes its own tenant —
@@ -221,35 +218,31 @@ def plan_block(times: np.ndarray, codes: np.ndarray, arrived: int,
     release, and a release is the earliest of its size event, its tenant's
     next flush and the first event that finds its deadline expired.
     """
-    total, fresh = len(times), len(times) - arrived
-    never = fresh + len(barriers)  # the end-of-trace event, past all others
+    arrivals = len(times)
+    never = arrivals + len(barriers)  # the end-of-trace event, past all others
     barrier_event = [b.before + j for j, b in enumerate(barriers)]
-    event = np.full(total, -1, dtype=np.int64)
-    event[arrived:] = np.arange(fresh)
+    event = np.arange(arrivals, dtype=np.int64)
     if barriers:
-        event[arrived:] += np.searchsorted(
-            np.asarray([b.before for b in barriers]), np.arange(fresh),
-            side="right")
+        event += np.searchsorted(np.asarray([b.before for b in barriers]),
+                                 event, side="right")
     clock = np.empty(never)
-    clock[event[arrived:]] = times[arrived:]
+    clock[event] = times
     clock[barrier_event] = [b.time for b in barriers]
     if np.any(np.diff(clock) < 0):
         raise ValueError("arrivals and updates must be in time order")
-    clock = clock.tolist()
+    clock = clock.tolist() + [end_time]
     flushes: Dict[int, List[int]] = {}
     for at, barrier in zip(barrier_event, barriers):
-        if barrier.code >= 0:
-            flushes.setdefault(barrier.code, []).append(at)
+        flushes.setdefault(barrier.code, []).append(at)
 
     order = np.argsort(codes, kind="stable")
-    tenants = max(int(codes.max()) + 1 if total else 0,
+    tenants = max(int(codes.max()) + 1 if arrivals else 0,
                   max(flushes, default=-1) + 1)
     bounds = np.searchsorted(codes[order], np.arange(tenants + 1)).tolist()
     stamp, event = times[order].tolist(), event[order].tolist()
     max_batch, max_delay = policy.max_batch, policy.max_delay
     steps = [Step(at, BARRIER, j, 0, 0, 0.0)
              for j, at in enumerate(barrier_event)]
-    keep = []
     for code in range(tenants):
         start, end = bounds[code], bounds[code + 1]
         own, f = flushes.get(code, ()), 0
@@ -273,21 +266,12 @@ def plan_block(times: np.ndarray, codes: np.ndarray, arrived: int,
             elif flushed < never:
                 at, kind = flushed, OWN_RELEASE
                 stop = bisect_left(event, at, start, end)
-            else:
-                break
+            else:  # the end of trace releases what is left
+                at, kind, stop = never, POLL_RELEASE, end
             # A timer would have fired at the deadline: queueing delay is
             # charged against it, never before the batch's last arrival.
             steps.append(Step(at, kind, code, start, stop, max(
                 stamp[stop - 1], min(clock[at], oldest + max_delay))))
             start = stop
-        if start == end:
-            continue
-        if end_time is None:
-            keep.append(np.arange(start, end))
-        else:
-            steps.append(Step(never, POLL_RELEASE, code, start, end, max(
-                stamp[end - 1], min(end_time, stamp[start] + max_delay))))
     steps.sort()
-    return BlockPlan(order, steps,
-                     np.concatenate(keep) if keep
-                     else np.empty(0, dtype=np.int64))
+    return BlockPlan(order, steps)

@@ -1,12 +1,11 @@
 """The classification service: the serving loop over tenants and time.
 
 ``ClassificationService.serve`` consumes a request stream (and an optional
-schedule of rule updates), runs :func:`~repro.serve.batcher.plan_block` over
-each settled block of arrivals, executes each planned batch on the owning
-tenant's compiled engine, and reports serving telemetry: packets/second,
-latency percentiles, flow-cache hit rates, and hot-swap counters.  Its
-front-end is three functions: :func:`admit`, :func:`feed` and
-:func:`fold_admission`.
+schedule of rule updates), runs :func:`~repro.serve.batcher.plan_block` once
+over the whole call — every arrival, every update — executes each planned
+batch on the owning tenant's compiled engine, and reports serving
+telemetry: packets/second, latency percentiles, flow-cache hit rates, and
+hot-swap counters.
 
 Latency accounting uses two clocks on purpose: the *queueing* delay of a
 request (from arrival to batch release) is trace time — a property of the
@@ -18,17 +17,17 @@ are seconds, and their sum is the reported request latency.
 from __future__ import annotations
 
 import time
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from operator import attrgetter
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, \
-    Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, \
+    Tuple
 
 import numpy as np
 
 from repro.engine.layout import packets_to_array
 from repro.ingest.admission import AdmissionController, IngestConfig
-from repro.obs.metrics import Counter, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.rules.rule import Rule
 from repro.serve.batcher import BARRIER, Barrier, BatchPolicy, Request, Step, \
     plan_block
@@ -41,7 +40,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Percentiles reported by default (p50 / p90 / p99).
 LATENCY_PERCENTILES: Tuple[float, ...] = (50.0, 90.0, 99.0)
 
-#: Column positions in a session's block (see ``ServingSession._settle``).
+#: Column positions in a session's lifted arrivals (see
+#: ``ServingSession.finish``).
 _TIMES, _CODES, _VALUES, _REQUESTS = range(4)
 #: Trace stamp of an arrival or an update.
 _STAMP = attrgetter("time")
@@ -88,6 +88,9 @@ class ServingReport:
     num_requests: int
     num_batches: int
     num_updates: int
+    #: Wall seconds from the session's start to its last batch and update.
+    #: The end-of-trace quiesce — waiting for in-flight retrains and
+    #: engine builds to land — is not counted, so ``pps`` measures serving.
     wall_seconds: float
     engine_seconds: float
     trace_seconds: float
@@ -219,73 +222,6 @@ class ServingReport:
         return rows
 
 
-# --------------------------------------------------------------------------- #
-# The front-end: admission, the event loop, the admission fold
-# --------------------------------------------------------------------------- #
-
-
-def admit(ingest: Optional[IngestConfig], requests: Iterable[Request],
-          metrics: MetricsRegistry
-          ) -> Tuple[Optional[AdmissionController], List[Request]]:
-    """The stream a front-end serves, and the controller that admitted it.
-
-    With ``ingest`` set, every request passes per-tenant admission control
-    (series written to ``metrics``) and the admitted ones come back
-    re-stamped to their queue release times — still time-ordered, still
-    deterministic.  Without it the stream is stably sorted by arrival, so
-    equal-timestamp requests keep their stream order and a given workload
-    always forms the same batches.
-    """
-    if ingest is None:
-        return None, sorted(requests, key=_STAMP)
-    admission = AdmissionController(ingest, metrics=metrics)
-    return admission, admission.admit(requests)
-
-
-def feed(requests: Sequence[Request], updates: Sequence[RuleUpdate],
-         offer: Callable[[Request], None],
-         deliver_update: Callable[[RuleUpdate], None]) -> None:
-    """Feed a time-ordered stream and an update schedule, in event order.
-
-    Each update (in stamp order) is delivered after every arrival stamped
-    before it and ahead of the first arrival at or past its stamp; updates
-    past the last arrival are delivered the same way, after it.  The
-    stream is cut at each update stamp by bisection, so between updates the
-    loop is one ``offer`` per arrival and nothing else.
-    """
-    start = 0
-    for update in sorted(updates, key=_STAMP):
-        stop = bisect_left(requests, update.time, start, key=_STAMP)
-        for request in requests[start:stop]:
-            offer(request)
-        deliver_update(update)
-        start = stop
-    for request in requests[start:]:
-        offer(request)
-
-
-def fold_admission(report: ServingReport,
-                   admission: Optional[AdmissionController]) -> ServingReport:
-    """Fold a front-end's admission tally into its finished report.
-
-    The ``ingest_*`` counters, each tenant's ``ingest`` summary over the
-    run's trace span, and the series admission wrote (goodput gauges
-    included) join the report.  Admission's registry is the front-end's
-    own, never a serving registry, so nothing is counted twice.
-    """
-    if admission is None:
-        return report
-    report.ingest_offered = admission.offered
-    report.ingest_admitted = admission.admitted
-    report.ingest_throttled = admission.throttled
-    report.ingest_shed = admission.shed
-    for tenant_id, summary in \
-            admission.tenant_summary(report.trace_seconds).items():
-        report.per_tenant.setdefault(tenant_id, {})["ingest"] = summary
-    report.metrics.merge(admission.metrics)
-    return report
-
-
 class ClassificationService:
     """Serves classification requests for every registered tenant.
 
@@ -344,53 +280,63 @@ class ClassificationService:
         ``record_batches`` is set, every served batch for differential
         verification).
         """
-        admission, requests = admit(self.ingest, requests,
-                                    self.admission_metrics)
+        admission = None
+        if self.ingest is None:
+            # A stable sort: equal-timestamp requests keep their stream
+            # order, so a given workload always forms the same batches.
+            requests = sorted(requests, key=_STAMP)
+        else:
+            # Admitted requests come back re-stamped to their queue
+            # release times: still time-ordered, still deterministic.
+            admission = AdmissionController(self.ingest,
+                                            metrics=self.admission_metrics)
+            requests = admission.admit(requests)
         session = ServingSession(self)
-        feed(requests, updates, session.offer, session.deliver_update)
-        return fold_admission(session.finish(), admission)
+        for request in requests:
+            session.offer(request)
+        report = session.finish(updates)
+        if admission is not None:
+            # Admission's tally, each tenant's ``ingest`` summary over the
+            # run's trace span, and the series admission wrote.  Its
+            # registry is the front-end's own, never a serving registry,
+            # so nothing is counted twice.
+            report.ingest_offered = admission.offered
+            report.ingest_admitted = admission.admitted
+            report.ingest_throttled = admission.throttled
+            report.ingest_shed = admission.shed
+            for tenant_id, summary in \
+                    admission.tenant_summary(report.trace_seconds).items():
+                report.per_tenant.setdefault(tenant_id, {})["ingest"] = \
+                    summary
+            report.metrics.merge(admission.metrics)
+        return report
 
 
 class ServingSession:
-    """One in-progress serving run, settled a block of arrivals at a time.
+    """One ``serve()`` run, planned and executed whole.
 
-    :meth:`offer` only buffers.  Every point that observes the run —
-    :meth:`poll`, :meth:`queue_depth`, :meth:`deliver_update`,
-    :meth:`settle`, :meth:`finish` — first *settles* the buffer: one pass
-    lifts arrival stamp, tenant code and the ``(n, 5)`` header matrix out of
-    the buffered :class:`Request` objects, :func:`plan_block` turns the
-    stamps, the delivered event and the rows still queued from earlier
-    blocks into batch spans, and each span is one ``lookup_batch`` call on
-    a slice of the block's columns.  The batches, their order, their flush
-    stamps and the engine epoch each one sees are exactly those of feeding
-    the same events one at a time through the per-event batcher (the
-    per-request loop kept as the oracle in ``tests/reference_serve.py``):
-    batches release by size or deadline, an update releases expired
-    deadlines and then its own tenant's queue, and :meth:`finish` drains
-    every queue and builds the :class:`ServingReport`.
-
-    Offer requests in time order; :meth:`deliver_update` is the only way a
-    session learns of a rule update (:func:`feed` interleaves a schedule).
-    A caller driving a session by hand can observe it mid-stream:
-    :meth:`poll` advances deadline releases to a trace timestamp without
-    offering anything, :meth:`queue_depth` reads a tenant's in-flight batch,
-    and :meth:`settle` serves what the buffered arrivals release.
+    :meth:`offer` only buffers; :meth:`finish` does the work, once.  One
+    pass lifts arrival stamp, tenant code and the ``(n, 5)`` header matrix
+    out of the buffered :class:`Request` objects, :func:`plan_block` turns
+    the stamps and the update schedule into batch spans, and each span is
+    one ``lookup_batch`` call on a slice of those columns.  The batches,
+    their order, their flush stamps and the engine epoch each one sees are
+    exactly those of feeding the same events one at a time through the
+    per-event batcher (the per-request loop kept as the oracle in
+    ``tests/reference_serve.py``): batches release by size or deadline; an
+    update comes after every arrival stamped before it, releases expired
+    deadlines and then its own tenant's queue; the end of the trace drains
+    every queue.  Offer requests in time order.
     """
 
     def __init__(self, service: ClassificationService) -> None:
         self.service = service
         self.registry = service.registry
-        #: Arrivals offered since the last settle.
-        self._block: List[Request] = []
-        #: Tenant -> code, its position in the batcher's queue order (first
-        #: arrival or flush in the session); ``_tenants`` is the inverse.
-        self._code_of: Dict[str, int] = {}
+        #: Arrivals offered so far.
+        self._arrivals: List[Request] = []
+        #: Tenant per code: the batcher's queue order (see ``_queue_order``).
         self._tenants: List[str] = []
-        self._tenant_requests: Dict[int, Counter] = {}
-        #: Columns (as ``_settle`` lifts them) of the rows no event has
-        #: released yet; None when nothing is queued.
-        self._queued: Optional[List[np.ndarray]] = None
-        #: Per-request latencies, one array per settled block.
+        #: Per-request latencies, in serve order.
         self._latencies: List[np.ndarray] = []
         self._recorded: List[ServedBatch] = []
         self._num_batches = 0
@@ -405,124 +351,50 @@ class ServingSession:
         self._request_counter = metrics.counter("serve.requests")
         self._batch_counter = metrics.counter("serve.batches")
 
-    # ------------------------------------------------------------------ #
-    # Event intake
-    # ------------------------------------------------------------------ #
-
-    @property
-    def last_time(self) -> float:
-        """Largest trace timestamp of any event this session has seen."""
-        if self._block:
-            return max(self._last_time, self._block[-1].time)
-        return self._last_time
-
     def offer(self, request: Request) -> None:
-        """Feed one arrival (buffered until the next settle)."""
-        self._block.append(request)
+        """Buffer one arrival (served by :meth:`finish`)."""
+        self._arrivals.append(request)
 
-    def deliver_update(self, update: RuleUpdate) -> None:
-        """Apply one rule update now (mid-stream semantics).
-
-        Deadline-expired queues release first, then the owning tenant's
-        queue is flushed so pre-update packets see the pre-update engine.
-        """
-        self._settle(update.time, update)
-
-    def poll(self, now: float) -> None:
-        """Release every queue whose deadline has passed at ``now``.
-
-        Batch composition is poll-frequency-invariant: a deadline-expired
-        queue can never gain members (any later arrival would release it
-        first), and the flush-time clamp charges latency against the
-        deadline either way.
-        """
-        self._settle(now)
-
-    def queue_depth(self, tenant_id: str) -> int:
-        """Requests of one tenant still queued (its in-flight batch)."""
-        self._settle()
-        if self._queued is None:
-            return 0
-        return int(np.count_nonzero(
-            self._queued[_CODES] == self._code_of.get(tenant_id, -1)))
-
-    def settle(self) -> None:
-        """Serve everything the buffered arrivals release."""
-        self._settle()
-
-    # ------------------------------------------------------------------ #
-    # Block settlement
-    # ------------------------------------------------------------------ #
-
-    def _settle(self, stamp: Optional[float] = None,
-                update: Optional[RuleUpdate] = None,
-                drain: bool = False) -> None:
-        """Plan and execute the buffered block, then the event at ``stamp``
-        (``update`` delivered now, or a bare poll), then — draining — the
-        end of trace.
-        """
-        block, self._block = self._block, []
-        if not block and stamp is None and not drain:
-            return
-        stamps = [r.time for r in block]
-        tenant_ids = [r.tenant_id for r in block]
+    def finish(self, updates: Sequence[RuleUpdate] = ()) -> ServingReport:
+        """Serve the buffered arrivals and ``updates`` as one plan, drain
+        every queue at the end of the trace, and build the report."""
+        arrivals, self._arrivals = self._arrivals, []
+        updates = sorted(updates, key=_STAMP)
+        stamps = [r.time for r in arrivals]
+        tenant_ids = [r.tenant_id for r in arrivals]
+        # Each update comes ahead of the first arrival at or past its stamp.
+        befores = [bisect_left(stamps, update.time) for update in updates]
+        self._tenants = _queue_order(tenant_ids, updates, befores)
+        code_of = {tenant_id: code
+                   for code, tenant_id in enumerate(self._tenants)}
         self._last_time = max([self._last_time] + stamps[-1:]
-                              + ([update.time] if update is not None else []))
-        code_of = self._enroll(tenant_ids, update)
+                              + [update.time for update in updates[-1:]])
 
-        # The block's columns: stamps, tenant codes, headers (and the
-        # requests themselves when batches are recorded), behind the rows
-        # still queued from earlier blocks.
+        # The arrivals' columns: stamps, tenant codes, headers (and the
+        # requests themselves when batches are recorded).
         columns = [
             np.asarray(stamps, dtype=float),
             np.fromiter(map(code_of.__getitem__, tenant_ids), np.int64,
-                        len(block)),
-            packets_to_array([r.packet for r in block]),
+                        len(arrivals)),
+            packets_to_array([r.packet for r in arrivals]),
         ]
         if self.service.record_batches:
-            requests = np.empty(len(block), dtype=object)
-            requests[:] = block
+            requests = np.empty(len(arrivals), dtype=object)
+            requests[:] = arrivals
             columns.append(requests)
-        arrived = 0
-        if self._queued is not None:
-            arrived = len(self._queued[_TIMES])
-            columns = [np.concatenate(pair)
-                       for pair in zip(self._queued, columns)]
-        # The event comes after every buffered arrival.
-        barriers = [] if stamp is None else [Barrier(
-            stamp, -1 if update is None else code_of[update.tenant_id],
-            len(block))]
-        plan = plan_block(columns[_TIMES], columns[_CODES], arrived,
-                          barriers, self.service.policy,
-                          self._last_time if drain else None)
+        barriers = [Barrier(update.time, code_of[update.tenant_id], before)
+                    for update, before in zip(updates, befores)]
+        plan = plan_block(columns[_TIMES], columns[_CODES], barriers,
+                          self.service.policy, self._last_time)
         columns = [column[plan.order] for column in columns]
         served: List[Tuple[int, int, int, float, float]] = []
         for step in plan.steps:
-            if step.kind != BARRIER:
+            if step.kind == BARRIER:
+                self._apply(updates[step.code])
+            else:
                 served.append(self._execute(columns, step))
-            elif update is not None:
-                self._apply(update)
         self._account(columns[_TIMES], served)
-        self._queued = [column[plan.keep] for column in columns] \
-            if len(plan.keep) else None
-
-    def _enroll(self, tenant_ids: List[str], update: Optional[RuleUpdate]
-                ) -> Dict[str, int]:
-        """Give the block's new tenants their codes; returns the mapping.
-
-        Queue order is first arrival *or flush*: new tenants take their
-        codes in first-arrival order, then an update's tenant (its flush
-        comes after every buffered arrival).
-        """
-        code_of = self._code_of
-        new = set(tenant_ids).difference(code_of)
-        for tenant_id in sorted(new, key=tenant_ids.index):
-            code_of[tenant_id] = len(self._tenants)
-            self._tenants.append(tenant_id)
-        if update is not None and update.tenant_id not in code_of:
-            code_of[update.tenant_id] = len(self._tenants)
-            self._tenants.append(update.tenant_id)
-        return code_of
+        return self._report()
 
     def _apply(self, update: RuleUpdate) -> None:
         self._num_updates += 1
@@ -536,7 +408,7 @@ class ServingSession:
 
     def _execute(self, columns: List[np.ndarray], step: Step
                  ) -> Tuple[int, int, int, float, float]:
-        """Serve one planned batch: rows ``[start, stop)`` of the block."""
+        """Serve one planned batch: rows ``[start, stop)`` of the columns."""
         _, _, code, start, stop, flush_time = step
         tenant_id = self._tenants[code]
         if self.service.retrain_controller is not None:
@@ -566,7 +438,7 @@ class ServingSession:
 
     def _account(self, stamps: np.ndarray,
                  served: List[Tuple[int, int, int, float, float]]) -> None:
-        """Telemetry of a block's batches, request by request in the order
+        """Telemetry of the run's batches, request by request in the order
         they were served: queueing delay is trace time (flush stamp minus
         arrival), service delay the wall time of the request's batch."""
         if not served:
@@ -588,29 +460,18 @@ class ServingSession:
         self._request_counter.inc(len(rows))
         per_tenant = np.bincount(codes, weights=sizes).astype(np.int64)
         for code in np.flatnonzero(per_tenant).tolist():
-            counter = self._tenant_requests.get(code)
-            if counter is None:
-                counter = self._tenant_requests[code] = \
-                    self.registry.metrics.counter(
-                        f"serve.tenant_requests.{self._tenants[code]}")
-            counter.inc(int(per_tenant[code]))
-
-    # ------------------------------------------------------------------ #
-    # Quiesce
-    # ------------------------------------------------------------------ #
-
-    def finish(self) -> ServingReport:
-        """Drain every queue and build the report."""
-        self._settle(drain=True)
-        return self._report()
+            self.registry.metrics.counter(
+                f"serve.tenant_requests.{self._tenants[code]}"
+            ).inc(int(per_tenant[code]))
 
     def _report(self) -> ServingReport:
+        # The run's clock stops before the quiesce (see ``wall_seconds``).
+        wall_seconds = time.perf_counter() - self._wall_start
         if self.service.retrain_controller is not None:
             # Quiesce: land every in-flight retrain before the registry
             # drain installs the resulting engine rebuilds.
             self.service.retrain_controller.drain()
         self.registry.drain()
-        wall_seconds = time.perf_counter() - self._wall_start
 
         per_tenant = self.registry.telemetry()
         cache = {"hits": 0, "lookups": 0, "evictions": 0, "invalidations": 0,
@@ -673,3 +534,22 @@ class ServingSession:
             swap_stats=self.registry.swap_stats(),
             retrain_stats=retrain_stats,
         )
+
+
+def _queue_order(tenant_ids: List[str], updates: Sequence[RuleUpdate],
+                 befores: List[int]) -> List[str]:
+    """The run's tenants in the batcher's queue order: by first event, an
+    arrival or an update's flush.
+
+    Update ``j`` is event ``befores[j] + j``; arrival ``i`` comes after
+    every update before it, so it is event ``i`` plus their number.
+    """
+    first: Dict[str, int] = {}
+    for j, (update, before) in enumerate(zip(updates, befores)):
+        first.setdefault(update.tenant_id, before + j)
+    i = -1
+    for tenant_id in dict.fromkeys(tenant_ids):  # in first-arrival order
+        i = tenant_ids.index(tenant_id, i + 1)
+        event = i + bisect_right(befores, i)
+        first[tenant_id] = min(first.get(tenant_id, event), event)
+    return sorted(first, key=first.__getitem__)

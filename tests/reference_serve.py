@@ -1,122 +1,70 @@
-"""Per-request reference serving loop: the oracle the block planner is held to.
+"""Per-request reference serving loop: the oracle the planner is held to.
 
 One event at a time through the real :class:`~repro.serve.batcher.MicroBatcher`
-— the loop ``ServingSession`` ran before it settled arrivals a block at a
-time.  :class:`ReferenceLoop` is the event semantics alone (who is released,
-when, in what order, with what flush stamp); :class:`ReferenceSession` puts
-an engine call behind it so a whole ``serve()`` — batches, epochs, answers,
-counters — can be compared with the planned one.  Nothing here is shared
-with :func:`repro.serve.batcher.plan_block`.
+— the loop ``ServingSession`` ran before it planned a whole ``serve()`` call
+at once.  :class:`ReferenceSession` replaces only the session's execution:
+arrivals and updates go through the batcher one by one, every release is
+one engine call, and the report is built by the code under test from the
+same tallies.  :func:`serve` is ``ClassificationService.serve`` with that
+session in place of the planned one, so admission and its fold are the
+code under test's too.  Nothing here is shared with
+:func:`repro.serve.batcher.plan_block`.
 """
 
 import time
+from unittest import mock
 
 import numpy as np
 
 from repro.engine.layout import packets_to_array
-from repro.ingest.admission import AdmissionController
+from repro.serve import service as service_module
 from repro.serve.batcher import MicroBatcher
-from repro.serve.service import ServedBatch, ServingSession, fold_admission
-
-
-class ReferenceLoop:
-    """Arrivals, updates and polls fed one by one to a ``MicroBatcher``.
-
-    ``execute(tenant_id, batch, flush_time)`` receives every non-empty
-    release in order; ``apply(update)`` every update, after its barrier.
-    Scheduled ``updates`` are this loop's own: each is delivered ahead of
-    the first arrival at or past its stamp, the rest at :meth:`finish`.
-    """
-
-    def __init__(self, policy, updates=(), execute=None, apply=None):
-        self.policy = policy
-        self.batcher = MicroBatcher(policy)
-        self.execute = execute or (lambda tenant_id, batch, flush_time: None)
-        self.apply = apply or (lambda update: None)
-        self._pending_updates = sorted(updates, key=lambda u: u.time)
-        self._update_index = 0
-        self.last_time = 0.0
-
-    def offer(self, request):
-        self.last_time = max(self.last_time, request.time)
-        # Every update scheduled before this arrival applies first.
-        while self._update_index < len(self._pending_updates) and \
-                self._pending_updates[self._update_index].time <= request.time:
-            update = self._pending_updates[self._update_index]
-            self._update_index += 1
-            self.deliver_update(update)
-        for tenant_id, batch in self.batcher.offer(request):
-            self._release(tenant_id, batch, request.time)
-
-    def deliver_update(self, update):
-        self.last_time = max(self.last_time, update.time)
-        for tenant_id, batch in self.batcher.poll(update.time):
-            self._release(tenant_id, batch, update.time)
-        self._release(update.tenant_id, self.batcher.flush(update.tenant_id),
-                      update.time)
-        self.apply(update)
-
-    def poll(self, now):
-        for tenant_id, batch in self.batcher.poll(now):
-            self._release(tenant_id, batch, now)
-
-    def queue_depth(self, tenant_id):
-        return self.batcher.pending(tenant_id)
-
-    def finish(self):
-        # Tail updates are delivered like any other; then everything drains.
-        for update in self._pending_updates[self._update_index:]:
-            self._update_index += 1
-            self.deliver_update(update)
-        for tenant_id, batch in self.batcher.flush_all():
-            self._release(tenant_id, batch, self.last_time)
-
-    def _release(self, tenant_id, batch, flush_time):
-        if not batch:
-            return
-        # A timer-driven batcher would have fired at oldest + max_delay:
-        # queueing delay is charged against that moment, never before the
-        # batch's last arrival.
-        flush_time = max(batch[-1].time,
-                         min(flush_time,
-                             batch[0].time + self.policy.max_delay))
-        self.execute(tenant_id, batch, flush_time)
+from repro.serve.service import ClassificationService, ServedBatch, \
+    ServingSession
 
 
 class ReferenceSession(ServingSession):
-    """A ``ServingSession`` whose every event goes through ``ReferenceLoop``.
+    """A ``ServingSession`` whose every event goes through a ``MicroBatcher``.
 
-    Only intake and batch execution are replaced; the report is built by
-    the code under test from the same tallies.
+    Each update is delivered ahead of the first arrival at or past its
+    stamp (updates past the last arrival after it): a deadline poll at its
+    stamp, a flush of its tenant, then the update.  The end of the trace
+    flushes every queue at the largest stamp seen.
     """
 
-    def __init__(self, service, updates=()):
-        super().__init__(service)
-        self.loop = ReferenceLoop(service.policy, updates,
-                                  self._serve_batch, self._apply)
+    def finish(self, updates=()):
+        policy = self.service.policy
+        batcher = MicroBatcher(policy)
 
-    @property
-    def last_time(self):
-        return self.loop.last_time
+        def release(tenant_id, batch, flush_time):
+            if not batch:
+                return
+            # A timer-driven batcher would have fired at oldest + max_delay:
+            # queueing delay is charged against that moment, never before
+            # the batch's last arrival.
+            self._serve_batch(tenant_id, batch, max(
+                batch[-1].time,
+                min(flush_time, batch[0].time + policy.max_delay)))
 
-    def offer(self, request):
-        self.loop.offer(request)
+        def deliver(update):
+            for tenant_id, batch in batcher.poll(update.time):
+                release(tenant_id, batch, update.time)
+            release(update.tenant_id, batcher.flush(update.tenant_id),
+                    update.time)
+            self._apply(update)
 
-    def deliver_update(self, update):
-        self.loop.deliver_update(update)
-
-    def poll(self, now):
-        self.loop.poll(now)
-
-    def queue_depth(self, tenant_id):
-        return self.loop.queue_depth(tenant_id)
-
-    def settle(self):
-        pass
-
-    def finish(self):
-        self.loop.finish()
-        self._last_time = self.loop.last_time
+        pending = sorted(updates, key=lambda u: u.time)
+        for request in self._arrivals:
+            while pending and pending[0].time <= request.time:
+                deliver(pending.pop(0))
+            for tenant_id, batch in batcher.offer(request):
+                release(tenant_id, batch, request.time)
+        for update in pending:
+            deliver(update)
+        self._last_time = max([0.0] + [r.time for r in self._arrivals]
+                              + [u.time for u in updates])
+        for tenant_id, batch in batcher.flush_all():
+            release(tenant_id, batch, self._last_time)
         return self._report()
 
     def _serve_batch(self, tenant_id, batch, flush_time):
@@ -151,15 +99,7 @@ class ReferenceSession(ServingSession):
 
 
 def serve(service, requests, updates=()):
-    """``ClassificationService.serve`` over the per-request loop, which
-    interleaves the update schedule itself."""
-    requests = sorted(requests, key=lambda r: r.time)
-    admission = None
-    if service.ingest is not None:
-        admission = AdmissionController(service.ingest,
-                                        metrics=service.admission_metrics)
-        requests = admission.admit(requests)
-    session = ReferenceSession(service, updates)
-    for request in requests:
-        session.offer(request)
-    return fold_admission(session.finish(), admission)
+    """``ClassificationService.serve`` over the per-request loop."""
+    with mock.patch.object(service_module, "ServingSession",
+                           ReferenceSession):
+        return ClassificationService.serve(service, requests, updates)

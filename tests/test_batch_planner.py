@@ -1,12 +1,12 @@
-"""The block planner against the per-request loop it replaced.
+"""The planner against the per-request loop it replaced.
 
-``ServingSession`` buffers arrivals and settles them a block at a time
-through :func:`repro.serve.batcher.plan_block`; ``tests/reference_serve.py``
-feeds the same events one by one to the real ``MicroBatcher``.  Everything
-here is a differential between the two: random event streams on a stub
-registry (who is served with whom, with what flush stamp, in what order,
-around which updates), then whole ``serve()`` runs on real engines (epochs,
-answers, counters).
+``ServingSession`` plans a whole ``serve()`` call — every arrival and every
+update — with one :func:`repro.serve.batcher.plan_block`;
+``tests/reference_serve.py`` feeds the same events one by one to the real
+``MicroBatcher``.  Everything here is a differential between the two:
+random event streams on a stub registry (who is served with whom, with what
+flush stamp, in what order, around which updates), then whole ``serve()``
+runs on real engines (epochs, answers, counters).
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from repro.serve import (
     ClassificationService,
     Request,
     RuleUpdate,
-    ServingSession,
     TenantRegistry,
 )
 from repro.serve.batcher import (
@@ -103,47 +102,25 @@ def _request(tenant_id, stamp, seq):
     return Request(tenant_id, Packet(seq, 0, 0, 0, 0), time=stamp, seq=seq)
 
 
-def _drive(session_type, policy, requests, updates, probes, tenants):
-    """Offer ``requests``; before offering row ``i`` run ``probes[i]``,
-    then deliver every scheduled update stamped at or before row ``i`` (the
-    ones past the last row after the last probes).
-
-    Returns everything observable: the registry's batch/update log, the
-    served batches, what the probes read, and the metrics summary.
-    """
+def _drive(serve, policy, requests, updates):
+    """One ``serve`` call on a stub registry; returns everything observable:
+    the registry's batch/update log, the served batches, the counters, the
+    trace clock and the queue waits."""
     registry = _StubRegistry()
     service = ClassificationService(registry, policy, record_batches=True,
                                     record_latencies=True)
-    session = session_type(service)
-    updates = sorted(updates, key=lambda u: u.time)
-    seen = []
-    for i in range(len(requests) + 1):
-        for op, argument in probes.get(i, ()):
-            if op == "settle":
-                session.settle()
-            elif op == "poll":
-                session.poll(argument)
-            elif op == "update":
-                session.deliver_update(argument)
-            seen.append((i, session.last_time,
-                         [session.queue_depth(t) for t in tenants]))
-        while updates and (i == len(requests)
-                           or updates[0].time <= requests[i].time):
-            session.deliver_update(updates.pop(0))
-        if i < len(requests):
-            session.offer(requests[i])
-    report = session.finish()
+    report = serve(service, requests, updates)
     batches = [(b.tenant_id, b.flush_time, [r.seq for r in b.requests])
                for b in report.batches]
     waits = report.metrics.timings["serve.queue_wait_seconds"].samples
-    return (registry.log, batches, seen, report.deterministic_counters(),
+    return (registry.log, batches, report.deterministic_counters(),
             report.trace_seconds, waits,
             report.metrics.summary()["counters"])
 
 
 @st.composite
 def event_streams(draw):
-    """(policy, requests, scheduled updates, probes, tenants).
+    """(policy, requests, scheduled updates).
 
     Stamps are built from the cases floating point makes interesting: ties,
     running sums of 0.1, and stamps sitting exactly on some earlier
@@ -189,60 +166,43 @@ def event_streams(draw):
         }[kind]
         updates.append(RuleUpdate(
             draw(st.sampled_from(tenants + ["ghost"])), last))
-
-    # Probes cut the stream into blocks: any cut points, or every row.
-    if draw(st.booleans()):
-        cuts = list(range(len(stamps) + 1))
-    else:
-        cuts = draw(st.lists(st.integers(0, len(stamps)), max_size=6))
-    probes = {}
-    for i in cuts:
-        op = draw(st.sampled_from(["settle", "depth", "poll", "update"]))
-        # Explicit events sit on the trace clock between their neighbours.
-        stamp = draw(st.sampled_from(
-            [s for s in stamps[max(i - 1, 0):i + 1]] or [0.0]))
-        argument = {"poll": stamp, "update": RuleUpdate(
-            draw(st.sampled_from(tenants + ["ghost"])), stamp)}.get(op)
-        probes.setdefault(i, []).append((op, argument))
-    return policy, requests, updates, probes, tenants + ["ghost"]
+    return policy, requests, updates
 
 
 class TestPlannerEqualsTheLoop:
     @settings(max_examples=300, deadline=None)
     @given(event_streams())
-    @example((BatchPolicy(2, 0.0), [], [RuleUpdate("t0", 0.0)], {}, ["t0"]))
+    @example((BatchPolicy(2, 0.0), [], [RuleUpdate("t0", 0.0)]))
     def test_random_streams(self, stream):
-        policy, requests, updates, probes, tenants = stream
-        # Scheduled and explicitly delivered updates do not mix in any
-        # front-end: each delivers one time-ordered schedule.
-        if any(op == "update" for ops in probes.values() for op, _ in ops):
-            updates = []
-        planned = _drive(ServingSession, policy, requests, updates, probes,
-                         tenants)
-        looped = _drive(reference_serve.ReferenceSession, policy, requests,
-                        updates, probes, tenants)
+        policy, requests, updates = stream
+        planned = _drive(ClassificationService.serve, policy, requests,
+                         updates)
+        looped = _drive(reference_serve.serve, policy, requests, updates)
         assert planned == looped
 
     def test_deadline_is_the_subtraction_not_the_sum(self):
         """``now - oldest >= max_delay`` and ``now >= oldest + max_delay``
         disagree by an ulp in both directions; the loop uses the first."""
         assert 0.7 >= 0.4 + 0.3 and not 0.7 - 0.4 >= 0.3
-        plan = plan_block(np.array([0.4, 0.7]), np.array([0, 1]), 0, [],
-                          BatchPolicy(64, 0.3))
-        assert plan.steps == [] and plan.keep.tolist() == [0, 1]
+        plan = plan_block(np.array([0.4, 0.7]), np.array([0, 1]), [],
+                          BatchPolicy(64, 0.3), 0.7)
+        # Nothing expires at 0.7: both queues wait for the end of the
+        # trace (event 2), whose flush_all releases them at its stamp.
+        assert plan.steps == [Step(2, POLL_RELEASE, 0, 0, 1, 0.7),
+                              Step(2, POLL_RELEASE, 1, 1, 2, 0.7)]
         assert 1.7 - 0.6 >= 1.1 and not 1.7 >= 0.6 + 1.1
-        plan = plan_block(np.array([0.6, 1.7]), np.array([0, 1]), 0, [],
-                          BatchPolicy(64, 1.1))
-        assert plan.steps == [Step(1, POLL_RELEASE, 0, 0, 1, 1.7)]
-        assert plan.keep.tolist() == [1]
+        plan = plan_block(np.array([0.6, 1.7]), np.array([0, 1]), [],
+                          BatchPolicy(64, 1.1), 1.7)
+        assert plan.steps == [Step(1, POLL_RELEASE, 0, 0, 1, 1.7),
+                              Step(2, POLL_RELEASE, 1, 1, 2, 1.7)]
 
     def test_steps_sort_into_event_order(self):
         """Poll releases (in queue order), then the event's own release,
-        then the update; unreleased rows are kept for the next block."""
+        then the update; what is still queued goes at the end of trace."""
         times = np.array([0.0, 0.0, 0.0, 0.5, 2.0])
         codes = np.array([1, 0, 1, 2, 2])
-        plan = plan_block(times, codes, 0,
-                          [Barrier(2.0, 2, 4)], BatchPolicy(2, 1.0))
+        plan = plan_block(times, codes, [Barrier(2.0, 2, 4)],
+                          BatchPolicy(2, 1.0), 2.0)
         assert plan.order.tolist() == [1, 0, 2, 3, 4]
         assert [(s.event, s.kind, s.code, s.start, s.stop, s.flush_time)
                 for s in plan.steps] == [
@@ -250,20 +210,19 @@ class TestPlannerEqualsTheLoop:
             (4, POLL_RELEASE, 0, 0, 1, 1.0),   # the update's poll, tenant 0
             (4, POLL_RELEASE, 2, 3, 4, 1.5),   # ...then tenant 2, expired
             (4, BARRIER, 0, 0, 0, 0.0),        # the update itself
+            (6, POLL_RELEASE, 2, 4, 5, 2.0),   # row 4 (event 5): end of trace
         ]
-        # Row 4 arrives after the barrier and nothing releases it.
-        assert plan.keep.tolist() == [4]
-        plan = plan_block(times, codes, 0,
-                          [Barrier(2.0, 2, 4)], BatchPolicy(2, 5.0))
+        plan = plan_block(times, codes, [Barrier(2.0, 2, 4)],
+                          BatchPolicy(2, 5.0), 2.0)
         assert [s[:5] for s in plan.steps] == [
             (2, OWN_RELEASE, 1, 1, 3), (4, OWN_RELEASE, 2, 3, 4),
-            (4, BARRIER, 0, 0, 0)]
-        assert plan.keep.tolist() == [0, 4]
+            (4, BARRIER, 0, 0, 0),
+            (6, POLL_RELEASE, 0, 0, 1), (6, POLL_RELEASE, 2, 4, 5)]
 
     def test_out_of_order_arrivals_are_refused(self):
         with pytest.raises(ValueError, match="time order"):
-            plan_block(np.array([1.0, 0.5]), np.array([0, 0]), 0, [],
-                       BatchPolicy())
+            plan_block(np.array([1.0, 0.5]), np.array([0, 0]), [],
+                       BatchPolicy(), 1.0)
 
 
 # --------------------------------------------------------------------------- #

@@ -68,6 +68,39 @@ def test_trajectory_is_not_empty():
     assert list(TRAJECTORY.glob("*.json"))
 
 
+def test_both_sides_run_from_sibling_copies(bench_pairs, monkeypatch,
+                                            capsys):
+    """Neither side runs from the working tree: the parent is unpacked and
+    the change copied into sibling directories under one temp dir."""
+    in_repo = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT,
+                             capture_output=True)
+    if in_repo.returncode:
+        pytest.skip("not a git checkout: there is no parent to unpack")
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seen = []
+
+    def fake_run(checkout, flags):
+        seen.append(checkout)
+        assert (checkout / "perfbench" / "run.py").is_file()
+        if len(seen) == 2:  # pair 1 runs the parent, then the change
+            assert (checkout / "scripts" / "bench_pairs.py").read_bytes() \
+                == SCRIPT.read_bytes()
+        return {"correct": True, "failed": 0,
+                "metrics": {m["name"]: {"value": 1.0}
+                            for m in bench["end_to_end"]}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    assert bench_pairs.main(["HEAD", "--workload", "serve_cold",
+                             "--pairs", "2"]) == 0
+    capsys.readouterr()
+    parent, change = seen[0], seen[1]
+    assert seen == [parent, change, change, parent]
+    assert parent != change and parent.parent == change.parent
+    for checkout in (parent, change):
+        assert ROOT.resolve() not in (checkout.resolve(),
+                                      *checkout.resolve().parents)
+
+
 def test_two_tiny_pairs_against_head(bench_pairs, tmp_path):
     in_repo = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT,
                              capture_output=True)

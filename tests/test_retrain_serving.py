@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import random
 import threading
+import time
 
 import pytest
 
@@ -29,6 +30,7 @@ from repro.serve import (
     ClassificationService,
     BatchPolicy,
     EngineSlot,
+    Request,
     RetrainController,
     RetrainPolicy,
     ServingConfig,
@@ -573,3 +575,28 @@ class TestServiceRetrainIntegration:
                 if (expected.priority if expected else None) != priority:
                     mismatches += 1
         assert mismatches == 0
+
+    def test_wall_clock_stops_before_the_retrain_drain(self, small_ruleset,
+                                                        monkeypatch):
+        """``pps`` measures serving: the end-of-trace wait for in-flight
+        retrains is not part of ``wall_seconds``."""
+        registry = TenantRegistry(background_swaps=False)
+        registry.register("t0", small_ruleset)
+        drained = []
+
+        def slow_drain():
+            time.sleep(0.3)
+            drained.append(True)
+            return []
+
+        with RetrainController(registry, RetrainPolicy(
+                timesteps=300, max_iterations=1,
+                backend="serial")) as controller:
+            monkeypatch.setattr(controller, "drain", slow_drain)
+            service = ClassificationService(registry,
+                                            retrain_controller=controller)
+            packets = small_ruleset.sample_packets(200, seed=3)
+            report = service.serve([Request("t0", packet, time=i * 1e-4)
+                                    for i, packet in enumerate(packets)])
+        assert drained and report.num_requests == 200
+        assert report.wall_seconds < 0.3
