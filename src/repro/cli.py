@@ -250,11 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="re-record the replay to this trace file "
                              "(diffs clean against the source when exact)")
     _add_batch_flags(replay)
-    replay.add_argument("--background-swaps", action="store_true",
-                        help="rebuild engines in the background like a "
-                             "production run (swap timing then depends on "
-                             "the wall clock, so --verify may report "
-                             "mismatches around update times)")
     _add_stack_flags(replay, retrain_backend="serial")
 
     inspect = trace_sub.add_parser(
@@ -679,11 +674,11 @@ def _cmd_trace_replay(args: argparse.Namespace) -> int:
     try:
         trace = read_trace(args.trace)
         config = _serving_config(args, seed=trace.seed,
-                                 background_swaps=args.background_swaps)
+                                 background_swaps=False)
         if args.ingest:
             print("note: trace replay bypasses admission timing (the trace "
                   "clock is authoritative; see docs/ingest.md)")
-        outcome = replay_trace(trace, config, verify=True)
+        outcome = replay_trace(trace, config)
     except (TraceError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

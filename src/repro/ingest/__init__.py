@@ -6,10 +6,11 @@ This package sits between request sources and the serving stack
 :class:`~repro.ingest.bucket.TokenBucket` rate limits, a bounded virtual
 admission queue, and a two-level congestion signal
 (:class:`~repro.ingest.admission.CongestionLevel`) that slows sources
-*before* queues overflow and sheds when they do — every refusal counted,
-with an :class:`~repro.ingest.admission.AdmissionDecision` carrying its
-``retry_after``.  ``run_serving`` drives the controller inline whenever the
-serving config carries an :class:`~repro.ingest.admission.IngestConfig`.
+*before* queues overflow and sheds when they do — every refusal counted.
+Its one entry point, ``AdmissionController.admit``, decides a whole stream
+in one pass; ``ClassificationService.serve`` runs it whenever the serving
+config carries an :class:`~repro.ingest.admission.IngestConfig` (three
+knobs: ``tenant_rate``, ``tenant_burst``, ``queue_limit``).
 
 Every decision runs on the trace clock (request timestamps), never the
 wall clock, so admission outcomes are deterministic and replayable — see
@@ -18,22 +19,14 @@ admission timing.
 """
 
 from repro.ingest.admission import (
-    ADMITTED,
-    SHED,
-    THROTTLED,
     AdmissionController,
-    AdmissionDecision,
     CongestionLevel,
     IngestConfig,
 )
 from repro.ingest.bucket import TokenBucket
 
 __all__ = [
-    "ADMITTED",
-    "THROTTLED",
-    "SHED",
     "AdmissionController",
-    "AdmissionDecision",
     "CongestionLevel",
     "IngestConfig",
     "TokenBucket",

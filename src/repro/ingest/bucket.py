@@ -48,11 +48,6 @@ class TokenBucket:
             )
             self.last_refill = now
 
-    def available(self, now: float) -> float:
-        """Tokens available at ``now`` (refills as a side effect)."""
-        self.refill(now)
-        return self.tokens
-
     def try_consume(self, now: float, tokens: float = 1.0) -> bool:
         """Take ``tokens`` at ``now`` if the bucket holds them.
 
@@ -64,13 +59,6 @@ class TokenBucket:
             self.tokens -= tokens
             return True
         return False
-
-    def seconds_until(self, tokens: float = 1.0) -> float:
-        """Trace seconds until ``tokens`` will be available (0 if now)."""
-        deficit = tokens - self.tokens
-        if deficit <= 0:
-            return 0.0
-        return deficit / self.rate
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"TokenBucket(rate={self.rate}, burst={self.burst}, "

@@ -25,6 +25,7 @@ trigger time, which keeps single-threaded runs deterministic.
 
 from __future__ import annotations
 
+import time
 import zlib
 from concurrent.futures import Future
 from dataclasses import dataclass, field
@@ -179,6 +180,9 @@ class RetrainController:
         self._executor = make_executor(1, backend=policy.backend)
         self._jobs: Dict[str, _RetrainJob] = {}
         self._launch_counts: Dict[str, int] = {}
+        #: Wall seconds the calling (serving) thread has spent handing jobs
+        #: to the executor: each whole training on the serial backend.
+        self.launch_seconds = 0.0
 
     # ------------------------------------------------------------------ #
     # The control loop
@@ -254,11 +258,14 @@ class RetrainController:
             ),
             max_iterations=self.policy.max_iterations,
         )
+        incumbent = classifier_objective(slot.classifier.stats(),
+                                         self.policy.time_space_coeff)
+        began = time.perf_counter()
+        future = self._executor.submit(run_retrain, request)
+        self.launch_seconds += time.perf_counter() - began
         self._jobs[tenant_id] = _RetrainJob(
-            tenant_id=tenant_id, base_ruleset=base,
-            future=self._executor.submit(run_retrain, request),
-            incumbent_objective=classifier_objective(
-                slot.classifier.stats(), self.policy.time_space_coeff),
+            tenant_id=tenant_id, base_ruleset=base, future=future,
+            incumbent_objective=incumbent,
         )
         self.stats.triggered += 1
 

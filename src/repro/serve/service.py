@@ -89,8 +89,11 @@ class ServingReport:
     num_batches: int
     num_updates: int
     #: Wall seconds from the session's start to its last batch and update.
-    #: The end-of-trace quiesce — waiting for in-flight retrains and
-    #: engine builds to land — is not counted, so ``pps`` measures serving.
+    #: Retrain training is not counted on any backend: neither the
+    #: end-of-trace quiesce (waiting for in-flight retrains and engine
+    #: builds to land) nor the time the serving thread spends launching a
+    #: retrain job, which on the serial backend is the whole training.
+    #: So ``pps`` measures serving.
     wall_seconds: float
     engine_seconds: float
     trace_seconds: float
@@ -296,18 +299,18 @@ class ClassificationService:
             session.offer(request)
         report = session.finish(updates)
         if admission is not None:
-            # Admission's tally, each tenant's ``ingest`` summary over the
-            # run's trace span, and the series admission wrote.  Its
+            # Each tenant's ``ingest`` summary over the run's trace span,
+            # their summed tally, and the series admission wrote.  Its
             # registry is the front-end's own, never a serving registry,
             # so nothing is counted twice.
-            report.ingest_offered = admission.offered
-            report.ingest_admitted = admission.admitted
-            report.ingest_throttled = admission.throttled
-            report.ingest_shed = admission.shed
-            for tenant_id, summary in \
-                    admission.tenant_summary(report.trace_seconds).items():
-                report.per_tenant.setdefault(tenant_id, {})["ingest"] = \
-                    summary
+            summary = admission.tenant_summary(report.trace_seconds)
+            for tenant_id, entry in summary.items():
+                report.per_tenant.setdefault(tenant_id, {})["ingest"] = entry
+            entries = summary.values()
+            report.ingest_offered = sum(e["offered"] for e in entries)
+            report.ingest_admitted = sum(e["admitted"] for e in entries)
+            report.ingest_throttled = sum(e["throttled"] for e in entries)
+            report.ingest_shed = sum(e["shed"] for e in entries)
             report.metrics.merge(admission.metrics)
         return report
 
@@ -345,6 +348,7 @@ class ServingSession:
         self._engine_seconds = 0.0
         self._last_time = 0.0
         self._wall_start = time.perf_counter()
+        self._launched_before = self._launch_seconds()
         metrics = self.registry.metrics
         self._flush_timing = metrics.timing("serve.batch_flush_seconds")
         self._queue_timing = metrics.timing("serve.queue_wait_seconds")
@@ -464,9 +468,15 @@ class ServingSession:
                 f"serve.tenant_requests.{self._tenants[code]}"
             ).inc(int(per_tenant[code]))
 
+    def _launch_seconds(self) -> float:
+        controller = self.service.retrain_controller
+        return controller.launch_seconds if controller is not None else 0.0
+
     def _report(self) -> ServingReport:
-        # The run's clock stops before the quiesce (see ``wall_seconds``).
-        wall_seconds = time.perf_counter() - self._wall_start
+        # The run's clock stops before the quiesce and leaves out retrain
+        # launches (see ``wall_seconds``).
+        wall_seconds = time.perf_counter() - self._wall_start \
+            - (self._launch_seconds() - self._launched_before)
         if self.service.retrain_controller is not None:
             # Quiesce: land every in-flight retrain before the registry
             # drain installs the resulting engine rebuilds.

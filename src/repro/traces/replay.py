@@ -2,11 +2,11 @@
 
 ``replay_trace`` rebuilds the serving stack — registry, compiled engines,
 micro-batcher, hot swaps, optional retrain controller — from a recorded
-trace and serves exactly the recorded packet stream on the trace's own
-clock.  With ``verify=True`` every served
-decision is compared against the trace's golden column, turning the
-zero-misclassification invariant into a regression check against a fixed,
-versioned input: zero drops, zero duplicates, zero decision diffs.
+trace, serves exactly the recorded packet stream on the trace's own clock
+and compares every served decision against the trace's golden column,
+turning the zero-misclassification invariant into a regression check
+against a fixed, versioned input: zero drops, zero duplicates, zero
+decision diffs.
 
 Replays default to synchronous swaps (the recording determinism contract,
 see :mod:`repro.traces.format`); two replays of the same trace then produce
@@ -122,7 +122,7 @@ class ReplayOutcome:
 
     trace: ServingTrace
     result: "ServingResult"
-    report: Optional[ReplayReport] = None
+    report: ReplayReport
 
     def bench_record(self, name: str,
                      config: Optional[dict] = None) -> "BenchRecord":
@@ -137,20 +137,18 @@ class ReplayOutcome:
         record = serving_bench_record(self.result.report, name=name,
                                       config=config, area="replay")
         record.counters["num_records"] = self.trace.num_records
-        if self.report is not None:
-            record.counters["verify_dropped"] = self.report.num_dropped
-            record.counters["verify_duplicates"] = self.report.num_duplicates
-            record.counters["verify_mismatches"] = self.report.num_mismatches
+        record.counters["verify_dropped"] = self.report.num_dropped
+        record.counters["verify_duplicates"] = self.report.num_duplicates
+        record.counters["verify_mismatches"] = self.report.num_mismatches
         return record
 
 
 def replay_trace(
     trace: Union[str, Path, ServingTrace],
     config: ServingConfig = ServingConfig(background_swaps=False),
-    verify: bool = True,
     bench_path: Optional[Union[str, Path]] = None,
 ) -> ReplayOutcome:
-    """Serve a recorded trace through the full stack and (optionally) verify.
+    """Serve a recorded trace through the full stack and verify it.
 
     ``trace`` is a path or an already-loaded :class:`ServingTrace`.
     ``config`` is free to differ from the recording run — batch size, cache
@@ -166,8 +164,9 @@ def replay_trace(
 
     ``bench_path`` additionally writes the run as a ``BENCH_replay.json``
     scorecard (see :mod:`repro.obs.bench`) whose ``config`` block is
-    :meth:`ServingConfig.describe`, so two replays that differ in any knob
-    cannot pass for each other in ``repro bench compare``.
+    :meth:`ServingConfig.describe` plus ``verify: true``, so two replays
+    that differ in any knob cannot pass for each other in
+    ``repro bench compare``.
     """
     from repro.harness.serving import run_serving
 
@@ -177,14 +176,14 @@ def replay_trace(
         trace = read_trace(trace)
     config = replace(config, record_batches=True)
     result = run_serving(config, trace_path=trace)
-    report = verify_replay(trace, result.report) if verify else None
+    report = verify_replay(trace, result.report)
     outcome = ReplayOutcome(trace=trace, result=result, report=report)
     if bench_path is not None:
         from repro.obs.bench import write_bench
 
         record = outcome.bench_record(
             name=f"replay:{trace_label or f'seed{trace.seed}'}",
-            config=dict(config.describe(), verify=verify),
+            config=dict(config.describe(), verify=True),
         )
         write_bench(record, bench_path)
     return outcome

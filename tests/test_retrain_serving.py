@@ -33,6 +33,7 @@ from repro.serve import (
     Request,
     RetrainController,
     RetrainPolicy,
+    RuleUpdate,
     ServingConfig,
     TenantRegistry,
 )
@@ -600,3 +601,34 @@ class TestServiceRetrainIntegration:
                                     for i, packet in enumerate(packets)])
         assert drained and report.num_requests == 200
         assert report.wall_seconds < 0.3
+
+    def test_wall_clock_leaves_out_serial_retrain_training(
+            self, small_ruleset, monkeypatch):
+        """A serial retrain trains inside the launch, on the serving
+        thread; that training is not serving, so ``wall_seconds`` leaves it
+        out as it leaves out the end-of-trace drain."""
+        import repro.serve.controller as controller_module
+
+        def slow_retrain(request):
+            time.sleep(0.3)
+            return run_retrain(request)
+
+        monkeypatch.setattr(controller_module, "run_retrain", slow_retrain)
+        registry = TenantRegistry(background_swaps=False,
+                                  default_retrain_threshold=2)
+        registry.register("t0", small_ruleset)
+        packets = small_ruleset.sample_packets(200, seed=3)
+        updates = [RuleUpdate("t0", time=0.005, adds=(rule,))
+                   for rule in _fresh_rules(small_ruleset, 2, tag="wall")]
+        with RetrainController(registry, RetrainPolicy(
+                timesteps=300, max_iterations=1,
+                backend="serial")) as controller:
+            service = ClassificationService(registry,
+                                            retrain_controller=controller)
+            report = service.serve([Request("t0", packet, time=i * 1e-4)
+                                    for i, packet in enumerate(packets)],
+                                   updates=updates)
+        assert report.retrains_triggered == 1
+        assert report.num_requests == 200
+        assert report.wall_seconds < 0.3
+        assert controller.launch_seconds >= 0.3
