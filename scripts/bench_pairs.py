@@ -2,7 +2,7 @@
 """Alternating parent/change pairs of one ``perfbench`` workload.
 
     python scripts/bench_pairs.py PARENT_REF --workload W
-        [--pairs 10] [--seed N] [--seconds S] [--scale X] [--json OUT]
+        [--pairs 10] [--seed N] [--seconds S] [--scale X] [--json OUT] [--aa]
 
 The protocol every change that claims a gain has to show (ROADMAP, "Two
 measurement systems").  Both sides run from sibling directories under one
@@ -24,8 +24,14 @@ bound.  A gain may be claimed on a metric the change wins in at least nine
 pairs of ten with the medians further apart than that spread.  Exits 1 if
 any run on either side failed its verify pass.
 
+``--aa`` is the protocol's own control: ``PARENT_REF`` is unpacked on both
+sides, so the two sides run identical code from like-shaped directories and
+every metric should read "level", with wins split between the sides.  Run it
+before a gain claim to see what the pairs read when nothing changed.
+
 ``--json OUT`` also writes the comparison as a versioned record (format
-:data:`RECORD_VERSION`): both sides' commits, the flags, the metric
+:data:`RECORD_VERSION`): both sides' commits (``"aa": true`` marks an A/A
+record), the flags, the metric
 definitions judged, every run's result line on both sides, and the row and
 verdict of each metric.  The rows are a pure function of the runs and the
 metric definitions, so a reader can recompute them from the record alone
@@ -163,20 +169,26 @@ def record(bench: dict, args: argparse.Namespace,
 
     The change side is a copy of this working tree: its ``HEAD`` and
     whether the files the benchmark reads (``src/`` and the benchmark's
-    own paths) differed from it when the runs were made.
+    own paths) differed from it when the runs were made.  Under ``--aa``
+    it is the parent's ref again, which is clean by construction.
     """
-    paths = ["src", *bench["paths"]]
-    dirty = subprocess.run(["git", "diff", "--quiet", "HEAD", "--", *paths],
-                           cwd=ROOT).returncode != 0
+    if args.aa:
+        change = {"sha": commit_of(args.parent), "dirty": False}
+    else:
+        paths = ["src", *bench["paths"]]
+        change = {"sha": commit_of("HEAD"), "dirty": subprocess.run(
+            ["git", "diff", "--quiet", "HEAD", "--", *paths],
+            cwd=ROOT).returncode != 0}
     return {
         "version": RECORD_VERSION,
+        "aa": args.aa,
         "workload": args.workload,
         "seed": args.seed,
         "seconds": args.seconds,
         "scale": args.scale,
         "pairs": args.pairs,
         "parent": {"ref": args.parent, "sha": commit_of(args.parent)},
-        "change": {"sha": commit_of("HEAD"), "dirty": dirty},
+        "change": change,
         "metrics": bench["end_to_end"],
         "runs": runs,
         "rows": rows(bench["end_to_end"], runs["parent"], runs["change"]),
@@ -208,6 +220,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--scale", type=float, default=1.0)
     parser.add_argument("--json", metavar="OUT", type=Path,
                         help="also write the comparison as a JSON record")
+    parser.add_argument("--aa", action="store_true",
+                        help="unpack PARENT_REF on both sides (an A/A run "
+                        "of identical code) instead of copying this "
+                        "working tree as the change")
     args = parser.parse_args(argv)
     flags = ["--workload", args.workload, "--seed", str(args.seed),
              "--seconds", str(args.seconds), "--scale", str(args.scale)]
@@ -217,7 +233,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for checkout in where.values():
             checkout.mkdir()
         unpack(args.parent, where["parent"])
-        copy_tree(where["change"])
+        if args.aa:
+            unpack(args.parent, where["change"])
+        else:
+            copy_tree(where["change"])
         for pair in range(args.pairs):
             order = ("parent", "change") if pair % 2 == 0 \
                 else ("change", "parent")
@@ -227,7 +246,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 f"{side} {runs[side][-1]['metrics']['throughput_per_s']['value']:,.0f}/s"
                 for side in order), flush=True)
     print(f"{args.workload}, seed {args.seed}, {args.seconds:g} s a run, "
-          f"{args.pairs} pairs against {args.parent}")
+          f"{args.pairs} pairs against {args.parent}"
+          + (" (A/A: the same ref on both sides)" if args.aa else ""))
     print("\n".join(report(bench, runs["parent"], runs["change"])))
     failed = {side: sum(run["failed"] for run in side_runs)
               for side, side_runs in runs.items()}

@@ -43,6 +43,11 @@ class RolloutResult:
     root_reward: RewardComponents
     num_steps: int
     truncated: bool
+    #: Truncation left leaves holding more rules than the leaf threshold,
+    #: so the tree is not a finished one; best-tree tracking passes it over.
+    #: Worked out once, in :meth:`NeuroCutsEnv.rollout`, and only for a
+    #: truncated rollout (one tree walk).
+    overflowing: bool
 
     @property
     def objective(self) -> float:
@@ -143,6 +148,7 @@ class NeuroCutsEnv:
             root_reward=root_reward,
             num_steps=steps,
             truncated=truncated,
+            overflowing=truncated and tree.has_overflowing_leaves(),
         )
 
     def _assign_rewards(self, decisions: List[_RecordedDecision],

@@ -52,7 +52,13 @@ def one_hot(index: int, size: int) -> np.ndarray:
 
 
 class ObservationEncoder:
-    """Encodes a tree node into the fixed-length NeuroCuts observation."""
+    """Encodes a tree node into the fixed-length NeuroCuts observation.
+
+    :meth:`encode` lays out exactly the concatenation of
+    :func:`binary_encode` / :func:`one_hot` blocks described above, but
+    writes it into one preallocated vector: all range bits with one shift
+    and mask, then the one-hot entries by index and the masks by slice.
+    """
 
     def __init__(self, action_space: NeuroCutsActionSpace) -> None:
         self.action_space = action_space
@@ -67,37 +73,47 @@ class ObservationEncoder:
             + self._mask_bits
         )
         self.space = Box(low=0.0, high=1.0, shape=(self.size,))
+        # Range bit k is bit ``_shifts[k]`` (most significant first) of
+        # bound ``_bound_of[k]``, the bounds in order lo_0, hi_0 - 1, lo_1, ..
+        widths = [FIELD_BITS[d] for d in DIMENSIONS for _ in range(2)]
+        self._bound_of = np.repeat(np.arange(len(widths)), widths)
+        self._shifts = np.concatenate(
+            [np.arange(width - 1, -1, -1) for width in widths])
+        self._limits = [1 << FIELD_BITS[d] for d in DIMENSIONS]
+        self._category_at = self._range_bits + self._partition_bits
+        self._mask_at = self._category_at + self._efficuts_bits
 
     def encode(self, node: Node,
                masks: Tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
         """Encode one node (and the masks in force at it) as a flat vector."""
         if masks is None:
             masks = self.action_space.masks_for_node(node)
-        parts = []
+        obs = np.zeros(self.size)
         # Range boundaries per dimension.  The range maximum is encoded as
         # hi - 1 so the full field range still fits in the field's bit width.
-        for dim in DIMENSIONS:
-            lo, hi = node.range_for(dim)
-            bits = FIELD_BITS[dim]
-            parts.append(binary_encode(lo, bits))
-            parts.append(binary_encode(hi - 1, bits))
-        # Partition state per dimension.
-        for dim in DIMENSIONS:
-            lo_level, hi_level = node.partition_state[int(dim)]
-            parts.append(one_hot(lo_level, len(PARTITION_LEVELS)))
-            parts.append(one_hot(hi_level, len(PARTITION_LEVELS)))
-        # EffiCuts category (category 0 also covers "no partition applied").
-        category = node.efficuts_category if node.efficuts_category is not None else 0
-        parts.append(one_hot(category, NUM_EFFICUTS_CATEGORIES))
+        bounds = []
+        for (lo, hi), limit in zip(node.ranges, self._limits):
+            if not (0 <= lo < limit and 0 < hi <= limit):
+                raise ValueError(f"range [{lo}, {hi}) does not fit in "
+                                 f"{limit.bit_length() - 1} bits")
+            bounds += (lo, hi - 1)
+        obs[:self._range_bits] = \
+            (np.array(bounds)[self._bound_of] >> self._shifts) & 1
+        # Partition state per dimension, then the EffiCuts category
+        # (category 0 also covers "no partition applied"), as one-hots.
+        levels = len(PARTITION_LEVELS)
+        hot = []
+        start = self._range_bits
+        for lo_level, hi_level in node.partition_state:
+            hot += (start + lo_level, start + levels + hi_level)
+            start += 2 * levels
+        hot.append(self._category_at + (node.efficuts_category or 0))
+        obs[hot] = 1.0
         # Flattened action mask.
         dim_mask, act_mask = masks
-        parts.append(np.asarray(dim_mask, dtype=np.float64))
-        parts.append(np.asarray(act_mask, dtype=np.float64))
-        obs = np.concatenate(parts)
-        if obs.shape[0] != self.size:
-            raise AssertionError(
-                f"observation has {obs.shape[0]} entries, expected {self.size}"
-            )
+        split = self._mask_at + len(dim_mask)
+        obs[self._mask_at:split] = dim_mask
+        obs[split:] = act_mask
         return obs
 
     def describe(self) -> str:

@@ -240,7 +240,7 @@ class NeuroCutsTrainer:
         """Track the best complete (non-overflowing) tree seen so far."""
         if self._best_any is None or result.objective < self._best_any.objective:
             self._best_any = result
-        if result.truncated and result.tree.has_overflowing_leaves():
+        if result.overflowing:
             return
         if self._best_rollout is None or result.objective < self._best_rollout.objective:
             self._best_rollout = result
@@ -388,8 +388,9 @@ class NeuroCutsTrainer:
                              ) -> Optional[RolloutResult]:
         if record is None:
             return None
+        tree = tree_from_dict(record["tree"], self.ruleset)
         return RolloutResult(
-            tree=tree_from_dict(record["tree"], self.ruleset),
+            tree=tree,
             batch=None,
             root_reward=RewardComponents(
                 time=record["time"], space=record["space"],
@@ -397,6 +398,7 @@ class NeuroCutsTrainer:
             ),
             num_steps=record["num_steps"],
             truncated=record["truncated"],
+            overflowing=record["truncated"] and tree.has_overflowing_leaves(),
         )
 
     @classmethod

@@ -150,7 +150,7 @@ class RolloutWorker:
                 batches.append(result.batch)
             if best_any is None or result.objective < best_any.objective:
                 best_any = result
-            if not (result.truncated and result.tree.has_overflowing_leaves()):
+            if not result.overflowing:
                 if best_complete is None or \
                         result.objective < best_complete.objective:
                     best_complete = result

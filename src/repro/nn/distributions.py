@@ -42,7 +42,12 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 class Categorical:
-    """A batch of categorical distributions parameterised by logits."""
+    """A batch of categorical distributions parameterised by logits.
+
+    ``log_probs`` and ``probs`` are worked out on first use: sampling reads
+    only the logits, so a caller that samples one action and scores it
+    never pays for the probabilities.
+    """
 
     def __init__(self, logits: np.ndarray,
                  mask: Optional[np.ndarray] = None) -> None:
@@ -54,8 +59,22 @@ class Categorical:
             if mask.ndim == 1:
                 mask = mask[None, :]
         self.logits = masked_logits(logits, mask)
-        self.log_probs = log_softmax(self.logits)
-        self.probs = np.exp(self.log_probs)
+        self._log_probs: Optional[np.ndarray] = None
+        self._probs: Optional[np.ndarray] = None
+
+    @property
+    def log_probs(self) -> np.ndarray:
+        """Log-probabilities of every action, per batch row."""
+        if self._log_probs is None:
+            self._log_probs = log_softmax(self.logits)
+        return self._log_probs
+
+    @property
+    def probs(self) -> np.ndarray:
+        """Probabilities of every action, per batch row."""
+        if self._probs is None:
+            self._probs = np.exp(self.log_probs)
+        return self._probs
 
     @property
     def batch_size(self) -> int:
@@ -136,7 +155,11 @@ class MultiCategorical:
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         """Sample a (batch, num_components) integer action array."""
-        return np.stack([c.sample(rng) for c in self.components], axis=1)
+        actions = np.empty((self.batch_size, len(self.components)),
+                           dtype=np.int64)
+        for i, component in enumerate(self.components):
+            actions[:, i] = component.sample(rng)
+        return actions
 
     def mode(self) -> np.ndarray:
         return np.stack([c.mode() for c in self.components], axis=1)

@@ -56,12 +56,9 @@ class Policy:
             masks: Optional[Sequence[np.ndarray]] = None) -> PolicyDecision:
         """Sample an action for one observation."""
         logits, values = self.model.forward(obs[None, :])
-        dist = MultiCategorical(
-            logits, self.model.action_sizes,
-            masks=[m[None, :] for m in masks] if masks is not None else None,
-        )
-        action = dist.sample(self._rng)[0]
-        logp = float(dist.log_prob(action[None, :])[0])
+        dist = MultiCategorical(logits, self.model.action_sizes, masks=masks)
+        action = dist.sample(self._rng)
+        logp = float(dist.log_prob(action)[0])
         if masks is not None:
             resolved_masks = tuple(np.asarray(m, dtype=bool) for m in masks)
         else:
@@ -69,7 +66,7 @@ class Policy:
                 np.ones(size, dtype=bool) for size in self.model.action_sizes
             )
         return PolicyDecision(
-            action=tuple(int(a) for a in action),
+            action=tuple(action[0].tolist()),
             log_prob=logp,
             value=float(values[0]),
             masks=resolved_masks,

@@ -34,6 +34,7 @@ class RuleBounds:
         self.rules: Tuple[Rule, ...] = tuple(rules)
         self._lo: Optional[np.ndarray] = None
         self._hi: Optional[np.ndarray] = None
+        self._key: Optional[np.ndarray] = None
         self._index: Optional[Dict[Rule, int]] = None
 
     def __len__(self) -> int:
@@ -53,8 +54,9 @@ class RuleBounds:
                                                   len(DIMENSIONS), 2)
         self._lo = np.ascontiguousarray(bounds[:, :, 0])
         self._hi = np.ascontiguousarray(bounds[:, :, 1])
-        self._lo.setflags(write=False)
-        self._hi.setflags(write=False)
+        self._key = np.concatenate([self._lo, -self._hi], axis=1).T.copy()
+        for array in (self._lo, self._hi, self._key):
+            array.setflags(write=False)
 
     @property
     def lo(self) -> np.ndarray:
@@ -69,6 +71,18 @@ class RuleBounds:
         if self._hi is None:
             self._build()
         return self._hi
+
+    @property
+    def key(self) -> np.ndarray:
+        """``(10, n) int64``, read-only, one column per rule: its lower
+        bounds, then its upper bounds negated.  In this form every bound is
+        a lower bound, so "rule ``i``'s box contains rule ``j``'s" is
+        ``key[:, i] <= key[:, j]`` in every row, and clipping to a box is
+        one ``np.maximum``.  Bound-major, so comparing many rules bound by
+        bound walks whole rows."""
+        if self._key is None:
+            self._build()
+        return self._key
 
     def rows_of(self, rules: Sequence[Rule]) -> Optional[np.ndarray]:
         """Row of each given rule, or ``None`` if any is not in the table."""

@@ -16,6 +16,7 @@ into each child and which are shadowed there (see :meth:`Node._cut_children`).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Sequence, Tuple
 
@@ -37,6 +38,10 @@ from repro.tree.actions import (
 )
 
 _node_counter = itertools.count()
+
+#: Dimensions of a bounds key (see :func:`_box_key`), whose rows are the
+#: lower bounds, then the upper bounds negated.
+_WIDTH = len(DIMENSIONS)
 
 #: Full partition state: rules of any coverage may be present (levels 0..100%).
 FULL_PARTITION_STATE: Tuple[Tuple[int, int], ...] = tuple(
@@ -285,96 +290,109 @@ class Node:
         children in which a pair stays nested are again a run, known from
         the boundary points alone; no child is visited rule by rule.
         """
-        lo, hi = self.rule_bounds()
+        table, rows = self._table_rows()
         dims = [int(dim) for dim, _ in cuts]
-        points = [np.asarray(pts, dtype=np.int64) for _, pts in cuts]
-        shape = tuple(len(pts) - 1 for pts in points)
-        uncut = [d for d in range(len(DIMENSIONS)) if d not in dims]
-        box = np.asarray(self.ranges, dtype=np.int64)
-        clip_lo = np.maximum(lo[:, uncut], box[uncut, 0])
-        clip_hi = np.minimum(hi[:, uncut], box[uncut, 1])
+        shape = tuple(len(pts) - 1 for _, pts in cuts)
+        count = len(rows)
+        # The rules' bounds clipped to this node's box, in key form.
+        key = np.maximum(table.key.take(rows, axis=1), _box_key(self.ranges))
+        reach = _cut_reach(key, dims, [pts for _, pts in cuts])
 
         # held[c1, .., cq, j]: rule j intersects the child at (c1, .., cq).
-        spans = [child_spans(pts, lo[:, d], hi[:, d])
-                 for d, pts in zip(dims, points)]
-        held = (clip_lo < clip_hi).all(axis=1)
-        for axis, (first, last) in enumerate(spans):
-            child = np.arange(shape[axis]).reshape(
-                (-1,) + (1,) * (len(shape) - axis))
-            held = held & (first <= child) & (child <= last)
+        held = (key[:_WIDTH] + key[_WIDTH:] < 0).all(axis=0)
+        for axis, size in enumerate(shape):
+            child = np.arange(size).reshape((-1,) + (1,) * (len(shape) - axis))
+            held = held & (reach[0, axis] <= child) & (child < reach[1, axis])
         if prune_redundant:
-            held &= ~self._shadowed(lo, hi, clip_lo, clip_hi, dims, points,
-                                    spans)
+            shadowed = self._shadowed(key, dims, [pts for _, pts in cuts],
+                                      reach)
+            if shadowed is not None:
+                held &= ~shadowed
 
         # One pass over the grid, children in order, rules in order within.
-        num_children = int(np.prod(shape))
-        child_of, picks = np.nonzero(held.reshape(num_children, len(lo)))
-        ends = np.cumsum(np.bincount(child_of, minlength=num_children))
-        rules = [self.rules[i] for i in picks.tolist()]
-        rows = self._rows[picks]
-        sub_ranges = [list(zip(pts, pts[1:])) for _, pts in cuts]
+        num_children = math.prod(shape)
+        child_of, picks = held.reshape(num_children, count).nonzero()
+        ends = child_of.searchsorted(np.arange(1, num_children + 1)).tolist()
+        rules = self.rules
+        picked = [rules[i] for i in picks.tolist()]
+        picked_rows = rows[picks]
+        ranges = list(self.ranges)
         children = []
         start = 0
-        for subs, end in zip(itertools.product(*sub_ranges), ends.tolist()):
-            ranges = list(self.ranges)
+        for subs, end in zip(
+                itertools.product(*[list(zip(pts, pts[1:]))
+                                    for _, pts in cuts]), ends):
             for d, sub in zip(dims, subs):
                 ranges[d] = sub
-            children.append(self._child(rules[start:end], rows[start:end],
+            children.append(self._child(picked[start:end],
+                                        picked_rows[start:end],
                                         ranges=tuple(ranges)))
             start = end
         return children
 
     @staticmethod
-    def _shadowed(lo: np.ndarray, hi: np.ndarray, clip_lo: np.ndarray,
-                  clip_hi: np.ndarray, dims: List[int],
-                  points: List[np.ndarray],
-                  spans: List[Tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    def _shadowed(key: np.ndarray, dims: List[int],
+                  points: List[List[int]], reach: np.ndarray
+                  ) -> Optional[np.ndarray]:
         """``shadowed[c1, .., cq, j]``: inside child ``(c1, .., cq)`` an
-        earlier rule's clip contains rule ``j``'s clip.
+        earlier rule's clip contains rule ``j``'s clip; ``None`` when no
+        pair of rules nests in the uncut dimensions, so none can be.
 
-        For a pair ``i < j`` nested in the uncut dimensions, ``i``'s clip
-        contains ``j``'s along cut dimension ``d`` in child ``c`` iff
-        ``lo_i <= max(lo_j, start_c)`` and ``hi_i >= min(hi_j, end_c)``.
-        Child starts and ends grow with ``c``, so that holds on a run of
-        children ``[a, b]``; intersected with the children both rules reach,
-        each pair shadows ``j`` in a box of the child grid.  The boxes are
-        summed as a difference array (+1/-1 at the corners, then running
-        sums), which costs one entry per pair and corner however many
-        children a box spans.
+        ``key`` holds the rules' bounds clipped to the node's box (see
+        :func:`_box_key`) and ``reach`` their runs of children along each
+        cut dimension (:func:`_cut_reach`).  For a pair ``i < j`` nested in
+        the uncut dimensions, ``i``'s clip contains ``j``'s along a cut
+        dimension in child ``c`` iff ``lo_i <= max(lo_j, start_c)`` and
+        ``hi_i >= min(hi_j, end_c)``.  The first holds from the first child
+        ``j`` reaches if ``lo_i <= lo_j``, else from the first child
+        starting at or after ``lo_i``; the second, mirrored, up to the last
+        child ``j`` reaches or the last ending at or before ``hi_i``.  So
+        each pair shadows ``j`` in a box of the child grid, perhaps an
+        empty one.  The non-empty boxes are summed as a difference array
+        (+1/-1 at the 2^q corners, all of them in one weighted
+        ``bincount``, then running sums), which costs one entry per pair and
+        corner however many children a box spans.
+
+        A node small enough that its rules x rules x children grid has at
+        most :data:`_DENSE_CELLS` cells skips the boxes: it tests every
+        nested pair against every child at once (:func:`_shadowed_densely`).
         """
-        count = len(lo)
-        grid = tuple(len(pts) for pts in points) + (count,)
-        marks = np.zeros(int(np.prod(grid)), dtype=np.int64)
-        # Per rule and cut dimension: the first child starting at or after
-        # the rule's lower bound, the last ending at or before its upper.
-        edges = [(pts.searchsorted(lo[:, d], side="left"),
-                  pts.searchsorted(hi[:, d], side="right") - 2)
-                 for d, pts in zip(dims, points)]
-        for i, j in _nested_pairs(clip_lo, clip_hi):
-            low, high = [], []
-            for d, (first, last), (starts_at, ends_by) in zip(
-                    dims, spans, edges):
-                low.append(np.maximum(first[j], np.where(
-                    lo[i, d] <= lo[j, d], first[i], starts_at[i])))
-                high.append(np.minimum(last[j], np.where(
-                    hi[i, d] >= hi[j, d], last[i], ends_by[i])))
-            real = np.all([a <= b for a, b in zip(low, high)], axis=0)
+        uncut = [d for d in range(_WIDTH) if d not in dims]
+        uncut_key = key.take(uncut + [_WIDTH + d for d in uncut], axis=0)
+        shape = tuple(len(pts) - 1 for pts in points)
+        count = key.shape[1]
+        if count * count * math.prod(shape) <= _DENSE_CELLS:
+            return _shadowed_densely(key, uncut_key, dims, points)
+        grid = tuple(size + 1 for size in shape) + (count,)
+        marks = None
+        for i, j in _nested_pairs(uncut_key):
+            if marks is None:
+                marks = np.zeros(math.prod(grid))
+                strides = np.array([math.prod(grid[axis + 1:])
+                                    for axis in range(len(dims))])[:, None]
+                # Each corner's sign, corners in the order built below.
+                signs = np.array([(-1.0) ** sum(upper) for upper in
+                                  itertools.product((0, 1), repeat=len(dims))])
+            inner, outer = reach[:4, :, j], reach[2:, :, i]
+            # box[0]: the first child of the run; box[1]: one past the last.
+            box = np.where(outer[:2] <= inner[2:], inner[:2], outer[2:])
+            real = (box[0] < box[1]).all(axis=0)
             j = j[real]
-            low = [a[real] for a in low]
-            high = [b[real] + 1 for b in high]
-            for corner in itertools.product((False, True), repeat=len(dims)):
-                at = np.ravel_multi_index(
-                    [high[axis] if upper else low[axis]
-                     for axis, upper in enumerate(corner)] + [j], grid)
-                hits = np.bincount(at, minlength=marks.size)
-                if sum(corner) % 2:
-                    marks -= hits
-                else:
-                    marks += hits
+            box = box[:, :, real] * strides
+            # Offsets of the box's corners in the flat grid, first axis
+            # slowest: (2, .., 2, pairs).
+            at = box[:, 0]
+            for axis in range(1, len(dims)):
+                at = at[..., None, :] + box[:, axis]
+            marks += np.bincount((at + j).ravel(),
+                                 weights=np.repeat(signs, len(j)),
+                                 minlength=marks.size)
+        if marks is None:
+            return None
         marks = marks.reshape(grid)
         for axis in range(len(dims)):
             marks = marks.cumsum(axis=axis)
-        return marks[tuple(slice(size - 1) for size in grid[:-1])] > 0
+        return marks[tuple(slice(size) for size in shape)] > 0
 
     # -- partition-family actions ---------------------------------------- #
 
@@ -461,6 +479,12 @@ def efficuts_categories(rules: Sequence[Rule],
 #: megabyte or so of temporaries however many rules a node holds.
 _PAIR_BLOCK = 1 << 20
 
+#: Largest rules x rules x children grid :meth:`Node._shadowed` tests
+#: densely (every pair against every child) rather than as one difference
+#: box per nested pair: below it a handful of array operations over the
+#: whole grid costs less than finding the pairs.
+_DENSE_CELLS = 1 << 15
+
 
 def child_spans(points: np.ndarray, lo: np.ndarray,
                 hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -472,22 +496,92 @@ def child_spans(points: np.ndarray, lo: np.ndarray,
     return first, last
 
 
-def _nested_pairs(lo: np.ndarray, hi: np.ndarray
-                  ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """Every pair of rows ``i < j`` with box ``i`` containing box ``j``
-    (``lo_i <= lo_j`` and ``hi_i >= hi_j`` in every column), as index
-    arrays, a block of ``j`` at a time so memory stays bounded."""
-    count, width = lo.shape
+def _box_key(box: Ranges) -> np.ndarray:
+    """A box's bounds in the key form of :attr:`RuleBounds.key`, as one
+    ``(10, 1)`` column: its lower bounds, then its upper bounds negated.
+    ``np.maximum(key, _box_key(box))`` clips every rule to the box, and in
+    key form "box ``i`` contains box ``j``" is ``key[:, i] <= key[:, j]``
+    in every row."""
+    return np.array([lo for lo, _ in box] + [-hi for _, hi in box],
+                    dtype=np.int64)[:, None]
+
+
+#: :func:`_cut_reach`'s one search, as ``(2, 2, 1)`` factors of a rule's
+#: ``[lo, -hi]``: it looks up ``[[lo + 1, hi], [lo, hi + 1]]`` and takes
+#: ``[[1, 0], [0, 1]]`` off the result.
+_REACH_SIGN = np.array([[1, -1], [1, -1]]).reshape(2, 2, 1)
+_REACH_OFFSET = np.array([[1, 0], [0, 1]]).reshape(2, 2, 1)
+
+
+def _cut_reach(key: np.ndarray, dims: Sequence[int],
+               points: Sequence[Sequence[int]]) -> np.ndarray:
+    """``(6, q, n)``: per cut dimension and rule (bounds ``key``, clipped to
+    the node's box), the first child the rule reaches and one past the
+    last; its ``lo`` and ``-hi``; the first child starting at or after
+    ``lo`` and one past the last ending at or before ``hi``.
+
+    Integer bounds make ``searchsorted(v, "right")`` equal to
+    ``searchsorted(v + 1, "left")``, so all four child indices come from
+    one search; the bounds are clipped, so none needs clamping to the
+    node's children.
+    """
+    reach = np.empty((6, len(dims), key.shape[1]), dtype=np.int64)
+    for axis, (d, pts) in enumerate(zip(dims, points)):
+        bounds = key[d::_WIDTH]
+        reach[2:4, axis] = bounds
+        found = np.asarray(pts).searchsorted(
+            bounds * _REACH_SIGN + _REACH_OFFSET) - _REACH_OFFSET
+        reach[:2, axis] = found[0]
+        reach[4:, axis] = found[1]
+    return reach
+
+
+def _shadowed_densely(key: np.ndarray, uncut_key: np.ndarray,
+                      dims: List[int], points: List[List[int]]
+                      ) -> Optional[np.ndarray]:
+    """:meth:`Node._shadowed` on a small node, every rule pair against
+    every child at once: ``i``'s clip contains ``j``'s in a child iff
+    ``i < j``, ``i``'s key is at most ``j``'s in the uncut rows
+    (``uncut_key``), and along each cut dimension at most ``j``'s key
+    clipped to the child.  Where ``j`` does not reach a child the answer is
+    not read."""
+    count = key.shape[1]
+    nested = _nested_block(uncut_key, 0, count)
+    if not nested.any():
+        return None
+    # shadowed[i, c1, .., cq, j], then any over i.
+    shadowed = nested.reshape((count,) + (1,) * len(dims) + (count,))
+    for axis, (d, pts) in enumerate(zip(dims, points)):
+        bounds = key[d::_WIDTH]
+        children = np.array([pts[:-1], [-p for p in pts[1:]]])
+        clipped = np.maximum(bounds[:, None, :], children[:, :, None])
+        contains = (bounds[:, :, None, None] <= clipped[:, None]).all(axis=0)
+        grid = [count] + [1] * len(dims) + [count]
+        grid[1 + axis] = len(pts) - 1
+        shadowed = shadowed & contains.reshape(grid)
+    return shadowed.any(axis=0)
+
+
+def _nested_pairs(key: np.ndarray) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Every pair of rules ``i < j`` with box ``i`` containing box ``j``
+    (``key[:, i] <= key[:, j]`` in every row of a key-form table, see
+    :func:`_box_key`), as index arrays, a block of ``j`` at a time so memory
+    stays bounded."""
+    width, count = key.shape
     step = max(1, _PAIR_BLOCK // max(1, count * width))
-    row = np.arange(count)
     for start in range(1, count, step):
-        stop = min(count, start + step)
-        nested = ((lo[:stop, None] <= lo[None, start:stop])
-                  & (hi[:stop, None] >= hi[None, start:stop])).all(axis=2)
-        nested &= row[:stop, None] < row[None, start:stop]
-        i, j = np.nonzero(nested)
+        i, j = _nested_block(key, start, min(count, start + step)).nonzero()
         if len(i):
             yield i, j + start
+
+
+def _nested_block(key: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """``nested[i, j - start]`` for rules ``i < stop`` and
+    ``start <= j < stop``: ``i < j`` and box ``i`` contains box ``j``.
+    Compared bound by bound, a plane of rule pairs per row of ``key``."""
+    row = np.arange(stop)
+    return ((key[:, :stop, None] <= key[:, None, start:stop]).all(axis=0)
+            & (row[:, None] < row[None, start:stop]))
 
 
 def remove_redundant_rules(rules: Sequence[Rule], box: Ranges) -> List[Rule]:
@@ -504,12 +598,9 @@ def remove_redundant_rules(rules: Sequence[Rule], box: Ranges) -> List[Rule]:
     a pruned coverer covers the rule too, and the first rule of such a chain
     is always kept.  Of two rules with identical clips the earlier stays.
     """
-    table = RuleBounds(rules)
-    box = np.asarray(box, dtype=np.int64)
-    clip_lo = np.maximum(table.lo, box[:, 0])
-    clip_hi = np.minimum(table.hi, box[:, 1])
-    inside = np.flatnonzero((clip_lo < clip_hi).all(axis=1))
+    key = np.maximum(RuleBounds(rules).key, _box_key(box))
+    inside = np.flatnonzero((key[:_WIDTH] + key[_WIDTH:] < 0).all(axis=0))
     redundant = np.zeros(len(inside), dtype=bool)
-    for _, j in _nested_pairs(clip_lo[inside], clip_hi[inside]):
+    for _, j in _nested_pairs(key[:, inside]):
         redundant[j] = True
     return [rules[i] for i in inside[~redundant].tolist()]

@@ -101,6 +101,51 @@ def test_both_sides_run_from_sibling_copies(bench_pairs, monkeypatch,
                                       *checkout.resolve().parents)
 
 
+def test_aa_unpacks_the_same_ref_on_both_sides(bench_pairs, monkeypatch,
+                                              capsys, tmp_path):
+    """``--aa`` runs ``PARENT_REF`` against itself: both sides are unpacked
+    from the ref, nothing is copied from the working tree, and the record
+    says so."""
+    in_repo = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT,
+                             capture_output=True)
+    if in_repo.returncode:
+        pytest.skip("not a git checkout: there is no ref to unpack")
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    unpacked, seen = [], []
+    real_unpack = bench_pairs.unpack
+
+    def spy_unpack(ref, into):
+        unpacked.append((ref, into))
+        real_unpack(ref, into)
+
+    def no_copy(into):
+        raise AssertionError("--aa copied the working tree")
+
+    def fake_run(checkout, flags):
+        seen.append(checkout)
+        assert (checkout / "perfbench" / "run.py").is_file()
+        return {"correct": True, "failed": 0,
+                "metrics": {m["name"]: {"value": 1.0}
+                            for m in bench["end_to_end"]}}
+
+    monkeypatch.setattr(bench_pairs, "unpack", spy_unpack)
+    monkeypatch.setattr(bench_pairs, "copy_tree", no_copy)
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    out = tmp_path / "aa.json"
+    assert bench_pairs.main(["HEAD", "--workload", "serve_cold", "--pairs",
+                             "2", "--aa", "--json", str(out)]) == 0
+    assert "A/A" in capsys.readouterr().out
+    parent, change = seen[0], seen[1]
+    assert seen == [parent, change, change, parent]
+    assert unpacked == [("HEAD", parent), ("HEAD", change)]
+    saved = json.loads(out.read_text())
+    head = in_repo.stdout.decode().strip()
+    assert saved["aa"] is True
+    assert saved["parent"]["sha"] == saved["change"]["sha"] == head
+    assert not saved["change"]["dirty"]
+    assert bench_pairs.recompute(saved) == saved["rows"]
+
+
 def test_two_tiny_pairs_against_head(bench_pairs, tmp_path):
     in_repo = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT,
                              capture_output=True)
@@ -127,6 +172,7 @@ def test_two_tiny_pairs_against_head(bench_pairs, tmp_path):
         ("serve_cold", 3, 2)
     assert saved["parent"]["sha"] == saved["change"]["sha"] \
         == in_repo.stdout.decode().strip()
+    assert saved["aa"] is False
     assert bench_pairs.recompute(saved) == saved["rows"]
     assert saved["rows"]["tree_accesses"]["verdict"] == "level"
     with pytest.raises(ValueError, match="version"):

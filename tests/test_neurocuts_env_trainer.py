@@ -184,6 +184,40 @@ class _FixedActionPolicy:
                               masks=masks)
 
 
+class TestOverflowingFlag:
+    """``RolloutResult.overflowing`` is the best-tree filter the rollout
+    worker and the trainer both read: one tree walk, made in the rollout and
+    only when it was truncated."""
+
+    # Complete with depth-forced leaves over the threshold (the flag is
+    # about truncation, not those), truncated, and complete at the root.
+    @pytest.mark.parametrize("fixture,overrides,truncated", [
+        ("small_acl_ruleset", {"max_tree_depth": 2}, False),
+        ("small_fw_ruleset", {"max_timesteps_per_rollout": 12}, True),
+        ("small_acl_ruleset", {"leaf_threshold": 100}, False),
+    ])
+    def test_flag_is_one_walk_of_a_truncated_tree(self, request, monkeypatch,
+                                                  fixture, overrides,
+                                                  truncated):
+        config = NeuroCutsConfig.fast_test_config(**{
+            "hidden_sizes": (16, 16), "leaf_threshold": 4, "seed": 1,
+            **overrides})
+        env = NeuroCutsEnv(request.getfixturevalue(fixture), config)
+        model = ActorCriticMLP(env.observation_size, env.action_sizes,
+                               hidden_sizes=(16, 16), seed=1)
+        walks = []
+        walk = DecisionTree.has_overflowing_leaves
+        monkeypatch.setattr(DecisionTree, "has_overflowing_leaves",
+                            lambda tree: walks.append(tree) or walk(tree))
+        result = env.rollout(Policy(model, env.action_space.space, seed=1))
+        assert result.truncated == truncated
+        assert walks == ([result.tree] if truncated else [])
+        monkeypatch.undo()
+        assert result.overflowing == (
+            result.truncated and result.tree.has_overflowing_leaves())
+        assert result.overflowing == truncated
+
+
 class TestOnePassRewards:
     """Every decision's return, priced from one pass over the finished tree,
     equals ``subtree_reward`` walked from that decision's node — exactly."""

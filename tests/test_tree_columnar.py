@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -166,9 +167,22 @@ def test_rule_covered_only_by_a_pruned_rule_is_still_pruned():
     assert sequential_prune([outer, middle, inner], box) == [outer]
 
 
+#: ``_DENSE_CELLS`` values that force each form of ``Node._shadowed``:
+#: one difference box per nested pair, or every pair against every child.
+SHADOW_FORMS = {"boxes": 0, "dense": 1 << 40}
+
+
+@pytest.mark.parametrize("form", sorted(SHADOW_FORMS))
 @settings(max_examples=150, deadline=None)
 @given(rules=rule_lists(), data=st.data())
-def test_cut_children_equal_reference_on_generated_rules(rules, data):
+def test_cut_children_equal_reference_on_generated_rules(form, rules, data):
+    from repro.tree import node as node_module
+
+    with mock.patch.object(node_module, "_DENSE_CELLS", SHADOW_FORMS[form]):
+        check_generated_cut(rules, data)
+
+
+def check_generated_cut(rules, data):
     box = ((0, GRID),) * 5
     dims = data.draw(st.lists(st.sampled_from(list(Dimension)), min_size=1,
                               max_size=3, unique=True))
@@ -288,6 +302,23 @@ def test_pair_comparisons_are_blocked_without_changing_the_result(
     assert [c.rules for c in blocked] == [c.rules for c in whole]
     assert remove_redundant_rules(ruleset.rules, FULL_SPACE) \
         == sequential_prune(ruleset.rules, FULL_SPACE)
+
+
+@pytest.mark.parametrize("action", [
+    CutAction(Dimension.SRC_IP, 8),
+    MultiCutAction(((Dimension.SRC_IP, 4), (Dimension.DST_PORT, 4))),
+], ids=lambda action: action.describe())
+def test_both_shadowing_forms_agree_on_a_large_node(monkeypatch, action):
+    from repro.tree import node as node_module
+
+    ruleset = generate_classifier("fw5", 300, seed=1000)
+    children = {}
+    for form, cells in SHADOW_FORMS.items():
+        monkeypatch.setattr(node_module, "_DENSE_CELLS", cells)
+        children[form] = assert_children_match(DecisionTree(ruleset).root,
+                                               action)
+    assert [c.rules for c in children["dense"]] \
+        == [c.rules for c in children["boxes"]]
 
 
 def test_array_state_is_left_out_of_equality_and_repr(small_acl_ruleset):
