@@ -172,16 +172,6 @@ def test_rule_covered_only_by_a_pruned_rule_is_still_pruned():
 SHADOW_FORMS = {"boxes": 0, "dense": 1 << 40}
 
 
-@pytest.mark.parametrize("form", sorted(SHADOW_FORMS))
-@settings(max_examples=150, deadline=None)
-@given(rules=rule_lists(), data=st.data())
-def test_cut_children_equal_reference_on_generated_rules(form, rules, data):
-    from repro.tree import node as node_module
-
-    with mock.patch.object(node_module, "_DENSE_CELLS", SHADOW_FORMS[form]):
-        check_generated_cut(rules, data)
-
-
 def check_generated_cut(rules, data):
     box = ((0, GRID),) * 5
     dims = data.draw(st.lists(st.sampled_from(list(Dimension)), min_size=1,
@@ -195,6 +185,23 @@ def check_generated_cut(rules, data):
             (dim, data.draw(st.sampled_from((2, 4)))) for dim in dims))
     assert_children_match(Node(ranges=box, rules=rules), action,
                           prune=data.draw(st.booleans()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rules=rule_lists(), data=st.data())
+def test_cut_children_equal_reference_on_generated_rules(rules, data):
+    check_generated_cut(rules, data)
+
+
+@pytest.mark.parametrize("form", sorted(SHADOW_FORMS))
+@settings(max_examples=150, deadline=None)
+@given(rules=rule_lists(), data=st.data())
+def test_each_shadowing_form_equals_reference_on_generated_rules(
+        form, rules, data):
+    from repro.tree import node as node_module
+
+    with mock.patch.object(node_module, "_DENSE_CELLS", SHADOW_FORMS[form]):
+        check_generated_cut(rules, data)
 
 
 # --------------------------------------------------------------------------- #
