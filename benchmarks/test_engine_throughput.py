@@ -1,4 +1,5 @@
-"""Engine throughput: compiled flat-array execution vs the interpreter.
+"""Engine throughput: compiled flat-array execution, with and without the
+flow cache.
 
 The acceptance bar for the dataplane engine used to be a hard-coded
 "compiled must be >= 10x the interpreter" assert.  Ratios like that are a
@@ -8,7 +9,7 @@ the same commit.  The bar now lives in checked-in baseline records
 (``benchmarks/baselines/BENCH_engine_throughput_*.json``) and is gated with
 the same ``repro bench compare`` semantics as the CI scorecard job:
 config and deterministic counters (mismatches, packet/subtree/cache
-tallies) must match the baseline bit-for-bit everywhere; the pps/speedup
+tallies) must match the baseline bit-for-bit everywhere; the pps
 timings are printed and not judged.  Regenerate the baselines with
 ``scripts/make_bench_baselines.py`` when a counter change is intentional.
 """
@@ -35,8 +36,7 @@ def test_engine_throughput_vs_baseline(kind, run_once, bench_gate):
     ))
 
     assert record.counters["mismatches"] == 0, \
-        "compiled engine disagrees with the interpreter"
+        "compiled engine disagrees with linear search"
     assert record.timings["compiled_pps"] > 0
-    assert record.timings["interpreter_pps"] > 0
 
     bench_gate(record, throughput_bench_filename(kind))

@@ -2,7 +2,7 @@
 
 These are conventional pytest-benchmark measurements (multiple rounds): the
 cost of building baseline trees, of classifying packets through a built
-tree, of one cut, of one compiled-engine lookup call, of one NeuroCuts
+tree's compiled engine, of one cut, of one compiled-engine lookup call, of one NeuroCuts
 rollout, and of one PPO update.  They quantify the "bulk of time is spent
 executing tree cut actions" observation from the paper's Section 5 and give
 a regression baseline for the Python substrate.
@@ -44,10 +44,10 @@ def test_baseline_build_time(benchmark, ruleset, builder_cls):
 
 
 def test_tree_lookup_throughput(benchmark, ruleset, trace):
-    classifier = HiCutsBuilder(binth=16).build(ruleset)
+    compiled = HiCutsBuilder(binth=16).build(ruleset).compile()
 
     def classify_all():
-        return [classifier.classify(p) for p in trace]
+        return compiled.classify_batch(trace)
 
     results = benchmark(classify_all)
     assert all(r is not None for r in results)

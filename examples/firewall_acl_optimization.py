@@ -6,23 +6,21 @@ many rules wildcard the source fields, so naive cuts replicate them and blow
 up either the tree depth or the memory footprint.  This example builds one
 fw-family classifier with all four hand-tuned baselines and with NeuroCuts
 (time-optimised), validates every result against linear search, and prints
-the comparison plus the per-level shape of the learnt tree (Figure 5 style).
+the comparison (the paper's structural time and space, plus tree and node
+counts) and the per-level shape of the learnt tree (Figure 5 style).
 """
 
 from __future__ import annotations
 
 from repro.baselines import default_baselines
-from repro.classbench import generate_classifier, generate_trace
-from repro.metrics import measure_lookup
+from repro.classbench import generate_classifier
 from repro.neurocuts import NeuroCutsConfig, NeuroCutsTrainer, profile_tree, render_profile
 from repro.tree import validate_classifier
 
 
 def main() -> None:
     ruleset = generate_classifier("fw5", 300, seed=0)
-    trace = generate_trace(ruleset, num_packets=2000, seed=1)
-    print(f"Firewall classifier {ruleset.name!r}: {len(ruleset)} rules, "
-          f"{len(trace)} trace packets\n")
+    print(f"Firewall classifier {ruleset.name!r}: {len(ruleset)} rules\n")
 
     rows = []
 
@@ -31,9 +29,7 @@ def main() -> None:
         result = builder.build_with_stats(ruleset)
         assert validate_classifier(result.classifier,
                                    num_random_packets=200).is_correct
-        empirical = measure_lookup(result.classifier, trace)
-        rows.append((name, result.stats.classification_time,
-                     result.stats.bytes_per_rule, empirical.mean_depth))
+        rows.append((name, result.stats))
 
     # NeuroCuts, time-optimised.
     config = NeuroCutsConfig(
@@ -47,16 +43,14 @@ def main() -> None:
     training = trainer.train()
     neurocuts = training.best_classifier()
     assert validate_classifier(neurocuts, num_random_packets=200).is_correct
-    empirical = measure_lookup(neurocuts, trace)
-    stats = neurocuts.stats()
-    rows.append(("NeuroCuts", stats.classification_time, stats.bytes_per_rule,
-                 empirical.mean_depth))
+    rows.append(("NeuroCuts", neurocuts.stats()))
 
     print(f"{'algorithm':<12} {'worst-case time':>16} {'bytes/rule':>12} "
-          f"{'mean trace depth':>18}")
-    for name, time_cost, bytes_per_rule, mean_depth in rows:
-        print(f"{name:<12} {time_cost:>16d} {bytes_per_rule:>12.1f} "
-              f"{mean_depth:>18.2f}")
+          f"{'trees':>6} {'nodes':>7} {'depth':>6}")
+    for name, stats in rows:
+        print(f"{name:<12} {stats.classification_time:>16d} "
+              f"{stats.bytes_per_rule:>12.1f} {stats.num_trees:>6d} "
+              f"{stats.num_nodes:>7d} {stats.depth:>6d}")
 
     print("\nShape of the learnt NeuroCuts tree (nodes per level, cut dims):")
     print(render_profile(profile_tree(training.best_tree)))

@@ -10,7 +10,7 @@ Python (full reference with copy-pasteable invocations: docs/cli.md):
   as JSON.
 * ``repro classify`` — classify packets from a trace against a saved tree.
 * ``repro engine-bench`` — compile a classifier for the dataplane engine and
-  measure packets/sec against the interpreter.
+  measure its packets/sec, without and with a flow cache.
 * ``repro serve-bench`` — drive the multi-tenant serving layer with a
   generated flow workload (Zipf locality, bursty arrivals, optional rule
   churn with zero-downtime engine hot swaps) and report pps, latency
@@ -48,7 +48,8 @@ from repro.exceptions import ConfigError
 from repro.executors import EXECUTOR_BACKENDS
 from repro.neurocuts import NeuroCutsConfig, NeuroCutsTrainer
 from repro.rules import io as rules_io
-from repro.tree import load_tree, save_tree, validate_classifier
+from repro.tree import TreeClassifier, load_tree, save_tree, \
+    validate_classifier
 from repro.harness import format_table
 
 
@@ -177,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = subparsers.add_parser(
         "engine-bench",
-        help="benchmark compiled-engine throughput vs the interpreter",
+        help="benchmark compiled-engine throughput",
     )
     bench.add_argument("--rules", type=Path, default=None,
                        help="ClassBench filter file (default: generate one)")
@@ -383,22 +384,26 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
+    from repro.engine import CompileError
+
+    if args.num_packets < 1:
+        print("error: --num-packets must be >= 1", file=sys.stderr)
+        return 2
     ruleset = rules_io.load(args.rules)
     tree = load_tree(args.tree, ruleset)
     packets = generate_trace(ruleset, num_packets=args.num_packets,
                              seed=args.seed)
-    matched = 0
-    mismatched = 0
-    for packet in packets:
-        expected = ruleset.classify(packet)
-        actual = tree.classify(packet)
-        if (actual.priority if actual else None) == \
-                (expected.priority if expected else None):
-            matched += 1
-        else:
-            mismatched += 1
-    print(f"classified {len(packets)} packets: "
-          f"{matched} agree with linear search, {mismatched} mismatches")
+    try:
+        report = validate_classifier(TreeClassifier(ruleset, [tree]),
+                                     packets=packets)
+    except CompileError as error:
+        print(f"error: the engine cannot compile {args.tree}: {error}",
+              file=sys.stderr)
+        return 2
+    mismatched = report.num_mismatches
+    print(f"classified {report.num_packets} packets: "
+          f"{report.num_packets - mismatched} agree with linear search, "
+          f"{mismatched} mismatches")
     return 0 if mismatched == 0 else 1
 
 
@@ -462,10 +467,9 @@ def _cmd_engine_bench(args: argparse.Namespace) -> int:
         write_bench(record, args.json)
         print(f"wrote scorecard {args.json}")
     if result.mismatches:
-        print(f"error: {result.mismatches} packets disagree with the "
-              f"interpreter", file=sys.stderr)
+        print(f"error: {result.mismatches} packets disagree with linear "
+              f"search", file=sys.stderr)
         return 1
-    print(f"speedup: {result.speedup:.1f}x over the interpreter")
     return 0
 
 

@@ -46,7 +46,6 @@ from repro.engine.cache import (
 )
 from repro.engine.dispatch import CompiledClassifier
 from repro.engine.bench import (
-    INTERPRETER_SAMPLE,
     EngineBenchResult,
     bench_classifier,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "FlowCache",
     "FlowCacheStats",
     "CompiledClassifier",
-    "INTERPRETER_SAMPLE",
     "EngineBenchResult",
     "bench_classifier",
 ]

@@ -1,11 +1,8 @@
 """Throughput harness for the compiled engine.
 
-Measures packets/second of the pure-Python interpreter
-(:meth:`~repro.tree.lookup.TreeClassifier.classify_batch` in interpreter
-mode) against the compiled engine (with and without the flow cache) on the
-same packet trace, and reports the speedup.  The interpreter is timed on a
-subsample when the trace is large — it is the slow path being replaced — and
-its rate is reported as packets/second so the comparison stays fair.
+Measures packets/second of the compiled engine, without and with the flow
+cache, on one packet trace, and checks the engine's answers against linear
+search (:meth:`~repro.rules.ruleset.RuleSet.classify`) on a prefix of it.
 """
 
 from __future__ import annotations
@@ -17,19 +14,18 @@ from typing import List, Optional, Sequence
 from repro.rules.packet import Packet
 from repro.engine.cache import FlowCacheStats
 from repro.engine.layout import packets_to_array
+from repro.tree.validate import validate_classifier
 
-#: Interpreter timing subsample (the interpreter is O(packets * depth) in
-#: Python; a few thousand packets give a stable rate).
-INTERPRETER_SAMPLE = 2000
+#: Packets checked against linear search (O(packets * rules) in Python).
+CHECK_SAMPLE = 2000
 
 
 @dataclass
 class EngineBenchResult:
-    """Throughput comparison between interpreter and compiled execution."""
+    """Compiled-engine throughput on one trace, without and with the cache."""
 
     name: str
     num_packets: int
-    interpreter_pps: float
     compiled_pps: float
     cached_pps: Optional[float]
     compile_seconds: float
@@ -55,13 +51,6 @@ class EngineBenchResult:
         """Compiled engine bytes over the memory model's bytes."""
         return self.compiled_memory_bytes / max(self.model_memory_bytes, 1)
 
-    @property
-    def speedup(self) -> float:
-        """Compiled packets/sec over interpreter packets/sec."""
-        if self.interpreter_pps <= 0:
-            return float("inf")
-        return self.compiled_pps / self.interpreter_pps
-
     def bench_record(self, name: Optional[str] = None,
                      config: Optional[dict] = None) -> "BenchRecord":
         """This result as a versioned scorecard entry (area ``"engine"``).
@@ -85,10 +74,8 @@ class EngineBenchResult:
         if self.cache_bypassed is not None:
             counters["cache_bypassed"] = self.cache_bypassed
         timings = {
-            "interpreter_pps": self.interpreter_pps,
             "compiled_pps": self.compiled_pps,
             "compile_seconds": self.compile_seconds,
-            "speedup": self.speedup,
         }
         if self.cached_pps is not None:
             timings["cached_pps"] = self.cached_pps
@@ -99,13 +86,11 @@ class EngineBenchResult:
                            timings=timings)
 
     def rows(self) -> List[List[object]]:
-        """Table rows for :func:`repro.harness.tables.format_table`."""
-        rows = [
-            ["interpreter", f"{self.interpreter_pps:,.0f}", "1.0x"],
-            ["compiled", f"{self.compiled_pps:,.0f}", f"{self.speedup:.1f}x"],
-        ]
+        """Table rows for :func:`repro.harness.tables.format_table`: packets
+        per second, and the flow cache's speedup over the uncached walk."""
+        rows = [["compiled", f"{self.compiled_pps:,.0f}", "1.0x"]]
         if self.cached_pps is not None:
-            ratio = self.cached_pps / max(self.interpreter_pps, 1e-9)
+            ratio = self.cached_pps / max(self.compiled_pps, 1e-9)
             label = "compiled+cache"
             if self.cache_hit_rate is not None:
                 label += f" ({self.cache_hit_rate:.1%} hits)"
@@ -126,23 +111,20 @@ def _time(fn, repeats: int = 3) -> float:
 def bench_classifier(
     classifier,
     packets: Sequence[Packet],
-    interpreter_sample: int = INTERPRETER_SAMPLE,
     flow_cache_size: Optional[int] = None,
     repeats: int = 3,
     check_agreement: bool = True,
 ) -> EngineBenchResult:
-    """Benchmark one classifier's interpreter vs compiled throughput.
+    """Benchmark one classifier's compiled throughput.
 
     Args:
         classifier: a :class:`~repro.tree.lookup.TreeClassifier`.
         packets: the trace to classify.
-        interpreter_sample: at most this many packets go through the
-            interpreter timing loop.
         flow_cache_size: when set, also measure a second compiled pass with
             an LRU flow cache of this capacity attached.
-        repeats: best-of-n timing repeats per engine.
-        check_agreement: verify compiled results equal interpreter results
-            on the interpreter sample.
+        repeats: best-of-n timing repeats per pass.
+        check_agreement: count the packets among the first
+            :data:`CHECK_SAMPLE` where the engine and linear search disagree.
     """
     packets = list(packets)
     if not packets:
@@ -152,16 +134,6 @@ def bench_classifier(
     start = time.perf_counter()
     compiled = classifier.compile()
     compile_seconds = time.perf_counter() - start
-
-    sample = packets[: min(interpreter_sample, len(packets))]
-    interp_results: List[Optional[object]] = []
-
-    def run_interpreter() -> None:
-        interp_results[:] = classifier.classify_batch(sample,
-                                                      engine="interpreter")
-
-    interp_seconds = _time(run_interpreter, repeats=repeats)
-    interpreter_pps = len(sample) / max(interp_seconds, 1e-12)
 
     # The compiled object is shared via the classifier's compile cache;
     # benchmark with our own cache settings but restore the caller's.
@@ -196,22 +168,17 @@ def bench_classifier(
             cache_hits = cache.stats.hits
             cache_bypassed = cache.stats.bypassed
             compiled.flow_cache = None
-
-        mismatches = 0
-        if check_agreement:
-            compiled_results = compiled.classify_batch(sample)
-            for expected, actual in zip(interp_results, compiled_results):
-                expected_priority = expected.priority if expected else None
-                actual_priority = actual.priority if actual else None
-                if expected_priority != actual_priority:
-                    mismatches += 1
     finally:
         compiled.flow_cache = caller_cache
+
+    mismatches = 0
+    if check_agreement:
+        mismatches = validate_classifier(
+            classifier, packets=packets[:CHECK_SAMPLE]).num_mismatches
 
     return EngineBenchResult(
         name=classifier.name,
         num_packets=len(packets),
-        interpreter_pps=interpreter_pps,
         compiled_pps=compiled_pps,
         cached_pps=cached_pps,
         compile_seconds=compile_seconds,

@@ -1,4 +1,4 @@
-"""Compilation of interpreter trees into flat search structures.
+"""Compilation of tree-model trees into flat search structures.
 
 Compilation happens in three steps:
 
@@ -7,11 +7,11 @@ Compilation happens in three steps:
    no place in a single-descent flat tree.  Each partition node is expanded
    into one independent search tree per child; the dispatcher queries all of
    them and keeps the highest-priority match, which is exactly the
-   interpreter's partition semantics.
+   tree model's partition semantics.
 2. **Normalisation** — every cut-family action is rewritten into the two
    primitive node shapes the flat layout supports: a multi-dimension cut
    becomes a chain of single-dimension cut levels (children ordered the same
-   row-major way the interpreter orders the cut's cartesian product), and a
+   row-major way the tree model orders the cut's cartesian product), and a
    split keeps its single boundary point.
 3. **Flattening** — the normalised tree is laid out breadth-first into the
    node table's columns, so every node's children occupy one contiguous
@@ -27,7 +27,7 @@ source classifier.
 **Partial recompilation.**  A rule update only edits the rule lists of the
 leaves it reaches; it never changes a tree's shape.  :func:`compile_classifier`
 records a :class:`CompileProvenance` on its result — the source trees at
-their versions, and which interpreter leaf each leaf row was flattened from
+their versions, and which tree-model leaf each leaf row was flattened from
 — and :func:`partial_compile_classifier` uses it to *re-span* only the
 leaves an :class:`~repro.neurocuts.updates.IncrementalUpdater` recorded:
 the new generation shares every node column of the previous forest except
@@ -68,7 +68,7 @@ from repro.engine.layout import (
 if TYPE_CHECKING:
     from repro.neurocuts.updates import LeafRecord
 
-#: Safety cap on how many search trees one interpreter tree may expand into
+#: Safety cap on how many search trees one tree-model tree may expand into
 #: (partitions below the top of a tree multiply variants).
 MAX_SEARCH_TREES = 256
 
@@ -80,7 +80,7 @@ MAX_SEARCH_TREES = 256
 @dataclass
 class _Leaf:
     rules: List[Rule]
-    #: The interpreter leaf these rules came from.
+    #: The tree-model leaf these rules came from.
     source: Optional[Node] = None
 
 
@@ -199,7 +199,7 @@ def _normalize(node: Node) -> object:
 def _normalize_multicut(node: Node) -> object:
     """Decompose a multi-dimension cut into a chain of single-dimension cuts.
 
-    The interpreter orders a multicut's children as the row-major cartesian
+    The tree model orders a multicut's children as the row-major cartesian
     product of the per-dimension sub-ranges; the chain reproduces that
     ordering, so grid cell ``(i0, i1, ...)`` resolves to the same child.
     """
@@ -265,7 +265,7 @@ class _Flattener:
         self.rules_out = rules_out
         self.records: List[tuple] = []  # one NODE_DTYPE-ordered row per node
         self.leaf_slots: List[int] = []  # distinct-rule slot per leaf row
-        #: The interpreter leaf of each leaf row, in row order.
+        #: The tree-model leaf of each leaf row, in row order.
         self.leaves: List[Optional[Node]] = []
         #: Per tree: FlatTree's fields after ``forest``.
         self.blocks: List[Tuple[int, int, int, int, int, int]] = []
@@ -346,7 +346,7 @@ class CompileProvenance:
     """How a :class:`CompiledClassifier` was derived from its source trees.
 
     ``trees`` at ``versions`` are what the engine was compiled from.
-    ``leaves`` holds the interpreter leaf each leaf row of the forest was
+    ``leaves`` holds the tree-model leaf each leaf row of the forest was
     flattened from, in row order — a leaf below a partition that sits below
     a cut owns one row per clone of its path.  It is one flat list (no
     per-row objects for the collector to walk); :meth:`rows_of` indexes it.
@@ -422,7 +422,7 @@ class PartialCompileResult:
 def compile_tree(tree: DecisionTree,
                  rule_slot: Optional[Dict[Rule, int]] = None,
                  rules_out: Optional[List[Rule]] = None) -> List[FlatTree]:
-    """Compile one interpreter tree into its flat search trees."""
+    """Compile one tree-model tree into its flat search trees."""
     flattener = _Flattener(rule_slot if rule_slot is not None else {},
                            rules_out if rules_out is not None else [])
     for sub_root in _expand_partitions(tree.root):

@@ -152,7 +152,7 @@ class CompiledClassifier:
         the field ranges and cast once to the ``uint32`` the walk reads
         (:func:`~repro.engine.layout.check_headers`).  Every
         search tree is consulted and the highest-priority hit wins — the
-        earlier tree on ties — matching the interpreter's partition /
+        earlier tree on ties — matching the tree model's partition /
         multi-tree semantics.
         """
         values = check_headers(values)
@@ -222,7 +222,7 @@ class CompiledClassifier:
         return result
 
     # ------------------------------------------------------------------ #
-    # Packet-level API (mirrors TreeClassifier)
+    # Packet-level API
     # ------------------------------------------------------------------ #
 
     def classify_batch(self, packets: Iterable[Packet]) -> List[Optional[Rule]]:

@@ -1,9 +1,9 @@
 """Column layout of a compiled classifier: one forest, many search trees.
 
-The interpreter in :mod:`repro.tree` walks Python ``Node`` objects one packet
-at a time.  The engine instead stores every search tree of a classifier in
-one :class:`Forest` — three tables kept as **column arrays**, one contiguous
-read-only array per field:
+The tree model in :mod:`repro.tree` is a graph of Python ``Node`` objects,
+built for construction.  The engine stores every search tree of a
+classifier in one :class:`Forest` — three tables kept as **column
+arrays**, one contiguous read-only array per field:
 
 * a **node table** (fields and widths of :data:`NODE_DTYPE`) — one row per
   node, children stored as a contiguous index span so child selection is
@@ -11,7 +11,7 @@ read-only array per field:
 * a **leaf rule table** (:data:`RULE_DTYPE`) — the per-leaf rule lists
   concatenated into rule *pointers*: one ``int32`` slot per rule a leaf
   holds, so a replicated rule costs four bytes per leaf holding it, as in
-  the interpreter's rule-pointer memory model;
+  the tree model's rule-pointer memory model;
 * a **distinct-rule table** (:data:`RULE_TABLE_DTYPE`) — the box and
   priority of every distinct rule, once: row ``i`` describes the engine's
   ``rules[i]`` and is what slot ``i`` points at.

@@ -1,4 +1,5 @@
-"""Evaluation metrics: analytic improvements and empirical trace measurements."""
+"""Evaluation metrics: improvements over the baselines on the paper's
+structural time and space measures."""
 
 from repro.metrics.summary import (
     ImprovementSummary,
@@ -9,7 +10,6 @@ from repro.metrics.summary import (
     speedup,
     summarize_improvements,
 )
-from repro.metrics.empirical import EmpiricalMetrics, measure_lookup
 
 __all__ = [
     "ImprovementSummary",
@@ -19,6 +19,4 @@ __all__ = [
     "sorted_improvements",
     "speedup",
     "summarize_improvements",
-    "EmpiricalMetrics",
-    "measure_lookup",
 ]

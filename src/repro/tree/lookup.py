@@ -3,31 +3,24 @@
 Rule partitioning (EffiCuts-style or NeuroCuts' top-node partition action)
 produces *several* trees for one classifier.  A packet must be classified
 against every tree and the highest-priority match wins (Section 2.2).  The
-:class:`TreeClassifier` wraps that logic and exposes aggregate time/space
-statistics consistent with :mod:`repro.tree.stats`.
+:class:`TreeClassifier` holds those trees, exposes aggregate time/space
+statistics consistent with :mod:`repro.tree.stats`, and compiles them into
+the one lookup path, the dataplane engine:
+``classifier.compile().classify_batch(packets)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.obs.serialize import stable_dict
-from repro.rules.packet import Packet
-from repro.rules.rule import Rule
 from repro.rules.ruleset import RuleSet
 from repro.tree.stats import TreeStats, compute_stats
 from repro.tree.tree import DecisionTree
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.dispatch import CompiledClassifier
-
-#: Batch size at or above which ``classify_batch`` auto-compiles; below it
-#: the per-packet interpreter is cheaper than paying the compile.
-AUTO_COMPILE_THRESHOLD = 64
-
-#: Engine selection values accepted by :meth:`TreeClassifier.classify_batch`.
-BATCH_ENGINES = ("auto", "compiled", "interpreter")
 
 
 @dataclass(frozen=True)
@@ -64,40 +57,6 @@ class TreeClassifier:
         self.name = name or ruleset.name
         self._compiled: Optional["CompiledClassifier"] = None
         self._compiled_versions: Optional[Tuple[int, ...]] = None
-
-    def classify(self, packet: Packet) -> Optional[Rule]:
-        """Classify against every tree and return the best-priority match."""
-        best: Optional[Rule] = None
-        for tree in self.trees:
-            match = tree.classify(packet)
-            if match is not None and (best is None or match.priority > best.priority):
-                best = match
-        return best
-
-    def classify_batch(self, packets: Iterable[Packet],
-                       engine: str = "auto") -> List[Optional[Rule]]:
-        """Classify a sequence of packets.
-
-        ``engine`` selects the execution path:
-
-        * ``"auto"`` (default) — batches of at least
-          :data:`AUTO_COMPILE_THRESHOLD` packets go through the compiled
-          engine (compiling on first use, cached across calls); smaller
-          batches use the per-packet interpreter.
-        * ``"compiled"`` — always use the compiled engine.
-        * ``"interpreter"`` — always walk the Python node graph (the
-          pre-engine behaviour; kept for tests and differential checks).
-        """
-        if engine not in BATCH_ENGINES:
-            raise ValueError(
-                f"engine must be one of {BATCH_ENGINES}, got {engine!r}"
-            )
-        packets = list(packets)
-        if engine == "interpreter" or (
-            engine == "auto" and len(packets) < AUTO_COMPILE_THRESHOLD
-        ):
-            return [self.classify(p) for p in packets]
-        return self.compile().classify_batch(packets)
 
     # ------------------------------------------------------------------ #
     # Compiled engine

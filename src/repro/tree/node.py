@@ -112,13 +112,6 @@ class Node:
         """True if this node needs no further splitting."""
         return self.forced_leaf or self.num_rules <= leaf_threshold
 
-    def contains_packet(self, values: Sequence[int]) -> bool:
-        """True if the packet header values fall inside this node's box."""
-        for value, (lo, hi) in zip(values, self.ranges):
-            if not lo <= value < hi:
-                return False
-        return True
-
     def range_for(self, dim: Dimension | int) -> Range:
         """This node's range along one dimension."""
         return self.ranges[int(dim)]

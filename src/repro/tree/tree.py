@@ -10,13 +10,12 @@ truncated.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional
 
 import numpy as np
 
 from repro.exceptions import InvalidActionError, TreeError
 from repro.rules.fields import DIMENSIONS, FULL_SPACE, Ranges
-from repro.rules.packet import Packet
 from repro.rules.rule import Rule
 from repro.rules.ruleset import RuleSet
 from repro.tree.actions import Action
@@ -202,43 +201,6 @@ class DecisionTree:
     def has_overflowing_leaves(self) -> bool:
         """True if truncation left leaves that exceed the leaf threshold."""
         return any(leaf.num_rules > self.leaf_threshold for leaf in self.leaves())
-
-    # ------------------------------------------------------------------ #
-    # Classification
-    # ------------------------------------------------------------------ #
-
-    def classify(self, packet: Packet) -> Optional[Rule]:
-        """Classify a packet by walking the tree; returns the matched rule."""
-        best, _ = self._classify_node(self.root, packet.as_tuple())
-        return best
-
-    def classify_with_depth(self, packet: Packet) -> Tuple[Optional[Rule], int]:
-        """Classify a packet and also report how many tree levels were visited."""
-        return self._classify_node(self.root, packet.as_tuple())
-
-    def _classify_node(self, node: Node,
-                       values: Tuple[int, ...]) -> Tuple[Optional[Rule], int]:
-        if node.is_leaf:
-            for rule in node.rules:  # highest priority first
-                if all(lo <= v < hi for v, (lo, hi) in zip(values, rule.ranges)):
-                    return rule, 1
-            return None, 1
-        if node.is_partition_node:
-            # Every partition child must be consulted; take the best match.
-            best: Optional[Rule] = None
-            total_depth = 1
-            for child in node.children:
-                match, depth = self._classify_node(child, values)
-                total_depth += depth
-                if match is not None and (best is None or match.priority > best.priority):
-                    best = match
-            return best, total_depth
-        # Cut node: exactly one child's box contains the packet.
-        for child in node.children:
-            if child.contains_packet(values):
-                match, depth = self._classify_node(child, values)
-                return match, depth + 1
-        return None, 1
 
 
 def build_with_policy(

@@ -65,19 +65,27 @@ def validate_classifier(
     include_corners: bool = True,
     seed: int = 0,
 ) -> ValidationReport:
-    """Validate a (multi-)tree classifier against linear search."""
+    """Validate a (multi-)tree classifier against linear search.
+
+    The classifier is compiled once and the whole sample classified in one
+    engine walk (bypassing any attached flow cache); a tree the engine
+    cannot compile raises :class:`~repro.engine.layout.CompileError`.
+    """
+    from repro.engine.layout import packets_to_array
+
     ruleset = classifier.ruleset
     sample: List[Packet] = list(packets) if packets is not None else []
     if not sample:
         sample.extend(ruleset.sample_packets(num_random_packets, seed=seed))
         if include_corners:
             sample.extend(corner_packets(ruleset, limit=3 * len(ruleset)))
+    compiled = classifier.compile()
+    found = compiled.match_indices(packets_to_array(sample)).tolist()
     mismatching = []
-    for packet in sample:
+    for packet, index in zip(sample, found):
         expected = ruleset.classify(packet)
-        actual = classifier.classify(packet)
         expected_prio = expected.priority if expected else None
-        actual_prio = actual.priority if actual else None
+        actual_prio = compiled.rules[index].priority if index >= 0 else None
         if expected_prio != actual_prio:
             mismatching.append(packet)
     return ValidationReport(

@@ -1,14 +1,65 @@
-"""Per-packet reference walk: the oracle the fused forest walk is held to.
+"""Per-packet reference walks: the oracles the compiled engine is held to.
 
-One packet at a time, one tree at a time, over the ``NODE_DTYPE`` /
-``LEAF_RULE_DTYPE`` record copies a :class:`~repro.engine.layout.FlatTree`
-hands out — no forest column, no lane arithmetic, nothing shared with
-:meth:`repro.engine.layout.Forest.lookup` but the tables' contents.
+Two walks, one packet at a time:
+
+* :func:`tree_walk` / :func:`classify` — the recursive walk of the tree
+  model's ``Node`` graph, before any compilation: a partition node consults
+  every child and keeps the best match, a cut node descends into the one
+  child whose box holds the packet, a leaf scans its rules.  It reports how
+  many nodes it visited, so tests can hold observed depth to
+  ``stats().classification_time``.
+* :func:`match_indices` — one tree at a time over the ``NODE_DTYPE`` /
+  ``LEAF_RULE_DTYPE`` record copies a :class:`~repro.engine.layout.FlatTree`
+  hands out: no forest column, no lane arithmetic, nothing shared with
+  :meth:`repro.engine.layout.Forest.lookup` but the tables' contents.
 """
 
 import numpy as np
 
 from repro.engine import KIND_CUT, KIND_LEAF, NO_MATCH_PRIORITY
+
+
+def tree_walk(tree, packet):
+    """``(best rule or None, nodes visited)`` of one ``DecisionTree``."""
+    return _walk_node(tree.root, packet.as_tuple())
+
+
+def _inside(values, ranges):
+    return all(lo <= v < hi for v, (lo, hi) in zip(values, ranges))
+
+
+def _walk_node(node, values):
+    if node.is_leaf:
+        for rule in node.rules:  # highest priority first
+            if _inside(values, rule.ranges):
+                return rule, 1
+        return None, 1
+    if node.is_partition_node:
+        best, visited = None, 1
+        for child in node.children:
+            match, depth = _walk_node(child, values)
+            visited += depth
+            if match is not None and (best is None
+                                      or match.priority > best.priority):
+                best = match
+        return best, visited
+    for child in node.children:
+        if _inside(values, child.ranges):
+            match, depth = _walk_node(child, values)
+            return match, depth + 1
+    return None, 1
+
+
+def classify(classifier, packet):
+    """Best-priority match of :func:`tree_walk` over every tree of a
+    ``TreeClassifier`` (the earlier tree wins ties)."""
+    best = None
+    for tree in classifier.trees:
+        match, _ = tree_walk(tree, packet)
+        if match is not None and (best is None
+                                  or match.priority > best.priority):
+            best = match
+    return best
 
 
 def _columns(records):

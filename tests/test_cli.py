@@ -6,8 +6,18 @@ from pathlib import Path
 
 import pytest
 
+from repro.baselines import HiCutsBuilder
 from repro.cli import build_parser, main
-from repro.rules import io as rules_io
+from repro.engine import CompileError
+from repro.rules import Dimension, io as rules_io
+from repro.tree import (
+    CutAction,
+    EffiCutsPartitionAction,
+    TreeClassifier,
+    build_with_policy,
+    save_tree,
+    validate_classifier,
+)
 
 
 def _declares(parser, command, flag):
@@ -105,6 +115,56 @@ class TestCommands:
                  "compare": ["--with-neurocuts"]}[command]
         assert main([command, str(rules_path), *extra, *flags]) == 2
         assert f"error: {message}" in capsys.readouterr().err
+
+
+class TestClassify:
+    @pytest.fixture
+    def rules_and_tree(self, tmp_path, small_acl_ruleset):
+        rules_path = tmp_path / "rules.cb"
+        tree_path = tmp_path / "tree.json"
+        rules_io.dump(small_acl_ruleset, rules_path)
+        classifier = HiCutsBuilder(binth=8).build(small_acl_ruleset)
+        save_tree(classifier.trees[0], tree_path)
+        return rules_path, tree_path
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_classify_rejects_fewer_than_one_packet(self, rules_and_tree,
+                                                    capsys, count):
+        """Zero packets would check nothing and report success; a negative
+        count used to die inside NumPy with a traceback."""
+        rules_path, tree_path = rules_and_tree
+        assert main(["classify", str(rules_path), str(tree_path),
+                     "--num-packets", count]) == 2
+        captured = capsys.readouterr()
+        assert "error: --num-packets must be >= 1" in captured.err
+        assert "mismatches" not in captured.out
+
+    def test_a_tree_the_engine_cannot_compile_fails_loudly(
+            self, tmp_path, capsys, small_fw_ruleset, monkeypatch):
+        """An EffiCuts-partitioned tree that expands into more search trees
+        than the engine allows is an error in validation and in ``repro
+        classify`` alike: no fallback, no pass."""
+        import repro.engine.compile as engine_compile
+
+        tree = build_with_policy(
+            small_fw_ruleset,
+            lambda node: EffiCutsPartitionAction() if node.depth == 0
+            else CutAction(Dimension.SRC_IP, 4),
+            leaf_threshold=8, max_depth=4, max_actions=200)
+        assert len(tree.root.children) > 1
+        rules_path = tmp_path / "rules.cb"
+        tree_path = tmp_path / "tree.json"
+        rules_io.dump(small_fw_ruleset, rules_path)
+        save_tree(tree, tree_path)
+        monkeypatch.setattr(engine_compile, "MAX_SEARCH_TREES", 1)
+
+        with pytest.raises(CompileError, match="more than 1 search trees"):
+            validate_classifier(TreeClassifier(small_fw_ruleset, [tree]))
+        assert main(["classify", str(rules_path), str(tree_path),
+                     "--num-packets", "50"]) == 2
+        captured = capsys.readouterr()
+        assert "error: the engine cannot compile" in captured.err
+        assert "mismatches" not in captured.out
 
 
 class TestEngineBench:

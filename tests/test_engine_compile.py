@@ -2,8 +2,8 @@
 
 Covers the flat-array layout, compilation of every action kind (cuts,
 multicuts, splits, partitions), the multi-tree dispatcher, the LRU flow
-cache, cache invalidation on tree mutation, and the auto-compile path of
-``TreeClassifier.classify_batch``.
+cache, and cache invalidation on tree mutation.  The recursive walk of
+the tree model (``reference_walk.classify``) is the interpreter oracle.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import reference_walk
 from repro.baselines import (
     CutSplitBuilder,
     EffiCutsBuilder,
@@ -33,7 +34,6 @@ from repro.engine import (
 from repro.neurocuts import IncrementalUpdater
 from repro.rules import Dimension, Packet, Rule, RuleSet
 from repro.tree import CutAction, DecisionTree, SplitAction, TreeClassifier
-from repro.tree.lookup import AUTO_COMPILE_THRESHOLD
 
 
 @pytest.fixture(scope="module")
@@ -113,11 +113,13 @@ class TestDispatcher:
         classifier = builder_cls(binth=8).build(ruleset)
         compiled = compile_classifier(classifier)
         packets = ruleset.sample_packets(400, seed=4)
-        expected = classifier.classify_batch(packets, engine="interpreter")
+        expected = [reference_walk.classify(classifier, p) for p in packets]
+        linear = [ruleset.classify(p) for p in packets]
         actual = compiled.classify_batch(packets)
-        for want, got in zip(expected, actual):
+        for want, oracle, got in zip(expected, linear, actual):
             assert (want.priority if want else None) == \
-                (got.priority if got else None)
+                (got.priority if got else None) == \
+                (oracle.priority if oracle else None)
 
     def test_partitioned_classifier_expands_to_multiple_search_trees(self):
         ruleset = generate_classifier("fw1", 120, seed=0)
@@ -145,7 +147,7 @@ class TestDispatcher:
         assert len(rules_out) == len(rule_slot)
         compiled = CompiledClassifier(subtrees=flats, rules=rules_out)
         packet = acl_classifier.ruleset.sample_packets(1, seed=0)[0]
-        want = acl_classifier.classify(packet)
+        want = reference_walk.classify(acl_classifier, packet)
         got = compiled.classify(packet)
         assert (want.priority if want else None) == \
             (got.priority if got else None)
@@ -292,24 +294,6 @@ class TestClassifierIntegration:
         assert fresh is not stale
         packet = ruleset.sample_packets(1, seed=2)[0]
         assert fresh.classify(packet).priority == top
-
-    def test_classify_batch_auto_compiles_large_batches(self, acl_classifier):
-        acl_classifier.invalidate_compiled()
-        small = acl_classifier.ruleset.sample_packets(
-            AUTO_COMPILE_THRESHOLD - 1, seed=7)
-        acl_classifier.classify_batch(small)
-        assert acl_classifier._compiled is None  # interpreter path
-        large = acl_classifier.ruleset.sample_packets(
-            AUTO_COMPILE_THRESHOLD, seed=7)
-        auto = acl_classifier.classify_batch(large)
-        assert acl_classifier._compiled is not None
-        interp = acl_classifier.classify_batch(large, engine="interpreter")
-        assert [r.priority if r else None for r in auto] == \
-            [r.priority if r else None for r in interp]
-
-    def test_classify_batch_rejects_unknown_engine(self, acl_classifier):
-        with pytest.raises(ValueError):
-            acl_classifier.classify_batch([], engine="gpu")
 
     def test_builder_build_compiled(self):
         ruleset = generate_classifier("acl1", 50, seed=8)

@@ -57,7 +57,7 @@ def suite(request):
 
 def _assert_agreement(classifier: TreeClassifier, ruleset: RuleSet,
                       packets, oracle: List[Optional[object]]) -> None:
-    compiled = classifier.classify_batch(packets, engine="compiled")
+    compiled = classifier.compile().classify_batch(packets)
     assert len(compiled) == len(oracle)
     mismatches = [
         (i, want, got)

@@ -3,12 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.baselines import HiCutsBuilder
-from repro.classbench import generate_trace
 from repro.metrics import (
     best_baseline,
     improvement,
-    measure_lookup,
     median_by_algorithm,
     sorted_improvements,
     speedup,
@@ -69,22 +66,6 @@ class TestImprovementMetrics:
 
     def test_sorted_improvements(self):
         assert sorted_improvements({"a": 0.3, "b": -0.1, "c": 0.2}) == [-0.1, 0.2, 0.3]
-
-
-class TestEmpiricalMetrics:
-    def test_measure_lookup(self, small_acl_ruleset):
-        classifier = HiCutsBuilder(binth=8).build(small_acl_ruleset)
-        trace = generate_trace(small_acl_ruleset, num_packets=100, seed=0)
-        metrics = measure_lookup(classifier, trace)
-        assert metrics.num_packets == 100
-        assert 1 <= metrics.mean_depth <= metrics.max_depth
-        assert metrics.p50_depth <= metrics.p99_depth
-        assert metrics.lookups_per_second > 0
-
-    def test_empty_trace_rejected(self, small_acl_ruleset):
-        classifier = HiCutsBuilder(binth=8).build(small_acl_ruleset)
-        with pytest.raises(ValueError):
-            measure_lookup(classifier, [])
 
 
 class TestScales:

@@ -2,6 +2,7 @@
 
 import pytest
 
+import reference_walk
 from repro.rules import Dimension, Packet, Rule, RuleSet
 from repro.tree import (
     CutAction,
@@ -38,7 +39,7 @@ class TestIncrementalUpdates:
         assert updater.stats.rules_added == 1
         # The updated tree must classify packets hitting the new rule correctly.
         packet = built_tree.ruleset.sample_matching_packet(new_rule)
-        match = built_tree.classify(packet)
+        match, _ = reference_walk.tree_walk(built_tree, packet)
         assert match is not None and match.priority == new_rule.priority
 
     def test_updated_tree_still_matches_linear_search(self, built_tree):
@@ -245,14 +246,16 @@ class TestCompiledEngineInvalidation:
         IncrementalUpdater(built_tree).remove_rule(victim)
         compiled_after = classifier.compile()
         assert compiled_after is not compiled_before
-        # Compiled batch results agree with the interpreter on a fresh trace.
+        # Compiled batch results agree with the recursive walk and with
+        # linear search over the updated ruleset on a fresh trace.
         packets = self._packets(built_tree.ruleset)
         compiled = compiled_after.classify_batch(packets)
-        interpreted = classifier.classify_batch(packets, engine="interpreter")
-        for got, want in zip(compiled, interpreted):
-            got_priority = got.priority if got else None
-            want_priority = want.priority if want else None
-            assert got_priority == want_priority
+        for packet, got in zip(packets, compiled):
+            walked, _ = reference_walk.tree_walk(built_tree, packet)
+            linear = built_tree.ruleset.classify(packet)
+            assert (got.priority if got else None) \
+                == (walked.priority if walked else None) \
+                == (linear.priority if linear else None)
         # And the removed rule no longer wins anywhere.
         assert all(m is None or m.priority != victim.priority for m in compiled)
 

@@ -494,7 +494,7 @@ class TestChurnAsGenerated:
                         for rule in removed for _ in range(12)]
             expected = _priorities([ruleset.classify(p) for p in packets])
             where = f"{builder.name} {family}, event {event}"
-            assert _priorities([slot.classifier.classify(p)
+            assert _priorities([reference_walk.classify(slot.classifier, p)
                                 for p in packets]) == expected, where
             partial = slot.engine()
             assert _priorities(partial.classify_batch(packets)) \

@@ -22,6 +22,7 @@ from repro.baselines import (
 )
 from repro.classbench import generate_classifier, seed_names
 from repro.engine import compile_classifier, packets_to_array
+from repro.neurocuts import SIMPLE_PARTITION_THRESHOLDS
 from repro.rules import DIMENSIONS, FIELD_RANGES, Packet, Rule, RuleSet
 from repro.rules.fields import Dimension, prefix_to_range
 from repro.tree import (
@@ -146,10 +147,13 @@ def test_tree_agrees_with_linear_search(ruleset):
         max_depth=5,
         max_actions=300,
     )
-    for packet in ruleset.sample_packets(20, seed=0):
+    packets = ruleset.sample_packets(20, seed=0)
+    compiled = TreeClassifier(ruleset, [tree]).compile().classify_batch(packets)
+    for packet, got in zip(packets, compiled):
         expected = ruleset.classify(packet)
-        actual = tree.classify(packet)
-        assert (actual.priority if actual else None) == \
+        walked, _ = reference_walk.tree_walk(tree, packet)
+        assert (walked.priority if walked else None) == \
+            (got.priority if got else None) == \
             (expected.priority if expected else None)
 
 
@@ -158,25 +162,51 @@ def test_tree_agrees_with_linear_search(ruleset):
 # --------------------------------------------------------------------------- #
 
 
+def _root_partition(ruleset):
+    """A tree of the shape NeuroCuts' ``partition_mode="simple"`` emits: one
+    coverage partition at the root (the first dimension and threshold that
+    separates the rules, as the action mask allows), then cuts."""
+
+    def policy(node):
+        if node.depth == 0:
+            for threshold in SIMPLE_PARTITION_THRESHOLDS:
+                for dim in DIMENSIONS:
+                    large = sum(rule.coverage_fraction(dim) > threshold
+                                for rule in node.rules)
+                    if 0 < large < node.num_rules:
+                        return PartitionAction(dim, threshold)
+        return CutAction(Dimension(node.depth % len(DIMENSIONS)), 4)
+
+    tree = build_with_policy(ruleset, policy, leaf_threshold=8, max_depth=6,
+                             max_actions=300)
+    return TreeClassifier(ruleset, [tree], name="root-partition")
+
+
+_WORKLOAD_BUILDERS = {
+    "HiCuts": HiCutsBuilder(binth=8).build,
+    "EffiCuts": EffiCutsBuilder(binth=8).build,
+    "root-partition": _root_partition,
+}
+
+
 @given(family=st.sampled_from(sorted(seed_names())),
        num_rules=st.integers(min_value=16, max_value=60),
        seed=st.integers(min_value=0, max_value=10 ** 4),
-       efficuts=st.booleans())
+       builder=st.sampled_from(sorted(_WORKLOAD_BUILDERS)))
 @settings(max_examples=15, deadline=None)
 def test_generated_workloads_classify_identically_everywhere(
-        family, num_rules, seed, efficuts):
-    """Interpreter, compiled engine, and linear search agree packet-for-packet
-    on any generated (family, size, seed) workload — the exactness invariant
-    the serving layer is built on."""
+        family, num_rules, seed, builder):
+    """The recursive test walk, the compiled engine and linear search agree
+    packet-for-packet on any generated (family, size, seed) workload — the
+    exactness invariant the serving layer is built on."""
     ruleset = generate_classifier(family, num_rules, seed=seed)
-    builder = EffiCutsBuilder(binth=8) if efficuts else HiCutsBuilder(binth=8)
-    classifier = builder.build(ruleset)
+    classifier = _WORKLOAD_BUILDERS[builder](ruleset)
     packets = [entry.packet for entry in
                generate_flow_trace(ruleset, num_packets=96, num_flows=24,
                                    seed=seed)]
     linear = [ruleset.classify(p) for p in packets]
-    interpreted = classifier.classify_batch(packets, engine="interpreter")
-    compiled = classifier.classify_batch(packets, engine="compiled")
+    interpreted = [reference_walk.classify(classifier, p) for p in packets]
+    compiled = classifier.compile().classify_batch(packets)
 
     def priorities(matches):
         return [m.priority if m else None for m in matches]
@@ -278,8 +308,8 @@ def test_fused_walk_equals_kernels_equals_linear_search(
 
 
 def test_walk_builders_cover_splits_and_clones():
-    """The property above means what it says only if its builders really
-    produce split rows and a clone-producing expansion."""
+    """The properties above mean what they say only if their builders really
+    produce split rows, a clone-producing expansion and a root partition."""
     ruleset = generate_classifier("fw1", 60, seed=1)
     cutsplit = compile_classifier(_WALK_BUILDERS["CutSplit"](ruleset))
     assert cutsplit.forest.has_split
@@ -290,6 +320,8 @@ def test_walk_builders_cover_splits_and_clones():
                for _, rows in cloned.provenance.rows_of(cloned).values())
     assert not compile_classifier(
         _WALK_BUILDERS["EffiCuts"](ruleset)).forest.has_split
+    # The three-way workload property's partitioned input is partitioned.
+    assert _root_partition(ruleset).trees[0].root.is_partition_node
 
 
 # --------------------------------------------------------------------------- #

@@ -1,7 +1,9 @@
 """Tests for multi-tree classifiers, validation helpers and serialization."""
 
+import numpy as np
 import pytest
 
+import reference_walk
 from repro.rules import Dimension, Rule, RuleSet
 from repro.tree import (
     CutAction,
@@ -72,8 +74,12 @@ class TestTreeClassifier:
 
     def test_classify_batch(self, two_tree_classifier, small_fw_ruleset):
         packets = small_fw_ruleset.sample_packets(10, seed=4)
-        results = two_tree_classifier.classify_batch(packets)
+        results = two_tree_classifier.compile().classify_batch(packets)
         assert len(results) == 10
+        for packet, got in zip(packets, results):
+            walked = reference_walk.classify(two_tree_classifier, packet)
+            linear = small_fw_ruleset.classify(packet)
+            assert got.priority == walked.priority == linear.priority
 
 
 class TestValidation:
@@ -88,17 +94,24 @@ class TestValidation:
 
     def test_corners_catch_an_inclusive_upper_bound(self, tiny_ruleset):
         class InclusiveUpperBound:
-            """Matches ``lo <= x <= hi``: right everywhere except at hi."""
+            """An engine matching ``lo <= x <= hi``: right everywhere
+            except at hi."""
 
             ruleset = tiny_ruleset
+            rules = list(tiny_ruleset)
 
-            def classify(self, packet):
-                matches = [
-                    rule for rule in tiny_ruleset
-                    if all(lo <= value <= hi for value, (lo, hi)
-                           in zip(packet.as_tuple(), rule.ranges))]
-                return max(matches, key=lambda rule: rule.priority,
-                           default=None)
+            def compile(self):
+                return self
+
+            def match_indices(self, values):
+                found = []
+                for header in values.tolist():
+                    hits = [i for i, rule in enumerate(self.rules)
+                            if all(lo <= value <= hi for value, (lo, hi)
+                                   in zip(header, rule.ranges))]
+                    found.append(max(hits, default=-1,
+                                     key=lambda i: self.rules[i].priority))
+                return np.array(found, dtype=np.int64)
 
         report = validate_classifier(InclusiveUpperBound(),
                                      num_random_packets=0)
@@ -151,10 +164,12 @@ class TestSerialization:
         assert restored.num_nodes() == tree.num_nodes()
         assert restored.depth() == tree.depth()
         # Restored tree classifies identically.
-        for packet in small_acl_ruleset.sample_packets(50, seed=5):
-            a = tree.classify(packet)
-            b = restored.classify(packet)
-            assert (a.priority if a else None) == (b.priority if b else None)
+        packets = small_acl_ruleset.sample_packets(50, seed=5)
+        before, after = (
+            TreeClassifier(small_acl_ruleset, [t]).compile()
+            .classify_batch(packets) for t in (tree, restored))
+        assert [m.priority if m else None for m in before] == \
+            [m.priority if m else None for m in after]
 
     def test_file_roundtrip(self, tmp_path, small_acl_ruleset):
         tree = build_with_policy(

@@ -171,14 +171,6 @@ class TestHelpers:
         kept = remove_redundant_rules([specific, broad], FULL_SPACE)
         assert kept == [specific, broad]
 
-    def test_node_contains_packet(self, mixed_rules):
-        node = make_node(mixed_rules)
-        assert node.contains_packet((0, 0, 0, 0, 0))
-        box = list(FULL_SPACE)
-        box[int(Dimension.PROTOCOL)] = (6, 7)
-        node = make_node(mixed_rules, ranges=tuple(box))
-        assert not node.contains_packet((0, 0, 0, 0, 17))
-
     def test_is_terminal_respects_threshold_and_forced(self, mixed_rules):
         node = make_node(mixed_rules)
         assert node.is_terminal(leaf_threshold=4)

@@ -2,14 +2,30 @@
 
 import pytest
 
+import reference_walk
 from repro.exceptions import TreeError
 from repro.rules import Dimension, Packet, Rule, RuleSet
 from repro.tree import (
     CutAction,
     DecisionTree,
     PartitionAction,
+    TreeClassifier,
     build_with_policy,
 )
+
+
+def _priority(rule):
+    return rule.priority if rule else None
+
+
+def _assert_three_way(ruleset, tree, packets):
+    """The recursive test walk, the compiled engine and linear search name
+    the same rule for every packet."""
+    compiled = TreeClassifier(ruleset, [tree]).compile().classify_batch(packets)
+    for packet, got in zip(packets, compiled):
+        walked, _ = reference_walk.tree_walk(tree, packet)
+        assert _priority(walked) == _priority(got) \
+            == _priority(ruleset.classify(packet))
 
 
 class TestConstructionStateMachine:
@@ -105,11 +121,8 @@ class TestClassification:
             lambda node: CutAction(Dimension.DST_IP, 8),
             leaf_threshold=8,
         )
-        for packet in small_acl_ruleset.sample_packets(100, seed=11):
-            expected = small_acl_ruleset.classify(packet)
-            actual = tree.classify(packet)
-            assert (actual.priority if actual else None) == \
-                (expected.priority if expected else None)
+        _assert_three_way(small_acl_ruleset, tree,
+                          small_acl_ruleset.sample_packets(100, seed=11))
 
     def test_partitioned_tree_matches_linear_search(self, small_fw_ruleset):
         def policy(node):
@@ -121,11 +134,8 @@ class TestClassification:
         # this fixed (non-adaptive) policy from exploding on fw-style rules.
         tree = build_with_policy(small_fw_ruleset, policy, leaf_threshold=8,
                                  max_depth=3, max_actions=300)
-        for packet in small_fw_ruleset.sample_packets(100, seed=12):
-            expected = small_fw_ruleset.classify(packet)
-            actual = tree.classify(packet)
-            assert (actual.priority if actual else None) == \
-                (expected.priority if expected else None)
+        _assert_three_way(small_fw_ruleset, tree,
+                          small_fw_ruleset.sample_packets(100, seed=12))
 
     def test_classify_with_depth_counts_levels(self, small_acl_ruleset):
         tree = build_with_policy(
@@ -134,7 +144,7 @@ class TestClassification:
             leaf_threshold=8,
         )
         packet = small_acl_ruleset.sample_packets(1, seed=13)[0]
-        _, depth = tree.classify_with_depth(packet)
+        _, depth = reference_walk.tree_walk(tree, packet)
         assert 1 <= depth <= tree.depth() + 1
 
 
