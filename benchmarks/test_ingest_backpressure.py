@@ -31,8 +31,7 @@ FLASH = FlashCrowdConfig(rate_factor=8.0)
 
 def _run_flash_crowd(ingest: IngestConfig):
     return run_serving(
-        ServingConfig(background_swaps=False, record_batches=True,
-                      ingest=ingest),
+        ServingConfig(record_batches=True, ingest=ingest),
         num_tenants=3,
         num_rules=60,
         num_packets=4_000,

@@ -34,8 +34,7 @@ def test_retrain_on_churn_zero_misclassification(run_once, benchmark,
     print(result.workload.describe())
     print(format_table(["metric", "value"], report.rows()))
     print(format_table(
-        ["tenant", "rules", "epoch", "hit rate", "evictions", "swaps",
-         "stalls"],
+        ["tenant", "rules", "epoch", "hit rate", "evictions", "swaps"],
         result.tenant_rows(),
     ))
     benchmark.extra_info["pps"] = report.pps

@@ -5,8 +5,7 @@ scorecard (``repro.harness.scorecard.SERVING_SCORECARDS``) — a generated
 multi-tenant flow workload with mid-trace rule churn — is served with *zero*
 dropped packets and *zero* misclassifications, every answer equal to linear
 search over the exact ruleset generation its engine was compiled from,
-including the post-update rulesets installed by the double-buffered hot
-swaps.
+including the post-update rulesets installed by the hot swaps.
 
 The quantitative bar is the checked-in baseline record
 (``benchmarks/baselines/BENCH_serving_hotswap.json``): deterministic
@@ -41,8 +40,7 @@ def test_hot_swap_zero_misclassification(run_once, benchmark, bench_gate):
     print(result.workload.describe())
     print(format_table(["metric", "value"], report.rows()))
     print(format_table(
-        ["tenant", "rules", "epoch", "hit rate", "evictions", "swaps",
-         "stalls"],
+        ["tenant", "rules", "epoch", "hit rate", "evictions", "swaps"],
         result.tenant_rows(),
     ))
     benchmark.extra_info["pps"] = report.pps
@@ -50,7 +48,6 @@ def test_hot_swap_zero_misclassification(run_once, benchmark, bench_gate):
     benchmark.extra_info["p99_ms"] = report.latency_ms(99.0)
     benchmark.extra_info["cache_hit_rate"] = report.cache_hit_rate
     benchmark.extra_info["swaps"] = report.swaps
-    benchmark.extra_info["swap_stalls"] = report.swap_stalls
 
     # No dropped packets: every generated request was answered exactly once.
     assert report.num_requests == len(result.workload.requests)

@@ -31,7 +31,7 @@ BASELINE_DIR = REPO_ROOT / "benchmarks" / "baselines"
 def main() -> int:
     # 1. A quick serving run to show the metrics registry itself: every
     #    lifecycle phase shows up as a timing series with raw samples.
-    result = run_serving(ServingConfig(background_swaps=False),
+    result = run_serving(ServingConfig(),
                          num_tenants=2, num_rules=60, num_packets=2000,
                          num_flows=100, seed=0)
     metrics = result.report.metrics

@@ -50,7 +50,8 @@ def main() -> None:
 
     # 3. Serve the merged request stream.  Requests coalesce into engine
     #    batches (64 packets or 1 ms, whichever first); the scheduled rule
-    #    updates trigger background recompiles and atomic engine swaps.
+    #    updates recompile the edited leaves and swap the engine in between
+    #    batches.
     service = ClassificationService(
         registry, BatchPolicy(max_batch=64, max_delay=1e-3),
         record_batches=True,

@@ -49,7 +49,7 @@ def main() -> None:
     # 2. Replay from the file alone: the registry, engines, batcher, and
     #    hot swaps are rebuilt from the trace, no generator involved.
     replay = replay_trace(read_trace(trace_path),
-                          ServingConfig(max_batch=32, background_swaps=False))
+                          ServingConfig(max_batch=32))
     print("replay telemetry (batch size 32, still exact):")
     print(format_table(["metric", "value"], replay.result.report.rows()))
     print(format_table(["check", "count"], replay.report.rows()))
@@ -58,7 +58,7 @@ def main() -> None:
     # 3. Replay again at batch size 16 with the flow cache off: other
     #    batches, the same decisions.
     rebatched = replay_trace(read_trace(trace_path), ServingConfig(
-        max_batch=16, flow_cache_size=None, background_swaps=False))
+        max_batch=16, flow_cache_size=None))
     print(f"\nreplay at batch size 16, no flow cache: "
           f"{rebatched.result.report.num_batches} batches, "
           f"{rebatched.report.num_served} served, "

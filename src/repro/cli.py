@@ -206,8 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_flags(serve)
     _add_batch_flags(serve)
     _add_stack_flags(serve, retrain_backend="thread")
-    serve.add_argument("--sync-swaps", action="store_true",
-                       help="recompile inline instead of in the background")
     serve.add_argument("--verify", action="store_true",
                        help="re-check every answer against linear search "
                             "(slow; proves exactness across hot swaps)")
@@ -519,7 +517,7 @@ def _serving_config(args: argparse.Namespace, seed: int, **fields):
     """The ``ServingConfig`` the batch and stack flags describe.
 
     ``seed`` seeds the retrain policy; ``fields`` are the ones each command
-    spells its own way (swap mode, batch recording).  Raises
+    spells its own way (batch recording).  Raises
     ``ValueError`` on any out-of-range flag.
     """
     from repro.ingest import IngestConfig
@@ -555,7 +553,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         if not args.tenant_zipf >= 0:
             raise ValueError("--tenant-zipf must be >= 0")
         config = _serving_config(args, seed=args.seed,
-                                 background_swaps=not args.sync_swaps,
                                  record_batches=args.verify)
         result = run_serving(
             config,
@@ -571,8 +568,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     print(f"served {workload.describe()}")
     print(format_table(["metric", "value"], result.report.rows()))
     print(format_table(
-        ["tenant", "rules", "epoch", "hit rate", "evictions", "swaps",
-         "stalls"],
+        ["tenant", "rules", "epoch", "hit rate", "evictions", "swaps"],
         result.tenant_rows(),
     ))
     report = result.report
@@ -625,7 +621,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
                 "max_delay_ms": args.max_delay_ms,
                 "flow_cache": args.flow_cache,
                 "churn_events": args.churn_events,
-                "sync_swaps": args.sync_swaps,
                 "verify": args.verify,
                 "retrain_threshold": args.retrain_threshold,
                 "retrain_timesteps": args.retrain_timesteps
@@ -655,7 +650,7 @@ def _cmd_trace_record(args: argparse.Namespace) -> int:
     try:
         outcome = record_serving(
             args.output,
-            ServingConfig(background_swaps=False, **_batch_fields(args)),
+            ServingConfig(**_batch_fields(args)),
             **_scenario(args),
         )
     except (TraceError, ValueError) as error:
@@ -677,8 +672,7 @@ def _cmd_trace_replay(args: argparse.Namespace) -> int:
 
     try:
         trace = read_trace(args.trace)
-        config = _serving_config(args, seed=trace.seed,
-                                 background_swaps=False)
+        config = _serving_config(args, seed=trace.seed)
         if args.ingest:
             print("note: trace replay bypasses admission timing (the trace "
                   "clock is authoritative; see docs/ingest.md)")

@@ -9,10 +9,9 @@ of the code — the same contract trace replay leans on.  CI runs these via
 (re)generated by ``scripts/make_bench_baselines.py`` whenever a counter
 change is intentional.
 
-The serving run uses synchronous swaps on purpose: with background swaps
-the moment an engine lands depends on the wall clock, which makes cache
-invalidation and hit counts machine-dependent — exactly what a
-deterministic scorecard cannot tolerate (see docs/observability.md).
+Engine swaps land at each update's barrier (the rebuild runs inline), so
+cache invalidation and hit counts do not depend on the wall clock — exactly
+what a deterministic scorecard needs (see docs/observability.md).
 """
 
 from __future__ import annotations
@@ -60,8 +59,7 @@ THROUGHPUT_SCORECARDS: Dict[str, Dict[str, object]] = {
     },
 }
 
-#: Knobs of the canonical serving scorecard run.  ``sync_swaps`` is part of
-#: the determinism contract, not a tuning choice.
+#: Knobs of the canonical serving scorecard run.
 SERVE_SCORECARD: Dict[str, object] = {
     "tenants": 2,
     "families": "acl1",
@@ -73,7 +71,6 @@ SERVE_SCORECARD: Dict[str, object] = {
     "batch_size": 64,
     "flow_cache": 1024,
     "churn_events": 1,
-    "sync_swaps": True,
     "verify": True,
     "seed": 0,
 }
@@ -86,9 +83,9 @@ SERVE_SCORECARD: Dict[str, object] = {
 #: gates against checked-in baselines — a cache-locality
 #: regression now shows up as a cache_hits diff, not a flaky threshold.
 #: Counters gate exactly everywhere; throughput/latency timings are
-#: informational.  ``sync_swaps`` (and ``"serial"`` retrains) are the
-#: determinism contract: background work lands on the wall clock, which
-#: would make the counters machine-dependent.
+#: informational.  ``"serial"`` retrains are the determinism contract: a
+#: background retrain lands on the wall clock, which would make the
+#: counters machine-dependent.
 SERVING_SCORECARDS: Dict[str, Dict[str, object]] = {
     "hotswap": {
         "tenants": 3,
@@ -103,7 +100,6 @@ SERVING_SCORECARDS: Dict[str, Dict[str, object]] = {
         "churn_events": 3,
         "adds_per_event": 5,
         "removes_per_event": 3,
-        "sync_swaps": True,
         "verify": True,
         "seed": 0,
     },
@@ -131,7 +127,6 @@ SERVING_SCORECARDS: Dict[str, Dict[str, object]] = {
         # unconditionally; the quality gate has its own unit tests
         # (tests/test_retrain_serving.py) and replay coverage.
         "retrain_quality_gate": False,
-        "sync_swaps": True,
         "verify": True,
         "seed": 0,
     },
@@ -183,7 +178,6 @@ def _run_scorecard(cfg: Dict[str, object]):
     config = ServingConfig(
         max_batch=cfg["batch_size"],
         flow_cache_size=cfg["flow_cache"],
-        background_swaps=not cfg["sync_swaps"],
         record_batches=cfg["verify"],
         retrain_threshold=cfg.get("retrain_threshold"),
         retrain_policy=retrain_policy,

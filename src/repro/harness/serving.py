@@ -140,7 +140,6 @@ class ServingResult:
                 f"{entry['cache']['hit_rate']:.1%}",
                 entry["cache"]["evictions"],
                 entry["swap"]["swaps"],
-                entry["swap"]["stalls"],
             ]
             for tenant_id, entry in self.report.per_tenant.items()
         ]

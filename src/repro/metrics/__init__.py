@@ -7,7 +7,6 @@ from repro.metrics.summary import (
     improvement,
     median_by_algorithm,
     sorted_improvements,
-    speedup,
     summarize_improvements,
 )
 
@@ -17,6 +16,5 @@ __all__ = [
     "improvement",
     "median_by_algorithm",
     "sorted_improvements",
-    "speedup",
     "summarize_improvements",
 ]

@@ -23,13 +23,6 @@ def improvement(ours: float, baseline: float) -> float:
     return 1.0 - (ours / baseline)
 
 
-def speedup(baseline: float, ours: float) -> float:
-    """Multiplicative factor ``baseline / ours`` (>1 means we are better)."""
-    if ours == 0:
-        return float("inf")
-    return baseline / ours
-
-
 @dataclass(frozen=True)
 class ImprovementSummary:
     """Aggregate improvement of one algorithm over another across a suite."""

@@ -18,11 +18,9 @@ way.  Registries hold only plain containers — no locks, no threads — so
 they pickle unchanged.
 
 **Threading.**  A registry assumes the single-serving-thread model of
-:mod:`repro.serve`: series are created and read from the serving thread.
-The one background writer is an engine builder / retrain observer calling
-``Timing.observe`` on a series that already exists — a bare ``list.append``,
-atomic under the GIL — so callers that share a series with a background
-thread must create it up front (see :class:`~repro.serve.engines.EngineSlot`).
+:mod:`repro.serve`: every series is created, written and read from the
+serving thread — engine rebuilds run inline there, and a retrain's job time
+is observed when the serving thread installs it.  Registries take no locks.
 
 Spans are the cheap way in: ``with registry.span("engine.compile_seconds"):``
 times the block with ``perf_counter`` and records one sample.
@@ -192,8 +190,7 @@ class MetricsRegistry:
     def span(self, name: str) -> Iterator[None]:
         """Time a phase: records the block's wall seconds into ``name``.
 
-        The series is created *before* the block runs, so a span around
-        code that hands the same series to a background thread stays safe.
+        The series is created *before* the block runs.
         """
         series = self.timing(name)
         start = time.perf_counter()
@@ -223,7 +220,7 @@ class MetricsRegistry:
         copy, far cheaper than ``copy.deepcopy`` for big sample sets), so
         the snapshot never moves when the live registry keeps observing —
         what lets a report embed metrics without aliasing the shared
-        instance background writers hold.
+        instance later runs keep writing into.
         """
         result = MetricsRegistry()
         result.counters = {n: Counter(n, c.value)

@@ -3,9 +3,9 @@
 Construction (training, heuristics) and execution (the compiled engine)
 already exist; this package is the *serving* side: a
 :class:`~repro.serve.registry.TenantRegistry` holds one compiled engine per
-tenant behind double-buffered :class:`~repro.serve.engines.EngineSlot`
-objects (zero-downtime rule updates via background recompile + atomic
-swap), per-packet requests coalesce into vectorised per-tenant batches
+tenant behind :class:`~repro.serve.engines.EngineSlot` objects (a rule
+update recompiles the edited leaves and swaps the new engine in between
+batches), per-packet requests coalesce into vectorised per-tenant batches
 (one :func:`~repro.serve.batcher.plan_block` per ``serve()`` call; the
 event-at-a-time :class:`~repro.serve.batcher.MicroBatcher` is the
 per-event reference, kept here for the planner's oracle and the perf

@@ -8,8 +8,8 @@ crosses its retrain threshold it launches a background NeuroCuts training
 job (a :func:`repro.neurocuts.service.run_retrain` task on a
 ``concurrent.futures`` executor from :func:`repro.executors.make_executor`),
 then installs the resulting *tree* — not just
-recompiled arrays — through the slot's double-buffered
-:meth:`~repro.serve.engines.EngineSlot.adopt_classifier` path.  Rule churn
+recompiled arrays — through the slot's
+:meth:`~repro.serve.engines.EngineSlot.adopt_classifier` swap.  Rule churn
 that lands while the retrain is running is replayed onto the new tree at
 installation, so the per-epoch exactness guarantees hold across the whole
 retrain → adopt → swap sequence.
@@ -216,9 +216,9 @@ class RetrainController:
     def drain(self) -> List[str]:
         """Block until every in-flight retrain finishes and installs.
 
-        A quiesce point (end of trace, shutdown) — the registry's own
-        ``drain()`` should follow so the adopted trees' engine rebuilds are
-        installed too.  Returns the tenants whose trees were installed.
+        A quiesce point (end of trace, shutdown); each adopted tree's engine
+        is compiled and installed before this returns.  Returns the tenants
+        whose trees were installed.
         """
         landed = []
         for tenant_id, job in list(self._jobs.items()):

@@ -30,20 +30,25 @@ class TenantRegistry:
     """Registers tenants and owns their engine slots.
 
     **Thread-safety.**  Like the slots it owns, the registry expects a
-    single serving thread: registration, updates, and telemetry reads all
-    happen from that thread, while each slot's background builder thread
-    only ever reads tree state.
+    single serving thread: registration, updates (each one compiling and
+    installing its tenant's next engine before it returns), and telemetry
+    reads all happen from that thread.
     """
 
     def __init__(
         self,
         default_flow_cache_size: Optional[int] = DEFAULT_FLOW_CACHE_SIZE,
-        background_swaps: bool = True,
+        background_swaps: bool = False,
         default_retrain_threshold: int = DEFAULT_RETRAIN_THRESHOLD,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
+        # Engines always rebuild inline.  ``background_swaps=False`` is still
+        # accepted only because the frozen perfbench/ harness passes it
+        # (ROADMAP item 10); drop the parameter at its next change.
+        if background_swaps:
+            raise ValueError("background_swaps=True is not supported: "
+                             "engines always rebuild inline")
         self.default_flow_cache_size = default_flow_cache_size
-        self.background_swaps = background_swaps
         self.default_retrain_threshold = default_retrain_threshold
         #: Shared phase-timer registry: every slot this registry creates
         #: records compile/install/retrain spans here, so one merge covers
@@ -111,7 +116,6 @@ class TenantRegistry:
             tenant_id,
             classifier,
             flow_cache_size=flow_cache_size,
-            background=self.background_swaps,
             retrain_threshold=retrain_threshold,
             metrics=self.metrics,
         )
@@ -120,9 +124,8 @@ class TenantRegistry:
         return slot
 
     def deregister(self, tenant_id: str) -> EngineSlot:
-        """Remove a tenant; its in-flight rebuild (if any) is drained first."""
+        """Remove a tenant and return its slot."""
         slot = self.slot(tenant_id)
-        slot.force_swap()
         del self._slots[tenant_id]
         self.metrics.gauge("serve.tenants").set(len(self._slots))
         return slot
@@ -138,15 +141,11 @@ class TenantRegistry:
 
     def apply_update(self, tenant_id: str, adds: Sequence[Rule] = (),
                      removes: Sequence[Rule] = ()) -> EngineSlot:
-        """Route a rule update to the owning slot (hot swap scheduled)."""
+        """Route a rule update to the owning slot; its rebuilt engine is
+        installed when this returns."""
         slot = self.slot(tenant_id)
         slot.apply_update(adds=adds, removes=removes)
         return slot
-
-    def drain(self) -> None:
-        """Force every pending engine swap to complete (quiesce point)."""
-        for slot in self._slots.values():
-            slot.force_swap()
 
     # ------------------------------------------------------------------ #
     # Telemetry
@@ -160,14 +159,8 @@ class TenantRegistry:
         return merged
 
     def telemetry(self) -> Dict[str, dict]:
-        """Per-tenant cache, swap, and retrain counters, keyed by tenant id.
-
-        Each entry is taken through
-        :meth:`~repro.serve.engines.EngineSlot.telemetry_snapshot`, which
-        captures the slot's classifier/updater pair under its swap
-        versioning — a reader racing a background adopt can never see a
-        half-updated retrain entry (retrained trees paired with pre-adopt
-        counters, or vice versa).
+        """Per-tenant cache, swap, and retrain counters, keyed by tenant id
+        (each one :meth:`~repro.serve.engines.EngineSlot.telemetry_snapshot`).
         """
         return {
             tenant_id: slot.telemetry_snapshot()

@@ -88,10 +88,10 @@ class ServingReport:
     num_requests: int
     num_batches: int
     num_updates: int
-    #: Wall seconds from the session's start to its last batch and update.
-    #: Retrain training is not counted on any backend: neither the
-    #: end-of-trace quiesce (waiting for in-flight retrains and engine
-    #: builds to land) nor the time the serving thread spends launching a
+    #: Wall seconds from the session's start to its last batch and update,
+    #: engine rebuilds included.  Retrain training is not counted on any
+    #: backend: neither the end-of-trace quiesce (waiting for in-flight
+    #: retrains to land) nor the time the serving thread spends launching a
     #: retrain job, which on the serial backend is the whole training.
     #: So ``pps`` measures serving.
     wall_seconds: float
@@ -104,8 +104,10 @@ class ServingReport:
     cache_evictions: int
     cache_invalidations: int
     swaps: int
+    #: Always 0: updates never wait for a rebuild any more.  Kept, with its
+    #: ``deterministic_counters`` key, because the frozen perfbench/ harness
+    #: reads it (ROADMAP item 10).
     swap_stalls: int
-    swap_stall_seconds: float
     per_tenant: Dict[str, dict]
     batches: Optional[List[ServedBatch]] = None
     #: Per-request latencies in serve order (``record_latencies=True``).
@@ -131,11 +133,10 @@ class ServingReport:
     ingest_shed: int = 0
     #: Phase-timer registry snapshot (compile / swap-install / retrain /
     #: batch-flush / queue-wait spans plus request counters), detached
-    #: at the end-of-trace quiesce point so later runs and background
-    #: builders can't mutate it.  Cumulative over the registry's lifetime
-    #: (the ``ingest.*`` series: the front-end's): repeated ``serve()``
-    #: calls on the same ``TenantRegistry`` include the earlier runs'
-    #: observations.
+    #: at the end of the run so later runs can't mutate it.  Cumulative
+    #: over the registry's lifetime (the ``ingest.*`` series: the
+    #: front-end's): repeated ``serve()`` calls on the same
+    #: ``TenantRegistry`` include the earlier runs' observations.
     metrics: Optional[MetricsRegistry] = None
     #: Swap counters merged over every tenant slot (raw build_seconds kept).
     swap_stats: Optional[SwapStats] = None
@@ -162,7 +163,7 @@ class ServingReport:
 
         Wall-clock figures (pps, latencies, build/train seconds) are
         excluded on purpose: they measure the machine, not the run.  Under
-        the determinism contract (synchronous swaps, fixed seed) everything
+        the determinism contract (serial retrains, fixed seed) everything
         here is a pure function of the workload, which is what lets bench
         scorecards gate on exact equality.
         """
@@ -203,8 +204,6 @@ class ServingReport:
             ["cache evictions", f"{self.cache_evictions:,}"],
             ["rule updates", f"{self.num_updates:,}"],
             ["engine swaps", f"{self.swaps:,}"],
-            ["swap stalls", f"{self.swap_stalls:,} "
-                            f"({self.swap_stall_seconds * 1e3:.1f} ms)"],
         ])
         if self.retrains_triggered:
             rows.append([
@@ -231,10 +230,11 @@ class ClassificationService:
     The service is the single *serving thread* the rest of the layer
     assumes: its sessions plan every batch with
     :func:`~repro.serve.batcher.plan_block`, it calls every slot method, and
-    it hosts the retrain controller's polling.  Background concurrency
-    (engine builder threads, retrain jobs) never touches serving state —
-    finished work is *installed* from this thread between batches.  One
-    service instance must not be driven from multiple threads.
+    it hosts the retrain controller's polling.  Engine rebuilds run on this
+    thread at each update's barrier; the one background concurrency, a
+    retrain job, never touches serving state — its finished tree is
+    *installed* from this thread between batches.  One service instance
+    must not be driven from multiple threads.
 
     Args:
         registry: tenants to serve (slots are consulted per batch, so
@@ -247,7 +247,7 @@ class ClassificationService:
         retrain_controller: a :class:`~repro.serve.controller.RetrainController`
             watching this registry.  The service polls it after every rule
             update and before every batch (so finished retrains install
-            promptly), and drains it with the registry at end of trace.
+            promptly), and drains it at end of trace.
         ingest: attach an ingestion frontend (see :mod:`repro.ingest`):
             every request passes per-tenant admission control before it is
             planned into a batch, over-rate traffic is throttled or shed
@@ -421,7 +421,7 @@ class ServingSession:
             # batch boundary after training completes.
             self.service.retrain_controller.poll_tenant(tenant_id)
         slot = self.registry.slot(tenant_id)
-        engine = slot.engine()  # installs a finished swap, if any
+        engine = slot.engine()
         epoch = slot.epoch
         began = time.perf_counter()
         indices = engine.lookup_batch(columns[_VALUES][start:stop])
@@ -478,16 +478,13 @@ class ServingSession:
         wall_seconds = time.perf_counter() - self._wall_start \
             - (self._launch_seconds() - self._launched_before)
         if self.service.retrain_controller is not None:
-            # Quiesce: land every in-flight retrain before the registry
-            # drain installs the resulting engine rebuilds.
+            # Quiesce: land (adopt and compile) every in-flight retrain.
             self.service.retrain_controller.drain()
-        self.registry.drain()
 
         per_tenant = self.registry.telemetry()
         cache = {"hits": 0, "lookups": 0, "evictions": 0, "invalidations": 0,
                  "bypassed": 0}
-        swaps = stalls = 0
-        stall_seconds = 0.0
+        swaps = 0
         for entry in per_tenant.values():
             cache["hits"] += entry["cache"]["hits"]
             cache["lookups"] += entry["cache"]["hits"] + entry["cache"]["misses"]
@@ -495,8 +492,6 @@ class ServingSession:
             cache["invalidations"] += entry["cache"]["invalidations"]
             cache["bypassed"] += entry["cache"]["bypassed"]
             swaps += entry["swap"]["swaps"]
-            stalls += entry["swap"]["stalls"]
-            stall_seconds += entry["swap"]["stall_seconds"]
         latencies = np.concatenate(self._latencies) if self._latencies \
             else np.zeros(0)
         percentiles = dict(zip(
@@ -527,8 +522,7 @@ class ServingSession:
             cache_invalidations=cache["invalidations"],
             cache_bypassed=cache["bypassed"],
             swaps=swaps,
-            swap_stalls=stalls,
-            swap_stall_seconds=stall_seconds,
+            swap_stalls=0,
             per_tenant=per_tenant,
             batches=self._recorded if self.service.record_batches else None,
             latencies=latencies if self.service.record_latencies else None,
@@ -537,9 +531,7 @@ class ServingSession:
             retrains_discarded=retrain_stats.discarded if retrain_stats else 0,
             retrains_rejected=retrain_stats.rejected if retrain_stats else 0,
             # Snapshot, like retrain_stats above: the registry is the live
-            # shared instance (builder threads and later serve() runs keep
-            # writing into it), and the drains above are the one point
-            # where no background writer is in flight.
+            # shared instance, and later serve() runs keep writing into it.
             metrics=self.registry.metrics.snapshot(),
             swap_stats=self.registry.swap_stats(),
             retrain_stats=retrain_stats,

@@ -27,14 +27,14 @@ class ServingConfig:
 
     Each field is range-checked by the class that reads it
     (:class:`BatchPolicy`, :class:`RetrainPolicy`, ``IngestConfig``).
+    How engines swap is not a knob: a rule update rebuilds its tenant's
+    engine inline, so with serial retrains every counter is a pure function
+    of the workload (the determinism contract of traces and scorecards).
 
     Attributes:
         max_batch: micro-batcher release size (:class:`BatchPolicy`).
         max_delay: micro-batcher deadline in trace seconds.
         flow_cache_size: per-tenant LRU flow cache capacity (``None`` = off).
-        background_swaps: rebuild engines on a background thread; ``False``
-            recompiles inline, making every counter a pure function of the
-            workload (the determinism contract of traces and scorecards).
         record_batches: keep every served batch, for
             ``ServingResult.verify_exactness`` and golden columns.
         retrain_threshold: accumulated rule updates at which a slot advises
@@ -47,7 +47,6 @@ class ServingConfig:
     max_batch: int = 64
     max_delay: float = 1e-3
     flow_cache_size: Optional[int] = 2048
-    background_swaps: bool = True
     record_batches: bool = False
     retrain_threshold: Optional[int] = None
     retrain_policy: Optional[RetrainPolicy] = None
@@ -87,7 +86,6 @@ class ServingStack:
                  rulesets: Mapping[str, RuleSet]) -> None:
         self.registry = TenantRegistry(
             default_flow_cache_size=config.flow_cache_size,
-            background_swaps=config.background_swaps,
             default_retrain_threshold=config.retrain_threshold
             if config.retrain_threshold is not None
             else DEFAULT_RETRAIN_THRESHOLD,

@@ -17,8 +17,7 @@ Typical use::
     record_serving("run.trace", num_tenants=2, families=("acl1",),
                    num_packets=5_000, churn_events=2, seed=0)
     # Another batch size forms other batches, never other decisions.
-    outcome = replay_trace("run.trace", ServingConfig(
-        max_batch=16, background_swaps=False))
+    outcome = replay_trace("run.trace", ServingConfig(max_batch=16))
     assert outcome.report.is_exact
 """
 

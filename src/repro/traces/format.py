@@ -10,12 +10,14 @@ Nothing else is needed to replay the run: the replayer rebuilds the full
 serving stack from the trace and drives it on the trace's own clock.
 
 Determinism contract: served decisions are a pure function of (packet,
-epoch ruleset) as long as engine swaps are synchronous
-(``background_swaps=False``) and retrains run on the ``"serial"`` backend —
-the epoch a packet is served under is then decided entirely by trace time,
-never by wall-clock compile latency.  Record and replay under that contract
-and the golden column is stable across machines, which is what makes
-checked-in traces usable as regression gates (see docs/traces.md).
+epoch ruleset), and engine swaps land at each update's barrier (the rebuild
+runs inline), so as long as retrains run on the ``"serial"`` backend the
+epoch a packet is served under is decided entirely by trace time, never by
+wall-clock compile latency.  Record and replay under that contract and the
+golden column is stable across machines, which is what makes checked-in
+traces usable as regression gates (see docs/traces.md).  A scenario
+header's ``background_swaps`` key always reads ``false``: it is kept so
+recorded files keep their bytes.
 
 The on-disk encoding (magic, version, JSON header, ``np.save`` segments)
 lives in :mod:`repro.traces.io`.

@@ -7,9 +7,9 @@ then fold the served batches back into arrival order via each request's
 live run actually answered for every packet (batch order does not
 matter).
 
-Golden traces are only stable under the determinism contract (synchronous
-engine swaps, serial retrains — see :mod:`repro.traces.format`), so
-:func:`record_serving`'s default config swaps synchronously.
+Golden traces are only stable under the determinism contract (serial
+retrains — see :mod:`repro.traces.format`), which :func:`record_serving`'s
+default config keeps.
 """
 
 from __future__ import annotations
@@ -128,17 +128,16 @@ class RecordOutcome:
 
 
 def record_serving(path: Optional[Union[str, Path]] = None,
-                   config: ServingConfig = ServingConfig(
-                       background_swaps=False),
+                   config: ServingConfig = ServingConfig(),
                    **scenario) -> RecordOutcome:
     """Run a serving scenario and record it as a replayable trace.
 
     ``scenario`` takes every workload keyword of
     :func:`repro.harness.serving.run_serving`; ``config`` is how the
     recording run is served.  ``record_batches`` is forced on (the golden
-    column comes from the served batches), and the default config swaps
-    synchronously so the golden column is a pure function of the trace
-    clock — a config of your own should say ``background_swaps=False`` too.
+    column comes from the served batches); engine swaps land at each
+    update's barrier, so the golden column is a pure function of the trace
+    clock as long as retrains (if any) run on the ``"serial"`` backend.
     When ``path`` is given the trace is also written to disk.
     """
     from repro.harness.serving import run_serving
@@ -149,8 +148,10 @@ def record_serving(path: Optional[Union[str, Path]] = None,
         key: value for key, value in scenario.items()
         if isinstance(value, (int, float, str, bool, type(None)))
     }
+    # ``background_swaps: false`` stays in the header (swaps are always
+    # inline now) so the checked-in golden traces keep their bytes.
     metadata.update(families=list(scenario.get("families", DEFAULT_FAMILIES)),
-                    background_swaps=config.background_swaps,
+                    background_swaps=False,
                     record_batches=True)
     trace = trace_from_run(
         result.workload,

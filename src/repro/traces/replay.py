@@ -8,10 +8,10 @@ turning the zero-misclassification invariant into a regression check
 against a fixed, versioned input: zero drops, zero duplicates, zero
 decision diffs.
 
-Replays default to synchronous swaps (the recording determinism contract,
-see :mod:`repro.traces.format`); two replays of the same trace then produce
-identical decisions *and* identical deterministic telemetry counters
-(:meth:`~repro.serve.service.ServingReport.deterministic_counters`).
+Engine swaps land at each update's barrier (the recording determinism
+contract, see :mod:`repro.traces.format`); two replays of the same trace
+then produce identical decisions *and* identical deterministic telemetry
+counters (:meth:`~repro.serve.service.ServingReport.deterministic_counters`).
 """
 
 from __future__ import annotations
@@ -145,7 +145,7 @@ class ReplayOutcome:
 
 def replay_trace(
     trace: Union[str, Path, ServingTrace],
-    config: ServingConfig = ServingConfig(background_swaps=False),
+    config: ServingConfig = ServingConfig(),
     bench_path: Optional[Union[str, Path]] = None,
 ) -> ReplayOutcome:
     """Serve a recorded trace through the full stack and verify it.
@@ -153,10 +153,8 @@ def replay_trace(
     ``trace`` is a path or an already-loaded :class:`ServingTrace`.
     ``config`` is free to differ from the recording run — batch size, cache
     size, even arming the retrain loop — because served
-    decisions depend only on (packet, epoch ruleset) while swaps stay
-    synchronous, as they do in the default config; ``record_batches`` is
-    forced on.  ``background_swaps=True`` trades that verifiability for
-    realistic swap timing; expect golden mismatches around update times.
+    decisions depend only on (packet, epoch ruleset), and the epoch a packet
+    sees only on the trace clock; ``record_batches`` is forced on.
 
     ``config.ingest`` is inert here, as on every trace path of
     ``run_serving``: the packets were admitted when recorded, so golden

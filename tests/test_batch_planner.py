@@ -249,8 +249,7 @@ def _churned_flash_crowd(seed):
 def _serve_in_slices(serve, specs, workload, slices=3):
     """The trace through ``slices`` consecutive ``serve`` calls on one
     registry (caches, epochs and telemetry carry over), like perfbench."""
-    registry = TenantRegistry(default_flow_cache_size=256,
-                              background_swaps=False)
+    registry = TenantRegistry(default_flow_cache_size=256)
     for spec in specs:
         registry.register(spec.tenant_id, workload.rulesets[spec.tenant_id],
                           algorithm=spec.algorithm, binth=spec.binth)

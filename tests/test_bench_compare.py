@@ -244,7 +244,7 @@ class TestServeBenchRoundTrip:
 
     _ARGS = ["serve-bench", "--tenants", "2", "--num-rules", "40",
              "--num-packets", "800", "--num-flows", "80",
-             "--churn-events", "1", "--sync-swaps", "--verify",
+             "--churn-events", "1", "--verify",
              "--seed", "0"]
 
     def test_round_trip_and_injected_regression(self, tmp_path, capsys):

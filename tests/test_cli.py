@@ -220,7 +220,7 @@ class TestServeBench:
     def test_serve_bench_reports_and_verifies(self, capsys):
         code = main(["serve-bench", "--tenants", "2", "--num-rules", "60",
                      "--num-packets", "1200", "--num-flows", "120",
-                     "--churn-events", "1", "--verify", "--sync-swaps"])
+                     "--churn-events", "1", "--verify"])
         assert code == 0
         out = capsys.readouterr().out
         assert "throughput" in out

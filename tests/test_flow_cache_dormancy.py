@@ -182,7 +182,7 @@ def test_a_slot_keeps_every_retired_engines_cache_counter():
     rng = np.random.default_rng(6)
     ruleset = generate_classifier("acl1", 40, seed=8)
     slot = EngineSlot("t0", HiCutsBuilder(binth=8).build(ruleset),
-                      flow_cache_size=512, background=False)
+                      flow_cache_size=512)
     serve(slot.engine(), uniform(rng, PROBE_WINDOW))
     serve(slot.engine(), uniform(rng, 300))  # bypassed
     slot.apply_update(removes=[ruleset.rules[0]])

@@ -127,8 +127,7 @@ class TestServing:
         from repro.harness import run_serving
         from repro.serve import ServingConfig
 
-        result = run_serving(ServingConfig(background_swaps=False,
-                                           record_batches=True),
+        result = run_serving(ServingConfig(record_batches=True),
                              num_tenants=2, num_rules=50, num_packets=1000,
                              num_flows=100, churn_events=1, seed=4)
         report = result.report

@@ -8,7 +8,6 @@ from repro.metrics import (
     improvement,
     median_by_algorithm,
     sorted_improvements,
-    speedup,
     summarize_improvements,
 )
 from repro.harness import (
@@ -32,10 +31,6 @@ class TestImprovementMetrics:
         assert improvement(5, 10) == pytest.approx(0.5)      # we are 2x better
         assert improvement(10, 5) == pytest.approx(-1.0)     # we are 2x worse
         assert improvement(3, 0) == 0.0
-
-    def test_speedup(self):
-        assert speedup(10, 5) == pytest.approx(2.0)
-        assert speedup(10, 0) == float("inf")
 
     def test_summarize_improvements(self):
         ours = {"a": 5.0, "b": 20.0, "c": 4.0}

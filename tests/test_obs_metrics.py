@@ -248,10 +248,11 @@ class TestServingIntegration:
         assert report.swap_stats.swaps == report.swaps
 
     def test_sync_swap_counters_repeat_exactly(self):
-        # The determinism contract (synchronous swaps): every counter,
-        # cache hits included, is a pure function of the workload.
-        first = _serve(background_swaps=False)
-        second = _serve(background_swaps=False)
+        # The determinism contract: swaps land at update barriers, so
+        # every counter, cache hits included, is a pure function of the
+        # workload.
+        first = _serve()
+        second = _serve()
         assert first.deterministic_counters() == \
             second.deterministic_counters()
         assert first.metrics.summary()["counters"] == \
@@ -262,7 +263,7 @@ class TestServingIntegration:
                                   seed=7)
         workload = build_workload(
             specs, FlowTraceConfig(num_packets=400, num_flows=60, seed=7))
-        registry = TenantRegistry(background_swaps=False)
+        registry = TenantRegistry()
         for spec in specs:
             registry.register(spec.tenant_id,
                               workload.rulesets[spec.tenant_id],

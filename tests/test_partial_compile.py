@@ -380,7 +380,7 @@ class TestEngineSlotPartial:
     def _slot(self, classifier, **kwargs):
         metrics = MetricsRegistry()
         slot = EngineSlot("t0", classifier, flow_cache_size=256,
-                          background=False, metrics=metrics, **kwargs)
+                          metrics=metrics, **kwargs)
         return slot, metrics
 
     def test_update_goes_through_partial_recompile(self, hicuts):
@@ -416,7 +416,7 @@ class TestDeadRuleSlots:
     def test_rule_table_stays_within_twice_the_referenced_rules(self):
         ruleset = generate_classifier("acl1", 60, seed=3)
         slot = EngineSlot("t0", HiCutsBuilder(binth=8).build(ruleset),
-                          flow_cache_size=None, background=False)
+                          flow_cache_size=None)
         top = max(rule.priority for rule in ruleset.rules)
         rng = random.Random(11)
         added, rounds = [], 40
@@ -481,8 +481,7 @@ class TestChurnAsGenerated:
                    for rule in update.removes)
 
         classifier = builder(binth=8).build(workload.rulesets[tenant])
-        slot = EngineSlot(tenant, classifier, flow_cache_size=None,
-                          background=False)
+        slot = EngineSlot(tenant, classifier, flow_cache_size=None)
         rng = random.Random(7)
         removed = []
         for event, update in enumerate(workload.updates):

@@ -252,8 +252,7 @@ def _churned(classifier, seed):
     list and table by partial recompiles, a removal of the top-priority rule
     (whatever it shadowed at build time comes back) and of a random one, and
     an added rule leaving again."""
-    slot = EngineSlot("t0", classifier, flow_cache_size=None,
-                      background=False)
+    slot = EngineSlot("t0", classifier, flow_cache_size=None)
     built = sorted(classifier.ruleset.rules, key=lambda r: -r.priority)
     fresh = [Rule.from_prefixes(src_ip=f"10.{i}.0.0/16", dst_port=(0, 1024),
                                 priority=built[0].priority + 1 + i,

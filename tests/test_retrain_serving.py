@@ -85,15 +85,13 @@ class TestRetrainThresholdEdges:
 
     def test_threshold_one_fires_on_first_update(self, small_ruleset):
         classifier = HiCutsBuilder(binth=8).build(small_ruleset)
-        slot = EngineSlot("t", classifier, background=False,
-                          retrain_threshold=1)
+        slot = EngineSlot("t", classifier, retrain_threshold=1)
         assert not slot.needs_retraining()
         slot.apply_update(adds=_fresh_rules(small_ruleset, 1))
         assert slot.needs_retraining()
 
     def test_slot_tracks_threshold_through_registry(self, small_ruleset):
-        registry = TenantRegistry(background_swaps=False,
-                                  default_retrain_threshold=4)
+        registry = TenantRegistry(default_retrain_threshold=4)
         slot = registry.register("a", small_ruleset)
         override = registry.register("b", small_ruleset.with_default_rule(),
                                      retrain_threshold=2)
@@ -112,8 +110,7 @@ class TestRetrainThresholdEdges:
 class TestAdoptClassifier:
     def test_adoption_swaps_trees_and_resets_counters(self, small_ruleset):
         classifier = HiCutsBuilder(binth=8).build(small_ruleset)
-        slot = EngineSlot("t", classifier, background=False,
-                          retrain_threshold=2)
+        slot = EngineSlot("t", classifier, retrain_threshold=2)
         slot.apply_update(adds=_fresh_rules(small_ruleset, 2))
         assert slot.needs_retraining()
         epoch_before = slot.epoch
@@ -129,7 +126,7 @@ class TestAdoptClassifier:
     def test_adoption_replays_churn_that_raced_the_retrain(self,
                                                            small_ruleset):
         classifier = HiCutsBuilder(binth=8).build(small_ruleset)
-        slot = EngineSlot("t", classifier, background=False)
+        slot = EngineSlot("t", classifier)
         base = slot.ruleset  # snapshot a retrain would train against
         replacement = HiCutsBuilder(binth=8).build(base)
         # Churn lands while the "retrain" runs: an add and a remove.
@@ -178,8 +175,7 @@ class TestRetrainService:
 
 class TestRetrainController:
     def _registry(self, ruleset, threshold=3):
-        registry = TenantRegistry(background_swaps=False,
-                                  default_retrain_threshold=threshold)
+        registry = TenantRegistry(default_retrain_threshold=threshold)
         registry.register("t0", ruleset)
         return registry
 
@@ -259,8 +255,7 @@ class TestControllerLifecycle:
     def test_close_shuts_down_owned_executor_idempotently(
             self, small_ruleset):
         before = set(threading.enumerate())
-        registry = TenantRegistry(background_swaps=False,
-                                  default_retrain_threshold=3)
+        registry = TenantRegistry(default_retrain_threshold=3)
         registry.register("t0", small_ruleset)
         controller = RetrainController(
             registry, RetrainPolicy(timesteps=300, max_iterations=1,
@@ -301,7 +296,6 @@ class TestControllerLifecycle:
         with pytest.raises(KeyError):
             serving.run_serving(
                 ServingConfig(
-                    background_swaps=False,
                     retrain_threshold=threshold,
                     retrain_policy=RetrainPolicy(timesteps=300,
                                                  max_iterations=1,
@@ -337,8 +331,7 @@ class TestRetrainQualityGate:
         monkeypatch.setattr(
             controller_module, "classifier_objective",
             self._scripted_objective(incumbent_score, candidate_score))
-        registry = TenantRegistry(background_swaps=False,
-                                  default_retrain_threshold=3)
+        registry = TenantRegistry(default_retrain_threshold=3)
         slot = registry.register("t0", ruleset)
         policy = RetrainPolicy(timesteps=300, max_iterations=1,
                                backend="serial")
@@ -444,8 +437,7 @@ class TestRetrainQualityGate:
             specs, FlowTraceConfig(num_packets=1200, num_flows=100, seed=8),
             churn=churn,
         )
-        registry = TenantRegistry(background_swaps=False,
-                                  default_retrain_threshold=threshold)
+        registry = TenantRegistry(default_retrain_threshold=threshold)
         registry.register(specs[0].tenant_id,
                           workload.rulesets[specs[0].tenant_id])
         controller = RetrainController(
@@ -502,8 +494,7 @@ class TestForcingRetrainChurn:
             specs, FlowTraceConfig(num_packets=400, num_flows=60, seed=3),
             churn=churn,
         )
-        registry = TenantRegistry(background_swaps=False,
-                                  default_retrain_threshold=threshold)
+        registry = TenantRegistry(default_retrain_threshold=threshold)
         for spec in specs:
             registry.register(spec.tenant_id,
                               workload.rulesets[spec.tenant_id])
@@ -547,8 +538,7 @@ class TestServiceRetrainIntegration:
             specs, FlowTraceConfig(num_packets=1200, num_flows=100, seed=8),
             churn=churn,
         )
-        registry = TenantRegistry(background_swaps=False,
-                                  default_retrain_threshold=threshold)
+        registry = TenantRegistry(default_retrain_threshold=threshold)
         registry.register(specs[0].tenant_id,
                           workload.rulesets[specs[0].tenant_id])
         controller = RetrainController(
@@ -581,7 +571,7 @@ class TestServiceRetrainIntegration:
                                                         monkeypatch):
         """``pps`` measures serving: the end-of-trace wait for in-flight
         retrains is not part of ``wall_seconds``."""
-        registry = TenantRegistry(background_swaps=False)
+        registry = TenantRegistry()
         registry.register("t0", small_ruleset)
         drained = []
 
@@ -614,8 +604,7 @@ class TestServiceRetrainIntegration:
             return run_retrain(request)
 
         monkeypatch.setattr(controller_module, "run_retrain", slow_retrain)
-        registry = TenantRegistry(background_swaps=False,
-                                  default_retrain_threshold=2)
+        registry = TenantRegistry(default_retrain_threshold=2)
         registry.register("t0", small_ruleset)
         packets = small_ruleset.sample_packets(200, seed=3)
         updates = [RuleUpdate("t0", time=0.005, adds=(rule,))

@@ -8,6 +8,7 @@ import pytest
 
 from repro.baselines import HiCutsBuilder
 from repro.classbench import generate_classifier
+from repro.harness.serving import run_serving
 from repro.rules import Packet, Rule
 from repro.serve import (
     BatchPolicy,
@@ -16,6 +17,7 @@ from repro.serve import (
     MicroBatcher,
     Request,
     RuleUpdate,
+    ServingConfig,
     TenantRegistry,
     UnknownTenantError,
 )
@@ -88,7 +90,7 @@ def serving_ruleset():
 @pytest.fixture()
 def slot(serving_ruleset):
     classifier = HiCutsBuilder(binth=8).build(serving_ruleset)
-    return EngineSlot("t0", classifier, flow_cache_size=256, background=False)
+    return EngineSlot("t0", classifier, flow_cache_size=256)
 
 
 class TestEngineSlot:
@@ -100,13 +102,12 @@ class TestEngineSlot:
     def test_starts_at_epoch_zero(self, slot, serving_ruleset):
         assert slot.epoch == 0
         assert slot.ruleset_at(0) is serving_ruleset
-        assert not slot.swap_pending
 
     def test_update_swaps_engine_and_ruleset(self, slot):
         rule = self._fresh_rule(slot)
         old_engine = slot.engine()
         slot.apply_update(adds=[rule])
-        assert slot.epoch == 1  # synchronous slot: installed immediately
+        assert slot.epoch == 1
         assert slot.engine() is not old_engine
         assert rule in slot.ruleset.rules
         # A packet inside the new rule is answered by the new rule.
@@ -130,36 +131,28 @@ class TestEngineSlot:
         slot.apply_update()
         assert slot.epoch == 0 and slot.swap_stats.swaps == 0
 
-    def test_background_swap_serves_old_engine_until_ready(self,
-                                                           serving_ruleset):
-        classifier = HiCutsBuilder(binth=8).build(serving_ruleset)
-        slot = EngineSlot("bg", classifier, background=True)
-        rule = Rule.from_prefixes(
-            src_ip="198.51.100.0/24",
-            priority=max(r.priority for r in slot.ruleset) + 1,
-        )
+    def test_update_installs_its_engine_before_returning(self, slot):
+        rule = self._fresh_rule(slot)
+        old_engine = slot.engine()
         slot.apply_update(adds=[rule])
-        # Whether or not the builder thread already finished, the engine
-        # accessor must always return a consistent engine...
-        engine = slot.engine()
-        assert engine is not None
-        # ...and after the forced swap the new ruleset generation serves.
-        slot.force_swap()
-        assert slot.epoch == 1
-        assert not slot.swap_pending
+        # The rebuild ran in the call: the next batch already serves the
+        # new generation, and the old one is retired with its snapshot.
+        assert slot.epoch == 1 and slot.swap_stats.swaps == 1
+        assert len(slot.swap_stats.build_seconds) == 1
+        assert slot.engine() is not old_engine
         assert rule in slot.ruleset_at(1).rules
-        assert slot.swap_stats.swaps == 1
+        assert rule not in slot.ruleset_at(0).rules
 
     def test_back_to_back_updates_stay_ordered(self, serving_ruleset):
         classifier = HiCutsBuilder(binth=8).build(serving_ruleset)
-        slot = EngineSlot("bb", classifier, background=True)
+        slot = EngineSlot("bb", classifier)
         base = max(r.priority for r in slot.ruleset) + 1
         rules = [Rule.from_prefixes(src_ip=f"203.0.{i}.0/24",
                                     priority=base + i, name=f"u{i}")
                  for i in range(3)]
-        for rule in rules:
+        for i, rule in enumerate(rules):
             slot.apply_update(adds=[rule])
-        slot.force_swap()
+            assert slot.epoch == i + 1
         assert slot.epoch == 3
         # Each epoch's snapshot contains exactly the updates applied so far.
         for i in range(3):
@@ -209,16 +202,24 @@ class TestTenantRegistry:
             TenantRegistry().register("alpha", serving_ruleset,
                                       algorithm="Nope")
 
-    def test_deregister_drains_pending_swap(self, serving_ruleset):
-        registry = TenantRegistry(background_swaps=True)
+    def test_deregister_returns_the_updated_slot(self, serving_ruleset):
+        registry = TenantRegistry()
         slot = registry.register("alpha", serving_ruleset)
         rule = Rule.from_prefixes(
             src_ip="203.0.113.0/24",
             priority=max(r.priority for r in slot.ruleset) + 1,
         )
         registry.apply_update("alpha", adds=[rule])
+        assert slot.epoch == 1
         removed = registry.deregister("alpha")
-        assert removed.epoch == 1 and "alpha" not in registry
+        assert removed is slot and removed.epoch == 1
+        assert "alpha" not in registry
+
+    def test_background_swaps_are_refused(self):
+        # Only ``False`` survives, for callers that still spell it out.
+        assert len(TenantRegistry(background_swaps=False)) == 0
+        with pytest.raises(ValueError):
+            TenantRegistry(background_swaps=True)
 
     def test_telemetry_shape(self, serving_ruleset):
         registry = TenantRegistry()
@@ -241,8 +242,7 @@ class TestClassificationService:
             churn=ChurnConfig(num_events=2, adds_per_event=2,
                               removes_per_event=1),
         )
-        registry = TenantRegistry(default_flow_cache_size=512,
-                                  background_swaps=False)
+        registry = TenantRegistry(default_flow_cache_size=512)
         for spec in specs:
             registry.register(spec.tenant_id,
                               workload.rulesets[spec.tenant_id],
@@ -286,7 +286,7 @@ class TestClassificationService:
             pytest.approx(report.latency_percentiles[50.0] * 1e3)
 
     def test_updates_after_last_request_still_apply(self, serving_ruleset):
-        registry = TenantRegistry(background_swaps=False)
+        registry = TenantRegistry()
         registry.register("alpha", serving_ruleset)
         rule = Rule.from_prefixes(
             src_ip="203.0.113.0/24",
@@ -312,3 +312,31 @@ class TestClassificationService:
         assert report.num_requests == 0 and report.num_batches == 0
         assert report.cache_hit_rate == 0.0
         assert report.latency_percentiles[99.0] == 0.0
+
+    def test_default_config_serves_each_update_from_its_barrier_on(self):
+        """Under the default config and churn, every request arriving at or
+        after an update's stamp is served by the post-update engine and
+        every earlier one by the engine before it; a second run serves the
+        same batches at the same epochs with the same counters."""
+        def run():
+            return run_serving(
+                ServingConfig(record_batches=True), num_tenants=3,
+                families=("acl1", "fw1"), num_rules=60, num_packets=3000,
+                num_flows=150, churn_events=6, seed=3)
+
+        first, second = run(), run()
+        report, updates = first.report, first.workload.updates
+        assert report.num_updates == report.swaps == len(updates) == 6
+        assert any(batch.epoch for batch in report.batches)
+        for batch in report.batches:
+            for request in batch.requests:
+                applied = sum(1 for u in updates
+                              if u.tenant_id == batch.tenant_id
+                              and u.time <= request.time)
+                assert batch.epoch == applied
+        assert report.deterministic_counters() == \
+            second.report.deterministic_counters()
+        assert [(b.tenant_id, b.epoch, len(b.requests))
+                for b in report.batches] == \
+            [(b.tenant_id, b.epoch, len(b.requests))
+             for b in second.report.batches]

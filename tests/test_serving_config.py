@@ -32,12 +32,11 @@ from repro.workloads import (
     make_tenant_specs,
 )
 
-#: Non-default batch, cache, swap, retrain and ingest fields at once.
+#: Non-default batch, cache, retrain and ingest fields at once.
 NON_DEFAULT = ServingConfig(
     max_batch=24,
     max_delay=5e-4,
     flow_cache_size=96,
-    background_swaps=False,
     record_batches=True,
     retrain_threshold=10_000,
     retrain_policy=RetrainPolicy(timesteps=300, max_iterations=1,
@@ -68,11 +67,10 @@ def _serve_once(tenants, rulesets, requests, updates, config):
 
 
 class TestOneConfigEverywhere:
-    def test_the_config_is_the_eight_serving_knobs(self):
+    def test_the_config_is_the_seven_serving_knobs(self):
         assert [spec.name for spec in fields(ServingConfig)] == [
-            "max_batch", "max_delay", "flow_cache_size", "background_swaps",
-            "record_batches", "retrain_threshold", "retrain_policy",
-            "ingest"]
+            "max_batch", "max_delay", "flow_cache_size", "record_batches",
+            "retrain_threshold", "retrain_policy", "ingest"]
 
     def test_pickle_round_trip_compares_equal(self):
         clone = pickle.loads(pickle.dumps(NON_DEFAULT))
@@ -96,7 +94,6 @@ class TestOneConfigEverywhere:
         try:
             assert stack.registry.tenants() == [t.tenant_id for t in tenants]
             assert stack.registry.default_flow_cache_size == 96
-            assert stack.registry.background_swaps is False
             assert stack.registry.default_retrain_threshold == 10_000
             assert stack.controller.policy == NON_DEFAULT.retrain_policy
             assert stack.service.policy.max_batch == 24
@@ -115,7 +112,7 @@ class TestOneConfigEverywhere:
 class TestOneResultType:
     def test_a_run_verifies_against_linear_search(self):
         result = run_serving(
-            ServingConfig(background_swaps=False, record_batches=True),
+            ServingConfig(record_batches=True),
             num_tenants=3, families=("acl1",), num_rules=40,
             num_packets=1500, num_flows=120, churn_events=2, seed=5)
         exactness = result.verify_exactness()
@@ -128,8 +125,7 @@ class TestOneResultType:
         tenant's goodput is its admitted packets over the run's whole
         trace span, and the summaries add up to the run's counters."""
         report = run_serving(
-            ServingConfig(background_swaps=False,
-                          ingest=IngestConfig(tenant_rate=20000,
+            ServingConfig(ingest=IngestConfig(tenant_rate=20000,
                                               tenant_burst=64,
                                               queue_limit=128)),
             num_tenants=3, families=("acl1", "ipc1"), num_rules=60,
@@ -162,7 +158,7 @@ class TestOneFrontEnd:
             updates.append(RuleUpdate("ghost", middle))
         with pytest.raises(UnknownTenantError, match="ghost"):
             _serve_once(tenants, workload.rulesets, requests, updates,
-                        ServingConfig(background_swaps=False))
+                        ServingConfig())
 
     def test_serve_with_ingest_and_a_tail_update(self):
         """Churn, throttling admission and an update 0.5 s past the last
@@ -179,7 +175,7 @@ class TestOneFrontEnd:
         last = max(r.time for r in workload.requests)
         updates[-1] = replace(updates[-1], time=last + 0.5)
         config = ServingConfig(
-            background_swaps=False, record_batches=True,
+            record_batches=True,
             ingest=IngestConfig(tenant_rate=20_000.0, tenant_burst=32,
                                 queue_limit=64))
         report, registry = _serve_once(specs, workload.rulesets,

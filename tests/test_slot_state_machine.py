@@ -1,6 +1,6 @@
 """A model-based test of one tenant's engine slot under rule churn.
 
-A hypothesis state machine drives an ``EngineSlot(background=False)`` over a
+A hypothesis state machine drives an ``EngineSlot`` over a
 HiCuts, an EffiCuts and a CutSplit tree through every way its trees and
 engines change: fresh rules added, built-in and added rules removed, mixed
 updates and the adoption of a rebuilt classifier.  After every step the serving engine *and* a cold
@@ -50,8 +50,7 @@ class SlotMachine(RuleBasedStateMachine):
         ruleset = generate_classifier(self.family, 40, seed=seed)
         self.metrics = MetricsRegistry()
         self.slot = EngineSlot("t0", self.builder.build(ruleset),
-                               flow_cache_size=64, background=False,
-                               metrics=self.metrics)
+                               flow_cache_size=64, metrics=self.metrics)
         self.built = sorted(ruleset.rules, key=lambda r: -r.priority)
         self.added = []
         self.touched = []

@@ -1,10 +1,11 @@
 """Golden-trace regression gates: replay checked-in traces, expect zero diffs.
 
 The traces under ``tests/data/`` were recorded under the determinism
-contract (synchronous swaps; see docs/traces.md), so the decisions they
-carry are a pure function of the trace clock.  Replaying them through the
-full serving stack — across mid-trace hot swaps and a forced retrain, at
-any batch size — must reproduce every decision bit-for-bit.
+contract (swaps at update barriers, serial retrains; see docs/traces.md),
+so the decisions they carry are a pure function of the trace clock.
+Replaying them through the full serving stack — across mid-trace hot swaps
+and a forced retrain, at any batch size — must reproduce every decision
+bit-for-bit.
 A failure here means serving behaviour changed for recorded traffic: a real
 regression, not flake.
 
@@ -36,11 +37,6 @@ GOLDEN_CHURN = DATA_DIR / "acl1_churn.trace"
 GOLDEN_RETRAIN = DATA_DIR / "acl1_retrain_churn.trace"
 #: Four tenants over two seed families (acl1, ipc1): the widest golden.
 GOLDEN_FOUR_TENANT = DATA_DIR / "acl1_rebalance.trace"
-
-
-def _sync(**fields):
-    """A config under the determinism contract: synchronous swaps."""
-    return ServingConfig(background_swaps=False, **fields)
 
 
 @pytest.fixture(scope="module")
@@ -83,8 +79,8 @@ class TestGoldenReplay:
         policy = RetrainPolicy(timesteps=250, max_iterations=1,
                                backend="serial", quality_gate=False,
                                seed=retrain_trace.seed)
-        outcome = replay_trace(retrain_trace, _sync(retrain_threshold=12,
-                                                    retrain_policy=policy))
+        outcome = replay_trace(retrain_trace, ServingConfig(
+            retrain_threshold=12, retrain_policy=policy))
         report = outcome.report
         assert report.is_exact, f"mismatches: {report.mismatches}"
         assert report.counters["retrains_installed"] >= 1
@@ -96,8 +92,8 @@ class TestGoldenReplay:
         and the replay still verifies exactly (no swap, no divergence)."""
         policy = RetrainPolicy(timesteps=250, max_iterations=1,
                                backend="serial", seed=retrain_trace.seed)
-        outcome = replay_trace(retrain_trace, _sync(retrain_threshold=12,
-                                                    retrain_policy=policy))
+        outcome = replay_trace(retrain_trace, ServingConfig(
+            retrain_threshold=12, retrain_policy=policy))
         report = outcome.report
         assert report.is_exact, f"mismatches: {report.mismatches}"
         counters = report.counters
@@ -119,7 +115,8 @@ class TestGoldenReplay:
     def test_decisions_are_batching_invariant(self, churn_trace):
         """Golden decisions depend on epochs, not how packets batch."""
         for max_batch in (16, 64, 256):
-            outcome = replay_trace(churn_trace, _sync(max_batch=max_batch))
+            outcome = replay_trace(churn_trace,
+                                   ServingConfig(max_batch=max_batch))
             assert outcome.report.is_exact, \
                 f"max_batch={max_batch}: {outcome.report.mismatches}"
 
@@ -133,7 +130,7 @@ class TestGoldenReplay:
 
         draconian = IngestConfig(tenant_rate=1.0, tenant_burst=1,
                                  queue_limit=1)
-        outcome = replay_trace(churn_trace, _sync(ingest=draconian))
+        outcome = replay_trace(churn_trace, ServingConfig(ingest=draconian))
         report = outcome.report
         assert report.is_exact, f"mismatches: {report.mismatches}"
         assert report.num_served == churn_trace.num_records
@@ -160,7 +157,8 @@ class TestReplayScorecard:
             path = tmp_path / f"BENCH_replay_{threshold}.json"
             outcome = replay_trace(
                 GOLDEN_RETRAIN,
-                _sync(retrain_threshold=threshold, retrain_policy=policy),
+                ServingConfig(retrain_threshold=threshold,
+                              retrain_policy=policy),
                 bench_path=path)
             assert outcome.report.is_exact
             records.append(read_bench(path))
@@ -191,7 +189,8 @@ class TestChurnDeterminism:
         function of the scenario seed.
         """
         def run():
-            result = run_serving(_sync(), num_tenants=2, families=("acl1",),
+            result = run_serving(ServingConfig(), num_tenants=2,
+                                 families=("acl1",),
                                  num_rules=30, num_packets=400,
                                  num_flows=48, churn_events=2, seed=13)
             updates = [(u.tenant_id, u.time, u.adds, u.removes)
@@ -207,7 +206,7 @@ class TestChurnDeterminism:
 
 class TestHarnessTracePath:
     def test_run_serving_replays_from_file(self, churn_trace):
-        result = run_serving(_sync(record_batches=True),
+        result = run_serving(ServingConfig(record_batches=True),
                              trace_path=GOLDEN_CHURN)
         assert result.report.num_requests == churn_trace.num_records
         exactness = result.verify_exactness()
@@ -221,14 +220,15 @@ class TestHarnessTracePath:
         controller seeded from the trace (the determinism contract), not
         the generation path's thread-backend default.
         """
-        result = run_serving(_sync(record_batches=True,
-                                   retrain_threshold=10_000),
+        result = run_serving(ServingConfig(record_batches=True,
+                                           retrain_threshold=10_000),
                              trace_path=churn_trace)
         assert result.report.retrains_triggered == 0
         assert result.verify_exactness().is_exact
 
     def test_run_serving_accepts_loaded_trace(self, churn_trace):
-        result = run_serving(_sync(record_batches=True, max_batch=16),
+        result = run_serving(ServingConfig(record_batches=True,
+                                           max_batch=16),
                              trace_path=churn_trace)
         assert result.report.num_requests == churn_trace.num_records
         assert result.verify_exactness().is_exact
@@ -242,7 +242,8 @@ class TestRecording:
                         seed=4)
         default = record_serving(tmp_path / "default.trace", **scenario)
         rebatched = record_serving(tmp_path / "rebatched.trace",
-                                   _sync(max_batch=16, flow_cache_size=None),
+                                   ServingConfig(max_batch=16,
+                                                 flow_cache_size=None),
                                    **scenario)
         assert np.array_equal(default.trace.records, rebatched.trace.records)
         assert default.trace.updates == rebatched.trace.updates
