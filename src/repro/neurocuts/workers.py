@@ -34,11 +34,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.executors import make_executor
-from repro.nn.checkpoints import (
-    flatten_parameters,
-    parameter_spec,
-    unflatten_parameters,
-)
 from repro.nn.model import ActorCriticMLP
 from repro.rl.batch import SampleBatch
 from repro.rl.policy import Policy
@@ -106,20 +101,20 @@ class RolloutWorker:
     def __init__(self, ruleset: RuleSet, config: NeuroCutsConfig) -> None:
         self.config = config
         self.env = NeuroCutsEnv(ruleset, config)
-        self.model = ActorCriticMLP(
+        # Every collect() loads the learner's weights first, so the replica
+        # is allocated, not initialised.
+        self.model = ActorCriticMLP.allocate(
             obs_size=self.env.observation_size,
             action_sizes=self.env.action_sizes,
             hidden_sizes=config.hidden_sizes,
             activation=config.activation,
-            seed=config.seed,
         )
         self.policy = Policy(self.model, self.env.action_space.space,
                              seed=config.seed)
-        self._spec = parameter_spec(self.model.parameters())
 
     def load_weights(self, flat_weights: np.ndarray) -> None:
         """Install a broadcast flat weight snapshot into the policy replica."""
-        self.model.load_parameters(unflatten_parameters(flat_weights, self._spec))
+        np.copyto(self.model.flat, flat_weights)
 
     def collect(self, flat_weights: np.ndarray, seed: int,
                 budget: int) -> RolloutShard:
@@ -246,7 +241,7 @@ def make_rollout_executor(ruleset: RuleSet, config: NeuroCutsConfig,
 
 def broadcast_weights(model: ActorCriticMLP) -> np.ndarray:
     """Snapshot a learner model as the flat vector shards are served from."""
-    return flatten_parameters(model.parameters())
+    return model.flat.copy()
 
 
 def shard_budgets(total_budget: int, num_workers: int) -> List[int]:

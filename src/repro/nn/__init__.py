@@ -1,8 +1,8 @@
 """Numpy neural-network substrate: layers, models, optimisers, distributions."""
 
 from repro.nn.layers import ACTIVATIONS, Dense, ReLU, Tanh
-from repro.nn.model import ActorCriticMLP
-from repro.nn.optim import Adam, Optimizer, SGD, clip_gradients
+from repro.nn.model import ActorCriticMLP, orthogonal
+from repro.nn.optim import Adam, Optimizer, clip_gradients
 from repro.nn.distributions import (
     Categorical,
     MultiCategorical,
@@ -19,7 +19,6 @@ from repro.nn.checkpoints import (
     save_checkpoint,
     unflatten_parameters,
 )
-from repro.nn.initializers import orthogonal, small_normal, xavier_uniform, zeros
 
 __all__ = [
     "ACTIVATIONS",
@@ -29,7 +28,6 @@ __all__ = [
     "ActorCriticMLP",
     "Adam",
     "Optimizer",
-    "SGD",
     "clip_gradients",
     "Categorical",
     "MultiCategorical",
@@ -44,7 +42,4 @@ __all__ = [
     "save_checkpoint",
     "unflatten_parameters",
     "orthogonal",
-    "small_normal",
-    "xavier_uniform",
-    "zeros",
 ]

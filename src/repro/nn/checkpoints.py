@@ -5,9 +5,10 @@ Two related services live here:
 * **Flat weight snapshots** — :func:`parameter_spec`,
   :func:`flatten_parameters` and :func:`unflatten_parameters` pack a named
   parameter dict into a single contiguous ``float64`` vector (and back).
-  The actor/learner trainer broadcasts these snapshots to rollout workers:
-  one array pickles far cheaper than a dict of many small ones, and the spec
-  is recomputed locally on each side from the (identical) architecture.
+  It is the layout of a model's own ``flat`` buffer, which the actor/learner
+  trainer broadcasts to rollout workers: one array pickles far cheaper than
+  a dict of many small ones, and each side knows the spec from its
+  (identical) architecture.
 
 * **Checkpoint files** — :func:`save_checkpoint` /
   :func:`load_checkpoint` persist a model as ``.npz``.  Passing the
@@ -19,18 +20,16 @@ Two related services live here:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Union
 
 import numpy as np
 
 from repro.exceptions import CheckpointError
+from repro.nn.layers import ParameterSpec, parameter_views
 from repro.nn.model import ActorCriticMLP
 from repro.nn.optim import Optimizer
-
-#: (name, shape) pairs describing the layout of a flat parameter vector.
-ParameterSpec = List[Tuple[str, Tuple[int, ...]]]
 
 
 # --------------------------------------------------------------------------- #
@@ -66,13 +65,8 @@ def unflatten_parameters(flat: np.ndarray,
         raise CheckpointError(
             f"flat parameter vector has {flat.size} values, spec needs {expected}"
         )
-    params: Dict[str, np.ndarray] = {}
-    offset = 0
-    for name, shape in spec:
-        size = int(np.prod(shape, dtype=np.int64))
-        params[name] = flat[offset:offset + size].reshape(shape).copy()
-        offset += size
-    return params
+    return {name: view.copy()
+            for name, view in parameter_views(flat, spec).items()}
 
 
 # --------------------------------------------------------------------------- #
@@ -151,7 +145,7 @@ def _model_from_npz(path: Path, data) -> ActorCriticMLP:
     if "__config__" not in data:
         raise CheckpointError(f"{path} is not a repro checkpoint (missing config)")
     config = _decode_json(data["__config__"])
-    model = ActorCriticMLP(
+    model = ActorCriticMLP.allocate(
         obs_size=config["obs_size"],
         action_sizes=config["action_sizes"],
         hidden_sizes=config["hidden_sizes"],

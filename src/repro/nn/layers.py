@@ -8,22 +8,41 @@ of external deep-learning dependencies.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.nn.initializers import orthogonal, zeros
+#: (name, shape) pairs describing the layout of a flat parameter vector.
+ParameterSpec = List[Tuple[str, Tuple[int, ...]]]
+
+
+def parameter_views(flat: np.ndarray,
+                    spec: ParameterSpec) -> Dict[str, np.ndarray]:
+    """Named views into ``flat``, laid out back to back in ``spec`` order."""
+    views: Dict[str, np.ndarray] = {}
+    offset = 0
+    for name, shape in spec:
+        size = int(np.prod(shape, dtype=np.int64))
+        views[name] = flat[offset:offset + size].reshape(shape)
+        offset += size
+    return views
 
 
 class Dense:
-    """A fully connected layer ``y = x @ W + b``."""
+    """A fully connected layer ``y = x @ W + b``.
 
-    def __init__(self, in_features: int, out_features: int,
-                 rng: np.random.Generator, gain: float = np.sqrt(2.0),
-                 name: str = "dense") -> None:
+    ``weight`` / ``bias`` are the ``{name}.weight`` / ``{name}.bias``
+    entries of ``params``, and ``grad_weight`` / ``grad_bias`` those of
+    ``grads``: views into flat buffers that the layer writes in place and
+    never rebinds, so an optimiser that updates the buffer updates the layer.
+    """
+
+    def __init__(self, name: str, params: Dict[str, np.ndarray],
+                 grads: Dict[str, np.ndarray]) -> None:
         self.name = name
-        self.weight = orthogonal((in_features, out_features), rng, gain=gain)
-        self.bias = zeros((out_features,))
+        self.weight, self.bias = params[f"{name}.weight"], params[f"{name}.bias"]
+        self.grad_weight = grads[f"{name}.weight"]
+        self.grad_bias = grads[f"{name}.bias"]
         self._input: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -31,25 +50,14 @@ class Dense:
         self._input = x
         return x @ self.weight + self.bias
 
-    def backward(self, grad_output: np.ndarray,
-                 grads: Dict[str, np.ndarray]) -> np.ndarray:
-        """Backward pass: accumulate parameter grads, return input grad."""
+    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+        """Backward pass: write the parameter grads in place, return the
+        input grad."""
         if self._input is None:
             raise RuntimeError("backward called before forward")
-        grads[f"{self.name}.weight"] = grads.get(
-            f"{self.name}.weight", 0.0) + self._input.T @ grad_output
-        grads[f"{self.name}.bias"] = grads.get(
-            f"{self.name}.bias", 0.0) + grad_output.sum(axis=0)
+        np.matmul(self._input.T, grad_output, out=self.grad_weight)
+        np.sum(grad_output, axis=0, out=self.grad_bias)
         return grad_output @ self.weight.T
-
-    def parameters(self) -> Dict[str, np.ndarray]:
-        """Named parameter views (mutating them updates the layer)."""
-        return {f"{self.name}.weight": self.weight, f"{self.name}.bias": self.bias}
-
-    def load_parameters(self, params: Dict[str, np.ndarray]) -> None:
-        """Replace this layer's parameters from a named dict."""
-        self.weight = np.array(params[f"{self.name}.weight"], dtype=np.float64)
-        self.bias = np.array(params[f"{self.name}.bias"], dtype=np.float64)
 
 
 class Tanh:

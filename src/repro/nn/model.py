@@ -4,16 +4,30 @@ This matches Appendix B of the paper: a fully connected network with hidden
 layers ``[512, 512]``, tanh nonlinearity, and weight sharing between the
 policy parameters θ and the value parameters θ_v (the two heads read the same
 trunk output).
+
+Every parameter lives in one contiguous ``float64`` vector, ``flat``, and
+every gradient in another, ``flat_grad``, both in ``parameter_spec`` order;
+each layer's weight, bias and gradients are views into them.  ``flat`` is
+what the trainer broadcasts and what the optimiser updates in place.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.nn.initializers import orthogonal, small_normal, zeros
-from repro.nn.layers import ACTIVATIONS, Dense
+from repro.nn.layers import ACTIVATIONS, Dense, parameter_views
+
+
+def orthogonal(shape: tuple, rng: np.random.Generator,
+               gain: float = 1.0) -> np.ndarray:
+    """Orthogonal initialisation, commonly used for policy-gradient networks."""
+    rows, cols = shape
+    flat = rng.normal(size=(max(rows, cols), min(rows, cols)))
+    q, _ = np.linalg.qr(flat)
+    q = q[:rows, :cols] if rows >= cols else q.T[:rows, :cols]
+    return (gain * q).astype(np.float64)
 
 
 class ActorCriticMLP:
@@ -37,24 +51,53 @@ class ActorCriticMLP:
         activation: str = "tanh",
         seed: int = 0,
     ) -> None:
+        self._allocate(obs_size, action_sizes, hidden_sizes, activation)
+        rng = np.random.default_rng(seed)
+        gains = [np.sqrt(2.0)] * len(self._trunk) + [0.01, 1.0]
+        for layer, gain in zip([*self._trunk, self._policy_head,
+                                self._value_head], gains):
+            layer.weight[...] = orthogonal(layer.weight.shape, rng, gain=gain)
+
+    @classmethod
+    def allocate(cls, obs_size: int, action_sizes: Sequence[int],
+                 hidden_sizes: Sequence[int] = (512, 512),
+                 activation: str = "tanh") -> "ActorCriticMLP":
+        """The same architecture with every parameter zero, for a holder
+        that loads its weights before use (a rollout replica, a
+        checkpoint)."""
+        model = cls.__new__(cls)
+        model._allocate(obs_size, action_sizes, hidden_sizes, activation)
+        return model
+
+    def _allocate(self, obs_size: int, action_sizes: Sequence[int],
+                  hidden_sizes: Sequence[int], activation: str) -> None:
         if activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}")
         self.obs_size = obs_size
         self.action_sizes = tuple(int(a) for a in action_sizes)
         self.hidden_sizes = tuple(int(h) for h in hidden_sizes)
         self.activation_name = activation
-        rng = np.random.default_rng(seed)
 
-        self._trunk: List[Dense] = []
-        self._acts = []
-        last = obs_size
-        for i, width in enumerate(self.hidden_sizes):
-            self._trunk.append(Dense(last, width, rng, name=f"trunk{i}"))
-            self._acts.append(ACTIVATIONS[activation]())
-            last = width
-        total_logits = sum(self.action_sizes)
-        self._policy_head = Dense(last, total_logits, rng, gain=0.01, name="policy")
-        self._value_head = Dense(last, 1, rng, gain=1.0, name="value")
+        widths = (obs_size, *self.hidden_sizes)
+        shapes = {f"trunk{i}": widths[i:i + 2] for i in range(len(widths) - 1)}
+        shapes.update(policy=(widths[-1], sum(self.action_sizes)),
+                      value=(widths[-1], 1))
+        #: The layout of ``flat`` and ``flat_grad`` (sorted names).
+        self.spec = sorted([(f"{n}.weight", tuple(s)) for n, s in shapes.items()]
+                           + [(f"{n}.bias", (s[1],)) for n, s in shapes.items()])
+        self.flat = np.zeros(sum((i + 1) * o for i, o in shapes.values()))
+        self.flat_grad = np.zeros_like(self.flat)
+        self._params = parameter_views(self.flat, self.spec)
+        grads = parameter_views(self.flat_grad, self.spec)
+        self._trunk = [Dense(f"trunk{i}", self._params, grads)
+                       for i in range(len(self.hidden_sizes))]
+        self._acts = [ACTIVATIONS[activation]() for _ in self._trunk]
+        self._policy_head = Dense("policy", self._params, grads)
+        self._value_head = Dense("value", self._params, grads)
+        # In the order backward fills them: the gradient norm is summed in it.
+        self._grads = {name: grads[name] for layer in [
+            self._policy_head, self._value_head, *reversed(self._trunk)]
+            for name in (f"{layer.name}.weight", f"{layer.name}.bias")}
 
     # ------------------------------------------------------------------ #
     # Forward / backward
@@ -78,43 +121,39 @@ class ActorCriticMLP:
 
     def backward(self, grad_logits: np.ndarray,
                  grad_values: np.ndarray) -> Dict[str, np.ndarray]:
-        """Backpropagate head gradients; returns named parameter grads.
+        """Backpropagate head gradients into ``flat_grad``.
 
         Must be called right after :meth:`forward` on the same batch.
+        Returns the named gradient views into ``flat_grad``, in the order
+        the layers fill them; the next call overwrites them.
         """
-        grads: Dict[str, np.ndarray] = {}
-        grad_from_policy = self._policy_head.backward(grad_logits, grads)
+        grad_from_policy = self._policy_head.backward(grad_logits)
         grad_from_value = self._value_head.backward(
-            np.asarray(grad_values, dtype=np.float64).reshape(-1, 1), grads
+            np.asarray(grad_values, dtype=np.float64).reshape(-1, 1)
         )
         grad_trunk = grad_from_policy + grad_from_value
         for layer, act in zip(reversed(self._trunk), reversed(self._acts)):
-            grad_trunk = layer.backward(act.backward(grad_trunk), grads)
-        return grads
+            grad_trunk = layer.backward(act.backward(grad_trunk))
+        return self._grads
 
     # ------------------------------------------------------------------ #
     # Parameter management
     # ------------------------------------------------------------------ #
 
     def parameters(self) -> Dict[str, np.ndarray]:
-        """All named parameters of the network."""
-        params: Dict[str, np.ndarray] = {}
-        for layer in [*self._trunk, self._policy_head, self._value_head]:
-            params.update(layer.parameters())
-        return params
+        """All named parameters: views into ``flat`` (writing them updates
+        the network)."""
+        return dict(self._params)
 
     def load_parameters(self, params: Dict[str, np.ndarray]) -> None:
-        """Load parameters produced by :meth:`parameters` (e.g. a checkpoint)."""
-        for layer in [*self._trunk, self._policy_head, self._value_head]:
-            layer.load_parameters(params)
-
-    def apply_updates(self, new_params: Dict[str, np.ndarray]) -> None:
-        """Alias of :meth:`load_parameters` for optimiser integration."""
-        self.load_parameters(new_params)
+        """Copy parameters produced by :meth:`parameters` (e.g. a
+        checkpoint) into ``flat``."""
+        for name, view in self._params.items():
+            view[...] = params[name]
 
     def num_parameters(self) -> int:
         """Total scalar parameter count."""
-        return sum(p.size for p in self.parameters().values())
+        return self.flat.size
 
     def split_logits(self, logits: np.ndarray) -> List[np.ndarray]:
         """Split the flat logits into one block per action component."""

@@ -1,17 +1,25 @@
-"""Gradient-descent optimisers over named parameter dictionaries."""
+"""Gradient-descent optimisers over one flat parameter vector.
+
+A model keeps every parameter in one contiguous vector and every gradient in
+another (:class:`~repro.nn.model.ActorCriticMLP` ``flat`` / ``flat_grad``),
+so an optimiser step is a handful of whole-vector operations that update the
+parameters in place.  Optimiser state is saved per parameter name, as views
+into the flat state laid out by the model's ``spec``.
+"""
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Iterable, Optional
 
 import numpy as np
 
+from repro.nn.layers import ParameterSpec, parameter_views
+
 
 class Optimizer:
-    """Base class: applies named gradients to named parameters in place."""
+    """Base class: applies a flat gradient to a flat parameter vector."""
 
-    def step(self, params: Dict[str, np.ndarray],
-             grads: Dict[str, np.ndarray]) -> None:
+    def step(self, params: np.ndarray, grads: np.ndarray) -> None:
         """Update ``params`` in place using ``grads``."""
         raise NotImplementedError
 
@@ -23,89 +31,75 @@ class Optimizer:
         """Restore optimiser state."""
 
 
-class SGD(Optimizer):
-    """Plain stochastic gradient descent with optional momentum."""
-
-    def __init__(self, learning_rate: float = 1e-3, momentum: float = 0.0) -> None:
-        self.learning_rate = learning_rate
-        self.momentum = momentum
-        self._velocity: Dict[str, np.ndarray] = {}
-
-    def step(self, params: Dict[str, np.ndarray],
-             grads: Dict[str, np.ndarray]) -> None:
-        for name, grad in grads.items():
-            if name not in params:
-                continue
-            if self.momentum:
-                vel = self._velocity.get(name)
-                if vel is None:
-                    vel = np.zeros_like(params[name])
-                vel = self.momentum * vel + grad
-                self._velocity[name] = vel
-                update = vel
-            else:
-                update = grad
-            params[name] -= self.learning_rate * update
-
-    def state_dict(self) -> Dict:
-        return {"velocity": {k: v.copy() for k, v in self._velocity.items()}}
-
-    def load_state_dict(self, state: Dict) -> None:
-        self._velocity = {k: np.array(v) for k, v in state.get("velocity", {}).items()}
-
-
 class Adam(Optimizer):
-    """Adam optimiser (Kingma & Ba, 2015)."""
+    """Adam optimiser (Kingma & Ba, 2015) over vectors laid out by ``spec``.
 
-    def __init__(self, learning_rate: float = 5e-5, beta1: float = 0.9,
-                 beta2: float = 0.999, epsilon: float = 1e-8) -> None:
+    Each element goes through the textbook per-array formulas, operation by
+    operation in the same order, so it gets the same bits; only the
+    temporaries are preallocated.
+    """
+
+    def __init__(self, spec: ParameterSpec, learning_rate: float = 5e-5,
+                 beta1: float = 0.9, beta2: float = 0.999,
+                 epsilon: float = 1e-8) -> None:
+        self.spec = list(spec)
         self.learning_rate = learning_rate
         self.beta1 = beta1
         self.beta2 = beta2
         self.epsilon = epsilon
-        self._m: Dict[str, np.ndarray] = {}
-        self._v: Dict[str, np.ndarray] = {}
+        size = sum(int(np.prod(shape, dtype=np.int64)) for _, shape in spec)
+        # Moments, then the two temporaries of a step.
+        self._m, self._v, self._step, self._denom = np.zeros((4, size))
         self._t = 0
 
-    def step(self, params: Dict[str, np.ndarray],
-             grads: Dict[str, np.ndarray]) -> None:
+    def step(self, params: np.ndarray, grads: np.ndarray) -> None:
         self._t += 1
-        for name, grad in grads.items():
-            if name not in params:
-                continue
-            m = self._m.get(name)
-            v = self._v.get(name)
-            if m is None:
-                m = np.zeros_like(params[name])
-                v = np.zeros_like(params[name])
-            m = self.beta1 * m + (1 - self.beta1) * grad
-            v = self.beta2 * v + (1 - self.beta2) * (grad ** 2)
-            self._m[name] = m
-            self._v[name] = v
-            m_hat = m / (1 - self.beta1 ** self._t)
-            v_hat = v / (1 - self.beta2 ** self._t)
-            params[name] -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+        m, v, step, denom = self._m, self._v, self._step, self._denom
+        # m = beta1 * m + (1 - beta1) * grad
+        m *= self.beta1
+        np.multiply(grads, 1 - self.beta1, out=step)
+        m += step
+        # v = beta2 * v + (1 - beta2) * grad ** 2
+        np.square(grads, out=denom)
+        denom *= 1 - self.beta2
+        v *= self.beta2
+        v += denom
+        # params -= lr * m_hat / (sqrt(v_hat) + epsilon)
+        np.divide(m, 1 - self.beta1 ** self._t, out=step)
+        step *= self.learning_rate
+        np.divide(v, 1 - self.beta2 ** self._t, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += self.epsilon
+        step /= denom
+        params -= step
 
     def state_dict(self) -> Dict:
         return {
             "t": self._t,
-            "m": {k: v.copy() for k, v in self._m.items()},
-            "v": {k: v.copy() for k, v in self._v.items()},
+            "m": parameter_views(self._m.copy(), self.spec),
+            "v": parameter_views(self._v.copy(), self.spec),
         }
 
     def load_state_dict(self, state: Dict) -> None:
         self._t = state.get("t", 0)
-        self._m = {k: np.array(v) for k, v in state.get("m", {}).items()}
-        self._v = {k: np.array(v) for k, v in state.get("v", {}).items()}
+        for flat, key in ((self._m, "m"), (self._v, "v")):
+            flat.fill(0.0)
+            views = parameter_views(flat, self.spec)
+            for name, array in state.get(key, {}).items():
+                views[name][...] = array
 
 
-def clip_gradients(grads: Dict[str, np.ndarray],
-                   max_norm: Optional[float]) -> Dict[str, np.ndarray]:
-    """Globally clip gradients to a maximum L2 norm (no-op if None)."""
-    if max_norm is None:
-        return grads
-    total = np.sqrt(sum(float(np.sum(g ** 2)) for g in grads.values()))
-    if total <= max_norm or total == 0.0:
-        return grads
-    scale = max_norm / total
-    return {name: g * scale for name, g in grads.items()}
+def clip_gradients(flat_grad: np.ndarray, views: Iterable[np.ndarray],
+                   max_norm: Optional[float]) -> float:
+    """Globally clip a flat gradient to a maximum L2 norm, in place.
+
+    ``views`` cover ``flat_grad``; the norm is summed view by view in their
+    order (``np.sum(g ** 2)`` each, without its Python wrapper).  Returns
+    the norm after clipping (no clipping if ``max_norm`` is None).
+    """
+    total = float(np.sqrt(sum(float(np.add.reduce(np.square(g), axis=None))
+                              for g in views)))
+    if max_norm is None or total <= max_norm or total == 0.0:
+        return total
+    flat_grad *= max_norm / total
+    return max_norm

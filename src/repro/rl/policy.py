@@ -10,11 +10,11 @@ best tree from a trained policy).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.nn.distributions import MultiCategorical
+from repro.nn.distributions import MASK_LOGIT, MultiCategorical
 from repro.nn.model import ActorCriticMLP
 from repro.rl.spaces import TupleSpace
 
@@ -54,23 +54,28 @@ class Policy:
 
     def act(self, obs: np.ndarray,
             masks: Optional[Sequence[np.ndarray]] = None) -> PolicyDecision:
-        """Sample an action for one observation."""
+        """Sample an action for one observation.
+
+        Each component is sampled straight from its masked slice of the
+        logits row, with the Gumbel draws and log-softmax arithmetic of
+        :class:`~repro.nn.distributions.MultiCategorical`, so the action
+        and log-probability are bit-identical to its ``sample`` and
+        ``log_prob``.
+        """
         logits, values = self.model.forward(obs[None, :])
-        dist = MultiCategorical(logits, self.model.action_sizes, masks=masks)
-        action = dist.sample(self._rng)
-        logp = float(dist.log_prob(action)[0])
-        if masks is not None:
-            resolved_masks = tuple(np.asarray(m, dtype=bool) for m in masks)
-        else:
-            resolved_masks = tuple(
-                np.ones(size, dtype=bool) for size in self.model.action_sizes
-            )
-        return PolicyDecision(
-            action=tuple(action[0].tolist()),
-            log_prob=logp,
-            value=float(values[0]),
-            masks=resolved_masks,
-        )
+        if masks is None:
+            masks = [np.ones(size, dtype=bool)
+                     for size in self.model.action_sizes]
+        masks = tuple(np.asarray(m, dtype=bool) for m in masks)
+        action, logp, start = [], 0.0, 0
+        for size, mask in zip(self.model.action_sizes, masks):
+            row = np.where(mask, logits[0, start:start + size], MASK_LOGIT)
+            action.append(int(np.argmax(row + self._rng.gumbel(size=size))))
+            shifted = row - row.max()
+            logp += shifted[action[-1]] - np.log(np.exp(shifted).sum())
+            start += size
+        return PolicyDecision(tuple(action), float(logp), float(values[0]),
+                              masks)
 
     def act_deterministic(self, obs: np.ndarray,
                           masks: Optional[Sequence[np.ndarray]] = None

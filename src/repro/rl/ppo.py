@@ -5,13 +5,14 @@ Appendix B): an actor-critic loss with a clipped surrogate objective, entropy
 regularisation, a clipped value-function loss, and a KL-based early-stop
 across the SGD epochs of each batch.  Gradients are computed analytically
 through :class:`~repro.nn.distributions.MultiCategorical` and the MLP's
-hand-written backward pass.
+hand-written backward pass, which writes them into the model's flat gradient
+vector; clipping and the optimiser step then work on whole vectors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -73,7 +74,8 @@ class PPOLearner:
         self.model = model
         self.config = config or PPOConfig()
         self.config.validate()
-        self.optimizer = optimizer or Adam(learning_rate=self.config.learning_rate)
+        self.optimizer = optimizer or Adam(model.spec,
+                                           learning_rate=self.config.learning_rate)
         self._rng = np.random.default_rng(seed)
         self._kl_coeff = self.config.kl_coeff
 
@@ -115,14 +117,9 @@ class PPOLearner:
         dvalues = cfg.vf_loss_coeff * np.where(within_clip, vf_error_clipped, 0.0) / n
 
         grads = self.model.backward(dlogits, dvalues)
-        grads = clip_gradients(grads, cfg.grad_clip)
-        grad_norm = float(
-            np.sqrt(sum(float(np.sum(g ** 2)) for g in grads.values()))
-        )
-
-        params = self.model.parameters()
-        self.optimizer.step(params, grads)
-        self.model.load_parameters(params)
+        grad_norm = clip_gradients(self.model.flat_grad, grads.values(),
+                                   cfg.grad_clip)
+        self.optimizer.step(self.model.flat, self.model.flat_grad)
 
         return {
             "policy_loss": policy_loss,
@@ -163,10 +160,10 @@ class PPOLearner:
                 minibatch = batch.take(indices)
                 last = self._minibatch_update(minibatch, advantages_full[indices])
             iters_run += 1
+            # Also the reported KL: the weights do not move after the last.
             kl = abs(self._mean_kl(batch))
             if kl > 1.5 * cfg.kl_target:
                 break
-        kl = abs(self._mean_kl(batch))
         return PPOStats(
             policy_loss=last["policy_loss"],
             value_loss=last["value_loss"],

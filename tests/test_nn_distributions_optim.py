@@ -8,7 +8,6 @@ from repro.nn import (
     ActorCriticMLP,
     Categorical,
     MultiCategorical,
-    SGD,
     clip_gradients,
     load_checkpoint,
     save_checkpoint,
@@ -111,43 +110,28 @@ class TestMultiCategorical:
 
 
 class TestOptimizers:
-    def test_sgd_moves_against_gradient(self):
-        params = {"w": np.array([1.0, 2.0])}
-        SGD(learning_rate=0.1).step(params, {"w": np.array([1.0, -1.0])})
-        assert np.allclose(params["w"], [0.9, 2.1])
-
-    def test_sgd_momentum_accumulates(self):
-        opt = SGD(learning_rate=0.1, momentum=0.9)
-        params = {"w": np.zeros(1)}
-        opt.step(params, {"w": np.ones(1)})
-        first = params["w"].copy()
-        opt.step(params, {"w": np.ones(1)})
-        second_step = params["w"] - first
-        assert abs(second_step[0]) > abs(first[0])
-
     def test_adam_reduces_quadratic_loss(self):
-        opt = Adam(learning_rate=0.05)
-        params = {"w": np.array([5.0])}
+        opt = Adam([("w", (1,))], learning_rate=0.05)
+        w = np.array([5.0])
         for _ in range(200):
-            grad = {"w": 2 * params["w"]}
-            opt.step(params, grad)
-        assert abs(params["w"][0]) < 0.5
+            opt.step(w, 2 * w)
+        assert abs(w[0]) < 0.5
 
     def test_adam_state_roundtrip(self):
-        opt = Adam(learning_rate=0.01)
-        params = {"w": np.array([1.0])}
-        opt.step(params, {"w": np.array([0.5])})
+        opt = Adam([("w", (1,))], learning_rate=0.01)
+        opt.step(np.array([1.0]), np.array([0.5]))
         state = opt.state_dict()
-        other = Adam(learning_rate=0.01)
+        other = Adam([("w", (1,))], learning_rate=0.01)
         other.load_state_dict(state)
         assert other._t == opt._t
 
     def test_clip_gradients_scales_norm(self):
-        grads = {"a": np.array([3.0, 4.0])}
-        clipped = clip_gradients(grads, max_norm=1.0)
-        norm = np.sqrt((clipped["a"] ** 2).sum())
+        grad = np.array([3.0, 4.0])
+        assert clip_gradients(grad, [grad], max_norm=1.0) == 1.0
+        norm = np.sqrt((grad ** 2).sum())
         assert norm == pytest.approx(1.0)
-        assert clip_gradients(grads, None) is grads
+        assert clip_gradients(grad, [grad], None) == pytest.approx(1.0)
+        assert np.sqrt((grad ** 2).sum()) == pytest.approx(1.0)
 
 
 class TestSoftmaxAndCheckpoints:

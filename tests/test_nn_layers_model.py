@@ -4,31 +4,46 @@ import numpy as np
 import pytest
 
 from repro.nn import ActorCriticMLP, Dense, ReLU, Tanh
+from repro.nn.layers import parameter_views
 from repro.nn.distributions import MultiCategorical
+
+
+def _dense(fan_in, fan_out, params=None):
+    """A layer ``d`` over flat buffers in parameter_spec order (bias, then
+    weight); returns ``(layer, params, grads)``."""
+    spec = [("d.bias", (fan_out,)), ("d.weight", (fan_in, fan_out))]
+    size = (fan_in + 1) * fan_out
+    params = np.zeros(size) if params is None else params
+    grads = np.zeros(size)
+    layer = Dense("d", parameter_views(params, spec),
+                  parameter_views(grads, spec))
+    return layer, params, grads
 
 
 class TestLayers:
     def test_dense_forward_shape(self):
-        rng = np.random.default_rng(0)
-        layer = Dense(4, 3, rng)
+        layer, _, _ = _dense(4, 3)
         out = layer.forward(np.ones((5, 4)))
         assert out.shape == (5, 3)
 
     def test_dense_backward_accumulates_grads(self):
         rng = np.random.default_rng(0)
-        layer = Dense(4, 3, rng, name="d")
+        layer, params, grads = _dense(4, 3, params=rng.normal(size=15))
         x = rng.normal(size=(6, 4))
         layer.forward(x)
-        grads = {}
-        grad_in = layer.backward(np.ones((6, 3)), grads)
+        grad_in = layer.backward(np.ones((6, 3)))
         assert grad_in.shape == (6, 4)
-        assert grads["d.weight"].shape == (4, 3)
-        assert grads["d.bias"].shape == (3,)
+        # Written in place into the views of the buffers given.
+        np.testing.assert_array_equal(grads[:3], np.full(3, 6.0))
+        np.testing.assert_array_equal(grads[3:].reshape(4, 3),
+                                      x.T @ np.ones((6, 3)))
+        np.testing.assert_array_equal(grad_in, np.ones((6, 3))
+                                      @ params[3:].reshape(4, 3).T)
 
     def test_dense_backward_before_forward_raises(self):
-        layer = Dense(2, 2, np.random.default_rng(0))
+        layer, _, _ = _dense(2, 2)
         with pytest.raises(RuntimeError):
-            layer.backward(np.ones((1, 2)), {})
+            layer.backward(np.ones((1, 2)))
 
     def test_tanh_backward_matches_derivative(self):
         act = Tanh()

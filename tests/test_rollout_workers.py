@@ -20,6 +20,7 @@ from repro.neurocuts import (
     shard_seeds,
 )
 from repro.neurocuts.workers import broadcast_weights
+from repro.nn import ActorCriticMLP
 from repro.tree import validate_classifier
 
 
@@ -88,6 +89,22 @@ class TestShardMath:
 
 
 class TestRolloutWorker:
+    def test_replica_is_allocated_not_initialised(self, small_acl_ruleset,
+                                                  worker_config, monkeypatch):
+        # collect() loads the learner's weights first, so building the
+        # replica must not run the orthogonal initialiser (one QR a layer).
+        def no_qr(*args, **kwargs):
+            raise AssertionError("the replica ran the weight initialiser")
+
+        monkeypatch.setattr(np.linalg, "qr", no_qr)
+        with pytest.raises(AssertionError, match="initialiser"):
+            ActorCriticMLP(4, (2,), hidden_sizes=(3,))
+        worker = RolloutWorker(small_acl_ruleset, worker_config)
+        assert not worker.model.flat.any()
+        weights = np.arange(worker.model.flat.size, dtype=np.float64)
+        worker.load_weights(weights)
+        np.testing.assert_array_equal(broadcast_weights(worker.model), weights)
+
     def test_collect_is_pure(self, small_acl_ruleset, worker_config):
         worker = RolloutWorker(small_acl_ruleset, worker_config)
         weights = broadcast_weights(worker.model)
