@@ -3,8 +3,8 @@
 A model keeps every parameter in one contiguous vector and every gradient in
 another (:class:`~repro.nn.model.ActorCriticMLP` ``flat`` / ``flat_grad``),
 so an optimiser step is a handful of whole-vector operations that update the
-parameters in place.  Optimiser state is saved per parameter name, as views
-into the flat state laid out by the model's ``spec``.
+parameters in place.  Optimiser state is saved per parameter name: views of a
+copy of the flat state, laid out by the model's ``spec``.
 """
 
 from __future__ import annotations
