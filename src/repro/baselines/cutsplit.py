@@ -165,7 +165,6 @@ class CutSplitBuilder(TreeBuilder):
                 action = self.choose_action(node, cut_dims)
                 tree.apply_action(action)
             except InvalidActionError:
+                # A forced leaf is terminal: the frontier passes over it.
                 node.forced_leaf = True
-                if node in tree._frontier:
-                    tree._frontier.remove(node)
         return tree

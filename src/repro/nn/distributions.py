@@ -44,9 +44,10 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 class Categorical:
     """A batch of categorical distributions parameterised by logits.
 
-    ``log_probs`` and ``probs`` are worked out on first use: sampling reads
-    only the logits, so a caller that samples one action and scores it
-    never pays for the probabilities.
+    ``log_probs``, ``probs`` and the entropy's terms are worked out on
+    first use: sampling reads only the logits, so a caller that samples one
+    action and scores it never pays for the probabilities, and a PPO step
+    that reads both the entropy and its gradient pays for the entropy once.
     """
 
     def __init__(self, logits: np.ndarray,
@@ -61,6 +62,7 @@ class Categorical:
         self.logits = masked_logits(logits, mask)
         self._log_probs: Optional[np.ndarray] = None
         self._probs: Optional[np.ndarray] = None
+        self._entropy_terms: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     @property
     def log_probs(self) -> np.ndarray:
@@ -98,10 +100,19 @@ class Categorical:
         actions = np.asarray(actions, dtype=np.int64)
         return self.log_probs[np.arange(self.batch_size), actions]
 
+    def _entropy_pass(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The log-probabilities with masked-out actions zeroed, and the
+        entropy per batch row: one pass, shared by :meth:`entropy` and
+        :meth:`entropy_grad`."""
+        if self._entropy_terms is None:
+            safe_log = np.where(self.probs > 0, self.log_probs, 0.0)
+            self._entropy_terms = (safe_log,
+                                   -(self.probs * safe_log).sum(axis=-1))
+        return self._entropy_terms
+
     def entropy(self) -> np.ndarray:
         """Entropy per batch row, ignoring masked-out actions."""
-        safe = np.where(self.probs > 0, self.log_probs, 0.0)
-        return -(self.probs * safe).sum(axis=-1)
+        return self._entropy_pass()[1]
 
     def log_prob_grad(self, actions: np.ndarray) -> np.ndarray:
         """Gradient of log p(action) with respect to the logits."""
@@ -112,9 +123,8 @@ class Categorical:
 
     def entropy_grad(self) -> np.ndarray:
         """Gradient of the entropy with respect to the logits."""
-        entropy = self.entropy()[:, None]
-        safe_log = np.where(self.probs > 0, self.log_probs, 0.0)
-        return -self.probs * (safe_log + entropy)
+        safe_log, entropy = self._entropy_pass()
+        return -self.probs * (safe_log + entropy[:, None])
 
     def kl(self, other: "Categorical") -> np.ndarray:
         """KL divergence ``KL(self || other)`` per batch row."""

@@ -11,14 +11,18 @@ on columns: a node knows which rows of a shared
 :class:`~repro.rules.bounds.RuleBounds` table its rules occupy, and one
 application of a cut computes, for all children at once, which rules reach
 into each child and which are shadowed there (see :meth:`Node._cut_children`).
+The children of a cut stay one :class:`ChildBlock` of arrays; a child becomes
+a :class:`Node` only when it is read — by the depth-first builder that acts
+on it, or by whatever asks for its parent's ``children``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -63,7 +67,8 @@ class Node:
         efficuts_category: index of the EffiCuts separable category this node
             was assigned by an EffiCuts partition, or ``None``.
         action: the action applied to this node (``None`` while it is a leaf).
-        children: child nodes created by ``action``.
+        children: child nodes created by ``action`` (a property: a cut's
+            children are built from its :class:`ChildBlock` on first read).
         forced_leaf: True if tree construction terminated this node early
             (depth truncation), regardless of how many rules it still holds.
 
@@ -81,12 +86,15 @@ class Node:
     partition_state: Tuple[Tuple[int, int], ...] = FULL_PARTITION_STATE
     efficuts_category: Optional[int] = None
     action: Optional[Action] = None
-    children: List["Node"] = field(default_factory=list)
     forced_leaf: bool = False
     node_id: int = field(default_factory=lambda: next(_node_counter))
     _bounds: Optional[RuleBounds] = field(
         default=None, init=False, compare=False, repr=False)
     _rows: Optional[np.ndarray] = field(
+        default=None, init=False, compare=False, repr=False)
+    _children: Optional[List["Node"]] = field(
+        default=None, init=False, compare=False, repr=False)
+    _block: Optional["ChildBlock"] = field(
         default=None, init=False, compare=False, repr=False)
 
     # ------------------------------------------------------------------ #
@@ -104,6 +112,33 @@ class Node:
         return self.action is None
 
     @property
+    def children(self) -> List["Node"]:
+        """The nodes ``action`` created; a cut's are built (all at once, the
+        same :class:`Node` objects for a child the builder already read)
+        the first time they are asked for."""
+        if self._children is None:
+            block, self._block = self._block, None
+            self._children = [] if block is None else block.nodes()
+        return self._children
+
+    @children.setter
+    def children(self, nodes: List["Node"]) -> None:
+        self._children, self._block = nodes, None
+
+    @property
+    def num_children(self) -> int:
+        """How many children ``action`` created (builds none)."""
+        return len(self.children) if self._block is None else len(self._block)
+
+    def child_parts(self) -> Tuple[List["Node"], List[int]]:
+        """The children that exist as nodes, and the rule counts of the
+        rest: slots of a cut's block nobody has read, every one a leaf.
+        Builds nothing."""
+        if self._block is None:
+            return self.children, []
+        return self._block.parts()
+
+    @property
     def is_partition_node(self) -> bool:
         """True if the applied action partitions rules instead of cutting."""
         return self.action is not None and is_partition(self.action)
@@ -119,7 +154,7 @@ class Node:
     def __repr__(self) -> str:
         return (
             f"Node(id={self.node_id}, depth={self.depth}, rules={self.num_rules}, "
-            f"children={len(self.children)}, "
+            f"children={self.num_children}, "
             f"action={self.action.describe() if self.action else None})"
         )
 
@@ -179,13 +214,13 @@ class Node:
         return True
 
     def _child(self, rules: List[Rule], rows: np.ndarray, *,
-               ranges: Optional[Ranges] = None,
                partition_state: Optional[Tuple[Tuple[int, int], ...]] = None,
                efficuts_category: Optional[int] = None) -> "Node":
-        """A child holding ``rules`` (rows ``rows`` of this node's table);
-        whatever placement is not given is inherited."""
+        """A partition child holding ``rules`` (rows ``rows`` of this node's
+        table) in this node's box; whatever placement is not given is
+        inherited."""
         child = Node(
-            ranges=self.ranges if ranges is None else ranges,
+            ranges=self.ranges,
             rules=rules,
             depth=self.depth + 1,
             partition_state=self.partition_state if partition_state is None
@@ -206,6 +241,18 @@ class Node:
         Raises:
             InvalidActionError: if an action has already been applied, or the
                 action cannot produce at least two children on this node.
+        """
+        self.grow(action, prune_redundant=prune_redundant)
+        return self.children
+
+    def grow(self, action: Action, *,
+             prune_redundant: bool = True) -> Union["ChildBlock", List["Node"]]:
+        """:meth:`apply` without building a cut's children: they come back
+        as the :class:`ChildBlock` that ``children`` is built from later
+        (a partition's, 2 to 32 of them, come back as nodes).
+
+        Raises:
+            InvalidActionError: as :meth:`apply`.
         """
         if self.action is not None:
             raise InvalidActionError(f"node {self.node_id} already has an action")
@@ -230,7 +277,10 @@ class Node:
             raise InvalidActionError(f"unsupported action type: {type(action)!r}")
 
         self.action = action
-        self.children = children
+        if isinstance(children, ChildBlock):
+            self._children, self._block = None, children
+        else:
+            self.children = children
         self.release_rows()  # the children carry theirs
         return children
 
@@ -251,7 +301,9 @@ class Node:
         # Distribute the span as evenly as integer arithmetic allows: the
         # first ``remainder`` children are one value wider.
         base, remainder = divmod(span, effective)
-        return [lo + i * base + min(i, remainder) for i in range(effective + 1)]
+        wide_end = lo + remainder * (base + 1)
+        return list(range(lo, wide_end, base + 1)) \
+            + list(range(wide_end, hi + 1, base))
 
     def cut_ranges(self, dimension: Dimension, num_cuts: int) -> List[Range]:
         """The equal sub-ranges a cut would produce (see :meth:`cut_points`)."""
@@ -267,7 +319,7 @@ class Node:
         return [lo, action.split_point, hi]
 
     def _cut_children(self, cuts: Sequence[Tuple[Dimension, List[int]]],
-                      prune_redundant: bool) -> List["Node"]:
+                      prune_redundant: bool) -> "ChildBlock":
         """Children of cutting along one or more dimensions at once.
 
         ``cuts`` pairs each cut dimension with its boundary points.  The
@@ -279,49 +331,42 @@ class Node:
         Along a cut dimension a rule reaches a run of consecutive children,
         and only that dimension's clip differs from child to child.  So
         containment in the uncut dimensions (clipped to this node's box) is
-        decided once per pair of rules, and along each cut dimension the
-        children in which a pair stays nested are again a run, known from
-        the boundary points alone; no child is visited rule by rule.
+        decided once per pair of rules.  A node whose rules x rules x
+        children grid has at most :data:`_DENSE_CELLS` cells then tests
+        every rule and pair against every child at once
+        (:func:`_held_densely`).  A larger one works from runs: along each
+        cut dimension the children a rule reaches, and those in which a
+        pair stays nested, are runs known from the boundary points alone
+        (:func:`_cut_reach`, :meth:`_shadowed`); no child is visited rule
+        by rule.
         """
         table, rows = self._table_rows()
         dims = [int(dim) for dim, _ in cuts]
-        shape = tuple(len(pts) - 1 for _, pts in cuts)
+        points = [pts for _, pts in cuts]
+        shape = tuple(len(pts) - 1 for pts in points)
         count = len(rows)
         # The rules' bounds clipped to this node's box, in key form.
         key = np.maximum(table.key.take(rows, axis=1), _box_key(self.ranges))
-        reach = _cut_reach(key, dims, [pts for _, pts in cuts])
-
-        # held[c1, .., cq, j]: rule j intersects the child at (c1, .., cq).
-        held = (key[:_WIDTH] + key[_WIDTH:] < 0).all(axis=0)
-        for axis, size in enumerate(shape):
-            child = np.arange(size).reshape((-1,) + (1,) * (len(shape) - axis))
-            held = held & (reach[0, axis] <= child) & (child < reach[1, axis])
-        if prune_redundant:
-            shadowed = self._shadowed(key, dims, [pts for _, pts in cuts],
-                                      reach)
-            if shadowed is not None:
-                held &= ~shadowed
+        if count * count * math.prod(shape) <= _DENSE_CELLS:
+            held = _held_densely(key, dims, points, prune_redundant)
+        else:
+            reach = _cut_reach(key, dims, points)
+            # held[c1, .., cq, j]: rule j intersects the child at (c1, .., cq).
+            held = (key[:_WIDTH] + key[_WIDTH:] < 0).all(axis=0)
+            for axis, size in enumerate(shape):
+                child = np.arange(size).reshape(
+                    (-1,) + (1,) * (len(shape) - axis))
+                held = held & (reach[0, axis] <= child) \
+                    & (child < reach[1, axis])
+            if prune_redundant:
+                shadowed = self._shadowed(key, dims, points, reach)
+                if shadowed is not None:
+                    held &= ~shadowed
 
         # One pass over the grid, children in order, rules in order within.
-        num_children = math.prod(shape)
-        child_of, picks = held.reshape(num_children, count).nonzero()
-        ends = child_of.searchsorted(np.arange(1, num_children + 1)).tolist()
-        rules = self.rules
-        picked = [rules[i] for i in picks.tolist()]
-        picked_rows = rows[picks]
-        ranges = list(self.ranges)
-        children = []
-        start = 0
-        for subs, end in zip(
-                itertools.product(*[list(zip(pts, pts[1:]))
-                                    for _, pts in cuts]), ends):
-            for d, sub in zip(dims, subs):
-                ranges[d] = sub
-            children.append(self._child(picked[start:end],
-                                        picked_rows[start:end],
-                                        ranges=tuple(ranges)))
-            start = end
-        return children
+        held = held.reshape(math.prod(shape), count)
+        return ChildBlock(self, cuts, held.sum(axis=1).tolist(),
+                          held.nonzero()[1])
 
     @staticmethod
     def _shadowed(key: np.ndarray, dims: List[int],
@@ -345,17 +390,11 @@ class Node:
         (+1/-1 at the 2^q corners, all of them in one weighted
         ``bincount``, then running sums), which costs one entry per pair and
         corner however many children a box spans.
-
-        A node small enough that its rules x rules x children grid has at
-        most :data:`_DENSE_CELLS` cells skips the boxes: it tests every
-        nested pair against every child at once (:func:`_shadowed_densely`).
         """
         uncut = [d for d in range(_WIDTH) if d not in dims]
         uncut_key = key.take(uncut + [_WIDTH + d for d in uncut], axis=0)
         shape = tuple(len(pts) - 1 for pts in points)
         count = key.shape[1]
-        if count * count * math.prod(shape) <= _DENSE_CELLS:
-            return _shadowed_densely(key, uncut_key, dims, points)
         grid = tuple(size + 1 for size in shape) + (count,)
         marks = None
         for i, j in _nested_pairs(uncut_key):
@@ -431,6 +470,114 @@ class Node:
                 for category in categories]
 
 
+class ChildBlock(Sequence[Node]):
+    """The children of one cut, kept as arrays; a child becomes a
+    :class:`Node` only when it is read.
+
+    The children are the product of the cut dimensions' sub-ranges, first
+    dimension slowest (:attr:`ranges`, ``(k, 5, 2)``, is derived from the
+    cut points on request).  Child ``i`` holds ``sizes[i]`` of its parent's
+    rules, in priority order: those at ``picks[offsets[i]:offsets[i + 1]]``
+    of the parent's rule list (a CSR over the parent's rows of its bounds
+    table).  ``terminal[i]`` marks a child the tree will not cut (it holds
+    few enough rules; the tree sets these) and ``forced[i]`` a forced leaf.
+
+    ``block[i]`` builds child ``i`` on first read and returns that same node
+    ever after; :meth:`nodes` builds the rest.  A slot nobody has read is a
+    leaf, so tree statistics price it from its size alone (:meth:`parts`).
+    """
+
+    __slots__ = ("sizes", "offsets", "picks", "terminal", "forced", "_depth",
+                 "_cuts", "_box", "_rules", "_rows", "_table", "_state",
+                 "_category", "_first_id", "_nodes")
+
+    def __init__(self, parent: Node, cuts: Sequence[Tuple[Dimension, List[int]]],
+                 sizes: List[int], picks: np.ndarray) -> None:
+        self.sizes = sizes
+        self.offsets = list(itertools.accumulate(sizes, initial=0))
+        self.picks = picks
+        self.terminal = [False] * len(sizes)
+        self.forced = [False] * len(sizes)
+        self._depth = parent.depth + 1
+        self._cuts = [(int(dim), points) for dim, points in cuts]
+        self._box = parent.ranges
+        table, self._rows = parent._table_rows()
+        self._table = table
+        # The parent's rules as they were cut: a later edit of its list must
+        # not shift what ``picks`` points at.
+        self._rules = tuple(parent.rules)
+        self._state = parent.partition_state
+        self._category = parent.efficuts_category
+        # Child i's node_id is taken now, as if every child were built in
+        # order, so copies of a tree agree on ids whatever they build first.
+        self._first_id = next(_node_counter)
+        if len(sizes) > 1:
+            next(itertools.islice(_node_counter, len(sizes) - 2, None))
+        self._nodes: List[Optional[Node]] = [None] * len(sizes)
+
+    def __len__(self) -> int:
+        return len(self._nodes)
+
+    def __getitem__(self, index: int) -> Node:
+        node = self._nodes[index]
+        if node is None:
+            index %= len(self._nodes)
+            node = self._nodes[index] = self._build(index)
+        return node
+
+    def child_ranges(self, index: int) -> Ranges:
+        """Child ``index``'s box: the parent's, with the sub-range of each
+        cut dimension put in."""
+        ranges = list(self._box)
+        for dim, points in reversed(self._cuts):
+            index, cell = divmod(index, len(points) - 1)
+            ranges[dim] = (points[cell], points[cell + 1])
+        return tuple(ranges)
+
+    @property
+    def ranges(self) -> np.ndarray:
+        """Every child's box, ``(k, 5, 2)``."""
+        return np.array([self.child_ranges(i) for i in range(len(self))],
+                        dtype=np.int64).reshape(len(self), _WIDTH, 2)
+
+    def _build(self, index: int) -> Node:
+        start, end = self.offsets[index], self.offsets[index + 1]
+        picks = self.picks[start:end]
+        rules = self._rules
+        forced = self.forced[index]
+        node = Node(
+            ranges=self.child_ranges(index),
+            rules=[rules[i] for i in picks.tolist()],
+            depth=self._depth,
+            partition_state=self._state,
+            efficuts_category=self._category,
+            forced_leaf=forced,
+            node_id=self._first_id + index,
+        )
+        # Only a child that may still be cut needs its rows.
+        node.bind(self._table, None if forced or self.terminal[index]
+                  else self._rows[picks])
+        return node
+
+    def nodes(self) -> List[Node]:
+        """Every child as a node, building those nobody has read yet."""
+        nodes = self._nodes
+        for index, node in enumerate(nodes):
+            if node is None:
+                nodes[index] = self._build(index)
+        return nodes
+
+    def parts(self) -> Tuple[List[Node], List[int]]:
+        """The children built so far, and the rule counts of the rest."""
+        nodes = self._nodes
+        return ([node for node in nodes if node is not None],
+                [size for size, node in zip(self.sizes, nodes) if node is None])
+
+    def is_built(self, index: int) -> bool:
+        """True once child ``index`` has been read as a node."""
+        return self._nodes[index] is not None
+
+
 def _nearest_level(threshold: float) -> int:
     """Index of the discrete partition level closest to ``threshold``."""
     return min(
@@ -472,10 +619,11 @@ def efficuts_categories(rules: Sequence[Rule],
 #: megabyte or so of temporaries however many rules a node holds.
 _PAIR_BLOCK = 1 << 20
 
-#: Largest rules x rules x children grid :meth:`Node._shadowed` tests
-#: densely (every pair against every child) rather than as one difference
-#: box per nested pair: below it a handful of array operations over the
-#: whole grid costs less than finding the pairs.
+#: Largest rules x rules x children grid :meth:`Node._cut_children` tests
+#: densely (every rule and pair against every child, :func:`_held_densely`)
+#: rather than from runs and one difference box per nested pair: below it a
+#: handful of array operations over the whole grid costs less than finding
+#: the runs and pairs.
 _DENSE_CELLS = 1 << 15
 
 
@@ -529,30 +677,53 @@ def _cut_reach(key: np.ndarray, dims: Sequence[int],
     return reach
 
 
-def _shadowed_densely(key: np.ndarray, uncut_key: np.ndarray,
-                      dims: List[int], points: List[List[int]]
-                      ) -> Optional[np.ndarray]:
-    """:meth:`Node._shadowed` on a small node, every rule pair against
-    every child at once: ``i``'s clip contains ``j``'s in a child iff
-    ``i < j``, ``i``'s key is at most ``j``'s in the uncut rows
-    (``uncut_key``), and along each cut dimension at most ``j``'s key
-    clipped to the child.  Where ``j`` does not reach a child the answer is
-    not read."""
-    count = key.shape[1]
-    nested = _nested_block(uncut_key, 0, count)
-    if not nested.any():
-        return None
-    # shadowed[i, c1, .., cq, j], then any over i.
-    shadowed = nested.reshape((count,) + (1,) * len(dims) + (count,))
-    for axis, (d, pts) in enumerate(zip(dims, points)):
-        bounds = key[d::_WIDTH]
-        children = np.array([pts[:-1], [-p for p in pts[1:]]])
-        clipped = np.maximum(bounds[:, None, :], children[:, :, None])
-        contains = (bounds[:, :, None, None] <= clipped[:, None]).all(axis=0)
-        grid = [count] + [1] * len(dims) + [count]
-        grid[1 + axis] = len(pts) - 1
-        shadowed = shadowed & contains.reshape(grid)
-    return shadowed.any(axis=0)
+def _held_densely(key: np.ndarray, dims: List[int],
+                  points: List[List[int]], prune_redundant: bool
+                  ) -> np.ndarray:
+    """``held[c, j]`` of :meth:`Node._cut_children` on a small node, the
+    children ``c`` flattened, every rule against every child at once.
+
+    Rule ``j`` (bounds ``key``, clipped to the node's box) is held where
+    its clip to the child's box is non-empty.  Pruning, it is shadowed there
+    when an earlier rule ``i`` contains that clip: ``i``'s key is at most
+    ``j``'s in the uncut rows, and at most ``j``'s key clipped to the child
+    in the cut ones (``max(key_i, b) <= max(key_j, b)`` iff ``key_i <=
+    max(key_j, b)``).  Where ``j`` is not held the answer is not read.
+    """
+    q = len(dims)
+    shape = tuple(len(pts) - 1 for pts in points)
+    cut = dims + [_WIDTH + d for d in dims]
+    # The cut rows (lower bounds, then upper bounds negated), then the uncut
+    # rows in the same order.
+    ordered = key.take(cut + [r for r in range(2 * _WIDTH) if r not in cut],
+                       axis=0)
+    cut_key, uncut_key = ordered[:2 * q], ordered[2 * q:]
+    edges = np.empty((2 * q,) + shape, dtype=np.int64)
+    for axis, pts in enumerate(points):
+        pts = np.array(pts).reshape((-1,) + (1,) * (q - axis - 1))
+        edges[axis] = pts[:-1]
+        edges[q + axis] = -pts[1:]
+    # clipped[r, c, j]: cut row r of rule j's key, clipped to child c.
+    clipped = np.maximum(cut_key[:, None, :], edges.reshape(2 * q, -1, 1))
+    held = ((clipped[:q] + clipped[q:] < 0).all(axis=0)
+            & (uncut_key[:_WIDTH - q] + uncut_key[_WIDTH - q:] < 0).all(axis=0))
+    if prune_redundant:
+        count = key.shape[1]
+        nested = (uncut_key[:, :, None] <= uncut_key[:, None, :]).all(axis=0) \
+            & _earlier(count)
+        if nested.any():
+            # contains[i, c, j]: rule i's clip to child c contains rule j's.
+            contains = (cut_key[:, :, None, None] <= clipped[:, None]).all(axis=0)
+            held &= ~(contains & nested[:, None, :]).any(axis=0)
+    return held
+
+
+@functools.lru_cache(maxsize=256)
+def _earlier(count: int) -> np.ndarray:
+    """``earlier[i, j]``: ``i < j``, for ``count`` rules (read-only)."""
+    earlier = np.triu(np.ones((count, count), dtype=bool), 1)
+    earlier.flags.writeable = False
+    return earlier
 
 
 def _nested_pairs(key: np.ndarray) -> Iterator[Tuple[np.ndarray, np.ndarray]]:

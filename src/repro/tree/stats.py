@@ -81,7 +81,7 @@ def node_time_cost(node: Node) -> int:
 
 def node_space_cost(node: Node) -> int:
     """Per-node memory cost (``s_n`` in the paper)."""
-    cost = NODE_HEADER_BYTES + CHILD_POINTER_BYTES * len(node.children)
+    cost = NODE_HEADER_BYTES + CHILD_POINTER_BYTES * node.num_children
     if node.is_leaf:
         cost += RULE_POINTER_BYTES * node.num_rules
     return cost
@@ -95,23 +95,33 @@ def subtree_costs(root: Node) -> Dict[int, Tuple[int, int]]:
     and Eq. 3 (partition: plus the sum over children); space follows
     Eq. 2/4 (the node's bytes plus the sum over children).  Iterative, so
     deep trees do not hit the recursion limit.
+
+    Builds no node: the leaves of a cut's block that were never read as
+    nodes (:meth:`~repro.tree.node.Node.child_parts`) are priced together
+    from their rule counts, ``NODE_ACCESS_COST`` and ``NODE_HEADER_BYTES +
+    RULE_POINTER_BYTES * count`` each, and have no entry of their own.
     """
     order = []
     stack = [root]
     while stack:
         node = stack.pop()
-        order.append(node)
-        stack.extend(node.children)
+        parts = node.child_parts()
+        order.append((node, parts))
+        stack.extend(parts[0])
     costs: Dict[int, Tuple[int, int]] = {}
     # Reversed pre-order visits every child before its parent.
-    for node in reversed(order):
+    for node, (built, sizes) in reversed(order):
         time, space = node_time_cost(node), node_space_cost(node)
         if not node.is_leaf:
-            below = [costs[child.node_id] for child in node.children]
+            below = [costs[child.node_id] for child in built]
             child_times = [t for t, _ in below]
+            space += sum(s for _, s in below)
+            if sizes:
+                child_times += [NODE_ACCESS_COST] * len(sizes)
+                space += (NODE_HEADER_BYTES * len(sizes)
+                          + RULE_POINTER_BYTES * sum(sizes))
             time += sum(child_times) if node.is_partition_node \
                 else max(child_times)
-            space += sum(s for _, s in below)
         costs[node.node_id] = (time, space)
     return costs
 

@@ -6,11 +6,16 @@ repeatedly ask for the next unfinished node (depth-first order, as in
 Algorithm 1's ``GrowTreeDFS``) and apply an action to it, until every leaf is
 terminal — i.e. holds at most ``leaf_threshold`` rules — or construction is
 truncated.
+
+The frontier holds ``(children, index)`` entries, ``children`` a cut's
+:class:`~repro.tree.node.ChildBlock` (or a list of nodes): a child becomes a
+:class:`Node` when the frontier reaches it, and a child that is a leaf on
+arrival is never built during construction at all.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Optional
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -19,7 +24,7 @@ from repro.rules.fields import DIMENSIONS, FULL_SPACE, Ranges
 from repro.rules.rule import Rule
 from repro.rules.ruleset import RuleSet
 from repro.tree.actions import Action
-from repro.tree.node import Node
+from repro.tree.node import ChildBlock, Node
 
 #: Default maximum number of rules a terminal leaf may hold (binth in HiCuts).
 DEFAULT_LEAF_THRESHOLD = 16
@@ -67,9 +72,9 @@ class DecisionTree:
         # rows of an explicit subset are looked up when first needed.
         self.root.bind(ruleset.bounds,
                        np.arange(len(ruleset)) if rules is None else None)
-        # Depth-first frontier of nodes that still need an action.
-        self._frontier: List[Node] = []
-        self._push_if_unfinished(self.root)
+        # Depth-first frontier of the children that still need an action.
+        self._frontier: List[Tuple[Sequence[Node], int]] = []
+        self._queue([self.root], 0)
         self._num_actions = 0
         # Bumped on every structural change; compiled-engine caches key on it.
         self._version = 0
@@ -78,14 +83,27 @@ class DecisionTree:
     # Construction state machine
     # ------------------------------------------------------------------ #
 
-    def _push_if_unfinished(self, node: Node) -> None:
-        if not node.is_terminal(self.leaf_threshold):
-            if self.max_depth is None or node.depth < self.max_depth:
-                self._frontier.append(node)
-                return
-            node.forced_leaf = True
-        # A finished leaf will not be cut: it need not keep its rows.
-        node.release_rows()
+    def _queue(self, children: Sequence[Node], depth: int) -> None:
+        """Put the new ``children`` (at ``depth``) that still need an action
+        on the frontier, last first so the first is cut next; at
+        ``max_depth`` they become forced leaves instead."""
+        threshold = self.leaf_threshold
+        if isinstance(children, ChildBlock):
+            terminal = [size <= threshold for size in children.sizes]
+            children.terminal = terminal
+        else:
+            terminal = [node.num_rules <= threshold for node in children]
+            for node, done in zip(children, terminal):
+                if done:
+                    # A finished leaf will not be cut: it need not keep its
+                    # rows.
+                    node.release_rows()
+        unfinished = [i for i, done in enumerate(terminal) if not done]
+        if self.max_depth is None or depth < self.max_depth:
+            self._frontier.extend((children, i) for i in reversed(unfinished))
+        else:
+            for i in unfinished:
+                _force_leaf(children, i)
 
     @property
     def num_actions_taken(self) -> int:
@@ -108,7 +126,8 @@ class DecisionTree:
     def current_node(self) -> Optional[Node]:
         """The next node to act on (DFS order), or None if the tree is done."""
         while self._frontier:
-            node = self._frontier[-1]
+            children, index = self._frontier[-1]
+            node = children[index]
             if node.is_leaf and not node.is_terminal(self.leaf_threshold):
                 return node
             self._frontier.pop()
@@ -118,20 +137,19 @@ class DecisionTree:
         """True once every leaf is terminal (or truncated)."""
         return self.current_node() is None
 
-    def apply_action(self, action: Action) -> List[Node]:
+    def apply_action(self, action: Action) -> Sequence[Node]:
         """Apply an action to the current node and advance the frontier.
 
-        Returns the children created.  Raises :class:`TreeError` if the tree
-        is already complete.
+        Returns the children created, as :meth:`Node.grow` does: a cut's as
+        a sequence that builds each child's node when it is read.  Raises
+        :class:`TreeError` if the tree is already complete.
         """
         node = self.current_node()
         if node is None:
             raise TreeError("tree construction is already complete")
         self._frontier.pop()
-        children = node.apply(action, prune_redundant=self.prune_redundant)
-        # Push children in reverse so the first child is processed next (DFS).
-        for child in reversed(children):
-            self._push_if_unfinished(child)
+        children = node.grow(action, prune_redundant=self.prune_redundant)
+        self._queue(children, node.depth + 1)
         self._num_actions += 1
         self._version += 1
         return children
@@ -143,10 +161,7 @@ class DecisionTree:
         still a valid classifier, just a poor one.
         """
         while self._frontier:
-            node = self._frontier.pop()
-            if node.is_leaf:
-                node.forced_leaf = True
-                node.release_rows()
+            _force_leaf(*self._frontier.pop())
         self._version += 1
 
     # ------------------------------------------------------------------ #
@@ -199,8 +214,34 @@ class DecisionTree:
         return max((leaf.num_rules for leaf in self.leaves()), default=0)
 
     def has_overflowing_leaves(self) -> bool:
-        """True if truncation left leaves that exceed the leaf threshold."""
-        return any(leaf.num_rules > self.leaf_threshold for leaf in self.leaves())
+        """True if truncation left leaves that exceed the leaf threshold.
+
+        Builds no node: a block's unbuilt leaves are judged by their sizes.
+        """
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            if node.is_leaf:
+                if node.num_rules > self.leaf_threshold:
+                    return True
+                continue
+            built, sizes = node.child_parts()
+            if sizes and max(sizes) > self.leaf_threshold:
+                return True
+            stack.extend(built)
+        return False
+
+
+def _force_leaf(children: Sequence[Node], index: int) -> None:
+    """Make a child that was still to be cut a forced leaf; an unbuilt slot
+    of a block only has its flag set."""
+    if isinstance(children, ChildBlock) and not children.is_built(index):
+        children.forced[index] = True
+        return
+    node = children[index]
+    if node.is_leaf:
+        node.forced_leaf = True
+        node.release_rows()
 
 
 def build_with_policy(

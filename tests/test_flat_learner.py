@@ -156,3 +156,37 @@ def test_act_samples_and_scores_as_the_distribution(decision, seed):
     expected_masks = masks or [np.ones(n, dtype=bool) for n in sizes]
     assert all(np.array_equal(m, e) and m.dtype == bool
                for m, e in zip(taken.masks, expected_masks))
+
+
+def test_a_minibatch_takes_one_entropy_pass_per_component(monkeypatch):
+    # ``_minibatch_update`` reads the entropy (for its stats) and the
+    # entropy's gradient; both share one pass over each component.
+    from repro.nn.distributions import Categorical
+    from repro.rl import PPOConfig, PPOLearner, SampleBatch
+
+    sizes = (3, 4)
+    model = ActorCriticMLP(obs_size=6, action_sizes=sizes,
+                           hidden_sizes=(8,), seed=0)
+    rng = np.random.default_rng(0)
+    obs = rng.normal(size=(16, 6))
+    logits, values = model.forward(obs)
+    masks = [rng.random((16, n)) < 0.7 for n in sizes]
+    for mask in masks:
+        mask[:, 0] = True
+    dist = MultiCategorical(logits, sizes, masks=masks)
+    actions = dist.sample(rng)
+    batch = SampleBatch(obs=obs, actions=actions, returns=rng.normal(size=16),
+                        value_preds=values, logp_old=dist.log_prob(actions),
+                        action_masks=masks)
+    learner = PPOLearner(model, PPOConfig(num_sgd_iters=1,
+                                          sgd_minibatch_size=16), seed=0)
+
+    passes = []
+    entropy = Categorical.entropy
+    monkeypatch.setattr(Categorical, "entropy",
+                        lambda self: passes.append(self) or entropy(self))
+    minibatches = 3
+    for _ in range(minibatches):
+        learner._minibatch_update(batch, rng.normal(size=16))
+    assert len(passes) == minibatches * len(sizes)
+    assert len(set(map(id, passes))) == len(passes)
