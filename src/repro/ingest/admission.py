@@ -23,7 +23,10 @@ when queue occupancy reaches ``max(1, queue_limit // 2)`` or the
 head-of-line age reaches half of :attr:`IngestConfig.max_queue_delay`, and
 a SOFT-signalled tenant's subsequent arrivals are re-paced to its sustained
 rate — the near-source flow control of the SFC design, on the virtual
-clock so it stays deterministic.  **HARD** (queue full) sheds.
+clock so it stays deterministic.  A paced source still sends in order, so a
+tenant's effective arrivals never go back in time when the signal clears;
+that keeps every admitted queue delay within
+:attr:`IngestConfig.max_queue_delay`.  **HARD** (queue full) sheds.
 
 Everything runs on the trace clock: decisions are a pure function of the
 offered (tenant, time) sequence and the config, which is what makes the
@@ -100,8 +103,8 @@ _OK, _SOFT, _HARD = CongestionLevel.OK, CongestionLevel.SOFT, \
 class _TenantState:
     """Per-tenant admission state (bucket, bounded queue, pacing clock)."""
 
-    __slots__ = ("bucket", "queue", "last_release", "next_allowed",
-                 "signal", "offered", "admitted", "throttled", "shed",
+    __slots__ = ("bucket", "queue", "last_release", "arrival",
+                 "next_allowed", "signal", "offered", "admitted", "throttled", "shed",
                  "max_depth")
 
     def __init__(self, config: IngestConfig) -> None:
@@ -109,6 +112,8 @@ class _TenantState:
         #: (enqueue_time, release_time) per queued request.
         self.queue: Deque[Tuple[float, float]] = deque()
         self.last_release = 0.0
+        #: Effective arrival of the tenant's previous request.
+        self.arrival = 0.0
         self.next_allowed = 0.0
         self.signal = CongestionLevel.OK
         self.offered = 0
@@ -173,12 +178,15 @@ class AdmissionController:
             if state is None:
                 state = states[request.tenant_id] = _TenantState(config)
             state.offered += 1
-            now = request.time
+            # A paced source sends in order: no request arrives before the
+            # tenant's previous one, even once the signal is back to OK.
+            now = max(request.time, state.arrival)
             if state.signal >= _SOFT:
                 # Near-source flow control: a SOFT-signalled source falls
                 # back to sustained-rate pacing, so its effective arrival
                 # may be later than its wire arrival.
                 now = max(now, state.next_allowed)
+            state.arrival = now
             state.next_allowed = max(state.next_allowed, now) + gap
 
             # Drain the virtual queue to the (effective) arrival, then

@@ -7,7 +7,8 @@ with state of their own — nothing here is shared with
 and the config.  The three knobs fix the rest: the queue drains at
 ``tenant_rate``, SOFT engages at half the queue (at least one) or at half
 the worst-case queue delay, and a SOFT-signalled source is re-paced to
-``tenant_rate``.  A request-by-request run leaves, besides each verdict, the tallies and
+``tenant_rate``; a tenant's effective arrivals never go back in time.
+A request-by-request run leaves, besides each verdict, the tallies and
 metrics the controller publishes: the counters, the queue-delay samples in
 arrival order, and the peak-depth gauge with one write per new peak.
 """
@@ -27,6 +28,7 @@ class _Tenant:
         self.bucket = TokenBucket(config.tenant_rate, config.tenant_burst)
         self.queue = deque()
         self.last_release = 0.0
+        self.arrival = 0.0
         self.next_allowed = 0.0
         self.signal = CongestionLevel.OK
         self.tally = {ADMITTED: 0, THROTTLED: 0, SHED: 0}
@@ -47,9 +49,10 @@ class ReferenceAdmission:
         """``(status, level, release_time, queue_delay)``."""
         config = self.config
         tenant = self.tenants.setdefault(tenant_id, _Tenant(config))
-        now = time
+        now = max(time, tenant.arrival)
         if tenant.signal >= CongestionLevel.SOFT:
             now = max(now, tenant.next_allowed)
+        tenant.arrival = now
         tenant.next_allowed = max(tenant.next_allowed, now) \
             + 1.0 / config.tenant_rate
         queue = tenant.queue

@@ -232,15 +232,35 @@ class TestAdmissionController:
         # queue_limit < burst and back-to-back arrivals: a one-deep queue
         # is full while its entry waits, so the next wire arrival is shed
         # at the HARD level (no token taken); the shed source is re-paced
-        # behind the drain, so admits and sheds alternate.
+        # behind the drain.  The re-paced arrival finds the queue empty
+        # (OK), and the one after it follows it at once, as the paced
+        # source sends in order: it finds the queue drained too and is
+        # admitted, and the next one is shed again.
         config = IngestConfig(tenant_rate=10.0, tenant_burst=32,
                               queue_limit=1)
         controller = AdmissionController(config)
         admitted = controller.admit(
             [_request("a", 0.0, seq=i) for i in range(8)])
-        assert [r.seq for r in admitted] == [0, 2, 4, 6]
-        assert _tally(controller) == (8, 4, 0, 4)
+        assert [r.seq for r in admitted] == [0, 2, 3, 5, 6]
+        assert _tally(controller) == (8, 5, 0, 3)
         assert controller.tenant_summary(1.0)["a"]["signal"] == "HARD"
+        assert max(_delays(controller)) <= config.max_queue_delay + 1e-9
+
+    @pytest.mark.parametrize("queue_limit", [1, 2, 8, 64, 128])
+    def test_over_rate_tenant_stays_within_the_delay_bound(self,
+                                                           queue_limit):
+        # One tenant offered 8x its rate for 2,000 arrivals: wire arrivals
+        # that land behind a re-paced one follow it, so none is admitted
+        # into a queue drained ahead of its own effective arrival.
+        config = IngestConfig(tenant_rate=1000.0, tenant_burst=64,
+                              queue_limit=queue_limit)
+        controller = AdmissionController(config)
+        controller.admit([_request("a", i / 8000.0, seq=i)
+                          for i in range(2000)])
+        delays = _delays(controller)
+        assert delays
+        assert max(delays) <= config.max_queue_delay + 1e-9
+        assert _tally(controller)[0] == 2000
 
     def test_soft_signal_repaces_adaptive_sources(self):
         # A half-full queue flips the signal to SOFT; the next arrival is
@@ -278,12 +298,14 @@ class TestAdmissionController:
         controller = AdmissionController(config, metrics=metrics)
         controller.admit([_request("a", 0.0) for _ in range(6)])
         # Two admits fill the bucket's burst, the third is throttled at
-        # SOFT, the fourth is re-paced to t=0.3 where two tokens are back.
+        # SOFT, the fourth is re-paced to t=0.3 where two tokens are back;
+        # the fifth follows it at t=0.3 and waits one drain interval, and
+        # the sixth finds the bucket empty.
         assert _tally(controller) == (6, 4, 2, 0)
         assert [metrics.counter(f"ingest.{name}").value
                 for name in ("offered", "admitted", "throttled", "shed")] \
             == [6, 4, 2, 0]
-        assert _delays(controller) == pytest.approx([0.1, 0.2, 0.0, 0.4])
+        assert _delays(controller) == pytest.approx([0.1, 0.2, 0.0, 0.1])
         assert metrics.gauge("ingest.queue_depth").as_dict() == {
             "value": 2.0, "updates": 2}
 
