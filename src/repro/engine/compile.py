@@ -1,6 +1,6 @@
 """Compilation of tree-model trees into flat search structures.
 
-Compilation happens in three steps:
+Compilation happens in two steps:
 
 1. **Partition expansion** — partition nodes (NeuroCuts' top-node partitions
    and EffiCuts category splits) require consulting *every* child, which has
@@ -8,16 +8,14 @@ Compilation happens in three steps:
    into one independent search tree per child; the dispatcher queries all of
    them and keeps the highest-priority match, which is exactly the
    tree model's partition semantics.
-2. **Normalisation** — every cut-family action is rewritten into the two
-   primitive node shapes the flat layout supports: a multi-dimension cut
-   becomes a chain of single-dimension cut levels (children ordered the same
-   row-major way the tree model orders the cut's cartesian product), and a
-   split keeps its single boundary point.
-3. **Flattening** — the normalised tree is laid out breadth-first into the
-   node table's columns, so every node's children occupy one contiguous
-   index span, and the per-leaf rule lists are concatenated (highest
-   priority first) into the leaf rule table as slots into the engine's
-   distinct-rule table.
+2. **Flattening** — one breadth-first pass over each expanded root's
+   tree-model nodes lays it out into the node table's columns, so every
+   node's children occupy one contiguous index span.  A cut or split is one
+   row (a split keeps its single boundary point), and a multi-dimension cut
+   is a chain of single-dimension cut rows (children ordered the same
+   row-major way the tree model orders the cut's cartesian product).  The
+   per-leaf rule lists are concatenated, highest priority first, into the
+   leaf rule table as slots into the engine's distinct-rule table.
 
 The result is a :class:`~repro.engine.dispatch.CompiledClassifier` whose
 one :class:`~repro.engine.layout.Forest` holds a block — viewed through a
@@ -40,9 +38,9 @@ so is a rule list more than half of whose rules no live span references.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field, replace
-from itertools import chain
+from itertools import chain, repeat
+from operator import attrgetter
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, \
     Tuple
 
@@ -74,33 +72,6 @@ MAX_SEARCH_TREES = 256
 
 
 # --------------------------------------------------------------------------- #
-# Normalised intermediate nodes
-# --------------------------------------------------------------------------- #
-
-@dataclass
-class _Leaf:
-    rules: List[Rule]
-    #: The tree-model leaf these rules came from.
-    source: Optional[Node] = None
-
-
-@dataclass
-class _Cut:
-    dim: int
-    lo: int
-    base: int
-    rem: int
-    children: List[object] = field(default_factory=list)
-
-
-@dataclass
-class _Split:
-    dim: int
-    point: int
-    children: List[object] = field(default_factory=list)
-
-
-# --------------------------------------------------------------------------- #
 # Step 1: partition expansion
 # --------------------------------------------------------------------------- #
 
@@ -119,21 +90,13 @@ def _expand_partitions(node: Node) -> List[Node]:
         expanded: List[Node] = []
         for child in node.children:
             expanded.extend(_expand_partitions(child))
-            if len(expanded) > MAX_SEARCH_TREES:
-                raise CompileError(
-                    "partition structure expands into more than "
-                    f"{MAX_SEARCH_TREES} search trees"
-                )
+            _cap(len(expanded))
         return expanded
     variant_lists = [_expand_partitions(child) for child in node.children]
     total = 1
     for variants in variant_lists:
         total *= len(variants)
-        if total > MAX_SEARCH_TREES:
-            raise CompileError(
-                "partition structure expands into more than "
-                f"{MAX_SEARCH_TREES} search trees"
-            )
+        _cap(total)
     if total == 1:
         return [node]
     # Cartesian product over per-child variants: each combination is a clone
@@ -161,8 +124,14 @@ def _expand_partitions(node: Node) -> List[Node]:
     return roots
 
 
+def _cap(search_trees: int) -> None:
+    if search_trees > MAX_SEARCH_TREES:
+        raise CompileError("partition structure expands into more than "
+                           f"{MAX_SEARCH_TREES} search trees")
+
+
 # --------------------------------------------------------------------------- #
-# Step 2: normalisation
+# Step 2: the breadth-first pass
 # --------------------------------------------------------------------------- #
 
 def _cut_params(node: Node, dim: int, num_children: int) -> Tuple[int, int, int]:
@@ -176,66 +145,34 @@ def _cut_params(node: Node, dim: int, num_children: int) -> Tuple[int, int, int]
     return lo, span // num_children, span % num_children
 
 
-def _normalize(node: Node) -> object:
-    """Rewrite one expanded node into the primitive _Leaf/_Cut/_Split shapes."""
-    if node.is_leaf:
-        # Highest priority first so the first match inside a leaf wins.
-        return _Leaf(rules=sorted(node.rules, key=lambda r: -r.priority),
-                     source=node)
-    action = node.action
-    children = node.children
+def _chain(node: Node) -> List[Tuple[int, int, int, int, int]]:
+    """The levels of single-dimension cuts a cut becomes, as ``(dim, lo,
+    base, rem, fan-out)``: one, or one per dimension of a multi-dimension
+    cut.  The tree model orders a multicut's children as the row-major
+    cartesian product of the per-dimension sub-ranges, which walking the
+    levels in order reproduces: grid cell ``(i0, i1, ...)`` resolves to
+    the same child."""
+    action, children = node.action, node.children
     if isinstance(action, CutAction):
-        lo, base, rem = _cut_params(node, int(action.dimension), len(children))
-        return _Cut(dim=int(action.dimension), lo=lo, base=base, rem=rem,
-                    children=[_normalize(c) for c in children])
-    if isinstance(action, SplitAction):
-        return _Split(dim=int(action.dimension), point=action.split_point,
-                      children=[_normalize(c) for c in children])
-    if isinstance(action, MultiCutAction):
-        return _normalize_multicut(node)
-    raise CompileError(f"cannot compile action {action!r}")
-
-
-def _normalize_multicut(node: Node) -> object:
-    """Decompose a multi-dimension cut into a chain of single-dimension cuts.
-
-    The tree model orders a multicut's children as the row-major cartesian
-    product of the per-dimension sub-ranges; the chain reproduces that
-    ordering, so grid cell ``(i0, i1, ...)`` resolves to the same child.
-    """
-    assert isinstance(node.action, MultiCutAction)
+        dim = int(action.dimension)
+        return [(dim, *_cut_params(node, dim, len(children)), len(children))]
+    if not isinstance(action, MultiCutAction):
+        raise CompileError(f"cannot compile action {action!r}")
     specs = []
-    for dim, requested in node.action.cuts:
+    cells = 1
+    for dim, requested in action.cuts:
         lo, hi = node.ranges[int(dim)]
         effective = min(requested, hi - lo)
-        lo, base, rem = _cut_params(node, int(dim), effective)
-        specs.append((int(dim), lo, base, rem, effective))
-    expected = 1
-    for spec in specs:
-        expected *= spec[4]
-    if expected != len(node.children):
+        specs.append((int(dim), *_cut_params(node, int(dim), effective),
+                      effective))
+        cells *= effective
+    if cells != len(children):
         raise CompileError(
-            f"multicut fan-out mismatch: grid has {expected} cells, "
-            f"node has {len(node.children)} children"
+            f"multicut fan-out mismatch: grid has {cells} cells, "
+            f"node has {len(children)} children"
         )
+    return specs
 
-    def build(level: int, prefix: int) -> _Cut:
-        dim, lo, base, rem, effective = specs[level]
-        cut = _Cut(dim=dim, lo=lo, base=base, rem=rem)
-        for i in range(effective):
-            cell = prefix * effective + i
-            if level == len(specs) - 1:
-                cut.children.append(_normalize(node.children[cell]))
-            else:
-                cut.children.append(build(level + 1, cell))
-        return cut
-
-    return build(0, 0)
-
-
-# --------------------------------------------------------------------------- #
-# Step 3: flattening
-# --------------------------------------------------------------------------- #
 
 #: Smallest and largest value each node column's width can hold.
 _NODE_MIN = np.array([np.iinfo(NODE_DTYPE[name]).min
@@ -243,98 +180,156 @@ _NODE_MIN = np.array([np.iinfo(NODE_DTYPE[name]).min
 _NODE_MAX = np.array([np.iinfo(NODE_DTYPE[name]).max
                       for name in NODE_DTYPE.names])
 
+_PRIORITY = attrgetter("priority")
+_RULES = attrgetter("rules")
+_KIND, _START, _COUNT = (NODE_DTYPE.names.index(name)
+                         for name in ("kind", "start", "count"))
+#: A leaf's row as the pass appends it; :meth:`_Flattener.build` spans it.
+_LEAF_ROW = (KIND_LEAF, 0, 0, 0, 0, 0, 0)
+
 
 class _Flattener:
-    """Lays normalised trees out breadth-first, one block of rows each.
+    """Lays tree-model trees out breadth-first, one block of rows each.
 
-    Rows are collected for all the trees of a compile and converted to one
-    :class:`Forest` at the end (:meth:`trees`): NumPy's per-call cost is
-    paid once per engine, not once per search tree, and rule geometry is
-    converted once per distinct rule.
+    The pass (:meth:`add`) appends a row per node and the node of each
+    leaf; :meth:`build` lays out every leaf's span and slots its rules at
+    once, converting all the trees of a compile to one :class:`Forest`.
 
     ``rule_slot`` keys are the (frozen, hashable) rules themselves, not
     object ids: ids of dead objects get recycled, which would silently
     alias two different rules across the generations of a partially
     recompiled classifier.  Keying by value also dedupes equal rules, which
     is sound because equal rules match identically at equal priority.
+    Within one compile the trees hold every rule alive, so rules are told
+    apart by ``id`` and ``rule_slot`` is read once per distinct object.
     """
 
     def __init__(self, rule_slot: Dict[Rule, int],
                  rules_out: List[Rule]) -> None:
         self.rule_slot = rule_slot
         self.rules_out = rules_out
+        #: ``id(rule) -> slot`` of each rule this compile appended.
+        self.slot_ids: Dict[int, int] = {}
         self.records: List[tuple] = []  # one NODE_DTYPE-ordered row per node
-        self.leaf_slots: List[int] = []  # distinct-rule slot per leaf row
         #: The tree-model leaf of each leaf row, in row order.
-        self.leaves: List[Optional[Node]] = []
-        #: Per tree: FlatTree's fields after ``forest``.
-        self.blocks: List[Tuple[int, int, int, int, int, int]] = []
+        self.leaves: List[Node] = []
+        #: Per tree: its first node row, its node rows and its depth.
+        self.blocks: List[Tuple[int, int, int]] = []
 
-    def add(self, root: object) -> None:
-        """Append one tree's block; its indices are relative to the block."""
-        records, leaf_slots = self.records, self.leaf_slots
-        rule_slot, rules_out = self.rule_slot, self.rules_out
-        node_offset, rule_offset = len(records), len(leaf_slots)
-        queue = deque([(root, 0)])
+    def add(self, root: Node) -> None:
+        """Append the block of one expanded root, breadth-first; its indices
+        are relative to the block.
+
+        A leaf or split is one row, a cut a chain of single-dimension cut
+        rows (:func:`_chain`): its entries below the first level carry
+        ``(node, levels, level, cell)`` until the last level hands over the
+        node's children.
+        """
+        records, leaves = self.records, self.leaves
+        node_offset = len(records)
+        level: List[object] = [root]
         next_index = 1
-        depth = 0
-        max_span = 0
-        while queue:
-            node, depth = queue.popleft()  # breadth-first: never decreases
-            if isinstance(node, _Leaf):
-                start = len(leaf_slots) - rule_offset
-                for rule in node.rules:
-                    slot = rule_slot.get(rule)
-                    if slot is None:
-                        slot = rule_slot[rule] = len(rules_out)
-                        rules_out.append(rule)
-                    leaf_slots.append(slot)
-                self.leaves.append(node.source)
-                records.append((KIND_LEAF, 0, 0, 0, 0, start,
-                                len(node.rules)))
-                max_span = max(max_span, len(node.rules))
-                continue
-            start = next_index
-            children = node.children
-            next_index += len(children)
-            queue.extend((child, depth + 1) for child in children)
-            if isinstance(node, _Cut):
-                if node.base < 1:
-                    raise CompileError("cut node with zero-width children")
-                records.append(
-                    (KIND_CUT, node.dim, node.lo, node.base, node.rem,
-                     start, len(children))
-                )
-            else:
-                assert isinstance(node, _Split)
-                records.append(
-                    (KIND_SPLIT, node.dim, node.point, 0, 0,
-                     start, len(children))
-                )
-        self.blocks.append((node_offset, len(records) - node_offset,
-                            rule_offset, len(leaf_slots) - rule_offset,
-                            depth, max_span))
+        depth = -1
+        while level:  # one tree level per round: rows in breadth-first order
+            depth += 1
+            below: List[object] = []
+            for entry in level:
+                if type(entry) is not tuple:
+                    action = entry.action
+                    if action is None:
+                        records.append(_LEAF_ROW)
+                        leaves.append(entry)
+                        continue
+                    if isinstance(action, SplitAction):
+                        children = entry.children
+                        records.append((KIND_SPLIT, int(action.dimension),
+                                        action.split_point, 0, 0, next_index,
+                                        len(children)))
+                        below.extend(children)
+                        next_index += len(children)
+                        continue
+                    entry = (entry, _chain(entry), 0, 0)
+                node, specs, at, cell = entry
+                dim, lo, base, rem, fan_out = specs[at]
+                first = cell * fan_out
+                if at + 1 < len(specs):
+                    below.extend((node, specs, at + 1, first + i)
+                                 for i in range(fan_out))
+                else:
+                    below.extend(node.children[first:first + fan_out])
+                records.append((KIND_CUT, dim, lo, base, rem, next_index,
+                                fan_out))
+                next_index += fan_out
+            level = below
+        self.blocks.append((node_offset, len(records) - node_offset, depth))
 
-    def trees(self) -> List[FlatTree]:
-        """The trees added so far, as views of one new forest."""
-        table = np.array(self.records, dtype=np.int64).reshape(
-            len(self.records), len(NODE_DTYPE.names))
-        if len(table):
-            unfit = (table.min(axis=0) < _NODE_MIN) \
-                | (table.max(axis=0) > _NODE_MAX)
-            if unfit.any():
-                name = NODE_DTYPE.names[int(unfit.argmax())]
-                raise CompileError(
-                    f"node column {name!r} holds a value that does not fit "
-                    f"its {NODE_DTYPE[name]} width")
-        node_columns = {
-            name: table[:, col].astype(NODE_DTYPE[name])
-            for col, name in enumerate(NODE_DTYPE.names)
-        }
-        slots = np.array(self.leaf_slots, dtype=RULE_DTYPE["rule_index"])
-        forest = Forest(node_columns, {"rule_index": slots},
-                        rule_table(self.rules_out))
-        return [FlatTree(forest, *block) for block in self.blocks]
+    def build(self) -> Tuple[Forest, List[FlatTree]]:
+        """One new forest of the trees added so far, and their views."""
+        width = len(NODE_DTYPE.names)
+        table = np.fromiter(chain.from_iterable(self.records), np.int64,
+                            width * len(self.records)).reshape(-1, width)
+        leaf_rows = np.flatnonzero(table[:, _KIND] == KIND_LEAF)
+        lists = list(map(_RULES, self.leaves))
+        lengths = np.fromiter(map(len, lists), np.int64, len(lists))
+        start, offsets, sizes, widest = _spans(np.searchsorted(
+            [block[0] for block in self.blocks], leaf_rows, side="right") - 1,
+            lengths, len(self.blocks))
+        table[leaf_rows, _START] = start
+        table[leaf_rows, _COUNT] = lengths
+        unfit = (table.min(axis=0) < _NODE_MIN) \
+            | (table.max(axis=0) > _NODE_MAX)
+        if unfit.any():
+            name = NODE_DTYPE.names[int(unfit.argmax())]
+            raise CompileError(
+                f"node column {name!r} holds a value that does not fit its "
+                f"{NODE_DTYPE[name]} width")
+        slots = self._slots(list(chain.from_iterable(lists)), lengths)
+        forest = Forest(
+            {name: table[:, col].astype(NODE_DTYPE[name])
+             for col, name in enumerate(NODE_DTYPE.names)},
+            {"rule_index": slots}, rule_table(self.rules_out))
+        return forest, [
+            FlatTree(forest, node_offset, num_nodes, int(offset), int(size),
+                     depth, int(span))
+            for (node_offset, num_nodes, depth), offset, size, span
+            in zip(self.blocks, offsets, sizes, widest)]
+
+    def _slots(self, refs: List[Rule], lengths: np.ndarray) -> np.ndarray:
+        """The leaf-slot column of ``refs``, the leaves' rules leaf after
+        leaf (``lengths`` per leaf): each leaf's by descending priority,
+        stably, and each rule the pool lacks appended to it where it first
+        appears in that order."""
+        by_id = dict(zip(map(id, refs), refs))  # every distinct rule object
+        number = dict(zip(by_id, range(len(by_id))))
+        distinct = list(by_id.values())
+        ref_rule = _by_priority(
+            np.fromiter(map(number.__getitem__, map(id, refs)), np.int64,
+                        len(refs)),
+            lengths,
+            np.fromiter(map(_PRIORITY, distinct), np.int64, len(distinct)))
+        _, first = np.unique(ref_rule, return_index=True)
+        order = ref_rule[np.sort(first)].tolist()
+        slot = np.empty(len(distinct), dtype=RULE_DTYPE["rule_index"])
+        slot[order] = list(map(
+            _intern, map(distinct.__getitem__, order), repeat(self.rule_slot),
+            repeat(self.slot_ids), repeat(self.rules_out)))
+        return slot[ref_rule]
+
+
+def _by_priority(items: np.ndarray, lengths: np.ndarray,
+                 priority: np.ndarray) -> np.ndarray:
+    """``items`` (rules, as indices into ``priority``), cut into consecutive
+    spans of ``lengths``, with each span ordered by descending priority,
+    stably.  Rule lists are mostly kept in that order, so the sort is
+    rarely paid for."""
+    ends = np.cumsum(lengths)
+    span_start = np.zeros(len(items), dtype=bool)
+    span_start[(ends - lengths)[lengths > 0]] = True
+    rank = priority[items]
+    if ((rank[1:] > rank[:-1]) & ~span_start[1:]).any():
+        span = np.cumsum(span_start) - 1
+        items = items[np.argsort((span << 33) - rank, kind="stable")]
+    return items
 
 
 # --------------------------------------------------------------------------- #
@@ -351,19 +346,22 @@ class CompileProvenance:
     a cut owns one row per clone of its path.  It is one flat list (no
     per-row objects for the collector to walk); :meth:`rows_of` indexes it.
     ``rule_slot`` is the live index into the engine's shared distinct-rule
-    list; partial recompiles extend both in place.  ``slot_refs`` counts,
+    list, and ``slot_ids`` the same by ``id`` for the objects that list
+    holds (a way past hashing a rule by value; as only listed objects are
+    keyed, no key's id can be recycled); partial recompiles extend all
+    three in place.  ``slot_refs`` counts,
     per rule slot, the leaf-slot rows of live spans holding it (``None``:
     every row is live, as after a full compile).
     """
 
     trees: Tuple[DecisionTree, ...]
     versions: Tuple[int, ...]
-    leaves: List[Optional[Node]]
+    leaves: List[Node]
     rule_slot: Dict[Rule, int]
+    slot_ids: Dict[int, int]
     slot_refs: Optional[np.ndarray] = None
     _rows: Optional[Dict[int, Tuple[Node, List[Tuple[int, int]]]]] = field(
         default=None, repr=False)
-    _slot_ids: Optional[Dict[int, int]] = field(default=None, repr=False)
 
     def rows_of(self, compiled: CompiledClassifier
                 ) -> Dict[int, Tuple[Node, List[Tuple[int, int]]]]:
@@ -386,19 +384,8 @@ class CompileProvenance:
                 for leaf, row, block in triples:
                     table.setdefault(id(leaf), (leaf, []))[1].append(
                         (row, block))
-            table.pop(id(None), None)
             self._rows = table
         return self._rows
-
-    def slot_ids(self, rules: List[Rule]) -> Dict[int, int]:
-        """``id(rule) -> slot`` over ``rules``, the engine's rule list: a
-        way past hashing a rule by value, built on first use and extended
-        as partial recompiles append.  Only objects the list holds are
-        keyed, so no key's id can be recycled."""
-        if self._slot_ids is None:
-            self._slot_ids = {id(rule): slot
-                              for slot, rule in enumerate(rules)}
-        return self._slot_ids
 
 
 @dataclass
@@ -422,12 +409,21 @@ class PartialCompileResult:
 def compile_tree(tree: DecisionTree,
                  rule_slot: Optional[Dict[Rule, int]] = None,
                  rules_out: Optional[List[Rule]] = None) -> List[FlatTree]:
-    """Compile one tree-model tree into its flat search trees."""
-    flattener = _Flattener(rule_slot if rule_slot is not None else {},
-                           rules_out if rules_out is not None else [])
-    for sub_root in _expand_partitions(tree.root):
-        flattener.add(_normalize(sub_root))
-    return flattener.trees()
+    """Compile one tree-model tree into its flat search trees.
+
+    ``rule_slot`` and ``rules_out`` are a rule pool several calls may share:
+    the slot of each distinct rule and the rule list those slots index.
+    Pass both or neither; the trees' forest describes ``rules_out`` whole.
+    """
+    if (rule_slot is None) != (rules_out is None):
+        raise ValueError(
+            "compile_tree takes a rule pool's slot map and its rule list "
+            "together, or neither")
+    flattener = _Flattener({} if rule_slot is None else rule_slot,
+                           [] if rules_out is None else rules_out)
+    for root in _expand_partitions(tree.root):
+        flattener.add(root)
+    return flattener.build()[1]
 
 
 def compile_classifier(classifier, flow_cache_size: Optional[int] = None):
@@ -439,23 +435,20 @@ def compile_classifier(classifier, flow_cache_size: Optional[int] = None):
     :class:`CompileProvenance` so later deltas can go through
     :func:`partial_compile_classifier`.
     """
-    rule_slot: Dict[Rule, int] = {}
-    rules_out: List[Rule] = []
-    flattener = _Flattener(rule_slot, rules_out)
+    flattener = _Flattener({}, [])
     for tree in classifier.trees:
         for root in _expand_partitions(tree.root):
-            flattener.add(_normalize(root))
-    compiled = CompiledClassifier(
-        subtrees=flattener.trees(),
-        rules=rules_out,
-        name=classifier.name,
-        flow_cache_size=flow_cache_size,
-    )
+            flattener.add(root)
+    forest, subtrees = flattener.build()
+    compiled = CompiledClassifier.from_forest(
+        forest, subtrees, rules=flattener.rules_out, name=classifier.name,
+        flow_cache_size=flow_cache_size)
     compiled.provenance = CompileProvenance(
         trees=tuple(classifier.trees),
         versions=tuple(tree.version for tree in classifier.trees),
         leaves=flattener.leaves,
-        rule_slot=rule_slot,
+        rule_slot=flattener.rule_slot,
+        slot_ids=flattener.slot_ids,
     )
     return compiled
 
@@ -475,10 +468,10 @@ def partial_compile_classifier(
     <repro.neurocuts.updates.IncrementalUpdater.take_touched>`).  The new
     generation shares every node column of ``previous.forest`` except
     ``start`` / ``count``, which it copies; each touched leaf gets one span
-    of its current rules, in :func:`_normalize`'s order, appended to the
-    leaf-slot column (rules new to the engine appended to the shared rule
-    list and table), and every row compiled from that leaf is re-pointed at
-    it.  Its old span stays behind as dead rows.
+    of its current rules, ordered as a cold compile orders them, appended
+    to the leaf-slot column (rules new to the engine appended to the shared
+    rule list and table), and every row compiled from that leaf is
+    re-pointed at it.  Its old span stays behind as dead rows.
 
     Compaction (``compacted=True``) is due when dead leaf-slot rows
     outnumber live ones — the column is then packed (:func:`_pack`), which
@@ -519,7 +512,7 @@ def partial_compile_classifier(
     forest = previous.forest
     rule_slot = provenance.rule_slot
     rules_out = previous.rules  # append-only; previous keeps serving from it
-    slot_ids = provenance.slot_ids(rules_out)
+    slot_ids = provenance.slot_ids
     rows_of = provenance.rows_of(previous)
     appended: List[int] = []  # the touched leaves' slots, leaf after leaf
     lengths: List[int] = []  # per touched leaf
@@ -553,16 +546,8 @@ def partial_compile_classifier(
         length = np.array(lengths)
         new_slots = np.array(appended, dtype=old_slots.dtype)
         first = len(old_slots) + np.cumsum(length) - length
-        # Each span ordered as _normalize orders a leaf: by descending
-        # priority, stably.  Node rule lists are kept in that order, so the
-        # sort is only paid for when some span is not.
-        priority = table["priority"][new_slots]
-        leaf_start = np.zeros(len(new_slots), dtype=bool)
-        leaf_start[first[length > 0] - len(old_slots)] = True
-        if ((priority[1:] > priority[:-1]) & ~leaf_start[1:]).any():
-            leaf = np.cumsum(leaf_start) - 1
-            new_slots = new_slots[np.argsort(
-                (leaf << 33) - priority, kind="stable")]
+        # Each span ordered as a cold compile orders a leaf.
+        new_slots = _by_priority(new_slots, length, table["priority"])
         rows, blocks = np.fromiter(chain.from_iterable(repointed), np.int64,
                                    2 * len(repointed)).reshape(-1, 2).T
         offsets = np.array([tree.rule_offset for tree in subtrees])[blocks]
@@ -617,10 +602,11 @@ def partial_compile_classifier(
 
 def _intern(rule: Rule, rule_slot: Dict[Rule, int], slot_ids: Dict[int, int],
             rules_out: List[Rule]) -> int:
-    """The slot of ``rule``, appending it to the rule list if it is new."""
-    slot = rule_slot.get(rule)
-    if slot is None:
-        slot = rule_slot[rule] = slot_ids[id(rule)] = len(rules_out)
+    """The slot of ``rule``, appending it to the rule list (and its object
+    to ``slot_ids``) if it is new."""
+    slot = rule_slot.setdefault(rule, len(rules_out))
+    if slot == len(rules_out):
+        slot_ids[id(rule)] = slot
         rules_out.append(rule)
     return slot
 
@@ -632,11 +618,30 @@ def _span_rows(first: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         + np.arange(int(ends[-1]) if len(ends) else 0)
 
 
+def _spans(block: np.ndarray, lengths: np.ndarray, num_blocks: int
+           ) -> Tuple[np.ndarray, ...]:
+    """Where a cold compile puts the leaves' spans: one per leaf row, in
+    node-row order, block after block.
+
+    ``block`` and ``lengths`` give each leaf row's block and span length;
+    every block holds at least one leaf, and leaf rows are grouped by
+    block.  Returns each leaf row's ``start`` within its block and, per
+    block, its first leaf-slot row, its leaf-slot rows and its widest span.
+    """
+    ends = np.cumsum(lengths)
+    begins = ends - lengths
+    block_first = np.searchsorted(block, np.arange(num_blocks))
+    offsets = begins[block_first]
+    sizes = np.append(offsets[1:], ends[-1]) - offsets
+    return (begins - offsets[block], offsets, sizes,
+            np.maximum.reduceat(lengths, block_first))
+
+
 def _pack(node: Mapping[str, np.ndarray], slots: np.ndarray,
           subtrees: List[FlatTree]
           ) -> Tuple[Dict[str, np.ndarray], np.ndarray, List[FlatTree]]:
-    """The leaf-slot column without dead rows: one span per leaf row, in
-    node-row order, block after block — where a cold compile puts them.
+    """The leaf-slot column without dead rows, each span where a cold
+    compile puts it (:func:`_spans`).
 
     Returns the node columns with the leaf rows' ``start`` rewritten, the
     packed column and the subtrees with their new rule blocks.
@@ -647,18 +652,11 @@ def _pack(node: Mapping[str, np.ndarray], slots: np.ndarray,
     first = np.array([t.rule_offset for t in subtrees])[block] \
         + node["start"][leaf_rows]
     lengths = node["count"][leaf_rows].astype(np.int64)
-    ends = np.cumsum(lengths)
-    begins = ends - lengths
     packed = slots[_span_rows(first, lengths)]
-    # Every block holds at least one leaf; leaf rows are grouped by block.
-    block_first = np.searchsorted(block, np.arange(len(subtrees)))
-    block_end = np.append(begins[block_first][1:], ends[-1])
-    offsets = begins[block_first]
+    starts, offsets, sizes, widest = _spans(block, lengths, len(subtrees))
     start = node["start"].copy()
-    start[leaf_rows] = begins - offsets[block]
-    widest = np.maximum.reduceat(lengths, block_first)
+    start[leaf_rows] = starts
     return dict(node, start=start), packed, [
-        replace(tree, rule_offset=int(offset),
-                num_leaf_rules=int(end - offset), max_leaf_span=int(span))
-        for tree, offset, end, span in zip(subtrees, offsets, block_end,
-                                           widest)]
+        replace(tree, rule_offset=int(offset), num_leaf_rules=int(size),
+                max_leaf_span=int(span))
+        for tree, offset, size, span in zip(subtrees, offsets, sizes, widest)]

@@ -30,6 +30,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import List, Optional, Sequence, Union
 
+from repro.engine.layout import packets_to_array
 from repro.serve.controller import RetrainPolicy
 from repro.serve.registry import TenantRegistry
 from repro.serve.service import ServingReport
@@ -164,10 +165,11 @@ class ServingResult:
             ruleset = history[batch.tenant_id][batch.epoch]
             if batch.epoch >= 1:
                 post_swap += len(batch.requests)
-            for request, priority in zip(batch.requests, batch.priorities):
-                expected = ruleset.classify(request.packet)
+            rows = ruleset.match_rows(packets_to_array(
+                request.packet for request in batch.requests))
+            for row, priority in zip(rows.tolist(), batch.priorities):
                 checked += 1
-                if (expected.priority if expected else None) != priority:
+                if (ruleset[row].priority if row >= 0 else None) != priority:
                     mismatches += 1
         return ExactnessReport(num_checked=checked,
                                num_mismatches=mismatches,

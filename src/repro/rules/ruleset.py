@@ -21,6 +21,10 @@ from repro.rules.packet import Packet
 from repro.rules.rule import Rule, find_rule
 
 
+#: Packets :meth:`RuleSet.match_rows` tests against every rule at once.
+_MATCH_CHUNK = 512
+
+
 @dataclass
 class RuleSetStats:
     """Summary statistics of a classifier's geometry.
@@ -112,6 +116,26 @@ class RuleSet:
             if rule.matches(packet):
                 return rule
         return None
+
+    def match_rows(self, values) -> np.ndarray:
+        """Linear search over a batch of ``(n, 5)`` header rows: per row, the
+        index into :attr:`rules` of the highest-priority matching rule, or
+        ``-1``.  The answers :meth:`classify` gives, from a brute-force box
+        test over :attr:`bounds`, ``_MATCH_CHUNK`` packets at a time."""
+        values = np.asarray(values, dtype=np.int64).reshape(
+            -1, len(DIMENSIONS))
+        lo, hi = self.bounds.lo, self.bounds.hi
+        found = np.empty(len(values), dtype=np.int64)
+        for start in range(0, len(values), _MATCH_CHUNK):
+            chunk = values[start:start + _MATCH_CHUNK]
+            hit = np.ones((len(chunk), len(lo)), dtype=bool)
+            for dim in range(len(DIMENSIONS)):
+                field = chunk[:, dim, None]
+                hit &= (lo[:, dim] <= field) & (field < hi[:, dim])
+            first = hit.argmax(axis=1)  # rows are in priority order
+            found[start:start + len(chunk)] = np.where(
+                hit[np.arange(len(chunk)), first], first, -1)
+        return found
 
     def matching_rules(self, packet: Packet) -> List[Rule]:
         """All rules matching the packet, highest priority first."""

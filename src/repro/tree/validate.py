@@ -80,11 +80,12 @@ def validate_classifier(
         if include_corners:
             sample.extend(corner_packets(ruleset, limit=3 * len(ruleset)))
     compiled = classifier.compile()
-    found = compiled.match_indices(packets_to_array(sample)).tolist()
+    values = packets_to_array(sample)
+    found = compiled.match_indices(values).tolist()
+    rows = ruleset.match_rows(values).tolist()
     mismatching = []
-    for packet, index in zip(sample, found):
-        expected = ruleset.classify(packet)
-        expected_prio = expected.priority if expected else None
+    for packet, index, row in zip(sample, found, rows):
+        expected_prio = ruleset[row].priority if row >= 0 else None
         actual_prio = compiled.rules[index].priority if index >= 0 else None
         if expected_prio != actual_prio:
             mismatching.append(packet)

@@ -28,6 +28,7 @@ from repro.classbench import generate_classifier
 from repro.engine import (
     KIND_CUT,
     KIND_LEAF,
+    KIND_SPLIT,
     LEAF_RULE_DTYPE,
     NODE_DTYPE,
     RULE_DTYPE,
@@ -41,7 +42,7 @@ from repro.engine import (
     packets_to_array,
     rule_table,
 )
-from repro.engine.compile import _Cut, _Flattener, _Leaf, _Split
+from repro.engine.compile import _LEAF_ROW, _Flattener
 from repro.exceptions import InvalidRangeError
 from repro.rules import Dimension, Packet, Rule, RuleSet
 from repro.tree import CutAction, DecisionTree
@@ -330,17 +331,24 @@ class TestFootprint:
         # No header field is wider than 32 bits, so no tree the builders
         # produce gets here; a row that would wrap must not be stored.  A
         # split row stores its point in ``lo``.
+        # The rows go to the flattener directly: an internal row, then its
+        # two empty leaves.
         params = {"lo": 0, "base": 1, "rem": 0}
         if field == "point":
             field = "lo"
-            root = _Split(dim=0, point=value, children=[_Leaf([]), _Leaf([])])
+            row = (KIND_SPLIT, 0, value, 0, 0, 1, 2)
         else:
             params[field] = value
-            root = _Cut(dim=0, children=[_Leaf([]), _Leaf([])], **params)
+            row = (KIND_CUT, 0, params["lo"], params["base"], params["rem"],
+                   1, 2)
+        leaf = DecisionTree(RuleSet([Rule.from_fields()]),
+                            leaf_threshold=1).root
         flattener = _Flattener({}, [])
-        flattener.add(root)
+        flattener.records += [row, _LEAF_ROW, _LEAF_ROW]
+        flattener.leaves += [leaf, leaf]
+        flattener.blocks.append((0, 3, 1))
         with pytest.raises(CompileError, match=f"node column '{field}'"):
-            flattener.trees()
+            flattener.build()
 
     def test_priority_beyond_its_column_is_refused_at_compile(self):
         wide = Rule.from_fields(priority=1 << 31, name="wide")

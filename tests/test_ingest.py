@@ -21,6 +21,7 @@ Admission inside a serving run (``run_serving`` with an
 from __future__ import annotations
 
 from dataclasses import fields, replace
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -128,6 +129,19 @@ streams = st.lists(
 )
 
 
+def _dense(config):
+    """One tenant offered at 2-16x its ``tenant_rate`` for up to ~400
+    arrivals, each gap the over-rate spacing times a jitter in [0, 2]."""
+    return st.tuples(
+        st.floats(min_value=2.0, max_value=16.0),
+        st.integers(min_value=1, max_value=400).flatmap(lambda n: st.lists(
+            st.floats(min_value=0.0, max_value=2.0), min_size=n,
+            max_size=n)),
+    ).map(lambda drawn: [
+        ("a", time) for time in accumulate(
+            jitter / (drawn[0] * config.tenant_rate) for jitter in drawn[1])])
+
+
 def _requests(stream):
     return [_request(tenant, time, seq=i)
             for i, (tenant, time) in enumerate(stream)]
@@ -172,10 +186,13 @@ class TestAdmissionController:
             metrics.counter(f"ingest.{name}").value
             for name in ("offered", "admitted", "throttled", "shed"))
 
-    @given(config=configs, stream=streams)
+    @given(case=configs.flatmap(lambda config: st.tuples(
+        st.just(config), streams | _dense(config))))
     @settings(max_examples=100, deadline=None)
-    def test_queue_delay_bound(self, config, stream):
-        """No admitted request waits longer than queue_limit/tenant_rate."""
+    def test_queue_delay_bound(self, case):
+        """No admitted request waits longer than queue_limit/tenant_rate:
+        on mixed streams and on one tenant held over its rate."""
+        config, stream = case
         controller = AdmissionController(config)
         controller.admit(_requests(stream))
         delays = _delays(controller)

@@ -1,9 +1,13 @@
 """Tests for repro.rules.ruleset: ordering, classification, edits, sampling."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.classbench import generate_classifier, seed_names
 from repro.exceptions import RuleFormatError
-from repro.rules import Dimension, Packet, Rule, RuleSet
+from repro.rules import DIMENSIONS, FIELD_RANGES, Dimension, Packet, Rule, \
+    RuleSet
 
 
 class TestOrderingAndPriorities:
@@ -23,7 +27,43 @@ class TestOrderingAndPriorities:
             RuleSet([])
 
 
+_EDGES = st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, 2)),
+                  min_size=len(DIMENSIONS), max_size=len(DIMENSIONS))
+
+
+@given(family=st.sampled_from(sorted(seed_names())),
+       num_rules=st.integers(min_value=1, max_value=80),
+       seed=st.integers(min_value=0, max_value=10 ** 4),
+       edges=st.lists(_EDGES, min_size=1, max_size=60),
+       copies=st.sampled_from([1, 9, 20]))
+@settings(max_examples=80, deadline=None)
+def test_match_rows_equals_classify_at_every_rule_edge(
+        family, num_rules, seed, edges, copies):
+    """The batched box test names the rule the scalar scan names, on packets
+    whose every field sits at some rule's ``lo``, ``hi - 1`` or ``hi`` (the
+    first value past it, where the field still has one), in batches on
+    both sides of the 512-packet chunk."""
+    ruleset = generate_classifier(family, num_rules, seed=seed)
+    packets = []
+    for fields in edges:
+        values = []
+        for dim, (pick, edge) in zip(DIMENSIONS, fields):
+            lo, hi = ruleset[pick % len(ruleset)].ranges[dim]
+            values.append(min((lo, hi - 1, hi)[edge], FIELD_RANGES[dim][1] - 1))
+        packets.append(Packet.from_values(tuple(values)))
+    packets = (packets * copies)[:len(packets) * copies]
+    rows = ruleset.match_rows([p.as_tuple() for p in packets])
+    assert rows.dtype == np.int64 and rows.shape == (len(packets),)
+    for packet, row in zip(packets, rows.tolist()):
+        expected = ruleset.classify(packet)
+        assert (ruleset[row] if row >= 0 else None) is expected
+
+
 class TestClassification:
+    def test_match_rows_of_no_packets(self, tiny_ruleset):
+        rows = tiny_ruleset.match_rows(np.empty((0, 5), dtype=np.int64))
+        assert rows.shape == (0,)
+
     def test_highest_priority_rule_wins(self, tiny_ruleset):
         # This packet matches both the src/dst rule and the default rule.
         packet = Packet.from_strings("10.0.0.0", "10.0.0.1", 0, 0, 6)
