@@ -208,8 +208,6 @@ class _Flattener:
                  rules_out: List[Rule]) -> None:
         self.rule_slot = rule_slot
         self.rules_out = rules_out
-        #: ``id(rule) -> slot`` of each rule this compile appended.
-        self.slot_ids: Dict[int, int] = {}
         self.records: List[tuple] = []  # one NODE_DTYPE-ordered row per node
         #: The tree-model leaf of each leaf row, in row order.
         self.leaves: List[Node] = []
@@ -312,7 +310,7 @@ class _Flattener:
         slot = np.empty(len(distinct), dtype=RULE_DTYPE["rule_index"])
         slot[order] = list(map(
             _intern, map(distinct.__getitem__, order), repeat(self.rule_slot),
-            repeat(self.slot_ids), repeat(self.rules_out)))
+            repeat(self.rules_out)))
         return slot[ref_rule]
 
 
@@ -347,9 +345,10 @@ class CompileProvenance:
     per-row objects for the collector to walk); :meth:`rows_of` indexes it.
     ``rule_slot`` is the live index into the engine's shared distinct-rule
     list, and ``slot_ids`` the same by ``id`` for the objects that list
-    holds (a way past hashing a rule by value; as only listed objects are
-    keyed, no key's id can be recycled); partial recompiles extend all
-    three in place.  ``slot_refs`` counts,
+    holds (a way past hashing a rule by value, keyed on the first partial
+    recompile; as only listed objects are keyed, no key's id can be
+    recycled); partial recompiles extend all three in place.
+    ``slot_refs`` counts,
     per rule slot, the leaf-slot rows of live spans holding it (``None``:
     every row is live, as after a full compile).
     """
@@ -358,7 +357,7 @@ class CompileProvenance:
     versions: Tuple[int, ...]
     leaves: List[Node]
     rule_slot: Dict[Rule, int]
-    slot_ids: Dict[int, int]
+    slot_ids: Optional[Dict[int, int]] = None
     slot_refs: Optional[np.ndarray] = None
     _rows: Optional[Dict[int, Tuple[Node, List[Tuple[int, int]]]]] = field(
         default=None, repr=False)
@@ -448,7 +447,6 @@ def compile_classifier(classifier, flow_cache_size: Optional[int] = None):
         versions=tuple(tree.version for tree in classifier.trees),
         leaves=flattener.leaves,
         rule_slot=flattener.rule_slot,
-        slot_ids=flattener.slot_ids,
     )
     return compiled
 
@@ -512,7 +510,10 @@ def partial_compile_classifier(
     forest = previous.forest
     rule_slot = provenance.rule_slot
     rules_out = previous.rules  # append-only; previous keeps serving from it
-    slot_ids = provenance.slot_ids
+    if provenance.slot_ids is None:
+        provenance.slot_ids = {id(rule): slot
+                               for slot, rule in enumerate(rules_out)}
+    slot_ids, known = provenance.slot_ids, len(rules_out)
     rows_of = provenance.rows_of(previous)
     appended: List[int] = []  # the touched leaves' slots, leaf after leaf
     lengths: List[int] = []  # per touched leaf
@@ -525,13 +526,15 @@ def partial_compile_classifier(
                 return full()
             slots = list(map(slot_ids.get, map(id, leaf.rules)))
             if None in slots:
-                slots = [_intern(rule, rule_slot, slot_ids, rules_out)
+                slots = [_intern(rule, rule_slot, rules_out)
                          if slot is None else slot
                          for rule, slot in zip(leaf.rules, slots)]
             appended.extend(slots)
             owner.extend([len(lengths)] * len(entry[1]))
             repointed.extend(entry[1])
             lengths.append(len(slots))
+    slot_ids.update(zip(map(id, rules_out[known:]),
+                        range(known, len(rules_out))))
 
     table = rule_table(rules_out, forest.table)
     old_slots = forest.rule["rule_index"]
@@ -600,13 +603,11 @@ def partial_compile_classifier(
                                 leaves_respanned=len(lengths))
 
 
-def _intern(rule: Rule, rule_slot: Dict[Rule, int], slot_ids: Dict[int, int],
+def _intern(rule: Rule, rule_slot: Dict[Rule, int],
             rules_out: List[Rule]) -> int:
-    """The slot of ``rule``, appending it to the rule list (and its object
-    to ``slot_ids``) if it is new."""
+    """The slot of ``rule``, appending it to the rule list if it is new."""
     slot = rule_slot.setdefault(rule, len(rules_out))
     if slot == len(rules_out):
-        slot_ids[id(rule)] = slot
         rules_out.append(rule)
     return slot
 

@@ -236,6 +236,5 @@ def compile_classifier(classifier) -> CompiledClassifier:
         versions=tuple(tree.version for tree in classifier.trees),
         leaves=flattener.leaves,
         rule_slot=rule_slot,
-        slot_ids={id(rule): slot for slot, rule in enumerate(rules_out)},
     )
     return compiled

@@ -68,7 +68,6 @@ def _assert_same_engine(got, want):
     assert all(a is b for a, b in zip(mine.leaves, theirs.leaves))
     assert mine.rule_slot == theirs.rule_slot
     assert list(mine.rule_slot.values()) == list(theirs.rule_slot.values())
-    assert mine.slot_ids == theirs.slot_ids
     assert mine.trees == theirs.trees and mine.versions == theirs.versions
 
 
