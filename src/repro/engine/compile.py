@@ -215,14 +215,11 @@ class _Flattener:
         self.blocks: List[Tuple[int, int, int]] = []
 
     def add(self, root: Node) -> None:
-        """Append the block of one expanded root, breadth-first; its indices
-        are relative to the block.
-
-        A leaf or split is one row, a cut a chain of single-dimension cut
-        rows (:func:`_chain`): its entries below the first level carry
-        ``(node, levels, level, cell)`` until the last level hands over the
-        node's children.
-        """
+        """Append the block of one expanded root, breadth-first (indices
+        relative to the block): a leaf or split is one row, a cut a chain of
+        single-dimension cut rows (:func:`_chain`) whose entries below the
+        first level carry ``(node, levels, level, cell)`` until the last
+        level hands over the node's children."""
         records, leaves = self.records, self.leaves
         node_offset = len(records)
         level: List[object] = [root]
@@ -525,16 +522,17 @@ def partial_compile_classifier(
             if entry is None or entry[0] is not leaf:
                 return full()
             slots = list(map(slot_ids.get, map(id, leaf.rules)))
-            if None in slots:
+            if None in slots:  # key the rules it appends for later leaves
                 slots = [_intern(rule, rule_slot, rules_out)
                          if slot is None else slot
                          for rule, slot in zip(leaf.rules, slots)]
+                slot_ids.update(zip(map(id, rules_out[known:]),
+                                    range(known, len(rules_out))))
+                known = len(rules_out)
             appended.extend(slots)
             owner.extend([len(lengths)] * len(entry[1]))
             repointed.extend(entry[1])
             lengths.append(len(slots))
-    slot_ids.update(zip(map(id, rules_out[known:]),
-                        range(known, len(rules_out))))
 
     table = rule_table(rules_out, forest.table)
     old_slots = forest.rule["rule_index"]

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import reference_walk
+from repro.engine import compile as compile_module
 from repro.baselines import EffiCutsBuilder, HiCutsBuilder
 from repro.classbench import generate_classifier
 from repro.engine import (
@@ -213,6 +214,27 @@ class TestPartialCompile:
         got = _priorities(result.classifier.classify_batch(packets))
         assert got == _priorities(fresh.classify_batch(packets))
         _assert_exact(result.classifier, efficuts.ruleset, packets)
+
+    def test_a_new_rule_is_slotted_by_value_once(self, hicuts, monkeypatch):
+        # A wide rule lands in many leaves; the first leaf slots it by
+        # value and keys its object, so the others read its slot by id.
+        previous = compile_classifier(hicuts)
+        wide = Rule.from_prefixes(
+            protocol=6, priority=max(r.priority for r in hicuts.ruleset) + 1,
+            name="wide")
+        records = _apply_delta(hicuts, adds=[wide])
+        assert len(records[0].leaves) > 1
+        calls, known = [], len(previous.rules)
+        intern = compile_module._intern
+        monkeypatch.setattr(compile_module, "_intern",
+                            lambda *args: calls.append(args[0])
+                            or intern(*args))
+        result = partial_compile_classifier(hicuts, previous, records)
+        assert not result.full_rebuild
+        assert calls == [wide]
+        engine = result.classifier
+        assert engine.provenance.slot_ids[id(wide)] \
+            == engine.rules.index(wide) == known
 
     def test_missing_record_is_a_full_rebuild(self, hicuts):
         previous = compile_classifier(hicuts)
